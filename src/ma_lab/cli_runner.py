@@ -43,10 +43,10 @@ from .covering_maximal import CoveringError, maximal_function, strong_type_ratio
 from .good_sets import GoodSetError, good_set_survey
 from .barriers import BarrierError, build_supersolution, verify_supersolution
 from .stability_lab import (
-    Assertion,
     ExperimentReport,
     StabilityError,
     approximation_experiment,
+    check,
     cofactor_stability_sweep,
     contact_set_experiment,
     convex_w21e_check,
@@ -293,19 +293,6 @@ def _bump(config: ExperimentConfig, grid):
     return default_bump(grid.domain)
 
 
-def _check(assertions, name, lhs, op, rhs, tol=0.0, note=""):
-    if op == "<=":
-        ok = lhs <= rhs + tol
-    elif op == ">=":
-        ok = lhs >= rhs - tol
-    elif op == "~":
-        ok = abs(lhs - rhs) <= tol
-    else:
-        raise ValueError(f"unknown assertion op {op!r}")
-    assertions.append(Assertion(name, float(lhs), op, float(rhs), float(tol), bool(ok), note))
-    return ok
-
-
 def _config_echo(config: ExperimentConfig) -> dict:
     d = {}
     for f in fields(config):
@@ -321,9 +308,9 @@ def _run_solve_ma(config: ExperimentConfig, out: str) -> ExperimentReport:
     grid = _build_grid(config)
     pot = solve_ma(grid, _density(config, grid), tol_ma=config.tol_ma)
     assertions = []
-    _check(assertions, "newton residual within tolerance",
-           pot.residual_max, "<=", 10.0 * config.tol_ma)
-    _check(assertions, "certified convex", pot.convexity_margin, ">=", 0.0)
+    check(assertions, "newton residual within tolerance",
+          pot.residual_max, "<=", 10.0 * config.tol_ma)
+    check(assertions, "certified convex", pot.convexity_margin, ">=", 0.0)
     write_field_csv(pot.phi, os.path.join(out, "potential.csv"))
     return ExperimentReport(
         experiment="solve_ma", config=_config_echo(config), sweep=[],
@@ -343,9 +330,9 @@ def _run_solve_lma(config: ExperimentConfig, out: str) -> ExperimentReport:
     sol = solve_lma(pot, f, tol_lma=config.tol_lma)
     abp = abp_check(sol)
     assertions = []
-    _check(assertions, "linear solve residual within tolerance",
-           sol.residual_max, "<=", 10.0 * config.tol_lma)
-    _check(assertions, "abp ratio finite", abp.ratio, "<=", 1e6)
+    check(assertions, "linear solve residual within tolerance",
+          sol.residual_max, "<=", 10.0 * config.tol_lma)
+    check(assertions, "abp ratio finite", abp.ratio, "<=", 1e6)
     write_field_csv(sol.u, os.path.join(out, "solution.csv"))
     return ExperimentReport(
         experiment="solve_lma", config=_config_echo(config), sweep=[],
@@ -370,11 +357,11 @@ def _run_sections(config: ExperimentConfig, out: str) -> ExperimentReport:
     eng = engulfing_constant(pot, samples)
     vol = volume_scaling(pot, [(center, t) for t in t_values])
     assertions = []
-    _check(assertions, "section measures increase with height",
-           rows[0][1], "<=", rows[-1][1])
-    _check(assertions, "volume scaling exponent near linear",
-           vol.exponent, "~", 1.0, tol=0.15)
-    _check(assertions, "engulfing constant bounded", eng.theta_star, "<=", 6.0)
+    check(assertions, "section measures increase with height",
+          rows[0][1], "<=", rows[-1][1])
+    check(assertions, "volume scaling exponent near linear",
+          vol.exponent, "~", 1.0, tol=0.15)
+    check(assertions, "engulfing constant bounded", eng.theta_star, "<=", 6.0)
     lines = ["t,measure,cells,interior"]
     for t, meas, n, inter in rows:
         lines.append(f"{fmt_float(t)},{fmt_float(meas)},{n},{int(inter)}")
@@ -397,10 +384,10 @@ def _run_cover(config: ExperimentConfig, out: str) -> ExperimentReport:
     pot = solve_ma(grid, _density(config, grid), tol_ma=config.tol_ma)
     cover = vitali_cover(pot, grid.interior)
     assertions = []
-    _check(assertions, "cores pairwise disjoint",
-           cover.disjointness_violations, "<=", 0)
-    _check(assertions, "half-height sections cover the region",
-           cover.coverage_defect, "<=", 0.0)
+    check(assertions, "cores pairwise disjoint",
+          cover.disjointness_violations, "<=", 0)
+    check(assertions, "half-height sections cover the region",
+          cover.coverage_defect, "<=", 0.0)
     lines = ["x,y,height"]
     for (x, y), h in zip(cover.centers, cover.heights):
         lines.append(f"{fmt_float(x)},{fmt_float(y)},{fmt_float(h)}")
@@ -420,16 +407,15 @@ def _run_maximal(config: ExperimentConfig, out: str) -> ExperimentReport:
     t0 = time.perf_counter()
     grid = _build_grid(config)
     pot = solve_ma(grid, _density(config, grid), tol_ma=config.tol_ma)
-    m_one = maximal_function(pot, 1.0)
-    dev = float(np.nanmax(np.abs(m_one.values[grid.in_domain] - 1.0)))
     X, Y = grid.meshes()
     f = np.asarray(_bump(config, grid)(X, Y), dtype=float)
-    ratio = strong_type_ratio(pot, f, p=config.p)
-    m_f = maximal_function(pot, f)
+    m_one, m_f = maximal_function(pot, [1.0, f])
+    dev = float(np.nanmax(np.abs(m_one.values[grid.in_domain] - 1.0)))
+    ratio = strong_type_ratio(pot, f, p=config.p, maximal=m_f)
     assertions = []
-    _check(assertions, "maximal function of 1 is 1", dev, "<=", 1e-12)
-    _check(assertions, "strong type ratio finite", ratio, "<=", 1e6)
-    _check(assertions, "maximal dominates the average", ratio, ">=", 1.0 - 1e-12)
+    check(assertions, "maximal function of 1 is 1", dev, "<=", 1e-12)
+    check(assertions, "strong type ratio finite", ratio, "<=", 1e6)
+    check(assertions, "maximal dominates the average", ratio, ">=", 1.0 - 1e-12)
     write_field_csv(m_f, os.path.join(out, "maximal_field.csv"))
     return ExperimentReport(
         experiment="maximal", config=_config_echo(config), sweep=[],
@@ -451,15 +437,15 @@ def _run_goodsets(config: ExperimentConfig, out: str) -> ExperimentReport:
     res = good_set_survey(pot, sol.u, betas, m=config.m, M_grid=M_grid, sigma_grid=sigma_grid)
     assertions = []
     mono_F2 = bool(np.all(np.diff(res.F2) <= 1e-14))
-    _check(assertions, "F2 non-increasing", 0.0 if mono_F2 else 1.0, "<=", 0.0)
+    check(assertions, "F2 non-increasing", 0.0 if mono_F2 else 1.0, "<=", 0.0)
     for a, b in zip(M_grid, M_grid[1:]):
         grows = not (res.good_masks[a] & ~res.good_masks[b]).any()
-        _check(assertions, f"good sets grow from M={a} to M={b}",
-               0.0 if grows else 1.0, "<=", 0.0)
+        check(assertions, f"good sets grow from M={a} to M={b}",
+              0.0 if grows else 1.0, "<=", 0.0)
     for a, b in zip(sigma_grid, sigma_grid[1:]):
         shrinks = not (res.quasi_masks[b] & ~res.quasi_masks[a]).any()
-        _check(assertions, f"quasi masks shrink from sigma={a} to sigma={b}",
-               0.0 if shrinks else 1.0, "<=", 0.0)
+        check(assertions, f"quasi masks shrink from sigma={a} to sigma={b}",
+              0.0 if shrinks else 1.0, "<=", 0.0)
     lines = ["beta,F,F1,F2"]
     for k, b in enumerate(res.beta_grid):
         lines.append(",".join(fmt_float(v) for v in (b, res.F[k], res.F1[k], res.F2[k])))
@@ -492,12 +478,12 @@ def _run_barrier(config: ExperimentConfig, out: str) -> ExperimentReport:
                                   delta=config.delta)
     rep = verify_supersolution(barrier, pot)
     assertions = []
-    _check(assertions, "operator value below the negative threshold",
-           rep.interior_max, "<=", rep.threshold)
-    _check(assertions, "barrier nonnegative on the flat boundary piece",
-           rep.boundary_min, ">=", -rep.boundary_tol)
-    _check(assertions, "barrier dominates the gap on the inner circle",
-           rep.circle_min, ">=", -rep.circle_tol)
+    check(assertions, "operator value below the negative threshold",
+          rep.interior_max, "<=", rep.threshold)
+    check(assertions, "barrier nonnegative on the flat boundary piece",
+          rep.boundary_min, ">=", -rep.boundary_tol)
+    check(assertions, "barrier dominates the gap on the inner circle",
+          rep.circle_min, ">=", -rep.circle_tol)
     write_field_csv(barrier.w, os.path.join(out, "barrier.csv"), mask=barrier.mask)
     return ExperimentReport(
         experiment="barrier", config=_config_echo(config), sweep=[],

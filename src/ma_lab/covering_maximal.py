@@ -21,6 +21,7 @@ from .section_geom import (
     engulfing_samples,
     interior_heights,
     measure_c_cap,
+    pair_gaps,
 )
 
 
@@ -310,9 +311,9 @@ def covering_select(
 def height_grid(potential: PotentialField, c_cap: Optional[float] = None, n_heights: int = 12) -> np.ndarray:
     """Log-spaced probe heights from the smallest usable section up to the cap."""
     grid = potential.grid
-    if c_cap is None:
-        c_cap = measure_c_cap(potential)
     hs = interior_heights(potential)
+    if c_cap is None:
+        c_cap = measure_c_cap(potential, heights=hs)
     k = np.unravel_index(np.nanargmax(np.where(np.isfinite(hs), hs, -np.inf)), hs.shape)
     gap = _gap_from_index(potential, *k)
     t = 2.0 * grid.cell_area
@@ -330,46 +331,55 @@ def maximal_function(
     f,
     c_cap: Optional[float] = None,
     n_heights: int = 12,
-    chunk: int = 256,
-) -> ScalarField:
+    chunk: int = 32,
+) -> ScalarField | list[ScalarField]:
     """Supremum of section averages of |f| over the probe height grid, per node.
 
     The average at height t uses the full tangent sublevel set, which equals
     the flood-filled section for a certified convex potential. Suprema over a
     finite height set bound the true maximal operator from below, which keeps
     the strong-type measurements honest.
+
+    One scan over the node pairs serves every height: a pair whose tangent
+    gap reaches the top height enters no average and is dropped, and each
+    kept pair is binned by the lowest height its gap falls below. Cumulative
+    sums over the bins give the count and the sum of every section at once.
+    f may be a list or tuple of inputs; the pairs are then scanned once for
+    all of them and one field per input comes back, in order. A single input
+    returns a single ScalarField.
     """
     grid = potential.grid
-    fv = _coerce_samples(grid, f.values if isinstance(f, ScalarField) else f)
-    heights = height_grid(potential, c_cap=c_cap, n_heights=n_heights)
-
+    many = isinstance(f, (list, tuple))
     ni, nj = np.nonzero(grid.in_domain)
-    Px = grid.xs[ni]
-    Py = grid.ys[nj]
-    phiP = potential.phi.values[ni, nj]
-    absf = np.abs(fv[ni, nj])
-    out = np.full(grid.shape, np.nan)
-    for s in range(0, ni.size, chunk):
-        sl = slice(s, min(s + chunk, ni.size))
-        cx = Px[sl][:, None]
-        cy = Py[sl][:, None]
-        phic = phiP[sl][:, None]
-        gx = potential.grad.gx[ni[sl], nj[sl]][:, None]
-        gy = potential.grad.gy[ni[sl], nj[sl]][:, None]
-        D = phiP[None, :] - phic - gx * (Px[None, :] - cx) - gy * (Py[None, :] - cy)
-        best = np.full(sl.stop - sl.start, -np.inf)
-        for t in heights:
-            W = D < t
-            counts = W.sum(axis=1)
-            sums = W @ absf
-            avg = sums / np.maximum(counts, 1)
-            best = np.maximum(best, avg)
-        out[ni[sl], nj[sl]] = best
-    return ScalarField(grid, out)
+    absf = [
+        np.abs(_coerce_samples(grid, g.values if isinstance(g, ScalarField) else g)[ni, nj])
+        for g in (f if many else [f])
+    ]
+    heights = height_grid(potential, c_cap=c_cap, n_heights=n_heights)
+    nh = heights.size
+    outs = [np.full(grid.shape, np.nan) for _ in absf]
+    for block, D in pair_gaps(potential, ni, nj, ni, nj, chunk):
+        flat = np.flatnonzero(D < heights[-1])
+        rows, cols = np.divmod(flat, ni.size)
+        key = rows * nh + np.searchsorted(heights, D.reshape(-1)[flat], side="right")
+        size = D.shape[0] * nh
+        counts = np.bincount(key, minlength=size).reshape(-1, nh).cumsum(axis=1)
+        counts = np.maximum(counts, 1)
+        for a, out in zip(absf, outs):
+            sums = np.bincount(key, weights=a[cols], minlength=size).reshape(-1, nh).cumsum(axis=1)
+            out[ni[block], nj[block]] = (sums / counts).max(axis=1)
+    fields = [ScalarField(grid, out) for out in outs]
+    return fields if many else fields[0]
 
 
-def strong_type_ratio(potential: PotentialField, f, p: float, c_cap: Optional[float] = None) -> float:
-    """Ratio of the L^p norm of the maximal function to the L^p norm of the input."""
+def strong_type_ratio(
+    potential: PotentialField, f, p: float, c_cap: Optional[float] = None, maximal: Optional[ScalarField] = None
+) -> float:
+    """Ratio of the L^p norm of the maximal function to the L^p norm of the input.
+
+    maximal, when given, is maximal_function(potential, f) already computed
+    with the same cap; otherwise it is computed here.
+    """
     if not p > 1:
         raise FieldError(f"strong type ratio needs p > 1, got {p}")
     grid = potential.grid
@@ -377,5 +387,5 @@ def strong_type_ratio(potential: PotentialField, f, p: float, c_cap: Optional[fl
     denom = lp_norm((grid, fv), p)
     if denom == 0.0:
         raise FieldError("strong type ratio undefined for zero input")
-    M = maximal_function(potential, fv, c_cap=c_cap)
+    M = maximal_function(potential, fv, c_cap=c_cap) if maximal is None else maximal
     return lp_norm(M, p) / denom

@@ -16,6 +16,7 @@ from scipy import ndimage
 
 from .domain_grid import ScalarField, fd_derivatives
 from .ma_solve import PotentialField, _coerce_samples
+from .section_geom import pair_gaps
 
 
 class GoodSetError(ValueError):
@@ -101,7 +102,7 @@ def minimal_opening_field(
     u,
     centers: Optional[np.ndarray] = None,
     d_min: Optional[float] = None,
-    chunk: int = 256,
+    chunk: int = 64,
     _pre=None,
 ) -> np.ndarray:
     """Minimal openings at many centers; NaN where no admissible pair exists."""
@@ -116,51 +117,19 @@ def minimal_opening_field(
         centers = _default_centers(potential, grad.quadratic_exact)
 
     ni, nj = np.nonzero(grid.in_domain)
-    Px = grid.xs[ni]
-    Py = grid.ys[nj]
-    phiP = potential.phi.values[ni, nj]
-    uP = vals[ni, nj]
-
     out = np.full(grid.shape, np.nan)
     ci, cj = np.nonzero(centers)
-    for s in range(0, ci.size, chunk):
-        sl = slice(s, min(s + chunk, ci.size))
-        cx = grid.xs[ci[sl]][:, None]
-        cy = grid.ys[cj[sl]][:, None]
-        dx = Px[None, :] - cx
-        dy = Py[None, :] - cy
-        D = (
-            phiP[None, :]
-            - potential.phi.values[ci[sl], cj[sl]][:, None]
-            - potential.grad.gx[ci[sl], cj[sl]][:, None] * dx
-            - potential.grad.gy[ci[sl], cj[sl]][:, None] * dy
-        )
-        num = np.abs(
-            uP[None, :]
-            - vals[ci[sl], cj[sl]][:, None]
-            - grad.gx[ci[sl], cj[sl]][:, None] * dx
-            - grad.gy[ci[sl], cj[sl]][:, None] * dy
-        )
+    scans = zip(
+        pair_gaps(potential, ci, cj, ni, nj, chunk),
+        pair_gaps(potential, ci, cj, ni, nj, chunk, values=vals, grad=grad),
+    )
+    for (block, D), (_, U) in scans:
         ok = D >= d_min
-        ratio = np.where(ok, num / np.where(ok, D, 1.0), -np.inf)
+        ratio = np.where(ok, np.abs(U) / np.where(ok, D, 1.0), -np.inf)
         best = ratio.max(axis=1)
         best = np.where(np.isfinite(best) & ok.any(axis=1), 2.0 * best, np.nan)
-        out[ci[sl], cj[sl]] = best
+        out[ci[block], cj[block]] = best
     return out
-
-
-def good_set_mask(
-    potential: PotentialField,
-    u,
-    M: float,
-    centers: Optional[np.ndarray] = None,
-    openings: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of centers whose minimal opening is at most M, with the centers used."""
-    if openings is None:
-        openings = minimal_opening_field(potential, u, centers=centers)
-    used = np.isfinite(openings)
-    return used & (openings <= M), used
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +141,7 @@ def _ratio_extrema(
     potential: PotentialField,
     neighborhood_radius: Optional[float],
     centers: np.ndarray,
-    chunk: int = 256,
+    chunk: int = 64,
     pair_floor: Optional[float] = None,
     tangent_margin: int = 3,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -186,42 +155,52 @@ def _ratio_extrema(
     carries no information and, near the boundary, only the imposition error.
     Centers are restricted to the tangent trust region (see
     tangent_trust_region); pass tangent_margin=0 to scan everywhere.
+
+    With a neighborhood radius each center scans only the in-domain nodes
+    at grid offsets of at most ceil(radius) + 1 cells along each axis. That
+    window is a superset of the admissible pairs; the float test on the
+    squared separation (pair_floor <= e2 <= the squared radius) decides
+    which pairs count, exactly as in the all-pairs scan. Without a radius
+    every in-domain node is a target.
     """
     grid = potential.grid
     if pair_floor is None:
         pair_floor = 1.5 * grid.spacing ** 2
     centers = centers & tangent_trust_region(potential, tangent_margin)
-    r2_cap = None if neighborhood_radius is None else (neighborhood_radius * grid.spacing) ** 2
+    ci, cj = np.nonzero(centers)
+    if neighborhood_radius is None:
+        r2_cap = np.inf
+        ti, tj = np.nonzero(grid.in_domain)
+        inside = None
+    else:
+        r2_cap = (neighborhood_radius * grid.spacing) ** 2
+        w = int(np.ceil(np.sqrt(r2_cap) / grid.spacing)) + 1
+        di, dj = (a.ravel() for a in np.mgrid[-w : w + 1, -w : w + 1])
+        ti = ci[:, None] + di
+        tj = cj[:, None] + dj
+        inside = (ti >= 0) & (ti < grid.shape[0]) & (tj >= 0) & (tj < grid.shape[1])
+        ti = np.clip(ti, 0, grid.shape[0] - 1)
+        tj = np.clip(tj, 0, grid.shape[1] - 1)
+        inside &= grid.in_domain[ti, tj]
 
-    ni, nj = np.nonzero(grid.in_domain)
-    Px = grid.xs[ni]
-    Py = grid.ys[nj]
-    phiP = potential.phi.values[ni, nj]
     lo = np.full(grid.shape, np.nan)
     hi = np.full(grid.shape, np.nan)
-    ci, cj = np.nonzero(centers)
-    for s in range(0, ci.size, chunk):
-        sl = slice(s, min(s + chunk, ci.size))
-        cx = grid.xs[ci[sl]][:, None]
-        cy = grid.ys[cj[sl]][:, None]
-        dx = Px[None, :] - cx
-        dy = Py[None, :] - cy
+    for block, D in pair_gaps(potential, ci, cj, ti, tj, chunk):
+        bi = ci[block, None]
+        bj = cj[block, None]
+        ri, rj = (ti, tj) if inside is None else (ti[block], tj[block])
+        dx = grid.xs[ri] - grid.xs[bi]
+        dy = grid.ys[rj] - grid.ys[bj]
         e2 = dx * dx + dy * dy
-        D = (
-            phiP[None, :]
-            - potential.phi.values[ci[sl], cj[sl]][:, None]
-            - potential.grad.gx[ci[sl], cj[sl]][:, None] * dx
-            - potential.grad.gy[ci[sl], cj[sl]][:, None] * dy
-        )
-        ok = e2 >= pair_floor
-        if r2_cap is not None:
-            ok &= e2 <= r2_cap
+        ok = (e2 >= pair_floor) & (e2 <= r2_cap)
+        if inside is not None:
+            ok &= inside[block]
         ratio = D / np.where(ok, e2, 1.0)
         lo_s = np.where(ok, ratio, np.inf).min(axis=1)
         hi_s = np.where(ok, ratio, -np.inf).max(axis=1)
         any_ok = ok.any(axis=1)
-        lo[ci[sl], cj[sl]] = np.where(any_ok, lo_s, np.nan)
-        hi[ci[sl], cj[sl]] = np.where(any_ok, hi_s, np.nan)
+        lo[ci[block], cj[block]] = np.where(any_ok, lo_s, np.nan)
+        hi[ci[block], cj[block]] = np.where(any_ok, hi_s, np.nan)
     return lo, hi
 
 
@@ -229,7 +208,7 @@ def quasi_euclidean_ratio_min(
     potential: PotentialField,
     neighborhood_radius: Optional[float] = 5.0,
     centers: Optional[np.ndarray] = None,
-    chunk: int = 256,
+    chunk: int = 64,
     tangent_margin: int = 3,
 ) -> np.ndarray:
     """Per-center minimum of squared quasi-distance over squared distance.

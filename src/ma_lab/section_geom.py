@@ -275,44 +275,72 @@ def maximal_height(potential: PotentialField, x) -> tuple[float, np.ndarray]:
     return lo, witness
 
 
+def pair_gaps(potential: PotentialField, ci, cj, ti, tj, chunk: int, values=None, grad=None):
+    """Tangent gaps from centre nodes to target nodes, one block of centres at a time.
+
+    Yields (block, D) for consecutive blocks of at most chunk centres, where
+    block is a slice into ci, cj and
+
+        D[k, m] = v(t) - v(c) - gx(c) * (x_t - x_c) - gy(c) * (y_t - y_c)
+
+    for the centre c = (ci, cj)[block][k] and its m-th target t. v and
+    (gx, gy) are the potential and its gradient unless values and grad (an
+    object with gx and gy arrays) are given. Targets are either one row of
+    node indices shared by every centre (1-D ti, tj) or one row per centre
+    (2-D, first axis along ci). The expression and its evaluation order are
+    fixed, so every scan built on this helper sees bit-for-bit the same
+    gaps. D lives in a buffer that the next block overwrites.
+    """
+    grid = potential.grid
+    v = potential.phi.values if values is None else values
+    g = potential.grad if grad is None else grad
+    ci, cj, ti, tj = (np.asarray(a) for a in (ci, cj, ti, tj))
+    shared = ti.ndim == 1
+    bufs = [np.empty((min(chunk, ci.size), ti.shape[-1])) for _ in range(2)]
+    for s in range(0, ci.size, chunk):
+        block = slice(s, s + chunk)
+        bi = ci[block, None]
+        bj = cj[block, None]
+        ri, rj = (ti, tj) if shared else (ti[block], tj[block])
+        D, step = (b[: bi.shape[0]] for b in bufs)
+        np.subtract(v[ri, rj], v[bi, bj], out=D)
+        np.subtract(grid.xs[ri], grid.xs[bi], out=step)
+        step *= g.gx[bi, bj]
+        D -= step
+        np.subtract(grid.ys[rj], grid.ys[bj], out=step)
+        step *= g.gy[bi, bj]
+        D -= step
+        yield block, D
+
+
 def interior_heights(potential: PotentialField, mask: Optional[np.ndarray] = None, chunk: int = 2048) -> np.ndarray:
     """Maximal interior heights at every node of the mask, in closed form.
 
     For a convex potential the section first meets the boundary band at the
     band node with the smallest tangent gap, so the maximal height is the
-    minimum of those gaps. Computed in vectorized chunks; NaN off the mask.
+    minimum of those gaps. Scanned in blocks of centres against the band
+    nodes (see pair_gaps); NaN off the mask.
     """
     grid = potential.grid
     if mask is None:
         mask = grid.interior
     out = np.full(grid.shape, np.nan)
     ci, cj = np.nonzero(mask)
-    if ci.size == 0:
-        return out
-    ring = grid.boundary_adjacent
-    ri, rj = np.nonzero(ring)
-    Rx = grid.xs[ri]
-    Ry = grid.ys[rj]
-    phiR = potential.phi.values[ri, rj]
-    for s in range(0, ci.size, chunk):
-        sl = slice(s, min(s + chunk, ci.size))
-        cx = grid.xs[ci[sl]][:, None]
-        cy = grid.ys[cj[sl]][:, None]
-        phic = potential.phi.values[ci[sl], cj[sl]][:, None]
-        gx = potential.grad.gx[ci[sl], cj[sl]][:, None]
-        gy = potential.grad.gy[ci[sl], cj[sl]][:, None]
-        gaps = phiR[None, :] - phic - gx * (Rx[None, :] - cx) - gy * (Ry[None, :] - cy)
-        out[ci[sl], cj[sl]] = gaps.min(axis=1)
+    ri, rj = np.nonzero(grid.boundary_adjacent)
+    for block, D in pair_gaps(potential, ci, cj, ri, rj, chunk):
+        out[ci[block], cj[block]] = D.min(axis=1)
     return out
 
 
-def measure_c_cap(potential: PotentialField, factor: float = 0.05) -> float:
+def measure_c_cap(potential: PotentialField, factor: float = 0.05, heights: Optional[np.ndarray] = None) -> float:
     """Instance height cap for small-section diagnostics.
 
     A fixed fraction of the largest maximal interior height; diagnostics
     (volume slope, engulfing) are validated against this cap in the tests.
+    heights, when given, is the interior_heights field already computed for
+    this potential.
     """
-    hs = interior_heights(potential)
+    hs = interior_heights(potential) if heights is None else heights
     return factor * float(np.nanmax(hs))
 
 

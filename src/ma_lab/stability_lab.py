@@ -64,7 +64,11 @@ class ExperimentReport:
         }
 
 
-def _check(assertions: list, name: str, lhs: float, op: str, rhs: float, tol: float = 0.0, note: str = "") -> bool:
+def check(assertions: list, name: str, lhs: float, op: str, rhs: float, tol: float = 0.0, note: str = "") -> bool:
+    """Record the assertion lhs op rhs (within tol) and return whether it holds.
+
+    op is one of <=, >=, < and ~ (|lhs - rhs| <= tol).
+    """
     if op == "<=":
         ok = lhs <= rhs + tol
     elif op == ">=":
@@ -158,10 +162,10 @@ def cofactor_stability_sweep(grid, eps_list, q: float = 2.0, g0=None, threads: i
     order = np.argsort(eps_list)
     assertions = []
     for lo, hi in zip(order[:-1], order[1:]):
-        _check(assertions, f"norm(eps={eps_list[lo]}) < norm(eps={eps_list[hi]})",
-               norms[lo], "<", norms[hi])
+        check(assertions, f"norm(eps={eps_list[lo]}) < norm(eps={eps_list[hi]})",
+              norms[lo], "<", norms[hi])
     slope = _loglog_slope(eps_list, norms)
-    _check(assertions, "log-log slope of norm vs eps positive", slope, ">=", 0.0)
+    check(assertions, "log-log slope of norm vs eps positive", slope, ">=", 0.0)
     return ExperimentReport(
         experiment="cofactor_stability_sweep",
         config={"q": q, "spacing": grid.spacing, "domain": grid.domain.kind, "eps": eps_list},
@@ -191,8 +195,8 @@ def cofactor_scaling_oracle(grid, eps: float = 0.2, q: float = 2.0,
     w_fro = np.sqrt(W.xx ** 2 + 2.0 * W.xy ** 2 + W.yy ** 2)
     rhs = (np.sqrt(1.0 + eps) - 1.0) * lp_norm((grid, w_fro), q)
     assertions = []
-    _check(assertions, "measured distance matches scaling prediction",
-           lhs, "~", rhs, tol=rel_tol * rhs)
+    check(assertions, "measured distance matches scaling prediction",
+          lhs, "~", rhs, tol=rel_tol * rhs)
     return ExperimentReport(
         experiment="cofactor_scaling_oracle",
         config={"q": q, "eps": eps, "spacing": grid.spacing, "domain": grid.domain.kind},
@@ -250,11 +254,11 @@ def sobolev_stability_sweep(grid, eps_list, gamma: float = 1.1, g0=None, threads
     order = np.argsort(eps_list)
     assertions = []
     for lo, hi in zip(order[:-1], order[1:]):
-        _check(assertions, f"hessian distance at eps={eps_list[lo]} < at eps={eps_list[hi]}",
-               lhs[lo], "<", lhs[hi])
+        check(assertions, f"hessian distance at eps={eps_list[lo]} < at eps={eps_list[hi]}",
+              lhs[lo], "<", lhs[hi])
     slope = _loglog_slope(gdist, lhs)
-    _check(assertions, "log-log slope of hessian distance vs density distance positive",
-           slope, ">=", 0.0)
+    check(assertions, "log-log slope of hessian distance vs density distance positive",
+          slope, ">=", 0.0)
     return ExperimentReport(
         experiment="sobolev_stability_sweep",
         config={"gamma": gamma, "spacing": grid.spacing, "domain": grid.domain.kind, "eps": eps_list},
@@ -277,7 +281,7 @@ def sobolev_scaling_oracle(grid, eps: float = 0.2, gamma: float = 1.1,
     lhs = _matrix_diff_lq(grid, pot.hess, w_pot.hess, gamma)
     rhs = (np.sqrt(1.0 + eps) - 1.0) * lp_norm((grid, _hess_frobenius(grid, w_pot.hess)), gamma)
     assertions = []
-    _check(assertions, "hessian distance matches scaling prediction", lhs, "~", rhs, tol=rel_tol * rhs)
+    check(assertions, "hessian distance matches scaling prediction", lhs, "~", rhs, tol=rel_tol * rhs)
     return ExperimentReport(
         experiment="sobolev_scaling_oracle",
         config={"gamma": gamma, "eps": eps, "spacing": grid.spacing, "domain": grid.domain.kind},
@@ -342,8 +346,8 @@ def approximation_experiment(grid, eps_list, f=0.0, datum=None, g0=None,
     is_homogeneous = not np.any(np.asarray(f_vals, dtype=float) != 0.0)
     if is_homogeneous:
         for lo, hi in zip(order[:-1], order[1:]):
-            _check(assertions, f"sup|u-h| at eps={eps_list[lo]} < at eps={eps_list[hi]}",
-                   sups[lo], "<", sups[hi])
+            check(assertions, f"sup|u-h| at eps={eps_list[lo]} < at eps={eps_list[hi]}",
+                  sups[lo], "<", sups[hi])
     return ExperimentReport(
         experiment="approximation_experiment",
         config={"spacing": grid.spacing, "domain": grid.domain.kind, "eps": eps_list,
@@ -404,7 +408,7 @@ def convex_w21e_check(potential: PotentialField, f, gammas=(1.05, 1.1, 1.25),
     fro = _hess_frobenius(grid, hess)
     ratios = [lp_norm((grid, fro), g) / f_inf for g in gammas]
     for g, r in zip(gammas, ratios):
-        _check(assertions, f"ratio at gamma={g} finite", r, "<", np.inf)
+        check(assertions, f"ratio at gamma={g} finite", r, "<", np.inf)
 
     measured = {"applicable": True, "ratios": ratios, "f_inf": f_inf,
                 "min_hessian_eig": conv.min_eig}
@@ -414,7 +418,7 @@ def convex_w21e_check(potential: PotentialField, f, gammas=(1.05, 1.1, 1.25),
         measured["ratios_fine"] = fine_ratios
         for g, r, rf in zip(gammas, ratios, fine_ratios):
             big, small = max(r, rf), min(r, rf)
-            _check(assertions, f"refinement stability at gamma={g}", big, "<=", 2.0 * small)
+            check(assertions, f"refinement stability at gamma={g}", big, "<=", 2.0 * small)
     return ExperimentReport(
         experiment="convex_w21e_check",
         config=config,
@@ -484,11 +488,11 @@ def contact_set_experiment(grid, eps_list, sigma: float, anchor=None, height: Op
     order = np.argsort(eps_list)
     assertions = []
     for lo, hi in zip(order[:-1], order[1:]):
-        _check(assertions, f"defect at eps={eps_list[lo]} <= defect at eps={eps_list[hi]}",
-               defects[lo], "<=", defects[hi], tol=1e-12)
+        check(assertions, f"defect at eps={eps_list[lo]} <= defect at eps={eps_list[hi]}",
+              defects[lo], "<=", defects[hi], tol=1e-12)
     smallest = int(order[0])
-    _check(assertions, f"defect small at eps={eps_list[smallest]}",
-           defects[smallest], "<=", small_tol)
+    check(assertions, f"defect small at eps={eps_list[smallest]}",
+          defects[smallest], "<=", small_tol)
     return ExperimentReport(
         experiment="contact_set_experiment",
         config={"sigma": sigma, "spacing": grid.spacing, "domain": grid.domain.kind,
@@ -544,17 +548,17 @@ def w2p_ratio_sweep(grid, eps_list, p: float = 2.0, q: float = 4.0, f=None, g0=N
     ratios = run_sweep(lambda e: ratio_on(grid, f_vals, e, p, q), eps_list, threads)
     assertions = []
     med = float(np.median(ratios))
-    _check(assertions, "sup of ratios <= 3 * median", max(ratios), "<=", 3.0 * med)
+    check(assertions, "sup of ratios <= 3 * median", max(ratios), "<=", 3.0 * med)
 
     mid = eps_list[len(eps_list) // 2]
     r_scaled = ratio_on(grid, 10.0 * f_vals, mid, p, q)
     r_mid = ratios[len(eps_list) // 2]
-    _check(assertions, f"ratio invariant under f -> 10f at eps={mid}",
-           abs(r_scaled - r_mid), "<=", 1e-6 * r_mid)
+    check(assertions, f"ratio invariant under f -> 10f at eps={mid}",
+          abs(r_scaled - r_mid), "<=", 1e-6 * r_mid)
 
     r_small = ratio_on(grid, f_vals, strong_eps, small_p, 2.0) if strong_eps < 1.0 else float("nan")
-    _check(assertions, f"small-exponent ratio finite (p={small_p}, eps={strong_eps})",
-           r_small, "<", np.inf)
+    check(assertions, f"small-exponent ratio finite (p={small_p}, eps={strong_eps})",
+          r_small, "<", np.inf)
 
     measured = {"ratio": ratios, "ratio_scaled_f": r_scaled, "ratio_small_exponent": r_small}
     if refine_grid is not None:
@@ -563,7 +567,7 @@ def w2p_ratio_sweep(grid, eps_list, p: float = 2.0, q: float = 4.0, f=None, g0=N
         r_fine = ratio_on(refine_grid, fv_fine, mid, p, q)
         measured["ratio_refined"] = r_fine
         big, small = max(r_mid, r_fine), min(r_mid, r_fine)
-        _check(assertions, f"refinement stability at eps={mid}", big, "<=", 2.0 * small)
+        check(assertions, f"refinement stability at eps={mid}", big, "<=", 2.0 * small)
     return ExperimentReport(
         experiment="w2p_ratio_sweep",
         config={"p": p, "q": q, "spacing": grid.spacing, "domain": grid.domain.kind,
