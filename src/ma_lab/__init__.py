@@ -9,7 +9,7 @@ The package is organized around one capability per module:
 - covering_maximal: Vitali-style covers, covering verification, maximal function
 - good_sets: quasi-paraboloid trapping masks, quasi-Euclidean masks, decay fits
 - barriers: explicit boundary supersolutions and their discrete verification
-- stability_lab: cofactor/Sobolev stability sweeps, W^{2,p} ratio experiments
+- stability_lab: pinched-potential families, stability sweeps, W^{2,p} ratio experiments
 - cli_runner: config parsing and the ma-lab command line entry point
 """
 

@@ -1,4 +1,4 @@
-"""Explicit boundary supersolutions and boundary Hoelder moduli.
+"""Explicit boundary supersolutions.
 
 The supersolution lives on the patch of the domain within delta of a boundary
 point, in the affine frame that puts that point at the origin with the inner
@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain_grid import Grid, ScalarField, fd_derivatives
+from .domain_grid import ScalarField
 from .ma_solve import PotentialField, cofactor_field
 from .lma_solve import operator_apply
 from .section_geom import BoundaryFrame, boundary_frame, frame_gap, phi_extended, _gradient_at
@@ -216,70 +216,3 @@ def verify_supersolution(
     )
     barrier.report = report
     return report
-
-
-@dataclass
-class HolderFit:
-    exponent: float
-    scale: float
-    radii: np.ndarray
-    moduli: np.ndarray
-    passed: bool
-
-
-def boundary_holder_modulus(
-    u: ScalarField,
-    x0,
-    radius: float,
-    u0: Optional[float] = None,
-    n_angles: int = 720,
-    min_radii: int = 4,
-) -> HolderFit:
-    """Fitted growth exponent of sup|u - u(x0)| on circles around a boundary point.
-
-    Radii halve from `radius` down to two grid cells; each circle is sampled
-    at n_angles angles and only in-domain samples count. When u0 is not given
-    it is extended from the nearest in-domain node by a first-order Taylor
-    step, which is exact for affine fields.
-    """
-    grid = u.grid
-    p = np.asarray(x0, dtype=float)
-    proj, _, _ = grid.domain.project_boundary(p)
-    p = proj[0]
-
-    if u0 is None:
-        idx = grid.nearest_node(p)
-        grad, _ = fd_derivatives(u)
-        step = p - np.array([grid.xs[idx[0]], grid.ys[idx[1]]])
-        u0 = float(u.values[idx] + grad.gx[idx] * step[0] + grad.gy[idx] * step[1])
-
-    theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    radii = []
-    moduli = []
-    r = float(radius)
-    while r >= 2.0 * grid.spacing:
-        vals = grid.interp(u.values, p[None, :] + r * omega)
-        fin = np.isfinite(vals)
-        if fin.any():
-            radii.append(r)
-            moduli.append(float(np.max(np.abs(vals[fin] - u0))))
-        r *= 0.5
-    if len(radii) < min_radii:
-        raise BarrierError(
-            f"only {len(radii)} dyadic radii are resolvable at spacing {grid.spacing}; "
-            f"need {min_radii} (enlarge radius or refine the grid)"
-        )
-    radii = np.array(radii)
-    moduli = np.array(moduli)
-    pos = moduli > 0
-    if pos.sum() < min_radii:
-        raise BarrierError("modulus vanishes on too many circles to fit an exponent")
-    slope, intercept = np.polyfit(np.log(radii[pos]), np.log(moduli[pos]), 1)
-    return HolderFit(
-        exponent=float(slope),
-        scale=float(np.exp(intercept)),
-        radii=radii,
-        moduli=moduli,
-        passed=slope > 0,
-    )

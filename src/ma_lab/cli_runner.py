@@ -29,7 +29,7 @@ from .domain_grid import (
     fmt_float,
     write_field_csv,
 )
-from .ma_solve import SolveError, solve_ma
+from .ma_solve import SolveError
 from .lma_solve import abp_check, solve_lma
 from .section_geom import (
     SectionError,
@@ -44,6 +44,7 @@ from .good_sets import GoodSetError, good_set_survey
 from .barriers import BarrierError, build_supersolution, verify_supersolution
 from .stability_lab import (
     ExperimentReport,
+    PinchedFamily,
     StabilityError,
     approximation_experiment,
     check,
@@ -268,29 +269,22 @@ def _threads(config: ExperimentConfig) -> int:
     return os.cpu_count() or 1
 
 
-def _build_grid(config: ExperimentConfig):
+def _family(config: ExperimentConfig) -> PinchedFamily:
+    """The config's grid with its pinched potentials, none solved yet."""
     if config.domain == "disc":
         dom = build_domain("disc", radius=config.radius)
     elif config.domain == "ellipse":
         dom = build_domain("ellipse", a=config.a, b=config.b)
     else:
         dom = build_domain("square", side=config.side)
-    return discretize(dom, config.spacing)
+    grid = discretize(dom, config.spacing)
+    g0 = None if config.g0 == "constant" else default_bump(dom)
+    return PinchedFamily(grid, g0, tol_ma=config.tol_ma)
 
 
-def _density(config: ExperimentConfig, grid):
-    """Density 1 + eps0*g0 with eps0 the first sweep entry."""
-    eps0 = config.eps[0] if config.eps else 0.0
-    if config.g0 == "constant" or eps0 == 0.0:
-        return 1.0 + eps0
-    X, Y = grid.meshes()
-    return 1.0 + eps0 * np.asarray(default_bump(grid.domain)(X, Y), dtype=float)
-
-
-def _bump(config: ExperimentConfig, grid):
-    if config.g0 == "constant":
-        return lambda X, Y: np.ones_like(np.asarray(X, dtype=float))
-    return default_bump(grid.domain)
+def _pinched(config: ExperimentConfig, family: PinchedFamily):
+    """The family's potential at the first sweep entry (flat when there is none)."""
+    return family.potential(config.eps[0] if config.eps else 0.0)
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -303,10 +297,8 @@ def _config_echo(config: ExperimentConfig) -> dict:
     return d
 
 
-def _run_solve_ma(config: ExperimentConfig, out: str) -> ExperimentReport:
-    t0 = time.perf_counter()
-    grid = _build_grid(config)
-    pot = solve_ma(grid, _density(config, grid), tol_ma=config.tol_ma)
+def _run_solve_ma(config: ExperimentConfig, out: str, family: PinchedFamily) -> ExperimentReport:
+    pot = _pinched(config, family)
     assertions = []
     check(assertions, "newton residual within tolerance",
           pot.residual_max, "<=", 10.0 * config.tol_ma)
@@ -317,14 +309,13 @@ def _run_solve_ma(config: ExperimentConfig, out: str) -> ExperimentReport:
         measured={"residual_max": pot.residual_max,
                   "convexity_margin": pot.convexity_margin,
                   "newton_iterations": pot.newton_iterations},
-        slopes={}, assertions=assertions, wall_time=time.perf_counter() - t0,
+        slopes={}, assertions=assertions,
     )
 
 
-def _run_solve_lma(config: ExperimentConfig, out: str) -> ExperimentReport:
-    t0 = time.perf_counter()
-    grid = _build_grid(config)
-    pot = solve_ma(grid, _density(config, grid), tol_ma=config.tol_ma)
+def _run_solve_lma(config: ExperimentConfig, out: str, family: PinchedFamily) -> ExperimentReport:
+    pot = _pinched(config, family)
+    grid = family.grid
     X, Y = grid.meshes()
     f = np.sin(np.pi * X) * np.cos(np.pi * Y) + 2.0
     sol = solve_lma(pot, f, tol_lma=config.tol_lma)
@@ -338,14 +329,12 @@ def _run_solve_lma(config: ExperimentConfig, out: str) -> ExperimentReport:
         experiment="solve_lma", config=_config_echo(config), sweep=[],
         measured={"residual_max": sol.residual_max, "abp_ratio": abp.ratio,
                   "sup_u": float(np.nanmax(np.abs(sol.u.values)))},
-        slopes={}, assertions=assertions, wall_time=time.perf_counter() - t0,
+        slopes={}, assertions=assertions,
     )
 
 
-def _run_sections(config: ExperimentConfig, out: str) -> ExperimentReport:
-    t0 = time.perf_counter()
-    grid = _build_grid(config)
-    pot = solve_ma(grid, _density(config, grid), tol_ma=config.tol_ma)
+def _run_sections(config: ExperimentConfig, out: str, family: PinchedFamily) -> ExperimentReport:
+    pot = _pinched(config, family)
     c_cap = measure_c_cap(pot)
     t_values = [0.2 * c_cap, 0.4 * c_cap, 0.6 * c_cap, 0.8 * c_cap]
     center = np.zeros(2)
@@ -374,14 +363,13 @@ def _run_sections(config: ExperimentConfig, out: str) -> ExperimentReport:
                   "theta_star": eng.theta_star,
                   "volume_exponent": vol.exponent},
         slopes={"volume": vol.exponent},
-        assertions=assertions, wall_time=time.perf_counter() - t0,
+        assertions=assertions,
     )
 
 
-def _run_cover(config: ExperimentConfig, out: str) -> ExperimentReport:
-    t0 = time.perf_counter()
-    grid = _build_grid(config)
-    pot = solve_ma(grid, _density(config, grid), tol_ma=config.tol_ma)
+def _run_cover(config: ExperimentConfig, out: str, family: PinchedFamily) -> ExperimentReport:
+    pot = _pinched(config, family)
+    grid = family.grid
     cover = vitali_cover(pot, grid.interior)
     assertions = []
     check(assertions, "cores pairwise disjoint",
@@ -399,16 +387,15 @@ def _run_cover(config: ExperimentConfig, out: str) -> ExperimentReport:
                   "delta0": cover.delta0,
                   "coverage_defect": cover.coverage_defect,
                   "disjointness_violations": int(cover.disjointness_violations)},
-        slopes={}, assertions=assertions, wall_time=time.perf_counter() - t0,
+        slopes={}, assertions=assertions,
     )
 
 
-def _run_maximal(config: ExperimentConfig, out: str) -> ExperimentReport:
-    t0 = time.perf_counter()
-    grid = _build_grid(config)
-    pot = solve_ma(grid, _density(config, grid), tol_ma=config.tol_ma)
+def _run_maximal(config: ExperimentConfig, out: str, family: PinchedFamily) -> ExperimentReport:
+    pot = _pinched(config, family)
+    grid = family.grid
     X, Y = grid.meshes()
-    f = np.asarray(_bump(config, grid)(X, Y), dtype=float)
+    f = np.ones(grid.shape) if family.g0 is None else np.asarray(family.g0(X, Y), dtype=float)
     m_one, m_f = maximal_function(pot, [1.0, f])
     dev = float(np.nanmax(np.abs(m_one.values[grid.in_domain] - 1.0)))
     ratio = strong_type_ratio(pot, f, p=config.p, maximal=m_f)
@@ -420,14 +407,13 @@ def _run_maximal(config: ExperimentConfig, out: str) -> ExperimentReport:
     return ExperimentReport(
         experiment="maximal", config=_config_echo(config), sweep=[],
         measured={"m_one_deviation": dev, "strong_type_ratio": ratio},
-        slopes={}, assertions=assertions, wall_time=time.perf_counter() - t0,
+        slopes={}, assertions=assertions,
     )
 
 
-def _run_goodsets(config: ExperimentConfig, out: str) -> ExperimentReport:
-    t0 = time.perf_counter()
-    grid = _build_grid(config)
-    pot = solve_ma(grid, _density(config, grid), tol_ma=config.tol_ma)
+def _run_goodsets(config: ExperimentConfig, out: str, family: PinchedFamily) -> ExperimentReport:
+    pot = _pinched(config, family)
+    grid = family.grid
     X, Y = grid.meshes()
     f = np.sin(np.pi * X) * np.cos(np.pi * Y) + 2.0
     sol = solve_lma(pot, f, tol_lma=config.tol_lma)
@@ -465,14 +451,13 @@ def _run_goodsets(config: ExperimentConfig, out: str) -> ExperimentReport:
         measured={"F": list(res.F), "F1": list(res.F1), "F2": list(res.F2),
                   "c_inst": res.c_inst, "fits": fits},
         slopes={k: v.tau for k, v in res.fits.items()},
-        assertions=assertions, wall_time=time.perf_counter() - t0,
+        assertions=assertions,
     )
 
 
-def _run_barrier(config: ExperimentConfig, out: str) -> ExperimentReport:
-    t0 = time.perf_counter()
-    grid = _build_grid(config)
-    pot = solve_ma(grid, _density(config, grid), tol_ma=config.tol_ma)
+def _run_barrier(config: ExperimentConfig, out: str, family: PinchedFamily) -> ExperimentReport:
+    pot = _pinched(config, family)
+    grid = family.grid
     anchor = grid.domain.boundary_samples(64)[0]
     barrier = build_supersolution(pot, anchor, lam=config.lam, Lam=config.Lam,
                                   delta=config.delta)
@@ -491,7 +476,7 @@ def _run_barrier(config: ExperimentConfig, out: str) -> ExperimentReport:
                   "boundary_min": rep.boundary_min, "circle_min": rep.circle_min,
                   "delta_tilde": rep.delta_tilde,
                   "n_interior": rep.n_interior},
-        slopes={}, assertions=assertions, wall_time=time.perf_counter() - t0,
+        slopes={}, assertions=assertions,
     )
 
 
@@ -506,31 +491,25 @@ _RUNNERS = {
 }
 
 
-def _dispatch(config: ExperimentConfig, out: str) -> ExperimentReport:
+def _dispatch(config: ExperimentConfig, out: str, family: PinchedFamily) -> ExperimentReport:
     name = config.experiment
     if name in _RUNNERS:
-        return _RUNNERS[name](config, out)
-    grid = _build_grid(config)
+        return _RUNNERS[name](config, out, family)
     eps_list = list(config.eps)
     nthreads = _threads(config)
     if name == "cofactor_stability":
-        return cofactor_stability_sweep(grid, eps_list, q=config.p,
-                                        g0=_bump(config, grid), threads=nthreads)
+        return cofactor_stability_sweep(family, eps_list, q=config.p, threads=nthreads)
     if name == "sobolev_stability":
-        return sobolev_stability_sweep(grid, eps_list, gamma=config.gamma,
-                                       g0=_bump(config, grid), threads=nthreads)
+        return sobolev_stability_sweep(family, eps_list, gamma=config.gamma, threads=nthreads)
     if name == "approximation":
-        return approximation_experiment(grid, eps_list, g0=_bump(config, grid),
-                                        threads=nthreads)
+        return approximation_experiment(family, eps_list, threads=nthreads)
     if name == "w21e":
-        pot = solve_ma(grid, _density(config, grid), tol_ma=config.tol_ma)
+        pot = _pinched(config, family)
         return convex_w21e_check(pot, 2.0 * pot.g_values, boundary=pot.boundary_datum)
     if name == "contact_set":
-        return contact_set_experiment(grid, eps_list, sigma=config.sigma,
-                                      height=config.height, g0=_bump(config, grid))
+        return contact_set_experiment(family, eps_list, sigma=config.sigma, height=config.height)
     if name == "w2p_ratio":
-        return w2p_ratio_sweep(grid, eps_list, p=config.p, q=config.q,
-                               g0=_bump(config, grid), threads=nthreads)
+        return w2p_ratio_sweep(family, eps_list, p=config.p, q=config.q, threads=nthreads)
     raise ConfigError([f"experiment {name!r} cannot be dispatched"])
 
 
@@ -592,12 +571,16 @@ _SUITE = (
 )
 
 
-def run(config: ExperimentConfig, out_dir: Optional[str] = None) -> int:
+def run(config: ExperimentConfig, out_dir: Optional[str] = None,
+        family: Optional[PinchedFamily] = None) -> int:
     """Execute a validated config; return the process exit code.
 
     Writes report.json, CSVs, and .dat plot files under the resolved output
     directory. Solver failures exit 3, assertion failures 1, success 0. I/O
-    problems are reported with the offending path.
+    problems are reported with the offending path. family supplies the grid
+    and the potentials; without one, run builds it from the config. run
+    sets the report's wall_time: building the family, when it is not given,
+    plus running the experiment.
     """
     out = resolve_out(config, out_dir)
     try:
@@ -606,11 +589,14 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None) -> int:
         print(f"cannot create output directory {out}: {exc}", file=sys.stderr)
         return 1
 
-    if config.experiment == "suite":
-        return _run_suite(config, out)
-
     try:
-        report = _dispatch(config, out)
+        t0 = time.perf_counter()
+        if family is None:
+            family = _family(config)
+        if config.experiment == "suite":
+            return _run_suite(config, out, family)
+        report = _dispatch(config, out, family)
+        report.wall_time = time.perf_counter() - t0
     except SolveError as exc:
         _write_failure(out, config, "solver", str(exc))
         print(f"solver failure: {exc}", file=sys.stderr)
@@ -643,8 +629,13 @@ def _write_failure(out: str, config: ExperimentConfig, kind: str, message: str) 
         print(f"cannot write {os.path.join(out, 'report.json')}: {exc}", file=sys.stderr)
 
 
-def _run_suite(config: ExperimentConfig, out: str) -> int:
-    """Run the fixed experiment list, aggregate pass flags into summary.json."""
+def _run_suite(config: ExperimentConfig, out: str, family: PinchedFamily) -> int:
+    """Run the fixed experiment list, aggregate pass flags into summary.json.
+
+    Every experiment shares the one family, so each potential is solved once
+    per suite run. Each experiment goes through the module-level run, so a
+    wrapper installed on cli_runner.run (perfbench's tracer) sees each one.
+    """
     summary = {}
     worst = 0
     for name, overrides in _SUITE:
@@ -655,7 +646,7 @@ def _run_suite(config: ExperimentConfig, out: str) -> int:
         sub.betas = tuple(sub.betas)
         sub_out = os.path.join(out, name)
         t0 = time.perf_counter()
-        code = run(sub, out_dir=sub_out)
+        code = run(sub, out_dir=sub_out, family=family)
         summary[name] = {"exit_code": code, "passed": code == 0,
                          "wall_time": time.perf_counter() - t0}
         worst = max(worst, code)

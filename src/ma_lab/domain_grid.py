@@ -42,7 +42,7 @@ class ConvexDomain:
     Attributes
     ----------
     kind : str
-        One of "disc", "ellipse", "square", "superellipse", "polygon".
+        One of "disc", "ellipse", "square", "polygon".
     params : dict
         Shape parameters as passed to :func:`build_domain`.
     rho : float
@@ -77,9 +77,6 @@ class ConvexDomain:
         if self.kind == "square":
             half = 0.5 * self.params["side"]
             return np.maximum(np.abs(x), np.abs(y)) <= half * (1.0 + _MEMBERSHIP_TOL) + _MEMBERSHIP_TOL
-        if self.kind == "superellipse":
-            a, b, p = self.params["a"], self.params["b"], self.params["power"]
-            return np.abs(x / a) ** p + np.abs(y / b) ** p <= 1.0 + _MEMBERSHIP_TOL
         # polygon: inside all edge half-planes
         d = pts @ self._edge_normals.T - self._edge_offsets
         return np.all(d <= _MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(self._edge_offsets)))), axis=-1)
@@ -90,7 +87,7 @@ class ConvexDomain:
         if self.kind == "disc":
             r = self.params["radius"]
             return (-r, r, -r, r)
-        if self.kind in ("ellipse", "superellipse"):
+        if self.kind == "ellipse":
             a, b = self.params["a"], self.params["b"]
             return (-a, a, -b, b)
         if self.kind == "square":
@@ -100,18 +97,15 @@ class ConvexDomain:
         return (float(v[:, 0].min()), float(v[:, 0].max()), float(v[:, 1].min()), float(v[:, 1].max()))
 
     def diameter(self) -> float:
-        x0, x1, y0, y1 = self.bbox()
         if self.kind == "disc":
             return 2.0 * self.params["radius"]
         if self.kind == "ellipse":
             return 2.0 * max(self.params["a"], self.params["b"])
         if self.kind == "square":
             return self.params["side"] * np.sqrt(2.0)
-        if self.kind == "polygon":
-            v = self._vertices
-            d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(-1)
-            return float(np.sqrt(d2.max()))
-        return float(np.hypot(x1 - x0, y1 - y0))
+        v = self._vertices
+        d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(-1)
+        return float(np.sqrt(d2.max()))
 
     def boundary_samples(self, m: int) -> np.ndarray:
         """m deterministic boundary points, roughly arc-length distributed."""
@@ -122,13 +116,6 @@ class ConvexDomain:
         if self.kind == "ellipse":
             a, b = self.params["a"], self.params["b"]
             return np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
-        if self.kind == "superellipse":
-            a, b, p = self.params["a"], self.params["b"], self.params["power"]
-            c, s = np.cos(t), np.sin(t)
-            return np.stack(
-                [a * np.sign(c) * np.abs(c) ** (2.0 / p), b * np.sign(s) * np.abs(s) ** (2.0 / p)],
-                axis=-1,
-            )
         if self.kind == "square":
             half = 0.5 * self.params["side"]
             verts = np.array([[half, half], [-half, half], [-half, -half], [half, -half]])
@@ -193,8 +180,6 @@ class ConvexDomain:
             return proj, dist, normal
         if self.kind == "ellipse":
             return self._project_ellipse(pts)
-        if self.kind == "superellipse":
-            return self._project_sampled(pts)
         return self._project_polygon(pts)
 
     def _project_ellipse(self, pts):
@@ -248,28 +233,6 @@ class ConvexDomain:
         dist = np.linalg.norm(pts - proj, axis=-1)
         return proj, dist, normal
 
-    def _project_sampled(self, pts):
-        bnd = self.boundary_samples(2048)
-        d2 = ((pts[:, None, :] - bnd[None, :, :]) ** 2).sum(-1)
-        k = np.argmin(d2, axis=1)
-        proj = bnd[k]
-        # one refinement pass: parabolic fit through the three nearest samples
-        km = (k - 1) % len(bnd)
-        kp = (k + 1) % len(bnd)
-        for idx in range(len(pts)):
-            trio = np.array([km[idx], k[idx], kp[idx]])
-            cand = bnd[trio]
-            dd = ((pts[idx] - cand) ** 2).sum(-1)
-            proj[idx] = cand[np.argmin(dd)]
-        a, b, p = self.params["a"], self.params["b"], self.params["power"]
-        gx = p * np.sign(proj[:, 0]) * np.abs(proj[:, 0] / a) ** (p - 1) / a
-        gy = p * np.sign(proj[:, 1]) * np.abs(proj[:, 1] / b) ** (p - 1) / b
-        grad = np.stack([gx, gy], axis=-1)
-        gn = np.linalg.norm(grad, axis=-1, keepdims=True)
-        gn[gn == 0] = 1.0
-        dist = np.linalg.norm(pts - proj, axis=-1)
-        return proj, dist, grad / gn
-
     def _project_polygon(self, pts):
         v = self._vertices
         w = np.roll(v, -1, axis=0)
@@ -302,8 +265,8 @@ def build_domain(kind: str, **params) -> ConvexDomain:
     Parameters
     ----------
     kind : str
-        "disc" (radius), "ellipse" (a, b), "square" (side),
-        "superellipse" (a, b, power), or "polygon" (vertices).
+        "disc" (radius), "ellipse" (a, b), "square" (side), or "polygon"
+        (vertices).
 
     Raises
     ------
@@ -331,27 +294,6 @@ def build_domain(kind: str, **params) -> ConvexDomain:
         inradius = 0.5 * s
         circum = 0.5 * s * np.sqrt(2.0)
         return ConvexDomain("square", {"side": s}, rho=min(inradius, 1.0 / circum), uniform_convexity_modulus=0.0)
-    if kind == "superellipse":
-        a, b = float(params["a"]), float(params["b"])
-        p = float(params.get("power", 4.0))
-        if a <= 0 or b <= 0 or p < 2.0:
-            raise DomainError(f"superellipse needs positive axes and power >= 2, got a={a}, b={b}, power={p}")
-        dom = ConvexDomain("superellipse", {"a": a, "b": b, "power": p}, rho=0.0, uniform_convexity_modulus=0.0)
-        bnd = dom.boundary_samples(4096)
-        # curvature along the sampled boundary via tangent-angle differencing
-        t1 = np.roll(bnd, -1, axis=0) - bnd
-        ds = np.hypot(t1[:, 0], t1[:, 1])
-        ang = np.arctan2(t1[:, 1], t1[:, 0])
-        dang = np.diff(np.unwrap(np.concatenate([ang, ang[:1]])))
-        curv = np.abs(dang) / np.maximum(ds, 1e-300)
-        max_curv = float(np.max(curv))
-        min_curv = float(np.min(curv))
-        tangent_r = min(1.0 / max_curv, min(a, b))
-        enclosing = float(np.max(np.hypot(bnd[:, 0], bnd[:, 1])))
-        modulus = 0.0 if p > 2.0 else min_curv
-        object.__setattr__(dom, "rho", min(tangent_r, 1.0 / enclosing))
-        object.__setattr__(dom, "uniform_convexity_modulus", modulus)
-        return dom
     if kind == "polygon":
         v = np.asarray(params["vertices"], dtype=float)
         if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:

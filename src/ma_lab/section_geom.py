@@ -314,12 +314,15 @@ def pair_gaps(potential: PotentialField, ci, cj, ti, tj, chunk: int, values=None
 
 
 def interior_heights(potential: PotentialField, mask: Optional[np.ndarray] = None, chunk: int = 2048) -> np.ndarray:
-    """Maximal interior heights at every node of the mask, in closed form.
+    """Minimum tangent gap from each node of the mask to the boundary band.
 
-    For a convex potential the section first meets the boundary band at the
-    band node with the smallest tangent gap, so the maximal height is the
-    minimum of those gaps. Scanned in blocks of centres against the band
-    nodes (see pair_gaps); NaN off the mask.
+    This equals the maximal interior height only when every tangent gap of
+    the centre is nonnegative (a convex discrete potential): then the section
+    first meets the band at the band node with the smallest gap. Solved
+    potentials can break that assumption. Where a centre's tangent gap is
+    negative at some band node the value returned is negative, and it is not
+    the flood-filled maximal height. Scanned in blocks of centres against the
+    band nodes (see pair_gaps); NaN off the mask.
     """
     grid = potential.grid
     if mask is None:

@@ -7,14 +7,14 @@ rerunning an experiment with the same configuration reproduces every number
 bit for bit.
 """
 
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .domain_grid import ConvexDomain, Grid, ScalarField, discretize, fd_derivatives, lp_norm
+from .domain_grid import ConvexDomain, Grid, fd_derivatives, lp_norm
 from .ma_solve import PotentialField, certify_convexity, cofactor_field, solve_ma
 from .lma_solve import solve_lma
 from .section_geom import measure_c_cap, section
@@ -38,6 +38,12 @@ class Assertion:
 
 @dataclass
 class ExperimentReport:
+    """What one experiment measured and asserted.
+
+    wall_time is set by cli_runner.run, which times the whole experiment;
+    the experiment functions leave it at 0.
+    """
+
     experiment: str
     config: dict
     sweep: list
@@ -98,10 +104,44 @@ def run_sweep(fn: Callable, values, threads: int = 1) -> list:
         return list(pool.map(fn, values))
 
 
-def _as_grid(grid, spacing: Optional[float]) -> Grid:
-    if isinstance(grid, Grid):
-        return grid
-    return discretize(grid, spacing if spacing is not None else 1 / 32)
+class PinchedFamily:
+    """The pinched potentials phi_eps of one grid, each solved once.
+
+    phi_eps solves det D^2 phi = 1 + eps*g0 with zero boundary data; eps = 0
+    is the flat companion, and g0=None makes every density the constant
+    1 + eps. potential(eps) is safe to call from several threads: a density
+    is solved by the first caller that asks for it, outside the lock, so
+    different eps solve in parallel and later callers share the result (or
+    the SolveError). Callers must not write into the returned potentials.
+    """
+
+    def __init__(self, grid: Grid, g0: Optional[Callable] = None, tol_ma: float = 1e-8):
+        self.grid = grid
+        self.g0 = g0
+        self.tol_ma = tol_ma
+        self._lock = threading.Lock()
+        self._solved = {}
+
+    def density(self, eps: float):
+        """1 + eps*g0 on the grid; the scalar 1 + eps when eps = 0 or g0 is None."""
+        if eps == 0.0 or self.g0 is None:
+            return 1.0 + eps
+        X, Y = self.grid.meshes()
+        return 1.0 + eps * np.asarray(self.g0(X, Y), dtype=float)
+
+    def potential(self, eps: float) -> PotentialField:
+        with self._lock:
+            slot = self._solved.get(eps)
+            owner = slot is None
+            if owner:
+                slot = self._solved[eps] = Future()
+        if owner:
+            try:
+                slot.set_result(solve_ma(self.grid, self.density(eps), tol_ma=self.tol_ma))
+            except BaseException as exc:
+                slot.set_exception(exc)
+                raise
+        return slot.result()
 
 
 def _hess_frobenius(grid: Grid, hess) -> np.ndarray:
@@ -136,27 +176,21 @@ def _loglog_slope(x, y) -> float:
 # ---------------------------------------------------------------------------
 
 
-def cofactor_stability_sweep(grid, eps_list, q: float = 2.0, g0=None, threads: int = 1,
-                             spacing: Optional[float] = None) -> ExperimentReport:
+def cofactor_stability_sweep(family: PinchedFamily, eps_list, q: float = 2.0,
+                             threads: int = 1) -> ExperimentReport:
     """Distance between cofactor matrices of a perturbed and a flat solve.
 
-    For each eps the densities are 1 + eps*g0 and 1, both with zero boundary
-    data; the measured quantity is the L^q norm of the Frobenius distance of
-    the two cofactor fields. Asserts strict decrease in eps and a positive
-    log-log slope.
+    For each eps the family's potentials at eps and at 0 are compared; the
+    measured quantity is the L^q norm of the Frobenius distance of the two
+    cofactor fields. Asserts strict decrease in eps and a positive log-log
+    slope.
     """
-    t0 = time.perf_counter()
-    grid = _as_grid(grid, spacing)
+    grid = family.grid
     eps_list = _validate_eps(eps_list)
-    if g0 is None:
-        g0 = default_bump(grid.domain)
-    w_pot = solve_ma(grid, 1.0)
-    W = cofactor_field(w_pot)
+    W = cofactor_field(family.potential(0.0))
 
     def one(eps: float) -> float:
-        X, Y = grid.meshes()
-        pot = solve_ma(grid, 1.0 + eps * np.asarray(g0(X, Y), dtype=float))
-        return _matrix_diff_lq(grid, cofactor_field(pot), W, q)
+        return _matrix_diff_lq(grid, cofactor_field(family.potential(eps)), W, q)
 
     norms = run_sweep(one, eps_list, threads)
     order = np.argsort(eps_list)
@@ -173,24 +207,24 @@ def cofactor_stability_sweep(grid, eps_list, q: float = 2.0, g0=None, threads: i
         measured={"cofactor_lq_distance": norms},
         slopes={"norm_vs_eps": slope},
         assertions=assertions,
-        wall_time=time.perf_counter() - t0,
     )
 
 
-def cofactor_scaling_oracle(grid, eps: float = 0.2, q: float = 2.0,
-                            spacing: Optional[float] = None, rel_tol: float = 0.05) -> ExperimentReport:
+def cofactor_scaling_oracle(family: PinchedFamily, eps: float = 0.2, q: float = 2.0,
+                            rel_tol: float = 0.05) -> ExperimentReport:
     """Constant-density perturbation with a closed-form answer.
 
-    With density 1 + eps constant the perturbed potential is sqrt(1 + eps)
-    times the flat one, so the cofactor distance is (sqrt(1+eps) - 1) times
-    the L^q norm of the flat cofactor. Measures both sides.
+    With density 1 + eps constant (a family with g0=None) the perturbed
+    potential is sqrt(1 + eps) times the flat one, so the cofactor distance is
+    (sqrt(1+eps) - 1) times the L^q norm of the flat cofactor. Measures both
+    sides.
     """
-    t0 = time.perf_counter()
-    grid = _as_grid(grid, spacing)
+    if family.g0 is not None:
+        raise StabilityError("the scaling oracle needs a constant-density family (g0=None)")
+    grid = family.grid
     (eps,) = _validate_eps([eps])
-    w_pot = solve_ma(grid, 1.0)
-    W = cofactor_field(w_pot)
-    pot = solve_ma(grid, 1.0 + eps)
+    W = cofactor_field(family.potential(0.0))
+    pot = family.potential(eps)
     lhs = _matrix_diff_lq(grid, cofactor_field(pot), W, q)
     w_fro = np.sqrt(W.xx ** 2 + 2.0 * W.xy ** 2 + W.yy ** 2)
     rhs = (np.sqrt(1.0 + eps) - 1.0) * lp_norm((grid, w_fro), q)
@@ -204,7 +238,6 @@ def cofactor_scaling_oracle(grid, eps: float = 0.2, q: float = 2.0,
         measured={"distance": lhs, "prediction": rhs},
         slopes={},
         assertions=assertions,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -215,7 +248,6 @@ def cofactor_scaling_oracle(grid, eps: float = 0.2, q: float = 2.0,
 
 def sobolev_stability(phi1: PotentialField, phi2: PotentialField, gamma: float = 1.1) -> ExperimentReport:
     """Hessian distance of two solved potentials against their density gap."""
-    t0 = time.perf_counter()
     if phi1.grid is not phi2.grid:
         raise StabilityError("potentials live on different grids")
     grid = phi1.grid
@@ -228,24 +260,18 @@ def sobolev_stability(phi1: PotentialField, phi2: PotentialField, gamma: float =
         measured={"hessian_lgamma_distance": lhs, "density_l1_distance": gdiff},
         slopes={},
         assertions=[],
-        wall_time=time.perf_counter() - t0,
     )
 
 
-def sobolev_stability_sweep(grid, eps_list, gamma: float = 1.1, g0=None, threads: int = 1,
-                            spacing: Optional[float] = None) -> ExperimentReport:
-    """Sweep of sobolev_stability over density perturbations 1 + eps*g0 vs 1."""
-    t0 = time.perf_counter()
-    grid = _as_grid(grid, spacing)
+def sobolev_stability_sweep(family: PinchedFamily, eps_list, gamma: float = 1.1,
+                            threads: int = 1) -> ExperimentReport:
+    """Sweep of sobolev_stability over the family's potentials at eps vs at 0."""
+    grid = family.grid
     eps_list = _validate_eps(eps_list)
-    if g0 is None:
-        g0 = default_bump(grid.domain)
-    w_pot = solve_ma(grid, 1.0)
+    w_pot = family.potential(0.0)
 
     def one(eps: float):
-        X, Y = grid.meshes()
-        pot = solve_ma(grid, 1.0 + eps * np.asarray(g0(X, Y), dtype=float))
-        rep = sobolev_stability(pot, w_pot, gamma)
+        rep = sobolev_stability(family.potential(eps), w_pot, gamma)
         return rep.measured["hessian_lgamma_distance"], rep.measured["density_l1_distance"]
 
     pairs = run_sweep(one, eps_list, threads)
@@ -266,18 +292,21 @@ def sobolev_stability_sweep(grid, eps_list, gamma: float = 1.1, g0=None, threads
         measured={"hessian_lgamma_distance": lhs, "density_l1_distance": gdist},
         slopes={"lhs_vs_density_l1": slope},
         assertions=assertions,
-        wall_time=time.perf_counter() - t0,
     )
 
 
-def sobolev_scaling_oracle(grid, eps: float = 0.2, gamma: float = 1.1,
-                           spacing: Optional[float] = None, rel_tol: float = 0.05) -> ExperimentReport:
-    """Constant-density pair: hessian distance equals (sqrt(1+eps)-1)*|D2w|_gamma."""
-    t0 = time.perf_counter()
-    grid = _as_grid(grid, spacing)
+def sobolev_scaling_oracle(family: PinchedFamily, eps: float = 0.2, gamma: float = 1.1,
+                           rel_tol: float = 0.05) -> ExperimentReport:
+    """Constant-density pair: hessian distance equals (sqrt(1+eps)-1)*|D2w|_gamma.
+
+    The family must have g0=None, as for cofactor_scaling_oracle.
+    """
+    if family.g0 is not None:
+        raise StabilityError("the scaling oracle needs a constant-density family (g0=None)")
+    grid = family.grid
     (eps,) = _validate_eps([eps])
-    w_pot = solve_ma(grid, 1.0)
-    pot = solve_ma(grid, 1.0 + eps)
+    w_pot = family.potential(0.0)
+    pot = family.potential(eps)
     lhs = _matrix_diff_lq(grid, pot.hess, w_pot.hess, gamma)
     rhs = (np.sqrt(1.0 + eps) - 1.0) * lp_norm((grid, _hess_frobenius(grid, w_pot.hess)), gamma)
     assertions = []
@@ -289,7 +318,6 @@ def sobolev_scaling_oracle(grid, eps: float = 0.2, gamma: float = 1.1,
         measured={"distance": lhs, "prediction": rhs},
         slopes={},
         assertions=assertions,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -298,26 +326,22 @@ def sobolev_scaling_oracle(grid, eps: float = 0.2, gamma: float = 1.1,
 # ---------------------------------------------------------------------------
 
 
-def approximation_experiment(grid, eps_list, f=0.0, datum=None, g0=None,
-                             inner_margin: float = 0.25, threads: int = 1,
-                             spacing: Optional[float] = None) -> ExperimentReport:
+def approximation_experiment(family: PinchedFamily, eps_list, f=0.0, datum=None,
+                             inner_margin: float = 0.25, threads: int = 1) -> ExperimentReport:
     """Distance between a solution and its flat-operator companion.
 
-    For each eps, u solves the linearized problem over the pinched potential
-    and h solves the homogeneous problem over the flat companion's cofactor
-    with the same boundary datum. The sup distance is measured on the inner
-    region (boundary distance at least inner_margin) where the comparison is
-    meaningful; it must decrease strictly as eps does when f vanishes.
+    For each eps, u solves the linearized problem over the family's potential
+    at eps and h solves the homogeneous problem over the flat companion's
+    cofactor with the same boundary datum. The sup distance is measured on
+    the inner region (boundary distance at least inner_margin) where the
+    comparison is meaningful; it must decrease strictly as eps does when f
+    vanishes.
     """
-    t0 = time.perf_counter()
-    grid = _as_grid(grid, spacing)
+    grid = family.grid
     eps_list = _validate_eps(eps_list)
-    if g0 is None:
-        g0 = default_bump(grid.domain)
     if datum is None:
         datum = lambda pts: np.atleast_2d(pts)[:, 0] ** 2
-    w_pot = solve_ma(grid, 1.0)
-    W = cofactor_field(w_pot)
+    W = cofactor_field(family.potential(0.0))
     h_sol = solve_lma(W, 0.0, boundary=datum)
 
     pts = grid.points(grid.in_domain)
@@ -332,7 +356,7 @@ def approximation_experiment(grid, eps_list, f=0.0, datum=None, g0=None,
     f_vals = f(X, Y) if callable(f) else f
 
     def one(eps: float):
-        pot = solve_ma(grid, 1.0 + eps * np.asarray(g0(X, Y), dtype=float))
+        pot = family.potential(eps)
         u_sol = solve_lma(pot, f_vals, boundary=datum)
         sup = float(np.max(np.abs(u_sol.u.values[inner] - h_sol.u.values[inner])))
         pdist = _matrix_diff_lq(grid, cofactor_field(pot), W, 2.0)
@@ -356,7 +380,6 @@ def approximation_experiment(grid, eps_list, f=0.0, datum=None, g0=None,
         measured={"sup_distance": sups, "cofactor_l2_distance": cof_dists},
         slopes={"sup_vs_eps": _loglog_slope(eps_list, sups)},
         assertions=assertions,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -375,7 +398,6 @@ def convex_w21e_check(potential: PotentialField, f, gammas=(1.05, 1.1, 1.25),
     With a finer-grid potential supplied, asserts each ratio is stable within
     a factor of two across the refinement.
     """
-    t0 = time.perf_counter()
     grid = potential.grid
     sol = solve_lma(potential, f, boundary=boundary)
     _, hess = fd_derivatives(sol.u)
@@ -392,7 +414,6 @@ def convex_w21e_check(potential: PotentialField, f, gammas=(1.05, 1.1, 1.25),
             measured={"applicable": False, "min_hessian_eig": conv.min_eig},
             slopes={},
             assertions=assertions,
-            wall_time=time.perf_counter() - t0,
         )
     if f_inf == 0.0:
         return ExperimentReport(
@@ -402,7 +423,6 @@ def convex_w21e_check(potential: PotentialField, f, gammas=(1.05, 1.1, 1.25),
             measured={"applicable": True, "degenerate": True, "f_inf": 0.0},
             slopes={},
             assertions=assertions,
-            wall_time=time.perf_counter() - t0,
         )
 
     fro = _hess_frobenius(grid, hess)
@@ -426,7 +446,6 @@ def convex_w21e_check(potential: PotentialField, f, gammas=(1.05, 1.1, 1.25),
         measured=measured,
         slopes={},
         assertions=assertions,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -435,12 +454,12 @@ def convex_w21e_check(potential: PotentialField, f, gammas=(1.05, 1.1, 1.25),
 # ---------------------------------------------------------------------------
 
 
-def contact_set_experiment(grid, eps_list, sigma: float, anchor=None, height: Optional[float] = None,
-                           g0=None, min_cells: int = 8, small_tol: float = 0.05,
-                           spacing: Optional[float] = None) -> ExperimentReport:
+def contact_set_experiment(family: PinchedFamily, eps_list, sigma: float, anchor=None,
+                           height: Optional[float] = None, min_cells: int = 8,
+                           small_tol: float = 0.05) -> ExperimentReport:
     """Fraction of a boundary-anchored section missed by the global mask.
 
-    For each eps the pinched potential is solved, the section at the anchor is
+    For each eps the family's potential is taken, the section at the anchor is
     flooded at the chosen height, and the defect is the fraction of its
     measurable cells outside the full-domain quasi-Euclidean mask at the
     given sigma. Measurable means inside the scan's tangent trust region;
@@ -450,24 +469,16 @@ def contact_set_experiment(grid, eps_list, sigma: float, anchor=None, height: Op
     comparable. The defect must not grow as eps shrinks and must be small at
     the smallest eps.
     """
-    t0 = time.perf_counter()
-    grid = _as_grid(grid, spacing)
+    grid = family.grid
     eps_list = _validate_eps(eps_list)
-    if g0 is None:
-        g0 = default_bump(grid.domain)
     if anchor is None:
         anchor = grid.domain.boundary_samples(64)[0]
-    X, Y = grid.meshes()
-
-    def pinched(eps: float) -> PotentialField:
-        return solve_ma(grid, 1.0 + eps * np.asarray(g0(X, Y), dtype=float))
-
     if height is None:
-        height = 0.5 * measure_c_cap(pinched(eps_list[0]))
+        height = 0.5 * measure_c_cap(family.potential(eps_list[0]))
     t = float(height)
 
     def one(eps: float):
-        pot = pinched(eps)
+        pot = family.potential(eps)
         sec = section(pot, anchor, t)
         n_cells = int(sec.cells.sum())
         rm = quasi_euclidean_ratio_min(pot, neighborhood_radius=None, centers=sec.cells)
@@ -503,7 +514,6 @@ def contact_set_experiment(grid, eps_list, sigma: float, anchor=None, height: Op
                   "measurable_cells": meas_cells},
         slopes={},
         assertions=assertions,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -512,59 +522,56 @@ def contact_set_experiment(grid, eps_list, sigma: float, anchor=None, height: Op
 # ---------------------------------------------------------------------------
 
 
-def w2p_ratio_sweep(grid, eps_list, p: float = 2.0, q: float = 4.0, f=None, g0=None,
+def w2p_ratio_sweep(family: PinchedFamily, eps_list, p: float = 2.0, q: float = 4.0, f=None,
                     small_p: float = 0.3, strong_eps: float = 0.8, threads: int = 1,
-                    refine_grid: Optional[Grid] = None,
-                    spacing: Optional[float] = None) -> ExperimentReport:
+                    refine_family: Optional[PinchedFamily] = None) -> ExperimentReport:
     """Hessian-to-source norm ratios across the pinching sweep.
 
-    R(eps) = |D2 u|_{L^p} / |f|_{L^q} for the solution over each pinched
-    potential. Boundedness is asserted as sup <= 3 * median over the sweep;
-    linearity is checked by scaling f tenfold at one sweep point; the
-    small-exponent quasi-norm regime runs once with a strongly varying
-    density. A finer grid, when given, adds a factor-two stability assertion.
+    R(eps) = |D2 u|_{L^p} / |f|_{L^q} for the solution over each of the
+    family's potentials. Boundedness is asserted as sup <= 3 * median over
+    the sweep; linearity is checked by scaling f tenfold at one sweep point;
+    the small-exponent quasi-norm regime runs once with a strongly varying
+    density. A family on a finer grid, when given, adds a factor-two
+    stability assertion.
     """
-    t0 = time.perf_counter()
-    grid = _as_grid(grid, spacing)
+    grid = family.grid
     eps_list = _validate_eps(eps_list)
     if not (1.0 < p < q and q > 2.0):
         raise StabilityError(f"need 1 < p < q and q > 2, got p={p}, q={q}")
-    if g0 is None:
-        g0 = default_bump(grid.domain)
     if f is None:
         f = lambda X, Y: np.sin(np.pi * X) * np.cos(np.pi * Y) + 2.0
     X, Y = grid.meshes()
     f_vals = np.asarray(f(X, Y), dtype=float) + np.zeros(grid.shape) if callable(f) else np.asarray(f, dtype=float) + np.zeros(grid.shape)
 
-    def ratio_on(g: Grid, fv: np.ndarray, eps: float, pp: float, qq: float) -> float:
-        Xg, Yg = g.meshes()
-        pot = solve_ma(g, 1.0 + eps * np.asarray(g0(Xg, Yg), dtype=float))
-        sol = solve_lma(pot, fv)
+    def ratio_on(fam: PinchedFamily, fv: np.ndarray, eps: float, pp: float, qq: float) -> float:
+        g = fam.grid
+        sol = solve_lma(fam.potential(eps), fv)
         _, hess = fd_derivatives(sol.u)
         num = lp_norm((g, _hess_frobenius(g, hess)), pp)
         den = lp_norm((g, np.abs(np.where(g.in_domain, sol.f_values, np.nan))), qq)
         return num / den
 
-    ratios = run_sweep(lambda e: ratio_on(grid, f_vals, e, p, q), eps_list, threads)
+    ratios = run_sweep(lambda e: ratio_on(family, f_vals, e, p, q), eps_list, threads)
     assertions = []
     med = float(np.median(ratios))
     check(assertions, "sup of ratios <= 3 * median", max(ratios), "<=", 3.0 * med)
 
     mid = eps_list[len(eps_list) // 2]
-    r_scaled = ratio_on(grid, 10.0 * f_vals, mid, p, q)
+    r_scaled = ratio_on(family, 10.0 * f_vals, mid, p, q)
     r_mid = ratios[len(eps_list) // 2]
     check(assertions, f"ratio invariant under f -> 10f at eps={mid}",
           abs(r_scaled - r_mid), "<=", 1e-6 * r_mid)
 
-    r_small = ratio_on(grid, f_vals, strong_eps, small_p, 2.0) if strong_eps < 1.0 else float("nan")
+    r_small = ratio_on(family, f_vals, strong_eps, small_p, 2.0) if strong_eps < 1.0 else float("nan")
     check(assertions, f"small-exponent ratio finite (p={small_p}, eps={strong_eps})",
           r_small, "<", np.inf)
 
     measured = {"ratio": ratios, "ratio_scaled_f": r_scaled, "ratio_small_exponent": r_small}
-    if refine_grid is not None:
-        Xf, Yf = refine_grid.meshes()
-        fv_fine = np.asarray(f(Xf, Yf), dtype=float) + np.zeros(refine_grid.shape) if callable(f) else np.asarray(f, dtype=float) + np.zeros(refine_grid.shape)
-        r_fine = ratio_on(refine_grid, fv_fine, mid, p, q)
+    if refine_family is not None:
+        fine = refine_family.grid
+        Xf, Yf = fine.meshes()
+        fv_fine = np.asarray(f(Xf, Yf), dtype=float) + np.zeros(fine.shape) if callable(f) else np.asarray(f, dtype=float) + np.zeros(fine.shape)
+        r_fine = ratio_on(refine_family, fv_fine, mid, p, q)
         measured["ratio_refined"] = r_fine
         big, small = max(r_mid, r_fine), min(r_mid, r_fine)
         check(assertions, f"refinement stability at eps={mid}", big, "<=", 2.0 * small)
@@ -576,65 +583,4 @@ def w2p_ratio_sweep(grid, eps_list, p: float = 2.0, q: float = 4.0, f=None, g0=N
         measured=measured,
         slopes={"ratio_vs_eps": _loglog_slope(eps_list, ratios)},
         assertions=assertions,
-        wall_time=time.perf_counter() - t0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# the geometric iteration of the proof
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GeometricIterationResult:
-    r: float
-    choice_ok: bool
-    bounds: np.ndarray
-    weighted_sum: float
-    closed_form: Optional[float]
-    violations: list
-    passed: bool
-
-
-def geometric_iteration_check(a1: float, b, eps0: float, M: float, q: float,
-                              a_measured=None, tol: float = 1e-12) -> GeometricIterationResult:
-    """Evaluate the decay recursion and its summability closed form.
-
-    The recursion is bound_{k+1} = r*(bound_k + b_k) with r = sqrt(2*eps0),
-    starting from bound_1 = a1. The weighted sum is sum_k M^(k*q) * bound_{k+1}
-    over the supplied horizon; when M^q * r equals 1/2 (the choice the proof
-    makes) the closed form 2*a1 + 2*r*sum_i M^(i*q) b_i is reported alongside.
-    Measured sequences are checked step-wise against the recursion; the first
-    failing index is flagged.
-    """
-    if not (0.0 < 2.0 * eps0 < 1.0):
-        raise StabilityError(f"need 0 < 2*eps0 < 1, got eps0={eps0}")
-    r = float(np.sqrt(2.0 * eps0))
-    z = float(M) ** float(q)
-    choice_ok = z * r <= 0.5 + tol
-    b = np.asarray(list(b), dtype=float)
-    K = b.size
-    bounds = np.empty(K + 1)
-    bounds[0] = float(a1)
-    for k in range(K):
-        bounds[k + 1] = r * (bounds[k] + b[k])
-    weights = z ** np.arange(K + 1)
-    weighted_sum = float(np.sum(weights * bounds))
-    closed_form = None
-    if abs(z * r - 0.5) <= 1e-9:
-        closed_form = float(2.0 * a1 + 2.0 * r * np.sum(z ** np.arange(1, K + 1) * b))
-    violations = []
-    if a_measured is not None:
-        a = np.asarray(list(a_measured), dtype=float)
-        for k in range(min(a.size, K + 1) - 1):
-            if a[k + 1] > r * (a[k] + b[k]) + tol:
-                violations.append(k + 1)
-    return GeometricIterationResult(
-        r=r,
-        choice_ok=choice_ok,
-        bounds=bounds,
-        weighted_sum=weighted_sum,
-        closed_form=closed_form,
-        violations=violations,
-        passed=not violations,
     )

@@ -1,0 +1,70 @@
+import json
+
+import numpy as np
+import pytest
+
+from ma_lab import cli_runner, ma_solve, stability_lab
+from ma_lab.cli_runner import ExperimentConfig, run
+
+SWEEPS = ("cofactor_stability", "sobolev_stability", "approximation", "contact_set", "w2p_ratio")
+
+
+@pytest.fixture
+def top_level_solves(monkeypatch):
+    """Record every solve_ma call made by cli_runner or stability_lab.
+
+    Nested solves (the coarse-grid restarts inside ma_solve) go through
+    ma_solve's own binding and are not recorded. Each record keeps a copy of
+    the density, so a later write into the potential cannot alter it.
+    """
+    records = []
+    real = ma_solve.solve_ma
+
+    def recording(grid, g, *args, **kwargs):
+        pot = real(grid, g, *args, **kwargs)
+        records.append({"grid": grid, "g": np.array(g, dtype=float, copy=True),
+                        "tol_ma": kwargs.get("tol_ma"), "pot": pot})
+        return pot
+
+    for mod in (cli_runner, stability_lab):
+        monkeypatch.setattr(mod, "solve_ma", recording, raising=False)
+    return records
+
+
+def _arrays(pot):
+    return (pot.phi.values, pot.grad.gx, pot.grad.gy, pot.hess.xx, pot.hess.xy,
+            pot.hess.yy, pot.g_values)
+
+
+def _same_potential(a, b):
+    return (all(np.array_equal(x, y, equal_nan=True) for x, y in zip(_arrays(a), _arrays(b)))
+            and a.residual_max == b.residual_max
+            and a.convexity_margin == b.convexity_margin
+            and a.newton_iterations == b.newton_iterations)
+
+
+def test_suite_solves_each_potential_once(tmp_path, top_level_solves):
+    cfg = ExperimentConfig(experiment="suite", domain="disc", spacing=1.0 / 32, threads=2)
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert len(summary) == 13
+    assert all(entry["passed"] for entry in summary.values())
+
+    # flat, the four cofactor eps (0.2, 0.1, 0.05, 0.025) and w2p's strong eps 0.8
+    assert len(top_level_solves) == 6
+    # no experiment wrote into a shared potential
+    for rec in top_level_solves:
+        fresh = ma_solve.solve_ma(rec["grid"], rec["g"], tol_ma=rec["tol_ma"])
+        assert _same_potential(rec["pot"], fresh)
+
+
+def test_sweeps_honour_the_configured_tolerance(tmp_path, top_level_solves):
+    for name in SWEEPS:
+        cfg = ExperimentConfig(experiment=name, domain="disc", spacing=1.0 / 32,
+                               threads=2, tol_ma=1e-6)
+        before = len(top_level_solves)
+        assert run(cfg, out_dir=str(tmp_path / name)) == 0
+        assert len(top_level_solves) > before
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        assert report["wall_time"] > 0.0
+    assert {rec["tol_ma"] for rec in top_level_solves} == {1e-6}
