@@ -13,6 +13,16 @@ datum at the projection alone would only be first-order.
 Newton is damped by an l2 Armijo line search and starts from the solution of
 Delta phi0 = 2 sqrt(g); if that fails (corner layers at fine spacings), the
 solve restarts once from a coarse-grid solution prolonged by a cubic spline.
+Above the direct-solve limit it starts from the coarse-grid solution, and
+the Laplacian start is built only if no coarser grid exists.
+
+Every linear system (Newton steps, the Laplacian start, every continuation
+level, and the linearized solves of lma_solve) is numbered by NodeSystem in
+geometric nested-dissection order, the fill-optimal order on a regular mesh
+(George 1973). The LU keeps that order: SuperLU runs with the natural column
+order and a zero diagonal-pivot threshold, so it pivots on the diagonal
+unless a diagonal entry is exactly zero (static pivoting, as in SuperLU_DIST;
+Li and Demmel 2003). The smallest-pivot check still reports singular systems.
 """
 
 from __future__ import annotations
@@ -110,11 +120,43 @@ class CofactorField:
 # ---------------------------------------------------------------------------
 
 
+_ND_LEAF = 64
+
+
+def _nested_dissection(node_ij: np.ndarray) -> np.ndarray:
+    """Permutation of lattice nodes into geometric nested-dissection order.
+
+    The index box of the nodes is bisected along its longer axis at the
+    median lattice line. Each half is numbered recursively, then the line,
+    which the nine-point stencil cannot cross. Leaves of at most _ND_LEAF
+    nodes keep their input (row-major) order. On a regular mesh this order
+    gives O(n log n) fill and O(n^1.5) flops (George 1973).
+    """
+    parts = []
+
+    def split(idx):
+        if len(idx) <= _ND_LEAF:
+            parts.append(idx)
+            return
+        ij = node_ij[idx]
+        extent = ij.max(axis=0) - ij.min(axis=0)
+        c = ij[:, 0 if extent[0] >= extent[1] else 1]
+        mid = np.partition(c, len(c) // 2)[len(c) // 2]
+        split(idx[c < mid])
+        split(idx[c > mid])
+        parts.append(idx[c == mid])
+
+    split(np.arange(len(node_ij)))
+    return np.concatenate(parts)
+
+
 class NodeSystem:
     """Index bookkeeping for one unknown per in-domain node.
 
     Interior rows hold PDE stencils; boundary-adjacent rows hold the
     normal-extrapolation data equations. The ring rows are linear and static.
+    Unknowns are numbered in nested-dissection order (_nested_dissection);
+    `flat` maps lattice indices to unknowns and `node_ij` maps back.
     """
 
     def __init__(self, grid: Grid, datum: Callable):
@@ -123,6 +165,7 @@ class NodeSystem:
         nx, ny = grid.shape
         flat = -np.ones((nx, ny), dtype=np.int64)
         nodes = np.argwhere(grid.in_domain)
+        nodes = nodes[_nested_dissection(nodes)]
         flat[nodes[:, 0], nodes[:, 1]] = np.arange(len(nodes))
         self.flat = flat
         self.n = len(nodes)
@@ -247,7 +290,7 @@ class NodeSystem:
 
 def _direct_solve(A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     try:
-        lu = spla.splu(A.tocsc())
+        lu = spla.splu(A.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         diag = np.abs(A.diagonal())
         raise SolveError(f"singular system (smallest diagonal {diag.min():.3e}): {exc}") from exc
@@ -260,11 +303,14 @@ def _direct_solve(A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
 def linear_solve(A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     """Direct sparse solve up to 257^2 unknowns, preconditioned Krylov beyond.
 
-    The Krylov branch uses an incomplete-LU preconditioner (the assembled
-    operator is nonsymmetric at the boundary ring, where plain diagonal
-    scaling stalls) and falls back to the direct factorization if the
-    iteration does not converge. Both branches are deterministic. Raises
-    SolveError on singular systems with the smallest pivot reported.
+    The direct solve is an LU in the matrix's own order, which for NodeSystem
+    matrices is nested dissection: no column permutation, and diagonal
+    pivots unless a diagonal entry is exactly zero. The Krylov branch uses
+    an incomplete-LU preconditioner (the assembled operator is nonsymmetric
+    at the boundary ring, where plain diagonal scaling stalls) and falls
+    back to the direct factorization if the iteration does not converge.
+    Both branches are deterministic. Raises SolveError on singular systems
+    with the smallest pivot reported.
     """
     n = A.shape[0]
     if n <= _DIRECT_LIMIT:
@@ -450,21 +496,23 @@ def solve_ma(
     sysm = NodeSystem(grid, datum)
     g_int = g_vals[grid.interior]
 
-    # initial guess: Laplacian comparison solve, Delta phi0 = 2 sqrt(g)
-    ones = np.ones_like(g_int)
-    A0 = sysm.interior_matrix(ones, ones, np.zeros_like(g_int))
-    rhs0 = np.zeros(sysm.n)
-    rhs0[sysm.int_rows] = 2.0 * np.sqrt(g_int)
-    rhs0[sysm.ring_rows] = sysm.ring_rhs
-    U0 = linear_solve(A0, rhs0)
+    def laplacian_start():
+        # smooth initial guess: Laplacian comparison solve, Delta phi0 = 2 sqrt(g)
+        ones = np.ones_like(g_int)
+        A0 = sysm.interior_matrix(ones, ones, np.zeros_like(g_int))
+        rhs0 = np.zeros(sysm.n)
+        rhs0[sysm.int_rows] = 2.0 * np.sqrt(g_int)
+        rhs0[sysm.ring_rows] = sysm.ring_rhs
+        return linear_solve(A0, rhs0)
 
     if sysm.n > _DIRECT_LIMIT:
         # every Newton iterate is expensive here; start from a coarse-grid
         # solve instead of burning iterations on the smooth initial guess
         U1 = _continuation_init(grid, sysm, g, boundary, tol_ma, max_iter, damping_min)
-        U, iters = _newton_loop(sysm, g_int, U1 if U1 is not None else U0,
+        U, iters = _newton_loop(sysm, g_int, U1 if U1 is not None else laplacian_start(),
                                 tol_ma, max_iter, damping_min)
     else:
+        U0 = laplacian_start()
         try:
             U, iters = _newton_loop(sysm, g_int, U0, tol_ma, max_iter, damping_min)
         except SolveError:

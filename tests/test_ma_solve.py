@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy import ndimage
 
+from ma_lab import ma_solve
 from ma_lab.domain_grid import (
     ScalarField,
     build_domain,
@@ -10,13 +12,16 @@ from ma_lab.domain_grid import (
     lp_norm,
 )
 from ma_lab.ma_solve import (
+    NodeSystem,
     SolveError,
     assemble_potential,
     certify_convexity,
     cofactor_field,
+    linear_solve,
     quadratic_separation_check,
     solve_ma,
 )
+from ma_lab.stability_lab import default_bump
 from conftest import pinched_density
 
 
@@ -95,6 +100,78 @@ def test_affine_covariance_of_density_scaling(disc_domain):
     scaled = solve_ma(g, c * c)
     dev = np.nanmax(np.abs(scaled.phi.values - c * base.phi.values)[g.in_domain])
     assert dev <= 10 * 1e-8
+
+
+def test_continuation_path_skips_the_laplacian_start(monkeypatch):
+    # above the direct limit the Newton start comes from the coarse grid, so
+    # every top-level linear solve must be a Newton step
+    grid = discretize(build_domain("square", side=2.0), 1.0 / 32)
+    n = NodeSystem(grid, lambda pts: np.zeros(len(pts))).n
+    monkeypatch.setattr(ma_solve, "_DIRECT_LIMIT", n - 1)
+    sizes = []
+
+    def counting(A, rhs):
+        sizes.append(A.shape[0])
+        return linear_solve(A, rhs)
+
+    monkeypatch.setattr(ma_solve, "linear_solve", counting)
+    pot = solve_ma(grid, 1.0)
+    assert pot.newton_iterations > 0
+    assert sizes.count(n) == pot.newton_iterations
+
+
+# -- NodeSystem numbering and the static-pivot LU ----------------------------
+
+def test_nested_dissection_numbering_is_a_permutation(disc_domain):
+    grid = discretize(disc_domain, 1.0 / 64)
+    sysm = NodeSystem(grid, lambda pts: np.zeros(len(pts)))
+    ij = sysm.node_ij
+    row_major = ij[np.lexsort((ij[:, 1], ij[:, 0]))]
+    assert np.array_equal(row_major, np.argwhere(grid.in_domain))
+    assert np.array_equal(sysm.flat[ij[:, 0], ij[:, 1]], np.arange(sysm.n))
+    assert np.array_equal(sysm.flat >= 0, grid.in_domain)
+
+
+def test_nested_dissection_fill_below_default_ordering(disc_domain):
+    sysm = NodeSystem(discretize(disc_domain, 1.0 / 64), lambda pts: np.zeros(len(pts)))
+    ones = np.ones(len(sysm.int_rows))
+    A = sysm.interior_matrix(ones, ones, np.zeros_like(ones)).tocsc()
+    nd = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    default = spla.splu(A)
+    assert nd.L.nnz + nd.U.nnz < default.L.nnz + default.U.nnz
+
+
+def test_static_pivots_accurate_on_every_newton_jacobian(monkeypatch):
+    # the eps = 0.2 square fails from the Laplacian start (its iterates have
+    # indefinite node Hessians) and restarts from the coarse grid; every
+    # system of that solve, failed attempts included, is checked against
+    # partial-pivot LU with its default column order
+    sq = build_domain("square", side=2.0)
+    grid = discretize(sq, 1.0 / 32)
+    X, Y = grid.meshes()
+    g = 1.0 + 0.2 * default_bump(sq)(X, Y)
+    parts = ma_solve._convexified_parts
+    eig_min = [np.inf]
+    systems = []
+
+    def recording_parts(H11, H22, H12, g_int):
+        eig_min[0] = float(np.min(0.5 * (H11 + H22) - np.hypot(0.5 * (H11 - H22), H12)))
+        return parts(H11, H22, H12, g_int)
+
+    def recording_solve(A, rhs):
+        systems.append((A, rhs, eig_min[0]))
+        return linear_solve(A, rhs)
+
+    monkeypatch.setattr(ma_solve, "_convexified_parts", recording_parts)
+    monkeypatch.setattr(ma_solve, "linear_solve", recording_solve)
+    solve_ma(grid, g)
+    assert min(e for _, _, e in systems) < 0
+    for A, rhs, _ in systems:
+        x = linear_solve(A, rhs)
+        scale = abs(A).sum(axis=1).max() * np.max(np.abs(x)) + np.max(np.abs(rhs))
+        assert np.max(np.abs(A @ x - rhs)) <= 1e-12 * scale
+        ref = spla.splu(A.tocsc()).solve(rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
 # -- cofactor_field ----------------------------------------------------------
