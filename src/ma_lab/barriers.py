@@ -16,7 +16,7 @@ import numpy as np
 from .domain_grid import ScalarField
 from .ma_solve import PotentialField, cofactor_field
 from .lma_solve import operator_apply
-from .section_geom import BoundaryFrame, boundary_frame, frame_gap, phi_extended, _gradient_at
+from .section_geom import BoundaryFrame, boundary_frame, frame_gap, gradient_at, phi_extended
 
 
 class BarrierError(ValueError):
@@ -103,7 +103,7 @@ def build_supersolution(
             f"normalization not applied: frame origin lies {dist[0]:.3g} away from the boundary"
         )
     datum_here = float(np.atleast_1d(potential.boundary_datum(frame.origin[None, :]))[0])
-    grad_here = _gradient_at(potential, frame.origin)
+    grad_here = gradient_at(potential, frame.origin)
     if abs(datum_here - frame.phi_origin) > 1e-9 or np.max(np.abs(grad_here - frame.gradient_origin)) > 1e-9:
         raise BarrierError(
             "normalization not applied: frame tangent data does not match the potential at the origin"

@@ -87,17 +87,17 @@ KNOWN_G0 = ("bump", "constant")
 
 _FLOAT_KEYS = {
     "radius", "a", "b", "side", "spacing", "p", "q", "gamma", "sigma",
-    "delta", "lam", "Lam", "m", "beta", "height", "tol_ma", "tol_lma",
+    "delta", "lam", "Lam", "m", "height", "tol_ma", "tol_lma",
 }
-_LIST_KEYS = {"spacings", "eps", "betas"}
+_LIST_KEYS = {"eps", "betas"}
 _STR_KEYS = {"experiment", "domain", "g0", "out"}
 _INT_KEYS = {"threads"}
 KNOWN_KEYS = _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS | _INT_KEYS
 
 # keys that must parse to strictly positive numbers (every entry for lists)
 _POSITIVE_KEYS = {
-    "radius", "a", "b", "side", "spacing", "spacings", "eps", "p", "q",
-    "gamma", "sigma", "delta", "lam", "Lam", "m", "beta", "betas", "height",
+    "radius", "a", "b", "side", "spacing", "eps", "p", "q",
+    "gamma", "sigma", "delta", "lam", "Lam", "m", "betas", "height",
     "tol_ma", "tol_lma", "threads",
 }
 
@@ -111,7 +111,6 @@ class ExperimentConfig:
     b: float = 1.0
     side: float = 2.0
     spacing: float = 1.0 / 32
-    spacings: tuple = ()
     eps: tuple = (0.2, 0.1, 0.05)
     betas: tuple = ()
     g0: str = "bump"
@@ -123,7 +122,6 @@ class ExperimentConfig:
     lam: Optional[float] = None
     Lam: Optional[float] = None
     m: float = 2.0
-    beta: float = 1.2
     height: Optional[float] = None
     threads: int = 0
     tol_ma: float = 1e-8
@@ -236,13 +234,11 @@ def emit_config(config: ExperimentConfig) -> str:
         lines.append(f"{key} = {fmt_float(getattr(config, key))}")
     lines += ["", "[run]"]
     lines.append(f"spacing = {fmt_float(config.spacing)}")
-    if config.spacings:
-        lines.append("spacings = " + ", ".join(fmt_float(v) for v in config.spacings))
     lines.append("eps = " + ", ".join(fmt_float(v) for v in config.eps))
     if config.betas:
         lines.append("betas = " + ", ".join(fmt_float(v) for v in config.betas))
     lines.append(f"g0 = {config.g0}")
-    for key in ("p", "q", "gamma", "sigma", "delta", "m", "beta"):
+    for key in ("p", "q", "gamma", "sigma", "delta", "m"):
         lines.append(f"{key} = {fmt_float(getattr(config, key))}")
     for key in ("lam", "Lam", "height"):
         val = getattr(config, key)
@@ -642,7 +638,6 @@ def _run_suite(config: ExperimentConfig, out: str, family: PinchedFamily) -> int
         sub = ExperimentConfig(**{**_config_echo(config), **overrides,
                                   "experiment": name, "out": ""})
         sub.eps = tuple(sub.eps)
-        sub.spacings = tuple(sub.spacings)
         sub.betas = tuple(sub.betas)
         sub_out = os.path.join(out, name)
         t0 = time.perf_counter()

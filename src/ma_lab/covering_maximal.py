@@ -11,17 +11,16 @@ from typing import Optional
 
 import numpy as np
 
-from .domain_grid import FieldError, ScalarField, lp_norm
-from .ma_solve import PotentialField, _coerce_samples
+from .domain_grid import FieldError, ScalarField, coerce_samples, lp_norm
+from .ma_solve import PotentialField
 from .section_geom import (
-    SectionError,
-    _gap_from_index,
-    _sublevel_cells,
     engulfing_constant,
     engulfing_samples,
+    gap_from_index,
     interior_heights,
     measure_c_cap,
     pair_gaps,
+    sublevel_cells,
 )
 
 
@@ -76,8 +75,8 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, delta0: float = 
             idx = (ci[k], cj[k])
             if core_union[idx]:
                 continue
-            gap = _gap_from_index(potential, *idx)
-            core = _sublevel_cells(potential, gap, d0 * hvals[k], idx)
+            gap = gap_from_index(potential, *idx)
+            core = sublevel_cells(potential, gap, d0 * hvals[k], idx)
             if (core & core_union).any():
                 continue
             core_union |= core
@@ -89,8 +88,8 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, delta0: float = 
         cover_union = np.zeros(grid.shape, dtype=bool)
         for k in picked:
             idx = (ci[k], cj[k])
-            gap = _gap_from_index(potential, *idx)
-            cover = _sublevel_cells(potential, gap, 0.5 * hvals[k], idx)
+            gap = gap_from_index(potential, *idx)
+            cover = sublevel_cells(potential, gap, 0.5 * hvals[k], idx)
             cover_masks.append(cover)
             cover_union |= cover
         defect_cells = int((region & ~cover_union).sum())
@@ -132,9 +131,12 @@ def density_heights(
     """Per-point section heights whose target density is as close to eps as the grid allows.
 
     For each target node the density |S(x,t) and target| / |S(x,t)| is scanned
-    over a geometric height ladder and refined by bisection on its decreasing
-    branch. Nodes where no height reaches the band are returned in the
-    excluded list.
+    over a geometric height ladder. In the first rung [a, b) where it falls
+    from at least eps to below eps, the height is the first of the centre's
+    tangent gaps at which the density is at least eps and just past which it
+    is below eps; the density is piecewise constant between gaps and need not
+    be monotone inside the rung. Nodes where no height reaches the band are
+    returned in the excluded list.
     """
     grid = potential.grid
     target = np.asarray(target, dtype=bool)
@@ -153,32 +155,27 @@ def density_heights(
         if not grid.interior[i, j]:
             excluded.append(((grid.xs[i], grid.ys[j]), "not an interior node"))
             continue
-        gap = _gap_from_index(potential, i, j)
-        gap_dom = gap[grid.in_domain]
-        gap_tgt = gap[target]
+        gap = gap_from_index(potential, i, j)
+        gap_dom = np.sort(gap[grid.in_domain])
+        gap_tgt = np.sort(gap[target])
 
-        def dens(t):
-            # raw sublevel counts; equal to the flood-filled section for a
-            # certified convex potential, and far cheaper inside the scan
-            n = int(np.count_nonzero(gap_dom < t))
-            return int(np.count_nonzero(gap_tgt < t)) / n if n else 0.0
+        def dens(t, side="left"):
+            # raw sublevel counts of gap < t (gap <= t with side="right");
+            # equal to the flood-filled section for a certified convex
+            # potential, and far cheaper inside the scan
+            n = np.searchsorted(gap_dom, t, side)
+            return np.searchsorted(gap_tgt, t, side) / np.maximum(n, 1)
 
-        lo = None
-        hi = None
-        for a, b in zip(ladder[:-1], ladder[1:]):
-            if dens(a) >= eps > dens(b):
-                lo, hi = a, b
-                break
-        if lo is None:
+        d = dens(ladder)
+        k = np.flatnonzero((d[:-1] >= eps) & (d[1:] < eps))
+        if k.size == 0:
             excluded.append(((grid.xs[i], grid.ys[j]), "no height reaches the density band"))
             continue
-        for _ in range(30):
-            mid = 0.5 * (lo + hi)
-            if dens(mid) >= eps:
-                lo = mid
-            else:
-                hi = mid
-        heights[i, j] = lo
+        a, b = ladder[k[0]], ladder[k[0] + 1]
+        # the density only moves at gap values; the first one in [a, b) past
+        # which it falls below eps is where the band is left
+        breaks = np.unique(gap[(grid.in_domain | target) & (gap >= a) & (gap < b)])
+        heights[i, j] = breaks[np.argmax(dens(breaks, "right") < eps)]
     return heights, excluded
 
 
@@ -233,8 +230,8 @@ def covering_select(
         if not np.isfinite(t) or t <= 0:
             excluded.append(((grid.xs[i], grid.ys[j]), "no height supplied"))
             continue
-        gap = _gap_from_index(potential, i, j)
-        cells = _sublevel_cells(potential, gap, t, (i, j))
+        gap = gap_from_index(potential, i, j)
+        cells = sublevel_cells(potential, gap, t, (i, j))
         n = int(cells.sum())
         dens = (cells & target).sum() / n if n else 0.0
         if not (density_band[0] * eps <= dens <= density_band[1] * eps):
@@ -315,10 +312,10 @@ def height_grid(potential: PotentialField, c_cap: Optional[float] = None, n_heig
     if c_cap is None:
         c_cap = measure_c_cap(potential, heights=hs)
     k = np.unravel_index(np.nanargmax(np.where(np.isfinite(hs), hs, -np.inf)), hs.shape)
-    gap = _gap_from_index(potential, *k)
+    gap = gap_from_index(potential, *k)
     t = 2.0 * grid.cell_area
     while t < c_cap / 2.0:
-        cells = _sublevel_cells(potential, gap, t, k)
+        cells = sublevel_cells(potential, gap, t, k)
         if cells.sum() >= 8:
             break
         t *= 1.3
@@ -352,7 +349,7 @@ def maximal_function(
     many = isinstance(f, (list, tuple))
     ni, nj = np.nonzero(grid.in_domain)
     absf = [
-        np.abs(_coerce_samples(grid, g.values if isinstance(g, ScalarField) else g)[ni, nj])
+        np.abs(coerce_samples(grid, g.values if isinstance(g, ScalarField) else g)[ni, nj])
         for g in (f if many else [f])
     ]
     heights = height_grid(potential, c_cap=c_cap, n_heights=n_heights)
@@ -383,7 +380,7 @@ def strong_type_ratio(
     if not p > 1:
         raise FieldError(f"strong type ratio needs p > 1, got {p}")
     grid = potential.grid
-    fv = _coerce_samples(grid, f.values if isinstance(f, ScalarField) else f)
+    fv = coerce_samples(grid, f.values if isinstance(f, ScalarField) else f)
     denom = lp_norm((grid, fv), p)
     if denom == 0.0:
         raise FieldError("strong type ratio undefined for zero input")

@@ -524,6 +524,27 @@ class MatrixField:
         return mean - rad
 
 
+def coerce_samples(grid: Grid, f) -> np.ndarray:
+    """Node samples of f on the grid: f may be a callable f(X, Y), a scalar, or an array of grid shape."""
+    if callable(f):
+        X, Y = grid.meshes()
+        return np.asarray(f(X, Y), dtype=float) + np.zeros(grid.shape)
+    arr = np.asarray(f, dtype=float)
+    if arr.ndim == 0:
+        return np.full(grid.shape, float(arr))
+    if arr.shape != grid.shape:
+        raise FieldError(f"sample array shape {arr.shape} != grid shape {grid.shape}")
+    return arr
+
+
+def coerce_datum(datum) -> Callable:
+    """A boundary datum as a function of points: callables pass through, a scalar becomes a constant."""
+    if callable(datum):
+        return datum
+    val = float(datum)
+    return lambda pts: np.full(np.atleast_2d(pts).shape[0], val)
+
+
 def _shift(a: np.ndarray, di: int, dj: int, fill=np.nan) -> np.ndarray:
     out = np.full_like(a, fill)
     nx, ny = a.shape

@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 
-from .domain_grid import ScalarField, fd_derivatives
-from .ma_solve import PotentialField, _coerce_samples
+from .domain_grid import ScalarField, coerce_samples, fd_derivatives
+from .ma_solve import PotentialField
 from .section_geom import pair_gaps
 
 
@@ -47,7 +47,7 @@ def tangent_trust_region(potential: PotentialField, margin: int = 3) -> np.ndarr
 def _solution_fields(potential: PotentialField, u):
     """Coerce u to (values, gradient, hessian) on the potential's grid."""
     grid = potential.grid
-    vals = _coerce_samples(grid, u.values if isinstance(u, ScalarField) else u)
+    vals = coerce_samples(grid, u.values if isinstance(u, ScalarField) else u)
     vals = np.where(grid.in_domain, vals, np.nan)
     grad, hess = fd_derivatives(ScalarField(grid, vals))
     return vals, grad, hess

@@ -14,8 +14,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .domain_grid import FieldError, Grid, MatrixField, ScalarField, VectorField, fd_derivatives, lp_norm
-from .ma_solve import CofactorField, NodeSystem, PotentialField, SolveError, _coerce_datum, _coerce_samples, cofactor_field, linear_solve
+from .domain_grid import FieldError, Grid, MatrixField, ScalarField, VectorField, coerce_datum, coerce_samples, fd_derivatives, lp_norm
+from .ma_solve import CofactorField, NodeSystem, PotentialField, SolveError, cofactor_field, linear_solve
 
 
 @dataclass
@@ -59,8 +59,8 @@ def solve_lma(
     """
     cof = cofactor_field(operator) if isinstance(operator, PotentialField) else operator
     grid = cof.grid
-    f_vals = _coerce_samples(grid, f)
-    datum = _coerce_datum(boundary)
+    f_vals = coerce_samples(grid, f)
+    datum = coerce_datum(boundary)
     sysm = NodeSystem(grid, datum)
     c11 = cof.xx[grid.interior]
     c22 = cof.yy[grid.interior]

@@ -47,6 +47,8 @@ from .domain_grid import (
     MatrixField,
     ScalarField,
     VectorField,
+    coerce_datum,
+    coerce_samples,
     discretize,
     fd_derivatives,
 )
@@ -97,9 +99,6 @@ class PotentialField:
     residual_max: float
     boundary_datum: Callable
     newton_iterations: int = 0
-
-    def phi_at(self, pts: np.ndarray) -> np.ndarray:
-        return self.grid.interp(self.phi.values, pts)
 
 
 @dataclass
@@ -443,25 +442,6 @@ def _continuation_init(grid: Grid, sysm: "NodeSystem", g, boundary,
     return spline.ev(grid.xs[sysm.node_ij[:, 0]], grid.ys[sysm.node_ij[:, 1]])
 
 
-def _coerce_samples(grid: Grid, f) -> np.ndarray:
-    if callable(f):
-        X, Y = grid.meshes()
-        return np.asarray(f(X, Y), dtype=float) + np.zeros(grid.shape)
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim == 0:
-        return np.full(grid.shape, float(arr))
-    if arr.shape != grid.shape:
-        raise FieldError(f"sample array shape {arr.shape} != grid shape {grid.shape}")
-    return arr
-
-
-def _coerce_datum(datum) -> Callable:
-    if callable(datum):
-        return datum
-    val = float(datum)
-    return lambda pts: np.full(np.atleast_2d(pts).shape[0], val)
-
-
 def solve_ma(
     grid: Grid,
     g,
@@ -488,11 +468,11 @@ def solve_ma(
         Nonpositive density, Newton stall (with the last residual in the
         message), iteration budget exhausted, or failed convexity certificate.
     """
-    g_vals = _coerce_samples(grid, g)
+    g_vals = coerce_samples(grid, g)
     gd = g_vals[grid.in_domain]
     if np.any(~np.isfinite(gd)) or np.any(gd <= 0):
         raise SolveError(f"density must be positive on the domain (min {np.nanmin(gd):.3e})")
-    datum = _coerce_datum(boundary)
+    datum = coerce_datum(boundary)
     sysm = NodeSystem(grid, datum)
     g_int = g_vals[grid.interior]
 
@@ -563,7 +543,7 @@ def assemble_potential(grid: Grid, phi_fn, g=None, lam=None, Lam=None, datum=Non
     if g is None:
         g_vals = np.where(grid.in_domain, det, np.nan)
     else:
-        g_vals = _coerce_samples(grid, g)
+        g_vals = coerce_samples(grid, g)
     gd = g_vals[grid.interior]
     lam_eff = float(np.nanmin(gd)) if lam is None else float(lam)
     Lam_eff = float(np.nanmax(gd)) if Lam is None else float(Lam)
@@ -625,6 +605,8 @@ def quadratic_separation_check(
     dominated by stencil noise). Passing requires min r >= rho_floor with a
     finite max; a flat-sided domain yields a warning, not a failure to run.
     """
+    from .section_geom import pair_gaps  # deferred: section_geom imports this module
+
     grid = potential.grid
     flat = potential.domain.uniform_convexity_modulus == 0.0
     if flat:
@@ -638,14 +620,10 @@ def quadratic_separation_check(
     if len(ri) > max_band_nodes:
         stride = int(np.ceil(len(ri) / max_band_nodes))
         ri, rj = ri[::stride], rj[::stride]
-    pts = np.stack([grid.xs[ri], grid.ys[rj]], axis=-1)
-    phiv = potential.phi.values[ri, rj]
-    gx = potential.grad.gx[ri, rj]
-    gy = potential.grad.gy[ri, rj]
-    dx = pts[None, :, 0] - pts[:, None, 0]
-    dy = pts[None, :, 1] - pts[:, None, 1]
+    _, gap = next(pair_gaps(potential, ri, rj, ri, rj, ri.size))
+    dx = grid.xs[ri][None, :] - grid.xs[ri][:, None]
+    dy = grid.ys[rj][None, :] - grid.ys[rj][:, None]
     d2 = dx * dx + dy * dy
-    gap = phiv[None, :] - phiv[:, None] - gx[:, None] * dx - gy[:, None] * dy
     min_sep = min_sep_factor * grid.spacing
     sel = d2 >= min_sep * min_sep
     if not np.any(sel):

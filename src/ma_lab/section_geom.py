@@ -9,13 +9,13 @@ standard rescalings (sup-norm preserving and curvature preserving).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import ndimage
 
-from .domain_grid import Grid, ScalarField
-from .ma_solve import PotentialField, _coerce_samples
+from .domain_grid import Grid, ScalarField, coerce_samples
+from .ma_solve import PotentialField
 
 
 class SectionError(ValueError):
@@ -76,7 +76,7 @@ def _nearest_in_domain(grid: Grid, p, window: int = 4):
     return best
 
 
-def _gradient_at(potential: PotentialField, p: np.ndarray) -> np.ndarray:
+def gradient_at(potential: PotentialField, p: np.ndarray) -> np.ndarray:
     """Gradient estimate at an arbitrary point by a Taylor step from the nearest node."""
     idx = _nearest_in_domain(potential.grid, p)
     if idx is None:
@@ -90,7 +90,7 @@ def _gradient_at(potential: PotentialField, p: np.ndarray) -> np.ndarray:
     return np.array([gx, gy])
 
 
-def _gap_from_index(potential: PotentialField, i: int, j: int) -> np.ndarray:
+def gap_from_index(potential: PotentialField, i: int, j: int) -> np.ndarray:
     """Tangent-plane gap of the potential relative to the node (i, j), over all nodes."""
     grid = potential.grid
     X, Y = grid.meshes()
@@ -162,7 +162,8 @@ def _component(mask: np.ndarray, seed: tuple) -> np.ndarray:
     return labels == lab
 
 
-def _sublevel_cells(potential: PotentialField, gap: np.ndarray, t: float, seed: tuple) -> np.ndarray:
+def sublevel_cells(potential: PotentialField, gap: np.ndarray, t: float, seed: tuple) -> np.ndarray:
+    """Flood-fill component of the in-domain nodes with gap < t that holds seed (empty if seed is not below t)."""
     with np.errstate(invalid="ignore"):
         mask = potential.grid.in_domain & (gap < t)
     if not mask[seed]:
@@ -199,14 +200,14 @@ def section(potential: PotentialField, x, t: float) -> Section:
     idx = grid.nearest_node(x)
     if not grid.in_domain[idx]:
         raise SectionError("section center must be an in-domain node")
-    gap = _gap_from_index(potential, *idx)
-    cells = _sublevel_cells(potential, gap, t, idx)
+    gap = gap_from_index(potential, *idx)
+    cells = sublevel_cells(potential, gap, t, idx)
     count = int(cells.sum())
     measure = count * grid.cell_area
     centroid = grid.points(cells).mean(axis=0)
     warning = "section is a single cell at this height" if count == 1 else None
 
-    cells2 = _sublevel_cells(potential, gap, 2.0 * t, idx)
+    cells2 = sublevel_cells(potential, gap, 2.0 * t, idx)
     band = cells2 & grid.boundary_adjacent
     if band.any():
         is_interior = False
@@ -237,42 +238,38 @@ def section(potential: PotentialField, x, t: float) -> Section:
 def maximal_height(potential: PotentialField, x) -> tuple[float, np.ndarray]:
     """Largest height whose section around x stays clear of the boundary band.
 
-    Bisection on the height, 40 iterations, flood-filled section at each
-    probe. Returns the height and a witness node where the section first
+    The flood-filled section {gap < t} changes only where t passes one of the
+    centre's in-domain tangent gaps, so the answer is one of those gaps: the
+    bottleneck (minimax-path) value from the centre to the band (Pollack
+    1960). It is attained, because sections are strict sublevel sets. A
+    binary search over the sorted distinct gaps, with inf appended, finds the
+    largest level whose section misses the band, one flood fill per probe.
+    Returns the height and a witness node where the section at the next level
     meets the band.
     """
     grid = potential.grid
     idx = grid.nearest_node(x)
     if not grid.interior[idx]:
         raise SectionError("maximal height requires an interior node")
-    gap = _gap_from_index(potential, *idx)
+    gap = gap_from_index(potential, *idx)
     ring = grid.boundary_adjacent
-    ring_gaps = gap[ring]
-    hi = float(np.nanmax(ring_gaps)) * (1.0 + 1e-9) + 1e-300
-    lo = 0.0
-
-    def touches(t):
-        cells = _sublevel_cells(potential, gap, t, idx)
-        return (cells & ring).any(), cells
-
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        hit, _ = touches(mid)
-        if hit:
-            hi = mid
+    levels = np.append(np.unique(gap[grid.in_domain]), np.inf)
+    # the section at levels[lo] misses the band (at the smallest gap it is
+    # empty); the one at levels[hi] meets it in the nodes of band, or hi is
+    # past the end and band is the whole ring
+    lo, hi = 0, levels.size
+    band = ring
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        hit = sublevel_cells(potential, gap, levels[mid], idx) & ring
+        if hit.any():
+            hi, band = mid, hit
         else:
             lo = mid
-    _, cells_hi = touches(hi)
-    band = cells_hi & ring
-    if band.any():
-        bi, bj = np.nonzero(band)
-        k = np.argmin(gap[bi, bj])
-        witness = np.array([grid.xs[bi[k]], grid.ys[bj[k]]])
-    else:
-        ri, rj = np.nonzero(ring)
-        k = np.argmin(gap[ri, rj])
-        witness = np.array([grid.xs[ri[k]], grid.ys[rj[k]]])
-    return lo, witness
+    bi, bj = np.nonzero(band)
+    k = np.argmin(gap[bi, bj])
+    witness = np.array([grid.xs[bi[k]], grid.ys[bj[k]]])
+    return float(levels[lo]), witness
 
 
 def pair_gaps(potential: PotentialField, ci, cj, ti, tj, chunk: int, values=None, grad=None):
@@ -296,7 +293,7 @@ def pair_gaps(potential: PotentialField, ci, cj, ti, tj, chunk: int, values=None
     g = potential.grad if grad is None else grad
     ci, cj, ti, tj = (np.asarray(a) for a in (ci, cj, ti, tj))
     shared = ti.ndim == 1
-    bufs = [np.empty((min(chunk, ci.size), ti.shape[-1])) for _ in range(2)]
+    bufs = np.empty((2, min(chunk, ci.size), ti.shape[-1]))
     for s in range(0, ci.size, chunk):
         block = slice(s, s + chunk)
         bi = ci[block, None]
@@ -380,7 +377,7 @@ def boundary_frame(potential: PotentialField, point) -> BoundaryFrame:
     inner = -nrm[0]
     rotation = np.array([[inner[1], -inner[0]], [inner[0], inner[1]]])
     phi_z = float(np.atleast_1d(potential.boundary_datum(z[None, :]))[0])
-    grad_z = _gradient_at(potential, z)
+    grad_z = gradient_at(potential, z)
     return BoundaryFrame(origin=z, rotation=rotation, phi_origin=phi_z, gradient_origin=grad_z)
 
 
@@ -453,8 +450,9 @@ def localization_fit(potential: PotentialField, boundary_point, h: float) -> Loc
     Fits the unit-determinant shear that makes the height-h section at the
     boundary point closest to a half-ball, by zeroing the mixed second moment
     of the cell set about the frame origin. Reports the largest inner and
-    smallest outer dilations of the sheared ball that sandwich the section,
-    each found by bisection.
+    smallest outer dilations of the sheared ball that sandwich the section:
+    k_outer is the largest sheared radius of a cell, k_inner the smallest of
+    an in-domain non-cell, each divided by the ball radius and capped at 8.
     """
     if not h > 0:
         raise SectionError("localization height must be positive")
@@ -466,7 +464,7 @@ def localization_fit(potential: PotentialField, boundary_point, h: float) -> Loc
         raise SectionError("no in-domain node near the boundary point")
     if not gap[seed] < h:
         raise SectionError("section at this height contains no cells")
-    cells = _sublevel_cells(potential, gap, h, seed)
+    cells = sublevel_cells(potential, gap, h, seed)
     count = int(cells.sum())
     if count < 8:
         raise SectionError(f"section has only {count} cells at height {h}; refine the grid or raise the height")
@@ -484,24 +482,8 @@ def localization_fit(potential: PotentialField, boundary_point, h: float) -> Loc
     r_all = np.hypot(W_all[:, 0], W_all[:, 1])
     cells_flat = cells[grid.in_domain]
 
-    lo, hi = 0.0, 8.0
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        if rc.max() <= mid * radius:
-            hi = mid
-        else:
-            lo = mid
-    k_outer = hi
-
-    lo, hi = 0.0, 8.0
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        inside = r_all < mid * radius
-        if not np.any(inside & ~cells_flat):
-            lo = mid
-        else:
-            hi = mid
-    k_inner = lo
+    k_outer = min(float(rc.max()) / radius, 8.0)
+    k_inner = min(float(np.min(r_all[~cells_flat], initial=np.inf)) / radius, 8.0)
 
     sv = np.linalg.svd(A, compute_uv=False)
     axes = np.array([radius / sv[1], radius / sv[0]])
@@ -558,9 +540,9 @@ def engulfing_samples(potential: PotentialField, t_values, centers=None, n_rando
     triples = []
     for c in centers:
         idx = grid.nearest_node(c)
-        gap = _gap_from_index(potential, *idx)
+        gap = gap_from_index(potential, *idx)
         for t in t_values:
-            cells = _sublevel_cells(potential, gap, float(t), idx)
+            cells = sublevel_cells(potential, gap, float(t), idx)
             if not cells.any():
                 continue
             pts = grid.points(cells)
@@ -588,12 +570,12 @@ def engulfing_constant(potential: PotentialField, samples) -> EngulfingReport:
     theta_star = 0.0
     for x, t, y in samples:
         idx = grid.nearest_node(x)
-        gap_x = _gap_from_index(potential, *idx)
-        cells = _sublevel_cells(potential, gap_x, float(t), idx)
+        gap_x = gap_from_index(potential, *idx)
+        cells = sublevel_cells(potential, gap_x, float(t), idx)
         yidx = grid.nearest_node(y)
         if not cells[yidx]:
             raise SectionError(f"sample member {tuple(np.asarray(y))} lies outside the section at {tuple(np.asarray(x))}")
-        gap_y = _gap_from_index(potential, *yidx)
+        gap_y = gap_from_index(potential, *yidx)
         theta = float(np.max(gap_y[cells]) / t)
         per_sample.append((np.asarray(x, dtype=float), float(t), np.asarray(y, dtype=float), theta))
         theta_star = max(theta_star, theta)
@@ -621,8 +603,8 @@ def volume_scaling(potential: PotentialField, samples, min_cells: int = 20) -> V
     measures = []
     for x, t in samples:
         idx = grid.nearest_node(x)
-        gap = _gap_from_index(potential, *idx)
-        cells = _sublevel_cells(potential, gap, float(t), idx)
+        gap = gap_from_index(potential, *idx)
+        cells = sublevel_cells(potential, gap, float(t), idx)
         count = int(cells.sum())
         if count < min_cells:
             continue
@@ -657,15 +639,16 @@ def dichotomy_classify(potential: PotentialField, x, t: float) -> DichotomyResul
     """Interior when the doubled section avoids the boundary band.
 
     Otherwise returns the nearest boundary point to the deepest band node and
-    the minimal factor c with the doubled section contained in the boundary
-    point's section of height c * t, found by bisection.
+    c_bar, the infimum of the factors c with the doubled section contained in
+    the boundary point's section of height c * t: the largest gap of the
+    boundary point over the doubled section, divided by t (0 if negative).
     """
     grid = potential.grid
     idx = grid.nearest_node(x)
     if not grid.in_domain[idx]:
         raise SectionError("classification center must be an in-domain node")
-    gap = _gap_from_index(potential, *idx)
-    cells2 = _sublevel_cells(potential, gap, 2.0 * t, idx)
+    gap = gap_from_index(potential, *idx)
+    cells2 = sublevel_cells(potential, gap, 2.0 * t, idx)
     band = cells2 & grid.boundary_adjacent
     if not band.any():
         return DichotomyResult(kind="interior", boundary_point=None, c_bar=None, doubled_cells=cells2)
@@ -675,17 +658,10 @@ def dichotomy_classify(potential: PotentialField, x, t: float) -> DichotomyResul
     proj, _, _ = grid.domain.project_boundary(node)
     z = proj[0]
     phi_z = float(np.atleast_1d(potential.boundary_datum(z[None, :]))[0])
-    grad_z = _gradient_at(potential, z)
+    grad_z = gradient_at(potential, z)
     gap_z = _gap_from_point(potential, z, phi_z, grad_z)
-    worst = float(np.max(gap_z[cells2]))
-    lo, hi = 0.0, max(worst / t, 1e-12) * (1.0 + 1e-9)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if np.all(gap_z[cells2] < mid * t):
-            hi = mid
-        else:
-            lo = mid
-    return DichotomyResult(kind="boundary", boundary_point=z, c_bar=hi, doubled_cells=cells2)
+    c_bar = max(float(np.max(gap_z[cells2])) / t, 0.0)
+    return DichotomyResult(kind="boundary", boundary_point=z, c_bar=c_bar, doubled_cells=cells2)
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +698,8 @@ def rescale(potential: PotentialField, u, f, anchor, h: float, mode: str) -> Res
     if not h > 0:
         raise SectionError("rescale height must be positive")
     grid = potential.grid
-    u_vals = _coerce_samples(grid, u.values if isinstance(u, ScalarField) else u)
-    f_vals = _coerce_samples(grid, f.values if isinstance(f, ScalarField) else f)
+    u_vals = coerce_samples(grid, u.values if isinstance(u, ScalarField) else u)
+    f_vals = coerce_samples(grid, f.values if isinstance(f, ScalarField) else f)
 
     anchor = np.asarray(anchor, dtype=float)
     _, dist, _ = grid.domain.project_boundary(anchor)
@@ -740,8 +716,8 @@ def rescale(potential: PotentialField, u, f, anchor, h: float, mode: str) -> Res
         hbar, _ = maximal_height(potential, anchor)
         if h > hbar * (1.0 + 1e-9):
             raise SectionError(f"anchor has no localization fit: height {h} exceeds the maximal interior height {hbar:.6g}")
-        gap = _gap_from_index(potential, *idx)
-        cells = _sublevel_cells(potential, gap, h, idx)
+        gap = gap_from_index(potential, *idx)
+        cells = sublevel_cells(potential, gap, h, idx)
         base = np.array([grid.xs[idx[0]], grid.ys[idx[1]]])
         Y_all = grid.points(grid.in_domain) - base
         tau = _shear_fit(Y_all[cells[grid.in_domain]])

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domain_grid import ConvexDomain, Grid, fd_derivatives, lp_norm
+from .domain_grid import ConvexDomain, Grid, coerce_samples, fd_derivatives, lp_norm
 from .ma_solve import PotentialField, certify_convexity, cofactor_field, solve_ma
 from .lma_solve import solve_lma
 from .section_geom import measure_c_cap, section
@@ -389,14 +389,12 @@ def approximation_experiment(family: PinchedFamily, eps_list, f=0.0, datum=None,
 
 
 def convex_w21e_check(potential: PotentialField, f, gammas=(1.05, 1.1, 1.25),
-                      boundary=0.0, refine_potential: Optional[PotentialField] = None) -> ExperimentReport:
+                      boundary=0.0) -> ExperimentReport:
     """Hessian integrability ratios of a convex solution.
 
     Solves the linearized problem, certifies convexity of the solution (the
     experiment reports non-applicability instead of failing when the solution
     is not convex), and reports |D2 v|_{L^gamma} / |f|_inf for each gamma.
-    With a finer-grid potential supplied, asserts each ratio is stable within
-    a factor of two across the refinement.
     """
     grid = potential.grid
     sol = solve_lma(potential, f, boundary=boundary)
@@ -430,20 +428,12 @@ def convex_w21e_check(potential: PotentialField, f, gammas=(1.05, 1.1, 1.25),
     for g, r in zip(gammas, ratios):
         check(assertions, f"ratio at gamma={g} finite", r, "<", np.inf)
 
-    measured = {"applicable": True, "ratios": ratios, "f_inf": f_inf,
-                "min_hessian_eig": conv.min_eig}
-    if refine_potential is not None:
-        fine = convex_w21e_check(refine_potential, f, gammas, boundary=boundary)
-        fine_ratios = fine.measured.get("ratios", [])
-        measured["ratios_fine"] = fine_ratios
-        for g, r, rf in zip(gammas, ratios, fine_ratios):
-            big, small = max(r, rf), min(r, rf)
-            check(assertions, f"refinement stability at gamma={g}", big, "<=", 2.0 * small)
     return ExperimentReport(
         experiment="convex_w21e_check",
         config=config,
         sweep=list(gammas),
-        measured=measured,
+        measured={"applicable": True, "ratios": ratios, "f_inf": f_inf,
+                  "min_hessian_eig": conv.min_eig},
         slopes={},
         assertions=assertions,
     )
@@ -523,16 +513,14 @@ def contact_set_experiment(family: PinchedFamily, eps_list, sigma: float, anchor
 
 
 def w2p_ratio_sweep(family: PinchedFamily, eps_list, p: float = 2.0, q: float = 4.0, f=None,
-                    small_p: float = 0.3, strong_eps: float = 0.8, threads: int = 1,
-                    refine_family: Optional[PinchedFamily] = None) -> ExperimentReport:
+                    small_p: float = 0.3, strong_eps: float = 0.8, threads: int = 1) -> ExperimentReport:
     """Hessian-to-source norm ratios across the pinching sweep.
 
     R(eps) = |D2 u|_{L^p} / |f|_{L^q} for the solution over each of the
     family's potentials. Boundedness is asserted as sup <= 3 * median over
     the sweep; linearity is checked by scaling f tenfold at one sweep point;
     the small-exponent quasi-norm regime runs once with a strongly varying
-    density. A family on a finer grid, when given, adds a factor-two
-    stability assertion.
+    density.
     """
     grid = family.grid
     eps_list = _validate_eps(eps_list)
@@ -540,47 +528,36 @@ def w2p_ratio_sweep(family: PinchedFamily, eps_list, p: float = 2.0, q: float = 
         raise StabilityError(f"need 1 < p < q and q > 2, got p={p}, q={q}")
     if f is None:
         f = lambda X, Y: np.sin(np.pi * X) * np.cos(np.pi * Y) + 2.0
-    X, Y = grid.meshes()
-    f_vals = np.asarray(f(X, Y), dtype=float) + np.zeros(grid.shape) if callable(f) else np.asarray(f, dtype=float) + np.zeros(grid.shape)
+    f_vals = coerce_samples(grid, f)
 
-    def ratio_on(fam: PinchedFamily, fv: np.ndarray, eps: float, pp: float, qq: float) -> float:
-        g = fam.grid
-        sol = solve_lma(fam.potential(eps), fv)
+    def ratio_on(fv: np.ndarray, eps: float, pp: float, qq: float) -> float:
+        sol = solve_lma(family.potential(eps), fv)
         _, hess = fd_derivatives(sol.u)
-        num = lp_norm((g, _hess_frobenius(g, hess)), pp)
-        den = lp_norm((g, np.abs(np.where(g.in_domain, sol.f_values, np.nan))), qq)
+        num = lp_norm((grid, _hess_frobenius(grid, hess)), pp)
+        den = lp_norm((grid, np.abs(np.where(grid.in_domain, sol.f_values, np.nan))), qq)
         return num / den
 
-    ratios = run_sweep(lambda e: ratio_on(family, f_vals, e, p, q), eps_list, threads)
+    ratios = run_sweep(lambda e: ratio_on(f_vals, e, p, q), eps_list, threads)
     assertions = []
     med = float(np.median(ratios))
     check(assertions, "sup of ratios <= 3 * median", max(ratios), "<=", 3.0 * med)
 
     mid = eps_list[len(eps_list) // 2]
-    r_scaled = ratio_on(family, 10.0 * f_vals, mid, p, q)
+    r_scaled = ratio_on(10.0 * f_vals, mid, p, q)
     r_mid = ratios[len(eps_list) // 2]
     check(assertions, f"ratio invariant under f -> 10f at eps={mid}",
           abs(r_scaled - r_mid), "<=", 1e-6 * r_mid)
 
-    r_small = ratio_on(family, f_vals, strong_eps, small_p, 2.0) if strong_eps < 1.0 else float("nan")
+    r_small = ratio_on(f_vals, strong_eps, small_p, 2.0) if strong_eps < 1.0 else float("nan")
     check(assertions, f"small-exponent ratio finite (p={small_p}, eps={strong_eps})",
           r_small, "<", np.inf)
 
-    measured = {"ratio": ratios, "ratio_scaled_f": r_scaled, "ratio_small_exponent": r_small}
-    if refine_family is not None:
-        fine = refine_family.grid
-        Xf, Yf = fine.meshes()
-        fv_fine = np.asarray(f(Xf, Yf), dtype=float) + np.zeros(fine.shape) if callable(f) else np.asarray(f, dtype=float) + np.zeros(fine.shape)
-        r_fine = ratio_on(refine_family, fv_fine, mid, p, q)
-        measured["ratio_refined"] = r_fine
-        big, small = max(r_mid, r_fine), min(r_mid, r_fine)
-        check(assertions, f"refinement stability at eps={mid}", big, "<=", 2.0 * small)
     return ExperimentReport(
         experiment="w2p_ratio_sweep",
         config={"p": p, "q": q, "spacing": grid.spacing, "domain": grid.domain.kind,
                 "eps": eps_list, "small_p": small_p, "strong_eps": strong_eps},
         sweep=eps_list,
-        measured=measured,
+        measured={"ratio": ratios, "ratio_scaled_f": r_scaled, "ratio_small_exponent": r_small},
         slopes={"ratio_vs_eps": _loglog_slope(eps_list, ratios)},
         assertions=assertions,
     )

@@ -12,8 +12,10 @@ from ma_lab.covering_maximal import (
     strong_type_ratio,
     vitali_cover,
 )
-from ma_lab.domain_grid import FieldError
-from ma_lab.section_geom import measure_c_cap, quasi_distance
+from conftest import pinched_density
+from ma_lab.domain_grid import FieldError, discretize
+from ma_lab.ma_solve import solve_ma
+from ma_lab.section_geom import gap_from_index, interior_heights, measure_c_cap, quasi_distance
 
 
 def radial_mask(grid, r_lo, r_hi):
@@ -69,6 +71,55 @@ def test_vitali_cover_errors(model_disc):
     # band nodes can never sit in a half-height section, so this must fail
     with pytest.raises(CoveringError, match="uncovered"):
         vitali_cover(model_disc, grid.in_domain)
+
+
+@pytest.fixture(scope="module")
+def pinched64(disc_domain):
+    """Solved eps=0.2 disc potential at spacing 1/64."""
+    grid = discretize(disc_domain, 1.0 / 64)
+    return solve_ma(grid, pinched_density(grid, 0.2))
+
+
+def dense_density(gap, in_domain, target, t, below):
+    """|{below(gap, t)} and target| / |{below(gap, t)}| for each height in t, by counting."""
+    t = np.atleast_1d(t)[:, None]
+    inside = below(gap[in_domain][None, :], t).sum(axis=1)
+    return below(gap[target][None, :], t).sum(axis=1) / np.maximum(inside, 1)
+
+
+# the pinched64 extra node: a bisection over the rung stopped one near-tie
+# gap short of the crossing there (density 0.2503 where 0.2500 is reachable)
+@pytest.mark.parametrize("pot_name, eps, t_max, stride, extra", [
+    ("model_disc", 0.25, None, 1, []),
+    ("model_disc", 0.16, 0.45, 1, []),
+    ("pinched64", 0.25, None, 10, [(-0.421875, 0.421875)]),
+])
+def test_density_heights_take_the_first_crossing(request, pot_name, eps, t_max, stride, extra):
+    pot = request.getfixturevalue(pot_name)
+    grid = pot.grid
+    ring = radial_mask(grid, 0.55, 0.65)
+    heights, excluded = density_heights(pot, ring, eps, t_max=t_max)
+    assert len(excluded) == 0
+    if t_max is None:
+        t_max = 0.5 * float(np.nanmax(interior_heights(pot, mask=ring)))
+    ladder = np.geomspace(8.0 * grid.cell_area, t_max, 24)
+    nodes = list(zip(*np.nonzero(ring)))[::stride] + [grid.nearest_node(p) for p in extra]
+    for i, j in nodes:
+        gap = gap_from_index(pot, i, j)
+        dom = gap[grid.in_domain]
+
+        def dens(t, below):
+            return dense_density(gap, grid.in_domain, ring, t, below)
+
+        d = dens(ladder, np.less)
+        k = np.flatnonzero((d[:-1] >= eps) & (d[1:] < eps))[0]
+        a, b = ladder[k], ladder[k + 1]
+        h = heights[i, j]
+        assert a <= h < b and h in dom
+        # density at least eps at h, below eps just past it
+        assert dens(h, np.less)[0] >= eps > dens(h, np.less_equal)[0]
+        earlier = np.unique(dom[(dom >= a) & (dom < h)])
+        assert not np.any((dens(earlier, np.less) >= eps) & (dens(earlier, np.less_equal) < eps))
 
 
 def test_covering_select_thin_ring(model_disc):

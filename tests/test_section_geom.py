@@ -1,15 +1,21 @@
 """Tests for quasi-distance sections, their geometry, and rescaling."""
 
+import heapq
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from conftest import pinched_density
 from ma_lab.domain_grid import build_domain, discretize
-from ma_lab.ma_solve import assemble_potential
+from ma_lab.ma_solve import assemble_potential, solve_ma
 from ma_lab.section_geom import (
     SectionError,
     dichotomy_classify,
     engulfing_constant,
     engulfing_samples,
+    gap_from_index,
+    gradient_at,
     interior_heights,
     localization_fit,
     maximal_height,
@@ -18,6 +24,7 @@ from ma_lab.section_geom import (
     quasi_distance,
     rescale,
     section,
+    sublevel_cells,
     volume_scaling,
 )
 
@@ -139,6 +146,68 @@ def test_maximal_height_exact_on_box(model_square):
         assert hs[grid.nearest_node(c)] == pytest.approx(pointwise, abs=1e-9)
 
 
+def minimax_height(pot, idx):
+    """Priority-flood reference for the maximal height at the node idx.
+
+    Over all 4-connected in-domain node paths from idx to the boundary band,
+    the least possible largest tangent gap along the path (Pollack 1960).
+    Nodes leave the heap in nondecreasing bottleneck order, so the first band
+    node to leave it carries the answer.
+    """
+    grid = pot.grid
+    gap = gap_from_index(pot, *idx)
+    best = np.full(grid.shape, np.inf)
+    best[idx] = gap[idx]
+    heap = [(gap[idx], idx)]
+    nx, ny = grid.shape
+    while heap:
+        b, (i, j) = heapq.heappop(heap)
+        if b > best[i, j]:
+            continue
+        if grid.boundary_adjacent[i, j]:
+            return b
+        for n in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if 0 <= n[0] < nx and 0 <= n[1] < ny and grid.in_domain[n]:
+                nb = max(b, gap[n])
+                if nb < best[n]:
+                    best[n] = nb
+                    heapq.heappush(heap, (nb, n))
+    raise AssertionError("no path to the boundary band")
+
+
+@pytest.fixture(scope="module", params=[("disc", {"radius": 1.0}), ("ellipse", {"a": 1.2, "b": 0.8}),
+                                        ("square", {"side": 2.0})], ids=["disc", "ellipse", "square"])
+def pinched_suite32(request):
+    """Solved eps=0.2 potential on a suite domain at spacing 1/32."""
+    kind, params = request.param
+    grid = discretize(build_domain(kind, **params), 1.0 / 32)
+    return solve_ma(grid, pinched_density(grid, 0.2))
+
+
+def test_maximal_height_equals_minimax_reference(pinched_suite32):
+    pot = pinched_suite32
+    grid = pot.grid
+    ci, cj = np.nonzero(grid.interior)
+    # every 3rd centre next to the band, where the ring-gap minimum m of
+    # interior_heights falls below the flood-filled height b on the disc and
+    # the ellipse, and every 29th of the others (on the square most m != b)
+    next_to_band = ndimage.binary_dilation(grid.boundary_adjacent)[ci, cj]
+    sample = np.concatenate([np.flatnonzero(next_to_band)[::3], np.flatnonzero(~next_to_band)[::29]])
+    m = interior_heights(pot)
+    n_differ = 0
+    for k in sample:
+        idx = (ci[k], cj[k])
+        hbar, witness = maximal_height(pot, (grid.xs[idx[0]], grid.ys[idx[1]]))
+        b = minimax_height(pot, idx)
+        assert hbar == b
+        n_differ += bool(m[idx] != b)
+        # the witness is a band node in the section just above the height
+        w = grid.nearest_node(witness)
+        assert grid.boundary_adjacent[w]
+        assert sublevel_cells(pot, gap_from_index(pot, *idx), np.nextafter(b, np.inf), idx)[w]
+    assert n_differ >= 5
+
+
 def test_measure_c_cap(model_square):
     assert measure_c_cap(model_square) == pytest.approx(0.1, abs=1e-12)
     assert measure_c_cap(model_square, factor=0.5) == pytest.approx(1.0, abs=1e-12)
@@ -215,6 +284,32 @@ def test_dichotomy_interior_versus_boundary(model_square):
     assert finer.kind == "boundary"
     assert finer.c_bar == pytest.approx(3.3203125000015454, rel=1e-9)
     assert 0.5 <= near.c_bar / finer.c_bar <= 2.0
+
+
+@pytest.mark.parametrize("t", [0.05, 0.025])
+def test_dichotomy_c_bar_is_largest_boundary_gap(model_square, t):
+    pot = model_square
+    res = dichotomy_classify(pot, (0.0, -1.9), t)
+    z = res.boundary_point
+    phi_z = float(pot.boundary_datum(z[None, :])[0])
+    grad_z = gradient_at(pot, z)
+    X, Y = pot.grid.meshes()
+    gap_z = pot.phi.values - phi_z - grad_z[0] * (X - z[0]) - grad_z[1] * (Y - z[1])
+    assert res.c_bar * t == pytest.approx(np.max(gap_z[res.doubled_cells]), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("point, h", [((0.0, -2.0), 0.125), ((1.5, -2.0), 0.25), ((2.0, 0.5), 0.0625)])
+def test_localization_sandwich_is_attained(model_square, point, h):
+    pot = model_square
+    grid = pot.grid
+    fit = localization_fit(pot, point, h)
+    radius = np.sqrt(2.0 * h)
+    W = fit.frame.to_frame(grid.points(grid.in_domain)) @ fit.triple.map_A.T
+    r = np.hypot(W[:, 0], W[:, 1])
+    cells = fit.cells[grid.in_domain]
+    assert fit.k_outer * radius == pytest.approx(r[cells].max(), rel=1e-15, abs=0.0)
+    # the nearest in-domain non-cell attains the inner radius
+    assert r[~cells].min() / radius == fit.k_inner
 
 
 def test_localization_flat_edge_is_half_ball(model_square):
