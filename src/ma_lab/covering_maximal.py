@@ -20,8 +20,14 @@ from .section_geom import (
     interior_heights,
     measure_c_cap,
     pair_gaps,
+    section_cells,
     sublevel_cells,
 )
+
+
+# vitali_cover floods the cores of this many candidates per section_cells
+# call, so only one block of cores is held besides the picked ones
+_WALK_BLOCK = 512
 
 
 class CoveringError(RuntimeError):
@@ -52,6 +58,17 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, delta0: float = 
     misses every previously selected core. If the half-height sections of the
     selection fail to cover the region, delta0 is halved and the selection is
     rebuilt, down to a floor.
+
+    The heights are interior_heights, the ring-gap minimum. Where a
+    candidate's tangent gap is negative at some ring node that height is
+    negative: the candidate gets an empty core and an empty cover mask, and
+    it is still picked unless an earlier core holds it.
+
+    Every section is flood-filled exactly in grown windows (section_cells).
+    The walk floods the cores of a block of candidates per call and skips
+    the centres that an earlier core already holds; each pick's half-height
+    section does not depend on delta0, so it is flooded once and reused by
+    later rounds.
     """
     grid = potential.grid
     region = np.asarray(region, dtype=bool)
@@ -64,35 +81,31 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, delta0: float = 
     ci, cj = np.nonzero(cand)
     hvals = heights[ci, cj]
     order = np.argsort(-hvals, kind="stable")
+    size = grid.in_domain.size
+    centre = np.ravel_multi_index((ci, cj), grid.shape)
+    covers = {}
 
     d0 = float(delta0)
     while True:
-        core_union = np.zeros(grid.shape, dtype=bool)
-        core_count = np.zeros(grid.shape, dtype=np.int32)
-        core_masks = []
-        picked = []
-        for k in order:
-            idx = (ci[k], cj[k])
-            if core_union[idx]:
-                continue
-            gap = gap_from_index(potential, *idx)
-            core = sublevel_cells(potential, gap, d0 * hvals[k], idx)
-            if (core & core_union).any():
-                continue
-            core_union |= core
-            core_count += core
-            core_masks.append(core)
-            picked.append(k)
+        core_union = np.zeros(size, dtype=bool)
+        cores = {}
+        for s in range(0, order.size, _WALK_BLOCK):
+            block = order[s : s + _WALK_BLOCK]
+            # a centre inside a core now is inside one at its turn too
+            block = block[~core_union[centre[block]]]
+            for k, core in zip(block.tolist(), section_cells(potential, ci[block], cj[block], d0 * hvals[block])):
+                if core_union[centre[k]] or core_union[core].any():
+                    continue
+                core_union[core] = True
+                cores[k] = core
+        picked = list(cores)
 
-        cover_masks = []
-        cover_union = np.zeros(grid.shape, dtype=bool)
+        new = [k for k in picked if k not in covers]
+        covers.update(zip(new, section_cells(potential, ci[new], cj[new], 0.5 * hvals[new])))
+        cover_union = np.zeros(size, dtype=bool)
         for k in picked:
-            idx = (ci[k], cj[k])
-            gap = gap_from_index(potential, *idx)
-            cover = sublevel_cells(potential, gap, 0.5 * hvals[k], idx)
-            cover_masks.append(cover)
-            cover_union |= cover
-        defect_cells = int((region & ~cover_union).sum())
+            cover_union[covers[k]] = True
+        defect_cells = int((region.ravel() & ~cover_union).sum())
         if defect_cells == 0:
             break
         if d0 <= delta0_floor * (1.0 + 1e-12):
@@ -101,15 +114,21 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, delta0: float = 
             )
         d0 *= 0.5
 
+    def mask(cells):
+        m = np.zeros(size, dtype=bool)
+        m[cells] = True
+        return m.reshape(grid.shape)
+
+    core_count = np.bincount(np.concatenate([cores[k] for k in picked]), minlength=size)
     centers = np.stack([grid.xs[ci[picked]], grid.ys[cj[picked]]], axis=-1)
     return CoveringResult(
         centers=centers,
         heights=hvals[picked],
         delta0=d0,
-        core_masks=core_masks,
-        cover_masks=cover_masks,
-        core_union=core_union,
-        cover_union=cover_union,
+        core_masks=[mask(cores[k]) for k in picked],
+        cover_masks=[mask(covers[k]) for k in picked],
+        core_union=core_union.reshape(grid.shape),
+        cover_union=cover_union.reshape(grid.shape),
         coverage_defect=defect_cells * grid.cell_area,
         disjointness_violations=int((core_count > 1).sum()),
     )

@@ -687,9 +687,10 @@ def write_field_csv(fld: ScalarField, path: str, mask: Optional[np.ndarray] = No
     if mask is None:
         mask = g.in_domain
     X, Y = g.meshes()
+    # repr of a Python float is fmt_float; boolean indexing walks the mask in
+    # row-major order, as argwhere does
     lines = ["x,y,value"]
-    idx = np.argwhere(mask)
-    for i, j in idx:
-        lines.append(f"{fmt_float(X[i, j])},{fmt_float(Y[i, j])},{fmt_float(fld.values[i, j])}")
+    for x, y, v in zip(X[mask].tolist(), Y[mask].tolist(), fld.values[mask].tolist()):
+        lines.append(f"{x!r},{y!r},{v!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -193,35 +193,28 @@ class NodeSystem:
         corner_idx = np.zeros((n_ring, 4), dtype=np.int64)
         corner_w = np.zeros((n_ring, 4))
         coef_r = np.zeros(n_ring)
-        for k in range(n_ring):
-            d = dist[k]
-            if d <= 1e-12:
-                continue
-            placed = False
-            s = 1.5 * h
-            while s <= 4.0 * h + 1e-12:
-                x2 = rpts[k] - s * normal[k]
-                i0 = int(np.floor((x2[0] - grid.xs[0]) / h))
-                j0 = int(np.floor((x2[1] - grid.ys[0]) / h))
-                if 0 <= i0 < nx - 1 and 0 <= j0 < ny - 1:
-                    ids = flat[i0 : i0 + 2, j0 : j0 + 2]
-                    if np.all(ids >= 0):
-                        tx = (x2[0] - grid.xs[i0]) / h
-                        ty = (x2[1] - grid.ys[j0]) / h
-                        corner_idx[k] = [ids[0, 0], ids[1, 0], ids[0, 1], ids[1, 1]]
-                        corner_w[k] = [
-                            (1 - tx) * (1 - ty),
-                            tx * (1 - ty),
-                            (1 - tx) * ty,
-                            tx * ty,
-                        ]
-                        coef_r[k] = d / s
-                        placed = True
-                        break
-                s += 0.5 * h
-            if not placed:
-                # fall back to plain projection transfer for this node
-                coef_r[k] = 0.0
+        # each ring node takes the first probe distance s along the inward
+        # normal whose bilinear cell is all unknowns; a node at distance 0,
+        # or with no such s, keeps coef_r = 0 (plain projection transfer)
+        todo = np.flatnonzero(~(dist <= 1e-12))
+        s = 1.5 * h
+        while s <= 4.0 * h + 1e-12 and todo.size:
+            x2 = rpts[todo] - s * normal[todo]
+            i0 = np.floor((x2[:, 0] - grid.xs[0]) / h)
+            j0 = np.floor((x2[:, 1] - grid.ys[0]) / h)
+            inside = (0 <= i0) & (i0 < nx - 1) & (0 <= j0) & (j0 < ny - 1)
+            i0 = np.where(inside, i0, 0).astype(np.int64)
+            j0 = np.where(inside, j0, 0).astype(np.int64)
+            ids = np.stack([flat[i0, j0], flat[i0 + 1, j0], flat[i0, j0 + 1], flat[i0 + 1, j0 + 1]], axis=-1)
+            ok = inside & np.all(ids >= 0, axis=1)
+            k = todo[ok]
+            tx = (x2[ok, 0] - grid.xs[i0[ok]]) / h
+            ty = (x2[ok, 1] - grid.ys[j0[ok]]) / h
+            corner_idx[k] = ids[ok]
+            corner_w[k] = np.stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty], axis=-1)
+            coef_r[k] = dist[k] / s
+            todo = todo[~ok]
+            s += 0.5 * h
         self.ring_r = coef_r
         self.ring_corner_idx = corner_idx
         self.ring_corner_w = corner_w

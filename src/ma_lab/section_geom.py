@@ -310,6 +310,88 @@ def pair_gaps(potential: PotentialField, ci, cj, ti, tj, chunk: int, values=None
         yield block, D
 
 
+# section_cells: elements per block of patches (about 2 MB of gaps, 1 MB of
+# labels) and the first patch half-width
+_FLOOD_BLOCK = 250_000
+_FLOOD_W0 = 8
+# stacks of patches are labelled in one call; the empty outer planes keep
+# the components of different centres apart
+_PLANE_CROSS = np.zeros((3, 3, 3), dtype=bool)
+_PLANE_CROSS[1] = _CROSS
+
+
+def section_cells(potential: PotentialField, ci, cj, heights) -> list[np.ndarray]:
+    """Flat grid indices of the section of each centre (ci[k], cj[k]) at heights[k].
+
+    The k-th entry is the 4-connected component of the in-domain nodes with
+    gap_k < heights[k] that holds the centre, in row-major order, and is
+    empty when the centre is not below its height: the same cells as
+    sublevel_cells(potential, gap_from_index(potential, ci[k], cj[k]),
+    heights[k], (ci[k], cj[k])). The gaps are evaluated with the expression
+    and order of gap_from_index, so they are bitwise the dense ones.
+
+    The floods are exact in grown windows. Each centre's component is
+    labelled inside a square patch of half-width _FLOOD_W0 around it, shifted
+    to lie in the grid; a component that reaches a patch edge whose outward
+    neighbour is a grid node may continue past it, and its centre is redone
+    with the half-width doubled, until the patch spans the grid. A component
+    that stops short of every such edge is the whole section, so no
+    convexity assumption enters. Centres are labelled in blocks of equal
+    patches, one ndimage.label call per block.
+    """
+    grid = potential.grid
+    nx, ny = grid.shape
+    v = potential.phi.values
+    gx, gy = potential.grad.gx, potential.grad.gy
+    ci, cj = np.asarray(ci), np.asarray(cj)
+    heights = np.asarray(heights, dtype=float)
+    out = [np.empty(0, dtype=np.intp)] * ci.size
+    # the gap at a centre is 0 (or NaN), so no nonpositive height holds it
+    todo = np.flatnonzero(heights > 0)
+    w = _FLOOD_W0
+    while todo.size:
+        pi, pj = min(2 * w + 1, nx), min(2 * w + 1, ny)
+        v_win = np.lib.stride_tricks.sliding_window_view(v, (pi, pj))
+        dom_win = np.lib.stride_tricks.sliding_window_view(grid.in_domain, (pi, pj))
+        # flat grid index of each patch node, less that of the patch corner
+        offsets = np.arange(pi)[:, None] * ny + np.arange(pj)
+        nb = max(1, _FLOOD_BLOCK // (pi * pj))
+        regrow = []
+        for s in range(0, todo.size, nb):
+            ks = todo[s : s + nb]
+            bi, bj = ci[ks], cj[ks]
+            i0 = np.clip(bi - w, 0, nx - pi)
+            j0 = np.clip(bj - w, 0, ny - pj)
+            bi3, bj3 = bi[:, None, None], bj[:, None, None]
+            gap = v_win[i0, j0]
+            gap -= v[bi3, bj3]
+            gap -= gx[bi3, bj3] * (grid.xs[(i0[:, None] + np.arange(pi))[:, :, None]] - grid.xs[bi3])
+            gap -= gy[bi3, bj3] * (grid.ys[(j0[:, None] + np.arange(pj))[:, None, :]] - grid.ys[bj3])
+            mask = dom_win[i0, j0]
+            with np.errstate(invalid="ignore"):
+                mask &= gap < heights[ks][:, None, None]
+            labels, _ = ndimage.label(mask, structure=_PLANE_CROSS)
+            lab = labels[np.arange(ks.size), bi - i0, bj - j0]
+            comp = labels == lab[:, None, None]
+            comp[lab == 0] = False
+            grow = (
+                (comp[:, 0, :].any(axis=1) & (i0 > 0))
+                | (comp[:, -1, :].any(axis=1) & (i0 + pi < nx))
+                | (comp[:, :, 0].any(axis=1) & (j0 > 0))
+                | (comp[:, :, -1].any(axis=1) & (j0 + pj < ny))
+            )
+            comp[grow] = False
+            regrow.append(ks[grow])
+            flat = ((i0 * ny + j0)[:, None, None] + offsets)[comp]
+            ends = np.cumsum(comp.sum(axis=(1, 2))).tolist()
+            for k, done, a, b in zip(ks.tolist(), (~grow).tolist(), [0] + ends, ends):
+                if done:
+                    out[k] = flat[a:b]
+        todo = np.concatenate(regrow)
+        w *= 2
+    return out
+
+
 def interior_heights(potential: PotentialField, mask: Optional[np.ndarray] = None, chunk: int = 2048) -> np.ndarray:
     """Minimum tangent gap from each node of the mask to the boundary band.
 

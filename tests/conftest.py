@@ -66,3 +66,12 @@ def model_square_fine():
     """Same quadratic at spacing 1/128 for tight section-measure checks."""
     grid = discretize(build_domain("square", side=4.0), 1.0 / 128)
     return assemble_potential(grid, lambda X, Y: 0.5 * (X ** 2 + Y ** 2), g=1.0)
+
+
+@pytest.fixture(scope="session", params=[("disc", {"radius": 1.0}), ("ellipse", {"a": 1.2, "b": 0.8}),
+                                         ("square", {"side": 2.0})], ids=["disc", "ellipse", "square"])
+def pinched_suite32(request):
+    """Solved eps=0.2 potential on a suite domain at spacing 1/32."""
+    kind, params = request.param
+    grid = discretize(build_domain(kind, **params), 1.0 / 32)
+    return solve_ma(grid, pinched_density(grid, 0.2))

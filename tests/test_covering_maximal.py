@@ -15,7 +15,7 @@ from ma_lab.covering_maximal import (
 from conftest import pinched_density
 from ma_lab.domain_grid import FieldError, discretize
 from ma_lab.ma_solve import solve_ma
-from ma_lab.section_geom import gap_from_index, interior_heights, measure_c_cap, quasi_distance
+from ma_lab.section_geom import gap_from_index, interior_heights, measure_c_cap, quasi_distance, sublevel_cells
 
 
 def radial_mask(grid, r_lo, r_hi):
@@ -71,6 +71,82 @@ def test_vitali_cover_errors(model_disc):
     # band nodes can never sit in a half-height section, so this must fail
     with pytest.raises(CoveringError, match="uncovered"):
         vitali_cover(model_disc, grid.in_domain)
+
+
+def dense_vitali_cover(potential, region, delta0=0.1, delta0_floor=0.0125):
+    """Reference cover: one full-grid gap and flood per tested candidate and per pick."""
+    grid = potential.grid
+    cand = region & grid.interior
+    heights = interior_heights(potential, mask=cand)
+    ci, cj = np.nonzero(cand)
+    hvals = heights[ci, cj]
+    order = np.argsort(-hvals, kind="stable")
+    d0 = float(delta0)
+    while True:
+        core_union = np.zeros(grid.shape, dtype=bool)
+        core_count = np.zeros(grid.shape, dtype=np.int32)
+        core_masks = []
+        picked = []
+        for k in order:
+            idx = (ci[k], cj[k])
+            if core_union[idx]:
+                continue
+            core = sublevel_cells(potential, gap_from_index(potential, *idx), d0 * hvals[k], idx)
+            if (core & core_union).any():
+                continue
+            core_union |= core
+            core_count += core
+            core_masks.append(core)
+            picked.append(k)
+        cover_masks = []
+        cover_union = np.zeros(grid.shape, dtype=bool)
+        for k in picked:
+            idx = (ci[k], cj[k])
+            cover = sublevel_cells(potential, gap_from_index(potential, *idx), 0.5 * hvals[k], idx)
+            cover_masks.append(cover)
+            cover_union |= cover
+        defect_cells = int((region & ~cover_union).sum())
+        if defect_cells == 0:
+            break
+        if d0 <= delta0_floor * (1.0 + 1e-12):
+            raise CoveringError(
+                f"half-height sections leave {defect_cells} region cells uncovered at the smallest core factor {d0}"
+            )
+        d0 *= 0.5
+    return dict(
+        centers=np.stack([grid.xs[ci[picked]], grid.ys[cj[picked]]], axis=-1),
+        heights=hvals[picked],
+        delta0=d0,
+        core_masks=core_masks,
+        cover_masks=cover_masks,
+        core_union=core_union,
+        cover_union=cover_union,
+        coverage_defect=defect_cells * grid.cell_area,
+        disjointness_violations=int((core_count > 1).sum()),
+    )
+
+
+def test_vitali_cover_equals_dense_reference(pinched_suite32):
+    pot = pinched_suite32
+    region = pot.grid.interior
+    if pot.grid.domain.kind == "square":
+        # the message dense_vitali_cover raises here, after four rounds
+        with pytest.raises(CoveringError) as got:
+            vitali_cover(pot, region)
+        assert str(got.value) == (
+            "half-height sections leave 212 region cells uncovered at the smallest core factor 0.0125"
+        )
+        return
+    ref = dense_vitali_cover(pot, region)
+    res = vitali_cover(pot, region)
+    assert set(ref) == set(vars(res))
+    for name, want in ref.items():
+        got = getattr(res, name)
+        if isinstance(want, list):
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        else:
+            assert np.array_equal(got, want)
 
 
 @pytest.fixture(scope="module")

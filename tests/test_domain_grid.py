@@ -13,6 +13,7 @@ from ma_lab.domain_grid import (
     fd_derivatives,
     fmt_float,
     lp_norm,
+    write_field_csv,
 )
 
 
@@ -205,3 +206,18 @@ def test_max_norm_is_supremum():
 def test_float_formatting_round_trips():
     for x in (0.1, 1.0 / 3.0, 2.0, -1e-8, 12345.6789):
         assert float(fmt_float(x)) == x
+
+
+def test_write_field_csv_rows_are_fmt_float_per_node(tmp_path):
+    g = discretize(build_domain("ellipse", a=1.2, b=0.8), 1.0 / 16)
+    X, Y = g.meshes()
+    f = ScalarField(g, np.exp(X) * np.sin(3.0 * Y) / 7.0)
+    band = g.in_domain & ~g.interior
+    for mask in (None, band):
+        path = tmp_path / "field.csv"
+        write_field_csv(f, str(path), mask=mask)
+        rows = ["x,y,value"] + [
+            f"{fmt_float(X[i, j])},{fmt_float(Y[i, j])},{fmt_float(f.values[i, j])}"
+            for i, j in np.argwhere(g.in_domain if mask is None else mask)
+        ]
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()

@@ -141,6 +141,55 @@ def test_nested_dissection_fill_below_default_ordering(disc_domain):
     assert nd.L.nnz + nd.U.nnz < default.L.nnz + default.U.nnz
 
 
+def loop_ring_weights(grid, flat):
+    """Reference ring interpolation: one ring node at a time, probing s = 1.5h, 2h, ..., 4h."""
+    h = grid.spacing
+    nx, ny = grid.shape
+    ri, rj = np.nonzero(grid.boundary_adjacent)
+    rpts = np.stack([grid.xs[ri], grid.ys[rj]], axis=-1)
+    _, dist, normal = grid.domain.project_boundary(rpts)
+    corner_idx = np.zeros((len(ri), 4), dtype=np.int64)
+    corner_w = np.zeros((len(ri), 4))
+    coef_r = np.zeros(len(ri))
+    for k in range(len(ri)):
+        if dist[k] <= 1e-12:
+            continue
+        s = 1.5 * h
+        while s <= 4.0 * h + 1e-12:
+            x2 = rpts[k] - s * normal[k]
+            i0 = int(np.floor((x2[0] - grid.xs[0]) / h))
+            j0 = int(np.floor((x2[1] - grid.ys[0]) / h))
+            if 0 <= i0 < nx - 1 and 0 <= j0 < ny - 1:
+                ids = flat[i0 : i0 + 2, j0 : j0 + 2]
+                if np.all(ids >= 0):
+                    tx = (x2[0] - grid.xs[i0]) / h
+                    ty = (x2[1] - grid.ys[j0]) / h
+                    corner_idx[k] = [ids[0, 0], ids[1, 0], ids[0, 1], ids[1, 1]]
+                    corner_w[k] = [(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty]
+                    coef_r[k] = dist[k] / s
+                    break
+            s += 0.5 * h
+    return coef_r, corner_idx, corner_w
+
+
+@pytest.mark.parametrize("kind, params, spacing", [
+    ("disc", {"radius": 1.0}, 1.0 / 64),
+    ("disc", {"radius": 1.0}, 1.0 / 37),
+    ("ellipse", {"a": 1.2, "b": 0.8}, 1.0 / 32),
+    ("ellipse", {"a": 0.5, "b": 1.3}, 1.0 / 40),
+    ("square", {"side": 2.0}, 1.0 / 32),
+])
+def test_ring_weights_equal_the_per_node_loop(kind, params, spacing):
+    grid = discretize(build_domain(kind, **params), spacing)
+    sysm = NodeSystem(grid, lambda pts: np.zeros(len(pts)))
+    coef_r, corner_idx, corner_w = loop_ring_weights(grid, sysm.flat)
+    assert sysm.ring_r.tobytes() == coef_r.tobytes()
+    assert np.array_equal(sysm.ring_corner_idx, corner_idx)
+    assert sysm.ring_corner_w.tobytes() == corner_w.tobytes()
+    # the square's ring nodes lie on its sides, at distance 0: none probes
+    assert (coef_r > 0).any() != (kind == "square")
+
+
 def test_static_pivots_accurate_on_every_newton_jacobian(monkeypatch):
     # the eps = 0.2 square fails from the Laplacian start (its iterates have
     # indefinite node Hessians) and restarts from the coarse grid; every

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from conftest import pinched_density
-from ma_lab.domain_grid import build_domain, discretize
-from ma_lab.ma_solve import assemble_potential, solve_ma
+from ma_lab.ma_solve import assemble_potential
 from ma_lab.section_geom import (
     SectionError,
     dichotomy_classify,
@@ -24,6 +22,7 @@ from ma_lab.section_geom import (
     quasi_distance,
     rescale,
     section,
+    section_cells,
     sublevel_cells,
     volume_scaling,
 )
@@ -175,15 +174,6 @@ def minimax_height(pot, idx):
     raise AssertionError("no path to the boundary band")
 
 
-@pytest.fixture(scope="module", params=[("disc", {"radius": 1.0}), ("ellipse", {"a": 1.2, "b": 0.8}),
-                                        ("square", {"side": 2.0})], ids=["disc", "ellipse", "square"])
-def pinched_suite32(request):
-    """Solved eps=0.2 potential on a suite domain at spacing 1/32."""
-    kind, params = request.param
-    grid = discretize(build_domain(kind, **params), 1.0 / 32)
-    return solve_ma(grid, pinched_density(grid, 0.2))
-
-
 def test_maximal_height_equals_minimax_reference(pinched_suite32):
     pot = pinched_suite32
     grid = pot.grid
@@ -206,6 +196,27 @@ def test_maximal_height_equals_minimax_reference(pinched_suite32):
         assert grid.boundary_adjacent[w]
         assert sublevel_cells(pot, gap_from_index(pot, *idx), np.nextafter(b, np.inf), idx)[w]
     assert n_differ >= 5
+
+
+def test_section_cells_equal_dense_floods(pinched_suite32):
+    pot = pinched_suite32
+    grid = pot.grid
+    ci, cj = np.nonzero(grid.interior)
+    m = interior_heights(pot)[ci, cj]
+    factors = (0.05, 0.5, 1.0, 2.0)
+    floods = [section_cells(pot, ci, cj, f * m) for f in factors]
+    for k in range(ci.size):
+        idx = (ci[k], cj[k])
+        gap = gap_from_index(pot, *idx)
+        for f, cells in zip(factors, floods):
+            ref = np.flatnonzero(sublevel_cells(pot, gap, f * m[k], idx))
+            assert np.array_equal(cells[k], ref)
+    # at twice the ring-gap minimum some section is the whole domain, which
+    # only a patch as large as the grid holds
+    assert max(c.size for c in floods[-1]) == grid.in_domain.sum()
+    # the centre's own gap is 0, so a nonpositive height holds nothing
+    t = np.where(np.arange(ci.size) % 2 == 0, 0.0, -np.abs(m))
+    assert all(c.size == 0 for c in section_cells(pot, ci, cj, t))
 
 
 def test_measure_c_cap(model_square):
