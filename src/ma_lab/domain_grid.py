@@ -9,14 +9,14 @@ that stay exact on quadratics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 
 class DomainError(ValueError):
-    """Invalid domain description (non-convex polygon, bad shape parameters)."""
+    """Invalid domain description (unknown kind, bad shape parameters)."""
 
 
 class GridError(ValueError):
@@ -42,7 +42,7 @@ class ConvexDomain:
     Attributes
     ----------
     kind : str
-        One of "disc", "ellipse", "square", "polygon".
+        One of "disc", "ellipse", "square".
     params : dict
         Shape parameters as passed to :func:`build_domain`.
     rho : float
@@ -58,9 +58,6 @@ class ConvexDomain:
     params: dict
     rho: float
     uniform_convexity_modulus: float
-    _vertices: Optional[np.ndarray] = field(default=None, repr=False)
-    _edge_normals: Optional[np.ndarray] = field(default=None, repr=False)
-    _edge_offsets: Optional[np.ndarray] = field(default=None, repr=False)
 
     # -- membership -------------------------------------------------------
 
@@ -74,12 +71,8 @@ class ConvexDomain:
         if self.kind == "ellipse":
             a, b = self.params["a"], self.params["b"]
             return (x / a) ** 2 + (y / b) ** 2 <= 1.0 + _MEMBERSHIP_TOL
-        if self.kind == "square":
-            half = 0.5 * self.params["side"]
-            return np.maximum(np.abs(x), np.abs(y)) <= half * (1.0 + _MEMBERSHIP_TOL) + _MEMBERSHIP_TOL
-        # polygon: inside all edge half-planes
-        d = pts @ self._edge_normals.T - self._edge_offsets
-        return np.all(d <= _MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(self._edge_offsets)))), axis=-1)
+        half = 0.5 * self.params["side"]
+        return np.maximum(np.abs(x), np.abs(y)) <= half * (1.0 + _MEMBERSHIP_TOL) + _MEMBERSHIP_TOL
 
     # -- geometry ---------------------------------------------------------
 
@@ -90,22 +83,15 @@ class ConvexDomain:
         if self.kind == "ellipse":
             a, b = self.params["a"], self.params["b"]
             return (-a, a, -b, b)
-        if self.kind == "square":
-            half = 0.5 * self.params["side"]
-            return (-half, half, -half, half)
-        v = self._vertices
-        return (float(v[:, 0].min()), float(v[:, 0].max()), float(v[:, 1].min()), float(v[:, 1].max()))
+        half = 0.5 * self.params["side"]
+        return (-half, half, -half, half)
 
     def diameter(self) -> float:
         if self.kind == "disc":
             return 2.0 * self.params["radius"]
         if self.kind == "ellipse":
             return 2.0 * max(self.params["a"], self.params["b"])
-        if self.kind == "square":
-            return self.params["side"] * np.sqrt(2.0)
-        v = self._vertices
-        d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(-1)
-        return float(np.sqrt(d2.max()))
+        return self.params["side"] * np.sqrt(2.0)
 
     def boundary_samples(self, m: int) -> np.ndarray:
         """m deterministic boundary points, roughly arc-length distributed."""
@@ -116,11 +102,8 @@ class ConvexDomain:
         if self.kind == "ellipse":
             a, b = self.params["a"], self.params["b"]
             return np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
-        if self.kind == "square":
-            half = 0.5 * self.params["side"]
-            verts = np.array([[half, half], [-half, half], [-half, -half], [half, -half]])
-        else:
-            verts = self._vertices
+        half = 0.5 * self.params["side"]
+        verts = np.array([[half, half], [-half, half], [-half, -half], [half, -half]])
         # walk the closed polyline
         seg = np.roll(verts, -1, axis=0) - verts
         lens = np.hypot(seg[:, 0], seg[:, 1])
@@ -147,40 +130,25 @@ class ConvexDomain:
             proj = r * n
             dist = np.abs(nrm - r)
             return proj, dist, n
-        if self.kind == "square":
-            half = 0.5 * self.params["side"]
-            proj = np.empty_like(pts)
-            normal = np.empty_like(pts)
-            inside = self.contains(pts)
-            for k, p in enumerate(pts):
-                if inside[k]:
-                    gaps = np.array([half - p[0], half + p[0], half - p[1], half + p[1]])
-                    side_idx = int(np.argmin(gaps))
-                    q = p.copy()
-                    if side_idx == 0:
-                        q[0] = half
-                        n = np.array([1.0, 0.0])
-                    elif side_idx == 1:
-                        q[0] = -half
-                        n = np.array([-1.0, 0.0])
-                    elif side_idx == 2:
-                        q[1] = half
-                        n = np.array([0.0, 1.0])
-                    else:
-                        q[1] = -half
-                        n = np.array([0.0, -1.0])
-                else:
-                    q = np.clip(p, -half, half)
-                    d = p - q
-                    nn = np.linalg.norm(d)
-                    n = d / nn if nn > 0 else np.array([1.0, 0.0])
-                proj[k] = q
-                normal[k] = n
-            dist = np.linalg.norm(pts - proj, axis=-1)
-            return proj, dist, normal
         if self.kind == "ellipse":
             return self._project_ellipse(pts)
-        return self._project_polygon(pts)
+        # square: a closed-domain point goes to the side of smallest gap, ties
+        # in the order +x, -x, +y, -y; an exterior point is clipped to the box
+        half = 0.5 * self.params["side"]
+        x, y = pts[:, 0], pts[:, 1]
+        side = np.argmin(np.stack([half - x, half + x, half - y, half + y], axis=-1), axis=-1)
+        rows, axis = np.arange(len(pts)), side // 2
+        sign = np.where(side % 2 == 0, 1.0, -1.0)
+        proj = pts.copy()
+        proj[rows, axis] = sign * half
+        normal = np.zeros_like(pts)
+        normal[rows, axis] = sign
+        out = ~self.contains(pts)
+        proj[out] = np.clip(pts[out], -half, half)
+        d = pts[out] - proj[out]
+        normal[out] = d / np.linalg.norm(d, axis=-1, keepdims=True)
+        dist = np.linalg.norm(pts - proj, axis=-1)
+        return proj, dist, normal
 
     def _project_ellipse(self, pts):
         a, b = self.params["a"], self.params["b"]
@@ -233,23 +201,6 @@ class ConvexDomain:
         dist = np.linalg.norm(pts - proj, axis=-1)
         return proj, dist, normal
 
-    def _project_polygon(self, pts):
-        v = self._vertices
-        w = np.roll(v, -1, axis=0)
-        seg = w - v
-        seg_len2 = (seg**2).sum(-1)
-        proj = np.empty_like(pts)
-        normal = np.empty_like(pts)
-        for k, p in enumerate(pts):
-            t = np.clip(((p - v) * seg).sum(-1) / seg_len2, 0.0, 1.0)
-            cand = v + t[:, None] * seg
-            d2 = ((p - cand) ** 2).sum(-1)
-            e = int(np.argmin(d2))
-            proj[k] = cand[e]
-            normal[k] = self._edge_normals[e]
-        dist = np.linalg.norm(pts - proj, axis=-1)
-        return proj, dist, normal
-
 
 def _ellipse_constants(a: float, b: float) -> tuple[float, float, float]:
     big, small = max(a, b), min(a, b)
@@ -265,14 +216,12 @@ def build_domain(kind: str, **params) -> ConvexDomain:
     Parameters
     ----------
     kind : str
-        "disc" (radius), "ellipse" (a, b), "square" (side), or "polygon"
-        (vertices).
+        "disc" (radius), "ellipse" (a, b) or "square" (side).
 
     Raises
     ------
     DomainError
-        On nonpositive sizes, or a non-convex polygon (the message names the
-        first offending vertex index).
+        On nonpositive sizes or an unknown kind.
     """
     if kind == "disc":
         r = float(params.get("radius", 1.0))
@@ -294,45 +243,6 @@ def build_domain(kind: str, **params) -> ConvexDomain:
         inradius = 0.5 * s
         circum = 0.5 * s * np.sqrt(2.0)
         return ConvexDomain("square", {"side": s}, rho=min(inradius, 1.0 / circum), uniform_convexity_modulus=0.0)
-    if kind == "polygon":
-        v = np.asarray(params["vertices"], dtype=float)
-        if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
-            raise DomainError("polygon needs at least 3 vertices of shape (m, 2)")
-        area2 = float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
-        if abs(area2) < 1e-14:
-            raise DomainError("polygon is degenerate (zero area)")
-        if area2 < 0:
-            v = v[::-1].copy()
-        e = np.roll(v, -1, axis=0) - v
-        cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-        bad = np.nonzero(cross < -1e-12 * np.max(np.abs(v)))[0]
-        if bad.size:
-            k = int((bad[0] + 1) % len(v))
-            raise DomainError(f"polygon is not convex at vertex index {k}")
-        normals = np.stack([e[:, 1], -e[:, 0]], axis=-1)
-        normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
-        offsets = (normals * v).sum(-1)
-        centroid = v.mean(axis=0)
-        from scipy.optimize import linprog
-
-        res = linprog(
-            c=[0.0, 0.0, -1.0],
-            A_ub=np.column_stack([normals, np.ones(len(v))]),
-            b_ub=offsets,
-            bounds=[(None, None), (None, None), (0, None)],
-            method="highs",
-        )
-        inradius = float(res.x[2]) if res.success else float(np.min(offsets - normals @ centroid))
-        circum = float(np.max(np.hypot(v[:, 0], v[:, 1])))
-        return ConvexDomain(
-            "polygon",
-            {"vertices": v},
-            rho=min(inradius, 1.0 / circum),
-            uniform_convexity_modulus=0.0,
-            _vertices=v,
-            _edge_normals=normals,
-            _edge_offsets=offsets,
-        )
     raise DomainError(f"unknown domain kind {kind!r}")
 
 
@@ -353,16 +263,11 @@ class Grid:
 
     domain: ConvexDomain
     spacing: float
-    bounds: tuple[float, float, float, float]
     xs: np.ndarray
     ys: np.ndarray
     in_domain: np.ndarray
     interior: np.ndarray
     boundary_adjacent: np.ndarray
-
-    @property
-    def exterior(self) -> np.ndarray:
-        return ~self.in_domain
 
     @property
     def cell_area(self) -> float:
@@ -413,11 +318,14 @@ class Grid:
 def discretize(domain: ConvexDomain, spacing: float) -> Grid:
     """Build the grid and its masks for a domain at the given spacing.
 
+    A spacing at or above rho/4 builds the grid but warns (UserWarning):
+    near-boundary stencils may degrade there.
+
     Raises
     ------
     GridError
-        If spacing >= rho/4, or the grid ends up with fewer than 16 interior
-        nodes (spacing too coarse).
+        If spacing is not positive, or the grid ends up with fewer than 16
+        interior nodes (spacing too coarse).
     """
     if spacing <= 0:
         raise GridError(f"spacing must be positive, got {spacing}")
@@ -453,7 +361,6 @@ def discretize(domain: ConvexDomain, spacing: float) -> Grid:
     return Grid(
         domain=domain,
         spacing=spacing,
-        bounds=(x0, x1, y0, y1),
         xs=xs,
         ys=ys,
         in_domain=inside,
@@ -484,19 +391,15 @@ class ScalarField:
         vals = np.where(grid.in_domain, vals, np.nan)
         return cls(grid, vals)
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass
 class VectorField:
+    """Gradient field; quadratic_exact marks the nodes whose stencils are exact on quadratics."""
+
     grid: Grid
     gx: np.ndarray
     gy: np.ndarray
-    quadratic_exact: Optional[np.ndarray] = None
-
-    def at(self, i: int, j: int) -> np.ndarray:
-        return np.array([self.gx[i, j], self.gy[i, j]])
+    quadratic_exact: np.ndarray
 
 
 @dataclass
@@ -507,16 +410,9 @@ class MatrixField:
     xx: np.ndarray
     yy: np.ndarray
     xy: np.ndarray
-    quadratic_exact: Optional[np.ndarray] = None
-
-    def at(self, i: int, j: int) -> np.ndarray:
-        return np.array([[self.xx[i, j], self.xy[i, j]], [self.xy[i, j], self.yy[i, j]]])
 
     def det(self) -> np.ndarray:
         return self.xx * self.yy - self.xy * self.xy
-
-    def trace(self) -> np.ndarray:
-        return self.xx + self.yy
 
     def eig_min(self) -> np.ndarray:
         mean = 0.5 * (self.xx + self.yy)
@@ -608,11 +504,10 @@ def fd_derivatives(fld: ScalarField) -> tuple[VectorField, MatrixField]:
         out = np.where(okm & okm2 & ~okp, bwd, out)
         out = np.where(okp & okp2 & ~okm, fwd, out)
         out = np.where(okp & okm, central, out)
-        exact = (okp & okm) | (okp & okp2) | (okm & okm2)
-        return np.where(ok, out, np.nan), exact
+        return np.where(ok, out, np.nan)
 
-    hxx, hxx_exact = second_deriv(E, W, EE, WW, okE, okW, okEE, okWW)
-    hyy, hyy_exact = second_deriv(N, S, NN, SS, okN, okS, okNN, okSS)
+    hxx = second_deriv(E, W, EE, WW, okE, okW, okEE, okWW)
+    hyy = second_deriv(N, S, NN, SS, okN, okS, okNN, okSS)
 
     NE_v, NW_v = sh(1, 1), sh(-1, 1)
     SE_v, SW_v = sh(1, -1), sh(-1, -1)
@@ -630,20 +525,8 @@ def fd_derivatives(fld: ScalarField) -> tuple[VectorField, MatrixField]:
     hxy = np.where(okE & okN & okNE, blk_pp, hxy)
     hxy = np.where(okNE & okNW & okSE & okSW, central_x, hxy)
     hxy = np.where(ok, hxy, np.nan)
-    hxy_exact = (
-        (okNE & okNW & okSE & okSW)
-        | (okE & okN & okNE)
-        | (okW & okS & okSW)
-        | (okE & okS & okSE)
-        | (okW & okN & okNW)
-    )
-
     grad_exact = ok & gx_exact & gy_exact
-    hess_exact = ok & hxx_exact & hyy_exact & hxy_exact
-    return (
-        VectorField(g, gx, gy, quadratic_exact=grad_exact),
-        MatrixField(g, hxx, hyy, hxy, quadratic_exact=hess_exact),
-    )
+    return VectorField(g, gx, gy, quadratic_exact=grad_exact), MatrixField(g, hxx, hyy, hxy)
 
 
 # ---------------------------------------------------------------------------

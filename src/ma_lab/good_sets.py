@@ -56,9 +56,7 @@ def _solution_fields(potential: PotentialField, u):
 def _default_centers(potential: PotentialField, grad_exact: Optional[np.ndarray]) -> np.ndarray:
     """Interior centers, subsampled every other node per axis on large grids."""
     grid = potential.grid
-    centers = grid.interior.copy()
-    if potential.grad.quadratic_exact is not None:
-        centers &= potential.grad.quadratic_exact
+    centers = grid.interior & potential.grad.quadratic_exact
     if grad_exact is not None:
         centers &= grad_exact
     if centers.sum() > 10_000:

@@ -110,9 +110,6 @@ class CofactorField:
     yy: np.ndarray
     xy: np.ndarray
 
-    def det(self) -> np.ndarray:
-        return self.xx * self.yy - self.xy * self.xy
-
 
 # ---------------------------------------------------------------------------
 # discrete system shared by the Newton solver and the linearized solver
@@ -499,7 +496,7 @@ def solve_ma(
     vals = sysm.to_grid_values(U)
     phi = ScalarField(grid, vals)
     grad, hess = fd_derivatives(phi)
-    det_int = (hess.xx * hess.yy - hess.xy**2)[grid.interior]
+    det_int = hess.det()[grid.interior]
     residual_max = float(np.max(np.abs(det_int - g_int)))
     lam_eff = float(np.min(gd)) if lam is None else float(lam)
     Lam_eff = float(np.max(gd)) if Lam is None else float(Lam)
@@ -532,7 +529,7 @@ def assemble_potential(grid: Grid, phi_fn, g=None, lam=None, Lam=None, datum=Non
     """
     phi = ScalarField.from_function(grid, phi_fn)
     grad, hess = fd_derivatives(phi)
-    det = hess.xx * hess.yy - hess.xy**2
+    det = hess.det()
     if g is None:
         g_vals = np.where(grid.in_domain, det, np.nan)
     else:
@@ -606,9 +603,7 @@ def quadratic_separation_check(
         warnings.warn(
             "domain has flat boundary pieces; quadratic separation cannot hold "
             "uniformly there, running the check anyway", UserWarning)
-    band = grid.boundary_adjacent
-    if potential.grad.quadratic_exact is not None:
-        band = band & potential.grad.quadratic_exact
+    band = grid.boundary_adjacent & potential.grad.quadratic_exact
     ri, rj = np.nonzero(band)
     if len(ri) > max_band_nodes:
         stride = int(np.ceil(len(ri) / max_band_nodes))

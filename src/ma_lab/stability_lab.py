@@ -144,7 +144,7 @@ class PinchedFamily:
         return slot.result()
 
 
-def _hess_frobenius(grid: Grid, hess) -> np.ndarray:
+def _hess_frobenius(hess) -> np.ndarray:
     return np.sqrt(hess.xx ** 2 + 2.0 * hess.xy ** 2 + hess.yy ** 2)
 
 
@@ -226,8 +226,7 @@ def cofactor_scaling_oracle(family: PinchedFamily, eps: float = 0.2, q: float = 
     W = cofactor_field(family.potential(0.0))
     pot = family.potential(eps)
     lhs = _matrix_diff_lq(grid, cofactor_field(pot), W, q)
-    w_fro = np.sqrt(W.xx ** 2 + 2.0 * W.xy ** 2 + W.yy ** 2)
-    rhs = (np.sqrt(1.0 + eps) - 1.0) * lp_norm((grid, w_fro), q)
+    rhs = (np.sqrt(1.0 + eps) - 1.0) * lp_norm((grid, _hess_frobenius(W)), q)
     assertions = []
     check(assertions, "measured distance matches scaling prediction",
           lhs, "~", rhs, tol=rel_tol * rhs)
@@ -308,7 +307,7 @@ def sobolev_scaling_oracle(family: PinchedFamily, eps: float = 0.2, gamma: float
     w_pot = family.potential(0.0)
     pot = family.potential(eps)
     lhs = _matrix_diff_lq(grid, pot.hess, w_pot.hess, gamma)
-    rhs = (np.sqrt(1.0 + eps) - 1.0) * lp_norm((grid, _hess_frobenius(grid, w_pot.hess)), gamma)
+    rhs = (np.sqrt(1.0 + eps) - 1.0) * lp_norm((grid, _hess_frobenius(w_pot.hess)), gamma)
     assertions = []
     check(assertions, "hessian distance matches scaling prediction", lhs, "~", rhs, tol=rel_tol * rhs)
     return ExperimentReport(
@@ -423,7 +422,7 @@ def convex_w21e_check(potential: PotentialField, f, gammas=(1.05, 1.1, 1.25),
             assertions=assertions,
         )
 
-    fro = _hess_frobenius(grid, hess)
+    fro = _hess_frobenius(hess)
     ratios = [lp_norm((grid, fro), g) / f_inf for g in gammas]
     for g, r in zip(gammas, ratios):
         check(assertions, f"ratio at gamma={g} finite", r, "<", np.inf)
@@ -533,7 +532,7 @@ def w2p_ratio_sweep(family: PinchedFamily, eps_list, p: float = 2.0, q: float = 
     def ratio_on(fv: np.ndarray, eps: float, pp: float, qq: float) -> float:
         sol = solve_lma(family.potential(eps), fv)
         _, hess = fd_derivatives(sol.u)
-        num = lp_norm((grid, _hess_frobenius(grid, hess)), pp)
+        num = lp_norm((grid, _hess_frobenius(hess)), pp)
         den = lp_norm((grid, np.abs(np.where(grid.in_domain, sol.f_values, np.nan))), qq)
         return num / den
 

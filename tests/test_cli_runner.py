@@ -72,6 +72,24 @@ def test_sweeps_honour_the_configured_tolerance(tmp_path, top_level_solves):
     assert {rec["tol_ma"] for rec in top_level_solves} == {1e-6}
 
 
+@pytest.mark.parametrize("command, text, code, message", [
+    ("solve-ma", "experiment = solve_ma\nspacing = 0.0625", 0, None),
+    ("barrier", "experiment = barrier\nspacing = 0.0625\ndelta = 5", 1,
+     "delta must lie in (0, rho]"),
+    ("solve-ma", "experiment = solve_ma\ncolour = blue", 2, "unknown key 'colour'"),
+    ("solve-ma", "experiment = solve_ma\nspacing = 0.0625\ntol_ma = 1e-300", 3,
+     "Newton line search stalled"),
+], ids=["success", "barrier-error", "config-error", "solver-failure"])
+def test_main_exit_codes(tmp_path, capsys, command, text, code, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_runner.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == code
+    if message is not None:
+        assert message in capsys.readouterr().err
+
+
 # every value parse_config can produce, one strategy per config field
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
 _TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1).filter(

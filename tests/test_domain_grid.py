@@ -39,10 +39,9 @@ def test_square_is_flat_sided_with_inradius_circumradius_floor():
     assert s.rho == pytest.approx(min(1.0, 1.0 / np.sqrt(2.0)))
 
 
-def test_nonconvex_polygon_rejected_with_vertex_index():
-    with pytest.raises(DomainError) as exc:
-        build_domain("polygon", vertices=[(0, 0), (2, 0), (1, 0.2), (0, 2)])
-    assert "vertex index 2" in str(exc.value)
+def test_polygon_is_an_unknown_kind():
+    with pytest.raises(DomainError, match="unknown domain kind 'polygon'"):
+        build_domain("polygon", vertices=[(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
 def test_membership_and_boundary_samples_agree():
@@ -55,6 +54,66 @@ def test_membership_and_boundary_samples_agree():
         assert pts.shape == (64, 2)
         assert dom.contains(pts).all()
         assert not dom.contains(np.array([[10.0, 10.0]])).any()
+
+
+def _project_square_loop(dom, pts):
+    """Per-point square projection, kept as the reference for project_boundary."""
+    half = 0.5 * dom.params["side"]
+    proj = np.empty_like(pts)
+    normal = np.empty_like(pts)
+    inside = dom.contains(pts)
+    for k, p in enumerate(pts):
+        if inside[k]:
+            gaps = np.array([half - p[0], half + p[0], half - p[1], half + p[1]])
+            side_idx = int(np.argmin(gaps))
+            q = p.copy()
+            if side_idx == 0:
+                q[0] = half
+                n = np.array([1.0, 0.0])
+            elif side_idx == 1:
+                q[0] = -half
+                n = np.array([-1.0, 0.0])
+            elif side_idx == 2:
+                q[1] = half
+                n = np.array([0.0, 1.0])
+            else:
+                q[1] = -half
+                n = np.array([0.0, -1.0])
+        else:
+            q = np.clip(p, -half, half)
+            d = p - q
+            nn = np.linalg.norm(d)
+            n = d / nn if nn > 0 else np.array([1.0, 0.0])
+        proj[k] = q
+        normal[k] = n
+    dist = np.linalg.norm(pts - proj, axis=-1)
+    return proj, dist, normal
+
+
+@pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 160])
+def test_square_projection_matches_per_point_loop_on_nodes(h):
+    dom = build_domain("square", side=2.0)
+    pts = discretize(dom, h).points()
+    assert np.any(np.abs(pts[:, 0]) == np.abs(pts[:, 1]))  # diagonal ties are covered
+    got = dom.project_boundary(pts)
+    ref = _project_square_loop(dom, pts)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+
+
+def test_square_projection_matches_per_point_loop_outside():
+    dom = build_domain("square", side=2.0)
+    pts = np.random.default_rng(3).uniform(-3.0, 3.0, size=(6000, 2))
+    pts = pts[~dom.contains(pts)][:2000]
+    assert len(pts) == 2000
+    proj, dist, normal = dom.project_boundary(pts)
+    ref_proj, ref_dist, ref_normal = _project_square_loop(dom, pts)
+    assert np.array_equal(proj, ref_proj)
+    assert np.array_equal(dist, ref_dist)
+    # the reference normalises each row through a 1-D norm (a dot product),
+    # which may round its last bit differently: allow one ulp at the unit
+    # vector's scale
+    np.testing.assert_allclose(normal, ref_normal, rtol=0.0, atol=np.finfo(float).eps)
 
 
 # -- discretization ---------------------------------------------------------
@@ -172,10 +231,10 @@ def test_norm_homogeneity_exact():
 
 
 def test_linear_profile_l1_on_unit_square():
-    dom = build_domain("polygon", vertices=[(0, 0), (1, 0), (1, 1), (0, 1)])
-    g = discretize(dom, 1.0 / 128)
+    # x + 1/2 runs from 0 to 1 across the centred unit square
+    g = discretize(build_domain("square", side=1.0), 1.0 / 128)
     X, _ = g.meshes()
-    assert lp_norm(ScalarField(g, X.copy()), 1) == pytest.approx(0.5, rel=0.02)
+    assert lp_norm(ScalarField(g, X + 0.5), 1) == pytest.approx(0.5, rel=0.02)
 
 
 def test_mean_norms_monotone_in_exponent():
