@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -123,6 +124,8 @@ class ExperimentConfig:
     Lam: Optional[float] = None
     m: float = 2.0
     height: Optional[float] = None
+    # experiments running at once in a suite (its peak memory grows with
+    # them, up to 13); the sweep pool size for a single experiment; 0 = all cores
     threads: int = 0
     tol_ma: float = 1e-8
     tol_lma: float = 1e-8
@@ -259,7 +262,12 @@ def emit_config(config: ExperimentConfig) -> str:
 
 
 def _threads(config: ExperimentConfig) -> int:
-    """Worker pool size: the configured cap, or all available cores."""
+    """Worker pool size: config.threads, or all available cores when it is 0.
+
+    A suite runs this many experiments at once, and its peak memory grows
+    with that number, up to the 13 experiments; a single experiment uses it
+    as the pool size of its stability sweep.
+    """
     if config.threads > 0:
         return config.threads
     return os.cpu_count() or 1
@@ -464,7 +472,7 @@ def _run_barrier(config: ExperimentConfig, out: str, family: PinchedFamily) -> E
     check(assertions, "barrier nonnegative on the flat boundary piece",
           rep.boundary_min, ">=", -rep.boundary_tol)
     check(assertions, "barrier dominates the gap on the inner circle",
-          rep.circle_min, ">=", -rep.circle_tol)
+          rep.circle_min, ">=", rep.delta_tilde - rep.circle_tol)
     write_field_csv(barrier.w, os.path.join(out, "barrier.csv"), mask=barrier.mask)
     return ExperimentReport(
         experiment="barrier", config=_config_echo(config), sweep=[],
@@ -595,12 +603,12 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
         report.wall_time = time.perf_counter() - t0
     except SolveError as exc:
         _write_failure(out, config, "solver", str(exc))
-        print(f"solver failure: {exc}", file=sys.stderr)
+        print(f"solver failure: {config.experiment}: {exc}", file=sys.stderr)
         return 3
     except (DomainError, GridError, FieldError, SectionError, CoveringError,
             GoodSetError, BarrierError, StabilityError) as exc:
         _write_failure(out, config, type(exc).__name__, str(exc))
-        print(f"run failed: {exc}", file=sys.stderr)
+        print(f"run failed: {config.experiment}: {exc}", file=sys.stderr)
         return 1
 
     try:
@@ -608,9 +616,11 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     except OSError as exc:
         print(f"cannot write artifacts under {out}: {exc}", file=sys.stderr)
         return 1
-    for a in report.assertions:
-        status = "pass" if a.passed else "FAIL"
-        print(f"[{status}] {a.name}: {fmt_float(a.lhs)} {a.op} {fmt_float(a.rhs)}")
+    # one write per experiment, so suite experiments running at once do not
+    # interleave their lines
+    sys.stdout.write("".join(
+        f"[{'pass' if a.passed else 'FAIL'}] {config.experiment}: {a.name}: "
+        f"{fmt_float(a.lhs)} {a.op} {fmt_float(a.rhs)}\n" for a in report.assertions))
     return 0 if report.passed else 1
 
 
@@ -628,28 +638,47 @@ def _write_failure(out: str, config: ExperimentConfig, kind: str, message: str) 
 def _run_suite(config: ExperimentConfig, out: str, family: PinchedFamily) -> int:
     """Run the fixed experiment list, aggregate pass flags into summary.json.
 
-    Every experiment shares the one family, so each potential is solved once
-    per suite run. Each experiment goes through the module-level run, so a
-    wrapper installed on cli_runner.run (perfbench's tracer) sees each one.
+    The experiments run side by side on a pool of _threads(config) workers,
+    so the suite's peak memory grows with config.threads, up to the 13
+    experiments. Each sub-config has threads = 1: a sweep inside the suite
+    runs inline, and no more than _threads(config) experiment threads run at
+    once. Every experiment shares the one family, so each potential is solved
+    once per suite run, by the first experiment that asks for it. Each
+    experiment goes through the module-level run, so a wrapper installed on
+    cli_runner.run (perfbench's tracer) sees each one. An exception that run
+    does not catch cancels the experiments not yet started and propagates.
     """
-    summary = {}
-    worst = 0
+
+    def timed(sub: ExperimentConfig):
+        t0 = time.perf_counter()
+        code = run(sub, out_dir=os.path.join(out, sub.experiment), family=family)
+        return code, time.perf_counter() - t0
+
+    subs = []
     for name, overrides in _SUITE:
         sub = ExperimentConfig(**{**_config_echo(config), **overrides,
-                                  "experiment": name, "out": ""})
+                                  "experiment": name, "out": "", "threads": 1})
         sub.eps = tuple(sub.eps)
         sub.betas = tuple(sub.betas)
-        sub_out = os.path.join(out, name)
-        t0 = time.perf_counter()
-        code = run(sub, out_dir=sub_out, family=family)
-        summary[name] = {"exit_code": code, "passed": code == 0,
-                         "wall_time": time.perf_counter() - t0}
-        worst = max(worst, code)
+        subs.append(sub)
+    pool = ThreadPoolExecutor(max_workers=_threads(config))
+    try:
+        futures = [pool.submit(timed, sub) for sub in subs]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    summary = {}
+    for sub, future in zip(subs, futures):
+        # queued experiments are cancelled only behind one that raised, so
+        # this raises the first exception in suite order
+        code, wall = future.result()
+        summary[sub.experiment] = {"exit_code": code, "passed": code == 0, "wall_time": wall}
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     n_pass = sum(1 for v in summary.values() if v["passed"])
     print(f"suite: {n_pass}/{len(summary)} experiments passed")
+    worst = max(v["exit_code"] for v in summary.values())
     return 0 if worst == 0 else 1 if worst != 3 else 3
 
 
@@ -677,7 +706,10 @@ def main(argv=None) -> None:
         s.add_argument("--config", default=None, help="path to a config file")
         s.add_argument("--out", default=None, help="output directory")
         s.add_argument("--spacing", type=float, default=None, help="grid spacing override")
-        s.add_argument("--threads", type=int, default=None, help="worker pool size")
+        s.add_argument("--threads", type=int, default=None,
+                       help="experiments running at once in a suite (peak memory grows "
+                            "with them, up to 13), or the sweep pool size of a single "
+                            "experiment; default all cores")
     args = parser.parse_args(argv)
 
     if args.config is not None:

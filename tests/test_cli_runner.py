@@ -1,4 +1,7 @@
+import inspect
 import json
+import re
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -70,6 +73,117 @@ def test_sweeps_honour_the_configured_tolerance(tmp_path, top_level_solves):
         report = json.loads((tmp_path / name / "report.json").read_text())
         assert report["wall_time"] > 0.0
     assert {rec["tol_ma"] for rec in top_level_solves} == {1e-6}
+
+
+def _suite_outputs(out):
+    """Each output file's bytes (report.json parsed, without wall_time) and the exit codes."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if not path.is_file() or path.name == "summary.json":
+            continue
+        rel = str(path.relative_to(out))
+        if path.name == "report.json":
+            report = json.loads(path.read_text())
+            report.pop("wall_time")
+            files[rel] = report
+        else:
+            files[rel] = path.read_bytes()
+    summary = json.loads((out / "summary.json").read_text())
+    return files, {name: entry["exit_code"] for name, entry in summary.items()}
+
+
+def test_suite_outputs_do_not_depend_on_threads(tmp_path):
+    outputs = []
+    for threads in (1, 2):
+        cfg = ExperimentConfig(experiment="suite", domain="disc", spacing=1.0 / 32,
+                               threads=threads)
+        out = tmp_path / f"threads{threads}"
+        assert run(cfg, out_dir=str(out)) == 0
+        outputs.append(_suite_outputs(out))
+    (files1, codes1), (files2, codes2) = outputs
+    assert len(codes1) == len(cli_runner._SUITE)
+    assert codes1 == codes2
+    assert files1.keys() == files2.keys()
+    for rel in files1:
+        assert files1[rel] == files2[rel], rel
+
+
+_ASSERTION_LINE = re.compile(r"\[(pass|FAIL)\] (\w+): ")
+
+
+def test_suite_lines_name_their_experiment(tmp_path, capsys):
+    cfg = ExperimentConfig(experiment="suite", domain="disc", spacing=1.0 / 32, threads=2)
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"suite: {len(cli_runner._SUITE)}/{len(cli_runner._SUITE)} experiments passed"
+    names = []
+    for line in lines[:-1]:
+        match = _ASSERTION_LINE.match(line)
+        assert match, line
+        names.append(match.group(2))
+    runs = [name for k, name in enumerate(names) if k == 0 or names[k - 1] != name]
+    # every experiment asserts something, and its lines are contiguous
+    assert sorted(runs) == sorted(name for name, _ in cli_runner._SUITE)
+
+
+def test_suite_runs_at_most_threads_experiments_with_inline_sweeps(tmp_path, monkeypatch):
+    lock = threading.Lock()
+    calls = []
+    open_now = 0
+    peak = 0
+    real_run = cli_runner.run
+
+    def counting_run(config, *args, **kwargs):
+        nonlocal open_now, peak
+        if config.experiment == "suite":
+            return real_run(config, *args, **kwargs)
+        with lock:
+            calls.append(config.experiment)
+            open_now += 1
+            peak = max(peak, open_now)
+        try:
+            return real_run(config, *args, **kwargs)
+        finally:
+            with lock:
+                open_now -= 1
+
+    sweep_threads = []
+    real_sweep = stability_lab.run_sweep
+    signature = inspect.signature(real_sweep)
+
+    def recording_sweep(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        sweep_threads.append(bound.arguments["threads"])
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cli_runner, "run", counting_run)
+    monkeypatch.setattr(stability_lab, "run_sweep", recording_sweep)
+    cfg = ExperimentConfig(experiment="suite", domain="disc", spacing=1.0 / 32, threads=2)
+    assert cli_runner.run(cfg, out_dir=str(tmp_path)) == 0
+    assert sorted(calls) == sorted(name for name, _ in cli_runner._SUITE)
+    assert peak == 2
+    assert sweep_threads and set(sweep_threads) == {1}
+
+
+@pytest.mark.parametrize("domain", ["disc", "square"])
+def test_barrier_circle_assertion_matches_the_verifier(tmp_path, monkeypatch, domain):
+    reports = []
+    real = cli_runner.verify_supersolution
+
+    def recording(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli_runner, "verify_supersolution", recording)
+    cfg = ExperimentConfig(experiment="barrier", domain=domain, spacing=1.0 / 32)
+    run(cfg, out_dir=str(tmp_path))
+    (rep,) = reports
+    report = json.loads((tmp_path / "report.json").read_text())
+    (circle,) = [a for a in report["assertions"] if "inner circle" in a["name"]]
+    assert circle["lhs"] == rep.circle_min
+    assert circle["rhs"] == rep.delta_tilde - rep.circle_tol
+    assert circle["passed"] == rep.circle_passed
 
 
 @pytest.mark.parametrize("command, text, code, message", [
