@@ -23,6 +23,12 @@ class BarrierError(ValueError):
     pass
 
 
+# the interior check allows this fraction of n*Lam for discretization error
+_TOL_FACTOR = 0.1
+# boundary points sampled on the domain boundary and on the patch circle
+_N_BOUNDARY_SAMPLES = 256
+
+
 @dataclass
 class BarrierReport:
     threshold: float
@@ -133,16 +139,11 @@ def build_supersolution(
     )
 
 
-def verify_supersolution(
-    barrier: Barrier,
-    potential: PotentialField,
-    tol_factor: float = 0.1,
-    n_boundary_samples: int = 256,
-) -> BarrierReport:
+def verify_supersolution(barrier: Barrier, potential: PotentialField) -> BarrierReport:
     """Check the three supersolution inequalities on the barrier patch.
 
     Interior: the linearized operator applied to w stays below -n*Lam plus a
-    discretization allowance of tol_factor times n*Lam. Domain boundary part:
+    discretization allowance of _TOL_FACTOR times n*Lam. Domain boundary part:
     w >= 0, evaluated exactly through the boundary datum. Patch circle part:
     w >= delta**3/2 up to an interpolation allowance proportional to the
     squared spacing.
@@ -158,7 +159,7 @@ def verify_supersolution(
         raise BarrierError("barrier patch contains no interior nodes; refine the grid or enlarge delta")
     interior_max = float(np.max(L[nodes]))
     interior_min = float(np.min(L[nodes]))
-    threshold = -barrier.n * barrier.Lam * (1.0 - tol_factor)
+    threshold = -barrier.n * barrier.Lam * (1.0 - _TOL_FACTOR)
 
     def w_at(pts: np.ndarray, phi_vals: np.ndarray) -> np.ndarray:
         d = pts - frame.origin
@@ -171,7 +172,7 @@ def verify_supersolution(
             - barrier.K * ys[:, 1] ** 2
         )
 
-    bpts = grid.domain.boundary_samples(n_boundary_samples)
+    bpts = grid.domain.boundary_samples(_N_BOUNDARY_SAMPLES)
     bpts = np.vstack([frame.origin[None, :], bpts])
     ys = frame.to_frame(bpts)
     keep = (ys ** 2).sum(axis=1) <= barrier.delta ** 2
@@ -180,7 +181,7 @@ def verify_supersolution(
     boundary_min = float(wb.min())
     boundary_tol = 1e-9 * (1.0 + barrier.M_delta * barrier.delta)
 
-    theta = np.linspace(0.0, 2.0 * np.pi, n_boundary_samples, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, _N_BOUNDARY_SAMPLES, endpoint=False)
     circ = frame.from_frame(
         np.stack([barrier.delta * np.cos(theta), barrier.delta * np.sin(theta)], axis=-1)
     )

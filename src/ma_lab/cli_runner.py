@@ -29,6 +29,7 @@ from .domain_grid import (
     discretize,
     fmt_float,
     write_field_csv,
+    write_lines,
 )
 from .ma_solve import SolveError
 from .lma_solve import abp_check, solve_lma
@@ -65,23 +66,6 @@ class ConfigError(ValueError):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
 
-
-KNOWN_EXPERIMENTS = (
-    "solve_ma",
-    "solve_lma",
-    "sections",
-    "cover",
-    "maximal",
-    "goodsets",
-    "barrier",
-    "cofactor_stability",
-    "sobolev_stability",
-    "approximation",
-    "w21e",
-    "contact_set",
-    "w2p_ratio",
-    "suite",
-)
 
 KNOWN_DOMAINS = ("disc", "ellipse", "square")
 KNOWN_G0 = ("bump", "constant")
@@ -358,8 +342,7 @@ def _run_sections(config: ExperimentConfig, out: str, family: PinchedFamily) -> 
     lines = ["t,measure,cells,interior"]
     for t, meas, n, inter in rows:
         lines.append(f"{fmt_float(t)},{fmt_float(meas)},{n},{int(inter)}")
-    with open(os.path.join(out, "sections_summary.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(os.path.join(out, "sections_summary.csv"), lines)
     return ExperimentReport(
         experiment="sections", config=_config_echo(config), sweep=list(t_values),
         measured={"measure": [r[1] for r in rows],
@@ -383,8 +366,7 @@ def _run_cover(config: ExperimentConfig, out: str, family: PinchedFamily) -> Exp
     lines = ["x,y,height"]
     for (x, y), h in zip(cover.centers, cover.heights):
         lines.append(f"{fmt_float(x)},{fmt_float(y)},{fmt_float(h)}")
-    with open(os.path.join(out, "cover_centers.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(os.path.join(out, "cover_centers.csv"), lines)
     return ExperimentReport(
         experiment="cover", config=_config_echo(config), sweep=[],
         measured={"n_selected": int(len(cover.heights)),
@@ -439,16 +421,14 @@ def _run_goodsets(config: ExperimentConfig, out: str, family: PinchedFamily) -> 
     lines = ["beta,F,F1,F2"]
     for k, b in enumerate(res.beta_grid):
         lines.append(",".join(fmt_float(v) for v in (b, res.F[k], res.F1[k], res.F2[k])))
-    with open(os.path.join(out, "distribution.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(os.path.join(out, "distribution.csv"), lines)
     Xm, Ym = grid.meshes()
     for M in M_grid:
         mask = res.good_masks[M]
         lines = ["x,y"]
         for i, j in np.argwhere(mask):
             lines.append(f"{fmt_float(Xm[i, j])},{fmt_float(Ym[i, j])}")
-        with open(os.path.join(out, f"good_mask_M{fmt_float(M)}.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(os.path.join(out, f"good_mask_M{fmt_float(M)}.csv"), lines)
     fits = {k: {"tau": v.tau, "C": v.C, "residual": v.residual} for k, v in res.fits.items()}
     return ExperimentReport(
         experiment="goodsets", config=_config_echo(config), sweep=list(betas),
@@ -484,37 +464,58 @@ def _run_barrier(config: ExperimentConfig, out: str, family: PinchedFamily) -> E
     )
 
 
-_RUNNERS = {
-    "solve_ma": _run_solve_ma,
-    "solve_lma": _run_solve_lma,
-    "sections": _run_sections,
-    "cover": _run_cover,
-    "maximal": _run_maximal,
-    "goodsets": _run_goodsets,
-    "barrier": _run_barrier,
-}
+def _run_cofactor_stability(config: ExperimentConfig, out: str, family: PinchedFamily) -> ExperimentReport:
+    return cofactor_stability_sweep(family, list(config.eps), q=config.p, threads=_threads(config))
+
+
+def _run_sobolev_stability(config: ExperimentConfig, out: str, family: PinchedFamily) -> ExperimentReport:
+    return sobolev_stability_sweep(family, list(config.eps), gamma=config.gamma, threads=_threads(config))
+
+
+def _run_approximation(config: ExperimentConfig, out: str, family: PinchedFamily) -> ExperimentReport:
+    return approximation_experiment(family, list(config.eps), threads=_threads(config))
+
+
+def _run_w21e(config: ExperimentConfig, out: str, family: PinchedFamily) -> ExperimentReport:
+    pot = _pinched(config, family)
+    return convex_w21e_check(pot, 2.0 * pot.g_values, boundary=pot.boundary_datum)
+
+
+def _run_contact_set(config: ExperimentConfig, out: str, family: PinchedFamily) -> ExperimentReport:
+    return contact_set_experiment(family, list(config.eps), sigma=config.sigma, height=config.height)
+
+
+def _run_w2p_ratio(config: ExperimentConfig, out: str, family: PinchedFamily) -> ExperimentReport:
+    return w2p_ratio_sweep(family, list(config.eps), p=config.p, q=config.q, threads=_threads(config))
+
+
+# every experiment, in suite order: its name, its runner and the config
+# overrides it gets inside a suite
+_EXPERIMENTS = (
+    ("solve_ma", _run_solve_ma, {}),
+    ("solve_lma", _run_solve_lma, {}),
+    ("sections", _run_sections, {}),
+    ("cover", _run_cover, {}),
+    ("maximal", _run_maximal, {}),
+    ("goodsets", _run_goodsets, {}),
+    ("barrier", _run_barrier, {}),
+    ("cofactor_stability", _run_cofactor_stability, {"eps": (0.2, 0.1, 0.05, 0.025)}),
+    ("sobolev_stability", _run_sobolev_stability, {}),
+    ("approximation", _run_approximation, {}),
+    ("w21e", _run_w21e, {}),
+    ("contact_set", _run_contact_set, {"sigma": 0.9}),
+    ("w2p_ratio", _run_w2p_ratio, {}),
+)
+_RUNNERS = {name: runner for name, runner, _ in _EXPERIMENTS}
+_SUITE = tuple((name, overrides) for name, _, overrides in _EXPERIMENTS)
+KNOWN_EXPERIMENTS = tuple(_RUNNERS) + ("suite",)
 
 
 def _dispatch(config: ExperimentConfig, out: str, family: PinchedFamily) -> ExperimentReport:
-    name = config.experiment
-    if name in _RUNNERS:
-        return _RUNNERS[name](config, out, family)
-    eps_list = list(config.eps)
-    nthreads = _threads(config)
-    if name == "cofactor_stability":
-        return cofactor_stability_sweep(family, eps_list, q=config.p, threads=nthreads)
-    if name == "sobolev_stability":
-        return sobolev_stability_sweep(family, eps_list, gamma=config.gamma, threads=nthreads)
-    if name == "approximation":
-        return approximation_experiment(family, eps_list, threads=nthreads)
-    if name == "w21e":
-        pot = _pinched(config, family)
-        return convex_w21e_check(pot, 2.0 * pot.g_values, boundary=pot.boundary_datum)
-    if name == "contact_set":
-        return contact_set_experiment(family, eps_list, sigma=config.sigma, height=config.height)
-    if name == "w2p_ratio":
-        return w2p_ratio_sweep(family, eps_list, p=config.p, q=config.q, threads=nthreads)
-    raise ConfigError([f"experiment {name!r} cannot be dispatched"])
+    runner = _RUNNERS.get(config.experiment)
+    if runner is None:
+        raise ConfigError([f"experiment {config.experiment!r} cannot be dispatched"])
+    return runner(config, out, family)
 
 
 _SWEEP_LABELS = {
@@ -537,10 +538,8 @@ def _write_artifacts(report: ExperimentReport, out: str) -> None:
             for s, v in zip(sweep, val):
                 lines.append(f"{fmt_float(s)},{fmt_float(v)}")
                 dat.append(f"{fmt_float(s)} {fmt_float(v)}")
-            with open(csv_path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-            with open(dat_path, "w") as fh:
-                fh.write("\n".join(dat) + "\n")
+            write_lines(csv_path, lines)
+            write_lines(dat_path, dat)
     with open(os.path.join(out, "report.json"), "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
@@ -558,33 +557,17 @@ def resolve_out(config: ExperimentConfig, out_flag: Optional[str] = None) -> str
     return "./ma_lab_out"
 
 
-_SUITE = (
-    ("solve_ma", {}),
-    ("solve_lma", {}),
-    ("sections", {}),
-    ("cover", {}),
-    ("maximal", {}),
-    ("goodsets", {}),
-    ("barrier", {}),
-    ("cofactor_stability", {"eps": (0.2, 0.1, 0.05, 0.025)}),
-    ("sobolev_stability", {}),
-    ("approximation", {}),
-    ("w21e", {}),
-    ("contact_set", {"sigma": 0.9}),
-    ("w2p_ratio", {}),
-)
-
-
 def run(config: ExperimentConfig, out_dir: Optional[str] = None,
         family: Optional[PinchedFamily] = None) -> int:
     """Execute a validated config; return the process exit code.
 
     Writes report.json, CSVs, and .dat plot files under the resolved output
     directory. Solver failures exit 3, assertion failures 1, success 0. I/O
-    problems are reported with the offending path. family supplies the grid
-    and the potentials; without one, run builds it from the config. run
-    sets the report's wall_time: building the family, when it is not given,
-    plus running the experiment.
+    problems exit 1 and are reported with the offending path: the output
+    directory, an experiment's own files, report.json and a suite's
+    summary.json. family supplies the grid and the potentials; without one,
+    run builds it from the config. run sets the report's wall_time: building
+    the family, when it is not given, plus running the experiment.
     """
     out = resolve_out(config, out_dir)
     try:
@@ -601,6 +584,7 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
             return _run_suite(config, out, family)
         report = _dispatch(config, out, family)
         report.wall_time = time.perf_counter() - t0
+        _write_artifacts(report, out)
     except SolveError as exc:
         _write_failure(out, config, "solver", str(exc))
         print(f"solver failure: {config.experiment}: {exc}", file=sys.stderr)
@@ -610,11 +594,8 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
         _write_failure(out, config, type(exc).__name__, str(exc))
         print(f"run failed: {config.experiment}: {exc}", file=sys.stderr)
         return 1
-
-    try:
-        _write_artifacts(report, out)
     except OSError as exc:
-        print(f"cannot write artifacts under {out}: {exc}", file=sys.stderr)
+        print(f"cannot write {exc.filename or out}: {exc}", file=sys.stderr)
         return 1
     # one write per experiment, so suite experiments running at once do not
     # interleave their lines

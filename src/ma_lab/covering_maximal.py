@@ -28,6 +28,15 @@ from .section_geom import (
 # vitali_cover floods the cores of this many candidates per section_cells
 # call, so only one block of cores is held besides the picked ones
 _WALK_BLOCK = 512
+# vitali_cover's first core factor delta0, halved per round down to the floor
+_DELTA0 = 0.1
+_DELTA0_FLOOR = 0.0125
+# density_heights: rungs of the geometric height ladder
+_N_SCAN = 24
+# covering_select keeps sections whose density lies in this band times eps
+_DENSITY_BAND = (0.9, 1.1)
+# maximal_function: centres per pair_gaps block; it sets the scan's peak memory
+_MAXIMAL_CHUNK = 32
 
 
 class CoveringError(RuntimeError):
@@ -49,15 +58,15 @@ class CoveringResult:
     disjointness_violations: int
 
 
-def vitali_cover(potential: PotentialField, region: np.ndarray, delta0: float = 0.1, delta0_floor: float = 0.0125) -> CoveringResult:
+def vitali_cover(potential: PotentialField, region: np.ndarray) -> CoveringResult:
     """Select sections greedily by maximal height with pairwise disjoint cores.
 
     Candidates are walked in order of decreasing maximal interior height, so
     every pick has height at least half the supremum of the remaining ones. A
-    candidate is selected when its core (section at delta0 times its height)
-    misses every previously selected core. If the half-height sections of the
-    selection fail to cover the region, delta0 is halved and the selection is
-    rebuilt, down to a floor.
+    candidate is selected when its core (section at the core factor delta0,
+    first _DELTA0, times its height) misses every previously selected core.
+    If the half-height sections of the selection fail to cover the region,
+    delta0 is halved and the selection is rebuilt, down to _DELTA0_FLOOR.
 
     The heights are interior_heights, the ring-gap minimum. Where a
     candidate's tangent gap is negative at some ring node that height is
@@ -85,7 +94,7 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, delta0: float = 
     centre = np.ravel_multi_index((ci, cj), grid.shape)
     covers = {}
 
-    d0 = float(delta0)
+    d0 = _DELTA0
     while True:
         core_union = np.zeros(size, dtype=bool)
         cores = {}
@@ -108,7 +117,7 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, delta0: float = 
         defect_cells = int((region.ravel() & ~cover_union).sum())
         if defect_cells == 0:
             break
-        if d0 <= delta0_floor * (1.0 + 1e-12):
+        if d0 <= _DELTA0_FLOOR * (1.0 + 1e-12):
             raise CoveringError(
                 f"half-height sections leave {defect_cells} region cells uncovered at the smallest core factor {d0}"
             )
@@ -143,19 +152,18 @@ def density_heights(
     potential: PotentialField,
     target: np.ndarray,
     eps: float,
-    t_min: Optional[float] = None,
     t_max: Optional[float] = None,
-    n_scan: int = 24,
 ) -> tuple[np.ndarray, list]:
     """Per-point section heights whose target density is as close to eps as the grid allows.
 
     For each target node the density |S(x,t) and target| / |S(x,t)| is scanned
-    over a geometric height ladder. In the first rung [a, b) where it falls
-    from at least eps to below eps, the height is the first of the centre's
-    tangent gaps at which the density is at least eps and just past which it
-    is below eps; the density is piecewise constant between gaps and need not
-    be monotone inside the rung. Nodes where no height reaches the band are
-    returned in the excluded list.
+    over a geometric height ladder of _N_SCAN rungs from eight cells up to
+    t_max (default half the largest interior height). In the first rung
+    [a, b) where it falls from at least eps to below eps, the height is the
+    first of the centre's tangent gaps at which the density is at least eps
+    and just past which it is below eps; the density is piecewise constant
+    between gaps and need not be monotone inside the rung. Nodes where no
+    height reaches the band are returned in the excluded list.
     """
     grid = potential.grid
     target = np.asarray(target, dtype=bool)
@@ -164,12 +172,10 @@ def density_heights(
     if t_max is None:
         hs = interior_heights(potential, mask=target & grid.interior)
         t_max = 0.5 * float(np.nanmax(hs))
-    if t_min is None:
-        t_min = 8.0 * grid.cell_area
     heights = np.full(grid.shape, np.nan)
     excluded = []
     ti_, tj_ = np.nonzero(target)
-    ladder = np.geomspace(t_min, t_max, n_scan)
+    ladder = np.geomspace(8.0 * grid.cell_area, t_max, _N_SCAN)
     for i, j in zip(ti_, tj_):
         if not grid.interior[i, j]:
             excluded.append(((grid.xs[i], grid.ys[j]), "not an interior node"))
@@ -219,18 +225,18 @@ def covering_select(
     target: np.ndarray,
     eps: float,
     heights: np.ndarray,
-    theta_star: Optional[float] = None,
-    density_band: tuple = (0.9, 1.1),
 ) -> SelectionResult:
     """Greedy subfamily of density-eps sections controlling the target measure.
 
-    Points whose measured density misses the band are reported and excluded.
-    Selection walks remaining points by decreasing height; each pick removes
-    every point engulfed by the theta-star dilate of its section. Points the
-    selected sections leave uncovered get their own section appended, so the
-    union always contains the target. The verifier then checks the measure of
-    the target against sqrt(eps) times the union measure plus a two-cell
-    boundary-layer slack.
+    Points whose measured density misses the band _DENSITY_BAND times eps are
+    reported and excluded. theta_star is the engulfing constant measured on
+    the three tallest remaining sections at the median and the largest
+    height. Selection walks remaining points by decreasing height; each pick
+    removes every point engulfed by the theta-star dilate of its section.
+    Points the selected sections leave uncovered get their own section
+    appended, so the union always contains the target. The verifier then
+    checks the measure of the target against sqrt(eps) times the union
+    measure plus a two-cell boundary-layer slack.
     """
     grid = potential.grid
     target = np.asarray(target, dtype=bool)
@@ -253,7 +259,7 @@ def covering_select(
         cells = sublevel_cells(potential, gap, t, (i, j))
         n = int(cells.sum())
         dens = (cells & target).sum() / n if n else 0.0
-        if not (density_band[0] * eps <= dens <= density_band[1] * eps):
+        if not (_DENSITY_BAND[0] * eps <= dens <= _DENSITY_BAND[1] * eps):
             excluded.append(((grid.xs[i], grid.ys[j]), f"density {dens:.4f} outside the band"))
             continue
         rows.append(k)
@@ -263,12 +269,11 @@ def covering_select(
         raise CoveringError("no target point satisfies the density precondition")
     rows = np.asarray(rows)
 
-    if theta_star is None:
-        t_med = float(np.median(tvals[rows]))
-        probe = rows[np.argsort(-tvals[rows], kind="stable")[: min(3, rows.size)]]
-        centers = [np.array([grid.xs[ti_[k]], grid.ys[tj_[k]]]) for k in probe]
-        samples = engulfing_samples(potential, [t_med, float(np.max(tvals[rows]))], centers=centers, n_random=4, seed=7)
-        theta_star = engulfing_constant(potential, samples).theta_star
+    t_med = float(np.median(tvals[rows]))
+    probe = rows[np.argsort(-tvals[rows], kind="stable")[: min(3, rows.size)]]
+    centers = [np.array([grid.xs[ti_[k]], grid.ys[tj_[k]]]) for k in probe]
+    samples = engulfing_samples(potential, [t_med, float(np.max(tvals[rows]))], centers=centers, n_random=4, seed=7)
+    theta_star = engulfing_constant(potential, samples).theta_star
 
     order = rows[np.argsort(-tvals[rows], kind="stable")]
     removed = np.zeros(grid.shape, dtype=bool)
@@ -324,12 +329,11 @@ def covering_select(
 # ---------------------------------------------------------------------------
 
 
-def height_grid(potential: PotentialField, c_cap: Optional[float] = None, n_heights: int = 12) -> np.ndarray:
-    """Log-spaced probe heights from the smallest usable section up to the cap."""
+def height_grid(potential: PotentialField, n_heights: int = 12) -> np.ndarray:
+    """Log-spaced probe heights from the smallest usable section up to the cap (measure_c_cap)."""
     grid = potential.grid
     hs = interior_heights(potential)
-    if c_cap is None:
-        c_cap = measure_c_cap(potential, heights=hs)
+    c_cap = measure_c_cap(potential, heights=hs)
     k = np.unravel_index(np.nanargmax(np.where(np.isfinite(hs), hs, -np.inf)), hs.shape)
     gap = gap_from_index(potential, *k)
     t = 2.0 * grid.cell_area
@@ -345,9 +349,7 @@ def height_grid(potential: PotentialField, c_cap: Optional[float] = None, n_heig
 def maximal_function(
     potential: PotentialField,
     f,
-    c_cap: Optional[float] = None,
     n_heights: int = 12,
-    chunk: int = 32,
 ) -> ScalarField | list[ScalarField]:
     """Supremum of section averages of |f| over the probe height grid, per node.
 
@@ -371,10 +373,10 @@ def maximal_function(
         np.abs(coerce_samples(grid, g.values if isinstance(g, ScalarField) else g)[ni, nj])
         for g in (f if many else [f])
     ]
-    heights = height_grid(potential, c_cap=c_cap, n_heights=n_heights)
+    heights = height_grid(potential, n_heights=n_heights)
     nh = heights.size
     outs = [np.full(grid.shape, np.nan) for _ in absf]
-    for block, D in pair_gaps(potential, ni, nj, ni, nj, chunk):
+    for block, D in pair_gaps(potential, ni, nj, ni, nj, _MAXIMAL_CHUNK):
         flat = np.flatnonzero(D < heights[-1])
         rows, cols = np.divmod(flat, ni.size)
         key = rows * nh + np.searchsorted(heights, D.reshape(-1)[flat], side="right")
@@ -388,13 +390,11 @@ def maximal_function(
     return fields if many else fields[0]
 
 
-def strong_type_ratio(
-    potential: PotentialField, f, p: float, c_cap: Optional[float] = None, maximal: Optional[ScalarField] = None
-) -> float:
+def strong_type_ratio(potential: PotentialField, f, p: float, maximal: Optional[ScalarField] = None) -> float:
     """Ratio of the L^p norm of the maximal function to the L^p norm of the input.
 
-    maximal, when given, is maximal_function(potential, f) already computed
-    with the same cap; otherwise it is computed here.
+    maximal, when given, is maximal_function(potential, f) already computed;
+    otherwise it is computed here.
     """
     if not p > 1:
         raise FieldError(f"strong type ratio needs p > 1, got {p}")
@@ -403,5 +403,5 @@ def strong_type_ratio(
     denom = lp_norm((grid, fv), p)
     if denom == 0.0:
         raise FieldError("strong type ratio undefined for zero input")
-    M = maximal_function(potential, fv, c_cap=c_cap) if maximal is None else maximal
+    M = maximal_function(potential, fv) if maximal is None else maximal
     return lp_norm(M, p) / denom

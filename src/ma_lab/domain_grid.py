@@ -564,6 +564,12 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
+def write_lines(path: str, lines) -> None:
+    """Write the lines to path, each ended by a newline."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_field_csv(fld: ScalarField, path: str, mask: Optional[np.ndarray] = None) -> None:
     """Write (x, y, value) rows for masked nodes in row-major node order."""
     g = fld.grid
@@ -575,5 +581,4 @@ def write_field_csv(fld: ScalarField, path: str, mask: Optional[np.ndarray] = No
     lines = ["x,y,value"]
     for x, y, v in zip(X[mask].tolist(), Y[mask].tolist(), fld.values[mask].tolist()):
         lines.append(f"{x!r},{y!r},{v!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -24,6 +24,15 @@ class GoodSetError(ValueError):
 
 
 _PLUS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+# the ambient dimension n of the paper's exponents; the grids are planar
+_DIM = 2
+# centres per pair_gaps block in the opening and ratio scans; it sets their
+# peak memory
+_CHUNK = 64
+# the quasi-Euclidean scans' neighbourhood radius, in grid cells
+_RADIUS = 5.0
+# inclusion_check passes when at most this fraction of centres violates it
+_MAX_FRACTION = 0.005
 
 
 def tangent_trust_region(potential: PotentialField, margin: int = 3) -> np.ndarray:
@@ -100,7 +109,6 @@ def minimal_opening_field(
     u,
     centers: Optional[np.ndarray] = None,
     d_min: Optional[float] = None,
-    chunk: int = 64,
     _pre=None,
 ) -> np.ndarray:
     """Minimal openings at many centers; NaN where no admissible pair exists."""
@@ -118,8 +126,8 @@ def minimal_opening_field(
     out = np.full(grid.shape, np.nan)
     ci, cj = np.nonzero(centers)
     scans = zip(
-        pair_gaps(potential, ci, cj, ni, nj, chunk),
-        pair_gaps(potential, ci, cj, ni, nj, chunk, values=vals, grad=grad),
+        pair_gaps(potential, ci, cj, ni, nj, _CHUNK),
+        pair_gaps(potential, ci, cj, ni, nj, _CHUNK, values=vals, grad=grad),
     )
     for (block, D), (_, U) in scans:
         ok = D >= d_min
@@ -139,31 +147,28 @@ def _ratio_extrema(
     potential: PotentialField,
     neighborhood_radius: Optional[float],
     centers: np.ndarray,
-    chunk: int = 64,
-    pair_floor: Optional[float] = None,
     tangent_margin: int = 3,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-center min and max of squared quasi-distance over squared distance.
 
-    Pairs with squared separation below pair_floor are skipped; the default
-    floor of 1.5 squared spacings drops exactly the single-cell axis pairs,
+    Pairs with squared separation below the floor of 1.5 squared spacings
+    are skipped. That floor drops exactly the single-cell axis pairs,
     the same near-coincident guard idea the opening scan applies through its
     distance floor. At one-cell separation both the gap and the quadratic
     comparison sit at the size of the discretization error, so their ratio
     carries no information and, near the boundary, only the imposition error.
-    Centers are restricted to the tangent trust region (see
-    tangent_trust_region); pass tangent_margin=0 to scan everywhere.
+    Centers are restricted to the tangent trust region of width
+    tangent_margin (see tangent_trust_region); 0 scans every center.
 
     With a neighborhood radius each center scans only the in-domain nodes
     at grid offsets of at most ceil(radius) + 1 cells along each axis. That
     window is a superset of the admissible pairs; the float test on the
-    squared separation (pair_floor <= e2 <= the squared radius) decides
+    squared separation (floor <= e2 <= the squared radius) decides
     which pairs count, exactly as in the all-pairs scan. Without a radius
     every in-domain node is a target.
     """
     grid = potential.grid
-    if pair_floor is None:
-        pair_floor = 1.5 * grid.spacing ** 2
+    pair_floor = 1.5 * grid.spacing ** 2
     centers = centers & tangent_trust_region(potential, tangent_margin)
     ci, cj = np.nonzero(centers)
     if neighborhood_radius is None:
@@ -183,7 +188,7 @@ def _ratio_extrema(
 
     lo = np.full(grid.shape, np.nan)
     hi = np.full(grid.shape, np.nan)
-    for block, D in pair_gaps(potential, ci, cj, ti, tj, chunk):
+    for block, D in pair_gaps(potential, ci, cj, ti, tj, _CHUNK):
         bi = ci[block, None]
         bj = cj[block, None]
         ri, rj = (ti, tj) if inside is None else (ti[block], tj[block])
@@ -204,10 +209,8 @@ def _ratio_extrema(
 
 def quasi_euclidean_ratio_min(
     potential: PotentialField,
-    neighborhood_radius: Optional[float] = 5.0,
+    neighborhood_radius: Optional[float] = _RADIUS,
     centers: Optional[np.ndarray] = None,
-    chunk: int = 64,
-    tangent_margin: int = 3,
 ) -> np.ndarray:
     """Per-center minimum of squared quasi-distance over squared distance.
 
@@ -219,42 +222,34 @@ def quasi_euclidean_ratio_min(
     grid = potential.grid
     if centers is None:
         centers = grid.in_domain
-    lo, _ = _ratio_extrema(
-        potential, neighborhood_radius, centers, chunk=chunk, tangent_margin=tangent_margin
-    )
+    lo, _ = _ratio_extrema(potential, neighborhood_radius, centers)
     return lo
 
 
 def local_quasi_euclidean_mask(
     potential: PotentialField,
     sigma: float,
-    neighborhood_radius: float = 5.0,
-    full_domain: bool = False,
     ratio_min: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Centers where the squared quasi-distance dominates sigma times squared distance.
 
-    The local form tests node pairs within the neighborhood radius against
-    sigma itself. With full_domain the scan covers every pair and tests
-    against sigma / 2, the convention the global contact-set experiments use.
+    Node pairs within the neighborhood radius (_RADIUS cells) are tested
+    against sigma itself. ratio_min, when given, is
+    quasi_euclidean_ratio_min(potential) already computed.
     """
     if sigma <= 0:
         raise GoodSetError(f"sigma must be positive, got {sigma}")
     if ratio_min is None:
-        ratio_min = quasi_euclidean_ratio_min(
-            potential, neighborhood_radius=None if full_domain else neighborhood_radius
-        )
-    threshold = 0.5 * sigma if full_domain else sigma
-    return np.isfinite(ratio_min) & (ratio_min >= threshold)
+        ratio_min = quasi_euclidean_ratio_min(potential)
+    return np.isfinite(ratio_min) & (ratio_min >= sigma)
 
 
-def quasi_euclidean_constant(
-    potential: PotentialField, neighborhood_radius: float = 5.0, n: int = 2
-) -> float:
+def quasi_euclidean_constant(potential: PotentialField) -> float:
     """Instance constant bridging the lower and upper quasi-Euclidean bounds.
 
     At each center the scan records the smallest ratio sigma and the largest
-    ratio U of squared quasi-distance to squared distance over nearby pairs.
+    ratio U of squared quasi-distance to squared distance over pairs within
+    _RADIUS cells; n is the dimension _DIM.
     The bridge constant at the center is (U * sigma**(n-1))**(-1/2), the
     tightest c with U <= 1/(c**2 sigma**(n-1)); the instance constant is the
     minimum over centers. For the model quadratic both ratios are 1/2, giving
@@ -263,11 +258,11 @@ def quasi_euclidean_constant(
     value there, leaving the minimum to the clean bulk.
     """
     centers = _default_centers(potential, None)
-    lo, hi = _ratio_extrema(potential, neighborhood_radius, centers)
+    lo, hi = _ratio_extrema(potential, _RADIUS, centers)
     fin = np.isfinite(lo) & np.isfinite(hi) & (lo > 0)
     if not fin.any():
         raise GoodSetError("no centers with admissible pairs")
-    c_sq = 1.0 / (hi[fin] * lo[fin] ** (n - 1))
+    c_sq = 1.0 / (hi[fin] * lo[fin] ** (_DIM - 1))
     return float(np.sqrt(c_sq.min()))
 
 
@@ -294,11 +289,6 @@ def inclusion_check(
     u,
     beta: float,
     m: float,
-    c_inst: Optional[float] = None,
-    neighborhood_radius: float = 5.0,
-    centers: Optional[np.ndarray] = None,
-    max_fraction: float = 0.005,
-    n: int = 2,
 ) -> InclusionReport:
     """Verify that high second derivatives force exit from a quasi-Euclidean
     mask or from the good set.
@@ -306,24 +296,23 @@ def inclusion_check(
     Tests, node-wise over the center subsample, that every center with some
     second derivative above beta**m lies outside the local quasi-Euclidean
     mask at threshold (c_inst * beta**((m-1)/2))**(-2/(n-1)) or outside the
-    good set of opening beta. Violations are counted against a tolerance
-    layer. n is the ambient dimension entering the threshold exponent; the
-    runtime grid is planar so it defaults to 2.
+    good set of opening beta; c_inst is quasi_euclidean_constant. Violations
+    are counted against a tolerance layer of _MAX_FRACTION of the centers. n
+    is the ambient dimension entering the threshold exponent, _DIM on the
+    planar grids.
     """
     if m <= 1 or beta <= 0:
         raise GoodSetError("inclusion check needs m > 1 and beta > 0")
     grid = potential.grid
     vals, grad, hess = _solution_fields(potential, u)
-    if centers is None:
-        centers = _default_centers(potential, grad.quadratic_exact)
-    if c_inst is None:
-        c_inst = quasi_euclidean_constant(potential, neighborhood_radius)
-    sigma = (c_inst * beta ** ((m - 1.0) / 2.0)) ** (-2.0 / (n - 1))
+    centers = _default_centers(potential, grad.quadratic_exact)
+    c_inst = quasi_euclidean_constant(potential)
+    sigma = (c_inst * beta ** ((m - 1.0) / 2.0)) ** (-2.0 / (_DIM - 1))
 
     openings = minimal_opening_field(potential, u, centers=centers, _pre=(vals, grad))
     used = np.isfinite(openings)
     good = used & (openings <= beta)
-    rm = quasi_euclidean_ratio_min(potential, neighborhood_radius=neighborhood_radius, centers=centers)
+    rm = quasi_euclidean_ratio_min(potential, centers=centers)
     quasi = np.isfinite(rm) & (rm >= sigma)
 
     deriv = np.maximum(np.abs(hess.xx), np.maximum(np.abs(hess.yy), np.abs(hess.xy)))
@@ -342,7 +331,7 @@ def inclusion_check(
         n_level=n_level,
         n_violations=n_violations,
         fraction=fraction,
-        passed=fraction <= max_fraction,
+        passed=fraction <= _MAX_FRACTION,
     )
 
 
@@ -406,30 +395,26 @@ def good_set_survey(
     m: float = 2.0,
     M_grid=(),
     sigma_grid=(),
-    c_inst: Optional[float] = None,
-    neighborhood_radius: float = 5.0,
-    centers: Optional[np.ndarray] = None,
-    n: int = 2,
 ) -> GoodSetResult:
     """Distribution functions of the bad sets over a level grid.
 
     F counts centers whose largest second derivative exceeds level**m, F1
     those outside the local quasi-Euclidean mask at the level-dependent
     threshold, F2 those outside the good set of opening equal to the level.
-    All three are scaled to measures through the center subsample density.
+    The threshold is that of inclusion_check, with c_inst the
+    quasi_euclidean_constant of the potential. All three are scaled to
+    measures through the center subsample density.
     F1 is normalized over the centers where the ratio scan is measurable
     (the tangent trust region), since an unmeasurable tangent certifies
     neither membership nor exit.
     """
     grid = potential.grid
     vals, grad, hess = _solution_fields(potential, u)
-    if centers is None:
-        centers = _default_centers(potential, grad.quadratic_exact)
-    if c_inst is None:
-        c_inst = quasi_euclidean_constant(potential, neighborhood_radius)
+    centers = _default_centers(potential, grad.quadratic_exact)
+    c_inst = quasi_euclidean_constant(potential)
     openings = minimal_opening_field(potential, u, centers=centers, _pre=(vals, grad))
     used = np.isfinite(openings)
-    rm = quasi_euclidean_ratio_min(potential, neighborhood_radius=neighborhood_radius, centers=centers)
+    rm = quasi_euclidean_ratio_min(potential, centers=centers)
     deriv = np.maximum(np.abs(hess.xx), np.maximum(np.abs(hess.yy), np.abs(hess.xy)))
 
     n_used = int(used.sum())
@@ -442,7 +427,7 @@ def good_set_survey(
     F1 = np.zeros_like(beta_grid)
     F2 = np.zeros_like(beta_grid)
     for k, b in enumerate(beta_grid):
-        sigma = (c_inst * b ** ((m - 1.0) / 2.0)) ** (-2.0 / (n - 1))
+        sigma = (c_inst * b ** ((m - 1.0) / 2.0)) ** (-2.0 / (_DIM - 1))
         F[k] = (used & (deriv > b ** m)).sum() * scale
         F1[k] = (meas & (rm < sigma)).sum() * scale1
         F2[k] = (used & (openings > b)).sum() * scale

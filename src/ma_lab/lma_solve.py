@@ -10,7 +10,7 @@ principle is checked empirically by the tests rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -88,19 +88,20 @@ def operator_apply(cof: CofactorField, u: ScalarField) -> np.ndarray:
     return cof.xx * hess.xx + cof.yy * hess.yy + 2.0 * cof.xy * hess.xy
 
 
-def abp_check(solution: LmaSolution, domain_diameter: Optional[float] = None) -> AbpReport:
+def abp_check(solution: LmaSolution) -> AbpReport:
     """Measure the scale-invariant maximum-principle ratio of a solve.
 
-    R = ||u||_inf / (diam * ||f||_{L^2}); dimension 2 fixes the f-norm
-    exponent. A vanishing f forces a vanishing solution under zero boundary
-    data, so that case reports R = 0; a vanishing f under a nonzero solution
-    has no finite ratio and raises FieldError.
+    R = ||u||_inf / (diam * ||f||_{L^2}), with diam the domain's diameter;
+    dimension 2 fixes the f-norm exponent. A vanishing f forces a vanishing
+    solution under zero boundary data, so that case reports R = 0; a
+    vanishing f under a nonzero solution has no finite ratio and raises
+    FieldError.
     """
     grid = solution.grid
     f_fld = ScalarField(grid, np.where(grid.in_domain, solution.f_values, np.nan))
     f_l2 = lp_norm(f_fld, 2.0)
     u_inf = lp_norm(solution.u, np.inf)
-    diam = grid.domain.diameter() if domain_diameter is None else float(domain_diameter)
+    diam = grid.domain.diameter()
     if f_l2 == 0.0:
         if u_inf <= 1e-12:
             return AbpReport(ratio=0.0, u_inf=u_inf, f_l2=f_l2, diam=diam)

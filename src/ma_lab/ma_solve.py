@@ -54,6 +54,16 @@ from .domain_grid import (
 )
 
 _DIRECT_LIMIT = 257 * 257
+# Newton's iteration budget and the smallest step fraction its line search tries
+_MAX_ITER = 50
+_DAMPING_MIN = 2.0**-16
+# the convexity certificate tolerates eigenvalues down to -_CONVEX_TOL * Lam
+_CONVEX_TOL = 1e-6
+# quadratic_separation_check: pair separation floor in spacings, passing
+# floor on the ratios, and the most band nodes it pairs
+_SEP_MIN_FACTOR = 8.0
+_SEP_RHO_FLOOR = 0.01
+_SEP_MAX_BAND_NODES = 1200
 # floor on the linearized operator's diagonal coefficients; keeps the Newton
 # systems elliptic where the Hessian iterate is still degenerate or indefinite
 _ELLIPTIC_FLOOR = 1e-6
@@ -344,8 +354,7 @@ def _convexified_parts(H11, H22, H12, g_int):
     return F, c11, c22
 
 
-def _newton_loop(sysm: "NodeSystem", g_int: np.ndarray, U: np.ndarray,
-                 tol_ma: float, max_iter: int, damping_min: float) -> tuple[np.ndarray, int]:
+def _newton_loop(sysm: "NodeSystem", g_int: np.ndarray, U: np.ndarray, tol_ma: float) -> tuple[np.ndarray, int]:
     """Damped Newton on the convexified system from the given start vector.
 
     Convergence is declared in the max norm; the line search accepts a step
@@ -364,8 +373,8 @@ def _newton_loop(sysm: "NodeSystem", g_int: np.ndarray, U: np.ndarray,
     res_norm = float(np.max(np.abs(res)))
     iters = 0
     while res_norm > tol_ma:
-        if iters >= max_iter:
-            raise SolveError(f"Newton did not converge in {max_iter} iterations; last residual {res_norm:.3e}")
+        if iters >= _MAX_ITER:
+            raise SolveError(f"Newton did not converge in {_MAX_ITER} iterations; last residual {res_norm:.3e}")
         H11, H22, H12 = sysm.hessian_entries(U)
         _, c11, c22 = _convexified_parts(H11, H22, H12, g_int)
         J = sysm.interior_matrix(c11, c22, -H12)
@@ -378,7 +387,7 @@ def _newton_loop(sysm: "NodeSystem", g_int: np.ndarray, U: np.ndarray,
             if float(np.linalg.norm(new_res)) < res_l2 * (1.0 - 1e-4 * alpha):
                 break
             alpha *= 0.5
-            if alpha < damping_min:
+            if alpha < _DAMPING_MIN:
                 raise SolveError(f"Newton line search stalled; residual {res_norm:.3e} after {iters} iterations")
         U = trial
         res = new_res
@@ -387,25 +396,23 @@ def _newton_loop(sysm: "NodeSystem", g_int: np.ndarray, U: np.ndarray,
     return U, iters
 
 
+def _fill_nearest(vals: np.ndarray) -> np.ndarray:
+    """vals with each non-finite entry replaced by its nearest finite one."""
+    hole = ~np.isfinite(vals)
+    if hole.any():
+        idx = ndimage.distance_transform_edt(hole, return_distances=False, return_indices=True)
+        vals = vals[tuple(idx)]
+    return vals
+
+
 def _restrict_samples(fine: Grid, coarse: Grid, g) -> np.ndarray:
     """Density samples for the coarse grid when g was given as a fine array."""
-    vals = np.asarray(g, dtype=float)
-    filled = vals.copy()
-    hole = ~np.isfinite(filled)
-    if hole.any():
-        idx = ndimage.distance_transform_edt(hole, return_distances=False, return_indices=True)
-        filled = filled[tuple(idx)]
+    filled = _fill_nearest(np.asarray(g, dtype=float))
     pts = np.stack(coarse.meshes(), axis=-1).reshape(-1, 2)
-    out = fine.interp(filled, pts).reshape(coarse.shape)
-    hole = ~np.isfinite(out)
-    if hole.any():
-        idx = ndimage.distance_transform_edt(hole, return_distances=False, return_indices=True)
-        out = out[tuple(idx)]
-    return out
+    return _fill_nearest(fine.interp(filled, pts).reshape(coarse.shape))
 
 
-def _continuation_init(grid: Grid, sysm: "NodeSystem", g, boundary,
-                       tol_ma: float, max_iter: int, damping_min: float) -> Optional[np.ndarray]:
+def _continuation_init(grid: Grid, sysm: "NodeSystem", g, boundary, tol_ma: float) -> Optional[np.ndarray]:
     """Start vector from a double-spacing solve, prolonged by a cubic spline.
 
     Piecewise-linear prolongation is useless here: its kinks carry O(1)
@@ -421,13 +428,8 @@ def _continuation_init(grid: Grid, sysm: "NodeSystem", g, boundary,
     except GridError:
         return None
     g_coarse = _restrict_samples(grid, coarse, g) if isinstance(g, np.ndarray) and np.shape(g) == grid.shape else g
-    coarse_pot = solve_ma(coarse, g_coarse, boundary, tol_ma=tol_ma,
-                          max_iter=max_iter, damping_min=damping_min)
-    vals = coarse_pot.phi.values.copy()
-    hole = ~np.isfinite(vals)
-    if hole.any():
-        idx = ndimage.distance_transform_edt(hole, return_distances=False, return_indices=True)
-        vals = vals[tuple(idx)]
+    coarse_pot = solve_ma(coarse, g_coarse, boundary, tol_ma=tol_ma)
+    vals = _fill_nearest(coarse_pot.phi.values)
     spline = RectBivariateSpline(coarse.xs, coarse.ys, vals, kx=3, ky=3)
     return spline.ev(grid.xs[sysm.node_ij[:, 0]], grid.ys[sysm.node_ij[:, 1]])
 
@@ -436,14 +438,12 @@ def solve_ma(
     grid: Grid,
     g,
     boundary=0.0,
-    lam: Optional[float] = None,
-    Lam: Optional[float] = None,
     tol_ma: float = 1e-8,
-    max_iter: int = 50,
-    damping_min: float = 2.0**-16,
-    tol_convex_factor: float = 1e-6,
 ) -> PotentialField:
     """Solve det D^2 phi = g with Dirichlet datum `boundary`, certify convexity.
+
+    lam and Lam of the result are the min and max of g over the in-domain
+    nodes. Newton runs at most _MAX_ITER iterations.
 
     Parameters
     ----------
@@ -478,29 +478,28 @@ def solve_ma(
     if sysm.n > _DIRECT_LIMIT:
         # every Newton iterate is expensive here; start from a coarse-grid
         # solve instead of burning iterations on the smooth initial guess
-        U1 = _continuation_init(grid, sysm, g, boundary, tol_ma, max_iter, damping_min)
-        U, iters = _newton_loop(sysm, g_int, U1 if U1 is not None else laplacian_start(),
-                                tol_ma, max_iter, damping_min)
+        U1 = _continuation_init(grid, sysm, g, boundary, tol_ma)
+        U, iters = _newton_loop(sysm, g_int, U1 if U1 is not None else laplacian_start(), tol_ma)
     else:
         U0 = laplacian_start()
         try:
-            U, iters = _newton_loop(sysm, g_int, U0, tol_ma, max_iter, damping_min)
+            U, iters = _newton_loop(sysm, g_int, U0, tol_ma)
         except SolveError:
             # corner layers of flat-sided domains can defeat the smooth
             # initial guess at fine spacings; retry from a coarse-grid solve
-            U1 = _continuation_init(grid, sysm, g, boundary, tol_ma, max_iter, damping_min)
+            U1 = _continuation_init(grid, sysm, g, boundary, tol_ma)
             if U1 is None:
                 raise
-            U, iters = _newton_loop(sysm, g_int, U1, tol_ma, max_iter, damping_min)
+            U, iters = _newton_loop(sysm, g_int, U1, tol_ma)
 
     vals = sysm.to_grid_values(U)
     phi = ScalarField(grid, vals)
     grad, hess = fd_derivatives(phi)
     det_int = hess.det()[grid.interior]
     residual_max = float(np.max(np.abs(det_int - g_int)))
-    lam_eff = float(np.min(gd)) if lam is None else float(lam)
-    Lam_eff = float(np.max(gd)) if Lam is None else float(Lam)
-    report = certify_convexity(hess, grid.interior, tol=tol_convex_factor * Lam_eff)
+    lam_eff = float(np.min(gd))
+    Lam_eff = float(np.max(gd))
+    report = certify_convexity(hess, grid.interior, tol=_CONVEX_TOL * Lam_eff)
     if not report.passed:
         raise SolveError(
             f"convexity certification failed: min eigenvalue {report.min_eig:.3e} at {report.location}"
@@ -521,11 +520,13 @@ def solve_ma(
     )
 
 
-def assemble_potential(grid: Grid, phi_fn, g=None, lam=None, Lam=None, datum=None) -> PotentialField:
+def assemble_potential(grid: Grid, phi_fn, g=None) -> PotentialField:
     """Wrap analytic samples as a PotentialField without solving.
 
     Used for model potentials (for example |x|^2/2) whose derivatives the
-    stencils reproduce exactly. The boundary datum defaults to phi_fn itself.
+    stencils reproduce exactly. The boundary datum is phi_fn itself; lam and
+    Lam are the min and max of g (default the discrete det D^2 phi) over
+    the interior nodes.
     """
     phi = ScalarField.from_function(grid, phi_fn)
     grad, hess = fd_derivatives(phi)
@@ -535,12 +536,11 @@ def assemble_potential(grid: Grid, phi_fn, g=None, lam=None, Lam=None, datum=Non
     else:
         g_vals = coerce_samples(grid, g)
     gd = g_vals[grid.interior]
-    lam_eff = float(np.nanmin(gd)) if lam is None else float(lam)
-    Lam_eff = float(np.nanmax(gd)) if Lam is None else float(Lam)
+    lam_eff = float(np.nanmin(gd))
+    Lam_eff = float(np.nanmax(gd))
     res = float(np.nanmax(np.abs(det[grid.interior] - gd)))
-    if datum is None:
-        datum = lambda pts: np.asarray(phi_fn(np.atleast_2d(pts)[:, 0], np.atleast_2d(pts)[:, 1]), dtype=float)
-    report = certify_convexity(hess, grid.interior, tol=1e-6 * max(abs(Lam_eff), 1.0))
+    datum = lambda pts: np.asarray(phi_fn(np.atleast_2d(pts)[:, 0], np.atleast_2d(pts)[:, 1]), dtype=float)
+    report = certify_convexity(hess, grid.interior, tol=_CONVEX_TOL * max(abs(Lam_eff), 1.0))
     return PotentialField(
         domain=grid.domain,
         grid=grid,
@@ -580,20 +580,17 @@ def certify_convexity(hess: MatrixField, region: Optional[np.ndarray] = None, to
     return ConvexityReport(min_eig=min_eig, location=loc, tol=tol, passed=min_eig >= -tol)
 
 
-def quadratic_separation_check(
-    potential: PotentialField,
-    min_sep_factor: float = 8.0,
-    rho_floor: float = 0.01,
-    max_band_nodes: int = 1200,
-) -> SeparationReport:
+def quadratic_separation_check(potential: PotentialField) -> SeparationReport:
     """Separation ratios r = [phi(x) - phi(x0) - grad phi(x0).(x - x0)] / |x - x0|^2
     over pairs of boundary-band nodes.
 
-    The boundary-adjacent nodes stand in for boundary points; their one-sided
-    stencils are exact on quadratics, so model potentials give exact ratios.
-    Pairs closer than min_sep_factor * spacing are skipped (the ratio there is
-    dominated by stencil noise). Passing requires min r >= rho_floor with a
-    finite max; a flat-sided domain yields a warning, not a failure to run.
+    The boundary-adjacent nodes stand in for boundary points, at most
+    _SEP_MAX_BAND_NODES of them, evenly strided; their one-sided stencils
+    are exact on quadratics, so model potentials give exact ratios. Pairs
+    closer than _SEP_MIN_FACTOR * spacing are skipped (the ratio there is
+    dominated by stencil noise). Passing requires min r >= _SEP_RHO_FLOOR
+    with a finite max; a flat-sided domain yields a warning, not a failure
+    to run.
     """
     from .section_geom import pair_gaps  # deferred: section_geom imports this module
 
@@ -605,14 +602,14 @@ def quadratic_separation_check(
             "uniformly there, running the check anyway", UserWarning)
     band = grid.boundary_adjacent & potential.grad.quadratic_exact
     ri, rj = np.nonzero(band)
-    if len(ri) > max_band_nodes:
-        stride = int(np.ceil(len(ri) / max_band_nodes))
+    if len(ri) > _SEP_MAX_BAND_NODES:
+        stride = int(np.ceil(len(ri) / _SEP_MAX_BAND_NODES))
         ri, rj = ri[::stride], rj[::stride]
     _, gap = next(pair_gaps(potential, ri, rj, ri, rj, ri.size))
     dx = grid.xs[ri][None, :] - grid.xs[ri][:, None]
     dy = grid.ys[rj][None, :] - grid.ys[rj][:, None]
     d2 = dx * dx + dy * dy
-    min_sep = min_sep_factor * grid.spacing
+    min_sep = _SEP_MIN_FACTOR * grid.spacing
     sel = d2 >= min_sep * min_sep
     if not np.any(sel):
         raise FieldError("no boundary pairs at the requested separation")
@@ -620,7 +617,7 @@ def quadratic_separation_check(
     r_min = float(np.min(r))
     r_max = float(np.max(r))
     rho0 = min(r_min, 1.0 / r_max) if r_max > 0 else r_min
-    passed = bool(np.isfinite(r_max) and r_min >= rho_floor)
+    passed = bool(np.isfinite(r_max) and r_min >= _SEP_RHO_FLOOR)
     return SeparationReport(
         r_min=r_min,
         r_max=r_max,

@@ -23,6 +23,14 @@ class SectionError(ValueError):
 
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+# _nearest_in_domain searches this many nodes around the nearest grid node
+_NEAR_WINDOW = 4
+# interior_heights: centres per pair_gaps block
+_HEIGHTS_CHUNK = 2048
+# engulfing_samples: evenly spread directions of the extreme member cells
+_N_DIRECTIONS = 16
+# volume_scaling drops sections with fewer cells
+_MIN_CELLS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +69,12 @@ def phi_extended(potential: PotentialField, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _nearest_in_domain(grid: Grid, p, window: int = 4):
+def _nearest_in_domain(grid: Grid, p):
     i0, j0 = grid.nearest_node(p)
     best = None
     best_d = np.inf
-    for i in range(max(i0 - window, 0), min(i0 + window + 1, len(grid.xs))):
-        for j in range(max(j0 - window, 0), min(j0 + window + 1, len(grid.ys))):
+    for i in range(max(i0 - _NEAR_WINDOW, 0), min(i0 + _NEAR_WINDOW + 1, len(grid.xs))):
+        for j in range(max(j0 - _NEAR_WINDOW, 0), min(j0 + _NEAR_WINDOW + 1, len(grid.ys))):
             if not grid.in_domain[i, j]:
                 continue
             d = (grid.xs[i] - p[0]) ** 2 + (grid.ys[j] - p[1]) ** 2
@@ -93,14 +101,12 @@ def gradient_at(potential: PotentialField, p: np.ndarray) -> np.ndarray:
 def gap_from_index(potential: PotentialField, i: int, j: int) -> np.ndarray:
     """Tangent-plane gap of the potential relative to the node (i, j), over all nodes."""
     grid = potential.grid
-    X, Y = grid.meshes()
-    v = potential.phi.values
-    gx = potential.grad.gx[i, j]
-    gy = potential.grad.gy[i, j]
-    return v - v[i, j] - gx * (X - grid.xs[i]) - gy * (Y - grid.ys[j])
+    z = (grid.xs[i], grid.ys[j])
+    grad_z = (potential.grad.gx[i, j], potential.grad.gy[i, j])
+    return _gap_from_point(potential, z, potential.phi.values[i, j], grad_z)
 
 
-def _gap_from_point(potential: PotentialField, z: np.ndarray, phi_z: float, grad_z: np.ndarray) -> np.ndarray:
+def _gap_from_point(potential: PotentialField, z, phi_z: float, grad_z) -> np.ndarray:
     grid = potential.grid
     X, Y = grid.meshes()
     return potential.phi.values - phi_z - grad_z[0] * (X - z[0]) - grad_z[1] * (Y - z[1])
@@ -392,7 +398,7 @@ def section_cells(potential: PotentialField, ci, cj, heights) -> list[np.ndarray
     return out
 
 
-def interior_heights(potential: PotentialField, mask: Optional[np.ndarray] = None, chunk: int = 2048) -> np.ndarray:
+def interior_heights(potential: PotentialField, mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Minimum tangent gap from each node of the mask to the boundary band.
 
     This equals the maximal interior height only when every tangent gap of
@@ -409,7 +415,7 @@ def interior_heights(potential: PotentialField, mask: Optional[np.ndarray] = Non
     out = np.full(grid.shape, np.nan)
     ci, cj = np.nonzero(mask)
     ri, rj = np.nonzero(grid.boundary_adjacent)
-    for block, D in pair_gaps(potential, ci, cj, ri, rj, chunk):
+    for block, D in pair_gaps(potential, ci, cj, ri, rj, _HEIGHTS_CHUNK):
         out[ci[block], cj[block]] = D.min(axis=1)
     return out
 
@@ -604,12 +610,13 @@ class EngulfingReport:
     per_sample: list
 
 
-def engulfing_samples(potential: PotentialField, t_values, centers=None, n_random: int = 6, n_directions: int = 16, seed: int = 0):
+def engulfing_samples(potential: PotentialField, t_values, centers=None, n_random: int = 6, seed: int = 0):
     """Deterministic (center, height, member) triples for the engulfing sweep.
 
     For each center and height the member points include the extreme cells of
-    the section in evenly spread directions plus a few seeded random cells,
-    which is what pushes the measured constant toward its supremum.
+    the section in _N_DIRECTIONS evenly spread directions plus n_random seeded
+    random cells, which is what pushes the measured constant toward its
+    supremum.
     """
     grid = potential.grid
     if centers is None:
@@ -617,7 +624,7 @@ def engulfing_samples(potential: PotentialField, t_values, centers=None, n_rando
         k = np.argmin(grid.xs[ci] ** 2 + grid.ys[cj] ** 2)
         centers = [np.array([grid.xs[ci[k]], grid.ys[cj[k]]])]
     rng = np.random.default_rng(seed)
-    angles = np.linspace(0.0, 2.0 * np.pi, n_directions, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * np.pi, _N_DIRECTIONS, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     triples = []
     for c in centers:
@@ -674,10 +681,10 @@ class VolumeScalingFit:
     measures: np.ndarray
 
 
-def volume_scaling(potential: PotentialField, samples, min_cells: int = 20) -> VolumeScalingFit:
+def volume_scaling(potential: PotentialField, samples) -> VolumeScalingFit:
     """Least-squares exponent of section measure against height.
 
-    Sections with fewer than min_cells cells are dropped; fewer than four
+    Sections with fewer than _MIN_CELLS cells are dropped; fewer than four
     surviving samples is an error.
     """
     grid = potential.grid
@@ -688,12 +695,12 @@ def volume_scaling(potential: PotentialField, samples, min_cells: int = 20) -> V
         gap = gap_from_index(potential, *idx)
         cells = sublevel_cells(potential, gap, float(t), idx)
         count = int(cells.sum())
-        if count < min_cells:
+        if count < _MIN_CELLS:
             continue
         heights.append(float(t))
         measures.append(count * grid.cell_area)
     if len(heights) < 4:
-        raise SectionError(f"only {len(heights)} sections with at least {min_cells} cells; need 4")
+        raise SectionError(f"only {len(heights)} sections with at least {_MIN_CELLS} cells; need 4")
     heights = np.array(heights)
     measures = np.array(measures)
     Amat = np.stack([np.log(heights), np.ones_like(heights)], axis=1)

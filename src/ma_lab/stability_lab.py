@@ -25,6 +25,27 @@ class StabilityError(ValueError):
     pass
 
 
+# every sweep's perturbation sizes lie in (0, _EPS_UPPER)
+_EPS_UPPER = 0.5
+# the scaling oracles: perturbation size, norm exponent and relative tolerance
+_ORACLE_EPS = 0.2
+_ORACLE_Q = 2.0
+_ORACLE_GAMMA = 1.1
+_ORACLE_REL_TOL = 0.05
+# approximation_experiment compares on nodes at least this far from the boundary
+_INNER_MARGIN = 0.25
+# convex_w21e_check's Hessian integrability exponents
+_W21E_GAMMAS = (1.05, 1.1, 1.25)
+# contact_set_experiment: fewest measurable section cells, and the bound on
+# the defect at the smallest eps
+_CONTACT_MIN_CELLS = 8
+_CONTACT_SMALL_TOL = 0.05
+# w2p_ratio_sweep's small-exponent regime: the exponent and the strongly
+# varying density's eps
+_SMALL_P = 0.3
+_STRONG_EPS = 0.8
+
+
 @dataclass
 class Assertion:
     name: str
@@ -70,7 +91,7 @@ class ExperimentReport:
         }
 
 
-def check(assertions: list, name: str, lhs: float, op: str, rhs: float, tol: float = 0.0, note: str = "") -> bool:
+def check(assertions: list, name: str, lhs: float, op: str, rhs: float, tol: float = 0.0) -> bool:
     """Record the assertion lhs op rhs (within tol) and return whether it holds.
 
     op is one of <=, >=, < and ~ (|lhs - rhs| <= tol).
@@ -85,7 +106,7 @@ def check(assertions: list, name: str, lhs: float, op: str, rhs: float, tol: flo
         ok = abs(lhs - rhs) <= tol
     else:
         raise ValueError(f"unknown assertion op {op!r}")
-    assertions.append(Assertion(name, float(lhs), op, float(rhs), float(tol), bool(ok), note))
+    assertions.append(Assertion(name, float(lhs), op, float(rhs), float(tol), bool(ok)))
     return ok
 
 
@@ -154,11 +175,11 @@ def _matrix_diff_lq(grid: Grid, a, b, q: float) -> float:
     return lp_norm((grid, fro), q)
 
 
-def _validate_eps(eps_list, upper: float = 0.5):
+def _validate_eps(eps_list):
     eps_list = [float(e) for e in eps_list]
     for e in eps_list:
-        if not (0.0 < e < upper):
-            raise StabilityError(f"perturbation size must lie in (0, {upper}), got {e}")
+        if not (0.0 < e < _EPS_UPPER):
+            raise StabilityError(f"perturbation size must lie in (0, {_EPS_UPPER}), got {e}")
     return eps_list
 
 
@@ -210,26 +231,26 @@ def cofactor_stability_sweep(family: PinchedFamily, eps_list, q: float = 2.0,
     )
 
 
-def cofactor_scaling_oracle(family: PinchedFamily, eps: float = 0.2, q: float = 2.0,
-                            rel_tol: float = 0.05) -> ExperimentReport:
+def cofactor_scaling_oracle(family: PinchedFamily) -> ExperimentReport:
     """Constant-density perturbation with a closed-form answer.
 
     With density 1 + eps constant (a family with g0=None) the perturbed
     potential is sqrt(1 + eps) times the flat one, so the cofactor distance is
     (sqrt(1+eps) - 1) times the L^q norm of the flat cofactor. Measures both
-    sides.
+    sides at eps = _ORACLE_EPS and q = _ORACLE_Q; they must agree within
+    _ORACLE_REL_TOL.
     """
     if family.g0 is not None:
         raise StabilityError("the scaling oracle needs a constant-density family (g0=None)")
     grid = family.grid
-    (eps,) = _validate_eps([eps])
+    eps, q = _ORACLE_EPS, _ORACLE_Q
     W = cofactor_field(family.potential(0.0))
     pot = family.potential(eps)
     lhs = _matrix_diff_lq(grid, cofactor_field(pot), W, q)
     rhs = (np.sqrt(1.0 + eps) - 1.0) * lp_norm((grid, _hess_frobenius(W)), q)
     assertions = []
     check(assertions, "measured distance matches scaling prediction",
-          lhs, "~", rhs, tol=rel_tol * rhs)
+          lhs, "~", rhs, tol=_ORACLE_REL_TOL * rhs)
     return ExperimentReport(
         experiment="cofactor_scaling_oracle",
         config={"q": q, "eps": eps, "spacing": grid.spacing, "domain": grid.domain.kind},
@@ -294,22 +315,22 @@ def sobolev_stability_sweep(family: PinchedFamily, eps_list, gamma: float = 1.1,
     )
 
 
-def sobolev_scaling_oracle(family: PinchedFamily, eps: float = 0.2, gamma: float = 1.1,
-                           rel_tol: float = 0.05) -> ExperimentReport:
+def sobolev_scaling_oracle(family: PinchedFamily) -> ExperimentReport:
     """Constant-density pair: hessian distance equals (sqrt(1+eps)-1)*|D2w|_gamma.
 
-    The family must have g0=None, as for cofactor_scaling_oracle.
+    The family must have g0=None, as for cofactor_scaling_oracle; eps is
+    _ORACLE_EPS and gamma _ORACLE_GAMMA.
     """
     if family.g0 is not None:
         raise StabilityError("the scaling oracle needs a constant-density family (g0=None)")
     grid = family.grid
-    (eps,) = _validate_eps([eps])
+    eps, gamma = _ORACLE_EPS, _ORACLE_GAMMA
     w_pot = family.potential(0.0)
     pot = family.potential(eps)
     lhs = _matrix_diff_lq(grid, pot.hess, w_pot.hess, gamma)
     rhs = (np.sqrt(1.0 + eps) - 1.0) * lp_norm((grid, _hess_frobenius(w_pot.hess)), gamma)
     assertions = []
-    check(assertions, "hessian distance matches scaling prediction", lhs, "~", rhs, tol=rel_tol * rhs)
+    check(assertions, "hessian distance matches scaling prediction", lhs, "~", rhs, tol=_ORACLE_REL_TOL * rhs)
     return ExperimentReport(
         experiment="sobolev_scaling_oracle",
         config={"gamma": gamma, "eps": eps, "spacing": grid.spacing, "domain": grid.domain.kind},
@@ -325,38 +346,33 @@ def sobolev_scaling_oracle(family: PinchedFamily, eps: float = 0.2, gamma: float
 # ---------------------------------------------------------------------------
 
 
-def approximation_experiment(family: PinchedFamily, eps_list, f=0.0, datum=None,
-                             inner_margin: float = 0.25, threads: int = 1) -> ExperimentReport:
+def approximation_experiment(family: PinchedFamily, eps_list, threads: int = 1) -> ExperimentReport:
     """Distance between a solution and its flat-operator companion.
 
-    For each eps, u solves the linearized problem over the family's potential
-    at eps and h solves the homogeneous problem over the flat companion's
-    cofactor with the same boundary datum. The sup distance is measured on
-    the inner region (boundary distance at least inner_margin) where the
-    comparison is meaningful; it must decrease strictly as eps does when f
-    vanishes.
+    For each eps, u solves the homogeneous linearized problem over the
+    family's potential at eps and h the same problem over the flat
+    companion's cofactor, both with the boundary datum x**2. The sup distance
+    is measured on the inner region (boundary distance at least
+    _INNER_MARGIN) where the comparison is meaningful; it must decrease
+    strictly as eps does.
     """
     grid = family.grid
     eps_list = _validate_eps(eps_list)
-    if datum is None:
-        datum = lambda pts: np.atleast_2d(pts)[:, 0] ** 2
+    datum = lambda pts: np.atleast_2d(pts)[:, 0] ** 2
     W = cofactor_field(family.potential(0.0))
     h_sol = solve_lma(W, 0.0, boundary=datum)
 
     pts = grid.points(grid.in_domain)
     _, dist, _ = grid.domain.project_boundary(pts)
-    inner_flat = dist >= inner_margin
+    inner_flat = dist >= _INNER_MARGIN
     inner = np.zeros(grid.shape, dtype=bool)
     inner[grid.in_domain] = inner_flat
     if not inner.any():
-        raise StabilityError(f"inner margin {inner_margin} leaves no nodes to compare on")
-
-    X, Y = grid.meshes()
-    f_vals = f(X, Y) if callable(f) else f
+        raise StabilityError(f"inner margin {_INNER_MARGIN} leaves no nodes to compare on")
 
     def one(eps: float):
         pot = family.potential(eps)
-        u_sol = solve_lma(pot, f_vals, boundary=datum)
+        u_sol = solve_lma(pot, 0.0, boundary=datum)
         sup = float(np.max(np.abs(u_sol.u.values[inner] - h_sol.u.values[inner])))
         pdist = _matrix_diff_lq(grid, cofactor_field(pot), W, 2.0)
         return sup, pdist
@@ -366,15 +382,13 @@ def approximation_experiment(family: PinchedFamily, eps_list, f=0.0, datum=None,
     cof_dists = [p[1] for p in pairs]
     order = np.argsort(eps_list)
     assertions = []
-    is_homogeneous = not np.any(np.asarray(f_vals, dtype=float) != 0.0)
-    if is_homogeneous:
-        for lo, hi in zip(order[:-1], order[1:]):
-            check(assertions, f"sup|u-h| at eps={eps_list[lo]} < at eps={eps_list[hi]}",
-                  sups[lo], "<", sups[hi])
+    for lo, hi in zip(order[:-1], order[1:]):
+        check(assertions, f"sup|u-h| at eps={eps_list[lo]} < at eps={eps_list[hi]}",
+              sups[lo], "<", sups[hi])
     return ExperimentReport(
         experiment="approximation_experiment",
         config={"spacing": grid.spacing, "domain": grid.domain.kind, "eps": eps_list,
-                "inner_margin": inner_margin, "homogeneous": is_homogeneous},
+                "inner_margin": _INNER_MARGIN, "homogeneous": True},
         sweep=eps_list,
         measured={"sup_distance": sups, "cofactor_l2_distance": cof_dists},
         slopes={"sup_vs_eps": _loglog_slope(eps_list, sups)},
@@ -387,15 +401,16 @@ def approximation_experiment(family: PinchedFamily, eps_list, f=0.0, datum=None,
 # ---------------------------------------------------------------------------
 
 
-def convex_w21e_check(potential: PotentialField, f, gammas=(1.05, 1.1, 1.25),
-                      boundary=0.0) -> ExperimentReport:
+def convex_w21e_check(potential: PotentialField, f, boundary=0.0) -> ExperimentReport:
     """Hessian integrability ratios of a convex solution.
 
     Solves the linearized problem, certifies convexity of the solution (the
     experiment reports non-applicability instead of failing when the solution
-    is not convex), and reports |D2 v|_{L^gamma} / |f|_inf for each gamma.
+    is not convex), and reports |D2 v|_{L^gamma} / |f|_inf for each gamma in
+    _W21E_GAMMAS.
     """
     grid = potential.grid
+    gammas = _W21E_GAMMAS
     sol = solve_lma(potential, f, boundary=boundary)
     _, hess = fd_derivatives(sol.u)
     conv = certify_convexity(hess)
@@ -443,25 +458,23 @@ def convex_w21e_check(potential: PotentialField, f, gammas=(1.05, 1.1, 1.25),
 # ---------------------------------------------------------------------------
 
 
-def contact_set_experiment(family: PinchedFamily, eps_list, sigma: float, anchor=None,
-                           height: Optional[float] = None, min_cells: int = 8,
-                           small_tol: float = 0.05) -> ExperimentReport:
+def contact_set_experiment(family: PinchedFamily, eps_list, sigma: float,
+                           height: Optional[float] = None) -> ExperimentReport:
     """Fraction of a boundary-anchored section missed by the global mask.
 
-    For each eps the family's potential is taken, the section at the anchor is
-    flooded at the chosen height, and the defect is the fraction of its
+    For each eps the family's potential is taken, the section at the anchor
+    (the first of 64 boundary samples) is flooded at the chosen height, and the defect is the fraction of its
     measurable cells outside the full-domain quasi-Euclidean mask at the
     given sigma. Measurable means inside the scan's tangent trust region;
     cells in the gradient boundary layer cannot certify either way and are
     reported separately. The height is fixed once across the sweep (half the
     cap gap of the first instance when not given) so the sections stay
-    comparable. The defect must not grow as eps shrinks and must be small at
-    the smallest eps.
+    comparable. The defect must not grow as eps shrinks and must be at most
+    _CONTACT_SMALL_TOL at the smallest eps.
     """
     grid = family.grid
     eps_list = _validate_eps(eps_list)
-    if anchor is None:
-        anchor = grid.domain.boundary_samples(64)[0]
+    anchor = grid.domain.boundary_samples(64)[0]
     if height is None:
         height = 0.5 * measure_c_cap(family.potential(eps_list[0]))
     t = float(height)
@@ -473,7 +486,7 @@ def contact_set_experiment(family: PinchedFamily, eps_list, sigma: float, anchor
         rm = quasi_euclidean_ratio_min(pot, neighborhood_radius=None, centers=sec.cells)
         measurable = sec.cells & np.isfinite(rm)
         n_meas = int(measurable.sum())
-        if n_meas < min_cells:
+        if n_meas < _CONTACT_MIN_CELLS:
             raise StabilityError(
                 f"section at eps={eps} has only {n_meas} measurable cells"
                 f" of {n_cells}; raise the height or refine the grid"
@@ -492,7 +505,7 @@ def contact_set_experiment(family: PinchedFamily, eps_list, sigma: float, anchor
               defects[lo], "<=", defects[hi], tol=1e-12)
     smallest = int(order[0])
     check(assertions, f"defect small at eps={eps_list[smallest]}",
-          defects[smallest], "<=", small_tol)
+          defects[smallest], "<=", _CONTACT_SMALL_TOL)
     return ExperimentReport(
         experiment="contact_set_experiment",
         config={"sigma": sigma, "spacing": grid.spacing, "domain": grid.domain.kind,
@@ -511,23 +524,22 @@ def contact_set_experiment(family: PinchedFamily, eps_list, sigma: float, anchor
 # ---------------------------------------------------------------------------
 
 
-def w2p_ratio_sweep(family: PinchedFamily, eps_list, p: float = 2.0, q: float = 4.0, f=None,
-                    small_p: float = 0.3, strong_eps: float = 0.8, threads: int = 1) -> ExperimentReport:
+def w2p_ratio_sweep(family: PinchedFamily, eps_list, p: float = 2.0, q: float = 4.0,
+                    threads: int = 1) -> ExperimentReport:
     """Hessian-to-source norm ratios across the pinching sweep.
 
     R(eps) = |D2 u|_{L^p} / |f|_{L^q} for the solution over each of the
-    family's potentials. Boundedness is asserted as sup <= 3 * median over
-    the sweep; linearity is checked by scaling f tenfold at one sweep point;
-    the small-exponent quasi-norm regime runs once with a strongly varying
-    density.
+    family's potentials, with f = sin(pi x) cos(pi y) + 2. Boundedness is
+    asserted as sup <= 3 * median over the sweep; linearity is checked by
+    scaling f tenfold at one sweep point; the small-exponent quasi-norm
+    regime (p = _SMALL_P) runs once with the strongly varying density at
+    eps = _STRONG_EPS.
     """
     grid = family.grid
     eps_list = _validate_eps(eps_list)
     if not (1.0 < p < q and q > 2.0):
         raise StabilityError(f"need 1 < p < q and q > 2, got p={p}, q={q}")
-    if f is None:
-        f = lambda X, Y: np.sin(np.pi * X) * np.cos(np.pi * Y) + 2.0
-    f_vals = coerce_samples(grid, f)
+    f_vals = coerce_samples(grid, lambda X, Y: np.sin(np.pi * X) * np.cos(np.pi * Y) + 2.0)
 
     def ratio_on(fv: np.ndarray, eps: float, pp: float, qq: float) -> float:
         sol = solve_lma(family.potential(eps), fv)
@@ -547,14 +559,14 @@ def w2p_ratio_sweep(family: PinchedFamily, eps_list, p: float = 2.0, q: float = 
     check(assertions, f"ratio invariant under f -> 10f at eps={mid}",
           abs(r_scaled - r_mid), "<=", 1e-6 * r_mid)
 
-    r_small = ratio_on(f_vals, strong_eps, small_p, 2.0) if strong_eps < 1.0 else float("nan")
-    check(assertions, f"small-exponent ratio finite (p={small_p}, eps={strong_eps})",
+    r_small = ratio_on(f_vals, _STRONG_EPS, _SMALL_P, 2.0)
+    check(assertions, f"small-exponent ratio finite (p={_SMALL_P}, eps={_STRONG_EPS})",
           r_small, "<", np.inf)
 
     return ExperimentReport(
         experiment="w2p_ratio_sweep",
         config={"p": p, "q": q, "spacing": grid.spacing, "domain": grid.domain.kind,
-                "eps": eps_list, "small_p": small_p, "strong_eps": strong_eps},
+                "eps": eps_list, "small_p": _SMALL_P, "strong_eps": _STRONG_EPS},
         sweep=eps_list,
         measured={"ratio": ratios, "ratio_scaled_f": r_scaled, "ratio_small_exponent": r_small},
         slopes={"ratio_vs_eps": _loglog_slope(eps_list, ratios)},

@@ -1,0 +1,69 @@
+import ast
+from pathlib import Path
+
+import ma_lab
+
+SRC = Path(ma_lab.__file__).resolve().parent
+ROOT = SRC.parents[1]
+# perfbench's tracer binds maximal_function's n_heights by name to count
+# the pairs it scans, so it stays a parameter although no caller sets it
+ALLOWED = {"maximal_function.n_heights"}
+
+
+def _defaulted_parameters():
+    """(qualified name, call name, positional index or None) per defaulted parameter.
+
+    A method's index leaves out self, and __init__ is called by its class name.
+    """
+    out = []
+
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                pos = args.posonlyargs + args.args
+                first = len(pos) - len(args.defaults)
+                name = f"{prefix}{child.name}"
+                called = cls if cls and child.name == "__init__" else child.name
+                for k in range(first, len(pos)):
+                    out.append((f"{name}.{pos[k].arg}", called, k - (1 if cls else 0)))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out.append((f"{name}.{arg.arg}", called, None))
+                visit(child, f"{name}.", None)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", child.name)
+            else:
+                visit(child, prefix, cls)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), "", None)
+    return out
+
+
+def _calls():
+    """Per called name: (positional count, has *args, keyword names) of each call in src/ and tests/."""
+    calls = {}
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            # a ** splat is recorded as the keyword None and may set anything
+            calls.setdefault(name, []).append((len(node.args), starred, {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    calls = _calls()
+
+    def is_set(param, called, index):
+        arg = param.rsplit(".", 1)[1]
+        return any(arg in kws or None in kws or starred or (index is not None and n_pos > index)
+                   for n_pos, starred, kws in calls.get(called, ()))
+
+    unset = [param for param, called, index in _defaulted_parameters()
+             if not is_set(param, called, index) and param not in ALLOWED]
+    assert unset == []

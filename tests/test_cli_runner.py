@@ -166,6 +166,29 @@ def test_suite_runs_at_most_threads_experiments_with_inline_sweeps(tmp_path, mon
     assert sweep_threads and set(sweep_threads) == {1}
 
 
+def test_an_unwritable_experiment_file_fails_that_experiment_only(tmp_path, capsys):
+    blocked = tmp_path / "solve_ma" / "potential.csv"
+    blocked.mkdir(parents=True)
+    cfg = ExperimentConfig(experiment="suite", domain="disc", spacing=1.0 / 16, threads=2)
+    assert run(cfg, out_dir=str(tmp_path)) == 1
+    assert f"cannot write {blocked}: " in capsys.readouterr().err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert list(summary) == sorted(name for name, _ in cli_runner._SUITE)
+    assert summary["solve_ma"]["exit_code"] == 1
+    # the experiments queued behind it still ran
+    assert all((tmp_path / name / "report.json").is_file()
+               for name, _ in cli_runner._SUITE if name != "solve_ma")
+
+
+def test_an_unwritable_summary_is_reported(tmp_path, capsys):
+    blocked = tmp_path / "summary.json"
+    blocked.mkdir()
+    cfg = ExperimentConfig(experiment="suite", domain="disc", spacing=1.0 / 16, threads=2)
+    assert run(cfg, out_dir=str(tmp_path)) == 1
+    assert f"cannot write {blocked}: " in capsys.readouterr().err
+    assert all((tmp_path / name / "report.json").is_file() for name, _ in cli_runner._SUITE)
+
+
 @pytest.mark.parametrize("domain", ["disc", "square"])
 def test_barrier_circle_assertion_matches_the_verifier(tmp_path, monkeypatch, domain):
     reports = []

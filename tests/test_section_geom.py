@@ -44,6 +44,18 @@ def test_quasi_distance_nonnegative_and_zero_at_center(pinched32):
     assert float(quasi_distance(pot, (0.0, 0.0), np.array([0.0, 0.0]))) == 0.0
 
 
+def test_gap_from_index_is_the_tangent_gap_bitwise(pinched_suite32):
+    pot = pinched_suite32
+    grid = pot.grid
+    X, Y = grid.meshes()
+    v, gx, gy = pot.phi.values, pot.grad.gx, pot.grad.gy
+    ci, cj = np.nonzero(grid.in_domain)
+    for k in np.linspace(0, ci.size - 1, 9).astype(int):
+        i, j = ci[k], cj[k]
+        want = v - v[i, j] - gx[i, j] * (X - grid.xs[i]) - gy[i, j] * (Y - grid.ys[j])
+        assert np.array_equal(gap_from_index(pot, i, j), want, equal_nan=True)
+
+
 def test_quasi_distance_affine_invariance(model_square):
     grid = model_square.grid
     shifted = assemble_potential(

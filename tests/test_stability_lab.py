@@ -27,7 +27,8 @@ def constant_disc32(disc_domain):
 def test_scaling_oracle_matches_closed_form(constant_disc32, oracle):
     # density 1 + eps scales the flat potential by sqrt(1 + eps), so both
     # distances are (sqrt(1 + eps) - 1) times a norm of the flat solution
-    rep = oracle(constant_disc32, eps=0.2)
+    rep = oracle(constant_disc32)
+    assert rep.config["eps"] == 0.2
     assert rep.passed
     lhs, rhs = rep.measured["distance"], rep.measured["prediction"]
     assert rhs > 0.0
