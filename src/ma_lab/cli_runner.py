@@ -296,7 +296,8 @@ def _run_solve_ma(config: ExperimentConfig, out: str, family: PinchedFamily) -> 
         experiment="solve_ma", config=_config_echo(config), sweep=[],
         measured={"residual_max": pot.residual_max,
                   "convexity_margin": pot.convexity_margin,
-                  "newton_iterations": pot.newton_iterations},
+                  "newton_iterations": pot.newton_iterations,
+                  "start": pot.start},
         slopes={}, assertions=assertions,
     )
 

@@ -10,11 +10,16 @@ nearest boundary point must match the boundary datum there. That transfer is
 second-order accurate, which the convergence targets require; evaluating the
 datum at the projection alone would only be first-order.
 
-Newton is damped by an l2 Armijo line search and starts from the solution of
-Delta phi0 = 2 sqrt(g); if that fails (corner layers at fine spacings), the
-solve restarts once from a coarse-grid solution prolonged by a cubic spline.
-Above the direct-solve limit it starts from the coarse-grid solution, and
-the Laplacian start is built only if no coarser grid exists.
+Newton is damped by an l2 Armijo line search. A caller that holds a nearby
+solution passes its grid values as the start: PinchedFamily starts every
+pinched density 1 + eps*g0 from the flat potential, natural-parameter
+continuation in eps (Allgower and Georg 1990, ch. 2). Without a start, or
+when Newton fails from it, the solve starts from the solution of
+Delta phi0 = 2 sqrt(g); if that fails too (corner layers of flat-sided
+domains), it restarts once from a coarse-grid solution prolonged by a cubic
+spline. Above the direct-solve limit the coarse-grid solution replaces the
+Laplacian start, which is built only if no coarser grid exists. The result
+names the start that converged.
 
 Every linear system (Newton steps, the Laplacian start, every continuation
 level, and the linearized solves of lma_solve) is numbered by NodeSystem in
@@ -109,6 +114,9 @@ class PotentialField:
     residual_max: float
     boundary_datum: Callable
     newton_iterations: int = 0
+    # the Newton start that converged: "given" (the caller's values),
+    # "laplacian" or "coarse"
+    start: str = "given"
 
 
 @dataclass
@@ -439,11 +447,12 @@ def solve_ma(
     g,
     boundary=0.0,
     tol_ma: float = 1e-8,
+    start: Optional[np.ndarray] = None,
 ) -> PotentialField:
     """Solve det D^2 phi = g with Dirichlet datum `boundary`, certify convexity.
 
     lam and Lam of the result are the min and max of g over the in-domain
-    nodes. Newton runs at most _MAX_ITER iterations.
+    nodes. Newton runs at most _MAX_ITER iterations per start.
 
     Parameters
     ----------
@@ -451,12 +460,17 @@ def solve_ma(
         Right-hand side density; must be strictly positive on in-domain nodes.
     boundary : callable or scalar
         Dirichlet datum evaluated at boundary points.
+    start : array of grid shape, optional
+        Grid values of phi that Newton starts from, read at the in-domain
+        nodes. If Newton fails from it, the solve falls back to its own
+        start chain (see the module docstring).
 
     Raises
     ------
     SolveError
         Nonpositive density, Newton stall (with the last residual in the
-        message), iteration budget exhausted, or failed convexity certificate.
+        message), iteration budget exhausted, failed convexity certificate,
+        or a start of the wrong shape or not finite on the domain.
     """
     g_vals = coerce_samples(grid, g)
     gd = g_vals[grid.in_domain]
@@ -475,22 +489,37 @@ def solve_ma(
         rhs0[sysm.ring_rows] = sysm.ring_rhs
         return linear_solve(A0, rhs0)
 
-    if sysm.n > _DIRECT_LIMIT:
-        # every Newton iterate is expensive here; start from a coarse-grid
-        # solve instead of burning iterations on the smooth initial guess
-        U1 = _continuation_init(grid, sysm, g, boundary, tol_ma)
-        U, iters = _newton_loop(sysm, g_int, U1 if U1 is not None else laplacian_start(), tol_ma)
-    else:
-        U0 = laplacian_start()
+    def own_chain():
+        if sysm.n > _DIRECT_LIMIT:
+            # every Newton iterate is expensive here; start from a coarse-grid
+            # solve instead of burning iterations on the smooth initial guess
+            U1 = _continuation_init(grid, sysm, g, boundary, tol_ma)
+            if U1 is None:
+                return _newton_loop(sysm, g_int, laplacian_start(), tol_ma) + ("laplacian",)
+            return _newton_loop(sysm, g_int, U1, tol_ma) + ("coarse",)
         try:
-            U, iters = _newton_loop(sysm, g_int, U0, tol_ma)
+            return _newton_loop(sysm, g_int, laplacian_start(), tol_ma) + ("laplacian",)
         except SolveError:
             # corner layers of flat-sided domains can defeat the smooth
             # initial guess at fine spacings; retry from a coarse-grid solve
             U1 = _continuation_init(grid, sysm, g, boundary, tol_ma)
             if U1 is None:
                 raise
-            U, iters = _newton_loop(sysm, g_int, U1, tol_ma)
+            return _newton_loop(sysm, g_int, U1, tol_ma) + ("coarse",)
+
+    if start is None:
+        U, iters, used = own_chain()
+    else:
+        if np.shape(start) != grid.shape:
+            raise SolveError(f"start has shape {np.shape(start)}, the grid {grid.shape}")
+        U0 = np.asarray(start, dtype=float)[sysm.node_ij[:, 0], sysm.node_ij[:, 1]]
+        if not np.all(np.isfinite(U0)):
+            raise SolveError("start must be finite at every in-domain node")
+        try:
+            U, iters = _newton_loop(sysm, g_int, U0, tol_ma)
+            used = "given"
+        except SolveError:
+            U, iters, used = own_chain()
 
     vals = sysm.to_grid_values(U)
     phi = ScalarField(grid, vals)
@@ -517,6 +546,7 @@ def solve_ma(
         residual_max=residual_max,
         boundary_datum=datum,
         newton_iterations=iters,
+        start=used,
     )
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .domain_grid import ConvexDomain, Grid, coerce_samples, fd_derivatives, lp_norm
-from .ma_solve import PotentialField, certify_convexity, cofactor_field, solve_ma
+from .ma_solve import PotentialField, SolveError, certify_convexity, cofactor_field, solve_ma
 from .lma_solve import solve_lma
 from .section_geom import measure_c_cap, section
 from .good_sets import quasi_euclidean_ratio_min
@@ -134,6 +134,12 @@ class PinchedFamily:
     is solved by the first caller that asks for it, outside the lock, so
     different eps solve in parallel and later callers share the result (or
     the SolveError). Callers must not write into the returned potentials.
+
+    Every eps != 0 starts Newton from the flat potential phi_0, solving it
+    first if no caller has (continuation in eps). The start is always phi_0,
+    never the last eps finished, so each potential is the same whatever the
+    thread count or the order of requests. If phi_0 fails to solve, eps != 0
+    solves from solve_ma's own start chain and does not share that error.
     """
 
     def __init__(self, grid: Grid, g0: Optional[Callable] = None, tol_ma: float = 1e-8):
@@ -158,11 +164,22 @@ class PinchedFamily:
                 slot = self._solved[eps] = Future()
         if owner:
             try:
-                slot.set_result(solve_ma(self.grid, self.density(eps), tol_ma=self.tol_ma))
+                slot.set_result(solve_ma(self.grid, self.density(eps), tol_ma=self.tol_ma,
+                                         start=self._flat_values(eps)))
             except BaseException as exc:
                 slot.set_exception(exc)
                 raise
         return slot.result()
+
+    def _flat_values(self, eps: float) -> Optional[np.ndarray]:
+        """phi_0's grid values as the Newton start for eps; None for eps = 0
+        or when phi_0 failed."""
+        if eps == 0.0:
+            return None
+        try:
+            return self.potential(0.0).phi.values
+        except SolveError:
+            return None
 
 
 def _hess_frobenius(hess) -> np.ndarray:

@@ -20,16 +20,20 @@ def top_level_solves(monkeypatch):
 
     Nested solves (the coarse-grid restarts inside ma_solve) go through
     ma_solve's own binding and are not recorded. Each record keeps a copy of
-    the density, so a later write into the potential cannot alter it.
+    the density and of the Newton start, so a later write into a potential
+    cannot alter them.
     """
     records = []
     real = ma_solve.solve_ma
 
     def recording(grid, g, *args, **kwargs):
-        pot = real(grid, g, *args, **kwargs)
-        records.append({"grid": grid, "g": np.array(g, dtype=float, copy=True),
-                        "tol_ma": kwargs.get("tol_ma"), "pot": pot})
-        return pot
+        start = kwargs.get("start")
+        rec = {"grid": grid, "g": np.array(g, dtype=float, copy=True),
+               "tol_ma": kwargs.get("tol_ma"),
+               "start": None if start is None else np.array(start, copy=True)}
+        rec["pot"] = real(grid, g, *args, **kwargs)
+        records.append(rec)
+        return rec["pot"]
 
     for mod in (cli_runner, stability_lab):
         monkeypatch.setattr(mod, "solve_ma", recording, raising=False)
@@ -57,9 +61,11 @@ def test_suite_solves_each_potential_once(tmp_path, top_level_solves):
 
     # flat, the four cofactor eps (0.2, 0.1, 0.05, 0.025) and w2p's strong eps 0.8
     assert len(top_level_solves) == 6
+    # every pinched density starts from the flat potential, which starts alone
+    assert [rec["g"].ndim for rec in top_level_solves if rec["start"] is None] == [0]
     # no experiment wrote into a shared potential
     for rec in top_level_solves:
-        fresh = ma_solve.solve_ma(rec["grid"], rec["g"], tol_ma=rec["tol_ma"])
+        fresh = ma_solve.solve_ma(rec["grid"], rec["g"], tol_ma=rec["tol_ma"], start=rec["start"])
         assert _same_potential(rec["pot"], fresh)
 
 

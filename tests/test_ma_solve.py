@@ -356,3 +356,31 @@ def test_assembled_model_has_zero_residual_and_identity_hessian(model_square):
     it = model_square.grid.interior
     assert np.allclose(model_square.hess.xx[it], 1.0)
     assert model_square.convexity_margin == pytest.approx(1.0)
+
+
+def test_start_is_named_and_a_failed_start_falls_back():
+    grid = discretize(build_domain("square", side=2.0), 1.0 / 16)
+    alone = solve_ma(grid, 1.0)
+    assert alone.start == "laplacian"
+    # started at its own solution, Newton has nothing left to do
+    again = solve_ma(grid, 1.0, start=alone.phi.values)
+    assert (again.start, again.newton_iterations) == ("given", 0)
+    assert np.array_equal(again.phi.values, alone.phi.values, equal_nan=True)
+    # a checkerboard start defeats Newton; the Laplacian start still converges
+    checker = 1e3 * (np.indices(grid.shape).sum(axis=0) % 2 - 0.5)
+    fallback = solve_ma(grid, 1.0, start=checker)
+    assert fallback.start == "laplacian"
+    assert np.array_equal(fallback.phi.values, alone.phi.values, equal_nan=True)
+
+
+def test_start_must_fit_the_grid(disc_domain):
+    grid = discretize(disc_domain, 1.0 / 16)
+    with pytest.raises(SolveError, match="shape"):
+        solve_ma(grid, 1.0, start=np.zeros((3, 3)))
+    with pytest.raises(SolveError, match="finite"):
+        solve_ma(grid, 1.0, start=np.full(grid.shape, np.nan))
+
+
+def test_square_restart_is_named():
+    grid = discretize(build_domain("square", side=2.0), 1.0 / 32)
+    assert solve_ma(grid, 1.0).start == "coarse"

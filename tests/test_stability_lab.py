@@ -1,13 +1,14 @@
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ma_lab import stability_lab
-from ma_lab.domain_grid import discretize
-from ma_lab.ma_solve import SolveError
+from ma_lab.domain_grid import build_domain, discretize
+from ma_lab.ma_solve import SolveError, solve_ma
 from ma_lab.stability_lab import (
     PinchedFamily,
     StabilityError,
@@ -54,9 +55,15 @@ def test_family_densities(disc_domain):
 def test_family_solves_each_density_once_across_threads(disc_domain, monkeypatch):
     solved = []
 
-    def fake_solve(grid, g, tol_ma):
+    flat = SimpleNamespace(phi=SimpleNamespace(values=np.zeros(3)))
+
+    def fake_solve(grid, g, tol_ma, start):
         solved.append(g)
         time.sleep(0.005)
+        if g == 1.0:
+            assert start is None
+            return flat
+        assert start is flat.phi.values
         return object()
 
     monkeypatch.setattr(stability_lab, "solve_ma", fake_solve)
@@ -94,8 +101,8 @@ def test_family_solves_each_density_once_across_threads(disc_domain, monkeypatch
 def test_family_shares_a_failed_solve(disc_domain, monkeypatch):
     calls = []
 
-    def failing_solve(grid, g, tol_ma):
-        calls.append(g)
+    def failing_solve(grid, g, tol_ma, start):
+        calls.append((g, start))
         raise SolveError("no convergence")
 
     monkeypatch.setattr(stability_lab, "solve_ma", failing_solve)
@@ -103,4 +110,54 @@ def test_family_shares_a_failed_solve(disc_domain, monkeypatch):
     for _ in range(3):
         with pytest.raises(SolveError, match="no convergence"):
             family.potential(0.2)
-    assert len(calls) == 1
+    # the flat start is solved first; its failure leaves eps = 0.2 start-less
+    assert calls == [(1.0, None), (1.2, None)]
+
+
+def _family_phis(grid, g0, order, threads):
+    family = PinchedFamily(grid, g0)
+    pots = stability_lab.run_sweep(family.potential, order, threads=threads)
+    return {eps: pot.phi.values for eps, pot in zip(order, pots)}
+
+
+def test_family_potentials_do_not_depend_on_threads_or_order():
+    grid = discretize(build_domain("square", side=2.0), 1.0 / 16)
+    bump = default_bump(grid.domain)
+    eps = [0.2, 0.1, 0.05, 0.025]
+    runs = [_family_phis(grid, bump, eps, 1), _family_phis(grid, bump, eps, 2),
+            _family_phis(grid, bump, eps[::-1], 1), _family_phis(grid, bump, eps[::-1], 2)]
+    for phis in runs[1:]:
+        for e in eps:
+            assert np.array_equal(phis[e], runs[0][e], equal_nan=True), e
+
+
+def test_square_pinched_solve_continues_from_the_flat_potential():
+    # from the Laplacian start this solve needs 28 damped iterations
+    grid = discretize(build_domain("square", side=2.0), 1.0 / 32)
+    family = PinchedFamily(grid, default_bump(grid.domain))
+    pot = family.potential(0.025)
+    assert pot.start == "given"
+    assert pot.newton_iterations <= 3
+    alone = solve_ma(grid, family.density(0.025))
+    assert alone.start != "given"
+    assert np.nanmax(np.abs(pot.phi.values - alone.phi.values)) <= 1e-8
+
+
+def test_family_solves_on_its_own_when_the_flat_solve_fails(disc_domain, monkeypatch):
+    starts = []
+
+    def flat_fails(grid, g, tol_ma, start):
+        if np.ndim(g) == 0:
+            raise SolveError("flat solve failed")
+        starts.append(start)
+        return solve_ma(grid, g, tol_ma=tol_ma, start=start)
+
+    monkeypatch.setattr(stability_lab, "solve_ma", flat_fails)
+    grid = discretize(disc_domain, 1.0 / 16)
+    family = PinchedFamily(grid, default_bump(disc_domain))
+    pot = family.potential(0.2)
+    assert starts == [None]
+    assert pot.start == "laplacian"
+    assert pot.residual_max <= 1e-7
+    with pytest.raises(SolveError, match="flat solve failed"):
+        family.potential(0.0)

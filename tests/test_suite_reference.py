@@ -1,0 +1,78 @@
+"""The disc suite at 1/32 against its committed outputs.
+
+Every report.json value (wall times aside), every exit code and the row
+count of every CSV and .dat file must match suite_reference_disc32.json;
+floats match within 1e-12 relative. A change that moves outputs on purpose
+rewrites the file, so its diff shows what moved:
+
+    PYTHONPATH=src python tests/test_suite_reference.py
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+from ma_lab.cli_runner import ExperimentConfig, run
+
+REFERENCE = Path(__file__).with_name("suite_reference_disc32.json")
+REL_TOL = 1e-12
+
+
+def _flatten(prefix, value, out):
+    if isinstance(value, dict):
+        for k in sorted(value):
+            _flatten(f"{prefix}/{k}", value[k], out)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _flatten(f"{prefix}/{i}", v, out)
+    else:
+        out[prefix] = value
+
+
+def suite_values(out_dir: Path) -> dict:
+    """Exit codes, report values and file row counts of one suite run, by path."""
+    summary = json.loads((out_dir / "summary.json").read_text())
+    values = {f"{exp}/exit_code": entry["exit_code"] for exp, entry in summary.items()}
+    for path in sorted(out_dir.rglob("*")):
+        rel = path.relative_to(out_dir).as_posix()
+        if path.name == "report.json":
+            report = json.loads(path.read_text())
+            report.pop("wall_time", None)
+            _flatten(rel, report, values)
+        elif path.suffix in (".csv", ".dat"):
+            values[f"{rel}#rows"] = path.read_bytes().count(b"\n")
+    return values
+
+
+def run_suite(out_dir: Path) -> dict:
+    cfg = ExperimentConfig(experiment="suite", domain="disc", spacing=1.0 / 32, threads=2)
+    run(cfg, out_dir=str(out_dir))
+    return suite_values(out_dir)
+
+
+def _close(a, b) -> bool:
+    if a == b and type(a) is type(b):
+        return True
+    if not (isinstance(a, float) and isinstance(b, float)):
+        return False
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return abs(a - b) <= REL_TOL * max(abs(a), abs(b))
+
+
+def test_disc_suite_matches_reference(tmp_path):
+    want = json.loads(REFERENCE.read_text())
+    got = run_suite(tmp_path)
+    assert sorted(got) == sorted(want)
+    moved = [f"{k}: {want[k]!r} -> {got[k]!r}" for k in sorted(want) if not _close(got[k], want[k])]
+    assert not moved, "\n".join(moved)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        values = run_suite(Path(tmp))
+    REFERENCE.write_text(json.dumps(values, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(values)} values to {REFERENCE}", file=sys.stderr)
