@@ -5,9 +5,9 @@ The package is organized around one capability per module:
 - domain_grid: convex domains, grids, masks, finite differences, L^p norms
 - ma_solve: damped Newton solver for det D^2 phi = g, cofactors, certification
 - lma_solve: nine-point solver for the linearized operator trace(Phi D^2 u) = f
-- section_geom: quasi-distance, sections, maximal heights, localization, rescaling
-- covering_maximal: Vitali-style covers, covering verification, maximal function
-- good_sets: quasi-paraboloid trapping masks, quasi-Euclidean masks, decay fits
+- section_geom: quasi-distance, sections, maximal heights, localization, engulfing
+- covering_maximal: Vitali-style covers, the section maximal function
+- good_sets: quasi-paraboloid openings, quasi-Euclidean ratios, bad-set decay fits
 - barriers: explicit boundary supersolutions and their discrete verification
 - stability_lab: pinched-potential families, stability sweeps, W^{2,p} ratio experiments
 - cli_runner: config parsing and the ma-lab command line entry point

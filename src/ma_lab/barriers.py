@@ -8,7 +8,7 @@ checks the three defining inequalities node-wise and on sampled boundary
 pieces.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,13 +33,10 @@ _N_BOUNDARY_SAMPLES = 256
 class BarrierReport:
     threshold: float
     interior_max: float
-    interior_min: float
     n_interior: int
     boundary_min: float
-    n_boundary: int
     boundary_tol: float
     circle_min: float
-    n_circle: int
     circle_tol: float
     delta_tilde: float
     interior_passed: bool
@@ -63,7 +60,6 @@ class Barrier:
     frame: BoundaryFrame
     w: ScalarField
     mask: np.ndarray
-    report: Optional[BarrierReport] = field(default=None, repr=False)
 
 
 def _barrier_coefficients(lam: float, Lam: float, delta: float, n: int) -> tuple[float, float, float]:
@@ -158,7 +154,6 @@ def verify_supersolution(barrier: Barrier, potential: PotentialField) -> Barrier
     if not nodes.any():
         raise BarrierError("barrier patch contains no interior nodes; refine the grid or enlarge delta")
     interior_max = float(np.max(L[nodes]))
-    interior_min = float(np.min(L[nodes]))
     threshold = -barrier.n * barrier.Lam * (1.0 - _TOL_FACTOR)
 
     def w_at(pts: np.ndarray, phi_vals: np.ndarray) -> np.ndarray:
@@ -187,8 +182,7 @@ def verify_supersolution(barrier: Barrier, potential: PotentialField) -> Barrier
     )
     phi_c = phi_extended(potential, circ)
     ok = np.isfinite(phi_c)
-    n_circle = int(ok.sum())
-    if n_circle:
+    if ok.any():
         wc = w_at(circ[ok], phi_c[ok])
         circle_min = float(wc.min())
     else:
@@ -199,21 +193,16 @@ def verify_supersolution(barrier: Barrier, potential: PotentialField) -> Barrier
     )
     circle_tol = grid.spacing ** 2 * (hmax + 2.0 * barrier.delta_tilde + 2.0 * barrier.K)
 
-    report = BarrierReport(
+    return BarrierReport(
         threshold=threshold,
         interior_max=interior_max,
-        interior_min=interior_min,
         n_interior=int(nodes.sum()),
         boundary_min=boundary_min,
-        n_boundary=int(bpts.shape[0]),
         boundary_tol=boundary_tol,
         circle_min=circle_min,
-        n_circle=n_circle,
         circle_tol=circle_tol,
         delta_tilde=barrier.delta_tilde,
         interior_passed=interior_max <= threshold,
         boundary_passed=boundary_min >= -boundary_tol,
         circle_passed=circle_min >= barrier.delta_tilde - circle_tol,
     )
-    barrier.report = report
-    return report

@@ -1,12 +1,12 @@
 """Coverings by sections and the section maximal function.
 
 Implements the greedy selection of disjoint small-core sections whose
-half-height dilates cover a region, the square-root-density covering
-verifier, and the maximal operator that takes suprema of section averages
-over a fixed height grid.
+half-height dilates cover a region, and the maximal operator that takes
+suprema of section averages over a fixed height grid, with its strong-type
+ratio.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -14,8 +14,6 @@ import numpy as np
 from .domain_grid import FieldError, ScalarField, coerce_samples, lp_norm
 from .ma_solve import PotentialField
 from .section_geom import (
-    engulfing_constant,
-    engulfing_samples,
     gap_from_index,
     interior_heights,
     measure_c_cap,
@@ -31,10 +29,6 @@ _WALK_BLOCK = 512
 # vitali_cover's first core factor delta0, halved per round down to the floor
 _DELTA0 = 0.1
 _DELTA0_FLOOR = 0.0125
-# density_heights: rungs of the geometric height ladder
-_N_SCAN = 24
-# covering_select keeps sections whose density lies in this band times eps
-_DENSITY_BAND = (0.9, 1.1)
 # maximal_function: centres per pair_gaps block; it sets the scan's peak memory
 _MAXIMAL_CHUNK = 32
 
@@ -55,7 +49,6 @@ class CoveringResult:
     core_union: np.ndarray
     cover_union: np.ndarray
     coverage_defect: float
-    disjointness_violations: int
 
 
 def vitali_cover(potential: PotentialField, region: np.ndarray) -> CoveringResult:
@@ -128,7 +121,6 @@ def vitali_cover(potential: PotentialField, region: np.ndarray) -> CoveringResul
         m[cells] = True
         return m.reshape(grid.shape)
 
-    core_count = np.bincount(np.concatenate([cores[k] for k in picked]), minlength=size)
     centers = np.stack([grid.xs[ci[picked]], grid.ys[cj[picked]]], axis=-1)
     return CoveringResult(
         centers=centers,
@@ -139,188 +131,6 @@ def vitali_cover(potential: PotentialField, region: np.ndarray) -> CoveringResul
         core_union=core_union.reshape(grid.shape),
         cover_union=cover_union.reshape(grid.shape),
         coverage_defect=defect_cells * grid.cell_area,
-        disjointness_violations=int((core_count > 1).sum()),
-    )
-
-
-# ---------------------------------------------------------------------------
-# density-calibrated covering selection
-# ---------------------------------------------------------------------------
-
-
-def density_heights(
-    potential: PotentialField,
-    target: np.ndarray,
-    eps: float,
-    t_max: Optional[float] = None,
-) -> tuple[np.ndarray, list]:
-    """Per-point section heights whose target density is as close to eps as the grid allows.
-
-    For each target node the density |S(x,t) and target| / |S(x,t)| is scanned
-    over a geometric height ladder of _N_SCAN rungs from eight cells up to
-    t_max (default half the largest interior height). In the first rung
-    [a, b) where it falls from at least eps to below eps, the height is the
-    first of the centre's tangent gaps at which the density is at least eps
-    and just past which it is below eps; the density is piecewise constant
-    between gaps and need not be monotone inside the rung. Nodes where no
-    height reaches the band are returned in the excluded list.
-    """
-    grid = potential.grid
-    target = np.asarray(target, dtype=bool)
-    if not target.any():
-        raise CoveringError("density target set is empty")
-    if t_max is None:
-        hs = interior_heights(potential, mask=target & grid.interior)
-        t_max = 0.5 * float(np.nanmax(hs))
-    heights = np.full(grid.shape, np.nan)
-    excluded = []
-    ti_, tj_ = np.nonzero(target)
-    ladder = np.geomspace(8.0 * grid.cell_area, t_max, _N_SCAN)
-    for i, j in zip(ti_, tj_):
-        if not grid.interior[i, j]:
-            excluded.append(((grid.xs[i], grid.ys[j]), "not an interior node"))
-            continue
-        gap = gap_from_index(potential, i, j)
-        gap_dom = np.sort(gap[grid.in_domain])
-        gap_tgt = np.sort(gap[target])
-
-        def dens(t, side="left"):
-            # raw sublevel counts of gap < t (gap <= t with side="right");
-            # equal to the flood-filled section for a certified convex
-            # potential, and far cheaper inside the scan
-            n = np.searchsorted(gap_dom, t, side)
-            return np.searchsorted(gap_tgt, t, side) / np.maximum(n, 1)
-
-        d = dens(ladder)
-        k = np.flatnonzero((d[:-1] >= eps) & (d[1:] < eps))
-        if k.size == 0:
-            excluded.append(((grid.xs[i], grid.ys[j]), "no height reaches the density band"))
-            continue
-        a, b = ladder[k[0]], ladder[k[0] + 1]
-        # the density only moves at gap values; the first one in [a, b) past
-        # which it falls below eps is where the band is left
-        breaks = np.unique(gap[(grid.in_domain | target) & (gap >= a) & (gap < b)])
-        heights[i, j] = breaks[np.argmax(dens(breaks, "right") < eps)]
-    return heights, excluded
-
-
-@dataclass
-class SelectionResult:
-    centers: np.ndarray
-    heights: np.ndarray
-    section_masks: list
-    union_mask: np.ndarray
-    measure_target: float
-    measure_union: float
-    slack: float
-    bound: float
-    passed: bool
-    covers_target: bool
-    theta_star: float
-    excluded: list = field(default_factory=list)
-
-
-def covering_select(
-    potential: PotentialField,
-    target: np.ndarray,
-    eps: float,
-    heights: np.ndarray,
-) -> SelectionResult:
-    """Greedy subfamily of density-eps sections controlling the target measure.
-
-    Points whose measured density misses the band _DENSITY_BAND times eps are
-    reported and excluded. theta_star is the engulfing constant measured on
-    the three tallest remaining sections at the median and the largest
-    height. Selection walks remaining points by decreasing height; each pick
-    removes every point engulfed by the theta-star dilate of its section.
-    Points the selected sections leave uncovered get their own section
-    appended, so the union always contains the target. The verifier then
-    checks the measure of the target against sqrt(eps) times the union
-    measure plus a two-cell boundary-layer slack.
-    """
-    grid = potential.grid
-    target = np.asarray(target, dtype=bool)
-    if not target.any():
-        raise CoveringError("covering target set is empty")
-    ti_, tj_ = np.nonzero(target)
-    tvals = heights[ti_, tj_]
-
-    excluded = []
-    rows = []
-    cells_cache = {}
-    gaps_cache = {}
-    for k in range(ti_.size):
-        i, j = ti_[k], tj_[k]
-        t = tvals[k]
-        if not np.isfinite(t) or t <= 0:
-            excluded.append(((grid.xs[i], grid.ys[j]), "no height supplied"))
-            continue
-        gap = gap_from_index(potential, i, j)
-        cells = sublevel_cells(potential, gap, t, (i, j))
-        n = int(cells.sum())
-        dens = (cells & target).sum() / n if n else 0.0
-        if not (_DENSITY_BAND[0] * eps <= dens <= _DENSITY_BAND[1] * eps):
-            excluded.append(((grid.xs[i], grid.ys[j]), f"density {dens:.4f} outside the band"))
-            continue
-        rows.append(k)
-        cells_cache[k] = cells
-        gaps_cache[k] = gap
-    if not rows:
-        raise CoveringError("no target point satisfies the density precondition")
-    rows = np.asarray(rows)
-
-    t_med = float(np.median(tvals[rows]))
-    probe = rows[np.argsort(-tvals[rows], kind="stable")[: min(3, rows.size)]]
-    centers = [np.array([grid.xs[ti_[k]], grid.ys[tj_[k]]]) for k in probe]
-    samples = engulfing_samples(potential, [t_med, float(np.max(tvals[rows]))], centers=centers, n_random=4, seed=7)
-    theta_star = engulfing_constant(potential, samples).theta_star
-
-    order = rows[np.argsort(-tvals[rows], kind="stable")]
-    removed = np.zeros(grid.shape, dtype=bool)
-    selected = []
-    for k in order:
-        i, j = ti_[k], tj_[k]
-        if removed[i, j]:
-            continue
-        selected.append(k)
-        with np.errstate(invalid="ignore"):
-            removed |= gaps_cache[k] < theta_star * tvals[k]
-        removed[i, j] = True
-
-    union = np.zeros(grid.shape, dtype=bool)
-    for k in selected:
-        union |= cells_cache[k]
-    for k in order:
-        i, j = ti_[k], tj_[k]
-        if not union[i, j]:
-            selected.append(k)
-            union |= cells_cache[k]
-
-    eligible = np.zeros(grid.shape, dtype=bool)
-    eligible[ti_[rows], tj_[rows]] = True
-    covers = bool(np.all(union[eligible]))
-
-    perim = union & ~(
-        np.roll(union, 1, 0) & np.roll(union, -1, 0) & np.roll(union, 1, 1) & np.roll(union, -1, 1)
-    )
-    slack = 2.0 * int(perim.sum()) * grid.cell_area
-    measure_target = int(eligible.sum()) * grid.cell_area
-    measure_union = int(union.sum()) * grid.cell_area
-    bound = np.sqrt(eps) * measure_union + slack
-    centers = np.stack([grid.xs[ti_[selected]], grid.ys[tj_[selected]]], axis=-1)
-    return SelectionResult(
-        centers=centers,
-        heights=tvals[selected],
-        section_masks=[cells_cache[k] for k in selected],
-        union_mask=union,
-        measure_target=measure_target,
-        measure_union=measure_union,
-        slack=slack,
-        bound=bound,
-        passed=measure_target <= bound,
-        covers_target=covers,
-        theta_star=float(theta_star),
-        excluded=excluded,
     )
 
 

@@ -2,10 +2,9 @@
 
 A point belongs to the good set of opening M when the solution is trapped
 between quasi-paraboloids of opening M built from the potential's
-quasi-distance. This module computes minimal openings, the masks where the
-quasi-distance dominates the Euclidean one, the set inclusion connecting
-derivative level sets to those masks, power-law decay fits of the bad-set
-measures, and good-set density inside sections.
+quasi-distance. This module computes minimal openings, the ratio of the
+quasi-distance to the Euclidean one, and the distribution functions of the
+bad sets with their power-law decay fits.
 """
 
 from dataclasses import dataclass
@@ -31,8 +30,6 @@ _DIM = 2
 _CHUNK = 64
 # the quasi-Euclidean scans' neighbourhood radius, in grid cells
 _RADIUS = 5.0
-# inclusion_check passes when at most this fraction of centres violates it
-_MAX_FRACTION = 0.005
 
 
 def tangent_trust_region(potential: PotentialField, margin: int = 3) -> np.ndarray:
@@ -75,35 +72,6 @@ def _default_centers(potential: PotentialField, grad_exact: Optional[np.ndarray]
     return centers
 
 
-def minimal_opening(potential: PotentialField, u, xbar, d_min: Optional[float] = None) -> float:
-    """Least paraboloid opening trapping u around the node nearest xbar.
-
-    Twice the supremum of |u(x) - u(xbar) - grad u(xbar).(x - xbar)| over the
-    squared quasi-distance, taken over nodes with squared quasi-distance at
-    least d_min (default twice the squared spacing, a guard against 0/0
-    noise at near-coincident pairs).
-    """
-    grid = potential.grid
-    idx = grid.nearest_node(xbar)
-    if not grid.interior[idx]:
-        raise GoodSetError("center must be an interior node")
-    vals, grad, _ = _solution_fields(potential, u)
-    field = minimal_opening_field(
-        potential, u, centers=_single_center_mask(grid, idx), d_min=d_min,
-        _pre=(vals, grad),
-    )
-    out = field[idx]
-    if not np.isfinite(out):
-        raise GoodSetError("grid too coarse around the center: all pairs fall below the distance floor")
-    return float(out)
-
-
-def _single_center_mask(grid, idx):
-    m = np.zeros(grid.shape, dtype=bool)
-    m[idx] = True
-    return m
-
-
 def minimal_opening_field(
     potential: PotentialField,
     u,
@@ -111,7 +79,15 @@ def minimal_opening_field(
     d_min: Optional[float] = None,
     _pre=None,
 ) -> np.ndarray:
-    """Minimal openings at many centers; NaN where no admissible pair exists."""
+    """Least paraboloid openings trapping u around each center node.
+
+    At a center xbar the opening is twice the supremum of
+    |u(x) - u(xbar) - grad u(xbar).(x - xbar)| over the squared
+    quasi-distance, taken over in-domain nodes with squared quasi-distance at
+    least d_min (default twice the squared spacing, a guard against 0/0 noise
+    at near-coincident pairs). NaN where no admissible pair exists and off
+    the centers.
+    """
     grid = potential.grid
     if d_min is None:
         d_min = 2.0 * grid.spacing ** 2
@@ -226,24 +202,6 @@ def quasi_euclidean_ratio_min(
     return lo
 
 
-def local_quasi_euclidean_mask(
-    potential: PotentialField,
-    sigma: float,
-    ratio_min: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Centers where the squared quasi-distance dominates sigma times squared distance.
-
-    Node pairs within the neighborhood radius (_RADIUS cells) are tested
-    against sigma itself. ratio_min, when given, is
-    quasi_euclidean_ratio_min(potential) already computed.
-    """
-    if sigma <= 0:
-        raise GoodSetError(f"sigma must be positive, got {sigma}")
-    if ratio_min is None:
-        ratio_min = quasi_euclidean_ratio_min(potential)
-    return np.isfinite(ratio_min) & (ratio_min >= sigma)
-
-
 def quasi_euclidean_constant(potential: PotentialField) -> float:
     """Instance constant bridging the lower and upper quasi-Euclidean bounds.
 
@@ -264,75 +222,6 @@ def quasi_euclidean_constant(potential: PotentialField) -> float:
         raise GoodSetError("no centers with admissible pairs")
     c_sq = 1.0 / (hi[fin] * lo[fin] ** (_DIM - 1))
     return float(np.sqrt(c_sq.min()))
-
-
-# ---------------------------------------------------------------------------
-# inclusion of derivative level sets in bad sets
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class InclusionReport:
-    beta: float
-    m: float
-    c_inst: float
-    sigma_value: float
-    n_centers: int
-    n_level: int
-    n_violations: int
-    fraction: float
-    passed: bool
-
-
-def inclusion_check(
-    potential: PotentialField,
-    u,
-    beta: float,
-    m: float,
-) -> InclusionReport:
-    """Verify that high second derivatives force exit from a quasi-Euclidean
-    mask or from the good set.
-
-    Tests, node-wise over the center subsample, that every center with some
-    second derivative above beta**m lies outside the local quasi-Euclidean
-    mask at threshold (c_inst * beta**((m-1)/2))**(-2/(n-1)) or outside the
-    good set of opening beta; c_inst is quasi_euclidean_constant. Violations
-    are counted against a tolerance layer of _MAX_FRACTION of the centers. n
-    is the ambient dimension entering the threshold exponent, _DIM on the
-    planar grids.
-    """
-    if m <= 1 or beta <= 0:
-        raise GoodSetError("inclusion check needs m > 1 and beta > 0")
-    grid = potential.grid
-    vals, grad, hess = _solution_fields(potential, u)
-    centers = _default_centers(potential, grad.quadratic_exact)
-    c_inst = quasi_euclidean_constant(potential)
-    sigma = (c_inst * beta ** ((m - 1.0) / 2.0)) ** (-2.0 / (_DIM - 1))
-
-    openings = minimal_opening_field(potential, u, centers=centers, _pre=(vals, grad))
-    used = np.isfinite(openings)
-    good = used & (openings <= beta)
-    rm = quasi_euclidean_ratio_min(potential, centers=centers)
-    quasi = np.isfinite(rm) & (rm >= sigma)
-
-    deriv = np.maximum(np.abs(hess.xx), np.maximum(np.abs(hess.yy), np.abs(hess.xy)))
-    level = used & (deriv > beta ** m)
-    violations = level & quasi & good
-    n_centers = int(used.sum())
-    n_level = int(level.sum())
-    n_violations = int(violations.sum())
-    fraction = n_violations / n_centers if n_centers else 0.0
-    return InclusionReport(
-        beta=float(beta),
-        m=float(m),
-        c_inst=float(c_inst),
-        sigma_value=float(sigma),
-        n_centers=n_centers,
-        n_level=n_level,
-        n_violations=n_violations,
-        fraction=fraction,
-        passed=fraction <= _MAX_FRACTION,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +264,6 @@ def decay_fit(samples, min_measure: float = 0.0) -> DecayFit:
 @dataclass
 class GoodSetResult:
     centers: np.ndarray
-    openings: np.ndarray
     good_masks: dict
     quasi_masks: dict
     beta_grid: np.ndarray
@@ -385,7 +273,6 @@ class GoodSetResult:
     fits: dict
     c_inst: float
     m: float
-    scale: float
 
 
 def good_set_survey(
@@ -401,9 +288,10 @@ def good_set_survey(
     F counts centers whose largest second derivative exceeds level**m, F1
     those outside the local quasi-Euclidean mask at the level-dependent
     threshold, F2 those outside the good set of opening equal to the level.
-    The threshold is that of inclusion_check, with c_inst the
-    quasi_euclidean_constant of the potential. All three are scaled to
-    measures through the center subsample density.
+    At level b the threshold on the ratio is
+    sigma(b) = (c_inst * b**((m-1)/2))**(-2/(n-1)), with c_inst the
+    quasi_euclidean_constant of the potential and n the dimension _DIM. All
+    three are scaled to measures through the center subsample density.
     F1 is normalized over the centers where the ratio scan is measurable
     (the tangent trust region), since an unmeasurable tangent certifies
     neither membership nor exit.
@@ -447,7 +335,6 @@ def good_set_survey(
         pass
     return GoodSetResult(
         centers=centers,
-        openings=openings,
         good_masks=good_masks,
         quasi_masks=quasi_masks,
         beta_grid=beta_grid,
@@ -457,21 +344,5 @@ def good_set_survey(
         fits=fits,
         c_inst=float(c_inst),
         m=float(m),
-        scale=float(scale),
     )
 
-
-def density_in_section(potential: PotentialField, u, section, N: float) -> float:
-    """Fraction of section cells whose minimal opening is at most N over the height.
-
-    Cells without a grid gradient of u count as outside the good set, so the
-    denominator is the full cell count of the section.
-    """
-    if N <= 0:
-        raise GoodSetError(f"N must be positive, got {N}")
-    openings = minimal_opening_field(potential, u, centers=section.cells)
-    inside = openings[section.cells]
-    if inside.size == 0:
-        raise GoodSetError("section has no cells")
-    good = np.isfinite(inside) & (inside <= N / section.height)
-    return float(good.sum() / inside.size)

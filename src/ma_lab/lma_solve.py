@@ -34,7 +34,6 @@ class AbpReport:
 
     ratio: float
     u_inf: float
-    f_l2: float
     diam: float
 
 
@@ -104,6 +103,6 @@ def abp_check(solution: LmaSolution) -> AbpReport:
     diam = grid.domain.diameter()
     if f_l2 == 0.0:
         if u_inf <= 1e-12:
-            return AbpReport(ratio=0.0, u_inf=u_inf, f_l2=f_l2, diam=diam)
+            return AbpReport(ratio=0.0, u_inf=u_inf, diam=diam)
         raise FieldError("ABP ratio undefined: f vanishes but the solution does not")
-    return AbpReport(ratio=u_inf / (diam * f_l2), u_inf=u_inf, f_l2=f_l2, diam=diam)
+    return AbpReport(ratio=u_inf / (diam * f_l2), u_inf=u_inf, diam=diam)

@@ -82,7 +82,6 @@ class SolveError(RuntimeError):
 class ConvexityReport:
     min_eig: float
     location: tuple[float, float]
-    tol: float
     passed: bool
 
 
@@ -607,7 +606,7 @@ def certify_convexity(hess: MatrixField, region: Optional[np.ndarray] = None, to
     k = np.unravel_index(np.argmin(masked), masked.shape)
     min_eig = float(masked[k])
     loc = (float(grid.xs[k[0]]), float(grid.ys[k[1]]))
-    return ConvexityReport(min_eig=min_eig, location=loc, tol=tol, passed=min_eig >= -tol)
+    return ConvexityReport(min_eig=min_eig, location=loc, passed=min_eig >= -tol)
 
 
 def quadratic_separation_check(potential: PotentialField) -> SeparationReport:

@@ -4,8 +4,7 @@ Sections are connected sublevel sets of the potential below a lifted tangent
 plane. This module computes the quasi-distance that generates them, extracts
 sections by flood fill, measures maximal interior heights, fits the
 boundary-localization shear, measures engulfing and volume-scaling behavior,
-classifies sections as interior or boundary dominated, and applies the two
-standard rescalings (sup-norm preserving and curvature preserving).
+and classifies sections as interior or boundary dominated.
 """
 
 from dataclasses import dataclass
@@ -14,7 +13,7 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 
-from .domain_grid import Grid, ScalarField, coerce_samples
+from .domain_grid import Grid
 from .ma_solve import PotentialField
 
 
@@ -149,13 +148,11 @@ class Section:
     """A connected tangent-sublevel set of the potential."""
 
     center: np.ndarray
-    center_index: tuple
     height: float
     cells: np.ndarray
     measure: float
     centroid: np.ndarray
     is_interior: bool
-    tangency_point: Optional[np.ndarray]
     ellipsoid_fit: Optional[EllipsoidFit]
     warning: Optional[str] = None
 
@@ -197,8 +194,7 @@ def section(potential: PotentialField, x, t: float) -> Section:
 
     The cell set is the flood-fill component of the strict sublevel set that
     contains the center. is_interior reports whether the doubled-height
-    section stays clear of the boundary band; when it does not, the nearest
-    boundary point to the deepest band node is recorded as tangency_point.
+    section stays clear of the boundary band.
     """
     if not t > 0:
         raise SectionError("section height must be positive")
@@ -214,28 +210,16 @@ def section(potential: PotentialField, x, t: float) -> Section:
     warning = "section is a single cell at this height" if count == 1 else None
 
     cells2 = sublevel_cells(potential, gap, 2.0 * t, idx)
-    band = cells2 & grid.boundary_adjacent
-    if band.any():
-        is_interior = False
-        bi, bj = np.nonzero(band)
-        k = np.argmin(gap[bi, bj])
-        node = np.array([grid.xs[bi[k]], grid.ys[bj[k]]])
-        proj, _, _ = grid.domain.project_boundary(node)
-        tangency = proj[0]
-    else:
-        is_interior = True
-        tangency = None
+    is_interior = not (cells2 & grid.boundary_adjacent).any()
 
     fit = _moment_ellipse(grid, cells, measure) if count >= 3 else None
     return Section(
         center=np.array([grid.xs[idx[0]], grid.ys[idx[1]]]),
-        center_index=idx,
         height=float(t),
         cells=cells,
         measure=measure,
         centroid=centroid,
         is_interior=is_interior,
-        tangency_point=tangency,
         ellipsoid_fit=fit,
         warning=warning,
     )
@@ -604,12 +588,6 @@ def localization_fit(potential: PotentialField, boundary_point, h: float) -> Loc
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EngulfingReport:
-    theta_star: float
-    per_sample: list
-
-
 def engulfing_samples(potential: PotentialField, t_values, centers=None, n_random: int = 6, seed: int = 0):
     """Deterministic (center, height, member) triples for the engulfing sweep.
 
@@ -647,7 +625,7 @@ def engulfing_samples(potential: PotentialField, t_values, centers=None, n_rando
     return triples
 
 
-def engulfing_constant(potential: PotentialField, samples) -> EngulfingReport:
+def engulfing_constant(potential: PotentialField, samples) -> float:
     """Smallest uniform dilation factor observed to swallow sections from inside points.
 
     For each (center, height, member) triple with the member inside the
@@ -655,7 +633,6 @@ def engulfing_constant(potential: PotentialField, samples) -> EngulfingReport:
     member's section of height theta * t, then takes the supremum.
     """
     grid = potential.grid
-    per_sample = []
     theta_star = 0.0
     for x, t, y in samples:
         idx = grid.nearest_node(x)
@@ -665,10 +642,8 @@ def engulfing_constant(potential: PotentialField, samples) -> EngulfingReport:
         if not cells[yidx]:
             raise SectionError(f"sample member {tuple(np.asarray(y))} lies outside the section at {tuple(np.asarray(x))}")
         gap_y = gap_from_index(potential, *yidx)
-        theta = float(np.max(gap_y[cells]) / t)
-        per_sample.append((np.asarray(x, dtype=float), float(t), np.asarray(y, dtype=float), theta))
-        theta_star = max(theta_star, theta)
-    return EngulfingReport(theta_star=theta_star, per_sample=per_sample)
+        theta_star = max(theta_star, float(np.max(gap_y[cells]) / t))
+    return theta_star
 
 
 @dataclass
@@ -752,88 +727,3 @@ def dichotomy_classify(potential: PotentialField, x, t: float) -> DichotomyResul
     c_bar = max(float(np.max(gap_z[cells2])) / t, 0.0)
     return DichotomyResult(kind="boundary", boundary_point=z, c_bar=c_bar, doubled_cells=cells2)
 
-
-# ---------------------------------------------------------------------------
-# rescalings
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RescaleResult:
-    triple: RescaledTriple
-    mode: str
-    u_values: np.ndarray
-    f_values: np.ndarray
-    sup_before: float
-    sup_after: float
-    integral_ratio: Optional[float]
-
-
-def rescale(potential: PotentialField, u, f, anchor, h: float, mode: str) -> RescaleResult:
-    """Rescale a solution and right side over the section at the anchor.
-
-    mode "linf" keeps the solution values and multiplies the right side by
-    the height, so the sup norm is preserved exactly on the node images.
-    mode "w2inf" divides the solution by the height and keeps the right side,
-    so second derivatives transport by the shear alone and the node mean of
-    the squared right side is preserved exactly.
-
-    Boundary anchors use the localization shear; interior anchors must carry
-    a section of the requested height inside the domain and use the moment
-    shear about the anchor node.
-    """
-    if mode not in ("linf", "w2inf"):
-        raise ValueError(f"unknown rescale mode {mode!r}")
-    if not h > 0:
-        raise SectionError("rescale height must be positive")
-    grid = potential.grid
-    u_vals = coerce_samples(grid, u.values if isinstance(u, ScalarField) else u)
-    f_vals = coerce_samples(grid, f.values if isinstance(f, ScalarField) else f)
-
-    anchor = np.asarray(anchor, dtype=float)
-    _, dist, _ = grid.domain.project_boundary(anchor)
-    if float(dist[0]) <= 0.5 * grid.spacing:
-        fit = localization_fit(potential, anchor, h)
-        A = fit.triple.map_A
-        Y_all = fit.frame.to_frame(grid.points(grid.in_domain))
-        gap = frame_gap(potential, fit.frame)
-        cells = fit.cells
-    else:
-        idx = grid.nearest_node(anchor)
-        if not grid.interior[idx]:
-            raise SectionError("interior anchor must be an interior node")
-        hbar, _ = maximal_height(potential, anchor)
-        if h > hbar * (1.0 + 1e-9):
-            raise SectionError(f"anchor has no localization fit: height {h} exceeds the maximal interior height {hbar:.6g}")
-        gap = gap_from_index(potential, *idx)
-        cells = sublevel_cells(potential, gap, h, idx)
-        base = np.array([grid.xs[idx[0]], grid.ys[idx[1]]])
-        Y_all = grid.points(grid.in_domain) - base
-        tau = _shear_fit(Y_all[cells[grid.in_domain]])
-        A = np.array([[1.0, -tau], [0.0, 1.0]])
-
-    cells_flat = cells[grid.in_domain]
-    gap_flat = gap[grid.in_domain]
-    triple = _build_triple(grid, Y_all, gap_flat, cells_flat, A, h)
-
-    u_flat = u_vals[grid.in_domain]
-    f_flat = f_vals[grid.in_domain]
-    if mode == "linf":
-        u_h = u_flat.copy()
-        f_h = h * f_flat
-        integral_ratio = None
-    else:
-        u_h = u_flat / h
-        f_h = f_flat.copy()
-        m_before = float(np.mean(np.abs(f_flat) ** 2))
-        m_after = float(np.mean(np.abs(f_h) ** 2))
-        integral_ratio = m_after / m_before if m_before > 0 else np.nan
-    return RescaleResult(
-        triple=triple,
-        mode=mode,
-        u_values=u_h,
-        f_values=f_h,
-        sup_before=float(np.max(np.abs(u_flat))),
-        sup_after=float(np.max(np.abs(u_h))),
-        integral_ratio=integral_ratio,
-    )

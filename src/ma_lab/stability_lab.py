@@ -27,11 +27,6 @@ class StabilityError(ValueError):
 
 # every sweep's perturbation sizes lie in (0, _EPS_UPPER)
 _EPS_UPPER = 0.5
-# the scaling oracles: perturbation size, norm exponent and relative tolerance
-_ORACLE_EPS = 0.2
-_ORACLE_Q = 2.0
-_ORACLE_GAMMA = 1.1
-_ORACLE_REL_TOL = 0.05
 # approximation_experiment compares on nodes at least this far from the boundary
 _INNER_MARGIN = 0.25
 # convex_w21e_check's Hessian integrability exponents
@@ -248,36 +243,6 @@ def cofactor_stability_sweep(family: PinchedFamily, eps_list, q: float = 2.0,
     )
 
 
-def cofactor_scaling_oracle(family: PinchedFamily) -> ExperimentReport:
-    """Constant-density perturbation with a closed-form answer.
-
-    With density 1 + eps constant (a family with g0=None) the perturbed
-    potential is sqrt(1 + eps) times the flat one, so the cofactor distance is
-    (sqrt(1+eps) - 1) times the L^q norm of the flat cofactor. Measures both
-    sides at eps = _ORACLE_EPS and q = _ORACLE_Q; they must agree within
-    _ORACLE_REL_TOL.
-    """
-    if family.g0 is not None:
-        raise StabilityError("the scaling oracle needs a constant-density family (g0=None)")
-    grid = family.grid
-    eps, q = _ORACLE_EPS, _ORACLE_Q
-    W = cofactor_field(family.potential(0.0))
-    pot = family.potential(eps)
-    lhs = _matrix_diff_lq(grid, cofactor_field(pot), W, q)
-    rhs = (np.sqrt(1.0 + eps) - 1.0) * lp_norm((grid, _hess_frobenius(W)), q)
-    assertions = []
-    check(assertions, "measured distance matches scaling prediction",
-          lhs, "~", rhs, tol=_ORACLE_REL_TOL * rhs)
-    return ExperimentReport(
-        experiment="cofactor_scaling_oracle",
-        config={"q": q, "eps": eps, "spacing": grid.spacing, "domain": grid.domain.kind},
-        sweep=[eps],
-        measured={"distance": lhs, "prediction": rhs},
-        slopes={},
-        assertions=assertions,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Sobolev stability
 # ---------------------------------------------------------------------------
@@ -328,32 +293,6 @@ def sobolev_stability_sweep(family: PinchedFamily, eps_list, gamma: float = 1.1,
         sweep=eps_list,
         measured={"hessian_lgamma_distance": lhs, "density_l1_distance": gdist},
         slopes={"lhs_vs_density_l1": slope},
-        assertions=assertions,
-    )
-
-
-def sobolev_scaling_oracle(family: PinchedFamily) -> ExperimentReport:
-    """Constant-density pair: hessian distance equals (sqrt(1+eps)-1)*|D2w|_gamma.
-
-    The family must have g0=None, as for cofactor_scaling_oracle; eps is
-    _ORACLE_EPS and gamma _ORACLE_GAMMA.
-    """
-    if family.g0 is not None:
-        raise StabilityError("the scaling oracle needs a constant-density family (g0=None)")
-    grid = family.grid
-    eps, gamma = _ORACLE_EPS, _ORACLE_GAMMA
-    w_pot = family.potential(0.0)
-    pot = family.potential(eps)
-    lhs = _matrix_diff_lq(grid, pot.hess, w_pot.hess, gamma)
-    rhs = (np.sqrt(1.0 + eps) - 1.0) * lp_norm((grid, _hess_frobenius(w_pot.hess)), gamma)
-    assertions = []
-    check(assertions, "hessian distance matches scaling prediction", lhs, "~", rhs, tol=_ORACLE_REL_TOL * rhs)
-    return ExperimentReport(
-        experiment="sobolev_scaling_oracle",
-        config={"gamma": gamma, "eps": eps, "spacing": grid.spacing, "domain": grid.domain.kind},
-        sweep=[eps],
-        measured={"distance": lhs, "prediction": rhs},
-        slopes={},
         assertions=assertions,
     )
 

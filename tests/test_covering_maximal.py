@@ -5,17 +5,13 @@ import pytest
 
 from ma_lab.covering_maximal import (
     CoveringError,
-    covering_select,
-    density_heights,
     height_grid,
     maximal_function,
     strong_type_ratio,
     vitali_cover,
 )
-from conftest import pinched_density
-from ma_lab.domain_grid import FieldError, discretize
-from ma_lab.ma_solve import solve_ma
-from ma_lab.section_geom import gap_from_index, interior_heights, measure_c_cap, quasi_distance, sublevel_cells
+from ma_lab.domain_grid import FieldError
+from ma_lab.section_geom import gap_from_index, interior_heights, measure_c_cap, sublevel_cells
 
 
 def radial_mask(grid, r_lo, r_hi):
@@ -28,7 +24,6 @@ def test_vitali_cover_annulus(model_disc):
     grid = model_disc.grid
     ann = radial_mask(grid, 0.5, 0.9)
     res = vitali_cover(model_disc, ann)
-    assert res.disjointness_violations == 0
     assert res.coverage_defect == 0.0
     assert len(res.core_masks) == 282
     assert res.delta0 == 0.1
@@ -84,7 +79,6 @@ def dense_vitali_cover(potential, region, delta0=0.1, delta0_floor=0.0125):
     d0 = float(delta0)
     while True:
         core_union = np.zeros(grid.shape, dtype=bool)
-        core_count = np.zeros(grid.shape, dtype=np.int32)
         core_masks = []
         picked = []
         for k in order:
@@ -95,7 +89,6 @@ def dense_vitali_cover(potential, region, delta0=0.1, delta0_floor=0.0125):
             if (core & core_union).any():
                 continue
             core_union |= core
-            core_count += core
             core_masks.append(core)
             picked.append(k)
         cover_masks = []
@@ -122,7 +115,6 @@ def dense_vitali_cover(potential, region, delta0=0.1, delta0_floor=0.0125):
         core_union=core_union,
         cover_union=cover_union,
         coverage_defect=defect_cells * grid.cell_area,
-        disjointness_violations=int((core_count > 1).sum()),
     )
 
 
@@ -147,122 +139,6 @@ def test_vitali_cover_equals_dense_reference(pinched_suite32):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
         else:
             assert np.array_equal(got, want)
-
-
-@pytest.fixture(scope="module")
-def pinched64(disc_domain):
-    """Solved eps=0.2 disc potential at spacing 1/64."""
-    grid = discretize(disc_domain, 1.0 / 64)
-    return solve_ma(grid, pinched_density(grid, 0.2))
-
-
-def dense_density(gap, in_domain, target, t, below):
-    """|{below(gap, t)} and target| / |{below(gap, t)}| for each height in t, by counting."""
-    t = np.atleast_1d(t)[:, None]
-    inside = below(gap[in_domain][None, :], t).sum(axis=1)
-    return below(gap[target][None, :], t).sum(axis=1) / np.maximum(inside, 1)
-
-
-# the pinched64 extra node: a bisection over the rung stopped one near-tie
-# gap short of the crossing there (density 0.2503 where 0.2500 is reachable)
-@pytest.mark.parametrize("pot_name, eps, t_max, stride, extra", [
-    ("model_disc", 0.25, None, 1, []),
-    ("model_disc", 0.16, 0.45, 1, []),
-    ("pinched64", 0.25, None, 10, [(-0.421875, 0.421875)]),
-])
-def test_density_heights_take_the_first_crossing(request, pot_name, eps, t_max, stride, extra):
-    pot = request.getfixturevalue(pot_name)
-    grid = pot.grid
-    ring = radial_mask(grid, 0.55, 0.65)
-    heights, excluded = density_heights(pot, ring, eps, t_max=t_max)
-    assert len(excluded) == 0
-    if t_max is None:
-        t_max = 0.5 * float(np.nanmax(interior_heights(pot, mask=ring)))
-    ladder = np.geomspace(8.0 * grid.cell_area, t_max, 24)
-    nodes = list(zip(*np.nonzero(ring)))[::stride] + [grid.nearest_node(p) for p in extra]
-    for i, j in nodes:
-        gap = gap_from_index(pot, i, j)
-        dom = gap[grid.in_domain]
-
-        def dens(t, below):
-            return dense_density(gap, grid.in_domain, ring, t, below)
-
-        d = dens(ladder, np.less)
-        k = np.flatnonzero((d[:-1] >= eps) & (d[1:] < eps))[0]
-        a, b = ladder[k], ladder[k + 1]
-        h = heights[i, j]
-        assert a <= h < b and h in dom
-        # density at least eps at h, below eps just past it
-        assert dens(h, np.less)[0] >= eps > dens(h, np.less_equal)[0]
-        earlier = np.unique(dom[(dom >= a) & (dom < h)])
-        assert not np.any((dens(earlier, np.less) >= eps) & (dens(earlier, np.less_equal) < eps))
-
-
-def test_covering_select_thin_ring(model_disc):
-    ring = radial_mask(model_disc.grid, 0.55, 0.65)
-    heights, excluded = density_heights(model_disc, ring, 0.25)
-    assert len(excluded) == 0
-    sel = covering_select(model_disc, ring, 0.25, heights)
-    assert sel.passed and sel.covers_target
-    assert len(sel.section_masks) == 12
-    assert len(sel.excluded) == 0
-    ratio = sel.measure_target / sel.measure_union
-    assert ratio <= np.sqrt(0.25)
-    assert ratio == pytest.approx(0.2224824355971897, rel=1e-12)
-    assert bool(np.all(sel.union_mask[ring]))
-
-
-def test_covering_select_smaller_density(model_disc):
-    ring = radial_mask(model_disc.grid, 0.55, 0.65)
-    heights, excluded = density_heights(model_disc, ring, 0.16, t_max=0.45)
-    assert len(excluded) == 0
-    sel = covering_select(model_disc, ring, 0.16, heights)
-    assert sel.passed and sel.covers_target
-    assert len(sel.section_masks) == 6
-    ratio = sel.measure_target / sel.measure_union
-    assert ratio <= np.sqrt(0.16)
-    assert ratio == pytest.approx(0.14683153013910355, rel=1e-12)
-
-
-def test_covering_select_single_section_inner_quarter(model_disc):
-    grid = model_disc.grid
-    pts = grid.points(grid.in_domain)
-    vals = quasi_distance(model_disc, (0.0, 0.0), pts)
-    quarter = np.zeros(grid.shape, dtype=bool)
-    quarter[grid.in_domain] = vals < 0.05
-    quarter &= grid.interior
-    heights = np.full(grid.shape, np.nan)
-    heights[quarter] = 0.2
-    sel = covering_select(model_disc, quarter, 0.25, heights)
-    assert len(sel.section_masks) == 1
-    assert sel.passed and sel.covers_target
-    assert len(sel.excluded) == 0
-
-
-def test_covering_select_density_one(model_disc):
-    grid = model_disc.grid
-    pts = grid.points(grid.in_domain)
-    vals = quasi_distance(model_disc, (0.0, 0.0), pts)
-    blob = np.zeros(grid.shape, dtype=bool)
-    blob[grid.in_domain] = vals < 0.3
-    blob &= grid.interior
-    heights = np.full(grid.shape, np.nan)
-    heights[blob] = 8.0 * grid.cell_area
-    sel = covering_select(model_disc, blob, 1.0, heights)
-    assert sel.passed and sel.covers_target
-    assert sel.measure_target <= sel.measure_union + sel.slack
-    assert len(sel.section_masks) == 80
-    assert len(sel.excluded) == 404
-
-
-def test_covering_select_rejects_unusable_targets(model_disc):
-    grid = model_disc.grid
-    ring = radial_mask(grid, 0.55, 0.65)
-    bad = np.full(grid.shape, np.nan)
-    with pytest.raises(CoveringError, match="density precondition"):
-        covering_select(model_disc, ring, 0.25, bad)
-    with pytest.raises(CoveringError, match="target set is empty"):
-        covering_select(model_disc, np.zeros(grid.shape, bool), 0.25, bad)
 
 
 def test_height_grid_shape(model_disc):

@@ -7,24 +7,26 @@ from ma_lab.domain_grid import ScalarField, fd_derivatives
 from ma_lab.good_sets import (
     GoodSetError,
     decay_fit,
-    density_in_section,
     good_set_survey,
-    inclusion_check,
-    local_quasi_euclidean_mask,
-    minimal_opening,
     minimal_opening_field,
     quasi_euclidean_constant,
     quasi_euclidean_ratio_min,
     tangent_trust_region,
 )
-from ma_lab.lma_solve import solve_lma
-from ma_lab.section_geom import section
 
 
 @pytest.fixture(scope="module")
 def pinched_lma(pinched32):
     pot, sol = pinched32
     return pot, sol.u.values
+
+
+def opening_at(potential, u, x, d_min=None):
+    """minimal_opening_field at the single center node nearest x."""
+    idx = potential.grid.nearest_node(x)
+    centers = np.zeros(potential.grid.shape, dtype=bool)
+    centers[idx] = True
+    return minimal_opening_field(potential, u, centers=centers, d_min=d_min)[idx]
 
 
 def test_opening_of_the_potential_is_two(model_disc):
@@ -38,14 +40,14 @@ def test_opening_of_affine_data_vanishes(model_disc):
     grid = model_disc.grid
     X, Y = grid.meshes()
     aff = 3.0 * X - 2.0 * Y + 0.7
-    assert minimal_opening(model_disc, aff, (0.2, 0.1)) <= 1e-10
+    assert opening_at(model_disc, aff, (0.2, 0.1)) <= 1e-10
 
 
 def test_opening_matches_brute_force_scan(model_disc):
     grid = model_disc.grid
     X, Y = grid.meshes()
     u = np.sin(np.pi * X) * np.sin(np.pi * Y)
-    got = minimal_opening(model_disc, u, (0.25, -0.125))
+    got = opening_at(model_disc, u, (0.25, -0.125))
 
     vals = np.where(grid.in_domain, u, np.nan)
     grad, _ = fd_derivatives(ScalarField(grid, vals))
@@ -63,18 +65,16 @@ def test_opening_matches_brute_force_scan(model_disc):
 
 
 def test_opening_error_paths(pinched_lma):
+    # a center whose every pair falls below the distance floor has no opening
     pot, u = pinched_lma
-    with pytest.raises(GoodSetError, match="too coarse"):
-        minimal_opening(pot, u, (0.0, 0.0), d_min=1e6)
-    with pytest.raises(GoodSetError, match="interior node"):
-        minimal_opening(pot, u, (0.0, -0.999))
+    assert np.isnan(opening_at(pot, u, (0.0, 0.0), d_min=1e6))
 
 
 def test_opening_stable_against_distance_floor(pinched_lma):
     pot, u = pinched_lma
     h = pot.grid.spacing
-    full = minimal_opening(pot, u, (0.3, 0.2))
-    halved = minimal_opening(pot, u, (0.3, 0.2), d_min=h ** 2)
+    full = opening_at(pot, u, (0.3, 0.2))
+    halved = opening_at(pot, u, (0.3, 0.2), d_min=h ** 2)
     assert halved == pytest.approx(full, rel=1e-12)
 
 
@@ -88,14 +88,10 @@ def test_quasi_euclidean_ratio_exact_on_model(model_disc):
 def test_quasi_euclidean_masks_on_model(model_disc):
     rm = quasi_euclidean_ratio_min(model_disc)
     n_meas = int(np.isfinite(rm).sum())
-    at_half = local_quasi_euclidean_mask(model_disc, 0.5, ratio_min=rm)
-    above = local_quasi_euclidean_mask(model_disc, 0.6, ratio_min=rm)
-    tiny = local_quasi_euclidean_mask(model_disc, 1e-9, ratio_min=rm)
+    at_half, above, tiny = (np.isfinite(rm) & (rm >= s) for s in (0.5, 0.6, 1e-9))
     assert int(at_half.sum()) == n_meas
     assert int(above.sum()) == 0
     assert int(tiny.sum()) == n_meas
-    with pytest.raises(GoodSetError, match="positive"):
-        local_quasi_euclidean_mask(model_disc, -0.5)
 
 
 def test_quasi_euclidean_constant_values(model_disc, pinched_lma):
@@ -111,7 +107,7 @@ def test_quasi_euclidean_boundary_layer_exits_first(pinched_lma):
     R = np.hypot(X, Y)
     rm = quasi_euclidean_ratio_min(pot)
     measurable = np.isfinite(rm)
-    masks = {s: local_quasi_euclidean_mask(pot, s, ratio_min=rm) for s in (0.35, 0.45, 0.5)}
+    masks = {s: measurable & (rm >= s) for s in (0.35, 0.45, 0.5)}
     assert bool(np.all(masks[0.45] <= masks[0.35]))
     assert bool(np.all(masks[0.5] <= masks[0.45]))
     assert [int(masks[s].sum()) for s in (0.35, 0.45, 0.5)] == [2453, 2373, 1909]
@@ -122,33 +118,6 @@ def test_quasi_euclidean_boundary_layer_exits_first(pinched_lma):
     assert float(R[masks[0.45]].mean()) == pytest.approx(0.572610, abs=1e-6)
     corr = np.corrcoef(R[measurable], rm[measurable])[0, 1]
     assert corr == pytest.approx(-0.7550024915975293, rel=1e-9)
-
-
-def test_inclusion_with_potential_as_solution(pinched_lma):
-    pot, _ = pinched_lma
-    rep = inclusion_check(pot, pot.phi.values, 10.0, 2.0)
-    assert rep.passed and rep.n_violations == 0
-    assert rep.c_inst == pytest.approx(1.9072687752022557, rel=1e-12)
-    trivial = inclusion_check(pot, pot.phi.values, 1e4, 2.0)
-    assert trivial.n_level == 0 and trivial.passed
-
-
-def test_inclusion_with_lma_solution(pinched_lma):
-    pot, u = pinched_lma
-    levels = []
-    for beta in (1.15, 1.3, 1.5):
-        rep = inclusion_check(pot, u, beta, 1.15)
-        assert rep.n_violations == 0
-        assert rep.fraction == 0.0
-        assert rep.passed
-        levels.append(rep.n_level)
-    assert levels == [1083, 461, 38]
-
-
-def test_inclusion_input_validation(pinched_lma):
-    pot, u = pinched_lma
-    with pytest.raises(GoodSetError, match="m > 1"):
-        inclusion_check(pot, u, 2.0, 1.0)
 
 
 def test_decay_fit_recovers_planted_exponents():
@@ -185,24 +154,6 @@ def test_survey_distributions_on_lma(pinched_lma):
     assert fit.tau == pytest.approx(0.8484149269284558, rel=1e-12)
     assert fit.residual < 0.1
     assert fit.n_used == 10
-
-
-def test_density_in_section_sweep(pinched_lma):
-    pot, u = pinched_lma
-    grid = pot.grid
-    X, Y = grid.meshes()
-    s = section(pot, (0.0, 0.0), 0.1)
-    assert density_in_section(pot, pot.phi.values, s, 2.0 * 0.1) == 1.0
-    assert density_in_section(pot, pot.phi.values, s, 0.19) == 0.0
-    assert density_in_section(pot, 1.0 + 0.3 * X - 0.2 * Y, s, 0.05) == 1.0
-    sweep = [density_in_section(pot, u, s, N) for N in (0.2, 0.25, 0.28, 0.3, 0.5)]
-    assert bool(np.all(np.diff(sweep) >= 0))
-    assert sweep[-1] == 1.0
-    assert sweep[:3] == pytest.approx(
-        [0.04433497536945813, 0.4318555008210181, 0.9178981937602627], rel=1e-12
-    )
-    with pytest.raises(GoodSetError, match="positive"):
-        density_in_section(pot, u, s, -1.0)
 
 
 def test_tangent_trust_region_counts(model_disc):

@@ -1,4 +1,4 @@
-"""Tests for quasi-distance sections, their geometry, and rescaling."""
+"""Tests for quasi-distance sections and their geometry."""
 
 import heapq
 
@@ -20,7 +20,6 @@ from ma_lab.section_geom import (
     measure_c_cap,
     phi_extended,
     quasi_distance,
-    rescale,
     section,
     section_cells,
     sublevel_cells,
@@ -238,14 +237,14 @@ def test_measure_c_cap(model_square):
 
 def test_engulfing_constant_on_model(model_square):
     samples = engulfing_samples(model_square, t_values=[0.05, 0.1, 0.2], seed=0)
-    rep = engulfing_constant(model_square, samples)
-    assert 3.8 <= rep.theta_star <= 4.2
-    assert rep.theta_star == pytest.approx(3.994140625, rel=1e-12)
+    theta = engulfing_constant(model_square, samples)
+    assert 3.8 <= theta <= 4.2
+    assert theta == pytest.approx(3.994140625, rel=1e-12)
     small = engulfing_samples(model_square, t_values=[0.1], n_random=0)
     extra = engulfing_samples(model_square, t_values=[0.1], n_random=8, seed=3)
     assert (
-        engulfing_constant(model_square, small).theta_star
-        <= engulfing_constant(model_square, small + extra).theta_star
+        engulfing_constant(model_square, small)
+        <= engulfing_constant(model_square, small + extra)
     )
     with pytest.raises(SectionError, match="outside the section"):
         engulfing_constant(
@@ -258,9 +257,9 @@ def test_engulfing_constant_on_solved_potential(pinched32):
     samples = engulfing_samples(
         pot, t_values=[0.02, 0.05, 0.1], centers=[(0.0, 0.0), (0.3, 0.1)], seed=1
     )
-    rep = engulfing_constant(pot, samples)
-    assert 3.8 <= rep.theta_star <= 4.2
-    assert rep.theta_star == pytest.approx(3.9944297212009228, rel=1e-12)
+    theta = engulfing_constant(pot, samples)
+    assert 3.8 <= theta <= 4.2
+    assert theta == pytest.approx(3.9944297212009228, rel=1e-12)
 
 
 def test_volume_scaling_on_model(model_square):
@@ -376,43 +375,6 @@ def test_localization_error_paths(model_square):
         localization_fit(model_square, (0.0, -2.0), 0.0)
     with pytest.raises(SectionError, match="refine the grid"):
         localization_fit(model_square, (0.0, -2.0), 1e-6)
-
-
-def test_rescale_sup_mode(model_square):
-    grid = model_square.grid
-    X, Y = grid.meshes()
-    u = np.sin(X) * np.cos(Y)
-    f = 1.0 + 0.5 * X
-    res = rescale(model_square, u, f, (0.0, 0.0), 0.125, "linf")
-    assert res.sup_after == res.sup_before
-    assert np.array_equal(res.f_values, 0.125 * f[grid.in_domain])
-    assert res.integral_ratio is None
-
-
-def test_rescale_hessian_mode(model_square):
-    grid = model_square.grid
-    X, Y = grid.meshes()
-    u = np.sin(X) * np.cos(Y)
-    f = 1.0 + 0.5 * X
-    res = rescale(model_square, u, f, (0.0, 0.0), 0.125, "w2inf")
-    assert res.integral_ratio == 1.0
-    assert res.sup_after / res.sup_before == pytest.approx(8.0, rel=1e-14)
-    assert np.linalg.det(res.triple.map_A) == pytest.approx(1.0, abs=1e-14)
-    assert res.triple.k_measured == pytest.approx(0.7155417527999328, rel=1e-12)
-
-
-def test_rescale_boundary_anchor_and_errors(model_square):
-    grid = model_square.grid
-    X, Y = grid.meshes()
-    u = np.sin(X) * np.cos(Y)
-    f = 1.0 + 0.5 * X
-    res = rescale(model_square, u, f, (0.0, -2.0), 0.125, "linf")
-    assert res.sup_after == res.sup_before
-    assert res.triple.k_measured == pytest.approx(0.7155417527999328, rel=1e-12)
-    with pytest.raises(ValueError, match="unknown rescale mode"):
-        rescale(model_square, u, f, (0.0, 0.0), 0.125, "huh")
-    with pytest.raises(SectionError, match="maximal interior height"):
-        rescale(model_square, u, f, (0.0, 0.0), 5.0, "linf")
 
 
 def test_phi_extended_values_and_nan(model_square):

@@ -7,39 +7,35 @@ import numpy as np
 import pytest
 
 from ma_lab import stability_lab
-from ma_lab.domain_grid import build_domain, discretize
-from ma_lab.ma_solve import SolveError, solve_ma
-from ma_lab.stability_lab import (
-    PinchedFamily,
-    StabilityError,
-    cofactor_scaling_oracle,
-    default_bump,
-    sobolev_scaling_oracle,
-)
+from ma_lab.domain_grid import build_domain, discretize, lp_norm
+from ma_lab.ma_solve import SolveError, cofactor_field, solve_ma
+from ma_lab.stability_lab import PinchedFamily, default_bump
 
 
 @pytest.fixture(scope="module")
 def constant_disc32(disc_domain):
     """Constant-density family 1 + eps on the unit disc at 1/32."""
-    return PinchedFamily(discretize(disc_domain, 1.0 / 32))
+    return PinchedFamily(discretize(disc_domain, 1.0 / 32), None)
 
 
-@pytest.mark.parametrize("oracle", [cofactor_scaling_oracle, sobolev_scaling_oracle])
-def test_scaling_oracle_matches_closed_form(constant_disc32, oracle):
-    # density 1 + eps scales the flat potential by sqrt(1 + eps), so both
-    # distances are (sqrt(1 + eps) - 1) times a norm of the flat solution
-    rep = oracle(constant_disc32)
-    assert rep.config["eps"] == 0.2
-    assert rep.passed
-    lhs, rhs = rep.measured["distance"], rep.measured["prediction"]
+@pytest.mark.parametrize("matrix, q", [(cofactor_field, 2.0), (lambda pot: pot.hess, 1.1)],
+                         ids=["cofactor", "sobolev"])
+def test_scaling_oracle_matches_closed_form(constant_disc32, matrix, q):
+    # density 1 + eps scales the flat potential by sqrt(1 + eps), and with it
+    # its Hessian and cofactor, so the distance at eps is (sqrt(1 + eps) - 1)
+    # times the norm of the flat field
+    grid = constant_disc32.grid
+    eps = 0.2
+    flat = matrix(constant_disc32.potential(0.0))
+    pinched = matrix(constant_disc32.potential(eps))
+
+    def frobenius_lq(xx, xy, yy):
+        return lp_norm((grid, np.sqrt(xx ** 2 + 2.0 * xy ** 2 + yy ** 2)), q)
+
+    lhs = frobenius_lq(pinched.xx - flat.xx, pinched.xy - flat.xy, pinched.yy - flat.yy)
+    rhs = (np.sqrt(1.0 + eps) - 1.0) * frobenius_lq(flat.xx, flat.xy, flat.yy)
     assert rhs > 0.0
     assert abs(lhs - rhs) <= 0.05 * rhs
-
-
-def test_scaling_oracle_rejects_a_bump_family(disc_domain):
-    grid = discretize(disc_domain, 1.0 / 16)
-    with pytest.raises(StabilityError, match="constant-density"):
-        cofactor_scaling_oracle(PinchedFamily(grid, default_bump(disc_domain)))
 
 
 def test_family_densities(disc_domain):
