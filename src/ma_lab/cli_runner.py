@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -36,7 +36,6 @@ from .lma_solve import abp_check, solve_lma
 from .section_geom import (
     SectionError,
     engulfing_constant,
-    engulfing_samples,
     measure_c_cap,
     section,
     volume_scaling,
@@ -70,22 +69,6 @@ class ConfigError(ValueError):
 KNOWN_DOMAINS = ("disc", "ellipse", "square")
 KNOWN_G0 = ("bump", "constant")
 
-_FLOAT_KEYS = {
-    "radius", "a", "b", "side", "spacing", "p", "q", "gamma", "sigma",
-    "delta", "lam", "Lam", "m", "height", "tol_ma", "tol_lma",
-}
-_LIST_KEYS = {"eps", "betas"}
-_STR_KEYS = {"experiment", "domain", "g0", "out"}
-_INT_KEYS = {"threads"}
-KNOWN_KEYS = _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS | _INT_KEYS
-
-# keys that must parse to strictly positive numbers (every entry for lists)
-_POSITIVE_KEYS = {
-    "radius", "a", "b", "side", "spacing", "eps", "p", "q",
-    "gamma", "sigma", "delta", "lam", "Lam", "m", "betas", "height",
-    "tol_ma", "tol_lma", "threads",
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -114,6 +97,12 @@ class ExperimentConfig:
     tol_ma: float = 1e-8
     tol_lma: float = 1e-8
     out: str = ""
+
+
+# each key parses by its field's type: str, int, tuple (a list of floats) or
+# float (Optional[float] too); every number must be strictly positive
+_KINDS = {f.name: f.type for f in fields(ExperimentConfig)}
+KNOWN_KEYS = set(_KINDS)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -164,13 +153,14 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"line {lineno}: key {key!r}: could not parse {raw_val!r} as a number"
             )
             return None
-        if key in _POSITIVE_KEYS and not x > 0:
+        if not x > 0:
             errors.append(f"line {lineno}: key {key!r}: must be positive, got {raw_val}")
             return None
         return x
 
     for key, (val, lineno) in values.items():
-        if key in _STR_KEYS:
+        kind = _KINDS[key]
+        if kind is str:
             setattr(cfg, key, val)
             if key == "experiment" and val not in KNOWN_EXPERIMENTS:
                 errors.append(
@@ -185,14 +175,14 @@ def parse_config(text: str) -> ExperimentConfig:
                 errors.append(
                     f"line {lineno}: unknown g0 form {val!r} (known: {', '.join(KNOWN_G0)})"
                 )
-        elif key in _INT_KEYS:
+        elif kind is int:
             x = _number(key, val, lineno)
             if x is not None:
                 if x != int(x):
                     errors.append(f"line {lineno}: key {key!r}: must be an integer, got {val}")
                 else:
                     setattr(cfg, key, int(x))
-        elif key in _LIST_KEYS:
+        elif kind is tuple:
             parts = [s.strip() for s in val.split(",") if s.strip()]
             if not parts:
                 errors.append(f"line {lineno}: key {key!r}: empty list")
@@ -299,14 +289,10 @@ def _run_sections(config: ExperimentConfig, out: str, family: PinchedFamily) -> 
     pot = _pinched(config, family)
     c_cap = measure_c_cap(pot)
     t_values = [0.2 * c_cap, 0.4 * c_cap, 0.6 * c_cap, 0.8 * c_cap]
-    center = np.zeros(2)
-    rows = []
-    for t in t_values:
-        sec = section(pot, center, t)
-        rows.append((t, sec.measure, int(sec.cells.sum()), sec.is_interior))
-    samples = engulfing_samples(pot, t_values)
-    theta_star = engulfing_constant(pot, samples)
-    vol = volume_scaling(pot, [(center, t) for t in t_values])
+    sections = [section(pot, np.zeros(2), t) for t in t_values]
+    rows = [(t, sec.measure, int(sec.cells.sum()), sec.is_interior) for t, sec in zip(t_values, sections)]
+    theta_star = engulfing_constant(pot, sections, n_random=6, seed=0)
+    vol = volume_scaling(sections)
     assertions = []
     check(assertions, "section measures increase with height",
           rows[0][1], "<=", rows[-1][1])
@@ -606,13 +592,8 @@ def _run_suite(config: ExperimentConfig, out: str, family: PinchedFamily) -> int
         code = run(sub, out_dir=os.path.join(out, sub.experiment), family=family)
         return code, time.perf_counter() - t0
 
-    subs = []
-    for name, overrides in _SUITE:
-        sub = ExperimentConfig(**{**_config_echo(config), **overrides,
-                                  "experiment": name, "out": "", "threads": 1})
-        sub.eps = tuple(sub.eps)
-        sub.betas = tuple(sub.betas)
-        subs.append(sub)
+    subs = [replace(config, **overrides, experiment=name, out="", threads=1)
+            for name, overrides in _SUITE]
     pool = ThreadPoolExecutor(max_workers=_threads(config))
     try:
         futures = [pool.submit(timed, sub) for sub in subs]

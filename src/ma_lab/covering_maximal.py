@@ -39,15 +39,18 @@ class CoveringError(RuntimeError):
 
 @dataclass
 class CoveringResult:
-    """Greedy cover of a region by half-height sections with disjoint cores."""
+    """Greedy cover of a region by half-height sections with disjoint cores.
+
+    cores[k] and covers[k] are the flat row-major grid indices of the k-th
+    pick's core and of its half-height section, as section_cells returns
+    them; the k-th pick sits at centers[k] with height heights[k].
+    """
 
     centers: np.ndarray
     heights: np.ndarray
     delta0: float
-    core_masks: list
-    cover_masks: list
-    core_union: np.ndarray
-    cover_union: np.ndarray
+    cores: list
+    covers: list
     coverage_defect: float
 
 
@@ -63,7 +66,7 @@ def vitali_cover(potential: PotentialField, region: np.ndarray) -> CoveringResul
 
     The heights are interior_heights, the ring-gap minimum. Where a
     candidate's tangent gap is negative at some ring node that height is
-    negative: the candidate gets an empty core and an empty cover mask, and
+    negative: the candidate gets an empty core and an empty cover, and
     it is still picked unless an earlier core holds it.
 
     Every section is flood-filled exactly in grown windows (section_cells).
@@ -89,25 +92,25 @@ def vitali_cover(potential: PotentialField, region: np.ndarray) -> CoveringResul
 
     d0 = _DELTA0
     while True:
-        core_union = np.zeros(size, dtype=bool)
+        in_core = np.zeros(size, dtype=bool)
         cores = {}
         for s in range(0, order.size, _WALK_BLOCK):
             block = order[s : s + _WALK_BLOCK]
             # a centre inside a core now is inside one at its turn too
-            block = block[~core_union[centre[block]]]
+            block = block[~in_core[centre[block]]]
             for k, core in zip(block.tolist(), section_cells(potential, ci[block], cj[block], d0 * hvals[block])):
-                if core_union[centre[k]] or core_union[core].any():
+                if in_core[centre[k]] or in_core[core].any():
                     continue
-                core_union[core] = True
+                in_core[core] = True
                 cores[k] = core
         picked = list(cores)
 
         new = [k for k in picked if k not in covers]
         covers.update(zip(new, section_cells(potential, ci[new], cj[new], 0.5 * hvals[new])))
-        cover_union = np.zeros(size, dtype=bool)
+        in_cover = np.zeros(size, dtype=bool)
         for k in picked:
-            cover_union[covers[k]] = True
-        defect_cells = int((region.ravel() & ~cover_union).sum())
+            in_cover[covers[k]] = True
+        defect_cells = int((region.ravel() & ~in_cover).sum())
         if defect_cells == 0:
             break
         if d0 <= _DELTA0_FLOOR * (1.0 + 1e-12):
@@ -116,20 +119,13 @@ def vitali_cover(potential: PotentialField, region: np.ndarray) -> CoveringResul
             )
         d0 *= 0.5
 
-    def mask(cells):
-        m = np.zeros(size, dtype=bool)
-        m[cells] = True
-        return m.reshape(grid.shape)
-
     centers = np.stack([grid.xs[ci[picked]], grid.ys[cj[picked]]], axis=-1)
     return CoveringResult(
         centers=centers,
         heights=hvals[picked],
         delta0=d0,
-        core_masks=[mask(cores[k]) for k in picked],
-        cover_masks=[mask(covers[k]) for k in picked],
-        core_union=core_union.reshape(grid.shape),
-        cover_union=cover_union.reshape(grid.shape),
+        cores=[cores[k] for k in picked],
+        covers=[covers[k] for k in picked],
         coverage_defect=defect_cells * grid.cell_area,
     )
 

@@ -28,6 +28,8 @@ class FieldError(ValueError):
 
 
 _MEMBERSHIP_TOL = 1e-12
+# Grid.nearest_in_domain searches this many nodes around the nearest grid node
+_NEAR_WINDOW = 4
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +292,21 @@ class Grid:
         i = int(round((p[0] - self.xs[0]) / self.spacing))
         j = int(round((p[1] - self.ys[0]) / self.spacing))
         return (min(max(i, 0), len(self.xs) - 1), min(max(j, 0), len(self.ys) - 1))
+
+    def nearest_in_domain(self, p) -> Optional[tuple[int, int]]:
+        """The in-domain node nearest p within _NEAR_WINDOW nodes of nearest_node(p), or None."""
+        i0, j0 = self.nearest_node(p)
+        best = None
+        best_d = np.inf
+        for i in range(max(i0 - _NEAR_WINDOW, 0), min(i0 + _NEAR_WINDOW + 1, len(self.xs))):
+            for j in range(max(j0 - _NEAR_WINDOW, 0), min(j0 + _NEAR_WINDOW + 1, len(self.ys))):
+                if not self.in_domain[i, j]:
+                    continue
+                d = (self.xs[i] - p[0]) ** 2 + (self.ys[j] - p[1]) ** 2
+                if d < best_d:
+                    best_d = d
+                    best = (i, j)
+        return best
 
     def interp(self, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Bilinear interpolation of node values at arbitrary points.

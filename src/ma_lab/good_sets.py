@@ -234,7 +234,6 @@ class DecayFit:
     tau: float
     C: float
     residual: float
-    tau_band: float
     n_used: int
 
 
@@ -256,9 +255,7 @@ def decay_fit(samples, min_measure: float = 0.0) -> DecayFit:
     fit = A @ coef
     dof = max(len(pts) - 2, 1)
     rms = float(np.sqrt(np.sum((y - fit) ** 2) / dof))
-    cov = np.linalg.inv(A.T @ A) * rms ** 2
-    band = 1.96 * float(np.sqrt(cov[0, 0]))
-    return DecayFit(tau=float(coef[0]), C=float(np.exp(coef[1])), residual=rms, tau_band=band, n_used=len(pts))
+    return DecayFit(tau=float(coef[0]), C=float(np.exp(coef[1])), residual=rms, n_used=len(pts))
 
 
 @dataclass

@@ -14,16 +14,19 @@ from typing import Union
 
 import numpy as np
 
-from .domain_grid import FieldError, Grid, MatrixField, ScalarField, VectorField, coerce_datum, coerce_samples, fd_derivatives, lp_norm
+from .domain_grid import FieldError, Grid, ScalarField, coerce_datum, coerce_samples, fd_derivatives, lp_norm
 from .ma_solve import CofactorField, NodeSystem, PotentialField, SolveError, cofactor_field, linear_solve
 
 
 @dataclass
 class LmaSolution:
+    """A linearized solve: u on the grid, the sampled right-hand side and the residual.
+
+    Callers that need derivatives of u take them with fd_derivatives(u).
+    """
+
     grid: Grid
     u: ScalarField
-    grad: VectorField
-    hess: MatrixField
     f_values: np.ndarray
     residual_max: float
 
@@ -76,9 +79,7 @@ def solve_lma(
     if residual_max > max(tol_lma, 1e-9 * max(1.0, float(np.max(np.abs(rhs))))):
         raise SolveError(f"linear solve residual {residual_max:.3e} above tolerance {tol_lma:.3e}")
     vals = sysm.to_grid_values(U)
-    u = ScalarField(grid, vals)
-    grad, hess = fd_derivatives(u)
-    return LmaSolution(grid=grid, u=u, grad=grad, hess=hess, f_values=f_vals, residual_max=residual_max)
+    return LmaSolution(grid=grid, u=ScalarField(grid, vals), f_values=f_vals, residual_max=residual_max)
 
 
 def operator_apply(cof: CofactorField, u: ScalarField) -> np.ndarray:

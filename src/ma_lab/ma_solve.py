@@ -92,7 +92,6 @@ class SeparationReport:
     r_min: float
     r_max: float
     rho0: float
-    n_pairs: int
     passed: bool
     flat_boundary_warning: bool
 
@@ -651,7 +650,6 @@ def quadratic_separation_check(potential: PotentialField) -> SeparationReport:
         r_min=r_min,
         r_max=r_max,
         rho0=rho0,
-        n_pairs=int(sel.sum()),
         passed=passed,
         flat_boundary_warning=flat,
     )

@@ -3,8 +3,10 @@
 Sections are connected sublevel sets of the potential below a lifted tangent
 plane. This module computes the quasi-distance that generates them, extracts
 sections by flood fill, measures maximal interior heights, fits the
-boundary-localization shear, measures engulfing and volume-scaling behavior,
-and classifies sections as interior or boundary dominated.
+boundary-localization shear, and classifies sections as interior or boundary
+dominated. A Section is flooded once and then shared: engulfing_constant and
+volume_scaling measure the cells of the sections they are given and flood
+nothing themselves.
 """
 
 from dataclasses import dataclass
@@ -22,11 +24,9 @@ class SectionError(ValueError):
 
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-# _nearest_in_domain searches this many nodes around the nearest grid node
-_NEAR_WINDOW = 4
 # interior_heights: centres per pair_gaps block
 _HEIGHTS_CHUNK = 2048
-# engulfing_samples: evenly spread directions of the extreme member cells
+# engulfing_constant: evenly spread directions of the extreme member cells
 _N_DIRECTIONS = 16
 # volume_scaling drops sections with fewer cells
 _MIN_CELLS = 20
@@ -51,7 +51,7 @@ def phi_extended(potential: PotentialField, pts: np.ndarray) -> np.ndarray:
     vals = np.where(inside, vals, np.nan)
     bad = inside & ~np.isfinite(vals)
     for k in np.nonzero(bad)[0]:
-        idx = _nearest_in_domain(grid, pts[k])
+        idx = grid.nearest_in_domain(pts[k])
         if idx is None:
             continue
         i, j = idx
@@ -68,24 +68,9 @@ def phi_extended(potential: PotentialField, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _nearest_in_domain(grid: Grid, p):
-    i0, j0 = grid.nearest_node(p)
-    best = None
-    best_d = np.inf
-    for i in range(max(i0 - _NEAR_WINDOW, 0), min(i0 + _NEAR_WINDOW + 1, len(grid.xs))):
-        for j in range(max(j0 - _NEAR_WINDOW, 0), min(j0 + _NEAR_WINDOW + 1, len(grid.ys))):
-            if not grid.in_domain[i, j]:
-                continue
-            d = (grid.xs[i] - p[0]) ** 2 + (grid.ys[j] - p[1]) ** 2
-            if d < best_d:
-                best_d = d
-                best = (i, j)
-    return best
-
-
 def gradient_at(potential: PotentialField, p: np.ndarray) -> np.ndarray:
     """Gradient estimate at an arbitrary point by a Taylor step from the nearest node."""
-    idx = _nearest_in_domain(potential.grid, p)
+    idx = potential.grid.nearest_in_domain(p)
     if idx is None:
         raise SectionError(f"no in-domain node near point {tuple(p)}")
     i, j = idx
@@ -139,7 +124,6 @@ def quasi_distance(potential: PotentialField, xbar, x) -> np.ndarray:
 class EllipsoidFit:
     center: np.ndarray
     semi_axes: np.ndarray
-    orientation: np.ndarray
     residual: float
 
 
@@ -179,14 +163,12 @@ def _moment_ellipse(grid: Grid, cells: np.ndarray, measure: float) -> EllipsoidF
     mu = pts.mean(axis=0)
     d = pts - mu
     cov = d.T @ d / len(pts) + (grid.spacing ** 2 / 12.0) * np.eye(2)
-    w, vecs = np.linalg.eigh(cov)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    vecs = vecs[:, order]
+    # eigh sorts ascending; the axes run from the longest
+    w = np.linalg.eigh(cov)[0][::-1]
     axes = 2.0 * np.sqrt(np.maximum(w, 0.0))
     area = np.pi * axes[0] * axes[1]
     residual = abs(area - measure) / measure if measure > 0 else np.nan
-    return EllipsoidFit(center=mu, semi_axes=axes, orientation=vecs, residual=residual)
+    return EllipsoidFit(center=mu, semi_axes=axes, residual=residual)
 
 
 def section(potential: PotentialField, x, t: float) -> Section:
@@ -459,29 +441,13 @@ def frame_gap(potential: PotentialField, frame: BoundaryFrame) -> np.ndarray:
 
 
 @dataclass
-class RescaledTriple:
-    """A unit-determinant shear plus scale, with the rescaled node lattice."""
-
-    map_A: np.ndarray
-    scale: float
-    domain_points: np.ndarray
-    potential_values: np.ndarray
-    section_mask: np.ndarray
-    norm_A: float
-    norm_A_inv: float
-    k_measured: float
-
-
-@dataclass
 class LocalizationFit:
-    triple: RescaledTriple
     frame: BoundaryFrame
     height: float
     tau: float
     k_inner: float
     k_outer: float
     cells: np.ndarray
-    ellipsoid: EllipsoidFit
 
 
 def _shear_fit(Y: np.ndarray) -> float:
@@ -489,31 +455,6 @@ def _shear_fit(Y: np.ndarray) -> float:
     if den <= 0:
         return 0.0
     return float(np.sum(Y[:, 0] * Y[:, 1]) / den)
-
-
-def _triple_k(domain_img: np.ndarray, section_flat: np.ndarray) -> float:
-    r = np.hypot(domain_img[:, 0], domain_img[:, 1])
-    k_out = float(r[section_flat].max()) if section_flat.any() else np.inf
-    outside = ~section_flat
-    k_in = float(r[outside].min()) if outside.any() else np.inf
-    if k_out <= 0:
-        return 0.0
-    return min(k_in, 1.0 / k_out)
-
-
-def _build_triple(grid: Grid, Y: np.ndarray, gap_flat: np.ndarray, cells_flat: np.ndarray, A: np.ndarray, h: float) -> RescaledTriple:
-    img = (Y @ A.T) / np.sqrt(h)
-    s = np.linalg.svd(A, compute_uv=False)
-    return RescaledTriple(
-        map_A=A,
-        scale=float(h),
-        domain_points=img,
-        potential_values=gap_flat / h,
-        section_mask=cells_flat,
-        norm_A=float(s[0]),
-        norm_A_inv=float(1.0 / s[-1]),
-        k_measured=_triple_k(img, cells_flat),
-    )
 
 
 def localization_fit(potential: PotentialField, boundary_point, h: float) -> LocalizationFit:
@@ -525,13 +466,17 @@ def localization_fit(potential: PotentialField, boundary_point, h: float) -> Loc
     smallest outer dilations of the sheared ball that sandwich the section:
     k_outer is the largest sheared radius of a cell, k_inner the smallest of
     an in-domain non-cell, each divided by the ball radius and capped at 8.
+
+    The shear is A = [[1, -tau], [0, 1]], so it is not stored: its norms
+    have the closed form ||A|| = ||A^-1|| = (|tau| + sqrt(tau^2 + 4)) / 2,
+    the quantity Savin's theorem bounds by k |log h|.
     """
     if not h > 0:
         raise SectionError("localization height must be positive")
     grid = potential.grid
     frame = boundary_frame(potential, boundary_point)
     gap = frame_gap(potential, frame)
-    seed = _nearest_in_domain(grid, frame.origin)
+    seed = grid.nearest_in_domain(frame.origin)
     if seed is None:
         raise SectionError("no in-domain node near the boundary point")
     if not gap[seed] < h:
@@ -556,30 +501,13 @@ def localization_fit(potential: PotentialField, boundary_point, h: float) -> Loc
 
     k_outer = min(float(rc.max()) / radius, 8.0)
     k_inner = min(float(np.min(r_all[~cells_flat], initial=np.inf)) / radius, 8.0)
-
-    sv = np.linalg.svd(A, compute_uv=False)
-    axes = np.array([radius / sv[1], radius / sv[0]])
-    _, _, vt = np.linalg.svd(A)
-    half_area = 0.5 * np.pi * radius * radius
-    measure = count * grid.cell_area
-    ellipsoid = EllipsoidFit(
-        center=frame.origin.copy(),
-        semi_axes=axes,
-        orientation=vt.T,
-        residual=abs(measure - half_area) / half_area,
-    )
-
-    gap_flat = gap[grid.in_domain]
-    triple = _build_triple(grid, Y_all, gap_flat, cells_flat, A, h)
     return LocalizationFit(
-        triple=triple,
         frame=frame,
         height=float(h),
         tau=tau,
         k_inner=k_inner,
         k_outer=k_outer,
         cells=cells,
-        ellipsoid=ellipsoid,
     )
 
 
@@ -588,61 +516,30 @@ def localization_fit(potential: PotentialField, boundary_point, h: float) -> Loc
 # ---------------------------------------------------------------------------
 
 
-def engulfing_samples(potential: PotentialField, t_values, centers=None, n_random: int = 6, seed: int = 0):
-    """Deterministic (center, height, member) triples for the engulfing sweep.
+def engulfing_constant(potential: PotentialField, sections, n_random: int = 6, seed: int = 0) -> float:
+    """Smallest uniform dilation factor observed to swallow sections from inside points.
 
-    For each center and height the member points include the extreme cells of
-    the section in _N_DIRECTIONS evenly spread directions plus n_random seeded
-    random cells, which is what pushes the measured constant toward its
-    supremum.
+    The members y of each section are its extreme cells in _N_DIRECTIONS
+    evenly spread directions plus n_random cells drawn by one
+    default_rng(seed), section by section in the order given; the draws push
+    the measured constant toward its supremum. Each member's least theta with
+    the section inside its own section of height theta * t is y's largest
+    tangent gap over the section's cells divided by t; the result is the
+    maximum over all members of all sections.
     """
     grid = potential.grid
-    if centers is None:
-        ci, cj = np.nonzero(grid.interior)
-        k = np.argmin(grid.xs[ci] ** 2 + grid.ys[cj] ** 2)
-        centers = [np.array([grid.xs[ci[k]], grid.ys[cj[k]]])]
     rng = np.random.default_rng(seed)
     angles = np.linspace(0.0, 2.0 * np.pi, _N_DIRECTIONS, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    triples = []
-    for c in centers:
-        idx = grid.nearest_node(c)
-        gap = gap_from_index(potential, *idx)
-        for t in t_values:
-            cells = sublevel_cells(potential, gap, float(t), idx)
-            if not cells.any():
-                continue
-            pts = grid.points(cells)
-            chosen = set()
-            for d in dirs:
-                k = int(np.argmax(pts @ d))
-                chosen.add(k)
-            if len(pts) > 0 and n_random > 0:
-                for k in rng.integers(0, len(pts), size=n_random):
-                    chosen.add(int(k))
-            for k in sorted(chosen):
-                triples.append((np.array(c, dtype=float), float(t), pts[k]))
-    return triples
-
-
-def engulfing_constant(potential: PotentialField, samples) -> float:
-    """Smallest uniform dilation factor observed to swallow sections from inside points.
-
-    For each (center, height, member) triple with the member inside the
-    section, computes the least theta with the section contained in the
-    member's section of height theta * t, then takes the supremum.
-    """
-    grid = potential.grid
     theta_star = 0.0
-    for x, t, y in samples:
-        idx = grid.nearest_node(x)
-        gap_x = gap_from_index(potential, *idx)
-        cells = sublevel_cells(potential, gap_x, float(t), idx)
-        yidx = grid.nearest_node(y)
-        if not cells[yidx]:
-            raise SectionError(f"sample member {tuple(np.asarray(y))} lies outside the section at {tuple(np.asarray(x))}")
-        gap_y = gap_from_index(potential, *yidx)
-        theta_star = max(theta_star, float(np.max(gap_y[cells]) / t))
+    for sec in sections:
+        ci, cj = np.nonzero(sec.cells)
+        pts = grid.points(sec.cells)
+        chosen = {int(np.argmax(pts @ d)) for d in dirs}
+        chosen.update(int(k) for k in rng.integers(0, len(pts), size=n_random))
+        for k in sorted(chosen):
+            gap_y = gap_from_index(potential, ci[k], cj[k])
+            theta_star = max(theta_star, float(np.max(gap_y[sec.cells]) / sec.height))
     return theta_star
 
 
@@ -652,32 +549,20 @@ class VolumeScalingFit:
     C1: float
     C2: float
     n_used: int
-    heights: np.ndarray
-    measures: np.ndarray
 
 
-def volume_scaling(potential: PotentialField, samples) -> VolumeScalingFit:
+def volume_scaling(sections) -> VolumeScalingFit:
     """Least-squares exponent of section measure against height.
 
-    Sections with fewer than _MIN_CELLS cells are dropped; fewer than four
-    surviving samples is an error.
+    Measures the given sections as they are. Sections with fewer than
+    _MIN_CELLS cells are dropped; fewer than four surviving sections is an
+    error.
     """
-    grid = potential.grid
-    heights = []
-    measures = []
-    for x, t in samples:
-        idx = grid.nearest_node(x)
-        gap = gap_from_index(potential, *idx)
-        cells = sublevel_cells(potential, gap, float(t), idx)
-        count = int(cells.sum())
-        if count < _MIN_CELLS:
-            continue
-        heights.append(float(t))
-        measures.append(count * grid.cell_area)
-    if len(heights) < 4:
-        raise SectionError(f"only {len(heights)} sections with at least {_MIN_CELLS} cells; need 4")
-    heights = np.array(heights)
-    measures = np.array(measures)
+    kept = [sec for sec in sections if int(sec.cells.sum()) >= _MIN_CELLS]
+    if len(kept) < 4:
+        raise SectionError(f"only {len(kept)} sections with at least {_MIN_CELLS} cells; need 4")
+    heights = np.array([sec.height for sec in kept])
+    measures = np.array([sec.measure for sec in kept])
     Amat = np.stack([np.log(heights), np.ones_like(heights)], axis=1)
     coef, _, _, _ = np.linalg.lstsq(Amat, np.log(measures), rcond=None)
     ratios = measures / heights
@@ -685,9 +570,7 @@ def volume_scaling(potential: PotentialField, samples) -> VolumeScalingFit:
         exponent=float(coef[0]),
         C1=float(ratios.min()),
         C2=float(ratios.max()),
-        n_used=len(heights),
-        heights=heights,
-        measures=measures,
+        n_used=len(kept),
     )
 
 

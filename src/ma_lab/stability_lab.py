@@ -248,33 +248,24 @@ def cofactor_stability_sweep(family: PinchedFamily, eps_list, q: float = 2.0,
 # ---------------------------------------------------------------------------
 
 
-def sobolev_stability(phi1: PotentialField, phi2: PotentialField, gamma: float = 1.1) -> ExperimentReport:
-    """Hessian distance of two solved potentials against their density gap."""
-    if phi1.grid is not phi2.grid:
-        raise StabilityError("potentials live on different grids")
-    grid = phi1.grid
-    lhs = _matrix_diff_lq(grid, phi1.hess, phi2.hess, gamma)
-    gdiff = lp_norm((grid, np.abs(phi1.g_values - phi2.g_values)), 1.0)
-    return ExperimentReport(
-        experiment="sobolev_stability",
-        config={"gamma": gamma, "spacing": grid.spacing, "domain": grid.domain.kind},
-        sweep=[],
-        measured={"hessian_lgamma_distance": lhs, "density_l1_distance": gdiff},
-        slopes={},
-        assertions=[],
-    )
-
-
 def sobolev_stability_sweep(family: PinchedFamily, eps_list, gamma: float = 1.1,
                             threads: int = 1) -> ExperimentReport:
-    """Sweep of sobolev_stability over the family's potentials at eps vs at 0."""
+    """Hessian distance of the family's potentials at eps and at 0 against their density gap.
+
+    For each eps the measured pair is the L^gamma norm of the Frobenius
+    distance of the two Hessians and the L^1 norm of the density difference.
+    Asserts strict decrease in eps and a positive log-log slope of the first
+    against the second.
+    """
     grid = family.grid
     eps_list = _validate_eps(eps_list)
     w_pot = family.potential(0.0)
 
     def one(eps: float):
-        rep = sobolev_stability(family.potential(eps), w_pot, gamma)
-        return rep.measured["hessian_lgamma_distance"], rep.measured["density_l1_distance"]
+        pot = family.potential(eps)
+        lhs = _matrix_diff_lq(grid, pot.hess, w_pot.hess, gamma)
+        gdiff = lp_norm((grid, np.abs(pot.g_values - w_pot.g_values)), 1.0)
+        return lhs, gdiff
 
     pairs = run_sweep(one, eps_list, threads)
     lhs = [p[0] for p in pairs]
@@ -419,7 +410,8 @@ def contact_set_experiment(family: PinchedFamily, eps_list, sigma: float,
     """Fraction of a boundary-anchored section missed by the global mask.
 
     For each eps the family's potential is taken, the section at the anchor
-    (the first of 64 boundary samples) is flooded at the chosen height, and the defect is the fraction of its
+    (the in-domain node nearest the first of 64 boundary samples) is flooded
+    at the chosen height, and the defect is the fraction of its
     measurable cells outside the full-domain quasi-Euclidean mask at the
     given sigma. Measurable means inside the scan's tangent trust region;
     cells in the gradient boundary layer cannot certify either way and are
@@ -430,7 +422,8 @@ def contact_set_experiment(family: PinchedFamily, eps_list, sigma: float,
     """
     grid = family.grid
     eps_list = _validate_eps(eps_list)
-    anchor = grid.domain.boundary_samples(64)[0]
+    i, j = grid.nearest_in_domain(grid.domain.boundary_samples(64)[0])
+    anchor = np.array([grid.xs[i], grid.ys[j]])
     if height is None:
         height = 0.5 * measure_c_cap(family.potential(eps_list[0]))
     t = float(height)

@@ -107,3 +107,46 @@ def test_every_public_name_is_reached_from_src_or_kept_on_purpose():
     assert not stray, f"public names no src code reaches: {', '.join(stray)}"
     # a kept name that gains a caller leaves the list
     assert sorted(KEPT) == unreached
+
+
+# dataclasses whose fields are read without being named
+EXEMPT = {"Assertion": "ExperimentReport.to_dict serializes each one whole with vars()"}
+
+
+def _dataclass_fields():
+    """(class, field) for every annotated field of a @dataclass class in src."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+                continue
+            out += [(node.name, stmt.target.id) for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return out
+
+
+def _loaded_attributes():
+    """Every attribute name loaded anywhere in src/, tests/ or perfbench/."""
+    names = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a src dataclass is read as an attribute somewhere.
+
+    Fields are matched by name only, so a field that shares its name with an
+    attribute of another object passes even when nobody reads it: before
+    LmaSolution lost its grad field, PotentialField.grad reads kept it in.
+    """
+    read = _loaded_attributes()
+    unread = [f"{cls}.{name}" for cls, name in _dataclass_fields()
+              if cls not in EXEMPT and name not in read]
+    assert unread == []

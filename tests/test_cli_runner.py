@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ma_lab import cli_runner, ma_solve, stability_lab
+from ma_lab import cli_runner, ma_solve, section_geom, stability_lab
 from ma_lab.cli_runner import ExperimentConfig, run
 
 SWEEPS = ("cofactor_stability", "sobolev_stability", "approximation", "contact_set", "w2p_ratio")
@@ -234,3 +234,21 @@ def test_main_exit_codes(tmp_path, capsys, command, text, code, message):
 
 def test_known_keys_are_the_config_fields():
     assert {f.name for f in fields(ExperimentConfig)} == cli_runner.KNOWN_KEYS
+
+
+def test_sections_experiment_floods_each_section_once(tmp_path, monkeypatch):
+    # four heights, each flooded at t and at 2t (the interior check); the
+    # engulfing constant and the volume fit measure those same sections
+    calls = []
+    real = section_geom.sublevel_cells
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(section_geom, "sublevel_cells", counting)
+    cfg = ExperimentConfig(experiment="sections", domain="disc", spacing=1.0 / 32)
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    heights = json.loads((tmp_path / "report.json").read_text())["sweep"]
+    assert len(calls) == 8
+    assert sorted(calls) == sorted(heights + [2.0 * t for t in heights])

@@ -25,18 +25,13 @@ def test_vitali_cover_annulus(model_disc):
     ann = radial_mask(grid, 0.5, 0.9)
     res = vitali_cover(model_disc, ann)
     assert res.coverage_defect == 0.0
-    assert len(res.core_masks) == 282
+    assert len(res.cores) == 282
     assert res.delta0 == 0.1
-    # exact set checks, independent of the result's own union fields
-    core_count = np.zeros(grid.shape, dtype=int)
-    for m in res.core_masks:
-        core_count += m
-    assert core_count.max() <= 1
-    union = np.zeros(grid.shape, dtype=bool)
-    for m in res.cover_masks:
-        union |= m
-    assert bool(np.all(union[ann]))
-    assert bool(np.all(union == res.cover_union))
+    # exact set checks on the picks' flat indices
+    assert np.bincount(np.concatenate(res.cores), minlength=grid.in_domain.size).max() <= 1
+    union = np.zeros(grid.in_domain.size, dtype=bool)
+    union[np.concatenate(res.covers)] = True
+    assert bool(np.all(union.reshape(grid.shape)[ann]))
 
 
 def test_vitali_cover_heights_ordered(model_disc):
@@ -53,7 +48,7 @@ def test_vitali_cover_single_point(model_disc):
     single = np.zeros(grid.shape, dtype=bool)
     single[grid.nearest_node((0.2, 0.1))] = True
     res = vitali_cover(model_disc, single)
-    assert len(res.core_masks) == 1
+    assert len(res.cores) == 1
     assert res.coverage_defect == 0.0
 
 
@@ -78,27 +73,27 @@ def dense_vitali_cover(potential, region, delta0=0.1, delta0_floor=0.0125):
     order = np.argsort(-hvals, kind="stable")
     d0 = float(delta0)
     while True:
-        core_union = np.zeros(grid.shape, dtype=bool)
-        core_masks = []
+        in_core = np.zeros(grid.shape, dtype=bool)
+        cores = []
         picked = []
         for k in order:
             idx = (ci[k], cj[k])
-            if core_union[idx]:
+            if in_core[idx]:
                 continue
             core = sublevel_cells(potential, gap_from_index(potential, *idx), d0 * hvals[k], idx)
-            if (core & core_union).any():
+            if (core & in_core).any():
                 continue
-            core_union |= core
-            core_masks.append(core)
+            in_core |= core
+            cores.append(core)
             picked.append(k)
-        cover_masks = []
-        cover_union = np.zeros(grid.shape, dtype=bool)
+        covers = []
+        in_cover = np.zeros(grid.shape, dtype=bool)
         for k in picked:
             idx = (ci[k], cj[k])
             cover = sublevel_cells(potential, gap_from_index(potential, *idx), 0.5 * hvals[k], idx)
-            cover_masks.append(cover)
-            cover_union |= cover
-        defect_cells = int((region & ~cover_union).sum())
+            covers.append(cover)
+            in_cover |= cover
+        defect_cells = int((region & ~in_cover).sum())
         if defect_cells == 0:
             break
         if d0 <= delta0_floor * (1.0 + 1e-12):
@@ -110,10 +105,8 @@ def dense_vitali_cover(potential, region, delta0=0.1, delta0_floor=0.0125):
         centers=np.stack([grid.xs[ci[picked]], grid.ys[cj[picked]]], axis=-1),
         heights=hvals[picked],
         delta0=d0,
-        core_masks=core_masks,
-        cover_masks=cover_masks,
-        core_union=core_union,
-        cover_union=cover_union,
+        cores=[np.flatnonzero(m) for m in cores],
+        covers=[np.flatnonzero(m) for m in covers],
         coverage_defect=defect_cells * grid.cell_area,
     )
 

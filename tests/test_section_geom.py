@@ -11,7 +11,6 @@ from ma_lab.section_geom import (
     SectionError,
     dichotomy_classify,
     engulfing_constant,
-    engulfing_samples,
     gap_from_index,
     gradient_at,
     interior_heights,
@@ -236,28 +235,23 @@ def test_measure_c_cap(model_square):
 
 
 def test_engulfing_constant_on_model(model_square):
-    samples = engulfing_samples(model_square, t_values=[0.05, 0.1, 0.2], seed=0)
-    theta = engulfing_constant(model_square, samples)
+    sections = [section(model_square, (0.0, 0.0), t) for t in (0.05, 0.1, 0.2)]
+    theta = engulfing_constant(model_square, sections, seed=0)
     assert 3.8 <= theta <= 4.2
     assert theta == pytest.approx(3.994140625, rel=1e-12)
-    small = engulfing_samples(model_square, t_values=[0.1], n_random=0)
-    extra = engulfing_samples(model_square, t_values=[0.1], n_random=8, seed=3)
+    # the direction extremes are members at any n_random, so more draws
+    # can only raise the constant
+    mid = sections[1:2]
     assert (
-        engulfing_constant(model_square, small)
-        <= engulfing_constant(model_square, small + extra)
+        engulfing_constant(model_square, mid, n_random=0)
+        <= engulfing_constant(model_square, mid, n_random=8, seed=3)
     )
-    with pytest.raises(SectionError, match="outside the section"):
-        engulfing_constant(
-            model_square, [(np.array([0.0, 0.0]), 0.05, np.array([1.9, 1.9]))]
-        )
 
 
 def test_engulfing_constant_on_solved_potential(pinched32):
     pot, _ = pinched32
-    samples = engulfing_samples(
-        pot, t_values=[0.02, 0.05, 0.1], centers=[(0.0, 0.0), (0.3, 0.1)], seed=1
-    )
-    theta = engulfing_constant(pot, samples)
+    sections = [section(pot, c, t) for c in [(0.0, 0.0), (0.3, 0.1)] for t in (0.02, 0.05, 0.1)]
+    theta = engulfing_constant(pot, sections, seed=1)
     assert 3.8 <= theta <= 4.2
     assert theta == pytest.approx(3.9944297212009228, rel=1e-12)
 
@@ -266,7 +260,7 @@ def test_volume_scaling_on_model(model_square):
     heights = np.geomspace(0.02, 0.5, 8)
     pairs = [((0.0, 0.0), float(t)) for t in heights]
     pairs += [((0.3, -0.2), float(t)) for t in heights]
-    fit = volume_scaling(model_square, pairs)
+    fit = volume_scaling([section(model_square, c, t) for c, t in pairs])
     assert fit.n_used == 16
     assert 0.95 <= fit.exponent <= 1.05
     assert fit.exponent == pytest.approx(1.0022209806255131, rel=1e-12)
@@ -280,18 +274,17 @@ def test_volume_scaling_on_solved_potential(pinched32):
     heights = np.geomspace(0.01, 0.1, 8)
     pairs = [((0.0, 0.0), float(t)) for t in heights]
     pairs += [((0.2, -0.1), float(t)) for t in heights]
-    fit = volume_scaling(pot, pairs)
+    fit = volume_scaling([section(pot, c, t) for c, t in pairs])
     assert 0.9 <= fit.exponent <= 1.1
     assert fit.exponent == pytest.approx(0.9895738701259338, rel=1e-12)
-    lean = [((0.0, -0.75), float(t)) for t in np.geomspace(0.01, 0.08, 8)]
-    lean_fit = volume_scaling(pot, lean)
+    lean_fit = volume_scaling([section(pot, (0.0, -0.75), float(t)) for t in np.geomspace(0.01, 0.08, 8)])
     assert 0.85 <= lean_fit.exponent <= 1.15
     assert lean_fit.exponent == pytest.approx(0.9011598198173538, rel=1e-12)
 
 
 def test_volume_scaling_needs_enough_sections(model_square):
     with pytest.raises(SectionError, match="need 4"):
-        volume_scaling(model_square, [((0.0, 0.0), 0.1)])
+        volume_scaling([section(model_square, (0.0, 0.0), 0.1)])
 
 
 def test_dichotomy_interior_versus_boundary(model_square):
@@ -326,7 +319,8 @@ def test_localization_sandwich_is_attained(model_square, point, h):
     grid = pot.grid
     fit = localization_fit(pot, point, h)
     radius = np.sqrt(2.0 * h)
-    W = fit.frame.to_frame(grid.points(grid.in_domain)) @ fit.triple.map_A.T
+    A = np.array([[1.0, -fit.tau], [0.0, 1.0]])
+    W = fit.frame.to_frame(grid.points(grid.in_domain)) @ A.T
     r = np.hypot(W[:, 0], W[:, 1])
     cells = fit.cells[grid.in_domain]
     assert fit.k_outer * radius == pytest.approx(r[cells].max(), rel=1e-15, abs=0.0)
@@ -340,7 +334,6 @@ def test_localization_flat_edge_is_half_ball(model_square):
     assert fit.k_inner == pytest.approx(1.0, abs=0.05)
     assert fit.k_outer == pytest.approx(1.0, abs=0.05)
     assert fit.k_outer == pytest.approx(0.9882117688026426, rel=1e-9)
-    assert np.linalg.det(fit.triple.map_A) == pytest.approx(1.0, abs=1e-14)
     assert int(fit.cells.sum()) == 412
 
 
@@ -356,6 +349,11 @@ def test_localization_recovers_shear(model_square):
     assert fit.tau == pytest.approx(-tau_true, abs=0.05)
     assert fit.k_outer <= 1.06
     assert fit.k_inner >= 0.94
+    # the closed form of the shear's norms that localization_fit states
+    A = np.array([[1.0, -fit.tau], [0.0, 1.0]])
+    norm = (abs(fit.tau) + np.sqrt(fit.tau ** 2 + 4.0)) / 2.0
+    assert np.linalg.norm(A, 2) == pytest.approx(norm, rel=1e-12)
+    assert np.linalg.norm(np.linalg.inv(A), 2) == pytest.approx(norm, rel=1e-12)
 
 
 def test_localization_sweep_on_solved_disc(disc64):

@@ -157,3 +157,19 @@ def test_family_solves_on_its_own_when_the_flat_solve_fails(disc_domain, monkeyp
     assert pot.residual_max <= 1e-7
     with pytest.raises(SolveError, match="flat solve failed"):
         family.potential(0.0)
+
+
+def test_contact_set_anchor_snaps_to_an_in_domain_node():
+    # the ellipse's first boundary sample (1.2, 0) rounds to the exterior node
+    # (1.20625, 0); the experiment floods from the nearest in-domain node
+    grid = discretize(build_domain("ellipse", a=1.2, b=0.8), 1.0 / 32)
+    family = PinchedFamily(grid, default_bump(grid.domain))
+    assert not grid.in_domain[grid.nearest_node((1.2, 0.0))]
+    report = stability_lab.contact_set_experiment(family, [0.2, 0.1, 0.05], sigma=0.9)
+    assert report.config["anchor"] == pytest.approx([1.175, 0.0125], abs=1e-12)
+    assert report.measured["section_cells"] == [38, 38, 38]
+    assert report.measured["measurable_cells"] == [10, 10, 10]
+    # the mask threshold 0.5 * sigma = 0.45 lies above the ellipse's
+    # quasi-Euclidean ratio, about b / (2a) = 1/3, so no cell passes
+    assert report.measured["defect_fraction"] == [1.0, 1.0, 1.0]
+    assert not report.passed
