@@ -13,14 +13,7 @@ import numpy as np
 
 from .domain_grid import FieldError, ScalarField, coerce_samples, lp_norm
 from .ma_solve import PotentialField
-from .section_geom import (
-    gap_from_index,
-    interior_heights,
-    measure_c_cap,
-    pair_gaps,
-    section_cells,
-    sublevel_cells,
-)
+from .section_geom import interior_heights, measure_c_cap, pair_gaps, section_cells
 
 
 # vitali_cover floods the cores of this many candidates per section_cells
@@ -140,12 +133,10 @@ def height_grid(potential: PotentialField, n_heights: int = 12) -> np.ndarray:
     grid = potential.grid
     hs = interior_heights(potential)
     c_cap = measure_c_cap(potential, heights=hs)
-    k = np.unravel_index(np.nanargmax(np.where(np.isfinite(hs), hs, -np.inf)), hs.shape)
-    gap = gap_from_index(potential, *k)
+    i, j = np.unravel_index(np.nanargmax(np.where(np.isfinite(hs), hs, -np.inf)), hs.shape)
     t = 2.0 * grid.cell_area
     while t < c_cap / 2.0:
-        cells = sublevel_cells(potential, gap, t, k)
-        if cells.sum() >= 8:
+        if section_cells(potential, [i], [j], [t])[0].size >= 8:
             break
         t *= 1.3
     t_min = min(t, c_cap / 2.0)

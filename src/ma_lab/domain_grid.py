@@ -9,6 +9,7 @@ that stay exact on quadratics.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -347,8 +348,6 @@ def discretize(domain: ConvexDomain, spacing: float) -> Grid:
     if spacing <= 0:
         raise GridError(f"spacing must be positive, got {spacing}")
     if domain.rho > 0 and spacing >= domain.rho / 4.0:
-        import warnings
-
         warnings.warn(
             f"spacing {spacing} is not below rho/4 = {domain.rho / 4.0:.6g}; "
             "near-boundary stencils may degrade",

@@ -59,12 +59,14 @@ def _solution_fields(potential: PotentialField, u):
     return vals, grad, hess
 
 
-def _default_centers(potential: PotentialField, grad_exact: Optional[np.ndarray]) -> np.ndarray:
-    """Interior centers, subsampled every other node per axis on large grids."""
+def _default_centers(potential: PotentialField) -> np.ndarray:
+    """Interior centers, subsampled every other node per axis on large grids.
+
+    Every interior node has central stencils, so its derivatives are exact
+    on quadratics for any field on the grid.
+    """
     grid = potential.grid
-    centers = grid.interior & potential.grad.quadratic_exact
-    if grad_exact is not None:
-        centers &= grad_exact
+    centers = grid.interior.copy()
     if centers.sum() > 10_000:
         keep = np.zeros(grid.shape, dtype=bool)
         keep[::2, ::2] = True
@@ -96,7 +98,7 @@ def minimal_opening_field(
     else:
         vals, grad = _pre
     if centers is None:
-        centers = _default_centers(potential, grad.quadratic_exact)
+        centers = _default_centers(potential)
 
     ni, nj = np.nonzero(grid.in_domain)
     out = np.full(grid.shape, np.nan)
@@ -215,7 +217,7 @@ def quasi_euclidean_constant(potential: PotentialField) -> float:
     one-cell ratios are noisy: noise lowers sigma and so raises the bridge
     value there, leaving the minimum to the clean bulk.
     """
-    centers = _default_centers(potential, None)
+    centers = _default_centers(potential)
     lo, hi = _ratio_extrema(potential, _RADIUS, centers)
     fin = np.isfinite(lo) & np.isfinite(hi) & (lo > 0)
     if not fin.any():
@@ -295,7 +297,7 @@ def good_set_survey(
     """
     grid = potential.grid
     vals, grad, hess = _solution_fields(potential, u)
-    centers = _default_centers(potential, grad.quadratic_exact)
+    centers = _default_centers(potential)
     c_inst = quasi_euclidean_constant(potential)
     openings = minimal_opening_field(potential, u, centers=centers, _pre=(vals, grad))
     used = np.isfinite(openings)

@@ -46,7 +46,6 @@ from scipy.interpolate import RectBivariateSpline
 
 from .domain_grid import (
     ConvexDomain,
-    FieldError,
     Grid,
     GridError,
     MatrixField,
@@ -64,11 +63,6 @@ _MAX_ITER = 50
 _DAMPING_MIN = 2.0**-16
 # the convexity certificate tolerates eigenvalues down to -_CONVEX_TOL * Lam
 _CONVEX_TOL = 1e-6
-# quadratic_separation_check: pair separation floor in spacings, passing
-# floor on the ratios, and the most band nodes it pairs
-_SEP_MIN_FACTOR = 8.0
-_SEP_RHO_FLOOR = 0.01
-_SEP_MAX_BAND_NODES = 1200
 # floor on the linearized operator's diagonal coefficients; keeps the Newton
 # systems elliptic where the Hessian iterate is still degenerate or indefinite
 _ELLIPTIC_FLOOR = 1e-6
@@ -83,17 +77,6 @@ class ConvexityReport:
     min_eig: float
     location: tuple[float, float]
     passed: bool
-
-
-@dataclass
-class SeparationReport:
-    """Quadratic separation ratios r over boundary-band node pairs."""
-
-    r_min: float
-    r_max: float
-    rho0: float
-    passed: bool
-    flat_boundary_warning: bool
 
 
 @dataclass
@@ -606,50 +589,3 @@ def certify_convexity(hess: MatrixField, region: Optional[np.ndarray] = None, to
     min_eig = float(masked[k])
     loc = (float(grid.xs[k[0]]), float(grid.ys[k[1]]))
     return ConvexityReport(min_eig=min_eig, location=loc, passed=min_eig >= -tol)
-
-
-def quadratic_separation_check(potential: PotentialField) -> SeparationReport:
-    """Separation ratios r = [phi(x) - phi(x0) - grad phi(x0).(x - x0)] / |x - x0|^2
-    over pairs of boundary-band nodes.
-
-    The boundary-adjacent nodes stand in for boundary points, at most
-    _SEP_MAX_BAND_NODES of them, evenly strided; their one-sided stencils
-    are exact on quadratics, so model potentials give exact ratios. Pairs
-    closer than _SEP_MIN_FACTOR * spacing are skipped (the ratio there is
-    dominated by stencil noise). Passing requires min r >= _SEP_RHO_FLOOR
-    with a finite max; a flat-sided domain yields a warning, not a failure
-    to run.
-    """
-    from .section_geom import pair_gaps  # deferred: section_geom imports this module
-
-    grid = potential.grid
-    flat = potential.domain.uniform_convexity_modulus == 0.0
-    if flat:
-        warnings.warn(
-            "domain has flat boundary pieces; quadratic separation cannot hold "
-            "uniformly there, running the check anyway", UserWarning)
-    band = grid.boundary_adjacent & potential.grad.quadratic_exact
-    ri, rj = np.nonzero(band)
-    if len(ri) > _SEP_MAX_BAND_NODES:
-        stride = int(np.ceil(len(ri) / _SEP_MAX_BAND_NODES))
-        ri, rj = ri[::stride], rj[::stride]
-    _, gap = next(pair_gaps(potential, ri, rj, ri, rj, ri.size))
-    dx = grid.xs[ri][None, :] - grid.xs[ri][:, None]
-    dy = grid.ys[rj][None, :] - grid.ys[rj][:, None]
-    d2 = dx * dx + dy * dy
-    min_sep = _SEP_MIN_FACTOR * grid.spacing
-    sel = d2 >= min_sep * min_sep
-    if not np.any(sel):
-        raise FieldError("no boundary pairs at the requested separation")
-    r = gap[sel] / d2[sel]
-    r_min = float(np.min(r))
-    r_max = float(np.max(r))
-    rho0 = min(r_min, 1.0 / r_max) if r_max > 0 else r_min
-    passed = bool(np.isfinite(r_max) and r_min >= _SEP_RHO_FLOOR)
-    return SeparationReport(
-        r_min=r_min,
-        r_max=r_max,
-        rho0=rho0,
-        passed=passed,
-        flat_boundary_warning=flat,
-    )

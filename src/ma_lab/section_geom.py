@@ -2,20 +2,26 @@
 
 Sections are connected sublevel sets of the potential below a lifted tangent
 plane. This module computes the quasi-distance that generates them, extracts
-sections by flood fill, measures maximal interior heights, fits the
-boundary-localization shear, and classifies sections as interior or boundary
-dominated. A Section is flooded once and then shared: engulfing_constant and
-volume_scaling measure the cells of the sections they are given and flood
-nothing themselves.
+sections by flood fill, measures maximal interior heights, checks quadratic
+separation of the boundary data, fits the boundary-localization shear, and
+classifies sections as interior or boundary dominated.
+
+Each node-centred object has one builder: the tangent gaps of nodes come
+from pair_gaps, the section of a node at a height from section_cells, and
+the gap of a boundary point from boundary_frame and frame_gap.
+sublevel_cells floods a gap field the caller already holds. A Section is
+flooded once and then shared: engulfing_constant and volume_scaling measure
+the cells of the sections they are given and flood nothing themselves.
 """
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import ndimage
 
-from .domain_grid import Grid
+from .domain_grid import FieldError
 from .ma_solve import PotentialField
 
 
@@ -30,6 +36,11 @@ _HEIGHTS_CHUNK = 2048
 _N_DIRECTIONS = 16
 # volume_scaling drops sections with fewer cells
 _MIN_CELLS = 20
+# quadratic_separation_check: pair separation floor in spacings, passing
+# floor on the ratios, and the most band nodes it pairs
+_SEP_MIN_FACTOR = 8.0
+_SEP_RHO_FLOOR = 0.01
+_SEP_MAX_BAND_NODES = 1200
 
 
 # ---------------------------------------------------------------------------
@@ -82,20 +93,6 @@ def gradient_at(potential: PotentialField, p: np.ndarray) -> np.ndarray:
     return np.array([gx, gy])
 
 
-def gap_from_index(potential: PotentialField, i: int, j: int) -> np.ndarray:
-    """Tangent-plane gap of the potential relative to the node (i, j), over all nodes."""
-    grid = potential.grid
-    z = (grid.xs[i], grid.ys[j])
-    grad_z = (potential.grad.gx[i, j], potential.grad.gy[i, j])
-    return _gap_from_point(potential, z, potential.phi.values[i, j], grad_z)
-
-
-def _gap_from_point(potential: PotentialField, z, phi_z: float, grad_z) -> np.ndarray:
-    grid = potential.grid
-    X, Y = grid.meshes()
-    return potential.phi.values - phi_z - grad_z[0] * (X - z[0]) - grad_z[1] * (Y - z[1])
-
-
 def quasi_distance(potential: PotentialField, xbar, x) -> np.ndarray:
     """Squared quasi-distance from the node nearest xbar to the point(s) x.
 
@@ -121,24 +118,13 @@ def quasi_distance(potential: PotentialField, xbar, x) -> np.ndarray:
 
 
 @dataclass
-class EllipsoidFit:
-    center: np.ndarray
-    semi_axes: np.ndarray
-    residual: float
-
-
-@dataclass
 class Section:
     """A connected tangent-sublevel set of the potential."""
 
-    center: np.ndarray
     height: float
     cells: np.ndarray
     measure: float
-    centroid: np.ndarray
     is_interior: bool
-    ellipsoid_fit: Optional[EllipsoidFit]
-    warning: Optional[str] = None
 
 
 def _component(mask: np.ndarray, seed: tuple) -> np.ndarray:
@@ -158,52 +144,28 @@ def sublevel_cells(potential: PotentialField, gap: np.ndarray, t: float, seed: t
     return _component(mask, seed)
 
 
-def _moment_ellipse(grid: Grid, cells: np.ndarray, measure: float) -> EllipsoidFit:
-    pts = grid.points(cells)
-    mu = pts.mean(axis=0)
-    d = pts - mu
-    cov = d.T @ d / len(pts) + (grid.spacing ** 2 / 12.0) * np.eye(2)
-    # eigh sorts ascending; the axes run from the longest
-    w = np.linalg.eigh(cov)[0][::-1]
-    axes = 2.0 * np.sqrt(np.maximum(w, 0.0))
-    area = np.pi * axes[0] * axes[1]
-    residual = abs(area - measure) / measure if measure > 0 else np.nan
-    return EllipsoidFit(center=mu, semi_axes=axes, residual=residual)
-
-
 def section(potential: PotentialField, x, t: float) -> Section:
     """Section of the potential centered at the node nearest x with height t.
 
     The cell set is the flood-fill component of the strict sublevel set that
     contains the center. is_interior reports whether the doubled-height
-    section stays clear of the boundary band.
+    section stays clear of the boundary band. One section_cells call floods
+    both heights.
     """
     if not t > 0:
         raise SectionError("section height must be positive")
     grid = potential.grid
-    idx = grid.nearest_node(x)
-    if not grid.in_domain[idx]:
+    i, j = grid.nearest_node(x)
+    if not grid.in_domain[i, j]:
         raise SectionError("section center must be an in-domain node")
-    gap = gap_from_index(potential, *idx)
-    cells = sublevel_cells(potential, gap, t, idx)
-    count = int(cells.sum())
-    measure = count * grid.cell_area
-    centroid = grid.points(cells).mean(axis=0)
-    warning = "section is a single cell at this height" if count == 1 else None
-
-    cells2 = sublevel_cells(potential, gap, 2.0 * t, idx)
-    is_interior = not (cells2 & grid.boundary_adjacent).any()
-
-    fit = _moment_ellipse(grid, cells, measure) if count >= 3 else None
+    flat, flat2 = section_cells(potential, [i, i], [j, j], [t, 2.0 * t])
+    cells = np.zeros(grid.shape, dtype=bool)
+    cells.flat[flat] = True
     return Section(
-        center=np.array([grid.xs[idx[0]], grid.ys[idx[1]]]),
         height=float(t),
         cells=cells,
-        measure=measure,
-        centroid=centroid,
-        is_interior=is_interior,
-        ellipsoid_fit=fit,
-        warning=warning,
+        measure=flat.size * grid.cell_area,
+        is_interior=not grid.boundary_adjacent.flat[flat2].any(),
     )
 
 
@@ -223,7 +185,9 @@ def maximal_height(potential: PotentialField, x) -> tuple[float, np.ndarray]:
     idx = grid.nearest_node(x)
     if not grid.interior[idx]:
         raise SectionError("maximal height requires an interior node")
-    gap = gap_from_index(potential, *idx)
+    ti, tj = np.indices(grid.shape).reshape(2, -1)
+    _, D = next(pair_gaps(potential, [idx[0]], [idx[1]], ti, tj, 1))
+    gap = D.reshape(grid.shape)
     ring = grid.boundary_adjacent
     levels = np.append(np.unique(gap[grid.in_domain]), np.inf)
     # the section at levels[lo] misses the band (at the smallest gap it is
@@ -282,6 +246,62 @@ def pair_gaps(potential: PotentialField, ci, cj, ti, tj, chunk: int, values=None
         yield block, D
 
 
+@dataclass
+class SeparationReport:
+    """Quadratic separation ratios r over boundary-band node pairs."""
+
+    r_min: float
+    r_max: float
+    rho0: float
+    passed: bool
+    flat_boundary_warning: bool
+
+
+def quadratic_separation_check(potential: PotentialField) -> SeparationReport:
+    """Separation ratios r = [phi(x) - phi(x0) - grad phi(x0).(x - x0)] / |x - x0|^2
+    over pairs of boundary-band nodes.
+
+    The boundary-adjacent nodes stand in for boundary points, at most
+    _SEP_MAX_BAND_NODES of them, evenly strided; their one-sided stencils
+    are exact on quadratics, so model potentials give exact ratios. Pairs
+    closer than _SEP_MIN_FACTOR * spacing are skipped (the ratio there is
+    dominated by stencil noise). Passing requires min r >= _SEP_RHO_FLOOR
+    with a finite max; a flat-sided domain yields a warning, not a failure
+    to run.
+    """
+    grid = potential.grid
+    flat = potential.domain.uniform_convexity_modulus == 0.0
+    if flat:
+        warnings.warn(
+            "domain has flat boundary pieces; quadratic separation cannot hold "
+            "uniformly there, running the check anyway", UserWarning)
+    band = grid.boundary_adjacent & potential.grad.quadratic_exact
+    ri, rj = np.nonzero(band)
+    if len(ri) > _SEP_MAX_BAND_NODES:
+        stride = int(np.ceil(len(ri) / _SEP_MAX_BAND_NODES))
+        ri, rj = ri[::stride], rj[::stride]
+    _, gap = next(pair_gaps(potential, ri, rj, ri, rj, ri.size))
+    dx = grid.xs[ri][None, :] - grid.xs[ri][:, None]
+    dy = grid.ys[rj][None, :] - grid.ys[rj][:, None]
+    d2 = dx * dx + dy * dy
+    min_sep = _SEP_MIN_FACTOR * grid.spacing
+    sel = d2 >= min_sep * min_sep
+    if not np.any(sel):
+        raise FieldError("no boundary pairs at the requested separation")
+    r = gap[sel] / d2[sel]
+    r_min = float(np.min(r))
+    r_max = float(np.max(r))
+    rho0 = min(r_min, 1.0 / r_max) if r_max > 0 else r_min
+    passed = bool(np.isfinite(r_max) and r_min >= _SEP_RHO_FLOOR)
+    return SeparationReport(
+        r_min=r_min,
+        r_max=r_max,
+        rho0=rho0,
+        passed=passed,
+        flat_boundary_warning=flat,
+    )
+
+
 # section_cells: elements per block of patches (about 2 MB of gaps, 1 MB of
 # labels) and the first patch half-width
 _FLOOD_BLOCK = 250_000
@@ -298,9 +318,9 @@ def section_cells(potential: PotentialField, ci, cj, heights) -> list[np.ndarray
     The k-th entry is the 4-connected component of the in-domain nodes with
     gap_k < heights[k] that holds the centre, in row-major order, and is
     empty when the centre is not below its height: the same cells as
-    sublevel_cells(potential, gap_from_index(potential, ci[k], cj[k]),
-    heights[k], (ci[k], cj[k])). The gaps are evaluated with the expression
-    and order of gap_from_index, so they are bitwise the dense ones.
+    sublevel_cells(potential, gap, heights[k], (ci[k], cj[k])) with gap the
+    centre's pair_gaps over every grid node. The gaps are evaluated with the
+    expression and order of pair_gaps, so they are bitwise the dense ones.
 
     The floods are exact in grown windows. Each centre's component is
     labelled inside a square patch of half-width _FLOOD_W0 around it, shifted
@@ -437,7 +457,9 @@ def boundary_frame(potential: PotentialField, point) -> BoundaryFrame:
 
 def frame_gap(potential: PotentialField, frame: BoundaryFrame) -> np.ndarray:
     """Normalized potential over the grid: tangent plane at the frame origin removed."""
-    return _gap_from_point(potential, frame.origin, frame.phi_origin, frame.gradient_origin)
+    X, Y = potential.grid.meshes()
+    z, g = frame.origin, frame.gradient_origin
+    return potential.phi.values - frame.phi_origin - g[0] * (X - z[0]) - g[1] * (Y - z[1])
 
 
 @dataclass
@@ -525,7 +547,8 @@ def engulfing_constant(potential: PotentialField, sections, n_random: int = 6, s
     the measured constant toward its supremum. Each member's least theta with
     the section inside its own section of height theta * t is y's largest
     tangent gap over the section's cells divided by t; the result is the
-    maximum over all members of all sections.
+    maximum over all members of all sections. The gaps of a section's
+    members come from one pair_gaps block.
     """
     grid = potential.grid
     rng = np.random.default_rng(seed)
@@ -537,9 +560,9 @@ def engulfing_constant(potential: PotentialField, sections, n_random: int = 6, s
         pts = grid.points(sec.cells)
         chosen = {int(np.argmax(pts @ d)) for d in dirs}
         chosen.update(int(k) for k in rng.integers(0, len(pts), size=n_random))
-        for k in sorted(chosen):
-            gap_y = gap_from_index(potential, ci[k], cj[k])
-            theta_star = max(theta_star, float(np.max(gap_y[sec.cells]) / sec.height))
+        members = np.array(sorted(chosen))
+        _, D = next(pair_gaps(potential, ci[members], cj[members], ci, cj, members.size))
+        theta_star = max(theta_star, float(D.max()) / sec.height)
     return theta_star
 
 
@@ -591,22 +614,19 @@ def dichotomy_classify(potential: PotentialField, x, t: float) -> DichotomyResul
     boundary point over the doubled section, divided by t (0 if negative).
     """
     grid = potential.grid
-    idx = grid.nearest_node(x)
-    if not grid.in_domain[idx]:
+    i, j = grid.nearest_node(x)
+    if not grid.in_domain[i, j]:
         raise SectionError("classification center must be an in-domain node")
-    gap = gap_from_index(potential, *idx)
-    cells2 = sublevel_cells(potential, gap, 2.0 * t, idx)
-    band = cells2 & grid.boundary_adjacent
-    if not band.any():
+    (flat,) = section_cells(potential, [i], [j], [2.0 * t])
+    cells2 = np.zeros(grid.shape, dtype=bool)
+    cells2.flat[flat] = True
+    band = flat[grid.boundary_adjacent.flat[flat]]
+    if not band.size:
         return DichotomyResult(kind="interior", boundary_point=None, c_bar=None, doubled_cells=cells2)
-    bi, bj = np.nonzero(band)
-    k = np.argmin(gap[bi, bj])
-    node = np.array([grid.xs[bi[k]], grid.ys[bj[k]]])
-    proj, _, _ = grid.domain.project_boundary(node)
-    z = proj[0]
-    phi_z = float(np.atleast_1d(potential.boundary_datum(z[None, :]))[0])
-    grad_z = gradient_at(potential, z)
-    gap_z = _gap_from_point(potential, z, phi_z, grad_z)
-    c_bar = max(float(np.max(gap_z[cells2])) / t, 0.0)
-    return DichotomyResult(kind="boundary", boundary_point=z, c_bar=c_bar, doubled_cells=cells2)
+    bi, bj = np.unravel_index(band, grid.shape)
+    _, D = next(pair_gaps(potential, [i], [j], bi, bj, 1))
+    k = np.argmin(D[0])
+    frame = boundary_frame(potential, (grid.xs[bi[k]], grid.ys[bj[k]]))
+    c_bar = max(float(np.max(frame_gap(potential, frame)[cells2])) / t, 0.0)
+    return DichotomyResult(kind="boundary", boundary_point=frame.origin, c_bar=c_bar, doubled_cells=cells2)
 

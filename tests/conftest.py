@@ -6,6 +6,14 @@ from ma_lab.ma_solve import assemble_potential, solve_ma
 from ma_lab.lma_solve import solve_lma
 
 
+def tangent_gap(pot, i, j):
+    """Dense reference: tangent-plane gap of the potential at the node (i, j), over all nodes."""
+    grid = pot.grid
+    X, Y = grid.meshes()
+    gx, gy = pot.grad.gx[i, j], pot.grad.gy[i, j]
+    return pot.phi.values - pot.phi.values[i, j] - gx * (X - grid.xs[i]) - gy * (Y - grid.ys[j])
+
+
 def pinched_density(grid, eps):
     X, Y = grid.meshes()
     x0, x1, y0, y1 = grid.domain.bbox()

@@ -237,18 +237,18 @@ def test_known_keys_are_the_config_fields():
 
 
 def test_sections_experiment_floods_each_section_once(tmp_path, monkeypatch):
-    # four heights, each flooded at t and at 2t (the interior check); the
-    # engulfing constant and the volume fit measure those same sections
+    # four sections, each flooded at t and at 2t (the interior check) in one
+    # call; the engulfing constant and the volume fit measure those same
+    # sections
     calls = []
-    real = section_geom.sublevel_cells
+    real = section_geom.section_cells
 
     def counting(*args):
-        calls.append(args[2])
+        calls.append(list(args[3]))
         return real(*args)
 
-    monkeypatch.setattr(section_geom, "sublevel_cells", counting)
+    monkeypatch.setattr(section_geom, "section_cells", counting)
     cfg = ExperimentConfig(experiment="sections", domain="disc", spacing=1.0 / 32)
     assert run(cfg, out_dir=str(tmp_path)) == 0
     heights = json.loads((tmp_path / "report.json").read_text())["sweep"]
-    assert len(calls) == 8
-    assert sorted(calls) == sorted(heights + [2.0 * t for t in heights])
+    assert calls == [[t, 2.0 * t] for t in heights]

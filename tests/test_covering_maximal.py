@@ -11,7 +11,8 @@ from ma_lab.covering_maximal import (
     vitali_cover,
 )
 from ma_lab.domain_grid import FieldError
-from ma_lab.section_geom import gap_from_index, interior_heights, measure_c_cap, sublevel_cells
+from ma_lab.section_geom import interior_heights, measure_c_cap, sublevel_cells
+from conftest import tangent_gap
 
 
 def radial_mask(grid, r_lo, r_hi):
@@ -80,7 +81,7 @@ def dense_vitali_cover(potential, region, delta0=0.1, delta0_floor=0.0125):
             idx = (ci[k], cj[k])
             if in_core[idx]:
                 continue
-            core = sublevel_cells(potential, gap_from_index(potential, *idx), d0 * hvals[k], idx)
+            core = sublevel_cells(potential, tangent_gap(potential, *idx), d0 * hvals[k], idx)
             if (core & in_core).any():
                 continue
             in_core |= core
@@ -90,7 +91,7 @@ def dense_vitali_cover(potential, region, delta0=0.1, delta0_floor=0.0125):
         in_cover = np.zeros(grid.shape, dtype=bool)
         for k in picked:
             idx = (ci[k], cj[k])
-            cover = sublevel_cells(potential, gap_from_index(potential, *idx), 0.5 * hvals[k], idx)
+            cover = sublevel_cells(potential, tangent_gap(potential, *idx), 0.5 * hvals[k], idx)
             covers.append(cover)
             in_cover |= cover
         defect_cells = int((region & ~in_cover).sum())

@@ -13,6 +13,7 @@ from ma_lab.good_sets import (
     quasi_euclidean_ratio_min,
     tangent_trust_region,
 )
+from ma_lab.lma_solve import solve_lma
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +163,15 @@ def test_tangent_trust_region_counts(model_disc):
     assert int(t3.sum()) == 2453
     assert bool(np.all(t3 <= grid.in_domain))
     assert bool(np.array_equal(tangent_trust_region(model_disc, margin=0), grid.in_domain))
+
+
+def test_interior_nodes_are_quadratic_exact(pinched_suite32):
+    # the scans take every interior node as a centre: its stencils are
+    # central, so its derivatives are exact on quadratics for any field
+    pot = pinched_suite32
+    grid = pot.grid
+    X, Y = grid.meshes()
+    sol = solve_lma(pot, np.sin(np.pi * X) * np.cos(np.pi * Y) + 2.0)
+    grad_u, _ = fd_derivatives(ScalarField(grid, sol.u.values))
+    assert bool(np.all(pot.grad.quadratic_exact[grid.interior]))
+    assert bool(np.all(grad_u.quadratic_exact[grid.interior]))

@@ -16,3 +16,13 @@ def test_no_private_names_imported_across_modules():
             offenders += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                           if within and alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_no_imports_inside_functions():
+    offenders = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(sub, (ast.Import, ast.ImportFrom)) for sub in ast.walk(node)):
+                offenders.add(f"{path.stem}.{node.name}")
+    assert sorted(offenders) == []

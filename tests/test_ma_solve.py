@@ -18,9 +18,9 @@ from ma_lab.ma_solve import (
     certify_convexity,
     cofactor_field,
     linear_solve,
-    quadratic_separation_check,
     solve_ma,
 )
+from ma_lab.section_geom import quadratic_separation_check
 from ma_lab.stability_lab import default_bump
 from conftest import pinched_density
 

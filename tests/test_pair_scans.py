@@ -2,18 +2,19 @@
 
 The references below are the all-pairs formulas the scans replaced: one
 boolean matrix per height for the maximal function, and an all-pairs masked
-ratio matrix for the quasi-Euclidean extrema. They live only here.
+ratio matrix for the quasi-Euclidean extrema. The probe heights come from a
+dense-gap reference of height_grid. They live only here.
 """
 
 import numpy as np
 import pytest
 
-from conftest import pinched_density
+from conftest import pinched_density, tangent_gap
 from ma_lab.covering_maximal import height_grid, maximal_function
 from ma_lab.domain_grid import build_domain, discretize
 from ma_lab.good_sets import _ratio_extrema, tangent_trust_region
 from ma_lab.ma_solve import solve_ma
-from ma_lab.section_geom import pair_gaps
+from ma_lab.section_geom import interior_heights, measure_c_cap, pair_gaps, sublevel_cells
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +44,25 @@ def dense_gaps(pot, ci, cj, ni, nj):
     return D, dx, dy
 
 
+def dense_height_grid(pot, n_heights=12):
+    """height_grid with one full-grid gap and one full-grid flood per candidate height."""
+    grid = pot.grid
+    hs = interior_heights(pot)
+    c_cap = measure_c_cap(pot, heights=hs)
+    k = np.unravel_index(np.nanargmax(np.where(np.isfinite(hs), hs, -np.inf)), hs.shape)
+    gap = tangent_gap(pot, *k)
+    t = 2.0 * grid.cell_area
+    while t < c_cap / 2.0:
+        if sublevel_cells(pot, gap, t, k).sum() >= 8:
+            break
+        t *= 1.3
+    return np.geomspace(min(t, c_cap / 2.0), c_cap, n_heights)
+
+
 def dense_maximal(pot, f, chunk=256):
     """One boolean matrix and one matrix product per height and centre block."""
     grid = pot.grid
-    heights = height_grid(pot)
+    heights = dense_height_grid(pot)
     ni, nj = np.nonzero(grid.in_domain)
     absf = np.abs(np.broadcast_to(f, grid.shape)[ni, nj])
     out = np.full(grid.shape, np.nan)
@@ -95,6 +111,10 @@ def test_pair_gaps_matches_formula_for_shared_and_per_centre_targets(pinched32):
     tj = np.tile(nj[39::-1], (ci.size, 1))
     per = np.concatenate([D.copy() for _, D in pair_gaps(pot, ci, cj, ti, tj, 33)])
     assert np.array_equal(per, ref[:, 39::-1])
+
+
+def test_height_grid_equals_dense_reference(pinched_suite32):
+    assert np.array_equal(height_grid(pinched_suite32), dense_height_grid(pinched_suite32))
 
 
 def test_maximal_function_of_one_is_exactly_one(potential):

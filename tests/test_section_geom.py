@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from conftest import tangent_gap
 from ma_lab.ma_solve import assemble_potential
 from ma_lab.section_geom import (
     SectionError,
     dichotomy_classify,
     engulfing_constant,
-    gap_from_index,
     gradient_at,
     interior_heights,
     localization_fit,
     maximal_height,
     measure_c_cap,
+    pair_gaps,
     phi_extended,
     quasi_distance,
     section,
@@ -42,16 +43,20 @@ def test_quasi_distance_nonnegative_and_zero_at_center(pinched32):
     assert float(quasi_distance(pot, (0.0, 0.0), np.array([0.0, 0.0]))) == 0.0
 
 
-def test_gap_from_index_is_the_tangent_gap_bitwise(pinched_suite32):
+def test_pair_gaps_over_all_nodes_is_the_tangent_gap_bitwise(pinched_suite32):
     pot = pinched_suite32
     grid = pot.grid
     X, Y = grid.meshes()
     v, gx, gy = pot.phi.values, pot.grad.gx, pot.grad.gy
     ci, cj = np.nonzero(grid.in_domain)
+    ti, tj = np.indices(grid.shape).reshape(2, -1)
     for k in np.linspace(0, ci.size - 1, 9).astype(int):
         i, j = ci[k], cj[k]
+        _, D = next(pair_gaps(pot, [i], [j], ti, tj, 1))
+        gap = D.reshape(grid.shape)
         want = v - v[i, j] - gx[i, j] * (X - grid.xs[i]) - gy[i, j] * (Y - grid.ys[j])
-        assert np.array_equal(gap_from_index(pot, i, j), want, equal_nan=True)
+        assert bool(np.all(np.isnan(gap[~grid.in_domain])))
+        assert np.array_equal(gap[grid.in_domain], want[grid.in_domain])
 
 
 def test_quasi_distance_affine_invariance(model_square):
@@ -86,13 +91,6 @@ def test_section_monotone_inclusion(model_square):
     assert int(s2.cells.sum()) == 1289
 
 
-def test_section_centroid_and_ellipsoid(model_square):
-    s = section(model_square, (0.3, -0.2), 0.2)
-    h = model_square.grid.spacing
-    assert np.allclose(s.centroid, s.center, atol=h)
-    assert np.allclose(s.ellipsoid_fit.semi_axes, np.sqrt(0.4), rtol=2e-2)
-
-
 def test_section_flood_fill_keeps_one_component(model_square):
     grid = model_square.grid
     two_well = assemble_potential(
@@ -109,12 +107,34 @@ def test_section_flood_fill_keeps_one_component(model_square):
     assert grid.points(brute)[:, 0].min() < 0.0
 
 
-def test_section_height_validation_and_single_cell_warning(model_square):
+def test_section_height_validation_and_single_cell(model_square):
     with pytest.raises(SectionError, match="positive"):
         section(model_square, (0.0, 0.0), -1.0)
     tiny = section(model_square, (0.0, 0.0), 1e-6)
     assert int(tiny.cells.sum()) == 1
-    assert "single cell" in tiny.warning
+    assert tiny.measure == model_square.grid.cell_area
+
+
+def test_section_equals_dense_floods(pinched_suite32):
+    pot = pinched_suite32
+    grid = pot.grid
+    m = interior_heights(pot)
+    ci, cj = np.nonzero(np.where(grid.interior, m, 0.0) > 0.0)
+    kinds = set()
+    for k in range(0, ci.size, 37):
+        idx = (ci[k], cj[k])
+        gap = tangent_gap(pot, *idx)
+        # 2t = 1.5 m passes the least band gap, so the doubled section may
+        # reach the band
+        for t in (0.25 * m[idx], 0.75 * m[idx]):
+            sec = section(pot, (grid.xs[idx[0]], grid.ys[idx[1]]), t)
+            cells = sublevel_cells(pot, gap, t, idx)
+            is_interior = not (sublevel_cells(pot, gap, 2.0 * t, idx) & grid.boundary_adjacent).any()
+            assert np.array_equal(sec.cells, cells)
+            assert sec.is_interior == is_interior
+            assert sec.measure == int(cells.sum()) * grid.cell_area
+            kinds.add(is_interior)
+    assert kinds == {True, False}
 
 
 def test_solved_disc_distance_matches_paraboloid(disc32):
@@ -164,7 +184,7 @@ def minimax_height(pot, idx):
     node to leave it carries the answer.
     """
     grid = pot.grid
-    gap = gap_from_index(pot, *idx)
+    gap = tangent_gap(pot, *idx)
     best = np.full(grid.shape, np.inf)
     best[idx] = gap[idx]
     heap = [(gap[idx], idx)]
@@ -204,7 +224,7 @@ def test_maximal_height_equals_minimax_reference(pinched_suite32):
         # the witness is a band node in the section just above the height
         w = grid.nearest_node(witness)
         assert grid.boundary_adjacent[w]
-        assert sublevel_cells(pot, gap_from_index(pot, *idx), np.nextafter(b, np.inf), idx)[w]
+        assert sublevel_cells(pot, tangent_gap(pot, *idx), np.nextafter(b, np.inf), idx)[w]
     assert n_differ >= 5
 
 
@@ -217,7 +237,7 @@ def test_section_cells_equal_dense_floods(pinched_suite32):
     floods = [section_cells(pot, ci, cj, f * m) for f in factors]
     for k in range(ci.size):
         idx = (ci[k], cj[k])
-        gap = gap_from_index(pot, *idx)
+        gap = tangent_gap(pot, *idx)
         for f, cells in zip(factors, floods):
             ref = np.flatnonzero(sublevel_cells(pot, gap, f * m[k], idx))
             assert np.array_equal(cells[k], ref)
@@ -299,6 +319,38 @@ def test_dichotomy_interior_versus_boundary(model_square):
     assert finer.kind == "boundary"
     assert finer.c_bar == pytest.approx(3.3203125000015454, rel=1e-9)
     assert 0.5 <= near.c_bar / finer.c_bar <= 2.0
+
+
+def test_dichotomy_equals_dense_reference(pinched_suite32):
+    pot = pinched_suite32
+    grid = pot.grid
+    ring = grid.boundary_adjacent
+    m = interior_heights(pot)
+    ci, cj = np.nonzero(np.where(grid.interior, m, 0.0) > 0.0)
+    kinds = set()
+    for k in range(0, ci.size, 41):
+        idx = (ci[k], cj[k])
+        # 2t passes the least band gap m at every other centre
+        t = (0.25 if k % 2 else 0.75) * m[idx]
+        res = dichotomy_classify(pot, (grid.xs[idx[0]], grid.ys[idx[1]]), t)
+        gap = tangent_gap(pot, *idx)
+        cells2 = sublevel_cells(pot, gap, 2.0 * t, idx)
+        assert np.array_equal(res.doubled_cells, cells2)
+        kinds.add(res.kind)
+        if res.kind == "interior":
+            assert not (cells2 & ring).any()
+            continue
+        # the band node of least gap, first in row-major order on ties
+        bi, bj = np.nonzero(cells2 & ring)
+        b = np.argmin(gap[bi, bj])
+        z = grid.domain.project_boundary(np.array([grid.xs[bi[b]], grid.ys[bj[b]]]))[0][0]
+        assert np.array_equal(res.boundary_point, z)
+        phi_z = float(pot.boundary_datum(z[None, :])[0])
+        grad_z = gradient_at(pot, z)
+        X, Y = grid.meshes()
+        gap_z = pot.phi.values - phi_z - grad_z[0] * (X - z[0]) - grad_z[1] * (Y - z[1])
+        assert res.c_bar == max(float(np.max(gap_z[cells2])) / t, 0.0)
+    assert kinds == {"interior", "boundary"}
 
 
 @pytest.mark.parametrize("t", [0.05, 0.025])
