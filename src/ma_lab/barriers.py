@@ -2,10 +2,12 @@
 
 The supersolution lives on the patch of the domain within delta of a boundary
 point, in the affine frame that puts that point at the origin with the inner
-normal along the second axis. Its closed form combines the normalized
-potential with a linear lift minus two quadratic penalties; the verifier
-checks the three defining inequalities node-wise and on sampled boundary
-pieces.
+normal along the second axis; build_supersolution makes that frame itself
+(section_geom.boundary_frame), so the potential is normalized by it by
+construction. Its closed form combines the normalized potential with a
+linear lift minus two quadratic penalties, with the constants of the planar
+case n = _DIM = 2; the verifier checks the three defining inequalities
+node-wise and on sampled boundary pieces.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ import numpy as np
 from .domain_grid import ScalarField
 from .ma_solve import PotentialField, cofactor_field
 from .lma_solve import operator_apply
-from .section_geom import BoundaryFrame, boundary_frame, frame_gap, gradient_at, phi_extended
+from .section_geom import BoundaryFrame, boundary_frame, frame_gap, phi_extended
 
 
 class BarrierError(ValueError):
@@ -27,6 +29,8 @@ class BarrierError(ValueError):
 _TOL_FACTOR = 0.1
 # boundary points sampled on the domain boundary and on the patch circle
 _N_BOUNDARY_SAMPLES = 256
+# the dimension n of the barrier constants; the grids are planar
+_DIM = 2
 
 
 @dataclass
@@ -56,13 +60,13 @@ class Barrier:
     K: float
     lam: float
     Lam: float
-    n: int
     frame: BoundaryFrame
     w: ScalarField
     mask: np.ndarray
 
 
-def _barrier_coefficients(lam: float, Lam: float, delta: float, n: int) -> tuple[float, float, float]:
+def _barrier_coefficients(lam: float, Lam: float, delta: float) -> tuple[float, float, float]:
+    n = _DIM
     delta_tilde = delta ** 3 / 2.0
     M_delta = (2.0 ** (n - 1) * Lam ** n / lam ** (n - 1)) * delta ** (-(3 * n - 3))
     K = Lam ** n / (lam * delta_tilde) ** (n - 1)
@@ -71,20 +75,18 @@ def _barrier_coefficients(lam: float, Lam: float, delta: float, n: int) -> tuple
 
 def build_supersolution(
     potential: PotentialField,
-    frame,
+    point,
     lam: Optional[float] = None,
     Lam: Optional[float] = None,
     delta: float = 0.5,
-    n: int = 2,
 ) -> Barrier:
     """Assemble the explicit supersolution on the boundary patch of radius delta.
 
-    `frame` is the affine normalization at a boundary point (a point is also
-    accepted and normalized here). The potential must genuinely be normalized
-    by that frame: the frame's stored tangent data has to match the potential
-    at the origin, and the origin has to lie on the boundary. The field is
-    evaluated on every in-domain node so that difference stencils at the edge
-    of the patch still see real values; `mask` marks the patch itself.
+    The frame is boundary_frame(potential, point): its origin is the boundary
+    projection of point, and its tangent data is the potential's datum and
+    gradient there. The field is evaluated on every in-domain node so that
+    difference stencils at the edge of the patch still see real values;
+    `mask` marks the patch itself.
     """
     grid = potential.grid
     if lam is None:
@@ -97,21 +99,8 @@ def build_supersolution(
     if not (0.0 < delta <= rho):
         raise BarrierError(f"delta must lie in (0, rho]; got delta={delta}, rho={rho}")
 
-    if not isinstance(frame, BoundaryFrame):
-        frame = boundary_frame(potential, frame)
-    proj, dist, _ = grid.domain.project_boundary(frame.origin)
-    if dist[0] > 1e-9:
-        raise BarrierError(
-            f"normalization not applied: frame origin lies {dist[0]:.3g} away from the boundary"
-        )
-    datum_here = float(np.atleast_1d(potential.boundary_datum(frame.origin[None, :]))[0])
-    grad_here = gradient_at(potential, frame.origin)
-    if abs(datum_here - frame.phi_origin) > 1e-9 or np.max(np.abs(grad_here - frame.gradient_origin)) > 1e-9:
-        raise BarrierError(
-            "normalization not applied: frame tangent data does not match the potential at the origin"
-        )
-
-    delta_tilde, M_delta, K = _barrier_coefficients(lam, Lam, delta, n)
+    frame = boundary_frame(potential, point)
+    delta_tilde, M_delta, K = _barrier_coefficients(lam, Lam, delta)
     X, Y = grid.meshes()
     dx = X - frame.origin[0]
     dy = Y - frame.origin[1]
@@ -128,7 +117,6 @@ def build_supersolution(
         K=K,
         lam=float(lam),
         Lam=float(Lam),
-        n=n,
         frame=frame,
         w=ScalarField(grid, w_vals),
         mask=mask,
@@ -154,7 +142,7 @@ def verify_supersolution(barrier: Barrier, potential: PotentialField) -> Barrier
     if not nodes.any():
         raise BarrierError("barrier patch contains no interior nodes; refine the grid or enlarge delta")
     interior_max = float(np.max(L[nodes]))
-    threshold = -barrier.n * barrier.Lam * (1.0 - _TOL_FACTOR)
+    threshold = -_DIM * barrier.Lam * (1.0 - _TOL_FACTOR)
 
     def w_at(pts: np.ndarray, phi_vals: np.ndarray) -> np.ndarray:
         d = pts - frame.origin

@@ -7,7 +7,6 @@ ratio.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -132,7 +131,7 @@ def height_grid(potential: PotentialField, n_heights: int = 12) -> np.ndarray:
     """Log-spaced probe heights from the smallest usable section up to the cap (measure_c_cap)."""
     grid = potential.grid
     hs = interior_heights(potential)
-    c_cap = measure_c_cap(potential, heights=hs)
+    c_cap = measure_c_cap(hs)
     i, j = np.unravel_index(np.nanargmax(np.where(np.isfinite(hs), hs, -np.inf)), hs.shape)
     t = 2.0 * grid.cell_area
     while t < c_cap / 2.0:
@@ -187,18 +186,15 @@ def maximal_function(
     return fields if many else fields[0]
 
 
-def strong_type_ratio(potential: PotentialField, f, p: float, maximal: Optional[ScalarField] = None) -> float:
+def strong_type_ratio(maximal: ScalarField, f, p: float) -> float:
     """Ratio of the L^p norm of the maximal function to the L^p norm of the input.
 
-    maximal, when given, is maximal_function(potential, f) already computed;
-    otherwise it is computed here.
+    maximal is maximal_function(potential, f).
     """
     if not p > 1:
         raise FieldError(f"strong type ratio needs p > 1, got {p}")
-    grid = potential.grid
-    fv = coerce_samples(grid, f.values if isinstance(f, ScalarField) else f)
-    denom = lp_norm((grid, fv), p)
+    grid = maximal.grid
+    denom = lp_norm(grid, coerce_samples(grid, f), p)
     if denom == 0.0:
         raise FieldError("strong type ratio undefined for zero input")
-    M = maximal_function(potential, fv) if maximal is None else maximal
-    return lp_norm(M, p) / denom
+    return lp_norm(grid, maximal.values, p) / denom

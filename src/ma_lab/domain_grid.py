@@ -25,7 +25,7 @@ class GridError(ValueError):
 
 
 class FieldError(ValueError):
-    """Field values incompatible with the grid, or an empty norm region."""
+    """Field values incompatible with the grid, or a norm with no finite values."""
 
 
 _MEMBERSHIP_TOL = 1e-12
@@ -219,7 +219,8 @@ def build_domain(kind: str, **params) -> ConvexDomain:
     Parameters
     ----------
     kind : str
-        "disc" (radius), "ellipse" (a, b) or "square" (side).
+        "disc" (radius), "ellipse" (a, b) or "square" (side). Keys of the
+        other kinds are ignored.
 
     Raises
     ------
@@ -550,24 +551,17 @@ def fd_derivatives(fld: ScalarField) -> tuple[VectorField, MatrixField]:
 # ---------------------------------------------------------------------------
 
 
-def lp_norm(fld, p: float, region: Optional[np.ndarray] = None) -> float:
-    """Riemann-sum L^p norm over a node region (default: all in-domain nodes).
+def lp_norm(grid: Grid, values: np.ndarray, p: float) -> float:
+    """Riemann-sum L^p norm of node values over the in-domain nodes.
 
-    p = inf gives the max norm. 0 < p < 1 is accepted and computed by the same
-    formula (a quasi-norm, used by the small-exponent experiments).
+    Values off the domain are never read. p = inf gives the max norm.
+    0 < p < 1 is accepted and computed by the same formula (a quasi-norm,
+    used by the small-exponent experiments).
     """
-    if isinstance(fld, ScalarField):
-        grid, values = fld.grid, fld.values
-    else:
-        grid, values = fld
-    if region is None:
-        region = grid.in_domain
-    if not np.any(region):
-        raise FieldError("lp_norm over an empty region")
-    vals = values[region]
+    vals = values[grid.in_domain]
     vals = vals[np.isfinite(vals)]
     if vals.size == 0:
-        raise FieldError("lp_norm region holds no finite values")
+        raise FieldError("lp_norm: no finite values on the domain")
     if np.isinf(p):
         return float(np.max(np.abs(vals)))
     if p <= 0:

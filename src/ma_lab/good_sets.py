@@ -79,7 +79,6 @@ def minimal_opening_field(
     u,
     centers: Optional[np.ndarray] = None,
     d_min: Optional[float] = None,
-    _pre=None,
 ) -> np.ndarray:
     """Least paraboloid openings trapping u around each center node.
 
@@ -93,10 +92,7 @@ def minimal_opening_field(
     grid = potential.grid
     if d_min is None:
         d_min = 2.0 * grid.spacing ** 2
-    if _pre is None:
-        vals, grad, _ = _solution_fields(potential, u)
-    else:
-        vals, grad = _pre
+    vals, grad, _ = _solution_fields(potential, u)
     if centers is None:
         centers = _default_centers(potential)
 
@@ -185,40 +181,30 @@ def _ratio_extrema(
     return lo, hi
 
 
-def quasi_euclidean_ratio_min(
-    potential: PotentialField,
-    neighborhood_radius: Optional[float] = _RADIUS,
-    centers: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Per-center minimum of squared quasi-distance over squared distance.
+def quasi_euclidean_ratio_min(potential: PotentialField, centers: np.ndarray) -> np.ndarray:
+    """Per-center minimum of squared quasi-distance over squared distance, over every node pair.
 
-    neighborhood_radius counts in grid cells; None scans every node pair.
     Masks for any threshold follow by comparing this field against it.
     Centers outside the tangent trust region come back NaN (unmeasurable);
     see tangent_trust_region.
     """
-    grid = potential.grid
-    if centers is None:
-        centers = grid.in_domain
-    lo, _ = _ratio_extrema(potential, neighborhood_radius, centers)
+    lo, _ = _ratio_extrema(potential, None, centers)
     return lo
 
 
-def quasi_euclidean_constant(potential: PotentialField) -> float:
+def quasi_euclidean_constant(lo: np.ndarray, hi: np.ndarray) -> float:
     """Instance constant bridging the lower and upper quasi-Euclidean bounds.
 
-    At each center the scan records the smallest ratio sigma and the largest
-    ratio U of squared quasi-distance to squared distance over pairs within
-    _RADIUS cells; n is the dimension _DIM.
-    The bridge constant at the center is (U * sigma**(n-1))**(-1/2), the
-    tightest c with U <= 1/(c**2 sigma**(n-1)); the instance constant is the
-    minimum over centers. For the model quadratic both ratios are 1/2, giving
-    exactly 2. The minimum is robust to the near-boundary cells where the
-    one-cell ratios are noisy: noise lowers sigma and so raises the bridge
-    value there, leaving the minimum to the clean bulk.
+    lo and hi are the per-center smallest ratio sigma and largest ratio U of
+    squared quasi-distance to squared distance (_ratio_extrema); n is the
+    dimension _DIM. The bridge constant at a center is
+    (U * sigma**(n-1))**(-1/2), the tightest c with U <= 1/(c**2 sigma**(n-1));
+    the instance constant is the minimum over centers. For the model
+    quadratic both ratios are 1/2, giving exactly 2. The minimum is robust to
+    the near-boundary cells where the one-cell ratios are noisy: noise lowers
+    sigma and so raises the bridge value there, leaving the minimum to the
+    clean bulk.
     """
-    centers = _default_centers(potential)
-    lo, hi = _ratio_extrema(potential, _RADIUS, centers)
     fin = np.isfinite(lo) & np.isfinite(hi) & (lo > 0)
     if not fin.any():
         raise GoodSetError("no centers with admissible pairs")
@@ -288,20 +274,22 @@ def good_set_survey(
     those outside the local quasi-Euclidean mask at the level-dependent
     threshold, F2 those outside the good set of opening equal to the level.
     At level b the threshold on the ratio is
-    sigma(b) = (c_inst * b**((m-1)/2))**(-2/(n-1)), with c_inst the
-    quasi_euclidean_constant of the potential and n the dimension _DIM. All
-    three are scaled to measures through the center subsample density.
+    sigma(b) = (c_inst * b**((m-1)/2))**(-2/(n-1)), with n the dimension
+    _DIM. One ratio scan over pairs within _RADIUS cells of each center
+    (_ratio_extrema) gives both the ratio minimum that F1 thresholds and the
+    instance constant c_inst (quasi_euclidean_constant). All three are
+    scaled to measures through the center subsample density.
     F1 is normalized over the centers where the ratio scan is measurable
     (the tangent trust region), since an unmeasurable tangent certifies
     neither membership nor exit.
     """
     grid = potential.grid
-    vals, grad, hess = _solution_fields(potential, u)
+    _, _, hess = _solution_fields(potential, u)
     centers = _default_centers(potential)
-    c_inst = quasi_euclidean_constant(potential)
-    openings = minimal_opening_field(potential, u, centers=centers, _pre=(vals, grad))
+    rm, hi = _ratio_extrema(potential, _RADIUS, centers)
+    c_inst = quasi_euclidean_constant(rm, hi)
+    openings = minimal_opening_field(potential, u, centers=centers)
     used = np.isfinite(openings)
-    rm = quasi_euclidean_ratio_min(potential, centers=centers)
     deriv = np.maximum(np.abs(hess.xx), np.maximum(np.abs(hess.yy), np.abs(hess.xy)))
 
     n_used = int(used.sum())

@@ -14,8 +14,8 @@ from typing import Union
 
 import numpy as np
 
-from .domain_grid import FieldError, Grid, ScalarField, coerce_datum, coerce_samples, fd_derivatives, lp_norm
-from .ma_solve import CofactorField, NodeSystem, PotentialField, SolveError, cofactor_field, linear_solve
+from .domain_grid import FieldError, Grid, MatrixField, ScalarField, coerce_datum, coerce_samples, fd_derivatives, lp_norm
+from .ma_solve import NodeSystem, PotentialField, SolveError, cofactor_field, linear_solve
 
 
 @dataclass
@@ -40,14 +40,14 @@ class AbpReport:
     diam: float
 
 
-def identity_coefficients(grid: Grid) -> CofactorField:
+def identity_coefficients(grid: Grid) -> MatrixField:
     """Coefficient field Phi = I, for manufactured-solution checks."""
     ones = np.ones(grid.shape)
-    return CofactorField(grid=grid, xx=ones, yy=ones.copy(), xy=np.zeros(grid.shape))
+    return MatrixField(grid=grid, xx=ones, yy=ones.copy(), xy=np.zeros(grid.shape))
 
 
 def solve_lma(
-    operator: Union[CofactorField, PotentialField],
+    operator: Union[MatrixField, PotentialField],
     f,
     boundary=0.0,
     tol_lma: float = 1e-8,
@@ -70,9 +70,7 @@ def solve_lma(
     if np.any(~np.isfinite(c11)) or np.any(~np.isfinite(c22)) or np.any(~np.isfinite(c12)):
         raise SolveError("coefficient field holds non-finite interior values")
     A = sysm.interior_matrix(c11, c22, c12)
-    rhs = np.zeros(sysm.n)
-    rhs[sysm.int_rows] = f_vals[grid.interior]
-    rhs[sysm.ring_rows] = sysm.ring_rhs
+    rhs = sysm.rhs(f_vals[grid.interior])
     U = linear_solve(A, rhs)
     resid = A @ U - rhs
     residual_max = float(np.max(np.abs(resid[sysm.int_rows]))) if len(sysm.int_rows) else 0.0
@@ -82,7 +80,7 @@ def solve_lma(
     return LmaSolution(grid=grid, u=ScalarField(grid, vals), f_values=f_vals, residual_max=residual_max)
 
 
-def operator_apply(cof: CofactorField, u: ScalarField) -> np.ndarray:
+def operator_apply(cof: MatrixField, u: ScalarField) -> np.ndarray:
     """Node-wise trace(Phi D^2 u) from the discrete Hessian of u."""
     _, hess = fd_derivatives(u)
     return cof.xx * hess.xx + cof.yy * hess.yy + 2.0 * cof.xy * hess.xy
@@ -98,9 +96,8 @@ def abp_check(solution: LmaSolution) -> AbpReport:
     FieldError.
     """
     grid = solution.grid
-    f_fld = ScalarField(grid, np.where(grid.in_domain, solution.f_values, np.nan))
-    f_l2 = lp_norm(f_fld, 2.0)
-    u_inf = lp_norm(solution.u, np.inf)
+    f_l2 = lp_norm(grid, solution.f_values, 2.0)
+    u_inf = lp_norm(grid, solution.u.values, np.inf)
     diam = grid.domain.diameter()
     if f_l2 == 0.0:
         if u_inf <= 1e-12:

@@ -10,16 +10,17 @@ nearest boundary point must match the boundary datum there. That transfer is
 second-order accurate, which the convergence targets require; evaluating the
 datum at the projection alone would only be first-order.
 
-Newton is damped by an l2 Armijo line search. A caller that holds a nearby
-solution passes its grid values as the start: PinchedFamily starts every
-pinched density 1 + eps*g0 from the flat potential, natural-parameter
-continuation in eps (Allgower and Georg 1990, ch. 2). Without a start, or
-when Newton fails from it, the solve starts from the solution of
-Delta phi0 = 2 sqrt(g); if that fails too (corner layers of flat-sided
-domains), it restarts once from a coarse-grid solution prolonged by a cubic
-spline. Above the direct-solve limit the coarse-grid solution replaces the
-Laplacian start, which is built only if no coarser grid exists. The result
-names the start that converged.
+Newton is damped by an l2 Armijo line search. It tries its starts from one
+ordered list and the result names the first that converges: "given", the
+grid values of a caller that holds a nearby solution (PinchedFamily starts
+every pinched density 1 + eps*g0 from the flat potential, natural-parameter
+continuation in eps; Allgower and Georg 1990, ch. 2); "laplacian", the
+solution of Delta phi0 = 2 sqrt(g), tried only up to the direct-solve limit,
+above which every Newton iterate is expensive; and "coarse", a
+double-spacing solution prolonged by a cubic spline, which gets past the
+corner layers of flat-sided domains that can defeat the Laplacian start.
+When none converges the last failure is raised; on a grid with no coarser
+grid that is the failure of the start before the coarse one.
 
 Every linear system (Newton steps, the Laplacian start, every continuation
 level, and the linearized solves of lma_solve) is numbered by NodeSystem in
@@ -98,16 +99,6 @@ class PotentialField:
     # the Newton start that converged: "given" (the caller's values),
     # "laplacian" or "coarse"
     start: str = "given"
-
-
-@dataclass
-class CofactorField:
-    """Cofactor matrix of the discrete Hessian; trace against D^2 u gives the operator."""
-
-    grid: Grid
-    xx: np.ndarray
-    yy: np.ndarray
-    xy: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +220,13 @@ class NodeSystem:
         H22 = (U[self.iN] - 2 * U[self.iC] + U[self.iS]) / h2
         H12 = (U[self.iNE] + U[self.iSW] - U[self.iNW] - U[self.iSE]) / (4 * h2)
         return H11, H22, H12
+
+    def rhs(self, interior_values: np.ndarray) -> np.ndarray:
+        """Right-hand side with interior_values on the interior rows and the boundary data on the ring rows."""
+        out = np.zeros(self.n)
+        out[self.int_rows] = interior_values
+        out[self.ring_rows] = self.ring_rhs
+        return out
 
     def ring_residual(self, U: np.ndarray) -> np.ndarray:
         interp = (self.ring_corner_w * U[self.ring_corner_idx]).sum(axis=1)
@@ -408,7 +406,7 @@ def _continuation_init(grid: Grid, sysm: "NodeSystem", g, boundary, tol_ma: floa
     second differences that put the fine iterate outside the Newton basin.
     The spline is fit on the coarse lattice with exterior nodes filled from
     their nearest solved node. Returns None when no usable coarser grid
-    exists, so the caller re-raises the original failure.
+    exists, so the caller raises the failure of the start before.
     """
     try:
         with warnings.catch_warnings():
@@ -443,8 +441,8 @@ def solve_ma(
         Dirichlet datum evaluated at boundary points.
     start : array of grid shape, optional
         Grid values of phi that Newton starts from, read at the in-domain
-        nodes. If Newton fails from it, the solve falls back to its own
-        start chain (see the module docstring).
+        nodes. If Newton fails from it, the solve goes on down its start
+        list (see the module docstring).
 
     Raises
     ------
@@ -465,42 +463,35 @@ def solve_ma(
         # smooth initial guess: Laplacian comparison solve, Delta phi0 = 2 sqrt(g)
         ones = np.ones_like(g_int)
         A0 = sysm.interior_matrix(ones, ones, np.zeros_like(g_int))
-        rhs0 = np.zeros(sysm.n)
-        rhs0[sysm.int_rows] = 2.0 * np.sqrt(g_int)
-        rhs0[sysm.ring_rows] = sysm.ring_rhs
-        return linear_solve(A0, rhs0)
+        return linear_solve(A0, sysm.rhs(2.0 * np.sqrt(g_int)))
 
-    def own_chain():
-        if sysm.n > _DIRECT_LIMIT:
-            # every Newton iterate is expensive here; start from a coarse-grid
-            # solve instead of burning iterations on the smooth initial guess
-            U1 = _continuation_init(grid, sysm, g, boundary, tol_ma)
-            if U1 is None:
-                return _newton_loop(sysm, g_int, laplacian_start(), tol_ma) + ("laplacian",)
-            return _newton_loop(sysm, g_int, U1, tol_ma) + ("coarse",)
-        try:
-            return _newton_loop(sysm, g_int, laplacian_start(), tol_ma) + ("laplacian",)
-        except SolveError:
-            # corner layers of flat-sided domains can defeat the smooth
-            # initial guess at fine spacings; retry from a coarse-grid solve
-            U1 = _continuation_init(grid, sysm, g, boundary, tol_ma)
-            if U1 is None:
-                raise
-            return _newton_loop(sysm, g_int, U1, tol_ma) + ("coarse",)
-
-    if start is None:
-        U, iters, used = own_chain()
-    else:
+    starts = []
+    if start is not None:
         if np.shape(start) != grid.shape:
             raise SolveError(f"start has shape {np.shape(start)}, the grid {grid.shape}")
-        U0 = np.asarray(start, dtype=float)[sysm.node_ij[:, 0], sysm.node_ij[:, 1]]
-        if not np.all(np.isfinite(U0)):
+        U_given = np.asarray(start, dtype=float)[sysm.node_ij[:, 0], sysm.node_ij[:, 1]]
+        if not np.all(np.isfinite(U_given)):
             raise SolveError("start must be finite at every in-domain node")
+        starts.append(("given", lambda: U_given))
+    if sysm.n <= _DIRECT_LIMIT:
+        starts.append(("laplacian", laplacian_start))
+    starts.append(("coarse", lambda: _continuation_init(grid, sysm, g, boundary, tol_ma)))
+
+    failure = SolveError("no Newton start: the grid has no coarser grid")
+    for used, make in starts:
         try:
-            U, iters = _newton_loop(sysm, g_int, U0, tol_ma)
-            used = "given"
-        except SolveError:
-            U, iters, used = own_chain()
+            U0 = make()
+            # None: no coarser grid, so the failure before it stands
+            if U0 is not None:
+                U, iters = _newton_loop(sysm, g_int, U0, tol_ma)
+                break
+        except SolveError as exc:
+            failure = exc
+    else:
+        raise failure
+    # a kept failure's traceback holds this frame and the failed Newton's
+    # Jacobian: drop it, or the cycle keeps both alive until a garbage collection
+    del failure
 
     vals = sysm.to_grid_values(U)
     phi = ScalarField(grid, vals)
@@ -568,14 +559,14 @@ def assemble_potential(grid: Grid, phi_fn, g=None) -> PotentialField:
     )
 
 
-def cofactor_field(potential: PotentialField) -> CofactorField:
+def cofactor_field(potential: PotentialField) -> MatrixField:
     """Cofactor of the discrete Hessian: entry swap with sign flip on the cross term.
 
     Satisfies Phi D^2 phi = det(D^2 phi) I exactly, entry by entry, because the
     2x2 cofactor is an algebraic rearrangement of the same stored values.
     """
     h = potential.hess
-    return CofactorField(grid=potential.grid, xx=h.yy.copy(), yy=h.xx.copy(), xy=-h.xy)
+    return MatrixField(grid=potential.grid, xx=h.yy.copy(), yy=h.xx.copy(), xy=-h.xy)
 
 
 def certify_convexity(hess: MatrixField, region: Optional[np.ndarray] = None, tol: float = 1e-6) -> ConvexityReport:

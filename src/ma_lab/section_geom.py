@@ -36,6 +36,8 @@ _HEIGHTS_CHUNK = 2048
 _N_DIRECTIONS = 16
 # volume_scaling drops sections with fewer cells
 _MIN_CELLS = 20
+# measure_c_cap: the cap's fraction of the largest maximal interior height
+_C_CAP_FACTOR = 0.05
 # quadratic_separation_check: pair separation floor in spacings, passing
 # floor on the ratios, and the most band nodes it pairs
 _SEP_MIN_FACTOR = 8.0
@@ -406,16 +408,14 @@ def interior_heights(potential: PotentialField, mask: Optional[np.ndarray] = Non
     return out
 
 
-def measure_c_cap(potential: PotentialField, factor: float = 0.05, heights: Optional[np.ndarray] = None) -> float:
+def measure_c_cap(heights: np.ndarray) -> float:
     """Instance height cap for small-section diagnostics.
 
-    A fixed fraction of the largest maximal interior height; diagnostics
-    (volume slope, engulfing) are validated against this cap in the tests.
-    heights, when given, is the interior_heights field already computed for
-    this potential.
+    The fraction _C_CAP_FACTOR of the largest maximal interior height, read
+    from the interior_heights field of the potential; diagnostics (volume
+    slope, engulfing) are validated against this cap in the tests.
     """
-    hs = interior_heights(potential) if heights is None else heights
-    return factor * float(np.nanmax(hs))
+    return _C_CAP_FACTOR * float(np.nanmax(heights))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from .domain_grid import ConvexDomain, Grid, coerce_samples, fd_derivatives, lp_norm
 from .ma_solve import PotentialField, SolveError, certify_convexity, cofactor_field, solve_ma
 from .lma_solve import solve_lma
-from .section_geom import measure_c_cap, section
+from .section_geom import interior_heights, measure_c_cap, section
 from .good_sets import quasi_euclidean_ratio_min
 
 
@@ -184,7 +184,7 @@ def _hess_frobenius(hess) -> np.ndarray:
 def _matrix_diff_lq(grid: Grid, a, b, q: float) -> float:
     """L^q norm of the pointwise Frobenius distance between two matrix fields."""
     fro = np.sqrt((a.xx - b.xx) ** 2 + 2.0 * (a.xy - b.xy) ** 2 + (a.yy - b.yy) ** 2)
-    return lp_norm((grid, fro), q)
+    return lp_norm(grid, fro, q)
 
 
 def _validate_eps(eps_list):
@@ -264,7 +264,7 @@ def sobolev_stability_sweep(family: PinchedFamily, eps_list, gamma: float = 1.1,
     def one(eps: float):
         pot = family.potential(eps)
         lhs = _matrix_diff_lq(grid, pot.hess, w_pot.hess, gamma)
-        gdiff = lp_norm((grid, np.abs(pot.g_values - w_pot.g_values)), 1.0)
+        gdiff = lp_norm(grid, pot.g_values - w_pot.g_values, 1.0)
         return lhs, gdiff
 
     pairs = run_sweep(one, eps_list, threads)
@@ -364,7 +364,7 @@ def convex_w21e_check(potential: PotentialField, f, boundary=0.0) -> ExperimentR
     config = {"gammas": list(gammas), "spacing": grid.spacing, "domain": grid.domain.kind}
     assertions = []
 
-    f_inf = lp_norm((grid, np.abs(np.where(grid.in_domain, sol.f_values, np.nan))), np.inf)
+    f_inf = lp_norm(grid, sol.f_values, np.inf)
     if not conv.passed:
         return ExperimentReport(
             experiment="convex_w21e_check",
@@ -385,7 +385,7 @@ def convex_w21e_check(potential: PotentialField, f, boundary=0.0) -> ExperimentR
         )
 
     fro = _hess_frobenius(hess)
-    ratios = [lp_norm((grid, fro), g) / f_inf for g in gammas]
+    ratios = [lp_norm(grid, fro, g) / f_inf for g in gammas]
     for g, r in zip(gammas, ratios):
         check(assertions, f"ratio at gamma={g} finite", r, "<", np.inf)
 
@@ -425,14 +425,14 @@ def contact_set_experiment(family: PinchedFamily, eps_list, sigma: float,
     i, j = grid.nearest_in_domain(grid.domain.boundary_samples(64)[0])
     anchor = np.array([grid.xs[i], grid.ys[j]])
     if height is None:
-        height = 0.5 * measure_c_cap(family.potential(eps_list[0]))
+        height = 0.5 * measure_c_cap(interior_heights(family.potential(eps_list[0])))
     t = float(height)
 
     def one(eps: float):
         pot = family.potential(eps)
         sec = section(pot, anchor, t)
         n_cells = int(sec.cells.sum())
-        rm = quasi_euclidean_ratio_min(pot, neighborhood_radius=None, centers=sec.cells)
+        rm = quasi_euclidean_ratio_min(pot, sec.cells)
         measurable = sec.cells & np.isfinite(rm)
         n_meas = int(measurable.sum())
         if n_meas < _CONTACT_MIN_CELLS:
@@ -493,8 +493,8 @@ def w2p_ratio_sweep(family: PinchedFamily, eps_list, p: float = 2.0, q: float = 
     def ratio_on(fv: np.ndarray, eps: float, pp: float, qq: float) -> float:
         sol = solve_lma(family.potential(eps), fv)
         _, hess = fd_derivatives(sol.u)
-        num = lp_norm((grid, _hess_frobenius(hess)), pp)
-        den = lp_norm((grid, np.abs(np.where(grid.in_domain, sol.f_values, np.nan))), qq)
+        num = lp_norm(grid, _hess_frobenius(hess), pp)
+        den = lp_norm(grid, sol.f_values, qq)
         return num / den
 
     ratios = run_sweep(lambda e: ratio_on(f_vals, e, p, q), eps_list, threads)

@@ -150,3 +150,21 @@ def test_every_dataclass_field_is_read():
     unread = [f"{cls}.{name}" for cls, name in _dataclass_fields()
               if cls not in EXEMPT and name not in read]
     assert unread == []
+
+
+def test_no_private_parameters():
+    """No src function takes a parameter named like a private name.
+
+    A leading underscore marks a knob for one caller that other callers must
+    not set; such a value belongs in the caller's own code path instead.
+    """
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+                label = getattr(node, "name", "<lambda>")
+                private += [f"{path.stem}.{label}.{name}" for name in names if name.startswith("_")]
+    assert private == []

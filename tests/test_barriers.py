@@ -1,11 +1,8 @@
-import dataclasses
-
 import pytest
 
 from ma_lab.barriers import BarrierError, build_supersolution, verify_supersolution
 from ma_lab.domain_grid import build_domain, discretize
 from ma_lab.ma_solve import solve_ma
-from ma_lab.section_geom import boundary_frame
 
 from conftest import pinched_density
 
@@ -36,10 +33,3 @@ def test_supersolution_rejects_bad_constants(pinched_disc, kwargs, match):
     with pytest.raises(BarrierError, match=match):
         build_supersolution(pinched_disc, anchor, **kwargs)
 
-
-def test_supersolution_rejects_frame_off_the_boundary(pinched_disc):
-    anchor = pinched_disc.grid.domain.boundary_samples(64)[0]
-    frame = boundary_frame(pinched_disc, anchor)
-    moved = dataclasses.replace(frame, origin=frame.origin * 0.9)
-    with pytest.raises(BarrierError, match="away from the boundary"):
-        build_supersolution(pinched_disc, moved)

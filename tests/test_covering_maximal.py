@@ -137,7 +137,7 @@ def test_vitali_cover_equals_dense_reference(pinched_suite32):
 
 def test_height_grid_shape(model_disc):
     hg = height_grid(model_disc)
-    cap = measure_c_cap(model_disc)
+    cap = measure_c_cap(interior_heights(model_disc))
     assert hg.size == 12
     assert bool(np.all(np.diff(hg) > 0))
     assert hg[-1] == pytest.approx(cap, rel=1e-12)
@@ -193,7 +193,8 @@ def test_maximal_function_indicator_decay_and_audit(model_disc):
 
 def test_strong_type_constant_gives_one(model_disc):
     grid = model_disc.grid
-    assert strong_type_ratio(model_disc, np.ones(grid.shape), 3.0) == 1.0
+    ones = np.ones(grid.shape)
+    assert strong_type_ratio(maximal_function(model_disc, ones), ones, 3.0) == 1.0
 
 
 def test_strong_type_indicator_stable_under_refinement(model_disc, model_disc_fine):
@@ -201,8 +202,12 @@ def test_strong_type_indicator_stable_under_refinement(model_disc, model_disc_fi
         X, Y = pot.grid.meshes()
         return np.where(np.hypot(X - 0.3, Y) < 0.15, 1.0, 0.0)
 
-    r32 = strong_type_ratio(model_disc, blob_on(model_disc), 2.0)
-    r64 = strong_type_ratio(model_disc_fine, blob_on(model_disc_fine), 2.0)
+    def ratio_on(pot):
+        blob = blob_on(pot)
+        return strong_type_ratio(maximal_function(pot, blob), blob, 2.0)
+
+    r32 = ratio_on(model_disc)
+    r64 = ratio_on(model_disc_fine)
     assert np.isfinite(r32) and np.isfinite(r64)
     assert 0.5 <= r32 / r64 <= 2.0
     assert r32 == pytest.approx(0.9465845028117216, rel=1e-12)
@@ -215,7 +220,8 @@ def test_strong_type_smooth_sweep(model_disc):
     rng = np.random.default_rng(5)
     coef = rng.normal(size=(3, 3))
     smooth = sum(coef[a, b] * np.cos(a * X + b * Y) for a in range(3) for b in range(3)) + 4.0
-    ratios = [strong_type_ratio(model_disc, smooth, p) for p in (1.5, 2.0, 4.0)]
+    M = maximal_function(model_disc, smooth)
+    ratios = [strong_type_ratio(M, smooth, p) for p in (1.5, 2.0, 4.0)]
     assert all(np.isfinite(r) for r in ratios)
     assert ratios[0] >= ratios[1] >= ratios[2]
     assert ratios == pytest.approx(
@@ -225,7 +231,8 @@ def test_strong_type_smooth_sweep(model_disc):
 
 def test_strong_type_errors(model_disc):
     grid = model_disc.grid
+    ones, zeros = np.ones(grid.shape), np.zeros(grid.shape)
     with pytest.raises(FieldError, match="p > 1"):
-        strong_type_ratio(model_disc, np.ones(grid.shape), 1.0)
+        strong_type_ratio(maximal_function(model_disc, ones), ones, 1.0)
     with pytest.raises(FieldError, match="zero input"):
-        strong_type_ratio(model_disc, np.zeros(grid.shape), 2.0)
+        strong_type_ratio(maximal_function(model_disc, zeros), zeros, 2.0)

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from ma_lab import good_sets
 from ma_lab.domain_grid import ScalarField, fd_derivatives
 from ma_lab.good_sets import (
+    _RADIUS,
     GoodSetError,
+    _default_centers,
+    _ratio_extrema,
     decay_fit,
     good_set_survey,
     minimal_opening_field,
     quasi_euclidean_constant,
-    quasi_euclidean_ratio_min,
     tangent_trust_region,
 )
 from ma_lab.lma_solve import solve_lma
@@ -20,6 +23,16 @@ from ma_lab.lma_solve import solve_lma
 def pinched_lma(pinched32):
     pot, sol = pinched32
     return pot, sol.u.values
+
+
+def windowed_ratio_min(potential):
+    """The ratio minimum over pairs within _RADIUS cells, at every in-domain centre."""
+    return _ratio_extrema(potential, _RADIUS, potential.grid.in_domain)[0]
+
+
+def survey_constant(potential):
+    """quasi_euclidean_constant over the survey's scan: _RADIUS cells, default centres."""
+    return quasi_euclidean_constant(*_ratio_extrema(potential, _RADIUS, _default_centers(potential)))
 
 
 def opening_at(potential, u, x, d_min=None):
@@ -80,14 +93,14 @@ def test_opening_stable_against_distance_floor(pinched_lma):
 
 
 def test_quasi_euclidean_ratio_exact_on_model(model_disc):
-    rm = quasi_euclidean_ratio_min(model_disc)
+    rm = windowed_ratio_min(model_disc)
     measurable = np.isfinite(rm)
     assert int(measurable.sum()) == 2453
     assert bool(np.all(rm[measurable] == 0.5))
 
 
 def test_quasi_euclidean_masks_on_model(model_disc):
-    rm = quasi_euclidean_ratio_min(model_disc)
+    rm = windowed_ratio_min(model_disc)
     n_meas = int(np.isfinite(rm).sum())
     at_half, above, tiny = (np.isfinite(rm) & (rm >= s) for s in (0.5, 0.6, 1e-9))
     assert int(at_half.sum()) == n_meas
@@ -96,9 +109,9 @@ def test_quasi_euclidean_masks_on_model(model_disc):
 
 
 def test_quasi_euclidean_constant_values(model_disc, pinched_lma):
-    assert quasi_euclidean_constant(model_disc) == 2.0
+    assert survey_constant(model_disc) == 2.0
     pot, _ = pinched_lma
-    assert quasi_euclidean_constant(pot) == pytest.approx(1.9072687752022557, rel=1e-12)
+    assert survey_constant(pot) == pytest.approx(1.9072687752022557, rel=1e-12)
 
 
 def test_quasi_euclidean_boundary_layer_exits_first(pinched_lma):
@@ -106,7 +119,7 @@ def test_quasi_euclidean_boundary_layer_exits_first(pinched_lma):
     grid = pot.grid
     X, Y = grid.meshes()
     R = np.hypot(X, Y)
-    rm = quasi_euclidean_ratio_min(pot)
+    rm = windowed_ratio_min(pot)
     measurable = np.isfinite(rm)
     masks = {s: measurable & (rm >= s) for s in (0.35, 0.45, 0.5)}
     assert bool(np.all(masks[0.45] <= masks[0.35]))
@@ -175,3 +188,33 @@ def test_interior_nodes_are_quadratic_exact(pinched_suite32):
     grad_u, _ = fd_derivatives(ScalarField(grid, sol.u.values))
     assert bool(np.all(pot.grad.quadratic_exact[grid.interior]))
     assert bool(np.all(grad_u.quadratic_exact[grid.interior]))
+
+
+def test_survey_scans_the_ratios_once(pinched_lma, monkeypatch):
+    # the survey's c_inst and F1 come from one ratio scan; each must equal
+    # what two separate scans of the same pairs give, bit for bit
+    pot, u = pinched_lma
+    grid = pot.grid
+    m = 2.0
+    bg = np.geomspace(0.5, 0.6, 6)
+    centers = _default_centers(pot)
+    c_ref = survey_constant(pot)
+    rm_ref = _ratio_extrema(pot, _RADIUS, centers)[0]
+    meas = np.isfinite(minimal_opening_field(pot, u, centers=centers)) & np.isfinite(rm_ref)
+    scale1 = grid.cell_area * grid.interior.sum() / int(meas.sum())
+    F1_ref = [(meas & (rm_ref < (c_ref * b ** ((m - 1.0) / 2.0)) ** (-2.0 / (2 - 1)))).sum() * scale1
+              for b in bg]
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return _ratio_extrema(*args, **kwargs)
+
+    monkeypatch.setattr(good_sets, "_ratio_extrema", counting)
+    sv = good_set_survey(pot, u, bg, m=m)
+    assert len(calls) == 1
+    assert sv.c_inst == c_ref
+    assert np.array_equal(sv.F1, F1_ref)
+    # the levels straddle the ratio minima, so F1 moves across them
+    assert sv.F1[0] > sv.F1[-1] > 0.0

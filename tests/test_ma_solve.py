@@ -5,11 +5,11 @@ from scipy import ndimage
 
 from ma_lab import ma_solve
 from ma_lab.domain_grid import (
+    MatrixField,
     ScalarField,
     build_domain,
     discretize,
     fd_derivatives,
-    lp_norm,
 )
 from ma_lab.ma_solve import (
     NodeSystem,
@@ -24,6 +24,7 @@ from ma_lab.section_geom import quadratic_separation_check
 from ma_lab.stability_lab import default_bump
 from conftest import pinched_density
 
+_NEWTON_LOOP = ma_solve._newton_loop
 
 # -- solve_ma ----------------------------------------------------------------
 
@@ -118,6 +119,54 @@ def test_continuation_path_skips_the_laplacian_start(monkeypatch):
     pot = solve_ma(grid, 1.0)
     assert pot.newton_iterations > 0
     assert sizes.count(n) == pot.newton_iterations
+
+
+def _fail_first(monkeypatch, grid, n_fail):
+    """Make Newton on grid's own system fail its first n_fail starts.
+
+    Returns the list of start vectors Newton was given on that system; the
+    nested coarse-grid solves run the real Newton loop and are not recorded.
+    """
+    n = NodeSystem(grid, lambda pts: np.zeros(len(pts))).n
+    seen = []
+
+    def loop(sysm, g_int, U, tol_ma):
+        if sysm.n == n:
+            seen.append(U)
+            if len(seen) <= n_fail:
+                raise SolveError(f"planned failure {len(seen)}")
+        return _NEWTON_LOOP(sysm, g_int, U, tol_ma)
+
+    monkeypatch.setattr(ma_solve, "_newton_loop", loop)
+    return seen
+
+
+@pytest.mark.parametrize("above_limit", [False, True], ids=["below-limit", "above-limit"])
+def test_newton_starts_are_tried_in_order(disc_domain, monkeypatch, above_limit):
+    grid = discretize(disc_domain, 1.0 / 16)
+    given = solve_ma(grid, 1.0).phi.values
+    sysm = NodeSystem(grid, lambda pts: np.zeros(len(pts)))
+    order = ["given", "laplacian", "coarse"]
+    if above_limit:
+        monkeypatch.setattr(ma_solve, "_DIRECT_LIMIT", sysm.n - 1)
+        order.remove("laplacian")
+    for k, name in enumerate(order):
+        seen = _fail_first(monkeypatch, grid, k)
+        assert solve_ma(grid, 1.1, start=given).start == name
+        assert len(seen) == k + 1
+        assert np.array_equal(seen[0], given[sysm.node_ij[:, 0], sysm.node_ij[:, 1]])
+    _fail_first(monkeypatch, grid, len(order))
+    with pytest.raises(SolveError, match=f"planned failure {len(order)}"):
+        solve_ma(grid, 1.1, start=given)
+
+
+def test_grid_without_a_coarser_grid_reraises_the_laplacian_failure(disc_domain, monkeypatch):
+    # the double spacing 0.4 leaves fewer than 16 interior nodes
+    grid = discretize(disc_domain, 0.2)
+    seen = _fail_first(monkeypatch, grid, 1)
+    with pytest.raises(SolveError, match="planned failure 1"):
+        solve_ma(grid, 1.0)
+    assert len(seen) == 1
 
 
 # -- NodeSystem numbering and the static-pivot LU ----------------------------
@@ -229,6 +278,7 @@ def test_cofactor_swaps_diagonal_and_negates_cross(model_square):
     grid = model_square.grid
     pot = assemble_potential(grid, lambda X, Y: X ** 2 + 1.5 * Y ** 2)
     cof = cofactor_field(pot)
+    assert isinstance(cof, MatrixField)
     it = grid.interior
     assert np.allclose(cof.xx[it], 3.0) and np.allclose(cof.yy[it], 2.0)
     assert np.allclose(cof.xy[it], 0.0)

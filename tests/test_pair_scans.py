@@ -48,7 +48,7 @@ def dense_height_grid(pot, n_heights=12):
     """height_grid with one full-grid gap and one full-grid flood per candidate height."""
     grid = pot.grid
     hs = interior_heights(pot)
-    c_cap = measure_c_cap(pot, heights=hs)
+    c_cap = measure_c_cap(hs)
     k = np.unravel_index(np.nanargmax(np.where(np.isfinite(hs), hs, -np.inf)), hs.shape)
     gap = tangent_gap(pot, *k)
     t = 2.0 * grid.cell_area

@@ -250,8 +250,7 @@ def test_section_cells_equal_dense_floods(pinched_suite32):
 
 
 def test_measure_c_cap(model_square):
-    assert measure_c_cap(model_square) == pytest.approx(0.1, abs=1e-12)
-    assert measure_c_cap(model_square, factor=0.5) == pytest.approx(1.0, abs=1e-12)
+    assert measure_c_cap(interior_heights(model_square)) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_engulfing_constant_on_model(model_square):

@@ -30,7 +30,7 @@ def test_scaling_oracle_matches_closed_form(constant_disc32, matrix, q):
     pinched = matrix(constant_disc32.potential(eps))
 
     def frobenius_lq(xx, xy, yy):
-        return lp_norm((grid, np.sqrt(xx ** 2 + 2.0 * xy ** 2 + yy ** 2)), q)
+        return lp_norm(grid, np.sqrt(xx ** 2 + 2.0 * xy ** 2 + yy ** 2), q)
 
     lhs = frobenius_lq(pinched.xx - flat.xx, pinched.xy - flat.xy, pinched.yy - flat.yy)
     rhs = (np.sqrt(1.0 + eps) - 1.0) * frobenius_lq(flat.xx, flat.xy, flat.yy)
