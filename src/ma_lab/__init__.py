@@ -9,8 +9,10 @@ The package is organized around one capability per module:
 - covering_maximal: Vitali-style covers, the section maximal function
 - good_sets: quasi-paraboloid openings, quasi-Euclidean ratios, bad-set decay fits
 - barriers: explicit boundary supersolutions and their discrete verification
-- stability_lab: pinched-potential families, stability sweeps, W^{2,p} ratio experiments
-- cli_runner: config parsing and the ma-lab command line entry point
+- stability_lab: the 13 experiments, each name_experiment(family, config) returning
+  its report and the rows of its files; pinched-potential families
+- cli_runner: config parsing, run and the suite, all file writing, and the ma-lab
+  command line entry point
 """
 
 from . import (

@@ -50,8 +50,12 @@ def tangent_trust_region(potential: PotentialField, margin: int = 3) -> np.ndarr
     return trust
 
 
-def _solution_fields(potential: PotentialField, u):
-    """Coerce u to (values, gradient, hessian) on the potential's grid."""
+def solution_fields(potential: PotentialField, u):
+    """Coerce u to (values, gradient, hessian) on the potential's grid.
+
+    The opening scan and the survey read these; a caller differentiates u
+    once and passes the result to both.
+    """
     grid = potential.grid
     vals = coerce_samples(grid, u.values if isinstance(u, ScalarField) else u)
     vals = np.where(grid.in_domain, vals, np.nan)
@@ -76,13 +80,14 @@ def _default_centers(potential: PotentialField) -> np.ndarray:
 
 def minimal_opening_field(
     potential: PotentialField,
-    u,
+    solution,
     centers: Optional[np.ndarray] = None,
     d_min: Optional[float] = None,
 ) -> np.ndarray:
     """Least paraboloid openings trapping u around each center node.
 
-    At a center xbar the opening is twice the supremum of
+    solution is solution_fields(potential, u). At a center xbar the
+    opening is twice the supremum of
     |u(x) - u(xbar) - grad u(xbar).(x - xbar)| over the squared
     quasi-distance, taken over in-domain nodes with squared quasi-distance at
     least d_min (default twice the squared spacing, a guard against 0/0 noise
@@ -92,7 +97,7 @@ def minimal_opening_field(
     grid = potential.grid
     if d_min is None:
         d_min = 2.0 * grid.spacing ** 2
-    vals, grad, _ = _solution_fields(potential, u)
+    vals, grad, _ = solution
     if centers is None:
         centers = _default_centers(potential)
 
@@ -284,11 +289,12 @@ def good_set_survey(
     neither membership nor exit.
     """
     grid = potential.grid
-    _, _, hess = _solution_fields(potential, u)
+    solution = solution_fields(potential, u)
+    hess = solution[2]
     centers = _default_centers(potential)
     rm, hi = _ratio_extrema(potential, _RADIUS, centers)
     c_inst = quasi_euclidean_constant(rm, hi)
-    openings = minimal_opening_field(potential, u, centers=centers)
+    openings = minimal_opening_field(potential, solution, centers=centers)
     used = np.isfinite(openings)
     deriv = np.maximum(np.abs(hess.xx), np.maximum(np.abs(hess.yy), np.abs(hess.xy)))
 

@@ -1,24 +1,30 @@
-"""Headline stability and regularity experiments.
+"""The lab's experiments, and the pinched-potential families they measure.
 
-Each experiment returns an ExperimentReport: the sweep values, the measured
-quantities, fitted slopes where a trend is claimed, and a list of asserted
-inequalities carrying both sides and the tolerance. Sweeps are deterministic;
-rerunning an experiment with the same configuration reproduces every number
-bit for bit.
+Each of the 13 experiments is a function name_experiment(family, config)
+registered under its name in EXPERIMENTS, in suite order. It returns an
+ExperimentReport: the sweep values, the measured quantities, fitted slopes
+where a trend is claimed, a list of asserted inequalities carrying both
+sides and the tolerance, and the rows of its own files. No experiment
+writes a file; cli_runner.run names the report, echoes the config into it,
+times it and writes it. Sweeps are deterministic; rerunning an experiment
+with the same configuration reproduces every number bit for bit.
 """
 
+import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .domain_grid import ConvexDomain, Grid, coerce_samples, fd_derivatives, lp_norm
+from .domain_grid import ConvexDomain, Grid, fd_derivatives, fmt_float, lp_norm
 from .ma_solve import PotentialField, SolveError, certify_convexity, cofactor_field, solve_ma
-from .lma_solve import solve_lma
-from .section_geom import interior_heights, measure_c_cap, section
-from .good_sets import quasi_euclidean_ratio_min
+from .lma_solve import abp_check, solve_lma
+from .section_geom import engulfing_constant, interior_heights, measure_c_cap, section, volume_scaling
+from .covering_maximal import maximal_function, strong_type_ratio, vitali_cover
+from .good_sets import good_set_survey, quasi_euclidean_ratio_min
+from .barriers import build_supersolution, verify_supersolution
 
 
 class StabilityError(ValueError):
@@ -29,16 +35,57 @@ class StabilityError(ValueError):
 _EPS_UPPER = 0.5
 # approximation_experiment compares on nodes at least this far from the boundary
 _INNER_MARGIN = 0.25
-# convex_w21e_check's Hessian integrability exponents
+# w21e_experiment's Hessian integrability exponents
 _W21E_GAMMAS = (1.05, 1.1, 1.25)
 # contact_set_experiment: fewest measurable section cells, and the bound on
 # the defect at the smallest eps
 _CONTACT_MIN_CELLS = 8
 _CONTACT_SMALL_TOL = 0.05
-# w2p_ratio_sweep's small-exponent regime: the exponent and the strongly
+# w2p_ratio_experiment's small-exponent regime: the exponent and the strongly
 # varying density's eps
 _SMALL_P = 0.3
 _STRONG_EPS = 0.8
+
+
+@dataclass
+class ExperimentConfig:
+    experiment: str = ""
+    domain: str = "disc"
+    radius: float = 1.0
+    a: float = 1.0
+    b: float = 1.0
+    side: float = 2.0
+    spacing: float = 1.0 / 32
+    eps: tuple = (0.2, 0.1, 0.05)
+    betas: tuple = ()
+    g0: str = "bump"
+    p: float = 2.0
+    q: float = 4.0
+    gamma: float = 1.1
+    sigma: float = 0.5
+    delta: float = 0.5
+    lam: Optional[float] = None
+    Lam: Optional[float] = None
+    m: float = 2.0
+    height: Optional[float] = None
+    # experiments running at once in a suite (its peak memory grows with
+    # them, up to 13); the sweep pool size for a single experiment; 0 = all cores
+    threads: int = 0
+    tol_ma: float = 1e-8
+    tol_lma: float = 1e-8
+    out: str = ""
+
+
+def pool_size(config: ExperimentConfig) -> int:
+    """Worker pool size: config.threads, or all available cores when it is 0.
+
+    A suite runs this many experiments at once, and its peak memory grows
+    with that number, up to the 13 experiments; a single experiment uses it
+    as the pool size of its stability sweep.
+    """
+    if config.threads > 0:
+        return config.threads
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -54,18 +101,21 @@ class Assertion:
 
 @dataclass
 class ExperimentReport:
-    """What one experiment measured and asserted.
+    """What one experiment measured and asserted, and the rows of its files.
 
-    wall_time is set by cli_runner.run, which times the whole experiment;
-    the experiment functions leave it at 0.
+    files maps a file name to its rows: a list of lines, or a
+    (ScalarField, mask) pair written one node per row (mask None: the
+    in-domain nodes). cli_runner.run sets experiment, config and wall_time;
+    the experiment functions leave them at their defaults.
     """
 
-    experiment: str
-    config: dict
     sweep: list
     measured: dict
     slopes: dict
     assertions: list
+    files: dict = field(default_factory=dict)
+    experiment: str = ""
+    config: dict = field(default_factory=dict)
     wall_time: float = 0.0
 
     @property
@@ -177,6 +227,17 @@ class PinchedFamily:
             return None
 
 
+def _pinched(family: PinchedFamily, config: ExperimentConfig) -> PotentialField:
+    """The family's potential at the first sweep entry (flat when there is none)."""
+    return family.potential(config.eps[0] if config.eps else 0.0)
+
+
+def _source(grid: Grid) -> np.ndarray:
+    """f = sin(pi x) cos(pi y) + 2 on the grid, the linearized experiments' source."""
+    X, Y = grid.meshes()
+    return np.sin(np.pi * X) * np.cos(np.pi * Y) + 2.0
+
+
 def _hess_frobenius(hess) -> np.ndarray:
     return np.sqrt(hess.xx ** 2 + 2.0 * hess.xy ** 2 + hess.yy ** 2)
 
@@ -205,27 +266,194 @@ def _loglog_slope(x, y) -> float:
 
 
 # ---------------------------------------------------------------------------
+# solves, sections, covers, the maximal function, good sets and barriers
+# ---------------------------------------------------------------------------
+
+
+def solve_ma_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
+    pot = _pinched(family, config)
+    assertions = []
+    check(assertions, "newton residual within tolerance",
+          pot.residual_max, "<=", 10.0 * config.tol_ma)
+    check(assertions, "certified convex", pot.convexity_margin, ">=", 0.0)
+    return ExperimentReport(
+        sweep=[],
+        measured={"residual_max": pot.residual_max,
+                  "convexity_margin": pot.convexity_margin,
+                  "newton_iterations": pot.newton_iterations,
+                  "start": pot.start},
+        slopes={}, assertions=assertions,
+        files={"potential.csv": (pot.phi, None)},
+    )
+
+
+def solve_lma_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
+    sol = solve_lma(_pinched(family, config), _source(family.grid), tol_lma=config.tol_lma)
+    abp = abp_check(sol)
+    assertions = []
+    check(assertions, "linear solve residual within tolerance",
+          sol.residual_max, "<=", 10.0 * config.tol_lma)
+    check(assertions, "abp ratio finite", abp.ratio, "<=", 1e6)
+    return ExperimentReport(
+        sweep=[],
+        measured={"residual_max": sol.residual_max, "abp_ratio": abp.ratio,
+                  "sup_u": float(np.nanmax(np.abs(sol.u.values)))},
+        slopes={}, assertions=assertions,
+        files={"solution.csv": (sol.u, None)},
+    )
+
+
+def sections_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
+    pot = _pinched(family, config)
+    c_cap = measure_c_cap(interior_heights(pot))
+    t_values = [0.2 * c_cap, 0.4 * c_cap, 0.6 * c_cap, 0.8 * c_cap]
+    sections = [section(pot, np.zeros(2), t) for t in t_values]
+    rows = [(t, sec.measure, int(sec.cells.sum()), sec.is_interior) for t, sec in zip(t_values, sections)]
+    theta_star = engulfing_constant(pot, sections, n_random=6, seed=0)
+    vol = volume_scaling(sections)
+    assertions = []
+    check(assertions, "section measures increase with height",
+          rows[0][1], "<=", rows[-1][1])
+    check(assertions, "volume scaling exponent near linear",
+          vol.exponent, "~", 1.0, tol=0.15)
+    check(assertions, "engulfing constant bounded", theta_star, "<=", 6.0)
+    lines = ["t,measure,cells,interior"]
+    for t, meas, n, inter in rows:
+        lines.append(f"{fmt_float(t)},{fmt_float(meas)},{n},{int(inter)}")
+    return ExperimentReport(
+        sweep=list(t_values),
+        measured={"measure": [r[1] for r in rows],
+                  "cells": [r[2] for r in rows],
+                  "theta_star": theta_star,
+                  "volume_exponent": vol.exponent},
+        slopes={"volume": vol.exponent},
+        assertions=assertions,
+        files={"sections_summary.csv": lines},
+    )
+
+
+def cover_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
+    cover = vitali_cover(_pinched(family, config), family.grid.interior)
+    assertions = []
+    check(assertions, "half-height sections cover the region",
+          cover.coverage_defect, "<=", 0.0)
+    lines = ["x,y,height"]
+    for (x, y), h in zip(cover.centers, cover.heights):
+        lines.append(f"{fmt_float(x)},{fmt_float(y)},{fmt_float(h)}")
+    return ExperimentReport(
+        sweep=[],
+        measured={"n_selected": int(len(cover.heights)),
+                  "delta0": cover.delta0,
+                  "coverage_defect": cover.coverage_defect},
+        slopes={}, assertions=assertions,
+        files={"cover_centers.csv": lines},
+    )
+
+
+def maximal_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
+    grid = family.grid
+    X, Y = grid.meshes()
+    f = np.ones(grid.shape) if family.g0 is None else np.asarray(family.g0(X, Y), dtype=float)
+    m_one, m_f = maximal_function(_pinched(family, config), [1.0, f])
+    dev = float(np.nanmax(np.abs(m_one.values[grid.in_domain] - 1.0)))
+    ratio = strong_type_ratio(m_f, f, p=config.p)
+    assertions = []
+    check(assertions, "maximal function of 1 is 1", dev, "<=", 1e-12)
+    check(assertions, "strong type ratio finite", ratio, "<=", 1e6)
+    check(assertions, "maximal dominates the average", ratio, ">=", 1.0 - 1e-12)
+    return ExperimentReport(
+        sweep=[],
+        measured={"m_one_deviation": dev, "strong_type_ratio": ratio},
+        slopes={}, assertions=assertions,
+        files={"maximal_field.csv": (m_f, None)},
+    )
+
+
+def goodsets_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
+    pot = _pinched(family, config)
+    grid = family.grid
+    sol = solve_lma(pot, _source(grid), tol_lma=config.tol_lma)
+    betas = np.asarray(config.betas if config.betas else np.geomspace(1.2, 40.0, 10))
+    M_grid = (2.0, 4.0, 8.0)
+    sigma_grid = (0.1, 0.3, 0.5)
+    res = good_set_survey(pot, sol.u, betas, m=config.m, M_grid=M_grid, sigma_grid=sigma_grid)
+    assertions = []
+    mono_F2 = bool(np.all(np.diff(res.F2) <= 1e-14))
+    check(assertions, "F2 non-increasing", 0.0 if mono_F2 else 1.0, "<=", 0.0)
+    for a, b in zip(M_grid, M_grid[1:]):
+        grows = not (res.good_masks[a] & ~res.good_masks[b]).any()
+        check(assertions, f"good sets grow from M={a} to M={b}",
+              0.0 if grows else 1.0, "<=", 0.0)
+    for a, b in zip(sigma_grid, sigma_grid[1:]):
+        shrinks = not (res.quasi_masks[b] & ~res.quasi_masks[a]).any()
+        check(assertions, f"quasi masks shrink from sigma={a} to sigma={b}",
+              0.0 if shrinks else 1.0, "<=", 0.0)
+    lines = ["beta,F,F1,F2"]
+    for k, b in enumerate(res.beta_grid):
+        lines.append(",".join(fmt_float(v) for v in (b, res.F[k], res.F1[k], res.F2[k])))
+    files = {"distribution.csv": lines}
+    X, Y = grid.meshes()
+    for M in M_grid:
+        lines = ["x,y"]
+        for i, j in np.argwhere(res.good_masks[M]):
+            lines.append(f"{fmt_float(X[i, j])},{fmt_float(Y[i, j])}")
+        files[f"good_mask_M{fmt_float(M)}.csv"] = lines
+    fits = {k: {"tau": v.tau, "C": v.C, "residual": v.residual} for k, v in res.fits.items()}
+    return ExperimentReport(
+        sweep=list(betas),
+        measured={"F": list(res.F), "F1": list(res.F1), "F2": list(res.F2),
+                  "c_inst": res.c_inst, "fits": fits},
+        slopes={k: v.tau for k, v in res.fits.items()},
+        assertions=assertions,
+        files=files,
+    )
+
+
+def barrier_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
+    pot = _pinched(family, config)
+    anchor = family.grid.domain.boundary_samples(64)[0]
+    barrier = build_supersolution(pot, anchor, lam=config.lam, Lam=config.Lam,
+                                  delta=config.delta)
+    rep = verify_supersolution(barrier, pot)
+    assertions = []
+    check(assertions, "operator value below the negative threshold",
+          rep.interior_max, "<=", rep.threshold)
+    check(assertions, "barrier nonnegative on the flat boundary piece",
+          rep.boundary_min, ">=", -rep.boundary_tol)
+    check(assertions, "barrier dominates the gap on the inner circle",
+          rep.circle_min, ">=", rep.delta_tilde - rep.circle_tol)
+    return ExperimentReport(
+        sweep=[],
+        measured={"interior_max": rep.interior_max, "threshold": rep.threshold,
+                  "boundary_min": rep.boundary_min, "circle_min": rep.circle_min,
+                  "delta_tilde": rep.delta_tilde,
+                  "n_interior": rep.n_interior},
+        slopes={}, assertions=assertions,
+        files={"barrier.csv": (barrier.w, barrier.mask)},
+    )
+
+
+# ---------------------------------------------------------------------------
 # cofactor stability
 # ---------------------------------------------------------------------------
 
 
-def cofactor_stability_sweep(family: PinchedFamily, eps_list, q: float = 2.0,
-                             threads: int = 1) -> ExperimentReport:
+def cofactor_stability_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
     """Distance between cofactor matrices of a perturbed and a flat solve.
 
     For each eps the family's potentials at eps and at 0 are compared; the
-    measured quantity is the L^q norm of the Frobenius distance of the two
-    cofactor fields. Asserts strict decrease in eps and a positive log-log
-    slope.
+    measured quantity is the L^p norm (p = config.p) of the Frobenius
+    distance of the two cofactor fields. Asserts strict decrease in eps and
+    a positive log-log slope.
     """
     grid = family.grid
-    eps_list = _validate_eps(eps_list)
+    eps_list = _validate_eps(config.eps)
     W = cofactor_field(family.potential(0.0))
 
     def one(eps: float) -> float:
-        return _matrix_diff_lq(grid, cofactor_field(family.potential(eps)), W, q)
+        return _matrix_diff_lq(grid, cofactor_field(family.potential(eps)), W, config.p)
 
-    norms = run_sweep(one, eps_list, threads)
+    norms = run_sweep(one, eps_list, pool_size(config))
     order = np.argsort(eps_list)
     assertions = []
     for lo, hi in zip(order[:-1], order[1:]):
@@ -234,8 +462,6 @@ def cofactor_stability_sweep(family: PinchedFamily, eps_list, q: float = 2.0,
     slope = _loglog_slope(eps_list, norms)
     check(assertions, "log-log slope of norm vs eps positive", slope, ">=", 0.0)
     return ExperimentReport(
-        experiment="cofactor_stability_sweep",
-        config={"q": q, "spacing": grid.spacing, "domain": grid.domain.kind, "eps": eps_list},
         sweep=eps_list,
         measured={"cofactor_lq_distance": norms},
         slopes={"norm_vs_eps": slope},
@@ -248,26 +474,25 @@ def cofactor_stability_sweep(family: PinchedFamily, eps_list, q: float = 2.0,
 # ---------------------------------------------------------------------------
 
 
-def sobolev_stability_sweep(family: PinchedFamily, eps_list, gamma: float = 1.1,
-                            threads: int = 1) -> ExperimentReport:
+def sobolev_stability_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
     """Hessian distance of the family's potentials at eps and at 0 against their density gap.
 
-    For each eps the measured pair is the L^gamma norm of the Frobenius
-    distance of the two Hessians and the L^1 norm of the density difference.
-    Asserts strict decrease in eps and a positive log-log slope of the first
-    against the second.
+    For each eps the measured pair is the L^gamma norm (gamma =
+    config.gamma) of the Frobenius distance of the two Hessians and the L^1
+    norm of the density difference. Asserts strict decrease in eps and a
+    positive log-log slope of the first against the second.
     """
     grid = family.grid
-    eps_list = _validate_eps(eps_list)
+    eps_list = _validate_eps(config.eps)
     w_pot = family.potential(0.0)
 
     def one(eps: float):
         pot = family.potential(eps)
-        lhs = _matrix_diff_lq(grid, pot.hess, w_pot.hess, gamma)
+        lhs = _matrix_diff_lq(grid, pot.hess, w_pot.hess, config.gamma)
         gdiff = lp_norm(grid, pot.g_values - w_pot.g_values, 1.0)
         return lhs, gdiff
 
-    pairs = run_sweep(one, eps_list, threads)
+    pairs = run_sweep(one, eps_list, pool_size(config))
     lhs = [p[0] for p in pairs]
     gdist = [p[1] for p in pairs]
     order = np.argsort(eps_list)
@@ -279,8 +504,6 @@ def sobolev_stability_sweep(family: PinchedFamily, eps_list, gamma: float = 1.1,
     check(assertions, "log-log slope of hessian distance vs density distance positive",
           slope, ">=", 0.0)
     return ExperimentReport(
-        experiment="sobolev_stability_sweep",
-        config={"gamma": gamma, "spacing": grid.spacing, "domain": grid.domain.kind, "eps": eps_list},
         sweep=eps_list,
         measured={"hessian_lgamma_distance": lhs, "density_l1_distance": gdist},
         slopes={"lhs_vs_density_l1": slope},
@@ -293,7 +516,7 @@ def sobolev_stability_sweep(family: PinchedFamily, eps_list, gamma: float = 1.1,
 # ---------------------------------------------------------------------------
 
 
-def approximation_experiment(family: PinchedFamily, eps_list, threads: int = 1) -> ExperimentReport:
+def approximation_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
     """Distance between a solution and its flat-operator companion.
 
     For each eps, u solves the homogeneous linearized problem over the
@@ -304,7 +527,7 @@ def approximation_experiment(family: PinchedFamily, eps_list, threads: int = 1) 
     strictly as eps does.
     """
     grid = family.grid
-    eps_list = _validate_eps(eps_list)
+    eps_list = _validate_eps(config.eps)
     datum = lambda pts: np.atleast_2d(pts)[:, 0] ** 2
     W = cofactor_field(family.potential(0.0))
     h_sol = solve_lma(W, 0.0, boundary=datum)
@@ -324,7 +547,7 @@ def approximation_experiment(family: PinchedFamily, eps_list, threads: int = 1) 
         pdist = _matrix_diff_lq(grid, cofactor_field(pot), W, 2.0)
         return sup, pdist
 
-    pairs = run_sweep(one, eps_list, threads)
+    pairs = run_sweep(one, eps_list, pool_size(config))
     sups = [p[0] for p in pairs]
     cof_dists = [p[1] for p in pairs]
     order = np.argsort(eps_list)
@@ -333,9 +556,6 @@ def approximation_experiment(family: PinchedFamily, eps_list, threads: int = 1) 
         check(assertions, f"sup|u-h| at eps={eps_list[lo]} < at eps={eps_list[hi]}",
               sups[lo], "<", sups[hi])
     return ExperimentReport(
-        experiment="approximation_experiment",
-        config={"spacing": grid.spacing, "domain": grid.domain.kind, "eps": eps_list,
-                "inner_margin": _INNER_MARGIN, "homogeneous": True},
         sweep=eps_list,
         measured={"sup_distance": sups, "cofactor_l2_distance": cof_dists},
         slopes={"sup_vs_eps": _loglog_slope(eps_list, sups)},
@@ -348,27 +568,26 @@ def approximation_experiment(family: PinchedFamily, eps_list, threads: int = 1) 
 # ---------------------------------------------------------------------------
 
 
-def convex_w21e_check(potential: PotentialField, f, boundary=0.0) -> ExperimentReport:
+def w21e_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
     """Hessian integrability ratios of a convex solution.
 
-    Solves the linearized problem, certifies convexity of the solution (the
-    experiment reports non-applicability instead of failing when the solution
-    is not convex), and reports |D2 v|_{L^gamma} / |f|_inf for each gamma in
-    _W21E_GAMMAS.
+    Solves the linearized problem over the first sweep entry's potential
+    with f = 2 g and the potential's own boundary datum, certifies convexity
+    of the solution (the experiment reports non-applicability instead of
+    failing when the solution is not convex), and reports
+    |D2 v|_{L^gamma} / |f|_inf for each gamma in _W21E_GAMMAS.
     """
+    potential = _pinched(family, config)
     grid = potential.grid
     gammas = _W21E_GAMMAS
-    sol = solve_lma(potential, f, boundary=boundary)
+    sol = solve_lma(potential, 2.0 * potential.g_values, boundary=potential.boundary_datum)
     _, hess = fd_derivatives(sol.u)
     conv = certify_convexity(hess)
-    config = {"gammas": list(gammas), "spacing": grid.spacing, "domain": grid.domain.kind}
     assertions = []
 
     f_inf = lp_norm(grid, sol.f_values, np.inf)
     if not conv.passed:
         return ExperimentReport(
-            experiment="convex_w21e_check",
-            config=config,
             sweep=list(gammas),
             measured={"applicable": False, "min_hessian_eig": conv.min_eig},
             slopes={},
@@ -376,8 +595,6 @@ def convex_w21e_check(potential: PotentialField, f, boundary=0.0) -> ExperimentR
         )
     if f_inf == 0.0:
         return ExperimentReport(
-            experiment="convex_w21e_check",
-            config=config,
             sweep=list(gammas),
             measured={"applicable": True, "degenerate": True, "f_inf": 0.0},
             slopes={},
@@ -390,8 +607,6 @@ def convex_w21e_check(potential: PotentialField, f, boundary=0.0) -> ExperimentR
         check(assertions, f"ratio at gamma={g} finite", r, "<", np.inf)
 
     return ExperimentReport(
-        experiment="convex_w21e_check",
-        config=config,
         sweep=list(gammas),
         measured={"applicable": True, "ratios": ratios, "f_inf": f_inf,
                   "min_hessian_eig": conv.min_eig},
@@ -405,25 +620,27 @@ def convex_w21e_check(potential: PotentialField, f, boundary=0.0) -> ExperimentR
 # ---------------------------------------------------------------------------
 
 
-def contact_set_experiment(family: PinchedFamily, eps_list, sigma: float,
-                           height: Optional[float] = None) -> ExperimentReport:
+def contact_set_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
     """Fraction of a boundary-anchored section missed by the global mask.
 
     For each eps the family's potential is taken, the section at the anchor
     (the in-domain node nearest the first of 64 boundary samples) is flooded
     at the chosen height, and the defect is the fraction of its
-    measurable cells outside the full-domain quasi-Euclidean mask at the
-    given sigma. Measurable means inside the scan's tangent trust region;
-    cells in the gradient boundary layer cannot certify either way and are
-    reported separately. The height is fixed once across the sweep (half the
-    cap gap of the first instance when not given) so the sections stay
-    comparable. The defect must not grow as eps shrinks and must be at most
+    measurable cells outside the full-domain quasi-Euclidean mask at
+    sigma = config.sigma. Measurable means inside the scan's tangent trust
+    region; cells in the gradient boundary layer cannot certify either way
+    and are reported separately. The height is fixed once across the sweep
+    (config.height, or half the cap gap of the first instance when it is
+    not set) so the sections stay comparable; measured reports it with
+    the anchor. The defect must not grow as eps shrinks and must be at most
     _CONTACT_SMALL_TOL at the smallest eps.
     """
     grid = family.grid
-    eps_list = _validate_eps(eps_list)
+    sigma = config.sigma
+    eps_list = _validate_eps(config.eps)
     i, j = grid.nearest_in_domain(grid.domain.boundary_samples(64)[0])
     anchor = np.array([grid.xs[i], grid.ys[j]])
+    height = config.height
     if height is None:
         height = 0.5 * measure_c_cap(interior_heights(family.potential(eps_list[0])))
     t = float(height)
@@ -456,13 +673,10 @@ def contact_set_experiment(family: PinchedFamily, eps_list, sigma: float,
     check(assertions, f"defect small at eps={eps_list[smallest]}",
           defects[smallest], "<=", _CONTACT_SMALL_TOL)
     return ExperimentReport(
-        experiment="contact_set_experiment",
-        config={"sigma": sigma, "spacing": grid.spacing, "domain": grid.domain.kind,
-                "eps": eps_list, "height": t,
-                "anchor": [float(anchor[0]), float(anchor[1])]},
         sweep=eps_list,
         measured={"defect_fraction": defects, "section_cells": cells,
-                  "measurable_cells": meas_cells},
+                  "measurable_cells": meas_cells, "height": t,
+                  "anchor_x": float(anchor[0]), "anchor_y": float(anchor[1])},
         slopes={},
         assertions=assertions,
     )
@@ -473,22 +687,22 @@ def contact_set_experiment(family: PinchedFamily, eps_list, sigma: float,
 # ---------------------------------------------------------------------------
 
 
-def w2p_ratio_sweep(family: PinchedFamily, eps_list, p: float = 2.0, q: float = 4.0,
-                    threads: int = 1) -> ExperimentReport:
+def w2p_ratio_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
     """Hessian-to-source norm ratios across the pinching sweep.
 
     R(eps) = |D2 u|_{L^p} / |f|_{L^q} for the solution over each of the
-    family's potentials, with f = sin(pi x) cos(pi y) + 2. Boundedness is
-    asserted as sup <= 3 * median over the sweep; linearity is checked by
-    scaling f tenfold at one sweep point; the small-exponent quasi-norm
-    regime (p = _SMALL_P) runs once with the strongly varying density at
-    eps = _STRONG_EPS.
+    family's potentials, with f = sin(pi x) cos(pi y) + 2 and p, q from the
+    config. Boundedness is asserted as sup <= 3 * median over the sweep;
+    linearity is checked by scaling f tenfold at one sweep point; the
+    small-exponent quasi-norm regime (p = _SMALL_P) runs once with the
+    strongly varying density at eps = _STRONG_EPS.
     """
     grid = family.grid
-    eps_list = _validate_eps(eps_list)
+    p, q = config.p, config.q
+    eps_list = _validate_eps(config.eps)
     if not (1.0 < p < q and q > 2.0):
         raise StabilityError(f"need 1 < p < q and q > 2, got p={p}, q={q}")
-    f_vals = coerce_samples(grid, lambda X, Y: np.sin(np.pi * X) * np.cos(np.pi * Y) + 2.0)
+    f_vals = _source(grid)
 
     def ratio_on(fv: np.ndarray, eps: float, pp: float, qq: float) -> float:
         sol = solve_lma(family.potential(eps), fv)
@@ -497,7 +711,7 @@ def w2p_ratio_sweep(family: PinchedFamily, eps_list, p: float = 2.0, q: float = 
         den = lp_norm(grid, sol.f_values, qq)
         return num / den
 
-    ratios = run_sweep(lambda e: ratio_on(f_vals, e, p, q), eps_list, threads)
+    ratios = run_sweep(lambda e: ratio_on(f_vals, e, p, q), eps_list, pool_size(config))
     assertions = []
     med = float(np.median(ratios))
     check(assertions, "sup of ratios <= 3 * median", max(ratios), "<=", 3.0 * med)
@@ -513,11 +727,27 @@ def w2p_ratio_sweep(family: PinchedFamily, eps_list, p: float = 2.0, q: float = 
           r_small, "<", np.inf)
 
     return ExperimentReport(
-        experiment="w2p_ratio_sweep",
-        config={"p": p, "q": q, "spacing": grid.spacing, "domain": grid.domain.kind,
-                "eps": eps_list, "small_p": _SMALL_P, "strong_eps": _STRONG_EPS},
         sweep=eps_list,
         measured={"ratio": ratios, "ratio_scaled_f": r_scaled, "ratio_small_exponent": r_small},
         slopes={"ratio_vs_eps": _loglog_slope(eps_list, ratios)},
         assertions=assertions,
     )
+
+
+# every experiment by name, in suite order; the name is the report's
+# experiment, its output directory in a suite and its sweep files' prefix
+EXPERIMENTS = {
+    "solve_ma": solve_ma_experiment,
+    "solve_lma": solve_lma_experiment,
+    "sections": sections_experiment,
+    "cover": cover_experiment,
+    "maximal": maximal_experiment,
+    "goodsets": goodsets_experiment,
+    "barrier": barrier_experiment,
+    "cofactor_stability": cofactor_stability_experiment,
+    "sobolev_stability": sobolev_stability_experiment,
+    "approximation": approximation_experiment,
+    "w21e": w21e_experiment,
+    "contact_set": contact_set_experiment,
+    "w2p_ratio": w2p_ratio_experiment,
+}

@@ -168,3 +168,56 @@ def test_no_private_parameters():
                 label = getattr(node, "name", "<lambda>")
                 private += [f"{path.stem}.{label}.{name}" for name in names if name.startswith("_")]
     assert private == []
+
+
+# the calls that write a file
+WRITERS = {"open", "write_lines", "write_field_csv"}
+
+
+def test_only_cli_runner_writes_files():
+    """Experiments return their files' rows in their reports, and cli_runner writes them.
+
+    No src function outside cli_runner opens a file or calls a writer;
+    domain_grid's definitions of the writers are the exemption.
+    """
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "cli_runner":
+            continue
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if path.stem == "domain_grid" and getattr(top, "name", None) in WRITERS:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in WRITERS:
+                        offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
+
+
+def _tracing_constant(name):
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/tracing.py defines no {name}")
+
+
+def test_every_module_binding_a_traced_function_is_traced():
+    """perfbench's tracer wraps a traced function only in the modules it lists.
+
+    A module outside MODULES that imports a traced function by name calls
+    the unwrapped function, and the spans of those calls are lost.
+    """
+    traced = {(module, attr) for _, module, attr in _tracing_constant("FUNCTIONS")}
+    modules = set(_tracing_constant("MODULES"))
+    assert {module for module, _ in traced} <= modules
+    untraced = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.split(".")[-1]
+                untraced += [f"{path.stem} imports {module}.{alias.name}" for alias in node.names
+                             if (module, alias.name) in traced and path.stem not in modules]
+    assert untraced == []

@@ -9,13 +9,14 @@ import pytest
 
 from ma_lab import cli_runner, ma_solve, section_geom, stability_lab
 from ma_lab.cli_runner import ExperimentConfig, run
+from ma_lab.stability_lab import EXPERIMENTS
 
 SWEEPS = ("cofactor_stability", "sobolev_stability", "approximation", "contact_set", "w2p_ratio")
 
 
 @pytest.fixture
 def top_level_solves(monkeypatch):
-    """Record every solve_ma call made by cli_runner or stability_lab.
+    """Record every solve_ma call made by stability_lab, where every experiment runs.
 
     Nested solves (the coarse-grid restarts inside ma_solve) go through
     ma_solve's own binding and are not recorded. Each record keeps a copy of
@@ -34,8 +35,7 @@ def top_level_solves(monkeypatch):
         records.append(rec)
         return rec["pot"]
 
-    for mod in (cli_runner, stability_lab):
-        monkeypatch.setattr(mod, "solve_ma", recording, raising=False)
+    monkeypatch.setattr(stability_lab, "solve_ma", recording)
     return records
 
 
@@ -106,11 +106,23 @@ def test_suite_outputs_do_not_depend_on_threads(tmp_path):
         assert run(cfg, out_dir=str(out)) == 0
         outputs.append(_suite_outputs(out))
     (files1, codes1), (files2, codes2) = outputs
-    assert len(codes1) == len(cli_runner._SUITE)
+    assert list(codes1) == sorted(EXPERIMENTS)
     assert codes1 == codes2
     assert files1.keys() == files2.keys()
     for rel in files1:
         assert files1[rel] == files2[rel], rel
+    # one name per experiment: its directory, its report and its sweep files
+    sweep_files = 0
+    for name in EXPERIMENTS:
+        report = files1[f"{name}/report.json"]
+        assert report["experiment"] == name
+        for key, val in report["measured"].items():
+            if isinstance(val, list) and report["sweep"] and len(val) == len(report["sweep"]):
+                assert f"{name}/{name}_{key}.csv" in files1
+                sweep_files += 1
+        dats = [rel for rel in files1 if rel.startswith(f"{name}/") and rel.endswith(".dat")]
+        assert all(rel.startswith(f"{name}/{name}_") for rel in dats)
+    assert sweep_files == sum(rel.endswith(".dat") for rel in files1)
 
 
 _ASSERTION_LINE = re.compile(r"\[(pass|FAIL)\] (\w+): ")
@@ -120,7 +132,7 @@ def test_suite_lines_name_their_experiment(tmp_path, capsys):
     cfg = ExperimentConfig(experiment="suite", domain="disc", spacing=1.0 / 32, threads=2)
     assert run(cfg, out_dir=str(tmp_path)) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == f"suite: {len(cli_runner._SUITE)}/{len(cli_runner._SUITE)} experiments passed"
+    assert lines[-1] == f"suite: {len(EXPERIMENTS)}/{len(EXPERIMENTS)} experiments passed"
     names = []
     for line in lines[:-1]:
         match = _ASSERTION_LINE.match(line)
@@ -128,7 +140,7 @@ def test_suite_lines_name_their_experiment(tmp_path, capsys):
         names.append(match.group(2))
     runs = [name for k, name in enumerate(names) if k == 0 or names[k - 1] != name]
     # every experiment asserts something, and its lines are contiguous
-    assert sorted(runs) == sorted(name for name, _ in cli_runner._SUITE)
+    assert sorted(runs) == sorted(EXPERIMENTS)
 
 
 def test_suite_runs_at_most_threads_experiments_with_inline_sweeps(tmp_path, monkeypatch):
@@ -166,7 +178,7 @@ def test_suite_runs_at_most_threads_experiments_with_inline_sweeps(tmp_path, mon
     monkeypatch.setattr(stability_lab, "run_sweep", recording_sweep)
     cfg = ExperimentConfig(experiment="suite", domain="disc", spacing=1.0 / 32, threads=2)
     assert cli_runner.run(cfg, out_dir=str(tmp_path)) == 0
-    assert sorted(calls) == sorted(name for name, _ in cli_runner._SUITE)
+    assert sorted(calls) == sorted(EXPERIMENTS)
     assert peak == 2
     assert sweep_threads and set(sweep_threads) == {1}
 
@@ -178,11 +190,11 @@ def test_an_unwritable_experiment_file_fails_that_experiment_only(tmp_path, caps
     assert run(cfg, out_dir=str(tmp_path)) == 1
     assert f"cannot write {blocked}: " in capsys.readouterr().err
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert list(summary) == sorted(name for name, _ in cli_runner._SUITE)
+    assert list(summary) == sorted(EXPERIMENTS)
     assert summary["solve_ma"]["exit_code"] == 1
     # the experiments queued behind it still ran
     assert all((tmp_path / name / "report.json").is_file()
-               for name, _ in cli_runner._SUITE if name != "solve_ma")
+               for name in EXPERIMENTS if name != "solve_ma")
 
 
 def test_an_unwritable_summary_is_reported(tmp_path, capsys):
@@ -191,19 +203,19 @@ def test_an_unwritable_summary_is_reported(tmp_path, capsys):
     cfg = ExperimentConfig(experiment="suite", domain="disc", spacing=1.0 / 16, threads=2)
     assert run(cfg, out_dir=str(tmp_path)) == 1
     assert f"cannot write {blocked}: " in capsys.readouterr().err
-    assert all((tmp_path / name / "report.json").is_file() for name, _ in cli_runner._SUITE)
+    assert all((tmp_path / name / "report.json").is_file() for name in EXPERIMENTS)
 
 
 @pytest.mark.parametrize("domain", ["disc", "square"])
 def test_barrier_circle_assertion_matches_the_verifier(tmp_path, monkeypatch, domain):
     reports = []
-    real = cli_runner.verify_supersolution
+    real = stability_lab.verify_supersolution
 
     def recording(*args, **kwargs):
         reports.append(real(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(cli_runner, "verify_supersolution", recording)
+    monkeypatch.setattr(stability_lab, "verify_supersolution", recording)
     cfg = ExperimentConfig(experiment="barrier", domain=domain, spacing=1.0 / 32)
     run(cfg, out_dir=str(tmp_path))
     (rep,) = reports

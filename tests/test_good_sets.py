@@ -14,6 +14,7 @@ from ma_lab.good_sets import (
     good_set_survey,
     minimal_opening_field,
     quasi_euclidean_constant,
+    solution_fields,
     tangent_trust_region,
 )
 from ma_lab.lma_solve import solve_lma
@@ -40,11 +41,12 @@ def opening_at(potential, u, x, d_min=None):
     idx = potential.grid.nearest_node(x)
     centers = np.zeros(potential.grid.shape, dtype=bool)
     centers[idx] = True
-    return minimal_opening_field(potential, u, centers=centers, d_min=d_min)[idx]
+    return minimal_opening_field(potential, solution_fields(potential, u), centers=centers,
+                                 d_min=d_min)[idx]
 
 
 def test_opening_of_the_potential_is_two(model_disc):
-    openings = minimal_opening_field(model_disc, model_disc.phi.values)
+    openings = minimal_opening_field(model_disc, solution_fields(model_disc, model_disc.phi.values))
     finite = np.isfinite(openings)
     assert int(finite.sum()) == 2957
     assert bool(np.all(openings[finite] == 2.0))
@@ -147,6 +149,20 @@ def test_decay_fit_recovers_planted_exponents():
         decay_fit([(1.0, 1.0)] * 3)
 
 
+def test_survey_differentiates_the_solution_once(pinched_lma, monkeypatch):
+    # the openings and the F levels read the same derivatives of u
+    pot, u = pinched_lma
+    calls = []
+
+    def counting(fld):
+        calls.append(fld)
+        return fd_derivatives(fld)
+
+    monkeypatch.setattr(good_sets, "fd_derivatives", counting)
+    good_set_survey(pot, u, np.geomspace(1.2, 40.0, 10))
+    assert len(calls) == 1
+
+
 def test_survey_distributions_on_lma(pinched_lma):
     pot, u = pinched_lma
     bg = np.geomspace(1.45, 2.5, 10)
@@ -200,7 +216,8 @@ def test_survey_scans_the_ratios_once(pinched_lma, monkeypatch):
     centers = _default_centers(pot)
     c_ref = survey_constant(pot)
     rm_ref = _ratio_extrema(pot, _RADIUS, centers)[0]
-    meas = np.isfinite(minimal_opening_field(pot, u, centers=centers)) & np.isfinite(rm_ref)
+    openings = minimal_opening_field(pot, solution_fields(pot, u), centers=centers)
+    meas = np.isfinite(openings) & np.isfinite(rm_ref)
     scale1 = grid.cell_area * grid.interior.sum() / int(meas.sum())
     F1_ref = [(meas & (rm_ref < (c_ref * b ** ((m - 1.0) / 2.0)) ** (-2.0 / (2 - 1)))).sum() * scale1
               for b in bg]

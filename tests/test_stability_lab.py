@@ -9,7 +9,7 @@ import pytest
 from ma_lab import stability_lab
 from ma_lab.domain_grid import build_domain, discretize, lp_norm
 from ma_lab.ma_solve import SolveError, cofactor_field, solve_ma
-from ma_lab.stability_lab import PinchedFamily, default_bump
+from ma_lab.stability_lab import ExperimentConfig, PinchedFamily, default_bump
 
 
 @pytest.fixture(scope="module")
@@ -165,8 +165,10 @@ def test_contact_set_anchor_snaps_to_an_in_domain_node():
     grid = discretize(build_domain("ellipse", a=1.2, b=0.8), 1.0 / 32)
     family = PinchedFamily(grid, default_bump(grid.domain))
     assert not grid.in_domain[grid.nearest_node((1.2, 0.0))]
-    report = stability_lab.contact_set_experiment(family, [0.2, 0.1, 0.05], sigma=0.9)
-    assert report.config["anchor"] == pytest.approx([1.175, 0.0125], abs=1e-12)
+    config = ExperimentConfig(eps=(0.2, 0.1, 0.05), sigma=0.9)
+    report = stability_lab.contact_set_experiment(family, config)
+    anchor = [report.measured["anchor_x"], report.measured["anchor_y"]]
+    assert anchor == pytest.approx([1.175, 0.0125], abs=1e-12)
     assert report.measured["section_cells"] == [38, 38, 38]
     assert report.measured["measurable_cells"] == [10, 10, 10]
     # the mask threshold 0.5 * sigma = 0.45 lies above the ellipse's
