@@ -12,7 +12,7 @@ import numpy as np
 
 from .domain_grid import FieldError, ScalarField, coerce_samples, lp_norm
 from .ma_solve import PotentialField
-from .section_geom import interior_heights, measure_c_cap, pair_gaps, section_cells
+from .section_geom import measure_c_cap, pair_gaps, section_cells
 
 
 # vitali_cover floods the cores of this many candidates per section_cells
@@ -23,6 +23,11 @@ _DELTA0 = 0.1
 _DELTA0_FLOOR = 0.0125
 # maximal_function: centres per pair_gaps block; it sets the scan's peak memory
 _MAXIMAL_CHUNK = 32
+# maximal_function: side of the square lattice tiles that group its centres
+# and its targets, and the slack of a tile's gap floor relative to the size
+# of the terms of a gap, far above their rounding (about 1e-15 of it)
+_TILE = 8
+_FLOOR_SLACK = 1e-9
 
 
 class CoveringError(RuntimeError):
@@ -46,7 +51,7 @@ class CoveringResult:
     coverage_defect: float
 
 
-def vitali_cover(potential: PotentialField, region: np.ndarray) -> CoveringResult:
+def vitali_cover(potential: PotentialField, region: np.ndarray, heights: np.ndarray) -> CoveringResult:
     """Select sections greedily by maximal height with pairwise disjoint cores.
 
     Candidates are walked in order of decreasing maximal interior height, so
@@ -56,10 +61,11 @@ def vitali_cover(potential: PotentialField, region: np.ndarray) -> CoveringResul
     If the half-height sections of the selection fail to cover the region,
     delta0 is halved and the selection is rebuilt, down to _DELTA0_FLOOR.
 
-    The heights are interior_heights, the ring-gap minimum. Where a
-    candidate's tangent gap is negative at some ring node that height is
-    negative: the candidate gets an empty core and an empty cover, and
-    it is still picked unless an earlier core holds it.
+    heights is the interior_heights field of the potential, the ring-gap
+    minimum, read at the candidates. Where a candidate's tangent gap is
+    negative at some ring node that height is negative: the candidate gets
+    an empty core and an empty cover, and it is still picked unless an
+    earlier core holds it.
 
     Every section is flood-filled exactly in grown windows (section_cells).
     The walk floods the cores of a block of candidates per call and skips
@@ -74,7 +80,6 @@ def vitali_cover(potential: PotentialField, region: np.ndarray) -> CoveringResul
     cand = region & grid.interior
     if not cand.any():
         raise CoveringError("covering region holds no interior nodes")
-    heights = interior_heights(potential, mask=cand)
     ci, cj = np.nonzero(cand)
     hvals = heights[ci, cj]
     order = np.argsort(-hvals, kind="stable")
@@ -127,12 +132,15 @@ def vitali_cover(potential: PotentialField, region: np.ndarray) -> CoveringResul
 # ---------------------------------------------------------------------------
 
 
-def height_grid(potential: PotentialField, n_heights: int = 12) -> np.ndarray:
-    """Log-spaced probe heights from the smallest usable section up to the cap (measure_c_cap)."""
+def height_grid(potential: PotentialField, heights: np.ndarray, n_heights: int = 12) -> np.ndarray:
+    """Log-spaced probe heights from the smallest usable section up to the cap.
+
+    heights is the interior_heights field of the potential; the cap is its
+    measure_c_cap, and the smallest section is probed at its largest node.
+    """
     grid = potential.grid
-    hs = interior_heights(potential)
-    c_cap = measure_c_cap(hs)
-    i, j = np.unravel_index(np.nanargmax(np.where(np.isfinite(hs), hs, -np.inf)), hs.shape)
+    c_cap = measure_c_cap(heights)
+    i, j = np.unravel_index(np.nanargmax(np.where(np.isfinite(heights), heights, -np.inf)), heights.shape)
     t = 2.0 * grid.cell_area
     while t < c_cap / 2.0:
         if section_cells(potential, [i], [j], [t])[0].size >= 8:
@@ -142,17 +150,62 @@ def height_grid(potential: PotentialField, n_heights: int = 12) -> np.ndarray:
     return np.geomspace(t_min, c_cap, n_heights)
 
 
+def _tile_gap_floors(potential: PotentialField, ni, nj):
+    """Group the nodes (ni, nj) into _TILE x _TILE lattice tiles and bound each tile's gaps from below.
+
+    Returns tile, the tile number of each node (0, 1, ... in order of the
+    tiles' lattice keys), and floor, where floor(k)[m, T] bounds the tangent
+    gap D(c, t) of pair_gaps from below for the centre c = node k[m] and
+    every node t of tile T. With the tile's mean gradient g_T, its least
+    w_T = min over t in T of phi(t) - g_T.t, and the box B_T of its nodes,
+
+        D(c, t) = [phi(t) - g_T.t] + (g_T - grad phi(c)).t - phi(c) + grad phi(c).c,
+
+    so L(c, T) = w_T + min over the corners of B_T of (g_T - grad phi(c)).corner
+    - phi(c) + grad phi(c).c is at most D(c, t) for any phi, convex or not.
+    floor returns L less a slack of _FLOOR_SLACK times the size of the
+    gaps' terms, which covers the rounding of both sides. A NaN anywhere in
+    the terms makes the floor NaN, which bounds nothing.
+    """
+    grid = potential.grid
+    v = potential.phi.values[ni, nj]
+    gx = potential.grad.gx[ni, nj]
+    gy = potential.grad.gy[ni, nj]
+    x, y = grid.xs[ni], grid.ys[nj]
+    _, tile = np.unique((ni // _TILE) * grid.shape[1] + nj // _TILE, return_inverse=True)
+    count = np.bincount(tile)
+    gbx = np.bincount(tile, gx) / count
+    gby = np.bincount(tile, gy) / count
+    order = np.argsort(tile, kind="stable")
+    starts = np.flatnonzero(np.diff(tile[order], prepend=-1))
+    w, x0, y0 = (np.minimum.reduceat(a[order], starts) for a in (v - gbx[tile] * x - gby[tile] * y, x, y))
+    x1, y1 = (np.maximum.reduceat(a[order], starts) for a in (x, y))
+    size = np.max(np.abs(v)) + np.max(np.abs(gx) + np.abs(gy)) * np.max(np.abs(x) + np.abs(y))
+    slack = _FLOOR_SLACK * size
+
+    def floor(k):
+        ax = gbx - gx[k, None]
+        ay = gby - gy[k, None]
+        lift = gx[k] * x[k] + gy[k] * y[k] - v[k] - slack
+        return w + np.minimum(ax * x0, ax * x1) + np.minimum(ay * y0, ay * y1) + lift[:, None]
+
+    return tile, floor
+
+
 def maximal_function(
     potential: PotentialField,
     f,
+    heights: np.ndarray,
     n_heights: int = 12,
 ) -> ScalarField | list[ScalarField]:
     """Supremum of section averages of |f| over the probe height grid, per node.
 
-    The average at height t uses the full tangent sublevel set, which equals
-    the flood-filled section for a certified convex potential. Suprema over a
-    finite height set bound the true maximal operator from below, which keeps
-    the strong-type measurements honest.
+    heights is the interior_heights field of the potential, from which
+    height_grid takes the probe heights. The average at height t uses the
+    full tangent sublevel set, which equals the flood-filled section for a
+    certified convex potential. Suprema over a finite height set bound the
+    true maximal operator from below, which keeps the strong-type
+    measurements honest.
 
     One scan over the node pairs serves every height: a pair whose tangent
     gap reaches the top height enters no average and is dropped, and each
@@ -161,6 +214,18 @@ def maximal_function(
     f may be a list or tuple of inputs; the pairs are then scanned once for
     all of them and one field per input comes back, in order. A single input
     returns a single ScalarField.
+
+    The scan skips the pairs that cannot fall below the top height. Centres
+    and targets are grouped into the same lattice tiles, and each target
+    tile carries a floor under the gaps of its nodes that holds for any
+    potential (_tile_gap_floors). A centre tile scans only the target tiles
+    whose floor lies below the top height for at least one of its centres,
+    taking their nodes in ascending order. Every gap it evaluates comes from
+    pair_gaps, so it is bitwise the gap of the all-pairs scan; every pair
+    it skips has a gap at or above the top height, which the all-pairs scan
+    drops too. Each (centre, bin) bincount therefore adds the same weights
+    in the same order, and the fields are bitwise those of the all-pairs
+    scan.
     """
     grid = potential.grid
     many = isinstance(f, (list, tuple))
@@ -169,19 +234,28 @@ def maximal_function(
         np.abs(coerce_samples(grid, g.values if isinstance(g, ScalarField) else g)[ni, nj])
         for g in (f if many else [f])
     ]
-    heights = height_grid(potential, n_heights=n_heights)
-    nh = heights.size
+    probes = height_grid(potential, heights, n_heights=n_heights)
+    nh = probes.size
+    top = probes[-1]
     outs = [np.full(grid.shape, np.nan) for _ in absf]
-    for block, D in pair_gaps(potential, ni, nj, ni, nj, _MAXIMAL_CHUNK):
-        flat = np.flatnonzero(D < heights[-1])
-        rows, cols = np.divmod(flat, ni.size)
-        key = rows * nh + np.searchsorted(heights, D.reshape(-1)[flat], side="right")
-        size = D.shape[0] * nh
-        counts = np.bincount(key, minlength=size).reshape(-1, nh).cumsum(axis=1)
-        counts = np.maximum(counts, 1)
-        for a, out in zip(absf, outs):
-            sums = np.bincount(key, weights=a[cols], minlength=size).reshape(-1, nh).cumsum(axis=1)
-            out[ni[block], nj[block]] = (sums / counts).max(axis=1)
+    tile, floor = _tile_gap_floors(potential, ni, nj)
+    order = np.argsort(tile, kind="stable")
+    for centres in np.split(order, np.flatnonzero(np.diff(tile[order])) + 1):
+        # a NaN floor keeps its tile
+        keep = ~np.all(floor(centres) >= top, axis=0)
+        targets = np.flatnonzero(keep[tile])
+        ci, cj = ni[centres], nj[centres]
+        weights = [a[targets] for a in absf]
+        for block, D in pair_gaps(potential, ci, cj, ni[targets], nj[targets], _MAXIMAL_CHUNK):
+            flat = np.flatnonzero(D < top)
+            rows, cols = np.divmod(flat, targets.size)
+            key = rows * nh + np.searchsorted(probes, D.reshape(-1)[flat], side="right")
+            size = D.shape[0] * nh
+            counts = np.bincount(key, minlength=size).reshape(-1, nh).cumsum(axis=1)
+            counts = np.maximum(counts, 1)
+            for a, out in zip(weights, outs):
+                sums = np.bincount(key, weights=a[cols], minlength=size).reshape(-1, nh).cumsum(axis=1)
+                out[ci[block], cj[block]] = (sums / counts).max(axis=1)
     fields = [ScalarField(grid, out) for out in outs]
     return fields if many else fields[0]
 

@@ -386,8 +386,8 @@ def section_cells(potential: PotentialField, ci, cj, heights) -> list[np.ndarray
     return out
 
 
-def interior_heights(potential: PotentialField, mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Minimum tangent gap from each node of the mask to the boundary band.
+def interior_heights(potential: PotentialField) -> np.ndarray:
+    """Minimum tangent gap from each interior node to the boundary band.
 
     This equals the maximal interior height only when every tangent gap of
     the centre is nonnegative (a convex discrete potential): then the section
@@ -395,13 +395,13 @@ def interior_heights(potential: PotentialField, mask: Optional[np.ndarray] = Non
     potentials can break that assumption. Where a centre's tangent gap is
     negative at some band node the value returned is negative, and it is not
     the flood-filled maximal height. Scanned in blocks of centres against the
-    band nodes (see pair_gaps); NaN off the mask.
+    band nodes (see pair_gaps); NaN off the interior. A row minimum does
+    not depend on the block it is taken in, so the value at a node is the
+    same bits whichever other centres share the scan.
     """
     grid = potential.grid
-    if mask is None:
-        mask = grid.interior
     out = np.full(grid.shape, np.nan)
-    ci, cj = np.nonzero(mask)
+    ci, cj = np.nonzero(grid.interior)
     ri, rj = np.nonzero(grid.boundary_adjacent)
     for block, D in pair_gaps(potential, ci, cj, ri, rj, _HEIGHTS_CHUNK):
         out[ci[block], cj[block]] = D.min(axis=1)

@@ -178,7 +178,9 @@ class PinchedFamily:
     1 + eps. potential(eps) is safe to call from several threads: a density
     is solved by the first caller that asks for it, outside the lock, so
     different eps solve in parallel and later callers share the result (or
-    the SolveError). Callers must not write into the returned potentials.
+    the SolveError). heights(eps), the interior_heights field of phi_eps,
+    is scanned once the same way. Callers must not write into the returned
+    potentials or fields.
 
     Every eps != 0 starts Newton from the flat potential phi_0, solving it
     first if no caller has (continuation in eps). The start is always phi_0,
@@ -192,7 +194,7 @@ class PinchedFamily:
         self.g0 = g0
         self.tol_ma = tol_ma
         self._lock = threading.Lock()
-        self._solved = {}
+        self._built = {}
 
     def density(self, eps: float):
         """1 + eps*g0 on the grid; the scalar 1 + eps when eps = 0 or g0 is None."""
@@ -202,15 +204,23 @@ class PinchedFamily:
         return 1.0 + eps * np.asarray(self.g0(X, Y), dtype=float)
 
     def potential(self, eps: float) -> PotentialField:
+        return self._once(("potential", eps), lambda: solve_ma(
+            self.grid, self.density(eps), tol_ma=self.tol_ma, start=self._flat_values(eps)))
+
+    def heights(self, eps: float) -> np.ndarray:
+        """interior_heights of potential(eps), scanned once and shared."""
+        return self._once(("heights", eps), lambda: interior_heights(self.potential(eps)))
+
+    def _once(self, key, build):
+        """build()'s result, built by the first caller that asks for key and shared with the rest."""
         with self._lock:
-            slot = self._solved.get(eps)
+            slot = self._built.get(key)
             owner = slot is None
             if owner:
-                slot = self._solved[eps] = Future()
+                slot = self._built[key] = Future()
         if owner:
             try:
-                slot.set_result(solve_ma(self.grid, self.density(eps), tol_ma=self.tol_ma,
-                                         start=self._flat_values(eps)))
+                slot.set_result(build())
             except BaseException as exc:
                 slot.set_exception(exc)
                 raise
@@ -227,9 +237,14 @@ class PinchedFamily:
             return None
 
 
+def _first_eps(config: ExperimentConfig) -> float:
+    """The first sweep entry (flat when there is none)."""
+    return config.eps[0] if config.eps else 0.0
+
+
 def _pinched(family: PinchedFamily, config: ExperimentConfig) -> PotentialField:
-    """The family's potential at the first sweep entry (flat when there is none)."""
-    return family.potential(config.eps[0] if config.eps else 0.0)
+    """The family's potential at the first sweep entry."""
+    return family.potential(_first_eps(config))
 
 
 def _source(grid: Grid) -> np.ndarray:
@@ -304,8 +319,9 @@ def solve_lma_experiment(family: PinchedFamily, config: ExperimentConfig) -> Exp
 
 
 def sections_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
-    pot = _pinched(family, config)
-    c_cap = measure_c_cap(interior_heights(pot))
+    eps = _first_eps(config)
+    pot = family.potential(eps)
+    c_cap = measure_c_cap(family.heights(eps))
     t_values = [0.2 * c_cap, 0.4 * c_cap, 0.6 * c_cap, 0.8 * c_cap]
     sections = [section(pot, np.zeros(2), t) for t in t_values]
     rows = [(t, sec.measure, int(sec.cells.sum()), sec.is_interior) for t, sec in zip(t_values, sections)]
@@ -333,7 +349,8 @@ def sections_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
 
 
 def cover_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
-    cover = vitali_cover(_pinched(family, config), family.grid.interior)
+    eps = _first_eps(config)
+    cover = vitali_cover(family.potential(eps), family.grid.interior, family.heights(eps))
     assertions = []
     check(assertions, "half-height sections cover the region",
           cover.coverage_defect, "<=", 0.0)
@@ -354,7 +371,8 @@ def maximal_experiment(family: PinchedFamily, config: ExperimentConfig) -> Exper
     grid = family.grid
     X, Y = grid.meshes()
     f = np.ones(grid.shape) if family.g0 is None else np.asarray(family.g0(X, Y), dtype=float)
-    m_one, m_f = maximal_function(_pinched(family, config), [1.0, f])
+    eps = _first_eps(config)
+    m_one, m_f = maximal_function(family.potential(eps), [1.0, f], family.heights(eps))
     dev = float(np.nanmax(np.abs(m_one.values[grid.in_domain] - 1.0)))
     ratio = strong_type_ratio(m_f, f, p=config.p)
     assertions = []
@@ -530,7 +548,7 @@ def approximation_experiment(family: PinchedFamily, config: ExperimentConfig) ->
     eps_list = _validate_eps(config.eps)
     datum = lambda pts: np.atleast_2d(pts)[:, 0] ** 2
     W = cofactor_field(family.potential(0.0))
-    h_sol = solve_lma(W, 0.0, boundary=datum)
+    h_sol = solve_lma(W, 0.0, boundary=datum, tol_lma=config.tol_lma)
 
     pts = grid.points(grid.in_domain)
     _, dist, _ = grid.domain.project_boundary(pts)
@@ -542,7 +560,7 @@ def approximation_experiment(family: PinchedFamily, config: ExperimentConfig) ->
 
     def one(eps: float):
         pot = family.potential(eps)
-        u_sol = solve_lma(pot, 0.0, boundary=datum)
+        u_sol = solve_lma(pot, 0.0, boundary=datum, tol_lma=config.tol_lma)
         sup = float(np.max(np.abs(u_sol.u.values[inner] - h_sol.u.values[inner])))
         pdist = _matrix_diff_lq(grid, cofactor_field(pot), W, 2.0)
         return sup, pdist
@@ -580,7 +598,8 @@ def w21e_experiment(family: PinchedFamily, config: ExperimentConfig) -> Experime
     potential = _pinched(family, config)
     grid = potential.grid
     gammas = _W21E_GAMMAS
-    sol = solve_lma(potential, 2.0 * potential.g_values, boundary=potential.boundary_datum)
+    sol = solve_lma(potential, 2.0 * potential.g_values, boundary=potential.boundary_datum,
+                    tol_lma=config.tol_lma)
     _, hess = fd_derivatives(sol.u)
     conv = certify_convexity(hess)
     assertions = []
@@ -642,7 +661,7 @@ def contact_set_experiment(family: PinchedFamily, config: ExperimentConfig) -> E
     anchor = np.array([grid.xs[i], grid.ys[j]])
     height = config.height
     if height is None:
-        height = 0.5 * measure_c_cap(interior_heights(family.potential(eps_list[0])))
+        height = 0.5 * measure_c_cap(family.heights(eps_list[0]))
     t = float(height)
 
     def one(eps: float):
@@ -705,7 +724,7 @@ def w2p_ratio_experiment(family: PinchedFamily, config: ExperimentConfig) -> Exp
     f_vals = _source(grid)
 
     def ratio_on(fv: np.ndarray, eps: float, pp: float, qq: float) -> float:
-        sol = solve_lma(family.potential(eps), fv)
+        sol = solve_lma(family.potential(eps), fv, tol_lma=config.tol_lma)
         _, hess = fd_derivatives(sol.u)
         num = lp_norm(grid, _hess_frobenius(hess), pp)
         den = lp_norm(grid, sol.f_values, qq)

@@ -51,9 +51,14 @@ def _same_potential(a, b):
             and a.newton_iterations == b.newton_iterations)
 
 
-def test_suite_solves_each_potential_once(tmp_path, top_level_solves):
+def test_suite_solves_each_potential_once(tmp_path, top_level_solves, monkeypatch):
+    scanned = []
+    real = stability_lab.interior_heights
+    monkeypatch.setattr(stability_lab, "interior_heights", lambda pot: scanned.append(pot) or real(pot))
     cfg = ExperimentConfig(experiment="suite", domain="disc", spacing=1.0 / 32, threads=2)
     assert run(cfg, out_dir=str(tmp_path)) == 0
+    # sections, cover, maximal and contact_set share one scan of the eps = 0.2 potential
+    assert len(scanned) == 1
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert len(summary) == 13
     assert all(entry["passed"] for entry in summary.values())
@@ -78,6 +83,23 @@ def test_sweeps_honour_the_configured_tolerance(tmp_path, top_level_solves):
         report = json.loads((tmp_path / name / "report.json").read_text())
         assert report["wall_time"] > 0.0
     assert {rec["tol_ma"] for rec in top_level_solves} == {1e-6}
+
+
+def test_linearized_experiments_honour_the_configured_tolerance(tmp_path, monkeypatch):
+    tolerances = []
+    real = stability_lab.solve_lma
+
+    def recording(*args, **kwargs):
+        tolerances.append(kwargs.get("tol_lma"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stability_lab, "solve_lma", recording)
+    for name in ("solve_lma", "goodsets", "approximation", "w21e", "w2p_ratio"):
+        cfg = ExperimentConfig(experiment=name, domain="disc", spacing=1.0 / 16, tol_lma=1e-6)
+        before = len(tolerances)
+        run(cfg, out_dir=str(tmp_path / name))
+        assert len(tolerances) > before, name
+    assert set(tolerances) == {1e-6}
 
 
 def _suite_outputs(out):

@@ -11,7 +11,7 @@ from ma_lab.covering_maximal import (
     vitali_cover,
 )
 from ma_lab.domain_grid import FieldError
-from ma_lab.section_geom import interior_heights, measure_c_cap, sublevel_cells
+from ma_lab.section_geom import interior_heights, measure_c_cap, pair_gaps, sublevel_cells
 from conftest import tangent_gap
 
 
@@ -24,7 +24,7 @@ def radial_mask(grid, r_lo, r_hi):
 def test_vitali_cover_annulus(model_disc):
     grid = model_disc.grid
     ann = radial_mask(grid, 0.5, 0.9)
-    res = vitali_cover(model_disc, ann)
+    res = vitali_cover(model_disc, ann, interior_heights(model_disc))
     assert res.coverage_defect == 0.0
     assert len(res.cores) == 282
     assert res.delta0 == 0.1
@@ -37,7 +37,7 @@ def test_vitali_cover_annulus(model_disc):
 
 def test_vitali_cover_heights_ordered(model_disc):
     ann = radial_mask(model_disc.grid, 0.5, 0.9)
-    res = vitali_cover(model_disc, ann)
+    res = vitali_cover(model_disc, ann, interior_heights(model_disc))
     diffs = np.diff(res.heights)
     assert bool(np.all(diffs <= 1e-15))
     assert bool(np.all(res.heights[1:] <= 2.0 * res.heights[:-1]))
@@ -48,29 +48,46 @@ def test_vitali_cover_single_point(model_disc):
     grid = model_disc.grid
     single = np.zeros(grid.shape, dtype=bool)
     single[grid.nearest_node((0.2, 0.1))] = True
-    res = vitali_cover(model_disc, single)
+    res = vitali_cover(model_disc, single, interior_heights(model_disc))
     assert len(res.cores) == 1
     assert res.coverage_defect == 0.0
 
 
 def test_vitali_cover_errors(model_disc):
     grid = model_disc.grid
+    hs = interior_heights(model_disc)
     with pytest.raises(CoveringError, match="empty"):
-        vitali_cover(model_disc, np.zeros(grid.shape, dtype=bool))
+        vitali_cover(model_disc, np.zeros(grid.shape, dtype=bool), hs)
     with pytest.raises(CoveringError, match="no interior nodes"):
-        vitali_cover(model_disc, grid.in_domain & ~grid.interior)
+        vitali_cover(model_disc, grid.in_domain & ~grid.interior, hs)
     # band nodes can never sit in a half-height section, so this must fail
     with pytest.raises(CoveringError, match="uncovered"):
-        vitali_cover(model_disc, grid.in_domain)
+        vitali_cover(model_disc, grid.in_domain, hs)
+
+
+def masked_heights(potential, mask):
+    """interior_heights scanned over the mask's centres alone, in row-major order."""
+    ci, cj = np.nonzero(mask)
+    ri, rj = np.nonzero(potential.grid.boundary_adjacent)
+    _, D = next(pair_gaps(potential, ci, cj, ri, rj, ci.size))
+    return D.min(axis=1)
+
+
+def test_shared_heights_equal_the_masked_scan(pinched_suite32):
+    """The field scanned over the whole interior gives a masked region's centres the same bits."""
+    grid = pinched_suite32.grid
+    X, Y = grid.meshes()
+    hs = interior_heights(pinched_suite32)
+    for region in (grid.interior, grid.interior & (X > 0.2), grid.interior & (np.hypot(X, Y) < 0.5)):
+        assert np.array_equal(hs[region], masked_heights(pinched_suite32, region))
 
 
 def dense_vitali_cover(potential, region, delta0=0.1, delta0_floor=0.0125):
     """Reference cover: one full-grid gap and flood per tested candidate and per pick."""
     grid = potential.grid
     cand = region & grid.interior
-    heights = interior_heights(potential, mask=cand)
     ci, cj = np.nonzero(cand)
-    hvals = heights[ci, cj]
+    hvals = masked_heights(potential, cand)
     order = np.argsort(-hvals, kind="stable")
     d0 = float(delta0)
     while True:
@@ -118,13 +135,13 @@ def test_vitali_cover_equals_dense_reference(pinched_suite32):
     if pot.grid.domain.kind == "square":
         # the message dense_vitali_cover raises here, after four rounds
         with pytest.raises(CoveringError) as got:
-            vitali_cover(pot, region)
+            vitali_cover(pot, region, interior_heights(pot))
         assert str(got.value) == (
             "half-height sections leave 212 region cells uncovered at the smallest core factor 0.0125"
         )
         return
     ref = dense_vitali_cover(pot, region)
-    res = vitali_cover(pot, region)
+    res = vitali_cover(pot, region, interior_heights(pot))
     assert set(ref) == set(vars(res))
     for name, want in ref.items():
         got = getattr(res, name)
@@ -136,8 +153,9 @@ def test_vitali_cover_equals_dense_reference(pinched_suite32):
 
 
 def test_height_grid_shape(model_disc):
-    hg = height_grid(model_disc)
-    cap = measure_c_cap(interior_heights(model_disc))
+    hs = interior_heights(model_disc)
+    hg = height_grid(model_disc, hs)
+    cap = measure_c_cap(hs)
     assert hg.size == 12
     assert bool(np.all(np.diff(hg) > 0))
     assert hg[-1] == pytest.approx(cap, rel=1e-12)
@@ -146,7 +164,7 @@ def test_height_grid_shape(model_disc):
 
 def test_maximal_function_of_constant(model_disc):
     grid = model_disc.grid
-    M = maximal_function(model_disc, np.ones(grid.shape))
+    M = maximal_function(model_disc, np.ones(grid.shape), interior_heights(model_disc))
     assert bool(np.all(M.values[grid.in_domain] == 1.0))
     assert bool(np.all(np.isnan(M.values[~grid.in_domain])))
 
@@ -156,11 +174,12 @@ def test_maximal_function_homogeneity_and_monotonicity(model_disc):
     X, Y = grid.meshes()
     ind = grid.in_domain
     f = np.abs(np.sin(3.0 * X) * np.cos(2.0 * Y)) + 0.1
-    Mf = maximal_function(model_disc, f)
-    Mscaled = maximal_function(model_disc, -4.0 * f)
+    hs = interior_heights(model_disc)
+    Mf = maximal_function(model_disc, f, hs)
+    Mscaled = maximal_function(model_disc, -4.0 * f, hs)
     assert bool(np.array_equal(Mscaled.values[ind], 4.0 * Mf.values[ind]))
     g = f + 0.5 * (1.0 + np.cos(X))
-    Mg = maximal_function(model_disc, g)
+    Mg = maximal_function(model_disc, g, hs)
     assert bool(np.all(Mf.values[ind] <= Mg.values[ind] + 1e-14))
 
 
@@ -169,11 +188,12 @@ def test_maximal_function_indicator_decay_and_audit(model_disc):
     X, Y = grid.meshes()
     ind = grid.in_domain
     blob = np.where(np.hypot(X - 0.3, Y) < 0.15, 1.0, 0.0)
-    M = maximal_function(model_disc, blob)
+    hs = interior_heights(model_disc)
+    M = maximal_function(model_disc, blob, hs)
     assert M.values[grid.nearest_node((0.3, 0.0))] == 1.0
     assert M.values[grid.nearest_node((-0.6, 0.0))] == 0.0
     # brute-force audit: the reported sup dominates every probed average
-    heights = height_grid(model_disc)
+    heights = height_grid(model_disc, hs)
     pts = grid.points(ind)
     phi = model_disc.phi.values
     for c in [(0.3, 0.0), (0.0, 0.0), (-0.4, 0.2), (0.1, -0.5)]:
@@ -194,7 +214,8 @@ def test_maximal_function_indicator_decay_and_audit(model_disc):
 def test_strong_type_constant_gives_one(model_disc):
     grid = model_disc.grid
     ones = np.ones(grid.shape)
-    assert strong_type_ratio(maximal_function(model_disc, ones), ones, 3.0) == 1.0
+    M = maximal_function(model_disc, ones, interior_heights(model_disc))
+    assert strong_type_ratio(M, ones, 3.0) == 1.0
 
 
 def test_strong_type_indicator_stable_under_refinement(model_disc, model_disc_fine):
@@ -204,7 +225,7 @@ def test_strong_type_indicator_stable_under_refinement(model_disc, model_disc_fi
 
     def ratio_on(pot):
         blob = blob_on(pot)
-        return strong_type_ratio(maximal_function(pot, blob), blob, 2.0)
+        return strong_type_ratio(maximal_function(pot, blob, interior_heights(pot)), blob, 2.0)
 
     r32 = ratio_on(model_disc)
     r64 = ratio_on(model_disc_fine)
@@ -220,7 +241,7 @@ def test_strong_type_smooth_sweep(model_disc):
     rng = np.random.default_rng(5)
     coef = rng.normal(size=(3, 3))
     smooth = sum(coef[a, b] * np.cos(a * X + b * Y) for a in range(3) for b in range(3)) + 4.0
-    M = maximal_function(model_disc, smooth)
+    M = maximal_function(model_disc, smooth, interior_heights(model_disc))
     ratios = [strong_type_ratio(M, smooth, p) for p in (1.5, 2.0, 4.0)]
     assert all(np.isfinite(r) for r in ratios)
     assert ratios[0] >= ratios[1] >= ratios[2]
@@ -232,7 +253,8 @@ def test_strong_type_smooth_sweep(model_disc):
 def test_strong_type_errors(model_disc):
     grid = model_disc.grid
     ones, zeros = np.ones(grid.shape), np.zeros(grid.shape)
+    hs = interior_heights(model_disc)
     with pytest.raises(FieldError, match="p > 1"):
-        strong_type_ratio(maximal_function(model_disc, ones), ones, 1.0)
+        strong_type_ratio(maximal_function(model_disc, ones, hs), ones, 1.0)
     with pytest.raises(FieldError, match="zero input"):
-        strong_type_ratio(maximal_function(model_disc, zeros), zeros, 2.0)
+        strong_type_ratio(maximal_function(model_disc, zeros, hs), zeros, 2.0)

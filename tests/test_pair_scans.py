@@ -1,17 +1,20 @@
 """The shared tangent-gap kernel and the scans built on it, against dense references.
 
 The references below are the all-pairs formulas the scans replaced: one
-boolean matrix per height for the maximal function, and an all-pairs masked
-ratio matrix for the quasi-Euclidean extrema. The probe heights come from a
-dense-gap reference of height_grid. They live only here.
+boolean matrix per height for the maximal function, the binned scan over
+every node pair that the tile-bounded maximal function replaced, and an
+all-pairs masked ratio matrix for the quasi-Euclidean extrema. The probe
+heights come from a dense-gap reference of height_grid. They live only here.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from conftest import pinched_density, tangent_gap
-from ma_lab.covering_maximal import height_grid, maximal_function
-from ma_lab.domain_grid import build_domain, discretize
+from ma_lab.covering_maximal import _MAXIMAL_CHUNK, _tile_gap_floors, height_grid, maximal_function
+from ma_lab.domain_grid import ScalarField, build_domain, coerce_samples, discretize, fd_derivatives
 from ma_lab.good_sets import _ratio_extrema, tangent_trust_region
 from ma_lab.ma_solve import solve_ma
 from ma_lab.section_geom import interior_heights, measure_c_cap, pair_gaps, sublevel_cells
@@ -24,8 +27,28 @@ def square32():
     return solve_ma(grid, pinched_density(grid, 0.2))
 
 
+@pytest.fixture(scope="module")
+def nonconvex32(pinched32):
+    """The eps=0.1 disc potential plus a small oscillation that breaks its convexity.
+
+    The gradient and Hessian are taken again from the new values, so the
+    field is a consistent potential whose tangent gaps go negative.
+    """
+    pot = pinched32[0]
+    X, Y = pot.grid.meshes()
+    phi = ScalarField(pot.grid, pot.phi.values + 0.005 * np.sin(20.0 * X) * np.sin(20.0 * Y))
+    grad, hess = fd_derivatives(phi)
+    return dataclasses.replace(pot, phi=phi, grad=grad, hess=hess)
+
+
 @pytest.fixture(scope="module", params=["pinched32", "square32"])
 def potential(request):
+    pot = request.getfixturevalue(request.param)
+    return pot[0] if isinstance(pot, tuple) else pot
+
+
+@pytest.fixture(scope="module", params=["pinched32", "square32", "nonconvex32"])
+def any_potential(request):
     pot = request.getfixturevalue(request.param)
     return pot[0] if isinstance(pot, tuple) else pot
 
@@ -77,6 +100,26 @@ def dense_maximal(pot, f, chunk=256):
     return out
 
 
+def binned_maximal(pot, fs, heights):
+    """The binned all-pairs scan: every centre block against every in-domain node."""
+    grid = pot.grid
+    ni, nj = np.nonzero(grid.in_domain)
+    absf = [np.abs(coerce_samples(grid, f)[ni, nj]) for f in fs]
+    probes = height_grid(pot, heights)
+    nh = probes.size
+    outs = [np.full(grid.shape, np.nan) for _ in absf]
+    for block, D in pair_gaps(pot, ni, nj, ni, nj, _MAXIMAL_CHUNK):
+        flat = np.flatnonzero(D < probes[-1])
+        rows, cols = np.divmod(flat, ni.size)
+        key = rows * nh + np.searchsorted(probes, D.reshape(-1)[flat], side="right")
+        size = D.shape[0] * nh
+        counts = np.maximum(np.bincount(key, minlength=size).reshape(-1, nh).cumsum(axis=1), 1)
+        for a, out in zip(absf, outs):
+            sums = np.bincount(key, weights=a[cols], minlength=size).reshape(-1, nh).cumsum(axis=1)
+            out[ni[block], nj[block]] = (sums / counts).max(axis=1)
+    return outs
+
+
 def dense_ratio_extrema(pot, radius, centers, margin, chunk=512):
     """All-pairs ratio matrix, masked by the separation floor and the radius cap."""
     grid = pot.grid
@@ -114,12 +157,13 @@ def test_pair_gaps_matches_formula_for_shared_and_per_centre_targets(pinched32):
 
 
 def test_height_grid_equals_dense_reference(pinched_suite32):
-    assert np.array_equal(height_grid(pinched_suite32), dense_height_grid(pinched_suite32))
+    got = height_grid(pinched_suite32, interior_heights(pinched_suite32))
+    assert np.array_equal(got, dense_height_grid(pinched_suite32))
 
 
 def test_maximal_function_of_one_is_exactly_one(potential):
     grid = potential.grid
-    M = maximal_function(potential, 1.0)
+    M = maximal_function(potential, 1.0, interior_heights(potential))
     assert bool(np.all(M.values[grid.in_domain] == 1.0))
     assert bool(np.all(np.isnan(M.values[~grid.in_domain])))
 
@@ -130,7 +174,7 @@ def test_maximal_function_integer_inputs_bitwise_equal_dense(potential):
     indicator = np.where(np.hypot(X - 0.3, Y) < 0.25, 1.0, 0.0)
     small_ints = np.floor(4.0 * np.abs(np.sin(2.0 * X + Y)))
     for f in (indicator, small_ints):
-        got = maximal_function(potential, f).values
+        got = maximal_function(potential, f, interior_heights(potential)).values
         assert np.array_equal(got, dense_maximal(potential, f), equal_nan=True)
 
 
@@ -138,7 +182,7 @@ def test_maximal_function_smooth_input_matches_dense(potential):
     grid = potential.grid
     X, Y = grid.meshes()
     f = np.sin(3.0 * X) * np.cos(2.0 * Y) + 0.3 * X * Y
-    got = maximal_function(potential, f).values
+    got = maximal_function(potential, f, interior_heights(potential)).values
     ref = dense_maximal(potential, f)
     ind = grid.in_domain
     assert bool(np.all(np.isfinite(got[ind])))
@@ -150,10 +194,11 @@ def test_maximal_function_several_inputs_equal_single_calls(potential):
     X, Y = grid.meshes()
     f = np.exp(X) * np.cos(Y)
     g = np.where(X > 0.1, 2.0, 0.0)
-    fields = maximal_function(potential, [1.0, f, g])
+    hs = interior_heights(potential)
+    fields = maximal_function(potential, [1.0, f, g], hs)
     assert isinstance(fields, list) and len(fields) == 3
     for inp, M in zip((1.0, f, g), fields):
-        assert np.array_equal(M.values, maximal_function(potential, inp).values, equal_nan=True)
+        assert np.array_equal(M.values, maximal_function(potential, inp, hs).values, equal_nan=True)
 
 
 @pytest.mark.parametrize("radius", [5.0, 2.5, None])
@@ -165,3 +210,52 @@ def test_ratio_extrema_window_equals_dense_scan(potential, radius, margin):
     assert np.array_equal(got[0], ref[0], equal_nan=True)
     assert np.array_equal(got[1], ref[1], equal_nan=True)
     assert np.isfinite(got[0]).sum() > 0
+
+
+def test_tile_gap_floor_bounds_every_gap_of_its_tile(any_potential):
+    """L(c, T) <= min over t in T of D(c, t), convex or not, and it skips most tiles."""
+    pot = any_potential
+    grid = pot.grid
+    ni, nj = np.nonzero(grid.in_domain)
+    tile, floor = _tile_gap_floors(pot, ni, nj)
+    k = np.arange(0, ni.size, 7)
+    L = floor(k)
+    _, D = next(pair_gaps(pot, ni[k], nj[k], ni, nj, k.size))
+    lowest = np.stack([D[:, tile == T].min(axis=1) for T in range(tile.max() + 1)], axis=1)
+    assert L.shape == lowest.shape
+    assert bool(np.all(L <= lowest))
+    # the floor is not vacuous: most tiles lie above the top probe height
+    top = measure_c_cap(interior_heights(pot))
+    assert np.mean(L >= top) > 0.5
+
+
+def test_nonconvex_potential_has_deep_negative_gaps(pinched32, nonconvex32):
+    """Its gaps go an order of magnitude deeper below zero than the solved potential's."""
+    grid = nonconvex32.grid
+    ni, nj = np.nonzero(grid.in_domain)
+    k = slice(None, None, 5)
+    lows = [next(pair_gaps(pot, ni[k], nj[k], ni, nj, ni.size))[1].min()
+            for pot in (pinched32[0], nonconvex32)]
+    assert lows[1] < 10.0 * lows[0] < 0.0
+
+
+def _inputs(grid):
+    X, Y = grid.meshes()
+    return [1.0, np.sin(3.0 * X) * np.cos(2.0 * Y) + 0.3 * X * Y, np.exp(X) * np.cos(Y),
+            np.where(np.hypot(X - 0.3, Y) < 0.25, 1.0, 0.0)]
+
+
+def _assert_maximal_equals_binned_all_pairs(pot):
+    fs = _inputs(pot.grid)
+    hs = interior_heights(pot)
+    got = maximal_function(pot, fs, hs)
+    for M, ref in zip(got, binned_maximal(pot, fs, hs)):
+        assert np.array_equal(M.values, ref, equal_nan=True)
+
+
+def test_maximal_function_bitwise_equals_binned_all_pairs(pinched_suite32):
+    _assert_maximal_equals_binned_all_pairs(pinched_suite32)
+
+
+def test_maximal_function_bitwise_equals_binned_all_pairs_when_nonconvex(nonconvex32):
+    _assert_maximal_equals_binned_all_pairs(nonconvex32)

@@ -110,6 +110,26 @@ def test_family_shares_a_failed_solve(disc_domain, monkeypatch):
     assert calls == [(1.0, None), (1.2, None)]
 
 
+def test_family_scans_the_heights_once_per_potential(disc_domain, monkeypatch):
+    scanned = []
+    real = stability_lab.interior_heights
+
+    def counting(pot):
+        scanned.append(pot)
+        time.sleep(0.005)
+        return real(pot)
+
+    monkeypatch.setattr(stability_lab, "interior_heights", counting)
+    family = PinchedFamily(discretize(disc_domain, 1.0 / 16), default_bump(disc_domain))
+    eps = [0.2, 0.1] * 6
+    got = stability_lab.run_sweep(family.heights, eps, threads=4)
+    assert len(scanned) == 2
+    assert {id(scanned[0]), id(scanned[1])} == {id(family.potential(0.2)), id(family.potential(0.1))}
+    for e, hs in zip(eps, got):
+        assert hs is family.heights(e)
+        assert np.array_equal(hs, real(family.potential(e)), equal_nan=True)
+
+
 def _family_phis(grid, g0, order, threads):
     family = PinchedFamily(grid, g0)
     pots = stability_lab.run_sweep(family.potential, order, threads=threads)
