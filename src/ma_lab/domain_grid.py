@@ -9,8 +9,10 @@ that stay exact on quadratics.
 
 from __future__ import annotations
 
+import threading
 import warnings
-from dataclasses import dataclass
+from concurrent.futures import Future
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,6 +33,28 @@ class FieldError(ValueError):
 _MEMBERSHIP_TOL = 1e-12
 # Grid.nearest_in_domain searches this many nodes around the nearest grid node
 _NEAR_WINDOW = 4
+# guards the lookups of Grid.once on every grid; builds run outside it
+_GRID_LOCK = threading.Lock()
+
+
+def build_once(lock: threading.Lock, built: dict, key, build: Callable):
+    """build()'s result, built by the first caller that asks for key and shared with the rest.
+
+    The lock guards only the lookup in built, so different keys build in
+    parallel; later callers of a key wait for its result, or its exception.
+    """
+    with lock:
+        slot = built.get(key)
+        owner = slot is None
+        if owner:
+            slot = built[key] = Future()
+    if owner:
+        try:
+            slot.set_result(build())
+        except BaseException as exc:
+            slot.set_exception(exc)
+            raise
+    return slot.result()
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +296,13 @@ class Grid:
     in_domain: np.ndarray
     interior: np.ndarray
     boundary_adjacent: np.ndarray
+    # what Grid.once built for this grid (ma_solve's node layout); it lives
+    # and dies with the grid
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def once(self, key: str, build: Callable):
+        """build()'s result for this grid, built by the first caller that asks for key."""
+        return build_once(_GRID_LOCK, self._built, key, build)
 
     @property
     def cell_area(self) -> float:

@@ -25,9 +25,13 @@ class GoodSetError(ValueError):
 _PLUS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 # the ambient dimension n of the paper's exponents; the grids are planar
 _DIM = 2
-# centres per pair_gaps block in the opening and ratio scans; it sets their
-# peak memory
+# centres per pair_gaps block in the quasi-Euclidean ratio scans; it sets
+# their peak memory
 _CHUNK = 64
+# centres per pair_gaps block in the opening scan, which works in place in
+# its two gap buffers; 8 was the fastest of 4, 8, 12, 16, 32 and 64 on the
+# eps = 0.2 disc at 1/64 (0.47-0.50 s against 0.84 s at 64, 2-core Xeon)
+_OPENING_CHUNK = 8
 # the quasi-Euclidean scans' neighbourhood radius, in grid cells
 _RADIUS = 5.0
 
@@ -105,15 +109,19 @@ def minimal_opening_field(
     out = np.full(grid.shape, np.nan)
     ci, cj = np.nonzero(centers)
     scans = zip(
-        pair_gaps(potential, ci, cj, ni, nj, _CHUNK),
-        pair_gaps(potential, ci, cj, ni, nj, _CHUNK, values=vals, grad=grad),
+        pair_gaps(potential, ci, cj, ni, nj, _OPENING_CHUNK),
+        pair_gaps(potential, ci, cj, ni, nj, _OPENING_CHUNK, values=vals, grad=grad),
     )
+    ok_buf = np.empty((min(_OPENING_CHUNK, ci.size), ni.size), dtype=bool)
     for (block, D), (_, U) in scans:
-        ok = D >= d_min
-        ratio = np.where(ok, np.abs(U) / np.where(ok, D, 1.0), -np.inf)
-        best = ratio.max(axis=1)
-        best = np.where(np.isfinite(best) & ok.any(axis=1), 2.0 * best, np.nan)
-        out[ci[block], cj[block]] = best
+        # |U| / D into U's buffer where D >= d_min, -inf elsewhere
+        ok = np.greater_equal(D, d_min, out=ok_buf[: D.shape[0]])
+        any_ok = ok.any(axis=1)
+        np.abs(U, out=U)
+        np.divide(U, D, out=U, where=ok)
+        np.copyto(U, -np.inf, where=np.logical_not(ok, out=ok))
+        best = U.max(axis=1)
+        out[ci[block], cj[block]] = np.where(np.isfinite(best) & any_ok, 2.0 * best, np.nan)
     return out
 
 

@@ -73,10 +73,11 @@ def solve_lma(
     rhs = sysm.rhs(f_vals[grid.interior])
     U = linear_solve(A, rhs)
     resid = A @ U - rhs
-    residual_max = float(np.max(np.abs(resid[sysm.int_rows]))) if len(sysm.int_rows) else 0.0
+    int_rows = sysm.layout.int_rows
+    residual_max = float(np.max(np.abs(resid[int_rows]))) if len(int_rows) else 0.0
     if residual_max > max(tol_lma, 1e-9 * max(1.0, float(np.max(np.abs(rhs))))):
         raise SolveError(f"linear solve residual {residual_max:.3e} above tolerance {tol_lma:.3e}")
-    vals = sysm.to_grid_values(U)
+    vals = sysm.layout.to_grid_values(U)
     return LmaSolution(grid=grid, u=ScalarField(grid, vals), f_values=f_vals, residual_max=residual_max)
 
 

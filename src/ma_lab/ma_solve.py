@@ -23,12 +23,20 @@ When none converges the last failure is raised; on a grid with no coarser
 grid that is the failure of the start before the coarse one.
 
 Every linear system (Newton steps, the Laplacian start, every continuation
-level, and the linearized solves of lma_solve) is numbered by NodeSystem in
-geometric nested-dissection order, the fill-optimal order on a regular mesh
-(George 1973). The LU keeps that order: SuperLU runs with the natural column
-order and a zero diagonal-pivot threshold, so it pivots on the diagonal
-unless a diagonal entry is exactly zero (static pivoting, as in SuperLU_DIST;
-Li and Demmel 2003). The smallest-pivot check still reports singular systems.
+level, and the linearized solves of lma_solve) is a NodeSystem: the grid's
+NodeLayout plus the boundary datum at the ring's boundary projections. The
+layout is built once per Grid object and shared by every system on it; it
+numbers the unknowns in geometric nested-dissection order, the fill-optimal
+order on a regular mesh (George 1973), and fixes the CSC pattern that every
+matrix on the grid is assembled into, so a Jacobian costs one scatter of its
+nine stencil coefficients and no format conversion (the symbolic step done
+once per pattern, the numeric step per matrix; Davis 2006, ch. 4-6). A
+coarser continuation level is its own grid and builds its own layout, freed
+with it. The LU keeps the nested-dissection order: SuperLU runs with the
+natural column order and a zero diagonal-pivot threshold, so it pivots on the
+diagonal unless a diagonal entry is exactly zero (static pivoting, as in
+SuperLU_DIST; Li and Demmel 2003). The smallest-pivot check still reports
+singular systems.
 """
 
 from __future__ import annotations
@@ -136,26 +144,41 @@ def _nested_dissection(node_ij: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-class NodeSystem:
-    """Index bookkeeping for one unknown per in-domain node.
+class NodeLayout:
+    """The node bookkeeping of one grid, shared by every system solved on it.
 
-    Interior rows hold PDE stencils; boundary-adjacent rows hold the
-    normal-extrapolation data equations. The ring rows are linear and static.
     Unknowns are numbered in nested-dissection order (_nested_dissection);
-    `flat` maps lattice indices to unknowns and `node_ij` maps back.
+    `flat` maps lattice indices to unknowns (-1 off the domain) and `node_ij`
+    maps back. `int_rows` are the interior rows and iC, iE, ..., iSW (iC is
+    int_rows) the unknowns of their nine-point stencils. Ring row k holds the
+    data equation (1 + r) U - r * sum_m w_m U[corner_m] = datum(proj) with
+    r = ring_r[k], the bilinear weights ring_corner_w[k] of the unknowns
+    ring_corner_idx[k], and proj = ring_proj[k], the ring node's boundary
+    projection. Every index array is int32: the layout lives as long as its
+    grid, and on the side-2 square at 1/160 it takes about 12 MB.
+
+    Every system on the grid has one CSC pattern: `indptr` and `indices`
+    (int32, read-only, shared by every matrix of the grid), `int_slots`, the
+    data slots of the nine interior stencil entries in the order C, E, W,
+    N, S, NE, SW, NW, SE, and the ring rows' constant values `ring_vals` at
+    `ring_slots`. Entries are sorted by column, then row, with coinciding
+    entries summed, as a COO to CSC conversion leaves them: a ring row with
+    r = 0 points its four zero corner entries at unknown 0. The layout holds
+    no reference to its grid, so it is freed with it.
     """
 
-    def __init__(self, grid: Grid, datum: Callable):
-        self.grid = grid
+    def __init__(self, grid: Grid):
         h = grid.spacing
         nx, ny = grid.shape
-        flat = -np.ones((nx, ny), dtype=np.int64)
+        self.h = h
+        self.shape = grid.shape
+        flat = -np.ones((nx, ny), dtype=np.int32)
         nodes = np.argwhere(grid.in_domain)
         nodes = nodes[_nested_dissection(nodes)]
         flat[nodes[:, 0], nodes[:, 1]] = np.arange(len(nodes))
         self.flat = flat
         self.n = len(nodes)
-        self.node_ij = nodes
+        self.node_ij = nodes.astype(np.int32)
 
         ii, jj = np.nonzero(grid.interior)
         self.int_rows = flat[ii, jj]
@@ -170,14 +193,14 @@ class NodeSystem:
         self.iSE, self.iSW = nb(1, -1), nb(-1, -1)
         if np.any(self.iE < 0) or np.any(self.iNE < 0):
             raise SolveError("interior mask inconsistent: missing neighbor unknown")
-        self.h = h
 
         ri, rj = np.nonzero(grid.boundary_adjacent)
         rpts = np.stack([grid.xs[ri], grid.ys[rj]], axis=-1)
         proj, dist, normal = grid.domain.project_boundary(rpts)
         self.ring_rows = flat[ri, rj]
+        self.ring_proj = proj
         n_ring = len(ri)
-        corner_idx = np.zeros((n_ring, 4), dtype=np.int64)
+        corner_idx = np.zeros((n_ring, 4), dtype=np.int32)
         corner_w = np.zeros((n_ring, 4))
         coef_r = np.zeros(n_ring)
         # each ring node takes the first probe distance s along the inward
@@ -205,14 +228,31 @@ class NodeSystem:
         self.ring_r = coef_r
         self.ring_corner_idx = corner_idx
         self.ring_corner_w = corner_w
-        self.ring_rhs = np.asarray(datum(proj), dtype=float) + np.zeros(n_ring)
+        self._build_pattern()
 
-        rows = [np.repeat(self.ring_rows, 4), self.ring_rows]
-        cols = [corner_idx.ravel(), self.ring_rows]
-        vals = [(-coef_r[:, None] * corner_w).ravel(), 1.0 + coef_r]
-        self._ring_trip = (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-
-    # -- evaluation helpers -------------------------------------------------
+    def _build_pattern(self):
+        """indptr, indices and the data slots of the interior and ring entries."""
+        n = self.n
+        stencil = np.stack([self.iC, self.iE, self.iW, self.iN, self.iS, self.iNE, self.iSW, self.iNW, self.iSE])
+        ring_cols = np.concatenate([self.ring_corner_idx, self.ring_rows[:, None]], axis=1)
+        ring_vals = np.concatenate([-self.ring_r[:, None] * self.ring_corner_w, 1.0 + self.ring_r[:, None]], axis=1)
+        rows = np.concatenate([np.broadcast_to(self.int_rows, stencil.shape).ravel(), np.repeat(self.ring_rows, 5)])
+        cols = np.concatenate([stencil.ravel(), ring_cols.ravel()])
+        keys, slot = np.unique(cols.astype(np.int64) * n + rows, return_inverse=True)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        self.indptr = indptr
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
+        self.int_slots = slot[: stencil.size].reshape(stencil.shape).astype(np.int32)
+        # coinciding ring entries (the zero corners of r = 0 rows) sum in
+        # entry order, each group starting from its first value
+        ring_slot = slot[stencil.size :]
+        order = np.argsort(ring_slot, kind="stable")
+        ring_slot = ring_slot[order]
+        first = np.flatnonzero(np.r_[True, ring_slot[1:] != ring_slot[:-1]])
+        self.ring_slots = ring_slot[first].astype(np.int32)
+        self.ring_vals = np.add.reduceat(ring_vals.ravel()[order], first)
 
     def hessian_entries(self, U: np.ndarray):
         h2 = self.h * self.h
@@ -221,62 +261,61 @@ class NodeSystem:
         H12 = (U[self.iNE] + U[self.iSW] - U[self.iNW] - U[self.iSE]) / (4 * h2)
         return H11, H22, H12
 
-    def rhs(self, interior_values: np.ndarray) -> np.ndarray:
-        """Right-hand side with interior_values on the interior rows and the boundary data on the ring rows."""
-        out = np.zeros(self.n)
-        out[self.int_rows] = interior_values
-        out[self.ring_rows] = self.ring_rhs
-        return out
-
-    def ring_residual(self, U: np.ndarray) -> np.ndarray:
-        interp = (self.ring_corner_w * U[self.ring_corner_idx]).sum(axis=1)
-        return (1.0 + self.ring_r) * U[self.ring_rows] - self.ring_r * interp - self.ring_rhs
-
-    def interior_matrix(self, c11, c22, c12) -> sp.csr_matrix:
-        """Assemble rows sum_ab c_ab D_ab at interior nodes plus the ring rows.
-
-        c11, c22, c12 are arrays over interior nodes; the operator is
-        c11 D_xx + c22 D_yy + 2 c12 D_xy.
-        """
-        h2 = self.h * self.h
-        r = self.int_rows
-        rows = []
-        cols = []
-        vals = []
-
-        def add(col, val):
-            rows.append(r)
-            cols.append(col)
-            vals.append(val)
-
-        add(self.iC, -2 * (c11 + c22) / h2)
-        add(self.iE, c11 / h2)
-        add(self.iW, c11 / h2)
-        add(self.iN, c22 / h2)
-        add(self.iS, c22 / h2)
-        add(self.iNE, c12 / (2 * h2))
-        add(self.iSW, c12 / (2 * h2))
-        add(self.iNW, -c12 / (2 * h2))
-        add(self.iSE, -c12 / (2 * h2))
-        tr_r, tr_c, tr_v = self._ring_trip
-        rows.append(tr_r)
-        cols.append(tr_c)
-        vals.append(tr_v)
-        A = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n, self.n),
-        )
-        return A
-
     def to_grid_values(self, U: np.ndarray) -> np.ndarray:
-        out = np.full(self.grid.shape, np.nan)
+        out = np.full(self.shape, np.nan)
         out[self.node_ij[:, 0], self.node_ij[:, 1]] = U
         return out
 
 
-def _direct_solve(A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+class NodeSystem:
+    """One unknown per in-domain node: the grid's NodeLayout and one boundary datum.
+
+    Interior rows hold PDE stencils; boundary-adjacent rows hold the
+    normal-extrapolation data equations, which are linear and static. The
+    layout is built by the first system on a Grid object and shared by every
+    later one (Grid.once); the only per-datum part is ring_rhs, the datum at
+    the ring's boundary projections.
+    """
+
+    def __init__(self, grid: Grid, datum: Callable):
+        self.layout = grid.once("node_layout", lambda: NodeLayout(grid))
+        proj = self.layout.ring_proj
+        self.ring_rhs = np.asarray(datum(proj), dtype=float) + np.zeros(len(proj))
+
+    def rhs(self, interior_values: np.ndarray) -> np.ndarray:
+        """Right-hand side with interior_values on the interior rows and the boundary data on the ring rows."""
+        out = np.zeros(self.layout.n)
+        out[self.layout.int_rows] = interior_values
+        out[self.layout.ring_rows] = self.ring_rhs
+        return out
+
+    def ring_residual(self, U: np.ndarray) -> np.ndarray:
+        lay = self.layout
+        interp = (lay.ring_corner_w * U[lay.ring_corner_idx]).sum(axis=1)
+        return (1.0 + lay.ring_r) * U[lay.ring_rows] - lay.ring_r * interp - self.ring_rhs
+
+    def interior_matrix(self, c11, c22, c12) -> sp.csc_matrix:
+        """Rows sum_ab c_ab D_ab at interior nodes plus the ring rows, in the layout's CSC pattern.
+
+        c11, c22, c12 are arrays over interior nodes; the operator is
+        c11 D_xx + c22 D_yy + 2 c12 D_xy.
+        """
+        lay = self.layout
+        h2 = lay.h * lay.h
+        s = lay.int_slots
+        data = np.empty(len(lay.indices))
+        data[lay.ring_slots] = lay.ring_vals
+        data[s[0]] = -2 * (c11 + c22) / h2
+        data[s[1:3]] = c11 / h2
+        data[s[3:5]] = c22 / h2
+        data[s[5:7]] = c12 / (2 * h2)
+        data[s[7:9]] = -c12 / (2 * h2)
+        return sp.csc_matrix((data, lay.indices, lay.indptr), shape=(lay.n, lay.n))
+
+
+def _direct_solve(A: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
     try:
-        lu = spla.splu(A.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         diag = np.abs(A.diagonal())
         raise SolveError(f"singular system (smallest diagonal {diag.min():.3e}): {exc}") from exc
@@ -286,11 +325,12 @@ def _direct_solve(A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     return lu.solve(rhs)
 
 
-def linear_solve(A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+def linear_solve(A: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
     """Direct sparse solve up to 257^2 unknowns, preconditioned Krylov beyond.
 
-    The direct solve is an LU in the matrix's own order, which for NodeSystem
-    matrices is nested dissection: no column permutation, and diagonal
+    A is in CSC form, as NodeSystem assembles it, and neither branch converts
+    it. The direct solve is an LU in the matrix's own order, which for
+    NodeSystem matrices is nested dissection: no column permutation, and diagonal
     pivots unless a diagonal entry is exactly zero. The Krylov branch uses
     an incomplete-LU preconditioner (the assembled operator is nonsymmetric
     at the boundary ring, where plain diagonal scaling stalls) and falls
@@ -304,7 +344,7 @@ def linear_solve(A: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     if np.any(A.diagonal() == 0):
         raise SolveError("zero diagonal entry in iterative branch")
     try:
-        ilu = spla.spilu(A.tocsc(), drop_tol=1e-5, fill_factor=10.0)
+        ilu = spla.spilu(A, drop_tol=1e-5, fill_factor=10.0)
         M = spla.LinearOperator(A.shape, matvec=ilu.solve)
         x, info = spla.bicgstab(A, rhs, rtol=1e-12, atol=0.0, maxiter=2000, M=M)
     except RuntimeError:
@@ -349,11 +389,13 @@ def _newton_loop(sysm: "NodeSystem", g_int: np.ndarray, U: np.ndarray, tol_ma: f
     by single corner nodes and is not monotone along good Newton directions).
     """
 
+    lay = sysm.layout
+
     def residual(U):
-        H11, H22, H12 = sysm.hessian_entries(U)
-        F = np.zeros(sysm.n)
-        F[sysm.int_rows] = _convexified_parts(H11, H22, H12, g_int)[0]
-        F[sysm.ring_rows] = sysm.ring_residual(U)
+        H11, H22, H12 = lay.hessian_entries(U)
+        F = np.zeros(lay.n)
+        F[lay.int_rows] = _convexified_parts(H11, H22, H12, g_int)[0]
+        F[lay.ring_rows] = sysm.ring_residual(U)
         return F
 
     res = residual(U)
@@ -362,7 +404,7 @@ def _newton_loop(sysm: "NodeSystem", g_int: np.ndarray, U: np.ndarray, tol_ma: f
     while res_norm > tol_ma:
         if iters >= _MAX_ITER:
             raise SolveError(f"Newton did not converge in {_MAX_ITER} iterations; last residual {res_norm:.3e}")
-        H11, H22, H12 = sysm.hessian_entries(U)
+        H11, H22, H12 = lay.hessian_entries(U)
         _, c11, c22 = _convexified_parts(H11, H22, H12, g_int)
         J = sysm.interior_matrix(c11, c22, -H12)
         step = linear_solve(J, -res)
@@ -399,7 +441,7 @@ def _restrict_samples(fine: Grid, coarse: Grid, g) -> np.ndarray:
     return _fill_nearest(fine.interp(filled, pts).reshape(coarse.shape))
 
 
-def _continuation_init(grid: Grid, sysm: "NodeSystem", g, boundary, tol_ma: float) -> Optional[np.ndarray]:
+def _continuation_init(grid: Grid, layout: NodeLayout, g, boundary, tol_ma: float) -> Optional[np.ndarray]:
     """Start vector from a double-spacing solve, prolonged by a cubic spline.
 
     Piecewise-linear prolongation is useless here: its kinks carry O(1)
@@ -418,7 +460,7 @@ def _continuation_init(grid: Grid, sysm: "NodeSystem", g, boundary, tol_ma: floa
     coarse_pot = solve_ma(coarse, g_coarse, boundary, tol_ma=tol_ma)
     vals = _fill_nearest(coarse_pot.phi.values)
     spline = RectBivariateSpline(coarse.xs, coarse.ys, vals, kx=3, ky=3)
-    return spline.ev(grid.xs[sysm.node_ij[:, 0]], grid.ys[sysm.node_ij[:, 1]])
+    return spline.ev(grid.xs[layout.node_ij[:, 0]], grid.ys[layout.node_ij[:, 1]])
 
 
 def solve_ma(
@@ -457,6 +499,7 @@ def solve_ma(
         raise SolveError(f"density must be positive on the domain (min {np.nanmin(gd):.3e})")
     datum = coerce_datum(boundary)
     sysm = NodeSystem(grid, datum)
+    layout = sysm.layout
     g_int = g_vals[grid.interior]
 
     def laplacian_start():
@@ -469,13 +512,13 @@ def solve_ma(
     if start is not None:
         if np.shape(start) != grid.shape:
             raise SolveError(f"start has shape {np.shape(start)}, the grid {grid.shape}")
-        U_given = np.asarray(start, dtype=float)[sysm.node_ij[:, 0], sysm.node_ij[:, 1]]
+        U_given = np.asarray(start, dtype=float)[layout.node_ij[:, 0], layout.node_ij[:, 1]]
         if not np.all(np.isfinite(U_given)):
             raise SolveError("start must be finite at every in-domain node")
         starts.append(("given", lambda: U_given))
-    if sysm.n <= _DIRECT_LIMIT:
+    if layout.n <= _DIRECT_LIMIT:
         starts.append(("laplacian", laplacian_start))
-    starts.append(("coarse", lambda: _continuation_init(grid, sysm, g, boundary, tol_ma)))
+    starts.append(("coarse", lambda: _continuation_init(grid, layout, g, boundary, tol_ma)))
 
     failure = SolveError("no Newton start: the grid has no coarser grid")
     for used, make in starts:
@@ -493,7 +536,7 @@ def solve_ma(
     # Jacobian: drop it, or the cycle keeps both alive until a garbage collection
     del failure
 
-    vals = sysm.to_grid_values(U)
+    vals = layout.to_grid_values(U)
     phi = ScalarField(grid, vals)
     grad, hess = fd_derivatives(phi)
     det_int = hess.det()[grid.interior]

@@ -12,13 +12,13 @@ with the same configuration reproduces every number bit for bit.
 
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .domain_grid import ConvexDomain, Grid, fd_derivatives, fmt_float, lp_norm
+from .domain_grid import ConvexDomain, Grid, build_once, fd_derivatives, fmt_float, lp_norm
 from .ma_solve import PotentialField, SolveError, certify_convexity, cofactor_field, solve_ma
 from .lma_solve import abp_check, solve_lma
 from .section_geom import engulfing_constant, interior_heights, measure_c_cap, section, volume_scaling
@@ -213,18 +213,7 @@ class PinchedFamily:
 
     def _once(self, key, build):
         """build()'s result, built by the first caller that asks for key and shared with the rest."""
-        with self._lock:
-            slot = self._built.get(key)
-            owner = slot is None
-            if owner:
-                slot = self._built[key] = Future()
-        if owner:
-            try:
-                slot.set_result(build())
-            except BaseException as exc:
-                slot.set_exception(exc)
-                raise
-        return slot.result()
+        return build_once(self._lock, self._built, key, build)
 
     def _flat_values(self, eps: float) -> Optional[np.ndarray]:
         """phi_0's grid values as the Newton start for eps; None for eps = 0

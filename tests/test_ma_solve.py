@@ -1,5 +1,13 @@
+import gc
+import hashlib
+import sys
+import threading
+import time
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import ndimage
 
@@ -20,11 +28,20 @@ from ma_lab.ma_solve import (
     linear_solve,
     solve_ma,
 )
+from ma_lab.lma_solve import solve_lma
 from ma_lab.section_geom import quadratic_separation_check
 from ma_lab.stability_lab import default_bump
 from conftest import pinched_density
 
 _NEWTON_LOOP = ma_solve._newton_loop
+
+
+def _zero(pts):
+    return np.zeros(len(pts))
+
+
+def _layout(grid):
+    return NodeSystem(grid, _zero).layout
 
 # -- solve_ma ----------------------------------------------------------------
 
@@ -107,7 +124,7 @@ def test_continuation_path_skips_the_laplacian_start(monkeypatch):
     # above the direct limit the Newton start comes from the coarse grid, so
     # every top-level linear solve must be a Newton step
     grid = discretize(build_domain("square", side=2.0), 1.0 / 32)
-    n = NodeSystem(grid, lambda pts: np.zeros(len(pts))).n
+    n = _layout(grid).n
     monkeypatch.setattr(ma_solve, "_DIRECT_LIMIT", n - 1)
     sizes = []
 
@@ -127,11 +144,11 @@ def _fail_first(monkeypatch, grid, n_fail):
     Returns the list of start vectors Newton was given on that system; the
     nested coarse-grid solves run the real Newton loop and are not recorded.
     """
-    n = NodeSystem(grid, lambda pts: np.zeros(len(pts))).n
+    n = _layout(grid).n
     seen = []
 
     def loop(sysm, g_int, U, tol_ma):
-        if sysm.n == n:
+        if sysm.layout.n == n:
             seen.append(U)
             if len(seen) <= n_fail:
                 raise SolveError(f"planned failure {len(seen)}")
@@ -145,16 +162,16 @@ def _fail_first(monkeypatch, grid, n_fail):
 def test_newton_starts_are_tried_in_order(disc_domain, monkeypatch, above_limit):
     grid = discretize(disc_domain, 1.0 / 16)
     given = solve_ma(grid, 1.0).phi.values
-    sysm = NodeSystem(grid, lambda pts: np.zeros(len(pts)))
+    layout = _layout(grid)
     order = ["given", "laplacian", "coarse"]
     if above_limit:
-        monkeypatch.setattr(ma_solve, "_DIRECT_LIMIT", sysm.n - 1)
+        monkeypatch.setattr(ma_solve, "_DIRECT_LIMIT", layout.n - 1)
         order.remove("laplacian")
     for k, name in enumerate(order):
         seen = _fail_first(monkeypatch, grid, k)
         assert solve_ma(grid, 1.1, start=given).start == name
         assert len(seen) == k + 1
-        assert np.array_equal(seen[0], given[sysm.node_ij[:, 0], sysm.node_ij[:, 1]])
+        assert np.array_equal(seen[0], given[layout.node_ij[:, 0], layout.node_ij[:, 1]])
     _fail_first(monkeypatch, grid, len(order))
     with pytest.raises(SolveError, match=f"planned failure {len(order)}"):
         solve_ma(grid, 1.1, start=given)
@@ -173,18 +190,18 @@ def test_grid_without_a_coarser_grid_reraises_the_laplacian_failure(disc_domain,
 
 def test_nested_dissection_numbering_is_a_permutation(disc_domain):
     grid = discretize(disc_domain, 1.0 / 64)
-    sysm = NodeSystem(grid, lambda pts: np.zeros(len(pts)))
-    ij = sysm.node_ij
+    layout = _layout(grid)
+    ij = layout.node_ij
     row_major = ij[np.lexsort((ij[:, 1], ij[:, 0]))]
     assert np.array_equal(row_major, np.argwhere(grid.in_domain))
-    assert np.array_equal(sysm.flat[ij[:, 0], ij[:, 1]], np.arange(sysm.n))
-    assert np.array_equal(sysm.flat >= 0, grid.in_domain)
+    assert np.array_equal(layout.flat[ij[:, 0], ij[:, 1]], np.arange(layout.n))
+    assert np.array_equal(layout.flat >= 0, grid.in_domain)
 
 
 def test_nested_dissection_fill_below_default_ordering(disc_domain):
-    sysm = NodeSystem(discretize(disc_domain, 1.0 / 64), lambda pts: np.zeros(len(pts)))
-    ones = np.ones(len(sysm.int_rows))
-    A = sysm.interior_matrix(ones, ones, np.zeros_like(ones)).tocsc()
+    sysm = NodeSystem(discretize(disc_domain, 1.0 / 64), _zero)
+    ones = np.ones(len(sysm.layout.int_rows))
+    A = sysm.interior_matrix(ones, ones, np.zeros_like(ones))
     nd = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0)
     default = spla.splu(A)
     assert nd.L.nnz + nd.U.nnz < default.L.nnz + default.U.nnz
@@ -221,22 +238,145 @@ def loop_ring_weights(grid, flat):
     return coef_r, corner_idx, corner_w
 
 
-@pytest.mark.parametrize("kind, params, spacing", [
+RING_GRIDS = [
     ("disc", {"radius": 1.0}, 1.0 / 64),
     ("disc", {"radius": 1.0}, 1.0 / 37),
     ("ellipse", {"a": 1.2, "b": 0.8}, 1.0 / 32),
     ("ellipse", {"a": 0.5, "b": 1.3}, 1.0 / 40),
     ("square", {"side": 2.0}, 1.0 / 32),
-])
+]
+
+
+@pytest.mark.parametrize("kind, params, spacing", RING_GRIDS)
 def test_ring_weights_equal_the_per_node_loop(kind, params, spacing):
     grid = discretize(build_domain(kind, **params), spacing)
-    sysm = NodeSystem(grid, lambda pts: np.zeros(len(pts)))
-    coef_r, corner_idx, corner_w = loop_ring_weights(grid, sysm.flat)
-    assert sysm.ring_r.tobytes() == coef_r.tobytes()
-    assert np.array_equal(sysm.ring_corner_idx, corner_idx)
-    assert sysm.ring_corner_w.tobytes() == corner_w.tobytes()
+    layout = _layout(grid)
+    coef_r, corner_idx, corner_w = loop_ring_weights(grid, layout.flat)
+    assert layout.ring_r.tobytes() == coef_r.tobytes()
+    assert np.array_equal(layout.ring_corner_idx, corner_idx)
+    assert layout.ring_corner_w.tobytes() == corner_w.tobytes()
     # the square's ring nodes lie on its sides, at distance 0: none probes
     assert (coef_r > 0).any() != (kind == "square")
+
+
+def coo_reference_matrix(sysm, c11, c22, c12):
+    """Reference assembly: every entry as a COO triplet, converted to CSR, then CSC."""
+    lay = sysm.layout
+    h2 = lay.h * lay.h
+    stencil = [
+        (lay.iC, -2 * (c11 + c22) / h2),
+        (lay.iE, c11 / h2), (lay.iW, c11 / h2), (lay.iN, c22 / h2), (lay.iS, c22 / h2),
+        (lay.iNE, c12 / (2 * h2)), (lay.iSW, c12 / (2 * h2)),
+        (lay.iNW, -c12 / (2 * h2)), (lay.iSE, -c12 / (2 * h2)),
+    ]
+    rows = [lay.int_rows] * len(stencil) + [np.repeat(lay.ring_rows, 4), lay.ring_rows]
+    cols = [col for col, _ in stencil] + [lay.ring_corner_idx.ravel(), lay.ring_rows]
+    vals = [val for _, val in stencil]
+    vals += [(-lay.ring_r[:, None] * lay.ring_corner_w).ravel(), 1.0 + lay.ring_r]
+    A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(lay.n, lay.n))
+    return A.tocsc()
+
+
+@pytest.mark.parametrize("operator", ["laplacian", "cofactor"])
+@pytest.mark.parametrize("kind, params, spacing", RING_GRIDS)
+def test_fixed_pattern_assembly_equals_the_coo_reference(kind, params, spacing, operator):
+    grid = discretize(build_domain(kind, **params), spacing)
+    sysm = NodeSystem(grid, _zero)
+    it = grid.interior
+    if operator == "laplacian":
+        ones = np.ones(int(it.sum()))
+        coefs = (ones, ones, np.zeros_like(ones))
+    else:
+        pot = assemble_potential(grid, lambda X, Y: 0.5 * (X ** 2 + Y ** 2) + 0.1 * X * Y + 0.05 * X ** 4)
+        cof = cofactor_field(pot)
+        coefs = (cof.xx[it], cof.yy[it], cof.xy[it])
+    A = sysm.interior_matrix(*coefs)
+    ref = coo_reference_matrix(sysm, *coefs)
+    assert A.format == "csc"
+    assert A.indptr.tobytes() == ref.indptr.tobytes()
+    assert A.indices.tobytes() == ref.indices.tobytes()
+    assert A.data.tobytes() == ref.data.tobytes()
+    # each ring row with r = 0 keeps its four zero corner entries, summed
+    # into one explicit entry of column 0; every ring row of the square has r = 0
+    zero_rows = sysm.layout.ring_rows[sysm.layout.ring_r == 0]
+    assert np.isin(zero_rows, A.indices[: A.indptr[1]]).all()
+    assert kind != "square" or len(zero_rows) == len(sysm.layout.ring_rows)
+
+
+def test_lma_solution_is_pinned(disc_domain):
+    # u of the eps = 0.2 disc at 1/32, bit for bit as the COO-assembled
+    # solve gave it
+    grid = discretize(disc_domain, 1.0 / 32)
+    pot = solve_ma(grid, pinched_density(grid, 0.2))
+    X, Y = grid.meshes()
+    sol = solve_lma(pot, np.sin(np.pi * X) * np.cos(np.pi * Y) + 2.0)
+    digest = hashlib.sha256(sol.u.values.tobytes()).hexdigest()
+    assert digest == "0b076b432532059369114e0b6f1389dd66108a9081848fe385ab663478ad6065"
+
+
+def test_systems_on_a_grid_share_one_layout(disc_domain):
+    grid = discretize(disc_domain, 1.0 / 16)
+    a = NodeSystem(grid, _zero)
+    b = NodeSystem(grid, lambda pts: np.ones(len(pts)))
+    assert a.layout is b.layout
+    assert NodeSystem(discretize(disc_domain, 1.0 / 16), _zero).layout is not a.layout
+    assert np.array_equal(a.ring_rhs, np.zeros(len(a.layout.ring_rows)))
+    assert np.array_equal(b.ring_rhs, np.ones(len(a.layout.ring_rows)))
+    A = a.interior_matrix(*(np.ones(len(a.layout.int_rows)),) * 3)
+    assert A.indices is not a.layout.indices and A.indices.base is a.layout.indices
+    assert not a.layout.indices.flags.writeable and not a.layout.indptr.flags.writeable
+
+
+def test_a_dropped_grid_frees_its_layout(disc_domain):
+    # the layout holds no reference back to its grid, so dropping the grid
+    # frees it without waiting for the cycle collector
+    grid = discretize(disc_domain, 1.0 / 16)
+    solve_ma(grid, 1.0)
+    layout = weakref.ref(NodeSystem(grid, _zero).layout)
+    assert layout() is not None
+    gc.collect()
+    gc.disable()
+    try:
+        del grid
+        assert layout() is None
+    finally:
+        gc.enable()
+
+
+def test_threads_asking_at_once_build_a_grids_layout_once(disc_domain, monkeypatch):
+    built = []
+    real = ma_solve.NodeLayout
+
+    def slow_layout(grid):
+        built.append(grid)
+        time.sleep(0.05)
+        return real(grid)
+
+    monkeypatch.setattr(ma_solve, "NodeLayout", slow_layout)
+    grids = [discretize(disc_domain, 1.0 / 16) for _ in range(2)]
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    layouts = []
+
+    def worker(k):
+        barrier.wait()
+        layouts.append((k % 2, NodeSystem(grids[k % 2], _zero).layout))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(map(id, built)) == sorted(map(id, grids))
+    assert len(layouts) == n_threads
+    for g in (0, 1):
+        assert len({id(lay) for k, lay in layouts if k == g}) == 1
 
 
 def test_static_pivots_accurate_on_every_newton_jacobian(monkeypatch):

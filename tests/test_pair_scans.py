@@ -2,8 +2,9 @@
 
 The references below are the all-pairs formulas the scans replaced: one
 boolean matrix per height for the maximal function, the binned scan over
-every node pair that the tile-bounded maximal function replaced, and an
-all-pairs masked ratio matrix for the quasi-Euclidean extrema. The probe
+every node pair that the tile-bounded maximal function replaced, an
+all-pairs masked ratio matrix for the quasi-Euclidean extrema, and the
+opening scan that allocated its masked ratio matrix per block. The probe
 heights come from a dense-gap reference of height_grid. They live only here.
 """
 
@@ -15,7 +16,13 @@ import pytest
 from conftest import pinched_density, tangent_gap
 from ma_lab.covering_maximal import _MAXIMAL_CHUNK, _tile_gap_floors, height_grid, maximal_function
 from ma_lab.domain_grid import ScalarField, build_domain, coerce_samples, discretize, fd_derivatives
-from ma_lab.good_sets import _ratio_extrema, tangent_trust_region
+from ma_lab.good_sets import (
+    _default_centers,
+    _ratio_extrema,
+    minimal_opening_field,
+    solution_fields,
+    tangent_trust_region,
+)
 from ma_lab.ma_solve import solve_ma
 from ma_lab.section_geom import interior_heights, measure_c_cap, pair_gaps, sublevel_cells
 
@@ -141,6 +148,24 @@ def dense_ratio_extrema(pot, radius, centers, margin, chunk=512):
     return lo, hi
 
 
+def allocating_opening_field(pot, solution, chunk=64):
+    """The opening scan with a fresh masked ratio matrix per block of centres."""
+    grid = pot.grid
+    d_min = 2.0 * grid.spacing ** 2
+    vals, grad, _ = solution
+    ni, nj = np.nonzero(grid.in_domain)
+    ci, cj = np.nonzero(_default_centers(pot))
+    out = np.full(grid.shape, np.nan)
+    scans = zip(pair_gaps(pot, ci, cj, ni, nj, chunk),
+                pair_gaps(pot, ci, cj, ni, nj, chunk, values=vals, grad=grad))
+    for (block, D), (_, U) in scans:
+        ok = D >= d_min
+        ratio = np.where(ok, np.abs(U) / np.where(ok, D, 1.0), -np.inf)
+        best = ratio.max(axis=1)
+        out[ci[block], cj[block]] = np.where(np.isfinite(best) & ok.any(axis=1), 2.0 * best, np.nan)
+    return out
+
+
 def test_pair_gaps_matches_formula_for_shared_and_per_centre_targets(pinched32):
     pot, _ = pinched32
     grid = pot.grid
@@ -259,3 +284,12 @@ def test_maximal_function_bitwise_equals_binned_all_pairs(pinched_suite32):
 
 def test_maximal_function_bitwise_equals_binned_all_pairs_when_nonconvex(nonconvex32):
     _assert_maximal_equals_binned_all_pairs(nonconvex32)
+
+
+def test_opening_field_bitwise_equals_the_allocating_scan(pinched_suite32):
+    pot = pinched_suite32
+    X, Y = pot.grid.meshes()
+    solution = solution_fields(pot, np.sin(3.0 * X) * np.cos(2.0 * Y) + 0.3 * X * Y + X ** 2)
+    got = minimal_opening_field(pot, solution)
+    assert np.isfinite(got).sum() > 0
+    assert np.array_equal(got, allocating_opening_field(pot, solution), equal_nan=True)
