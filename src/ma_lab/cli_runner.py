@@ -9,9 +9,11 @@ after the experiment, echoes the config into it and writes the experiment's
 own files, one CSV and one two-column gnuplot-friendly .dat file per swept
 quantity, and report.json. Writing happens here and nowhere else.
 
-Exit codes: 0 all assertions passed, 1 assertion or runtime failure,
-2 config error, 3 solver failure. The output directory resolves in the order
---out flag, MA_LAB_OUT environment variable, config `out` key, ./ma_lab_out.
+The command line has one subcommand per experiment, named as in
+EXPERIMENTS, plus suite. Exit codes: 0 all assertions passed, 1 assertion
+or runtime failure, 2 config error (also a --config whose experiment is not
+the subcommand), 3 solver failure. The output directory resolves in the
+order --out flag (run's out_dir), config `out` key, ./ma_lab_out.
 """
 
 import argparse
@@ -20,7 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -180,30 +182,12 @@ def _family(config: ExperimentConfig) -> PinchedFamily:
     return PinchedFamily(grid, g0, tol_ma=config.tol_ma)
 
 
-def _config_echo(config: ExperimentConfig) -> dict:
-    d = {}
-    for f in fields(config):
-        v = getattr(config, f.name)
-        if isinstance(v, tuple):
-            v = list(v)
-        d[f.name] = v
-    return d
-
-
 # the config overrides an experiment gets inside a suite
 _SUITE_OVERRIDES = {
     "cofactor_stability": {"eps": (0.2, 0.1, 0.05, 0.025)},
     "contact_set": {"sigma": 0.9},
 }
 KNOWN_EXPERIMENTS = tuple(EXPERIMENTS) + ("suite",)
-
-
-# the swept quantity's name in sweep files; "eps" for the others
-_SWEEP_LABELS = {
-    "goodsets": "beta",
-    "sections": "t",
-    "w21e": "gamma",
-}
 
 
 def _write_artifacts(report: ExperimentReport, out: str) -> None:
@@ -215,7 +199,7 @@ def _write_artifacts(report: ExperimentReport, out: str) -> None:
         else:
             fld, mask = rows
             write_field_csv(fld, path, mask=mask)
-    label = _SWEEP_LABELS.get(report.experiment, "eps")
+    label = report.sweep_label
     sweep = list(report.sweep)
     for key, val in report.measured.items():
         if isinstance(val, (list, tuple, np.ndarray)) and sweep and len(val) == len(sweep):
@@ -234,15 +218,8 @@ def _write_artifacts(report: ExperimentReport, out: str) -> None:
 
 
 def resolve_out(config: ExperimentConfig, out_flag: Optional[str] = None) -> str:
-    """Output directory precedence: --out, MA_LAB_OUT, config out key, default."""
-    if out_flag:
-        return out_flag
-    env = os.environ.get("MA_LAB_OUT", "")
-    if env:
-        return env
-    if config.out:
-        return config.out
-    return "./ma_lab_out"
+    """Output directory precedence: out_flag (--out), config out key, ./ma_lab_out."""
+    return out_flag or config.out or "./ma_lab_out"
 
 
 def run(config: ExperimentConfig, out_dir: Optional[str] = None,
@@ -275,7 +252,7 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
         report = EXPERIMENTS[config.experiment](family, config)
         report.wall_time = time.perf_counter() - t0
         report.experiment = config.experiment
-        report.config = _config_echo(config)
+        report.config = asdict(config)
         _write_artifacts(report, out)
     except SolveError as exc:
         _write_failure(out, config, "solver", str(exc))
@@ -298,7 +275,7 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
 
 
 def _write_failure(out: str, config: ExperimentConfig, kind: str, message: str) -> None:
-    payload = {"experiment": config.experiment, "config": _config_echo(config),
+    payload = {"experiment": config.experiment, "config": asdict(config),
                "failure": {"kind": kind, "message": message}, "passed": False}
     try:
         with open(os.path.join(out, "report.json"), "w") as fh:
@@ -350,27 +327,14 @@ def _run_suite(config: ExperimentConfig, out: str, family: PinchedFamily) -> int
     return 0 if worst == 0 else 1 if worst != 3 else 3
 
 
-_SUBCOMMAND_DEFAULTS = {
-    "solve-ma": "solve_ma",
-    "solve-lma": "solve_lma",
-    "sections": "sections",
-    "cover": "cover",
-    "maximal": "maximal",
-    "goodsets": "goodsets",
-    "barrier": "barrier",
-    "stability": "cofactor_stability",
-    "suite": "suite",
-}
-
-
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(
         prog="ma-lab",
         description="Monge-Ampere section-geometry laboratory batch runner",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMAND_DEFAULTS:
-        s = sub.add_parser(name, help=f"run the {name} experiment group")
+    for name in KNOWN_EXPERIMENTS:
+        s = sub.add_parser(name, help=f"run the {name} experiment")
         s.add_argument("--config", default=None, help="path to a config file")
         s.add_argument("--out", default=None, help="output directory")
         s.add_argument("--spacing", type=float, default=None, help="grid spacing override")
@@ -393,8 +357,12 @@ def main(argv=None) -> None:
             for err in exc.errors:
                 print(f"config error: {err}", file=sys.stderr)
             sys.exit(2)
+        if config.experiment != args.command:
+            print(f"config error: {args.config} runs experiment {config.experiment!r}"
+                  f" but the subcommand is {args.command!r}", file=sys.stderr)
+            sys.exit(2)
     else:
-        config = ExperimentConfig(experiment=_SUBCOMMAND_DEFAULTS[args.command])
+        config = ExperimentConfig(experiment=args.command)
 
     if args.spacing is not None:
         if not args.spacing > 0:

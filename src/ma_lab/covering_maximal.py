@@ -62,10 +62,8 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, heights: np.ndar
     delta0 is halved and the selection is rebuilt, down to _DELTA0_FLOOR.
 
     heights is the interior_heights field of the potential, the ring-gap
-    minimum, read at the candidates. Where a candidate's tangent gap is
-    negative at some ring node that height is negative: the candidate gets
-    an empty core and an empty cover, and it is still picked unless an
-    earlier core holds it.
+    minimum, read at the candidates: the interior nodes of the region whose
+    height is positive.
 
     Every section is flood-filled exactly in grown windows (section_cells).
     The walk floods the cores of a block of candidates per call and skips
@@ -77,9 +75,9 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, heights: np.ndar
     region = np.asarray(region, dtype=bool)
     if not region.any():
         raise CoveringError("covering region is empty")
-    cand = region & grid.interior
+    cand = region & grid.interior & (heights > 0)
     if not cand.any():
-        raise CoveringError("covering region holds no interior nodes")
+        raise CoveringError("covering region holds no interior nodes of positive height")
     ci, cj = np.nonzero(cand)
     hvals = heights[ci, cj]
     order = np.argsort(-hvals, kind="stable")

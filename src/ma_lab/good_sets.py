@@ -34,10 +34,19 @@ _CHUNK = 64
 _OPENING_CHUNK = 8
 # the quasi-Euclidean scans' neighbourhood radius, in grid cells
 _RADIUS = 5.0
+# width of the tangent trust region, in cells (4-connected) from imposed ring
+# nodes; 0 trusts every in-domain node
+_TRUST_MARGIN = 3
+# the opening scan's floor on the squared quasi-distance, in squared spacings
+_OPENING_FLOOR = 2.0
+# the good-set openings M and quasi-Euclidean ratio thresholds sigma whose
+# masks good_set_survey returns
+_M_GRID = (2.0, 4.0, 8.0)
+_SIGMA_GRID = (0.1, 0.3, 0.5)
 
 
-def tangent_trust_region(potential: PotentialField, margin: int = 3) -> np.ndarray:
-    """Nodes at least margin cells (4-connected) away from imposed ring nodes.
+def tangent_trust_region(potential: PotentialField) -> np.ndarray:
+    """Nodes at least _TRUST_MARGIN cells (4-connected) away from imposed ring nodes.
 
     Solved potentials carry a gradient boundary layer: the imposition error
     at the ring turns into a tangent tilt of about two spacings at adjacent
@@ -47,9 +56,9 @@ def tangent_trust_region(potential: PotentialField, margin: int = 3) -> np.ndarr
     """
     grid = potential.grid
     trust = grid.in_domain.copy()
-    if margin > 0:
+    if _TRUST_MARGIN > 0:
         imposed = grid.in_domain & ~grid.interior
-        collar = ndimage.binary_dilation(imposed, structure=_PLUS, iterations=margin)
+        collar = ndimage.binary_dilation(imposed, structure=_PLUS, iterations=_TRUST_MARGIN)
         trust &= ~collar
     return trust
 
@@ -82,28 +91,20 @@ def _default_centers(potential: PotentialField) -> np.ndarray:
     return centers
 
 
-def minimal_opening_field(
-    potential: PotentialField,
-    solution,
-    centers: Optional[np.ndarray] = None,
-    d_min: Optional[float] = None,
-) -> np.ndarray:
+def minimal_opening_field(potential: PotentialField, solution, centers: np.ndarray) -> np.ndarray:
     """Least paraboloid openings trapping u around each center node.
 
-    solution is solution_fields(potential, u). At a center xbar the
-    opening is twice the supremum of
-    |u(x) - u(xbar) - grad u(xbar).(x - xbar)| over the squared
+    solution is solution_fields(potential, u); the survey's centers are
+    _default_centers(potential). At a center xbar the opening is twice the
+    supremum of |u(x) - u(xbar) - grad u(xbar).(x - xbar)| over the squared
     quasi-distance, taken over in-domain nodes with squared quasi-distance at
-    least d_min (default twice the squared spacing, a guard against 0/0 noise
-    at near-coincident pairs). NaN where no admissible pair exists and off
+    least d_min = _OPENING_FLOOR squared spacings, a guard against 0/0 noise
+    at near-coincident pairs. NaN where no admissible pair exists and off
     the centers.
     """
     grid = potential.grid
-    if d_min is None:
-        d_min = 2.0 * grid.spacing ** 2
+    d_min = _OPENING_FLOOR * grid.spacing ** 2
     vals, grad, _ = solution
-    if centers is None:
-        centers = _default_centers(potential)
 
     ni, nj = np.nonzero(grid.in_domain)
     out = np.full(grid.shape, np.nan)
@@ -130,12 +131,8 @@ def minimal_opening_field(
 # ---------------------------------------------------------------------------
 
 
-def _ratio_extrema(
-    potential: PotentialField,
-    neighborhood_radius: Optional[float],
-    centers: np.ndarray,
-    tangent_margin: int = 3,
-) -> tuple[np.ndarray, np.ndarray]:
+def _ratio_extrema(potential: PotentialField, neighborhood_radius: Optional[float],
+                   centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-center min and max of squared quasi-distance over squared distance.
 
     Pairs with squared separation below the floor of 1.5 squared spacings
@@ -144,8 +141,8 @@ def _ratio_extrema(
     distance floor. At one-cell separation both the gap and the quadratic
     comparison sit at the size of the discretization error, so their ratio
     carries no information and, near the boundary, only the imposition error.
-    Centers are restricted to the tangent trust region of width
-    tangent_margin (see tangent_trust_region); 0 scans every center.
+    Centers are restricted to the tangent trust region (see
+    tangent_trust_region).
 
     With a neighborhood radius each center scans only the in-domain nodes
     at grid offsets of at most ceil(radius) + 1 cells along each axis. That
@@ -156,7 +153,7 @@ def _ratio_extrema(
     """
     grid = potential.grid
     pair_floor = 1.5 * grid.spacing ** 2
-    centers = centers & tangent_trust_region(potential, tangent_margin)
+    centers = centers & tangent_trust_region(potential)
     ci, cj = np.nonzero(centers)
     if neighborhood_radius is None:
         r2_cap = np.inf
@@ -273,14 +270,7 @@ class GoodSetResult:
     m: float
 
 
-def good_set_survey(
-    potential: PotentialField,
-    u,
-    beta_grid,
-    m: float = 2.0,
-    M_grid=(),
-    sigma_grid=(),
-) -> GoodSetResult:
+def good_set_survey(potential: PotentialField, u, beta_grid, m: float = 2.0) -> GoodSetResult:
     """Distribution functions of the bad sets over a level grid.
 
     F counts centers whose largest second derivative exceeds level**m, F1
@@ -294,7 +284,9 @@ def good_set_survey(
     scaled to measures through the center subsample density.
     F1 is normalized over the centers where the ratio scan is measurable
     (the tangent trust region), since an unmeasurable tangent certifies
-    neither membership nor exit.
+    neither membership nor exit. good_masks holds the good set of each
+    opening in _M_GRID and quasi_masks the quasi-Euclidean mask of each
+    threshold in _SIGMA_GRID, keyed by that value.
     """
     grid = potential.grid
     solution = solution_fields(potential, u)
@@ -302,7 +294,7 @@ def good_set_survey(
     centers = _default_centers(potential)
     rm, hi = _ratio_extrema(potential, _RADIUS, centers)
     c_inst = quasi_euclidean_constant(rm, hi)
-    openings = minimal_opening_field(potential, solution, centers=centers)
+    openings = minimal_opening_field(potential, solution, centers)
     used = np.isfinite(openings)
     deriv = np.maximum(np.abs(hess.xx), np.maximum(np.abs(hess.yy), np.abs(hess.xy)))
 
@@ -321,10 +313,8 @@ def good_set_survey(
         F1[k] = (meas & (rm < sigma)).sum() * scale1
         F2[k] = (used & (openings > b)).sum() * scale
 
-    good_masks = {float(M): (used & (openings <= M)) for M in M_grid}
-    quasi_masks = {
-        float(s): (used & np.isfinite(rm) & (rm >= s)) for s in sigma_grid
-    }
+    good_masks = {M: (used & (openings <= M)) for M in _M_GRID}
+    quasi_masks = {s: (used & np.isfinite(rm) & (rm >= s)) for s in _SIGMA_GRID}
     fits = {}
     try:
         fits["F2"] = decay_fit(zip(beta_grid, F2), min_measure=5.0 * grid.cell_area)

@@ -543,7 +543,7 @@ def solve_ma(
     residual_max = float(np.max(np.abs(det_int - g_int)))
     lam_eff = float(np.min(gd))
     Lam_eff = float(np.max(gd))
-    report = certify_convexity(hess, grid.interior, tol=_CONVEX_TOL * Lam_eff)
+    report = certify_convexity(hess, tol=_CONVEX_TOL * Lam_eff)
     if not report.passed:
         raise SolveError(
             f"convexity certification failed: min eigenvalue {report.min_eig:.3e} at {report.location}"
@@ -585,7 +585,7 @@ def assemble_potential(grid: Grid, phi_fn, g=None) -> PotentialField:
     Lam_eff = float(np.nanmax(gd))
     res = float(np.nanmax(np.abs(det[grid.interior] - gd)))
     datum = lambda pts: np.asarray(phi_fn(np.atleast_2d(pts)[:, 0], np.atleast_2d(pts)[:, 1]), dtype=float)
-    report = certify_convexity(hess, grid.interior, tol=_CONVEX_TOL * max(abs(Lam_eff), 1.0))
+    report = certify_convexity(hess, tol=_CONVEX_TOL * max(abs(Lam_eff), 1.0))
     return PotentialField(
         domain=grid.domain,
         grid=grid,
@@ -612,13 +612,14 @@ def cofactor_field(potential: PotentialField) -> MatrixField:
     return MatrixField(grid=potential.grid, xx=h.yy.copy(), yy=h.xx.copy(), xy=-h.xy)
 
 
-def certify_convexity(hess: MatrixField, region: Optional[np.ndarray] = None, tol: float = 1e-6) -> ConvexityReport:
-    """Minimum discrete Hessian eigenvalue over a region, with its location."""
+def certify_convexity(hess: MatrixField, tol: float) -> ConvexityReport:
+    """Minimum discrete Hessian eigenvalue over the interior nodes, with its location.
+
+    Passes when that eigenvalue is at least -tol.
+    """
     grid = hess.grid
-    if region is None:
-        region = grid.interior
     eigs = hess.eig_min()
-    masked = np.where(region, eigs, np.inf)
+    masked = np.where(grid.interior, eigs, np.inf)
     k = np.unravel_index(np.argmin(masked), masked.shape)
     min_eig = float(masked[k])
     loc = (float(grid.xs[k[0]]), float(grid.ys[k[1]]))

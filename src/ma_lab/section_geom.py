@@ -32,8 +32,11 @@ class SectionError(ValueError):
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 # interior_heights: centres per pair_gaps block
 _HEIGHTS_CHUNK = 2048
-# engulfing_constant: evenly spread directions of the extreme member cells
+# engulfing_constant: evenly spread directions of the extreme member cells,
+# and the random members drawn per section from one generator of this seed
 _N_DIRECTIONS = 16
+_N_RANDOM = 6
+_SEED = 0
 # volume_scaling drops sections with fewer cells
 _MIN_CELLS = 20
 # measure_c_cap: the cap's fraction of the largest maximal interior height
@@ -538,12 +541,12 @@ def localization_fit(potential: PotentialField, boundary_point, h: float) -> Loc
 # ---------------------------------------------------------------------------
 
 
-def engulfing_constant(potential: PotentialField, sections, n_random: int = 6, seed: int = 0) -> float:
+def engulfing_constant(potential: PotentialField, sections) -> float:
     """Smallest uniform dilation factor observed to swallow sections from inside points.
 
     The members y of each section are its extreme cells in _N_DIRECTIONS
-    evenly spread directions plus n_random cells drawn by one
-    default_rng(seed), section by section in the order given; the draws push
+    evenly spread directions plus _N_RANDOM cells drawn by one
+    default_rng(_SEED), section by section in the order given; the draws push
     the measured constant toward its supremum. Each member's least theta with
     the section inside its own section of height theta * t is y's largest
     tangent gap over the section's cells divided by t; the result is the
@@ -551,7 +554,7 @@ def engulfing_constant(potential: PotentialField, sections, n_random: int = 6, s
     members come from one pair_gaps block.
     """
     grid = potential.grid
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     angles = np.linspace(0.0, 2.0 * np.pi, _N_DIRECTIONS, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     theta_star = 0.0
@@ -559,7 +562,7 @@ def engulfing_constant(potential: PotentialField, sections, n_random: int = 6, s
         ci, cj = np.nonzero(sec.cells)
         pts = grid.points(sec.cells)
         chosen = {int(np.argmax(pts @ d)) for d in dirs}
-        chosen.update(int(k) for k in rng.integers(0, len(pts), size=n_random))
+        chosen.update(int(k) for k in rng.integers(0, len(pts), size=_N_RANDOM))
         members = np.array(sorted(chosen))
         _, D = next(pair_gaps(potential, ci[members], cj[members], ci, cj, members.size))
         theta_star = max(theta_star, float(D.max()) / sec.height)

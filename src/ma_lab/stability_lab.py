@@ -105,8 +105,10 @@ class ExperimentReport:
 
     files maps a file name to its rows: a list of lines, or a
     (ScalarField, mask) pair written one node per row (mask None: the
-    in-domain nodes). cli_runner.run sets experiment, config and wall_time;
-    the experiment functions leave them at their defaults.
+    in-domain nodes). sweep_label names the swept quantity in the sweep
+    files' headers; to_dict leaves it out. cli_runner.run sets experiment,
+    config and wall_time; the experiment functions leave them at their
+    defaults.
     """
 
     sweep: list
@@ -114,6 +116,7 @@ class ExperimentReport:
     slopes: dict
     assertions: list
     files: dict = field(default_factory=dict)
+    sweep_label: str = "eps"
     experiment: str = ""
     config: dict = field(default_factory=dict)
     wall_time: float = 0.0
@@ -314,7 +317,7 @@ def sections_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
     t_values = [0.2 * c_cap, 0.4 * c_cap, 0.6 * c_cap, 0.8 * c_cap]
     sections = [section(pot, np.zeros(2), t) for t in t_values]
     rows = [(t, sec.measure, int(sec.cells.sum()), sec.is_interior) for t, sec in zip(t_values, sections)]
-    theta_star = engulfing_constant(pot, sections, n_random=6, seed=0)
+    theta_star = engulfing_constant(pot, sections)
     vol = volume_scaling(sections)
     assertions = []
     check(assertions, "section measures increase with height",
@@ -334,6 +337,7 @@ def sections_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
         slopes={"volume": vol.exponent},
         assertions=assertions,
         files={"sections_summary.csv": lines},
+        sweep_label="t",
     )
 
 
@@ -381,9 +385,9 @@ def goodsets_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
     grid = family.grid
     sol = solve_lma(pot, _source(grid), tol_lma=config.tol_lma)
     betas = np.asarray(config.betas if config.betas else np.geomspace(1.2, 40.0, 10))
-    M_grid = (2.0, 4.0, 8.0)
-    sigma_grid = (0.1, 0.3, 0.5)
-    res = good_set_survey(pot, sol.u, betas, m=config.m, M_grid=M_grid, sigma_grid=sigma_grid)
+    res = good_set_survey(pot, sol.u, betas, m=config.m)
+    M_grid = sorted(res.good_masks)
+    sigma_grid = sorted(res.quasi_masks)
     assertions = []
     mono_F2 = bool(np.all(np.diff(res.F2) <= 1e-14))
     check(assertions, "F2 non-increasing", 0.0 if mono_F2 else 1.0, "<=", 0.0)
@@ -413,6 +417,7 @@ def goodsets_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
         slopes={k: v.tau for k, v in res.fits.items()},
         assertions=assertions,
         files=files,
+        sweep_label="beta",
     )
 
 
@@ -590,37 +595,23 @@ def w21e_experiment(family: PinchedFamily, config: ExperimentConfig) -> Experime
     sol = solve_lma(potential, 2.0 * potential.g_values, boundary=potential.boundary_datum,
                     tol_lma=config.tol_lma)
     _, hess = fd_derivatives(sol.u)
-    conv = certify_convexity(hess)
+    conv = certify_convexity(hess, tol=1e-6)
     assertions = []
 
     f_inf = lp_norm(grid, sol.f_values, np.inf)
     if not conv.passed:
-        return ExperimentReport(
-            sweep=list(gammas),
-            measured={"applicable": False, "min_hessian_eig": conv.min_eig},
-            slopes={},
-            assertions=assertions,
-        )
-    if f_inf == 0.0:
-        return ExperimentReport(
-            sweep=list(gammas),
-            measured={"applicable": True, "degenerate": True, "f_inf": 0.0},
-            slopes={},
-            assertions=assertions,
-        )
-
-    fro = _hess_frobenius(hess)
-    ratios = [lp_norm(grid, fro, g) / f_inf for g in gammas]
-    for g, r in zip(gammas, ratios):
-        check(assertions, f"ratio at gamma={g} finite", r, "<", np.inf)
-
-    return ExperimentReport(
-        sweep=list(gammas),
-        measured={"applicable": True, "ratios": ratios, "f_inf": f_inf,
-                  "min_hessian_eig": conv.min_eig},
-        slopes={},
-        assertions=assertions,
-    )
+        measured = {"applicable": False, "min_hessian_eig": conv.min_eig}
+    elif f_inf == 0.0:
+        measured = {"applicable": True, "degenerate": True, "f_inf": 0.0}
+    else:
+        fro = _hess_frobenius(hess)
+        ratios = [lp_norm(grid, fro, g) / f_inf for g in gammas]
+        for g, r in zip(gammas, ratios):
+            check(assertions, f"ratio at gamma={g} finite", r, "<", np.inf)
+        measured = {"applicable": True, "ratios": ratios, "f_inf": f_inf,
+                    "min_hessian_eig": conv.min_eig}
+    return ExperimentReport(sweep=list(gammas), measured=measured, slopes={},
+                            assertions=assertions, sweep_label="gamma")
 
 
 # ---------------------------------------------------------------------------

@@ -249,21 +249,42 @@ def test_barrier_circle_assertion_matches_the_verifier(tmp_path, monkeypatch, do
 
 
 @pytest.mark.parametrize("command, text, code, message", [
-    ("solve-ma", "experiment = solve_ma\nspacing = 0.0625", 0, None),
+    ("solve_ma", "experiment = solve_ma\nspacing = 0.0625", 0, None),
     ("barrier", "experiment = barrier\nspacing = 0.0625\ndelta = 5", 1,
      "delta must lie in (0, rho]"),
-    ("solve-ma", "experiment = solve_ma\ncolour = blue", 2, "unknown key 'colour'"),
-    ("solve-ma", "experiment = solve_ma\nspacing = 0.0625\ntol_ma = 1e-300", 3,
+    ("solve_ma", "experiment = solve_ma\ncolour = blue", 2, "unknown key 'colour'"),
+    ("solve_ma", "experiment = solve_ma\nspacing = 0.0625\ntol_ma = 1e-300", 3,
      "Newton line search stalled"),
-], ids=["success", "barrier-error", "config-error", "solver-failure"])
+    ("cofactor_stability", "experiment = solve_ma\nspacing = 0.0625", 2,
+     "runs experiment 'solve_ma' but the subcommand is 'cofactor_stability'"),
+    ("w21e", None, 0, None),
+], ids=["success", "barrier-error", "config-error", "solver-failure", "experiment-mismatch",
+        "no-config"])
 def test_main_exit_codes(tmp_path, capsys, command, text, code, message):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text + "\n")
+    args = [command, "--out", str(tmp_path / "out")]
+    if text is None:
+        args += ["--spacing", "0.0625"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        args += ["--config", str(cfg)]
     with pytest.raises(SystemExit) as exc:
-        cli_runner.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        cli_runner.main(args)
     assert exc.value.code == code
     if message is not None:
         assert message in capsys.readouterr().err
+    if code == 2:
+        assert not (tmp_path / "out").exists()
+
+
+def test_every_experiment_is_a_subcommand(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli_runner, "run", lambda config, out_dir=None: ran.append(config.experiment) or 0)
+    for name in cli_runner.KNOWN_EXPERIMENTS:
+        with pytest.raises(SystemExit) as exc:
+            cli_runner.main([name, "--out", str(tmp_path)])
+        assert exc.value.code == 0
+    assert ran == list(EXPERIMENTS) + ["suite"]
 
 
 def test_known_keys_are_the_config_fields():

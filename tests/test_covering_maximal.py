@@ -10,9 +10,10 @@ from ma_lab.covering_maximal import (
     strong_type_ratio,
     vitali_cover,
 )
-from ma_lab.domain_grid import FieldError
+from ma_lab.domain_grid import FieldError, build_domain, discretize
+from ma_lab.ma_solve import solve_ma
 from ma_lab.section_geom import interior_heights, measure_c_cap, pair_gaps, sublevel_cells
-from conftest import tangent_gap
+from conftest import pinched_density, tangent_gap
 
 
 def radial_mask(grid, r_lo, r_hi):
@@ -88,6 +89,8 @@ def dense_vitali_cover(potential, region, delta0=0.1, delta0_floor=0.0125):
     cand = region & grid.interior
     ci, cj = np.nonzero(cand)
     hvals = masked_heights(potential, cand)
+    positive = hvals > 0
+    ci, cj, hvals = ci[positive], cj[positive], hvals[positive]
     order = np.argsort(-hvals, kind="stable")
     d0 = float(delta0)
     while True:
@@ -150,6 +153,23 @@ def test_vitali_cover_equals_dense_reference(pinched_suite32):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
         else:
             assert np.array_equal(got, want)
+
+
+def test_vitali_cover_picks_no_empty_cover():
+    """A candidate whose height is not positive floods nothing, so it is never picked.
+
+    On the eps = 0.2 pinched ellipse at 1/32, five interior nodes have a
+    negative tangent gap at some ring node.
+    """
+    grid = discretize(build_domain("ellipse", a=1.2, b=0.8), 1.0 / 32)
+    pot = solve_ma(grid, pinched_density(grid, 0.2))
+    hs = interior_heights(pot)
+    assert int((hs[grid.interior] <= 0).sum()) == 5
+    res = vitali_cover(pot, grid.interior, hs)
+    assert sum(c.size == 0 for c in res.covers) == 0
+    assert len(res.heights) == 763
+    assert res.heights.min() > 0.0
+    assert (res.delta0, res.coverage_defect) == (0.05, 0.0)
 
 
 def test_height_grid_shape(model_disc):

@@ -36,17 +36,17 @@ def survey_constant(potential):
     return quasi_euclidean_constant(*_ratio_extrema(potential, _RADIUS, _default_centers(potential)))
 
 
-def opening_at(potential, u, x, d_min=None):
+def opening_at(potential, u, x):
     """minimal_opening_field at the single center node nearest x."""
     idx = potential.grid.nearest_node(x)
     centers = np.zeros(potential.grid.shape, dtype=bool)
     centers[idx] = True
-    return minimal_opening_field(potential, solution_fields(potential, u), centers=centers,
-                                 d_min=d_min)[idx]
+    return minimal_opening_field(potential, solution_fields(potential, u), centers)[idx]
 
 
 def test_opening_of_the_potential_is_two(model_disc):
-    openings = minimal_opening_field(model_disc, solution_fields(model_disc, model_disc.phi.values))
+    openings = minimal_opening_field(model_disc, solution_fields(model_disc, model_disc.phi.values),
+                                     _default_centers(model_disc))
     finite = np.isfinite(openings)
     assert int(finite.sum()) == 2957
     assert bool(np.all(openings[finite] == 2.0))
@@ -80,17 +80,19 @@ def test_opening_matches_brute_force_scan(model_disc):
     assert got == pytest.approx(19.204882274266588, rel=1e-12)
 
 
-def test_opening_error_paths(pinched_lma):
+def test_opening_error_paths(pinched_lma, monkeypatch):
     # a center whose every pair falls below the distance floor has no opening
     pot, u = pinched_lma
-    assert np.isnan(opening_at(pot, u, (0.0, 0.0), d_min=1e6))
+    monkeypatch.setattr(good_sets, "_OPENING_FLOOR", 1e6)
+    assert np.isnan(opening_at(pot, u, (0.0, 0.0)))
 
 
-def test_opening_stable_against_distance_floor(pinched_lma):
+def test_opening_stable_against_distance_floor(pinched_lma, monkeypatch):
     pot, u = pinched_lma
-    h = pot.grid.spacing
     full = opening_at(pot, u, (0.3, 0.2))
-    halved = opening_at(pot, u, (0.3, 0.2), d_min=h ** 2)
+    # one squared spacing in place of two
+    monkeypatch.setattr(good_sets, "_OPENING_FLOOR", 1.0)
+    halved = opening_at(pot, u, (0.3, 0.2))
     assert halved == pytest.approx(full, rel=1e-12)
 
 
@@ -166,7 +168,7 @@ def test_survey_differentiates_the_solution_once(pinched_lma, monkeypatch):
 def test_survey_distributions_on_lma(pinched_lma):
     pot, u = pinched_lma
     bg = np.geomspace(1.45, 2.5, 10)
-    sv = good_set_survey(pot, u, bg, m=2.0, M_grid=(2.0, 4.0, 8.0), sigma_grid=(0.35, 0.45))
+    sv = good_set_survey(pot, u, bg, m=2.0)
     assert sv.F2 == pytest.approx(
         [2.887695, 2.887695, 2.875, 2.831055, 2.762695, 2.662109, 2.481445, 2.276367, 2.021484, 1.616211],
         abs=1e-6,
@@ -175,9 +177,12 @@ def test_survey_distributions_on_lma(pinched_lma):
     assert sv.F[0] == pytest.approx(0.001953, abs=1e-6)
     assert bool(np.all(sv.F[1:] == 0.0))
     assert bool(np.all(sv.F1 == 0.0))
+    assert list(sv.good_masks) == [2.0, 4.0, 8.0]
     assert bool(np.all(sv.good_masks[2.0] <= sv.good_masks[4.0]))
     assert bool(np.all(sv.good_masks[4.0] <= sv.good_masks[8.0]))
-    assert bool(np.all(sv.quasi_masks[0.45] <= sv.quasi_masks[0.35]))
+    assert list(sv.quasi_masks) == [0.1, 0.3, 0.5]
+    assert bool(np.all(sv.quasi_masks[0.3] <= sv.quasi_masks[0.1]))
+    assert bool(np.all(sv.quasi_masks[0.5] <= sv.quasi_masks[0.3]))
     assert "F1" not in sv.fits
     fit = sv.fits["F2"]
     assert fit.tau > 0.0
@@ -186,12 +191,13 @@ def test_survey_distributions_on_lma(pinched_lma):
     assert fit.n_used == 10
 
 
-def test_tangent_trust_region_counts(model_disc):
+def test_tangent_trust_region_counts(model_disc, monkeypatch):
     grid = model_disc.grid
     t3 = tangent_trust_region(model_disc)
     assert int(t3.sum()) == 2453
     assert bool(np.all(t3 <= grid.in_domain))
-    assert bool(np.array_equal(tangent_trust_region(model_disc, margin=0), grid.in_domain))
+    monkeypatch.setattr(good_sets, "_TRUST_MARGIN", 0)
+    assert bool(np.array_equal(tangent_trust_region(model_disc), grid.in_domain))
 
 
 def test_interior_nodes_are_quadratic_exact(pinched_suite32):
@@ -216,7 +222,7 @@ def test_survey_scans_the_ratios_once(pinched_lma, monkeypatch):
     centers = _default_centers(pot)
     c_ref = survey_constant(pot)
     rm_ref = _ratio_extrema(pot, _RADIUS, centers)[0]
-    openings = minimal_opening_field(pot, solution_fields(pot, u), centers=centers)
+    openings = minimal_opening_field(pot, solution_fields(pot, u), centers)
     meas = np.isfinite(openings) & np.isfinite(rm_ref)
     scale1 = grid.cell_area * grid.interior.sum() / int(meas.sum())
     F1_ref = [(meas & (rm_ref < (c_ref * b ** ((m - 1.0) / 2.0)) ** (-2.0 / (2 - 1)))).sum() * scale1

@@ -458,7 +458,7 @@ def test_cofactor_positive_semidefinite_on_certified_field(pinched32):
 # -- certify_convexity -------------------------------------------------------
 
 def test_model_certifies_with_unit_eigenvalue(model_square):
-    rep = certify_convexity(model_square.hess)
+    rep = certify_convexity(model_square.hess, tol=1e-6)
     assert rep.min_eig == pytest.approx(1.0)
     assert rep.passed
 
@@ -466,7 +466,7 @@ def test_model_certifies_with_unit_eigenvalue(model_square):
 def test_saddle_fails_certification(disc_domain):
     g = discretize(disc_domain, 1.0 / 32)
     _, hess = fd_derivatives(ScalarField.from_function(g, lambda X, Y: X ** 2 - Y ** 2))
-    rep = certify_convexity(hess)
+    rep = certify_convexity(hess, tol=1e-6)
     assert rep.min_eig == pytest.approx(-2.0)
     assert not rep.passed
 
@@ -474,7 +474,7 @@ def test_saddle_fails_certification(disc_domain):
 def test_solved_pinched_disc_certifies_positive(disc_domain):
     g = discretize(disc_domain, 1.0 / 32)
     pot = solve_ma(g, lambda X, Y: 1.0 + 0.1 * np.sin(np.pi * X) * np.sin(np.pi * Y))
-    rep = certify_convexity(pot.hess)
+    rep = certify_convexity(pot.hess, tol=1e-6)
     assert rep.min_eig > 0
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import pinched_density, tangent_gap
 from ma_lab.covering_maximal import _MAXIMAL_CHUNK, _tile_gap_floors, height_grid, maximal_function
+from ma_lab import good_sets
 from ma_lab.domain_grid import ScalarField, build_domain, coerce_samples, discretize, fd_derivatives
 from ma_lab.good_sets import (
     _default_centers,
@@ -127,12 +128,12 @@ def binned_maximal(pot, fs, heights):
     return outs
 
 
-def dense_ratio_extrema(pot, radius, centers, margin, chunk=512):
+def dense_ratio_extrema(pot, radius, centers, chunk=512):
     """All-pairs ratio matrix, masked by the separation floor and the radius cap."""
     grid = pot.grid
     floor = 1.5 * grid.spacing ** 2
     cap = np.inf if radius is None else (radius * grid.spacing) ** 2
-    ci, cj = np.nonzero(centers & tangent_trust_region(pot, margin))
+    ci, cj = np.nonzero(centers & tangent_trust_region(pot))
     ni, nj = np.nonzero(grid.in_domain)
     lo = np.full(grid.shape, np.nan)
     hi = np.full(grid.shape, np.nan)
@@ -228,10 +229,11 @@ def test_maximal_function_several_inputs_equal_single_calls(potential):
 
 @pytest.mark.parametrize("radius", [5.0, 2.5, None])
 @pytest.mark.parametrize("margin", [0, 3])
-def test_ratio_extrema_window_equals_dense_scan(potential, radius, margin):
+def test_ratio_extrema_window_equals_dense_scan(potential, radius, margin, monkeypatch):
+    monkeypatch.setattr(good_sets, "_TRUST_MARGIN", margin)
     centers = potential.grid.in_domain
-    got = _ratio_extrema(potential, radius, centers, tangent_margin=margin)
-    ref = dense_ratio_extrema(potential, radius, centers, margin)
+    got = _ratio_extrema(potential, radius, centers)
+    ref = dense_ratio_extrema(potential, radius, centers)
     assert np.array_equal(got[0], ref[0], equal_nan=True)
     assert np.array_equal(got[1], ref[1], equal_nan=True)
     assert np.isfinite(got[0]).sum() > 0
@@ -290,6 +292,6 @@ def test_opening_field_bitwise_equals_the_allocating_scan(pinched_suite32):
     pot = pinched_suite32
     X, Y = pot.grid.meshes()
     solution = solution_fields(pot, np.sin(3.0 * X) * np.cos(2.0 * Y) + 0.3 * X * Y + X ** 2)
-    got = minimal_opening_field(pot, solution)
+    got = minimal_opening_field(pot, solution, _default_centers(pot))
     assert np.isfinite(got).sum() > 0
     assert np.array_equal(got, allocating_opening_field(pot, solution), equal_nan=True)

@@ -1,9 +1,11 @@
-"""The disc suite at 1/32 against its committed outputs.
+"""The suites at 1/32 against their committed outputs.
 
-Every report.json value (wall times aside), every exit code and the row
-count of every CSV and .dat file must match suite_reference_disc32.json;
-floats match within 1e-12 relative. A change that moves outputs on purpose
-rewrites the file, so its diff shows what moved:
+Three suites run at spacing 1/32: the disc of radius 1, the ellipse with
+a = 1.2, b = 0.8 and the square of side 2. For each one, every report.json
+value (wall times aside), every exit code and the row count of every CSV
+and .dat file must match its suite_reference_<name>.json; floats match
+within 1e-12 relative. A change that moves outputs on purpose rewrites all
+three files, so their diffs show what moved:
 
     PYTHONPATH=src python tests/test_suite_reference.py
 """
@@ -13,10 +15,20 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
+
 from ma_lab.cli_runner import ExperimentConfig, run
 
-REFERENCE = Path(__file__).with_name("suite_reference_disc32.json")
+SUITES = {
+    "disc32": {"domain": "disc", "radius": 1.0},
+    "ellipse32": {"domain": "ellipse", "a": 1.2, "b": 0.8},
+    "square32": {"domain": "square", "side": 2.0},
+}
 REL_TOL = 1e-12
+
+
+def reference(name: str) -> Path:
+    return Path(__file__).with_name(f"suite_reference_{name}.json")
 
 
 def _flatten(prefix, value, out):
@@ -45,8 +57,8 @@ def suite_values(out_dir: Path) -> dict:
     return values
 
 
-def run_suite(out_dir: Path) -> dict:
-    cfg = ExperimentConfig(experiment="suite", domain="disc", spacing=1.0 / 32, threads=2)
+def run_suite(name: str, out_dir: Path) -> dict:
+    cfg = ExperimentConfig(experiment="suite", spacing=1.0 / 32, threads=2, **SUITES[name])
     run(cfg, out_dir=str(out_dir))
     return suite_values(out_dir)
 
@@ -61,9 +73,10 @@ def _close(a, b) -> bool:
     return abs(a - b) <= REL_TOL * max(abs(a), abs(b))
 
 
-def test_disc_suite_matches_reference(tmp_path):
-    want = json.loads(REFERENCE.read_text())
-    got = run_suite(tmp_path)
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suite_matches_reference(tmp_path, name):
+    want = json.loads(reference(name).read_text())
+    got = run_suite(name, tmp_path)
     assert sorted(got) == sorted(want)
     moved = [f"{k}: {want[k]!r} -> {got[k]!r}" for k in sorted(want) if not _close(got[k], want[k])]
     assert not moved, "\n".join(moved)
@@ -72,7 +85,8 @@ def test_disc_suite_matches_reference(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        values = run_suite(Path(tmp))
-    REFERENCE.write_text(json.dumps(values, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(values)} values to {REFERENCE}", file=sys.stderr)
+    for name in SUITES:
+        with tempfile.TemporaryDirectory() as tmp:
+            values = run_suite(name, Path(tmp))
+        reference(name).write_text(json.dumps(values, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(values)} values to {reference(name)}", file=sys.stderr)
