@@ -6,8 +6,9 @@ normal along the second axis; build_supersolution makes that frame itself
 (section_geom.boundary_frame), so the potential is normalized by it by
 construction. Its closed form combines the normalized potential with a
 linear lift minus two quadratic penalties, with the constants of the planar
-case n = _DIM = 2; the verifier checks the three defining inequalities
-node-wise and on sampled boundary pieces.
+case n = _DIM = 2; the verifier measures both sides of the three defining
+inequalities, node-wise and on sampled boundary pieces, and the barrier
+experiment decides them.
 """
 
 from dataclasses import dataclass
@@ -35,6 +36,13 @@ _DIM = 2
 
 @dataclass
 class BarrierReport:
+    """Both sides of the three supersolution inequalities; no verdict.
+
+    interior: interior_max <= threshold, over n_interior patch nodes;
+    domain boundary: boundary_min >= -boundary_tol;
+    patch circle: circle_min >= delta_tilde - circle_tol.
+    """
+
     threshold: float
     interior_max: float
     n_interior: int
@@ -43,13 +51,6 @@ class BarrierReport:
     circle_min: float
     circle_tol: float
     delta_tilde: float
-    interior_passed: bool
-    boundary_passed: bool
-    circle_passed: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.interior_passed and self.boundary_passed and self.circle_passed
 
 
 @dataclass
@@ -58,7 +59,6 @@ class Barrier:
     delta_tilde: float
     M_delta: float
     K: float
-    lam: float
     Lam: float
     frame: BoundaryFrame
     w: ScalarField
@@ -115,7 +115,6 @@ def build_supersolution(
         delta_tilde=delta_tilde,
         M_delta=M_delta,
         K=K,
-        lam=float(lam),
         Lam=float(Lam),
         frame=frame,
         w=ScalarField(grid, w_vals),
@@ -124,13 +123,15 @@ def build_supersolution(
 
 
 def verify_supersolution(barrier: Barrier, potential: PotentialField) -> BarrierReport:
-    """Check the three supersolution inequalities on the barrier patch.
+    """Measure both sides of the three supersolution inequalities on the barrier patch.
 
-    Interior: the linearized operator applied to w stays below -n*Lam plus a
-    discretization allowance of _TOL_FACTOR times n*Lam. Domain boundary part:
-    w >= 0, evaluated exactly through the boundary datum. Patch circle part:
-    w >= delta**3/2 up to an interpolation allowance proportional to the
-    squared spacing.
+    Interior: the largest value of the linearized operator applied to w,
+    against -n*Lam plus a discretization allowance of _TOL_FACTOR times
+    n*Lam. Domain boundary part: the smallest w, evaluated exactly through
+    the boundary datum, against 0 less a rounding allowance. Patch circle
+    part: the smallest w against delta**3/2 less an interpolation allowance
+    proportional to the squared spacing. The report states no verdict; the
+    caller decides each inequality (stability_lab.barrier_experiment).
     """
     grid = potential.grid
     if barrier.w.grid is not grid:
@@ -190,7 +191,4 @@ def verify_supersolution(barrier: Barrier, potential: PotentialField) -> Barrier
         circle_min=circle_min,
         circle_tol=circle_tol,
         delta_tilde=barrier.delta_tilde,
-        interior_passed=interior_max <= threshold,
-        boundary_passed=boundary_min >= -boundary_tol,
-        circle_passed=circle_min >= barrier.delta_tilde - circle_tol,
     )

@@ -232,7 +232,6 @@ class DecayFit:
     tau: float
     C: float
     residual: float
-    n_used: int
 
 
 def decay_fit(samples, min_measure: float = 0.0) -> DecayFit:
@@ -253,21 +252,18 @@ def decay_fit(samples, min_measure: float = 0.0) -> DecayFit:
     fit = A @ coef
     dof = max(len(pts) - 2, 1)
     rms = float(np.sqrt(np.sum((y - fit) ** 2) / dof))
-    return DecayFit(tau=float(coef[0]), C=float(np.exp(coef[1])), residual=rms, n_used=len(pts))
+    return DecayFit(tau=float(coef[0]), C=float(np.exp(coef[1])), residual=rms)
 
 
 @dataclass
 class GoodSetResult:
-    centers: np.ndarray
     good_masks: dict
     quasi_masks: dict
-    beta_grid: np.ndarray
     F: np.ndarray
     F1: np.ndarray
     F2: np.ndarray
     fits: dict
     c_inst: float
-    m: float
 
 
 def good_set_survey(potential: PotentialField, u, beta_grid, m: float = 2.0) -> GoodSetResult:
@@ -286,7 +282,8 @@ def good_set_survey(potential: PotentialField, u, beta_grid, m: float = 2.0) -> 
     (the tangent trust region), since an unmeasurable tangent certifies
     neither membership nor exit. good_masks holds the good set of each
     opening in _M_GRID and quasi_masks the quasi-Euclidean mask of each
-    threshold in _SIGMA_GRID, keyed by that value.
+    threshold in _SIGMA_GRID, keyed by that value. F, F1 and F2 hold one
+    entry per level of beta_grid, in its order.
     """
     grid = potential.grid
     solution = solution_fields(potential, u)
@@ -325,15 +322,12 @@ def good_set_survey(potential: PotentialField, u, beta_grid, m: float = 2.0) -> 
     except GoodSetError:
         pass
     return GoodSetResult(
-        centers=centers,
         good_masks=good_masks,
         quasi_masks=quasi_masks,
-        beta_grid=beta_grid,
         F=F,
         F1=F1,
         F2=F2,
         fits=fits,
         c_inst=float(c_inst),
-        m=float(m),
     )
 

@@ -22,22 +22,13 @@ from .ma_solve import NodeSystem, PotentialField, SolveError, cofactor_field, li
 class LmaSolution:
     """A linearized solve: u on the grid, the sampled right-hand side and the residual.
 
-    Callers that need derivatives of u take them with fd_derivatives(u).
+    The grid is u.grid. Callers that need derivatives of u take them with
+    fd_derivatives(u).
     """
 
-    grid: Grid
     u: ScalarField
     f_values: np.ndarray
     residual_max: float
-
-
-@dataclass
-class AbpReport:
-    """Scale-invariant ratio ||u||_inf / (diam * ||f||_{L^2}) for a solve."""
-
-    ratio: float
-    u_inf: float
-    diam: float
 
 
 def identity_coefficients(grid: Grid) -> MatrixField:
@@ -78,7 +69,7 @@ def solve_lma(
     if residual_max > max(tol_lma, 1e-9 * max(1.0, float(np.max(np.abs(rhs))))):
         raise SolveError(f"linear solve residual {residual_max:.3e} above tolerance {tol_lma:.3e}")
     vals = sysm.layout.to_grid_values(U)
-    return LmaSolution(grid=grid, u=ScalarField(grid, vals), f_values=f_vals, residual_max=residual_max)
+    return LmaSolution(u=ScalarField(grid, vals), f_values=f_vals, residual_max=residual_max)
 
 
 def operator_apply(cof: MatrixField, u: ScalarField) -> np.ndarray:
@@ -87,8 +78,8 @@ def operator_apply(cof: MatrixField, u: ScalarField) -> np.ndarray:
     return cof.xx * hess.xx + cof.yy * hess.yy + 2.0 * cof.xy * hess.xy
 
 
-def abp_check(solution: LmaSolution) -> AbpReport:
-    """Measure the scale-invariant maximum-principle ratio of a solve.
+def abp_check(solution: LmaSolution) -> float:
+    """The scale-invariant maximum-principle ratio of a solve, as a float.
 
     R = ||u||_inf / (diam * ||f||_{L^2}), with diam the domain's diameter;
     dimension 2 fixes the f-norm exponent. A vanishing f forces a vanishing
@@ -96,12 +87,12 @@ def abp_check(solution: LmaSolution) -> AbpReport:
     vanishing f under a nonzero solution has no finite ratio and raises
     FieldError.
     """
-    grid = solution.grid
+    grid = solution.u.grid
     f_l2 = lp_norm(grid, solution.f_values, 2.0)
     u_inf = lp_norm(grid, solution.u.values, np.inf)
     diam = grid.domain.diameter()
     if f_l2 == 0.0:
         if u_inf <= 1e-12:
-            return AbpReport(ratio=0.0, u_inf=u_inf, diam=diam)
+            return 0.0
         raise FieldError("ABP ratio undefined: f vanishes but the solution does not")
-    return AbpReport(ratio=u_inf / (diam * f_l2), u_inf=u_inf, diam=diam)
+    return u_inf / (diam * f_l2)

@@ -54,7 +54,6 @@ from scipy import ndimage
 from scipy.interpolate import RectBivariateSpline
 
 from .domain_grid import (
-    ConvexDomain,
     Grid,
     GridError,
     MatrixField,
@@ -90,9 +89,8 @@ class ConvexityReport:
 
 @dataclass
 class PotentialField:
-    """A convex potential with its discrete derivatives and certificates."""
+    """A convex potential on grid (its domain is grid.domain), with its discrete derivatives and certificates."""
 
-    domain: ConvexDomain
     grid: Grid
     phi: ScalarField
     grad: VectorField
@@ -549,7 +547,6 @@ def solve_ma(
             f"convexity certification failed: min eigenvalue {report.min_eig:.3e} at {report.location}"
         )
     return PotentialField(
-        domain=grid.domain,
         grid=grid,
         phi=phi,
         grad=grad,
@@ -587,7 +584,6 @@ def assemble_potential(grid: Grid, phi_fn, g=None) -> PotentialField:
     datum = lambda pts: np.asarray(phi_fn(np.atleast_2d(pts)[:, 0], np.atleast_2d(pts)[:, 1]), dtype=float)
     report = certify_convexity(hess, tol=_CONVEX_TOL * max(abs(Lam_eff), 1.0))
     return PotentialField(
-        domain=grid.domain,
         grid=grid,
         phi=phi,
         grad=grad,

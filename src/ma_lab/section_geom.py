@@ -275,7 +275,7 @@ def quadratic_separation_check(potential: PotentialField) -> SeparationReport:
     to run.
     """
     grid = potential.grid
-    flat = potential.domain.uniform_convexity_modulus == 0.0
+    flat = grid.domain.uniform_convexity_modulus == 0.0
     if flat:
         warnings.warn(
             "domain has flat boundary pieces; quadratic separation cannot hold "
@@ -569,16 +569,8 @@ def engulfing_constant(potential: PotentialField, sections) -> float:
     return theta_star
 
 
-@dataclass
-class VolumeScalingFit:
-    exponent: float
-    C1: float
-    C2: float
-    n_used: int
-
-
-def volume_scaling(sections) -> VolumeScalingFit:
-    """Least-squares exponent of section measure against height.
+def volume_scaling(sections) -> float:
+    """Least-squares exponent of section measure against height, as a float.
 
     Measures the given sections as they are. Sections with fewer than
     _MIN_CELLS cells are dropped; fewer than four surviving sections is an
@@ -591,13 +583,7 @@ def volume_scaling(sections) -> VolumeScalingFit:
     measures = np.array([sec.measure for sec in kept])
     Amat = np.stack([np.log(heights), np.ones_like(heights)], axis=1)
     coef, _, _, _ = np.linalg.lstsq(Amat, np.log(measures), rcond=None)
-    ratios = measures / heights
-    return VolumeScalingFit(
-        exponent=float(coef[0]),
-        C1=float(ratios.min()),
-        C2=float(ratios.max()),
-        n_used=len(kept),
-    )
+    return float(coef[0])
 
 
 @dataclass

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domain_grid import ConvexDomain, Grid, build_once, fd_derivatives, fmt_float, lp_norm
+from .domain_grid import ConvexDomain, Grid, MatrixField, build_once, fd_derivatives, fmt_float, lp_norm
 from .ma_solve import PotentialField, SolveError, certify_convexity, cofactor_field, solve_ma
 from .lma_solve import abp_check, solve_lma
 from .section_geom import engulfing_constant, interior_heights, measure_c_cap, section, volume_scaling
@@ -251,8 +251,18 @@ def _hess_frobenius(hess) -> np.ndarray:
 
 def _matrix_diff_lq(grid: Grid, a, b, q: float) -> float:
     """L^q norm of the pointwise Frobenius distance between two matrix fields."""
-    fro = np.sqrt((a.xx - b.xx) ** 2 + 2.0 * (a.xy - b.xy) ** 2 + (a.yy - b.yy) ** 2)
-    return lp_norm(grid, fro, q)
+    return lp_norm(grid, _hess_frobenius(MatrixField(grid, a.xx - b.xx, a.yy - b.yy, a.xy - b.xy)), q)
+
+
+def _grows_with_eps(assertions: list, eps_list, values, op: str, tol: float, name: str) -> np.ndarray:
+    """Assert values at each eps op values at the next larger eps (within tol); return the eps order.
+
+    name is formatted with the two eps, the smaller first.
+    """
+    order = np.argsort(eps_list)
+    for lo, hi in zip(order[:-1], order[1:]):
+        check(assertions, name.format(eps_list[lo], eps_list[hi]), values[lo], op, values[hi], tol=tol)
+    return order
 
 
 def _validate_eps(eps_list):
@@ -296,14 +306,14 @@ def solve_ma_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
 
 def solve_lma_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
     sol = solve_lma(_pinched(family, config), _source(family.grid), tol_lma=config.tol_lma)
-    abp = abp_check(sol)
+    abp_ratio = abp_check(sol)
     assertions = []
     check(assertions, "linear solve residual within tolerance",
           sol.residual_max, "<=", 10.0 * config.tol_lma)
-    check(assertions, "abp ratio finite", abp.ratio, "<=", 1e6)
+    check(assertions, "abp ratio finite", abp_ratio, "<=", 1e6)
     return ExperimentReport(
         sweep=[],
-        measured={"residual_max": sol.residual_max, "abp_ratio": abp.ratio,
+        measured={"residual_max": sol.residual_max, "abp_ratio": abp_ratio,
                   "sup_u": float(np.nanmax(np.abs(sol.u.values)))},
         slopes={}, assertions=assertions,
         files={"solution.csv": (sol.u, None)},
@@ -318,12 +328,12 @@ def sections_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
     sections = [section(pot, np.zeros(2), t) for t in t_values]
     rows = [(t, sec.measure, int(sec.cells.sum()), sec.is_interior) for t, sec in zip(t_values, sections)]
     theta_star = engulfing_constant(pot, sections)
-    vol = volume_scaling(sections)
+    exponent = volume_scaling(sections)
     assertions = []
     check(assertions, "section measures increase with height",
           rows[0][1], "<=", rows[-1][1])
     check(assertions, "volume scaling exponent near linear",
-          vol.exponent, "~", 1.0, tol=0.15)
+          exponent, "~", 1.0, tol=0.15)
     check(assertions, "engulfing constant bounded", theta_star, "<=", 6.0)
     lines = ["t,measure,cells,interior"]
     for t, meas, n, inter in rows:
@@ -333,8 +343,8 @@ def sections_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
         measured={"measure": [r[1] for r in rows],
                   "cells": [r[2] for r in rows],
                   "theta_star": theta_star,
-                  "volume_exponent": vol.exponent},
-        slopes={"volume": vol.exponent},
+                  "volume_exponent": exponent},
+        slopes={"volume": exponent},
         assertions=assertions,
         files={"sections_summary.csv": lines},
         sweep_label="t",
@@ -400,8 +410,8 @@ def goodsets_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
         check(assertions, f"quasi masks shrink from sigma={a} to sigma={b}",
               0.0 if shrinks else 1.0, "<=", 0.0)
     lines = ["beta,F,F1,F2"]
-    for k, b in enumerate(res.beta_grid):
-        lines.append(",".join(fmt_float(v) for v in (b, res.F[k], res.F1[k], res.F2[k])))
+    for row in zip(betas, res.F, res.F1, res.F2):
+        lines.append(",".join(fmt_float(v) for v in row))
     files = {"distribution.csv": lines}
     X, Y = grid.meshes()
     for M in M_grid:
@@ -466,11 +476,8 @@ def cofactor_stability_experiment(family: PinchedFamily, config: ExperimentConfi
         return _matrix_diff_lq(grid, cofactor_field(family.potential(eps)), W, config.p)
 
     norms = run_sweep(one, eps_list, pool_size(config))
-    order = np.argsort(eps_list)
     assertions = []
-    for lo, hi in zip(order[:-1], order[1:]):
-        check(assertions, f"norm(eps={eps_list[lo]}) < norm(eps={eps_list[hi]})",
-              norms[lo], "<", norms[hi])
+    _grows_with_eps(assertions, eps_list, norms, "<", 0.0, "norm(eps={}) < norm(eps={})")
     slope = _loglog_slope(eps_list, norms)
     check(assertions, "log-log slope of norm vs eps positive", slope, ">=", 0.0)
     return ExperimentReport(
@@ -507,11 +514,8 @@ def sobolev_stability_experiment(family: PinchedFamily, config: ExperimentConfig
     pairs = run_sweep(one, eps_list, pool_size(config))
     lhs = [p[0] for p in pairs]
     gdist = [p[1] for p in pairs]
-    order = np.argsort(eps_list)
     assertions = []
-    for lo, hi in zip(order[:-1], order[1:]):
-        check(assertions, f"hessian distance at eps={eps_list[lo]} < at eps={eps_list[hi]}",
-              lhs[lo], "<", lhs[hi])
+    _grows_with_eps(assertions, eps_list, lhs, "<", 0.0, "hessian distance at eps={} < at eps={}")
     slope = _loglog_slope(gdist, lhs)
     check(assertions, "log-log slope of hessian distance vs density distance positive",
           slope, ">=", 0.0)
@@ -562,11 +566,8 @@ def approximation_experiment(family: PinchedFamily, config: ExperimentConfig) ->
     pairs = run_sweep(one, eps_list, pool_size(config))
     sups = [p[0] for p in pairs]
     cof_dists = [p[1] for p in pairs]
-    order = np.argsort(eps_list)
     assertions = []
-    for lo, hi in zip(order[:-1], order[1:]):
-        check(assertions, f"sup|u-h| at eps={eps_list[lo]} < at eps={eps_list[hi]}",
-              sups[lo], "<", sups[hi])
+    _grows_with_eps(assertions, eps_list, sups, "<", 0.0, "sup|u-h| at eps={} < at eps={}")
     return ExperimentReport(
         sweep=eps_list,
         measured={"sup_distance": sups, "cofactor_l2_distance": cof_dists},
@@ -663,11 +664,9 @@ def contact_set_experiment(family: PinchedFamily, config: ExperimentConfig) -> E
     defects = [r[0] for r in rows]
     cells = [r[1] for r in rows]
     meas_cells = [r[2] for r in rows]
-    order = np.argsort(eps_list)
     assertions = []
-    for lo, hi in zip(order[:-1], order[1:]):
-        check(assertions, f"defect at eps={eps_list[lo]} <= defect at eps={eps_list[hi]}",
-              defects[lo], "<=", defects[hi], tol=1e-12)
+    order = _grows_with_eps(assertions, eps_list, defects, "<=", 1e-12,
+                            "defect at eps={} <= defect at eps={}")
     smallest = int(order[0])
     check(assertions, f"defect small at eps={eps_list[smallest]}",
           defects[smallest], "<=", _CONTACT_SMALL_TOL)

@@ -135,8 +135,15 @@ def test_every_public_name_is_reached_from_src_or_kept_on_purpose():
     assert sorted(KEPT) == unreached
 
 
-# dataclasses whose fields are read without being named
-EXEMPT = {"Assertion": "ExperimentReport.to_dict serializes each one whole with vars()"}
+# dataclasses, or single fields, that no src or perfbench code reads by name, each kept on purpose
+EXEMPT = {
+    "Assertion": "ExperimentReport.to_dict serializes each one whole with vars()",
+    "SeparationReport": "the result of the KEPT quadratic_separation_check; its reader is the ROADMAP's hypothesis gates",
+    "LocalizationFit": "the result of the KEPT localization_fit; its reader is the ROADMAP's localization experiment",
+    "DichotomyResult": "the result of the KEPT dichotomy_classify; its reader is the ROADMAP's localization experiment",
+    "CoveringResult.cores": "the cover's certificate, compared bit for bit with the dense reference cover in the tests",
+    "CoveringResult.covers": "the cover's certificate, compared bit for bit with the dense reference cover in the tests",
+}
 
 
 def _dataclass_fields():
@@ -155,9 +162,9 @@ def _dataclass_fields():
 
 
 def _loaded_attributes():
-    """Every attribute name loaded anywhere in src/, tests/ or perfbench/."""
+    """Every attribute name loaded anywhere in src/ or perfbench/; reads from tests do not count."""
     names = set()
-    for top in ("src", "tests", "perfbench"):
+    for top in ("src", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -166,15 +173,16 @@ def _loaded_attributes():
 
 
 def test_every_dataclass_field_is_read():
-    """Every field of a src dataclass is read as an attribute somewhere.
+    """Every field of a src dataclass is read as an attribute in src/ or perfbench/.
 
-    Fields are matched by name only, so a field that shares its name with an
-    attribute of another object passes even when nobody reads it: before
-    LmaSolution lost its grad field, PotentialField.grad reads kept it in.
+    A field that only tests read is a value the program never uses; the test
+    recomputes it from public values instead. Fields are matched by name
+    only, so a field that shares its name with an attribute of another object
+    passes even when nobody reads it.
     """
     read = _loaded_attributes()
     unread = [f"{cls}.{name}" for cls, name in _dataclass_fields()
-              if cls not in EXEMPT and name not in read]
+              if cls not in EXEMPT and f"{cls}.{name}" not in EXEMPT and name not in read]
     assert unread == []
 
 

@@ -20,8 +20,10 @@ def test_supersolution_verified_on_pinched_disc(pinched_disc):
     rep = verify_supersolution(barrier, pinched_disc)
     assert rep.threshold == pytest.approx(-2 * pinched_disc.Lam * 0.9)
     assert rep.n_interior == 314
-    assert rep.interior_passed and rep.boundary_passed and rep.circle_passed
-    assert rep.passed
+    # the report holds both sides of each inequality; all three hold here
+    assert rep.interior_max <= rep.threshold
+    assert rep.boundary_min >= -rep.boundary_tol
+    assert rep.circle_min >= rep.delta_tilde - rep.circle_tol
 
 
 @pytest.mark.parametrize("kwargs, match", [

@@ -229,7 +229,8 @@ def test_an_unwritable_summary_is_reported(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("domain", ["disc", "square"])
-def test_barrier_circle_assertion_matches_the_verifier(tmp_path, monkeypatch, domain):
+def test_barrier_assertions_take_their_sides_from_the_verifier(tmp_path, monkeypatch, domain):
+    """The verifier measures both sides of the three inequalities; the experiment's checks decide them."""
     reports = []
     real = stability_lab.verify_supersolution
 
@@ -242,10 +243,14 @@ def test_barrier_circle_assertion_matches_the_verifier(tmp_path, monkeypatch, do
     run(cfg, out_dir=str(tmp_path))
     (rep,) = reports
     report = json.loads((tmp_path / "report.json").read_text())
-    (circle,) = [a for a in report["assertions"] if "inner circle" in a["name"]]
-    assert circle["lhs"] == rep.circle_min
-    assert circle["rhs"] == rep.delta_tilde - rep.circle_tol
-    assert circle["passed"] == rep.circle_passed
+    sides = [
+        ("operator value below the negative threshold", rep.interior_max, "<=", rep.threshold),
+        ("barrier nonnegative on the flat boundary piece", rep.boundary_min, ">=", -rep.boundary_tol),
+        ("barrier dominates the gap on the inner circle",
+         rep.circle_min, ">=", rep.delta_tilde - rep.circle_tol),
+    ]
+    assert [(a["name"], a["lhs"], a["op"], a["rhs"], a["tol"]) for a in report["assertions"]] == [
+        side + (0.0,) for side in sides]
 
 
 @pytest.mark.parametrize("command, text, code, message", [

@@ -272,13 +272,14 @@ def test_volume_scaling_on_model(model_square):
     heights = np.geomspace(0.02, 0.5, 8)
     pairs = [((0.0, 0.0), float(t)) for t in heights]
     pairs += [((0.3, -0.2), float(t)) for t in heights]
-    fit = volume_scaling([section(model_square, c, t) for c, t in pairs])
-    assert fit.n_used == 16
-    assert 0.95 <= fit.exponent <= 1.05
-    assert fit.exponent == pytest.approx(1.0022209806255131, rel=1e-12)
-    assert fit.C1 == pytest.approx(2.0 * np.pi, rel=0.1)
-    assert fit.C2 == pytest.approx(2.0 * np.pi, rel=0.1)
-    assert fit.C1 <= fit.C2
+    sections = [section(model_square, c, t) for c, t in pairs]
+    exponent = volume_scaling(sections)
+    assert 0.95 <= exponent <= 1.05
+    assert exponent == pytest.approx(1.0022209806255131, rel=1e-12)
+    # |S_t| = 2 pi t for the model quadratic
+    ratios = [sec.measure / sec.height for sec in sections]
+    assert min(ratios) == pytest.approx(2.0 * np.pi, rel=0.1)
+    assert max(ratios) == pytest.approx(2.0 * np.pi, rel=0.1)
 
 
 def test_volume_scaling_on_solved_potential(pinched32):
@@ -286,12 +287,12 @@ def test_volume_scaling_on_solved_potential(pinched32):
     heights = np.geomspace(0.01, 0.1, 8)
     pairs = [((0.0, 0.0), float(t)) for t in heights]
     pairs += [((0.2, -0.1), float(t)) for t in heights]
-    fit = volume_scaling([section(pot, c, t) for c, t in pairs])
-    assert 0.9 <= fit.exponent <= 1.1
-    assert fit.exponent == pytest.approx(0.9895738701259338, rel=1e-12)
-    lean_fit = volume_scaling([section(pot, (0.0, -0.75), float(t)) for t in np.geomspace(0.01, 0.08, 8)])
-    assert 0.85 <= lean_fit.exponent <= 1.15
-    assert lean_fit.exponent == pytest.approx(0.9011598198173538, rel=1e-12)
+    exponent = volume_scaling([section(pot, c, t) for c, t in pairs])
+    assert 0.9 <= exponent <= 1.1
+    assert exponent == pytest.approx(0.9895738701259338, rel=1e-12)
+    lean = volume_scaling([section(pot, (0.0, -0.75), float(t)) for t in np.geomspace(0.01, 0.08, 8)])
+    assert 0.85 <= lean <= 1.15
+    assert lean == pytest.approx(0.9011598198173538, rel=1e-12)
 
 
 def test_volume_scaling_needs_enough_sections(model_square):

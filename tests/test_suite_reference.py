@@ -2,14 +2,17 @@
 
 Three suites run at spacing 1/32: the disc of radius 1, the ellipse with
 a = 1.2, b = 0.8 and the square of side 2. For each one, every report.json
-value (wall times aside), every exit code and the row count of every CSV
-and .dat file must match its suite_reference_<name>.json; floats match
-within 1e-12 relative. A change that moves outputs on purpose rewrites all
+value (wall times aside), every exit code, the row count of every CSV
+and .dat file, and a sha256 of the x,y columns of the selections (the
+cover's centres and the good-set masks) must match its
+suite_reference_<name>.json; floats match within 1e-12 relative. The
+digests catch a selection that trades nodes at an unchanged count. A change that moves outputs on purpose rewrites all
 three files, so their diffs show what moved:
 
     PYTHONPATH=src python tests/test_suite_reference.py
 """
 
+import hashlib
 import json
 import math
 import sys
@@ -25,6 +28,8 @@ SUITES = {
     "square32": {"domain": "square", "side": 2.0},
 }
 REL_TOL = 1e-12
+# the files whose x,y columns are a selection of nodes, compared by digest
+SELECTIONS = ("cover/cover_centers.csv", "goodsets/good_mask_M*.csv")
 
 
 def reference(name: str) -> Path:
@@ -43,7 +48,7 @@ def _flatten(prefix, value, out):
 
 
 def suite_values(out_dir: Path) -> dict:
-    """Exit codes, report values and file row counts of one suite run, by path."""
+    """Exit codes, report values, file row counts and selection digests of one suite run, by path."""
     summary = json.loads((out_dir / "summary.json").read_text())
     values = {f"{exp}/exit_code": entry["exit_code"] for exp, entry in summary.items()}
     for path in sorted(out_dir.rglob("*")):
@@ -53,7 +58,11 @@ def suite_values(out_dir: Path) -> dict:
             report.pop("wall_time", None)
             _flatten(rel, report, values)
         elif path.suffix in (".csv", ".dat"):
-            values[f"{rel}#rows"] = path.read_bytes().count(b"\n")
+            data = path.read_bytes()
+            values[f"{rel}#rows"] = data.count(b"\n")
+            if any(path.relative_to(out_dir).match(pattern) for pattern in SELECTIONS):
+                xy = b"\n".join(b",".join(line.split(b",")[:2]) for line in data.splitlines())
+                values[f"{rel}#xy_sha256"] = hashlib.sha256(xy).hexdigest()
     return values
 
 
