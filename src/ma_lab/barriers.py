@@ -40,7 +40,7 @@ class BarrierReport:
 
     interior: interior_max <= threshold, over n_interior patch nodes;
     domain boundary: boundary_min >= -boundary_tol;
-    patch circle: circle_min >= delta_tilde - circle_tol.
+    patch circle: circle_min >= Barrier.delta_tilde - circle_tol.
     """
 
     threshold: float
@@ -50,7 +50,6 @@ class BarrierReport:
     boundary_tol: float
     circle_min: float
     circle_tol: float
-    delta_tilde: float
 
 
 @dataclass
@@ -190,5 +189,4 @@ def verify_supersolution(barrier: Barrier, potential: PotentialField) -> Barrier
         boundary_tol=boundary_tol,
         circle_min=circle_min,
         circle_tol=circle_tol,
-        delta_tilde=barrier.delta_tilde,
     )

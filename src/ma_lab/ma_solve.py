@@ -1,4 +1,4 @@
-"""Damped Newton solver for det D^2 phi = g with Dirichlet data on a convex domain.
+"""Damped Newton solver for det D^2 phi = g with phi = 0 on the boundary of a convex domain.
 
 Unknowns live at every in-domain node. Interior nodes carry the discrete
 determinant equation (central second differences, four-corner cross term),
@@ -6,9 +6,20 @@ posed in convexified form so Newton cannot settle on a root whose node
 Hessian is negative definite (see _convexified_parts; flat-sided domains
 develop such roots at their corners). Boundary-adjacent nodes carry a data
 equation: the value extrapolated linearly along the inward normal to the
-nearest boundary point must match the boundary datum there. That transfer is
-second-order accurate, which the convergence targets require; evaluating the
-datum at the projection alone would only be first-order.
+nearest boundary point must match the boundary datum there: zero for the
+Monge-Ampere solve, the caller's datum for the linearized solves of
+lma_solve. That transfer is second-order accurate, which the convergence
+targets require; evaluating the datum at the projection alone would only be
+first-order.
+
+Every PotentialField, solved or assembled from samples, is built from the
+grid values of phi by one function (_potential_field): its derivatives are
+fd_derivatives of those values; residual_max is max |det D^2 phi - g| over
+the interior nodes; lam and Lam, the bounds lam <= det D^2 phi <= Lam of the
+paper's hypotheses, are the min and max of g over the in-domain nodes; and
+the convexity certificate tolerates Hessian eigenvalues down to
+-_CONVEX_TOL * Lam. solve_ma raises when the certificate fails;
+assemble_potential returns the field unchecked.
 
 Newton is damped by an l2 Armijo line search. It tries its starts from one
 ordered list and the result names the first that converges: "given", the
@@ -101,10 +112,10 @@ class PotentialField:
     convexity_margin: float
     residual_max: float
     boundary_datum: Callable
-    newton_iterations: int = 0
+    newton_iterations: int
     # the Newton start that converged: "given" (the caller's values),
-    # "laplacian" or "coarse"
-    start: str = "given"
+    # "laplacian" or "coarse"; an assembled potential reads "given", 0 iterations
+    start: str
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +335,18 @@ def _direct_solve(A: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
 
 
 def linear_solve(A: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Direct sparse solve up to 257^2 unknowns, preconditioned Krylov beyond.
+    """Direct sparse solve up to 257^2 unknowns; above that, an ILU attempt, then the same LU.
 
     A is in CSC form, as NodeSystem assembles it, and neither branch converts
     it. The direct solve is an LU in the matrix's own order, which for
     NodeSystem matrices is nested dissection: no column permutation, and diagonal
-    pivots unless a diagonal entry is exactly zero. The Krylov branch uses
-    an incomplete-LU preconditioner (the assembled operator is nonsymmetric
-    at the boundary ring, where plain diagonal scaling stalls) and falls
-    back to the direct factorization if the iteration does not converge.
-    Both branches are deterministic. Raises SolveError on singular systems
-    with the smallest pivot reported.
+    pivots unless a diagonal entry is exactly zero. Above the limit, spilu
+    is tried as the preconditioner of BiCGSTAB, and the LU runs, with no
+    record of the fallback, when spilu raises or the iteration does not
+    converge. On the Newton systems of the bumped square at 1/160 every
+    spilu call raises ("Factor is exactly singular"), so the LU runs there
+    after a failed factorization. Both branches are deterministic. Raises
+    SolveError on singular systems with the smallest pivot reported.
     """
     n = A.shape[0]
     if n <= _DIRECT_LIMIT:
@@ -439,7 +451,7 @@ def _restrict_samples(fine: Grid, coarse: Grid, g) -> np.ndarray:
     return _fill_nearest(fine.interp(filled, pts).reshape(coarse.shape))
 
 
-def _continuation_init(grid: Grid, layout: NodeLayout, g, boundary, tol_ma: float) -> Optional[np.ndarray]:
+def _continuation_init(grid: Grid, layout: NodeLayout, g, tol_ma: float) -> Optional[np.ndarray]:
     """Start vector from a double-spacing solve, prolonged by a cubic spline.
 
     Piecewise-linear prolongation is useless here: its kinks carry O(1)
@@ -455,7 +467,7 @@ def _continuation_init(grid: Grid, layout: NodeLayout, g, boundary, tol_ma: floa
     except GridError:
         return None
     g_coarse = _restrict_samples(grid, coarse, g) if isinstance(g, np.ndarray) and np.shape(g) == grid.shape else g
-    coarse_pot = solve_ma(coarse, g_coarse, boundary, tol_ma=tol_ma)
+    coarse_pot = solve_ma(coarse, g_coarse, tol_ma=tol_ma)
     vals = _fill_nearest(coarse_pot.phi.values)
     spline = RectBivariateSpline(coarse.xs, coarse.ys, vals, kx=3, ky=3)
     return spline.ev(grid.xs[layout.node_ij[:, 0]], grid.ys[layout.node_ij[:, 1]])
@@ -464,21 +476,20 @@ def _continuation_init(grid: Grid, layout: NodeLayout, g, boundary, tol_ma: floa
 def solve_ma(
     grid: Grid,
     g,
-    boundary=0.0,
     tol_ma: float = 1e-8,
     start: Optional[np.ndarray] = None,
 ) -> PotentialField:
-    """Solve det D^2 phi = g with Dirichlet datum `boundary`, certify convexity.
+    """Solve det D^2 phi = g with phi = 0 on the boundary, certify convexity.
 
-    lam and Lam of the result are the min and max of g over the in-domain
-    nodes. Newton runs at most _MAX_ITER iterations per start.
+    The result's boundary_datum is that zero datum. lam and Lam are the min
+    and max of g over the in-domain nodes, and the certificate tolerates
+    eigenvalues down to -_CONVEX_TOL * Lam (see the module docstring). Newton
+    runs at most _MAX_ITER iterations per start.
 
     Parameters
     ----------
     g : callable, scalar, or array
         Right-hand side density; must be strictly positive on in-domain nodes.
-    boundary : callable or scalar
-        Dirichlet datum evaluated at boundary points.
     start : array of grid shape, optional
         Grid values of phi that Newton starts from, read at the in-domain
         nodes. If Newton fails from it, the solve goes on down its start
@@ -495,7 +506,7 @@ def solve_ma(
     gd = g_vals[grid.in_domain]
     if np.any(~np.isfinite(gd)) or np.any(gd <= 0):
         raise SolveError(f"density must be positive on the domain (min {np.nanmin(gd):.3e})")
-    datum = coerce_datum(boundary)
+    datum = coerce_datum(0.0)
     sysm = NodeSystem(grid, datum)
     layout = sysm.layout
     g_int = g_vals[grid.interior]
@@ -516,7 +527,7 @@ def solve_ma(
         starts.append(("given", lambda: U_given))
     if layout.n <= _DIRECT_LIMIT:
         starts.append(("laplacian", laplacian_start))
-    starts.append(("coarse", lambda: _continuation_init(grid, layout, g, boundary, tol_ma)))
+    starts.append(("coarse", lambda: _continuation_init(grid, layout, g, tol_ma)))
 
     failure = SolveError("no Newton start: the grid has no coarser grid")
     for used, make in starts:
@@ -534,68 +545,46 @@ def solve_ma(
     # Jacobian: drop it, or the cycle keeps both alive until a garbage collection
     del failure
 
-    vals = layout.to_grid_values(U)
-    phi = ScalarField(grid, vals)
-    grad, hess = fd_derivatives(phi)
-    det_int = hess.det()[grid.interior]
-    residual_max = float(np.max(np.abs(det_int - g_int)))
-    lam_eff = float(np.min(gd))
-    Lam_eff = float(np.max(gd))
-    report = certify_convexity(hess, tol=_CONVEX_TOL * Lam_eff)
+    pot, report = _potential_field(grid, layout.to_grid_values(U), g_vals, datum, iters, used)
     if not report.passed:
         raise SolveError(
             f"convexity certification failed: min eigenvalue {report.min_eig:.3e} at {report.location}"
         )
-    return PotentialField(
-        grid=grid,
-        phi=phi,
-        grad=grad,
-        hess=hess,
-        g_values=g_vals,
-        lam=lam_eff,
-        Lam=Lam_eff,
-        convexity_margin=report.min_eig,
-        residual_max=residual_max,
-        boundary_datum=datum,
-        newton_iterations=iters,
-        start=used,
-    )
+    return pot
 
 
 def assemble_potential(grid: Grid, phi_fn, g=None) -> PotentialField:
-    """Wrap analytic samples as a PotentialField without solving.
+    """Wrap analytic samples as a PotentialField without solving or certifying.
 
     Used for model potentials (for example |x|^2/2) whose derivatives the
-    stencils reproduce exactly. The boundary datum is phi_fn itself; lam and
-    Lam are the min and max of g (default the discrete det D^2 phi) over
-    the interior nodes.
+    stencils reproduce exactly, and for saddle and two-well models, which a
+    certificate would reject. The boundary datum is phi_fn itself; g defaults
+    to the discrete det D^2 phi. lam, Lam, residual_max and convexity_margin
+    are those of solve_ma (see the module docstring), so a solved potential's
+    own values and density give back its field.
     """
     phi = ScalarField.from_function(grid, phi_fn)
-    grad, hess = fd_derivatives(phi)
-    det = hess.det()
     if g is None:
-        g_vals = np.where(grid.in_domain, det, np.nan)
+        g_vals = np.where(grid.in_domain, fd_derivatives(phi)[1].det(), np.nan)
     else:
         g_vals = coerce_samples(grid, g)
-    gd = g_vals[grid.interior]
-    lam_eff = float(np.nanmin(gd))
-    Lam_eff = float(np.nanmax(gd))
-    res = float(np.nanmax(np.abs(det[grid.interior] - gd)))
     datum = lambda pts: np.asarray(phi_fn(np.atleast_2d(pts)[:, 0], np.atleast_2d(pts)[:, 1]), dtype=float)
-    report = certify_convexity(hess, tol=_CONVEX_TOL * max(abs(Lam_eff), 1.0))
-    return PotentialField(
-        grid=grid,
-        phi=phi,
-        grad=grad,
-        hess=hess,
-        g_values=g_vals,
-        lam=lam_eff,
-        Lam=Lam_eff,
-        convexity_margin=report.min_eig,
-        residual_max=res,
-        boundary_datum=datum,
-        newton_iterations=0,
-    )
+    return _potential_field(grid, phi.values, g_vals, datum, 0, "given")[0]
+
+
+def _potential_field(grid: Grid, values: np.ndarray, g_vals: np.ndarray, datum: Callable,
+                     iters: int, start: str) -> tuple[PotentialField, ConvexityReport]:
+    """The PotentialField of phi's grid values, and its convexity certificate (module docstring)."""
+    phi = ScalarField(grid, values)
+    grad, hess = fd_derivatives(phi)
+    residual_max = float(np.max(np.abs(hess.det()[grid.interior] - g_vals[grid.interior])))
+    gd = g_vals[grid.in_domain]
+    lam, Lam = float(np.min(gd)), float(np.max(gd))
+    report = certify_convexity(hess, tol=_CONVEX_TOL * Lam)
+    pot = PotentialField(grid=grid, phi=phi, grad=grad, hess=hess, g_values=g_vals, lam=lam, Lam=Lam,
+                         convexity_margin=report.min_eig, residual_max=residual_max, boundary_datum=datum,
+                         newton_iterations=iters, start=start)
+    return pot, report
 
 
 def cofactor_field(potential: PotentialField) -> MatrixField:

@@ -443,12 +443,12 @@ def barrier_experiment(family: PinchedFamily, config: ExperimentConfig) -> Exper
     check(assertions, "barrier nonnegative on the flat boundary piece",
           rep.boundary_min, ">=", -rep.boundary_tol)
     check(assertions, "barrier dominates the gap on the inner circle",
-          rep.circle_min, ">=", rep.delta_tilde - rep.circle_tol)
+          rep.circle_min, ">=", barrier.delta_tilde - rep.circle_tol)
     return ExperimentReport(
         sweep=[],
         measured={"interior_max": rep.interior_max, "threshold": rep.threshold,
                   "boundary_min": rep.boundary_min, "circle_min": rep.circle_min,
-                  "delta_tilde": rep.delta_tilde,
+                  "delta_tilde": barrier.delta_tilde,
                   "n_interior": rep.n_interior},
         slopes={}, assertions=assertions,
         files={"barrier.csv": (barrier.w, barrier.mask)},

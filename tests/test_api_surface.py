@@ -13,50 +13,87 @@ ALLOWED = {
 }
 
 
-def _defaulted_parameters():
-    """(qualified name, call name, positional index or None) per defaulted parameter.
+def _parameters_and_calls():
+    """The parameters of every function in src/ and perfbench/, and every call there.
 
-    A method's index leaves out self, and __init__ is called by its class name.
+    A parameter is ((file, qualified name), call name, positional index or
+    None, defaulted); a method's index leaves out self, and __init__ is called
+    by its class name. Calls are grouped by called name, each as (positional
+    count, has *args, keyword names, pass-throughs). A pass-through maps an
+    argument's position or keyword to (its name, (file, qualified parameter))
+    when the argument is a bare name that resolves to a parameter of an
+    enclosing function, and that function never assigns the name.
     """
-    out = []
+    params = []
+    calls = {}
 
-    def visit(node, prefix, cls):
+    def assigned(fn):
+        """The names a function's own scope assigns; nested functions and lambdas are their own scopes."""
+        names = set()
+        todo = [fn.body] if isinstance(fn, ast.Lambda) else list(fn.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+                continue
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            if not isinstance(node, ast.Lambda):
+                todo.extend(ast.iter_child_nodes(node))
+        return names
+
+    def resolve(name, scopes):
+        """The enclosing parameter that a bare name passes on unchanged, or None."""
+        for owner, own, local in reversed(scopes):
+            if name in own:
+                return (owner[0], f"{owner[1]}.{name}") if owner and name not in local else None
+            if name in local:
+                return None
+        return None
+
+    def visit(node, file, prefix, cls, scopes):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 args = child.args
                 pos = args.posonlyargs + args.args
-                first = len(pos) - len(args.defaults)
-                name = f"{prefix}{child.name}"
-                called = cls if cls and child.name == "__init__" else child.name
-                for k in range(first, len(pos)):
-                    out.append((f"{name}.{pos[k].arg}", called, k - (1 if cls else 0)))
-                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                    if default is not None:
-                        out.append((f"{name}.{arg.arg}", called, None))
-                visit(child, f"{name}.", None)
-            elif isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.", child.name)
-            else:
-                visit(child, prefix, cls)
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), "", None)
-    return out
-
-
-def _calls():
-    """Per called name: (positional count, has *args, keyword names) of each call in src/ and perfbench/."""
-    calls = {}
-    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if not isinstance(node, ast.Call):
+                owner = None
+                if not isinstance(child, ast.Lambda):
+                    owner = (file, f"{prefix}{child.name}")
+                    called = cls if cls and child.name == "__init__" else child.name
+                    skip = 1 if cls else 0
+                    first = len(pos) - len(args.defaults)
+                    params.extend(((file, f"{owner[1]}.{pos[k].arg}"), called, k - skip, k >= first)
+                                  for k in range(skip, len(pos)))
+                    params.extend(((file, f"{owner[1]}.{arg.arg}"), called, None, default is not None)
+                                  for arg, default in zip(args.kwonlyargs, args.kw_defaults))
+                own = {a.arg for a in pos + args.kwonlyargs}
+                visit(child, file, f"{owner[1]}." if owner else prefix, None,
+                      scopes + [(owner, own, assigned(child))])
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            starred = any(isinstance(a, ast.Starred) for a in node.args)
-            # a ** splat is recorded as the keyword None and may set anything
-            calls.setdefault(name, []).append((len(node.args), starred, {k.arg for k in node.keywords}))
-    return calls
+            if isinstance(child, ast.ClassDef):
+                visit(child, file, f"{prefix}{child.name}.", child.name, scopes)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in child.args)
+                through = {}
+                for key, value in [*enumerate(child.args), *((k.arg, k.value) for k in child.keywords)]:
+                    enclosing = resolve(value.id, scopes) if isinstance(value, ast.Name) else None
+                    if enclosing is not None:
+                        through[key] = (value.id, enclosing)
+                # a ** splat is recorded as the keyword None and may set anything
+                calls.setdefault(name, []).append(
+                    (len(child.args), starred, {k.arg for k in child.keywords}, through))
+            visit(child, file, prefix, cls, scopes)
+
+    for top in ("src", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            file = str(path.relative_to(ROOT))
+            visit(ast.parse(path.read_text(), filename=str(path)), file, "", None, [])
+    return params, calls
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
@@ -64,16 +101,35 @@ def test_every_defaulted_parameter_is_set_by_some_call():
 
     A value that only tests vary, or that every caller leaves at its default,
     is a module constant instead; tests reach such a constant by patching it.
+    An argument that is the enclosing function's own parameter of the same
+    name, never reassigned there, passes that parameter on: it sets the
+    callee's parameter only if the enclosing one is set, required or not.
+    A cycle of such pass-throughs sets nothing; an ALLOWED parameter counts
+    as set.
     """
-    calls = _calls()
+    params, calls = _parameters_and_calls()
 
-    def is_set(param, called, index):
-        arg = param.rsplit(".", 1)[1]
-        return any(arg in kws or None in kws or starred or (index is not None and n_pos > index)
-                   for n_pos, starred, kws in calls.get(called, ()))
+    def sets(call, key, index, done):
+        n_pos, starred, kws, through = call
+        if starred or None in kws:
+            return True
+        arg = key[1].rsplit(".", 1)[1]
+        passed = arg if arg in kws else index if index is not None and n_pos > index else None
+        if passed is None:
+            return False
+        name, enclosing = through.get(passed, (None, None))
+        return name != arg or enclosing in done or enclosing[1] in ALLOWED
 
-    unset = sorted(param for param, called, index in _defaulted_parameters()
-                   if not is_set(param, called, index))
+    done = set()
+    grown = True
+    while grown:
+        grown = False
+        for key, called, index, _ in params:
+            if key not in done and any(sets(call, key, index, done) for call in calls.get(called, ())):
+                done.add(key)
+                grown = True
+    unset = sorted(key[1] for key, _, _, defaulted in params
+                   if defaulted and key[0].startswith("src/") and key not in done)
     # an allowed parameter that loses its default, or gains a caller, leaves the list
     assert unset == sorted(ALLOWED)
 

@@ -23,7 +23,7 @@ def test_supersolution_verified_on_pinched_disc(pinched_disc):
     # the report holds both sides of each inequality; all three hold here
     assert rep.interior_max <= rep.threshold
     assert rep.boundary_min >= -rep.boundary_tol
-    assert rep.circle_min >= rep.delta_tilde - rep.circle_tol
+    assert rep.circle_min >= barrier.delta_tilde - rep.circle_tol
 
 
 @pytest.mark.parametrize("kwargs, match", [

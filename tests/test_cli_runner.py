@@ -234,20 +234,20 @@ def test_barrier_assertions_take_their_sides_from_the_verifier(tmp_path, monkeyp
     reports = []
     real = stability_lab.verify_supersolution
 
-    def recording(*args, **kwargs):
-        reports.append(real(*args, **kwargs))
-        return reports[-1]
+    def recording(barrier, potential):
+        reports.append((barrier, real(barrier, potential)))
+        return reports[-1][1]
 
     monkeypatch.setattr(stability_lab, "verify_supersolution", recording)
     cfg = ExperimentConfig(experiment="barrier", domain=domain, spacing=1.0 / 32)
     run(cfg, out_dir=str(tmp_path))
-    (rep,) = reports
+    ((barrier, rep),) = reports
     report = json.loads((tmp_path / "report.json").read_text())
     sides = [
         ("operator value below the negative threshold", rep.interior_max, "<=", rep.threshold),
         ("barrier nonnegative on the flat boundary piece", rep.boundary_min, ">=", -rep.boundary_tol),
         ("barrier dominates the gap on the inner circle",
-         rep.circle_min, ">=", rep.delta_tilde - rep.circle_tol),
+         rep.circle_min, ">=", barrier.delta_tilde - rep.circle_tol),
     ]
     assert [(a["name"], a["lhs"], a["op"], a["rhs"], a["tol"]) for a in report["assertions"]] == [
         side + (0.0,) for side in sides]

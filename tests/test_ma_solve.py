@@ -548,6 +548,18 @@ def test_assembled_model_has_zero_residual_and_identity_hessian(model_square):
     assert model_square.convexity_margin == pytest.approx(1.0)
 
 
+def test_assembling_a_solved_potential_gives_back_its_field(pinched_suite32):
+    """Both constructors build the field one way: a solved potential's own values and density give it back bit for bit."""
+    pot = pinched_suite32
+    again = assemble_potential(pot.grid, lambda X, Y: pot.phi.values, g=pot.g_values)
+    pairs = [(again.phi.values, pot.phi.values), (again.g_values, pot.g_values)]
+    pairs += [(getattr(again.grad, k), getattr(pot.grad, k)) for k in ("gx", "gy", "quadratic_exact")]
+    pairs += [(getattr(again.hess, k), getattr(pot.hess, k)) for k in ("xx", "yy", "xy")]
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in pairs)
+    assert ((again.lam, again.Lam, again.residual_max, again.convexity_margin)
+            == (pot.lam, pot.Lam, pot.residual_max, pot.convexity_margin))
+
+
 def test_start_is_named_and_a_failed_start_falls_back():
     grid = discretize(build_domain("square", side=2.0), 1.0 / 16)
     alone = solve_ma(grid, 1.0)
