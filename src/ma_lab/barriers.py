@@ -16,13 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .domain_grid import ScalarField
+from .domain_grid import LabError, ScalarField
 from .ma_solve import PotentialField, cofactor_field
 from .lma_solve import operator_apply
 from .section_geom import BoundaryFrame, boundary_frame, frame_gap, phi_extended
 
 
-class BarrierError(ValueError):
+class BarrierError(LabError, ValueError):
     pass
 
 

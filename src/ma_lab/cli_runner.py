@@ -27,30 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .domain_grid import (
-    DomainError,
-    FieldError,
-    GridError,
-    build_domain,
-    discretize,
-    fmt_float,
-    write_field_csv,
-    write_lines,
-)
+from .domain_grid import LabError, build_domain, discretize, fmt_float, write_field_csv, write_lines
 from .ma_solve import SolveError
-from .section_geom import SectionError
-from .covering_maximal import CoveringError
-from .good_sets import GoodSetError
-from .barriers import BarrierError
-from .stability_lab import (
-    EXPERIMENTS,
-    ExperimentConfig,
-    ExperimentReport,
-    PinchedFamily,
-    StabilityError,
-    default_bump,
-    pool_size,
-)
+from .stability_lab import EXPERIMENTS, ExperimentConfig, ExperimentReport, PinchedFamily, default_bump, pool_size
 
 
 class ConfigError(ValueError):
@@ -258,8 +237,7 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
         _write_failure(out, config, "solver", str(exc))
         print(f"solver failure: {config.experiment}: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, GridError, FieldError, SectionError, CoveringError,
-            GoodSetError, BarrierError, StabilityError) as exc:
+    except LabError as exc:
         _write_failure(out, config, type(exc).__name__, str(exc))
         print(f"run failed: {config.experiment}: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain_grid import FieldError, ScalarField, coerce_samples, lp_norm
+from .domain_grid import FieldError, LabError, ScalarField, coerce_samples, lp_norm
 from .ma_solve import PotentialField
 from .section_geom import measure_c_cap, pair_gaps, section_cells
 
@@ -30,7 +30,7 @@ _TILE = 8
 _FLOOR_SLACK = 1e-9
 
 
-class CoveringError(RuntimeError):
+class CoveringError(LabError, RuntimeError):
     pass
 
 

@@ -3,8 +3,11 @@
 Everything downstream (solvers, section geometry, covering experiments) works on the
 node sets produced here. A node is exactly one of: exterior, boundary-adjacent, or
 interior. Interior nodes have their full 8-neighborhood inside the domain, so central
-stencils never reach outside; boundary-adjacent nodes fall back to one-sided stencils
-that stay exact on quadratics.
+stencils never reach outside. fd_derivatives takes each entry from the first stencil
+of a priority list whose nodes all lie in the domain: along an axis central, forward
+3-point, backward 3-point (exact on quadratics), then forward and backward 2-point for
+first derivatives; for the cross term the four-corner formula, then the 2x2 blocks NE,
+SW, SE, NW. A node with no such stencil gets 0: the disc's four lattice poles.
 """
 
 from __future__ import annotations
@@ -16,17 +19,22 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import ndimage
 
 
-class DomainError(ValueError):
+class LabError(Exception):
+    """Base of the lab's own errors: invalid input, or a computation that cannot go on."""
+
+
+class DomainError(LabError, ValueError):
     """Invalid domain description (unknown kind, bad shape parameters)."""
 
 
-class GridError(ValueError):
+class GridError(LabError, ValueError):
     """Grid cannot be built under the requested spacing."""
 
 
-class FieldError(ValueError):
+class FieldError(LabError, ValueError):
     """Field values incompatible with the grid, or a norm with no finite values."""
 
 
@@ -391,18 +399,10 @@ def discretize(domain: ConvexDomain, spacing: float) -> Grid:
     xs = x0 + spacing * np.arange(nx)
     ys = y0 + spacing * np.arange(ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([X, Y], axis=-1)
-    inside = domain.contains(pts)
-    padded = np.zeros((nx + 2, ny + 2), dtype=bool)
-    padded[1:-1, 1:-1] = inside
-    has_exterior_neighbor = np.zeros((nx, ny), dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            has_exterior_neighbor |= ~padded[1 + di : nx + 1 + di, 1 + dj : ny + 1 + dj]
-    ring = inside & has_exterior_neighbor
-    interior = inside & ~ring
+    inside = domain.contains(np.stack([X, Y], axis=-1))
+    # nodes off the array count as exterior neighbours
+    interior = ndimage.binary_erosion(inside, np.ones((3, 3), bool), border_value=0)
+    ring = inside & ~interior
     n_int = int(interior.sum())
     if n_int < 16:
         raise GridError(f"spacing too coarse: only {n_int} interior nodes (< 16)")
@@ -434,10 +434,7 @@ class ScalarField:
 
     @classmethod
     def from_function(cls, grid: Grid, fn: Callable) -> "ScalarField":
-        X, Y = grid.meshes()
-        vals = np.asarray(fn(X, Y), dtype=float) + np.zeros(grid.shape)
-        vals = np.where(grid.in_domain, vals, np.nan)
-        return cls(grid, vals)
+        return cls(grid, np.where(grid.in_domain, coerce_samples(grid, fn), np.nan))
 
 
 @dataclass
@@ -489,92 +486,57 @@ def coerce_datum(datum) -> Callable:
     return lambda pts: np.full(np.atleast_2d(pts).shape[0], val)
 
 
-def _shift(a: np.ndarray, di: int, dj: int, fill=np.nan) -> np.ndarray:
-    out = np.full_like(a, fill)
-    nx, ny = a.shape
-    src_i = slice(max(di, 0), nx + min(di, 0))
-    dst_i = slice(max(-di, 0), nx + min(-di, 0))
-    src_j = slice(max(dj, 0), ny + min(dj, 0))
-    dst_j = slice(max(-dj, 0), ny + min(-dj, 0))
-    out[dst_i, dst_j] = a[src_i, src_j]
-    return out
+def _axis_derivatives(v: np.ndarray, steps: list, h: float):
+    """First derivative, its exactness on quadratics and second derivative along one axis.
+
+    steps holds the (values, mask) views 1, -1, 2 and -2 nodes along the axis.
+    """
+    (p, okp), (m, okm), (p2, okp2), (m2, okm2) = steps
+    three_point = [okp & okm, okp & okp2, okm & okm2]
+    first = np.select(three_point + [okp, okm], [
+        (p - m) / (2 * h), (-3 * v + 4 * p - p2) / (2 * h), (3 * v - 4 * m + m2) / (2 * h),
+        (p - v) / h, (v - m) / h])
+    second = np.select(three_point, [
+        (p - 2 * v + m) / (h * h), (v - 2 * p + p2) / (h * h), (v - 2 * m + m2) / (h * h)])
+    return first, np.logical_or.reduce(three_point), second
 
 
 def fd_derivatives(fld: ScalarField) -> tuple[VectorField, MatrixField]:
     """Gradient and symmetric Hessian by finite differences.
 
-    Central stencils at interior nodes; one-sided three-point stencils at
-    boundary-adjacent nodes (exact on quadratics); the cross term uses the
-    four-corner formula where available, otherwise the first fully in-domain
-    2x2 corner block. Exterior nodes stay NaN.
+    Each entry comes from the first stencil in its priority list whose nodes
+    all lie in the domain. Along each axis: central, forward 3-point,
+    backward 3-point (exact on quadratics), then, for first derivatives only,
+    forward 2-point and backward 2-point. Cross term: the four-corner formula,
+    then the 2x2 blocks NE, SW, SE, NW. An in-domain node with no stencil in
+    a list gets 0 for that entry. On the disc that happens at the four
+    lattice poles on the boundary: gx and hxx at the two on the y-axis, gy
+    and hyy at the two on the x-axis, hxy at all four. quadratic_exact marks
+    the nodes whose two first derivatives both come from a 3-point stencil.
+    Exterior nodes stay NaN.
     """
     g = fld.grid
     h = g.spacing
-    v = np.where(g.in_domain, fld.values, np.nan)
-    ok = g.in_domain
+    nx, ny = g.shape
+    vals = np.pad(np.where(g.in_domain, fld.values, np.nan), 2, constant_values=np.nan)
+    mask = np.pad(g.in_domain, 2, constant_values=False)
 
-    def sh(di, dj):
-        return _shift(v, di, dj)
+    def at(di, dj):
+        """The values and the mask di, dj nodes away from each node."""
+        window = (slice(2 + di, 2 + di + nx), slice(2 + dj, 2 + dj + ny))
+        return vals[window], mask[window]
 
-    def shok(di, dj):
-        return _shift(ok, di, dj, fill=False)
-
-    E, W = sh(1, 0), sh(-1, 0)
-    N, S = sh(0, 1), sh(0, -1)
-    EE, WW = sh(2, 0), sh(-2, 0)
-    NN, SS = sh(0, 2), sh(0, -2)
-    okE, okW, okN, okS = shok(1, 0), shok(-1, 0), shok(0, 1), shok(0, -1)
-    okEE, okWW, okNN, okSS = shok(2, 0), shok(-2, 0), shok(0, 2), shok(0, -2)
-
-    def first_deriv(plus, minus, plus2, minus2, okp, okm, okp2, okm2):
-        central = (plus - minus) / (2 * h)
-        fwd3 = (-3 * v + 4 * plus - plus2) / (2 * h)
-        bwd3 = (3 * v - 4 * minus + minus2) / (2 * h)
-        fwd2 = (plus - v) / h
-        bwd2 = (v - minus) / h
-        out = np.zeros_like(v)
-        out = np.where(okm & ~okp & ~okm2, bwd2, out)
-        out = np.where(okp & ~okm & ~okp2, fwd2, out)
-        out = np.where(okm & okm2 & ~okp, bwd3, out)
-        out = np.where(okp & okp2 & ~okm, fwd3, out)
-        out = np.where(okp & okm, central, out)
-        exact = (okp & okm) | (okp & okp2) | (okm & okm2)
-        return np.where(ok, out, np.nan), exact
-
-    gx, gx_exact = first_deriv(E, W, EE, WW, okE, okW, okEE, okWW)
-    gy, gy_exact = first_deriv(N, S, NN, SS, okN, okS, okNN, okSS)
-
-    def second_deriv(plus, minus, plus2, minus2, okp, okm, okp2, okm2):
-        central = (plus - 2 * v + minus) / (h * h)
-        fwd = (v - 2 * plus + plus2) / (h * h)
-        bwd = (v - 2 * minus + minus2) / (h * h)
-        out = np.zeros_like(v)
-        out = np.where(okm & okm2 & ~okp, bwd, out)
-        out = np.where(okp & okp2 & ~okm, fwd, out)
-        out = np.where(okp & okm, central, out)
-        return np.where(ok, out, np.nan)
-
-    hxx = second_deriv(E, W, EE, WW, okE, okW, okEE, okWW)
-    hyy = second_deriv(N, S, NN, SS, okN, okS, okNN, okSS)
-
-    NE_v, NW_v = sh(1, 1), sh(-1, 1)
-    SE_v, SW_v = sh(1, -1), sh(-1, -1)
-    okNE, okNW = shok(1, 1), shok(-1, 1)
-    okSE, okSW = shok(1, -1), shok(-1, -1)
-    central_x = (NE_v + SW_v - NW_v - SE_v) / (4 * h * h)
-    blk_pp = (NE_v - E - N + v) / (h * h)
-    blk_mm = (SW_v - W - S + v) / (h * h)
-    blk_pm = -(SE_v - E - S + v) / (h * h)
-    blk_mp = -(NW_v - W - N + v) / (h * h)
-    hxy = np.zeros_like(v)
-    hxy = np.where(okW & okN & okNW, blk_mp, hxy)
-    hxy = np.where(okE & okS & okSE, blk_pm, hxy)
-    hxy = np.where(okW & okS & okSW, blk_mm, hxy)
-    hxy = np.where(okE & okN & okNE, blk_pp, hxy)
-    hxy = np.where(okNE & okNW & okSE & okSW, central_x, hxy)
-    hxy = np.where(ok, hxy, np.nan)
-    grad_exact = ok & gx_exact & gy_exact
-    return VectorField(g, gx, gy, quadratic_exact=grad_exact), MatrixField(g, hxx, hyy, hxy)
+    v, ok = at(0, 0)
+    gx, gx_exact, hxx = _axis_derivatives(v, [at(k, 0) for k in (1, -1, 2, -2)], h)
+    gy, gy_exact, hyy = _axis_derivatives(v, [at(0, k) for k in (1, -1, 2, -2)], h)
+    (E, okE), (W, okW), (N, okN), (S, okS) = at(1, 0), at(-1, 0), at(0, 1), at(0, -1)
+    (NE, okNE), (NW, okNW), (SE, okSE), (SW, okSW) = at(1, 1), at(-1, 1), at(1, -1), at(-1, -1)
+    hxy = np.select(
+        [okNE & okNW & okSE & okSW, okE & okN & okNE, okW & okS & okSW, okE & okS & okSE, okW & okN & okNW],
+        [(NE + SW - NW - SE) / (4 * h * h), (NE - E - N + v) / (h * h), (SW - W - S + v) / (h * h),
+         -(SE - E - S + v) / (h * h), -(NW - W - N + v) / (h * h)])
+    gx, gy, hxx, hyy, hxy = (np.where(ok, a, np.nan) for a in (gx, gy, hxx, hyy, hxy))
+    return VectorField(g, gx, gy, quadratic_exact=ok & gx_exact & gy_exact), MatrixField(g, hxx, hyy, hxy)
 
 
 # ---------------------------------------------------------------------------

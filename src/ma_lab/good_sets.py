@@ -13,12 +13,12 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 
-from .domain_grid import ScalarField, coerce_samples, fd_derivatives
+from .domain_grid import LabError, ScalarField, coerce_samples, fd_derivatives
 from .ma_solve import PotentialField
 from .section_geom import pair_gaps
 
 
-class GoodSetError(ValueError):
+class GoodSetError(LabError, ValueError):
     pass
 
 

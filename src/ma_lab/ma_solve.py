@@ -67,6 +67,7 @@ from scipy.interpolate import RectBivariateSpline
 from .domain_grid import (
     Grid,
     GridError,
+    LabError,
     MatrixField,
     ScalarField,
     VectorField,
@@ -87,7 +88,7 @@ _CONVEX_TOL = 1e-6
 _ELLIPTIC_FLOOR = 1e-6
 
 
-class SolveError(RuntimeError):
+class SolveError(LabError, RuntimeError):
     """Solver failed: divergence, stall, singular system, or bad data."""
 
 

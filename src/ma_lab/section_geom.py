@@ -21,11 +21,11 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 
-from .domain_grid import FieldError
+from .domain_grid import FieldError, LabError
 from .ma_solve import PotentialField
 
 
-class SectionError(ValueError):
+class SectionError(LabError, ValueError):
     pass
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domain_grid import ConvexDomain, Grid, MatrixField, build_once, fd_derivatives, fmt_float, lp_norm
+from .domain_grid import ConvexDomain, Grid, LabError, MatrixField, build_once, fd_derivatives, fmt_float, lp_norm
 from .ma_solve import PotentialField, SolveError, certify_convexity, cofactor_field, solve_ma
 from .lma_solve import abp_check, solve_lma
 from .section_geom import engulfing_constant, interior_heights, measure_c_cap, section, volume_scaling
@@ -27,7 +27,7 @@ from .good_sets import good_set_survey, quasi_euclidean_ratio_min
 from .barriers import build_supersolution, verify_supersolution
 
 
-class StabilityError(ValueError):
+class StabilityError(LabError, ValueError):
     pass
 
 

@@ -1,7 +1,9 @@
 import ast
+import importlib
 from pathlib import Path
 
 import ma_lab
+from ma_lab.domain_grid import LabError
 
 SRC = Path(ma_lab.__file__).resolve().parent
 ROOT = SRC.parents[1]
@@ -311,3 +313,21 @@ def test_every_module_binding_a_traced_function_is_traced():
                 untraced += [f"{path.stem} imports {module}.{alias.name}" for alias in node.names
                              if (module, alias.name) in traced and path.stem not in modules]
     assert untraced == []
+
+
+# exception classes of src that are not LabErrors, each kept on purpose
+NOT_LAB_ERRORS = {
+    "ConfigError": "main handles it with exit 2 before any run; run's LabError branch exits 1",
+}
+
+
+def test_every_exception_class_derives_from_lab_error():
+    """cli_runner.run catches SolveError (exit 3), then LabError (exit 1): every error the lab raises is one."""
+    modules = [importlib.import_module(f"ma_lab.{path.stem}") for path in sorted(SRC.glob("*.py"))]
+    errors = {cls for module in modules for cls in vars(module).values()
+              if isinstance(cls, type) and issubclass(cls, BaseException) and cls.__module__ == module.__name__}
+    assert LabError in errors
+    outside = sorted(cls.__name__ for cls in errors if not issubclass(cls, LabError))
+    assert outside == sorted(NOT_LAB_ERRORS)
+    # each keeps the builtin base its callers catch
+    assert all(issubclass(cls, (ValueError, RuntimeError)) for cls in errors - {LabError})

@@ -212,6 +212,191 @@ def test_smooth_field_second_order_convergence():
     assert errs[0] / errs[1] >= 3.5
 
 
+# -- the cascade kept as reference --------------------------------------------
+
+def _shift(a, di, dj, fill=np.nan):
+    out = np.full_like(a, fill)
+    nx, ny = a.shape
+    src_i = slice(max(di, 0), nx + min(di, 0))
+    dst_i = slice(max(-di, 0), nx + min(-di, 0))
+    src_j = slice(max(dj, 0), ny + min(dj, 0))
+    dst_j = slice(max(-dj, 0), ny + min(-dj, 0))
+    out[dst_i, dst_j] = a[src_i, src_j]
+    return out
+
+
+def _masks_eight_shift(inside):
+    """interior and ring from a padded loop over the 8 neighbours, kept as the reference for discretize."""
+    nx, ny = inside.shape
+    padded = np.zeros((nx + 2, ny + 2), dtype=bool)
+    padded[1:-1, 1:-1] = inside
+    has_exterior_neighbor = np.zeros((nx, ny), dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            has_exterior_neighbor |= ~padded[1 + di : nx + 1 + di, 1 + dj : ny + 1 + dj]
+    ring = inside & has_exterior_neighbor
+    return inside & ~ring, ring
+
+
+def _fd_cascade(fld):
+    """fd_derivatives as np.where cascades in which the last step that holds wins, kept as the reference.
+
+    Each step spells out its exclusions. Returns the six arrays, and per
+    Hessian and gradient entry the priority level that each in-domain node
+    took: its index in fd_derivatives' list, or the list's length where no
+    stencil exists (-1 off the domain).
+    """
+    g = fld.grid
+    h = g.spacing
+    v = np.where(g.in_domain, fld.values, np.nan)
+    ok = g.in_domain
+
+    def sh(di, dj):
+        return _shift(v, di, dj)
+
+    def shok(di, dj):
+        return _shift(ok, di, dj, fill=False)
+
+    def cascade(n_levels, steps):
+        out = np.zeros_like(v)
+        level = np.full(v.shape, n_levels)
+        for k, cond, value in steps:
+            out = np.where(cond, value, out)
+            level = np.where(cond, k, level)
+        return np.where(ok, out, np.nan), np.where(ok, level, -1)
+
+    E, W = sh(1, 0), sh(-1, 0)
+    N, S = sh(0, 1), sh(0, -1)
+    EE, WW = sh(2, 0), sh(-2, 0)
+    NN, SS = sh(0, 2), sh(0, -2)
+    okE, okW, okN, okS = shok(1, 0), shok(-1, 0), shok(0, 1), shok(0, -1)
+    okEE, okWW, okNN, okSS = shok(2, 0), shok(-2, 0), shok(0, 2), shok(0, -2)
+
+    def first_deriv(plus, minus, plus2, minus2, okp, okm, okp2, okm2):
+        return cascade(5, [
+            (4, okm & ~okp & ~okm2, (v - minus) / h),
+            (3, okp & ~okm & ~okp2, (plus - v) / h),
+            (2, okm & okm2 & ~okp, (3 * v - 4 * minus + minus2) / (2 * h)),
+            (1, okp & okp2 & ~okm, (-3 * v + 4 * plus - plus2) / (2 * h)),
+            (0, okp & okm, (plus - minus) / (2 * h)),
+        ]), (okp & okm) | (okp & okp2) | (okm & okm2)
+
+    def second_deriv(plus, minus, plus2, minus2, okp, okm, okp2, okm2):
+        return cascade(3, [
+            (2, okm & okm2 & ~okp, (v - 2 * minus + minus2) / (h * h)),
+            (1, okp & okp2 & ~okm, (v - 2 * plus + plus2) / (h * h)),
+            (0, okp & okm, (plus - 2 * v + minus) / (h * h)),
+        ])
+
+    (gx, gx_level), gx_exact = first_deriv(E, W, EE, WW, okE, okW, okEE, okWW)
+    (gy, gy_level), gy_exact = first_deriv(N, S, NN, SS, okN, okS, okNN, okSS)
+    hxx, hxx_level = second_deriv(E, W, EE, WW, okE, okW, okEE, okWW)
+    hyy, hyy_level = second_deriv(N, S, NN, SS, okN, okS, okNN, okSS)
+
+    NE_v, NW_v = sh(1, 1), sh(-1, 1)
+    SE_v, SW_v = sh(1, -1), sh(-1, -1)
+    okNE, okNW = shok(1, 1), shok(-1, 1)
+    okSE, okSW = shok(1, -1), shok(-1, -1)
+    hxy, hxy_level = cascade(5, [
+        (4, okW & okN & okNW, -(NW_v - W - N + v) / (h * h)),
+        (3, okE & okS & okSE, -(SE_v - E - S + v) / (h * h)),
+        (2, okW & okS & okSW, (SW_v - W - S + v) / (h * h)),
+        (1, okE & okN & okNE, (NE_v - E - N + v) / (h * h)),
+        (0, okNE & okNW & okSE & okSW, (NE_v + SW_v - NW_v - SE_v) / (4 * h * h)),
+    ])
+    values = {"gx": gx, "gy": gy, "quadratic_exact": ok & gx_exact & gy_exact,
+              "xx": hxx, "yy": hyy, "xy": hxy}
+    levels = {"gx": gx_level, "gy": gy_level, "xx": hxx_level, "yy": hyy_level, "xy": hxy_level}
+    return values, levels
+
+
+def _derivative_arrays(fld):
+    grad, hess = fd_derivatives(fld)
+    return {"gx": grad.gx, "gy": grad.gy, "quadratic_exact": grad.quadratic_exact,
+            "xx": hess.xx, "yy": hess.yy, "xy": hess.xy}
+
+
+def _assert_bitwise(got, ref):
+    assert got.keys() == ref.keys()
+    for key in ref:
+        assert got[key].dtype == ref[key].dtype, key
+        assert got[key].tobytes() == ref[key].tobytes(), key
+
+
+def _probe(X, Y):
+    """A smooth field that no stencil differences to zero."""
+    return np.exp(0.7 * X + 1.3 * Y) + np.sin(3.0 * X * Y)
+
+
+GRIDS = [
+    ("disc", {"radius": 1.0}, 1.0 / 16), ("disc", {"radius": 1.0}, 1.0 / 32),
+    ("disc", {"radius": 1.0}, 1.0 / 64), ("disc", {"radius": 0.37}, 1.0 / 160),
+    ("ellipse", {"a": 1.2, "b": 0.8}, 1.0 / 32), ("ellipse", {"a": 1.2, "b": 0.8}, 1.0 / 64),
+    ("ellipse", {"a": 0.3, "b": 1.7}, 1.0 / 80), ("square", {"side": 2.0}, 1.0 / 32),
+    ("square", {"side": 2.0}, 1.0 / 160),
+]
+GRID_IDS = [f"{kind}-{'-'.join(map(str, params.values()))}-1/{round(1 / h)}" for kind, params, h in GRIDS]
+
+
+@pytest.mark.parametrize("kind, params, h", GRIDS, ids=GRID_IDS)
+def test_masks_and_derivatives_match_the_cascade_bit_for_bit(kind, params, h):
+    g = discretize(build_domain(kind, **params), h)
+    interior, ring = _masks_eight_shift(g.in_domain)
+    assert np.array_equal(g.interior, interior)
+    assert np.array_equal(g.boundary_adjacent, ring)
+    fld = ScalarField.from_function(g, _probe)
+    X, Y = g.meshes()
+    assert np.array_equal(fld.values, np.where(g.in_domain, _probe(X, Y), np.nan), equal_nan=True)
+    _assert_bitwise(_derivative_arrays(fld), _fd_cascade(fld)[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ragged_mask_reaches_every_priority_level_and_matches_the_cascade(seed):
+    """A grid whose mask drops 30 % of the in-domain nodes reaches every stencil and the default 0."""
+    base = discretize(build_domain("ellipse", a=1.2, b=0.8), 1.0 / 32)
+    rng = np.random.default_rng(seed)
+    inside = base.in_domain & (rng.random(base.shape) >= 0.3)
+    interior, ring = _masks_eight_shift(inside)
+    g = Grid(base.domain, base.spacing, base.xs, base.ys, inside, interior, ring)
+    fld = ScalarField(g, rng.normal(size=g.shape))
+    ref, levels = _fd_cascade(fld)
+    _assert_bitwise(_derivative_arrays(fld), ref)
+    # 5 stencils for first derivatives and the cross term, 3 for second derivatives, plus no stencil
+    n_levels = {"gx": 5, "gy": 5, "xx": 3, "yy": 3, "xy": 5}
+    for key, n in n_levels.items():
+        assert set(np.unique(levels[key][inside])) == set(range(n + 1)), key
+        assert np.all(ref[key][levels[key] == n] == 0.0), key
+
+
+@pytest.mark.parametrize("kind, params, h, counts", [
+    ("disc", {"radius": 1.0}, 1.0 / 32, (2, 2, 4)),
+    ("disc", {"radius": 1.0}, 1.0 / 64, (2, 2, 4)),
+    ("disc", {"radius": 1.0}, 1.0 / 128, (2, 2, 4)),
+    ("ellipse", {"a": 1.2, "b": 0.8}, 1.0 / 32, (0, 0, 0)),
+    ("ellipse", {"a": 1.2, "b": 0.8}, 1.0 / 64, (0, 0, 0)),
+    ("square", {"side": 2.0}, 1.0 / 32, (0, 0, 0)),
+], ids=["disc-1/32", "disc-1/64", "disc-1/128", "ellipse-1/32", "ellipse-1/64", "square-1/32"])
+def test_in_domain_nodes_without_a_hessian_stencil(kind, params, h, counts):
+    """The in-domain nodes where fd_derivatives finds no stencil and returns its default 0.
+
+    The probe's stencil values are never 0, so a 0 is the default. On the
+    disc these are the four lattice poles on the boundary: hxx at (0, ±1),
+    hyy at (±1, 0) and hxy at all four. Fixing the pole stencils changes
+    this test with the default.
+    """
+    g = discretize(build_domain(kind, **params), h)
+    _, hess = fd_derivatives(ScalarField.from_function(g, lambda X, Y: np.exp(0.7 * X + 1.3 * Y)))
+    zeros = tuple(int(np.count_nonzero(entry[g.in_domain] == 0.0)) for entry in (hess.xx, hess.yy, hess.xy))
+    assert zeros == counts
+    if kind == "disc":
+        X, Y = g.meshes()
+        on_y, on_x = {(0.0, 1.0), (0.0, -1.0)}, {(1.0, 0.0), (-1.0, 0.0)}
+        for entry, poles in ((hess.xx, on_y), (hess.yy, on_x), (hess.xy, on_x | on_y)):
+            assert {(X[i, j], Y[i, j]) for i, j in np.argwhere(g.in_domain & (entry == 0.0))} == poles
+
+
 # -- Lp norms ---------------------------------------------------------------
 
 def test_constant_norm_matches_disc_area():
