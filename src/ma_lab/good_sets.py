@@ -150,13 +150,20 @@ def _ratio_extrema(potential: PotentialField, neighborhood_radius: Optional[floa
     squared separation (floor <= e2 <= the squared radius) decides
     which pairs count, exactly as in the all-pairs scan. Without a radius
     every in-domain node is a target.
+
+    Both paths evaluate each block of _CHUNK centres in three buffers sized
+    once: e2, the squared separations (one more for the y part), and ok,
+    the admissible pairs. D / e2 is divided into the gap buffer of
+    pair_gaps where ok holds; that buffer then takes +inf off ok for the
+    minimum and -inf for the maximum. The expressions are those of the
+    allocating scan kept in tests/test_good_sets.py, so lo and hi are
+    bitwise equal to its own.
     """
     grid = potential.grid
     pair_floor = 1.5 * grid.spacing ** 2
     centers = centers & tangent_trust_region(potential)
     ci, cj = np.nonzero(centers)
     if neighborhood_radius is None:
-        r2_cap = np.inf
         ti, tj = np.nonzero(grid.in_domain)
         inside = None
     else:
@@ -172,20 +179,30 @@ def _ratio_extrema(potential: PotentialField, neighborhood_radius: Optional[floa
 
     lo = np.full(grid.shape, np.nan)
     hi = np.full(grid.shape, np.nan)
+    shape = (min(_CHUNK, ci.size), ti.shape[-1])
+    e2_buf, dy_buf, ok_buf = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
     for block, D in pair_gaps(potential, ci, cj, ti, tj, _CHUNK):
         bi = ci[block, None]
         bj = cj[block, None]
         ri, rj = (ti, tj) if inside is None else (ti[block], tj[block])
-        dx = grid.xs[ri] - grid.xs[bi]
-        dy = grid.ys[rj] - grid.ys[bj]
-        e2 = dx * dx + dy * dy
-        ok = (e2 >= pair_floor) & (e2 <= r2_cap)
+        e2, dy, ok = (b[: D.shape[0]] for b in (e2_buf, dy_buf, ok_buf))
+        np.subtract(grid.xs[ri], grid.xs[bi], out=e2)
+        e2 *= e2
+        np.subtract(grid.ys[rj], grid.ys[bj], out=dy)
+        dy *= dy
+        e2 += dy
+        np.greater_equal(e2, pair_floor, out=ok)
         if inside is not None:
+            ok &= e2 <= r2_cap
             ok &= inside[block]
-        ratio = D / np.where(ok, e2, 1.0)
-        lo_s = np.where(ok, ratio, np.inf).min(axis=1)
-        hi_s = np.where(ok, ratio, -np.inf).max(axis=1)
         any_ok = ok.any(axis=1)
+        # D / e2 into D's buffer on the admissible pairs, +-inf elsewhere
+        np.divide(D, e2, out=D, where=ok)
+        np.logical_not(ok, out=ok)
+        np.copyto(D, np.inf, where=ok)
+        lo_s = D.min(axis=1)
+        np.copyto(D, -np.inf, where=ok)
+        hi_s = D.max(axis=1)
         lo[ci[block], cj[block]] = np.where(any_ok, lo_s, np.nan)
         hi[ci[block], cj[block]] = np.where(any_ok, hi_s, np.nan)
     return lo, hi

@@ -25,13 +25,21 @@ Newton is damped by an l2 Armijo line search. It tries its starts from one
 ordered list and the result names the first that converges: "given", the
 grid values of a caller that holds a nearby solution (PinchedFamily starts
 every pinched density 1 + eps*g0 from the flat potential, natural-parameter
-continuation in eps; Allgower and Georg 1990, ch. 2); "laplacian", the
-solution of Delta phi0 = 2 sqrt(g), tried only up to the direct-solve limit,
-above which every Newton iterate is expensive; and "coarse", a
-double-spacing solution prolonged by a cubic spline, which gets past the
-corner layers of flat-sided domains that can defeat the Laplacian start.
-When none converges the last failure is raised; on a grid with no coarser
-grid that is the failure of the start before the coarse one.
+continuation in eps; Allgower and Georg 1990, ch. 2), then the two computed
+starts: "laplacian", the solution of Delta phi0 = 2 sqrt(g), tried only up
+to the direct-solve limit, above which every Newton iterate is expensive;
+and "coarse", a double-spacing solution prolonged by a cubic spline. Their
+order depends on the domain. A uniformly convex domain tries "laplacian",
+then "coarse". A domain with a flat boundary piece (uniform_convexity_modulus
+== 0, the square) tries "coarse" first: its flat sides make D^2 phi
+degenerate, and Newton from the isotropic Laplacian start stalls there on
+fine grids. So each grid of a flat-sided domain is solved from the next
+coarser one (nested iteration; Trottenberg, Oosterlee and Schuller 2001),
+and its Laplacian start runs only on the coarsest grid of that chain, where
+the double spacing raises GridError, or when the coarse start fails. A
+coarse start on a grid with no coarser grid is skipped. When no start
+converges, the last start's SolveError is raised; when no start could be
+tried at all, a SolveError says the grid has no coarser grid.
 
 Every linear system (Newton steps, the Laplacian start, every continuation
 level, and the linearized solves of lma_solve) is a NodeSystem: the grid's
@@ -459,7 +467,7 @@ def _continuation_init(grid: Grid, layout: NodeLayout, g, tol_ma: float) -> Opti
     second differences that put the fine iterate outside the Newton basin.
     The spline is fit on the coarse lattice with exterior nodes filled from
     their nearest solved node. Returns None when no usable coarser grid
-    exists, so the caller raises the failure of the start before.
+    exists, so the caller goes on with its other starts.
     """
     try:
         with warnings.catch_warnings():
@@ -487,6 +495,11 @@ def solve_ma(
     eigenvalues down to -_CONVEX_TOL * Lam (see the module docstring). Newton
     runs at most _MAX_ITER iterations per start.
 
+    Newton tries the given start, then "laplacian" and "coarse" on a
+    uniformly convex domain, or "coarse" and "laplacian" on a domain with a
+    flat boundary piece; "laplacian" only up to _DIRECT_LIMIT unknowns (see
+    the module docstring).
+
     Parameters
     ----------
     g : callable, scalar, or array
@@ -494,14 +507,17 @@ def solve_ma(
     start : array of grid shape, optional
         Grid values of phi that Newton starts from, read at the in-domain
         nodes. If Newton fails from it, the solve goes on down its start
-        list (see the module docstring).
+        list.
 
     Raises
     ------
     SolveError
-        Nonpositive density, Newton stall (with the last residual in the
-        message), iteration budget exhausted, failed convexity certificate,
-        or a start of the wrong shape or not finite on the domain.
+        Nonpositive density; a start of the wrong shape or not finite on
+        the domain; the last start's failure when none converges (Newton
+        stall with the last residual in the message, iteration budget
+        exhausted, or a singular system); no start to try (no given start,
+        above _DIRECT_LIMIT, and no coarser grid); or a failed convexity
+        certificate.
     """
     g_vals = coerce_samples(grid, g)
     gd = g_vals[grid.in_domain]
@@ -526,15 +542,17 @@ def solve_ma(
         if not np.all(np.isfinite(U_given)):
             raise SolveError("start must be finite at every in-domain node")
         starts.append(("given", lambda: U_given))
-    if layout.n <= _DIRECT_LIMIT:
-        starts.append(("laplacian", laplacian_start))
-    starts.append(("coarse", lambda: _continuation_init(grid, layout, g, tol_ma)))
+    laplacian = [("laplacian", laplacian_start)] if layout.n <= _DIRECT_LIMIT else []
+    coarse = [("coarse", lambda: _continuation_init(grid, layout, g, tol_ma))]
+    # a flat boundary piece makes D^2 phi degenerate there, which Newton from
+    # the isotropic Laplacian start cannot reach on fine grids
+    starts += coarse + laplacian if grid.domain.uniform_convexity_modulus == 0.0 else laplacian + coarse
 
     failure = SolveError("no Newton start: the grid has no coarser grid")
     for used, make in starts:
         try:
             U0 = make()
-            # None: no coarser grid, so the failure before it stands
+            # None: no coarser grid; go on with the next start
             if U0 is not None:
                 U, iters = _newton_loop(sysm, g_int, U0, tol_ma)
                 break

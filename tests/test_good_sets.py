@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import pinched_density
 from ma_lab import good_sets
-from ma_lab.domain_grid import ScalarField, fd_derivatives
+from ma_lab.domain_grid import ScalarField, build_domain, discretize, fd_derivatives
 from ma_lab.good_sets import (
+    _CHUNK,
     _RADIUS,
     GoodSetError,
     _default_centers,
@@ -18,6 +20,8 @@ from ma_lab.good_sets import (
     tangent_trust_region,
 )
 from ma_lab.lma_solve import solve_lma
+from ma_lab.ma_solve import solve_ma
+from ma_lab.section_geom import pair_gaps
 
 
 @pytest.fixture(scope="module")
@@ -245,3 +249,72 @@ def test_survey_scans_the_ratios_once(pinched_lma, monkeypatch):
     assert np.array_equal(sv.F1, F1_ref)
     # the levels straddle the ratio minima, so F1 moves across them
     assert sv.F1[0] > sv.F1[-1] > 0.0
+
+
+def allocating_ratio_extrema(potential, neighborhood_radius, centers):
+    """The ratio scan with fresh separation, mask and ratio matrices per block of centres."""
+    grid = potential.grid
+    pair_floor = 1.5 * grid.spacing ** 2
+    centers = centers & tangent_trust_region(potential)
+    ci, cj = np.nonzero(centers)
+    if neighborhood_radius is None:
+        r2_cap = np.inf
+        ti, tj = np.nonzero(grid.in_domain)
+        inside = None
+    else:
+        r2_cap = (neighborhood_radius * grid.spacing) ** 2
+        w = int(np.ceil(np.sqrt(r2_cap) / grid.spacing)) + 1
+        di, dj = (a.ravel() for a in np.mgrid[-w : w + 1, -w : w + 1])
+        ti = ci[:, None] + di
+        tj = cj[:, None] + dj
+        inside = (ti >= 0) & (ti < grid.shape[0]) & (tj >= 0) & (tj < grid.shape[1])
+        ti = np.clip(ti, 0, grid.shape[0] - 1)
+        tj = np.clip(tj, 0, grid.shape[1] - 1)
+        inside &= grid.in_domain[ti, tj]
+
+    lo = np.full(grid.shape, np.nan)
+    hi = np.full(grid.shape, np.nan)
+    for block, D in pair_gaps(potential, ci, cj, ti, tj, _CHUNK):
+        bi = ci[block, None]
+        bj = cj[block, None]
+        ri, rj = (ti, tj) if inside is None else (ti[block], tj[block])
+        dx = grid.xs[ri] - grid.xs[bi]
+        dy = grid.ys[rj] - grid.ys[bj]
+        e2 = dx * dx + dy * dy
+        ok = (e2 >= pair_floor) & (e2 <= r2_cap)
+        if inside is not None:
+            ok &= inside[block]
+        ratio = D / np.where(ok, e2, 1.0)
+        lo_s = np.where(ok, ratio, np.inf).min(axis=1)
+        hi_s = np.where(ok, ratio, -np.inf).max(axis=1)
+        any_ok = ok.any(axis=1)
+        lo[ci[block], cj[block]] = np.where(any_ok, lo_s, np.nan)
+        hi[ci[block], cj[block]] = np.where(any_ok, hi_s, np.nan)
+    return lo, hi
+
+
+@pytest.fixture(scope="module", params=[("disc", {"radius": 1.0}, 64), ("ellipse", {"a": 1.2, "b": 0.8}, 32),
+                                        ("square", {"side": 2.0}, 32)], ids=["disc64", "ellipse32", "square32"])
+def pinched_scan_potential(request):
+    """Solved eps=0.2 potential on a suite domain: the disc at 1/64, the others at 1/32."""
+    kind, params, n = request.param
+    grid = discretize(build_domain(kind, **params), 1.0 / n)
+    return solve_ma(grid, pinched_density(grid, 0.2))
+
+
+@pytest.mark.parametrize("radius", [None, _RADIUS], ids=["dense", "windowed"])
+@pytest.mark.parametrize("ragged", [False, True], ids=["all-nodes", "ragged"])
+def test_ratio_extrema_bitwise_equal_the_allocating_scan(pinched_scan_potential, radius, ragged):
+    # the in-place kernel keeps the allocating scan's expressions, so both
+    # extrema agree bit for bit; the ragged mask drops 30 % of the centres
+    pot = pinched_scan_potential
+    centers = pot.grid.in_domain.copy()
+    if ragged:
+        ii, jj = np.nonzero(centers)
+        drop = np.random.default_rng(7).permutation(ii.size)[: int(0.3 * ii.size)]
+        centers[ii[drop], jj[drop]] = False
+    got = _ratio_extrema(pot, radius, centers)
+    ref = allocating_ratio_extrema(pot, radius, centers)
+    assert np.isfinite(ref[0]).sum() > 0
+    assert np.array_equal(got[0], ref[0], equal_nan=True)
+    assert np.array_equal(got[1], ref[1], equal_nan=True)

@@ -380,9 +380,9 @@ def test_threads_asking_at_once_build_a_grids_layout_once(disc_domain, monkeypat
 
 
 def test_static_pivots_accurate_on_every_newton_jacobian(monkeypatch):
-    # the eps = 0.2 square fails from the Laplacian start (its iterates have
-    # indefinite node Hessians) and restarts from the coarse grid; every
-    # system of that solve, failed attempts included, is checked against
+    # the eps = 0.2 square solves through its coarse chain, and Newton's
+    # iterates on every level have indefinite node Hessians; every system
+    # of that solve, nested levels included, is checked against
     # partial-pivot LU with its default column order
     sq = build_domain("square", side=2.0)
     grid = discretize(sq, 1.0 / 32)
@@ -561,18 +561,58 @@ def test_assembling_a_solved_potential_gives_back_its_field(pinched_suite32):
 
 
 def test_start_is_named_and_a_failed_start_falls_back():
+    # the flat-sided square starts from the coarse grid, the disc from the Laplacian solve
+    for kind, params, computed in (("square", {"side": 2.0}, "coarse"), ("disc", {"radius": 1.0}, "laplacian")):
+        grid = discretize(build_domain(kind, **params), 1.0 / 16)
+        alone = solve_ma(grid, 1.0)
+        assert alone.start == computed
+        # started at its own solution, Newton has nothing left to do
+        again = solve_ma(grid, 1.0, start=alone.phi.values)
+        assert (again.start, again.newton_iterations) == ("given", 0)
+        assert np.array_equal(again.phi.values, alone.phi.values, equal_nan=True)
+        # a checkerboard start defeats Newton; the computed start still converges
+        checker = 1e5 * (np.indices(grid.shape).sum(axis=0) % 2 - 0.5)
+        fallback = solve_ma(grid, 1.0, start=checker)
+        assert fallback.start == computed
+        assert np.array_equal(fallback.phi.values, alone.phi.values, equal_nan=True)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+def test_flat_square_runs_one_laplacian_start_per_chain(monkeypatch, eps):
+    # each grid starts from the next coarser one, so Newton runs once per
+    # level, coarsest first, and only the coarsest grid, which has no
+    # coarser grid, assembles the Laplacian start's operator
+    sq = build_domain("square", side=2.0)
+    grid = discretize(sq, 1.0 / 32)
+    X, Y = grid.meshes()
+    g = 1.0 + eps * default_bump(sq)(X, Y)
+    assemble = NodeSystem.interior_matrix
+    laplacians, newtons = [], []
+
+    def recording_matrix(self, c11, c22, c12):
+        if np.all(c11 == 1.0) and np.all(c22 == 1.0) and not np.any(c12):
+            laplacians.append(self.layout.n)
+        return assemble(self, c11, c22, c12)
+
+    def recording_loop(sysm, g_int, U, tol_ma):
+        newtons.append(sysm.layout.n)
+        return _NEWTON_LOOP(sysm, g_int, U, tol_ma)
+
+    monkeypatch.setattr(NodeSystem, "interior_matrix", recording_matrix)
+    monkeypatch.setattr(ma_solve, "_newton_loop", recording_loop)
+    assert solve_ma(grid, g).start == "coarse"
+    assert newtons == [9 * 9, 17 * 17, 33 * 33, 65 * 65]
+    assert laplacians == [9 * 9]
+
+
+def test_flat_square_falls_back_to_the_laplacian_start(monkeypatch):
     grid = discretize(build_domain("square", side=2.0), 1.0 / 16)
-    alone = solve_ma(grid, 1.0)
-    assert alone.start == "laplacian"
-    # started at its own solution, Newton has nothing left to do
-    again = solve_ma(grid, 1.0, start=alone.phi.values)
-    assert (again.start, again.newton_iterations) == ("given", 0)
-    assert np.array_equal(again.phi.values, alone.phi.values, equal_nan=True)
-    # a checkerboard start defeats Newton; the Laplacian start still converges
-    checker = 1e3 * (np.indices(grid.shape).sum(axis=0) % 2 - 0.5)
-    fallback = solve_ma(grid, 1.0, start=checker)
-    assert fallback.start == "laplacian"
-    assert np.array_equal(fallback.phi.values, alone.phi.values, equal_nan=True)
+    seen = _fail_first(monkeypatch, grid, 1)
+    assert solve_ma(grid, 1.0).start == "laplacian"
+    assert len(seen) == 2
+    _fail_first(monkeypatch, grid, 2)
+    with pytest.raises(SolveError, match="planned failure 2"):
+        solve_ma(grid, 1.0)
 
 
 def test_start_must_fit_the_grid(disc_domain):
