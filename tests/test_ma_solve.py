@@ -63,6 +63,18 @@ def test_disc_solution_converges_second_order(disc32, disc64):
     assert errs[0] / errs[1] >= 3.5
 
 
+def test_disc_above_the_direct_limit_solves_from_the_laplacian_start(disc_domain):
+    # 80 381 unknowns, above 257^2: the start list is the domain's at every
+    # size, and the coarse start alone fails on this grid
+    h = 1.0 / 160
+    g = discretize(disc_domain, h)
+    pot = solve_ma(g, 1.0)
+    assert pot.start == "laplacian"
+    X, Y = g.meshes()
+    err = np.nanmax(np.abs(pot.phi.values - 0.5 * (X ** 2 + Y ** 2 - 1.0))[g.in_domain])
+    assert err <= 4 * h * h
+
+
 def test_pinched_density_residual_small(pinched32):
     pot, _ = pinched32
     assert pot.residual_max <= 1e-6
@@ -121,11 +133,11 @@ def test_affine_covariance_of_density_scaling(disc_domain):
 
 
 def test_continuation_path_skips_the_laplacian_start(monkeypatch):
-    # above the direct limit the Newton start comes from the coarse grid, so
-    # every top-level linear solve must be a Newton step
+    # the flat-sided square tries its coarse start first and converges from
+    # it, so its own Laplacian start never runs: every top-level linear
+    # solve must be a Newton step
     grid = discretize(build_domain("square", side=2.0), 1.0 / 32)
     n = _layout(grid).n
-    monkeypatch.setattr(ma_solve, "_DIRECT_LIMIT", n - 1)
     sizes = []
 
     def counting(A, rhs):
@@ -160,13 +172,14 @@ def _fail_first(monkeypatch, grid, n_fail):
 
 @pytest.mark.parametrize("above_limit", [False, True], ids=["below-limit", "above-limit"])
 def test_newton_starts_are_tried_in_order(disc_domain, monkeypatch, above_limit):
+    # the order is the domain's at every size: above the direct-solve limit
+    # the list is the same, and Newton's steps go through the ILU attempt
     grid = discretize(disc_domain, 1.0 / 16)
     given = solve_ma(grid, 1.0).phi.values
     layout = _layout(grid)
     order = ["given", "laplacian", "coarse"]
     if above_limit:
         monkeypatch.setattr(ma_solve, "_DIRECT_LIMIT", layout.n - 1)
-        order.remove("laplacian")
     for k, name in enumerate(order):
         seen = _fail_first(monkeypatch, grid, k)
         assert solve_ma(grid, 1.1, start=given).start == name
