@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain_grid import LabError, build_domain, discretize, fmt_float, write_field_csv, write_lines
+from .domain_grid import DOMAINS, LabError, build_domain, discretize, fmt_float, write_field_csv, write_lines
 from .ma_solve import SolveError
 from .stability_lab import EXPERIMENTS, ExperimentConfig, ExperimentReport, PinchedFamily, default_bump, pool_size
 
@@ -40,7 +40,7 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-KNOWN_DOMAINS = ("disc", "ellipse", "square")
+KNOWN_DOMAINS = tuple(DOMAINS)
 KNOWN_G0 = ("bump", "constant")
 
 

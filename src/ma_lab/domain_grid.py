@@ -1,5 +1,7 @@
 """Convex domains, uniform grids with membership masks, finite differences, L^p norms.
 
+A domain kind is one ConvexDomain subclass, whose base says what a kind must
+provide; DOMAINS, the only list of kinds, names each kind's class and size keys.
 Everything downstream (solvers, section geometry, covering experiments) works on the
 node sets produced here. A node is exactly one of: exterior, boundary-adjacent, or
 interior. Interior nodes have their full 8-neighborhood inside the domain, so central
@@ -70,123 +72,85 @@ def build_once(lock: threading.Lock, built: dict, key, build: Callable):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConvexDomain:
-    """A bounded convex domain centered at the origin.
+    """A bounded convex domain centered at the origin, the base of one class per kind.
 
-    Attributes
-    ----------
-    kind : str
-        One of "disc", "ellipse", "square".
-    params : dict
-        Shape parameters as passed to :func:`build_domain`.
-    rho : float
-        Normalization constant: min(interior tangent ball radius proxy,
-        1 / enclosing ball radius). For a square the tangent-ball proxy is the
-        inradius and the uniform convexity modulus below is 0; the two
-        quantities are stored separately rather than blended.
-    uniform_convexity_modulus : float
-        Minimal boundary curvature (0 for flat-sided domains).
+    A kind holds its sizes and two constants, computed once when it is built:
+    rho, the normalization constant min(interior tangent ball radius proxy,
+    1 / enclosing ball radius), and uniform_convexity_modulus, the minimal
+    boundary curvature. A flat-sided kind (the square) takes its inradius as
+    the proxy and has modulus 0; the two are not blended. A kind provides
+    five methods: contains(pts), the closed membership of an (..., 2) array
+    of points; bbox(), the box (x0, x1, y0, y1); diameter();
+    boundary_samples(m), m deterministic boundary points, roughly arc-length
+    distributed; project_boundary(pts), the nearest boundary point, the
+    distance (nonnegative) and the outward unit normal there, for points
+    inside or outside.
     """
 
-    kind: str
-    params: dict
     rho: float
     uniform_convexity_modulus: float
 
-    # -- membership -------------------------------------------------------
+
+class Disc(ConvexDomain):
+    """x^2 + y^2 <= radius^2."""
+
+    def __init__(self, radius: float):
+        self.radius = radius
+        self.rho = min(radius, 1.0 / radius)
+        self.uniform_convexity_modulus = 1.0 / radius
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Closed membership test for an (..., 2) array of points."""
         pts = np.asarray(pts, dtype=float)
-        x, y = pts[..., 0], pts[..., 1]
-        if self.kind == "disc":
-            r = self.params["radius"]
-            return x * x + y * y <= r * r * (1.0 + _MEMBERSHIP_TOL) + _MEMBERSHIP_TOL
-        if self.kind == "ellipse":
-            a, b = self.params["a"], self.params["b"]
-            return (x / a) ** 2 + (y / b) ** 2 <= 1.0 + _MEMBERSHIP_TOL
-        half = 0.5 * self.params["side"]
-        return np.maximum(np.abs(x), np.abs(y)) <= half * (1.0 + _MEMBERSHIP_TOL) + _MEMBERSHIP_TOL
-
-    # -- geometry ---------------------------------------------------------
+        x, y, r = pts[..., 0], pts[..., 1], self.radius
+        return x * x + y * y <= r * r * (1.0 + _MEMBERSHIP_TOL) + _MEMBERSHIP_TOL
 
     def bbox(self) -> tuple[float, float, float, float]:
-        if self.kind == "disc":
-            r = self.params["radius"]
-            return (-r, r, -r, r)
-        if self.kind == "ellipse":
-            a, b = self.params["a"], self.params["b"]
-            return (-a, a, -b, b)
-        half = 0.5 * self.params["side"]
-        return (-half, half, -half, half)
+        return (-self.radius, self.radius, -self.radius, self.radius)
 
     def diameter(self) -> float:
-        if self.kind == "disc":
-            return 2.0 * self.params["radius"]
-        if self.kind == "ellipse":
-            return 2.0 * max(self.params["a"], self.params["b"])
-        return self.params["side"] * np.sqrt(2.0)
+        return 2.0 * self.radius
 
     def boundary_samples(self, m: int) -> np.ndarray:
-        """m deterministic boundary points, roughly arc-length distributed."""
         t = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-        if self.kind == "disc":
-            r = self.params["radius"]
-            return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-        if self.kind == "ellipse":
-            a, b = self.params["a"], self.params["b"]
-            return np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
-        half = 0.5 * self.params["side"]
-        verts = np.array([[half, half], [-half, half], [-half, -half], [half, -half]])
-        # walk the closed polyline
-        seg = np.roll(verts, -1, axis=0) - verts
-        lens = np.hypot(seg[:, 0], seg[:, 1])
-        total = lens.sum()
-        s = np.linspace(0.0, total, m, endpoint=False)
-        cum = np.concatenate([[0.0], np.cumsum(lens)])
-        idx = np.searchsorted(cum, s, side="right") - 1
-        idx = np.clip(idx, 0, len(verts) - 1)
-        frac = (s - cum[idx]) / lens[idx]
-        return verts[idx] + seg[idx] * frac[:, None]
+        return np.stack([self.radius * np.cos(t), self.radius * np.sin(t)], axis=-1)
 
     def project_boundary(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nearest boundary point, distance, and outward unit normal there.
-
-        Works for points inside or outside; distance is always nonnegative.
-        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == "disc":
-            r = self.params["radius"]
-            nrm = np.linalg.norm(pts, axis=-1)
-            safe = np.where(nrm < 1e-300, 1.0, nrm)
-            n = pts / safe[:, None]
-            n[nrm < 1e-300] = np.array([0.0, 1.0])
-            proj = r * n
-            dist = np.abs(nrm - r)
-            return proj, dist, n
-        if self.kind == "ellipse":
-            return self._project_ellipse(pts)
-        # square: a closed-domain point goes to the side of smallest gap, ties
-        # in the order +x, -x, +y, -y; an exterior point is clipped to the box
-        half = 0.5 * self.params["side"]
-        x, y = pts[:, 0], pts[:, 1]
-        side = np.argmin(np.stack([half - x, half + x, half - y, half + y], axis=-1), axis=-1)
-        rows, axis = np.arange(len(pts)), side // 2
-        sign = np.where(side % 2 == 0, 1.0, -1.0)
-        proj = pts.copy()
-        proj[rows, axis] = sign * half
-        normal = np.zeros_like(pts)
-        normal[rows, axis] = sign
-        out = ~self.contains(pts)
-        proj[out] = np.clip(pts[out], -half, half)
-        d = pts[out] - proj[out]
-        normal[out] = d / np.linalg.norm(d, axis=-1, keepdims=True)
-        dist = np.linalg.norm(pts - proj, axis=-1)
-        return proj, dist, normal
+        nrm = np.linalg.norm(pts, axis=-1)
+        safe = np.where(nrm < 1e-300, 1.0, nrm)
+        n = pts / safe[:, None]
+        n[nrm < 1e-300] = np.array([0.0, 1.0])
+        return self.radius * n, np.abs(nrm - self.radius), n
 
-    def _project_ellipse(self, pts):
-        a, b = self.params["a"], self.params["b"]
+
+class Ellipse(ConvexDomain):
+    """(x / a)^2 + (y / b)^2 <= 1: semi-axis a along x, b along y."""
+
+    def __init__(self, a: float, b: float):
+        self.a, self.b = a, b
+        big, small = max(a, b), min(a, b)
+        # tangent ball radius small^2/big, enclosing ball radius big
+        self.rho = min(small * small / big, 1.0 / big)
+        self.uniform_convexity_modulus = small / big**2
+
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        return (pts[..., 0] / self.a) ** 2 + (pts[..., 1] / self.b) ** 2 <= 1.0 + _MEMBERSHIP_TOL
+
+    def bbox(self) -> tuple[float, float, float, float]:
+        return (-self.a, self.a, -self.b, self.b)
+
+    def diameter(self) -> float:
+        return 2.0 * max(self.a, self.b)
+
+    def boundary_samples(self, m: int) -> np.ndarray:
+        t = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+        return np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
+
+    def project_boundary(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        a, b = self.a, self.b
         sx = np.where(pts[:, 0] >= 0, 1.0, -1.0)
         sy = np.where(pts[:, 1] >= 0, 1.0, -1.0)
         qx = np.abs(pts[:, 0])
@@ -237,49 +201,85 @@ class ConvexDomain:
         return proj, dist, normal
 
 
-def _ellipse_constants(a: float, b: float) -> tuple[float, float, float]:
-    big, small = max(a, b), min(a, b)
-    tangent_r = small * small / big
-    modulus = small / big**2
-    enclosing = big
-    return tangent_r, modulus, enclosing
+class Square(ConvexDomain):
+    """max(|x|, |y|) <= side / 2: axis-aligned and flat-sided."""
+
+    def __init__(self, side: float):
+        self.side = side
+        self.rho = min(0.5 * side, 1.0 / (0.5 * side * np.sqrt(2.0)))  # inradius, circumradius
+        self.uniform_convexity_modulus = 0.0
+
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.abs(np.asarray(pts, dtype=float))
+        half = 0.5 * self.side
+        return np.maximum(pts[..., 0], pts[..., 1]) <= half * (1.0 + _MEMBERSHIP_TOL) + _MEMBERSHIP_TOL
+
+    def bbox(self) -> tuple[float, float, float, float]:
+        half = 0.5 * self.side
+        return (-half, half, -half, half)
+
+    def diameter(self) -> float:
+        return self.side * np.sqrt(2.0)
+
+    def boundary_samples(self, m: int) -> np.ndarray:
+        half = 0.5 * self.side
+        verts = np.array([[half, half], [-half, half], [-half, -half], [half, -half]])
+        # walk the closed polyline
+        seg = np.roll(verts, -1, axis=0) - verts
+        lens = np.hypot(seg[:, 0], seg[:, 1])
+        total = lens.sum()
+        s = np.linspace(0.0, total, m, endpoint=False)
+        cum = np.concatenate([[0.0], np.cumsum(lens)])
+        idx = np.searchsorted(cum, s, side="right") - 1
+        idx = np.clip(idx, 0, len(verts) - 1)
+        frac = (s - cum[idx]) / lens[idx]
+        return verts[idx] + seg[idx] * frac[:, None]
+
+    def project_boundary(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        # a closed-domain point goes to the side of smallest gap, ties
+        # in the order +x, -x, +y, -y; an exterior point is clipped to the box
+        half = 0.5 * self.side
+        x, y = pts[:, 0], pts[:, 1]
+        side = np.argmin(np.stack([half - x, half + x, half - y, half + y], axis=-1), axis=-1)
+        rows, axis = np.arange(len(pts)), side // 2
+        sign = np.where(side % 2 == 0, 1.0, -1.0)
+        proj = pts.copy()
+        proj[rows, axis] = sign * half
+        normal = np.zeros_like(pts)
+        normal[rows, axis] = sign
+        out = ~self.contains(pts)
+        proj[out] = np.clip(pts[out], -half, half)
+        d = pts[out] - proj[out]
+        normal[out] = d / np.linalg.norm(d, axis=-1, keepdims=True)
+        dist = np.linalg.norm(pts - proj, axis=-1)
+        return proj, dist, normal
+
+
+# each kind's class and the size keys build_domain passes to it, in order
+DOMAINS = {
+    "disc": (Disc, ("radius",)),
+    "ellipse": (Ellipse, ("a", "b")),
+    "square": (Square, ("side",)),
+}
 
 
 def build_domain(kind: str, **params) -> ConvexDomain:
-    """Validate shape parameters and compute rho and the convexity modulus.
-
-    Parameters
-    ----------
-    kind : str
-        "disc" (radius), "ellipse" (a, b) or "square" (side). Keys of the
-        other kinds are ignored.
+    """The domain of a kind in DOMAINS, built from its size keys; other keys are ignored.
 
     Raises
     ------
     DomainError
-        On nonpositive sizes or an unknown kind.
+        On an unknown kind, or a size that is missing, not positive or not finite.
     """
-    if kind == "disc":
-        r = float(params.get("radius", 1.0))
-        if r <= 0:
-            raise DomainError(f"disc radius must be positive, got {r}")
-        return ConvexDomain("disc", {"radius": r}, rho=min(r, 1.0 / r), uniform_convexity_modulus=1.0 / r)
-    if kind == "ellipse":
-        a, b = float(params["a"]), float(params["b"])
-        if a <= 0 or b <= 0:
-            raise DomainError(f"ellipse semi-axes must be positive, got a={a}, b={b}")
-        tangent_r, modulus, enclosing = _ellipse_constants(a, b)
-        return ConvexDomain(
-            "ellipse", {"a": a, "b": b}, rho=min(tangent_r, 1.0 / enclosing), uniform_convexity_modulus=modulus
-        )
-    if kind == "square":
-        s = float(params["side"])
-        if s <= 0:
-            raise DomainError(f"square side must be positive, got {s}")
-        inradius = 0.5 * s
-        circum = 0.5 * s * np.sqrt(2.0)
-        return ConvexDomain("square", {"side": s}, rho=min(inradius, 1.0 / circum), uniform_convexity_modulus=0.0)
-    raise DomainError(f"unknown domain kind {kind!r}")
+    if kind not in DOMAINS:
+        raise DomainError(f"unknown domain kind {kind!r}")
+    cls, keys = DOMAINS[kind]
+    sizes = [float(params.get(key, np.nan)) for key in keys]
+    for key, x in zip(keys, sizes):
+        if not 0.0 < x < np.inf:
+            raise DomainError(f"{kind} size {key!r} must be given, positive and finite; got {params.get(key)}")
+    return cls(*sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +382,10 @@ def discretize(domain: ConvexDomain, spacing: float) -> Grid:
     Raises
     ------
     GridError
-        If spacing is not positive, or the grid ends up with fewer than 16
-        interior nodes (spacing too coarse).
+        If spacing is not a positive number (NaN included), or the grid ends
+        up with fewer than 16 interior nodes (spacing too coarse).
     """
-    if spacing <= 0:
+    if not spacing > 0:
         raise GridError(f"spacing must be positive, got {spacing}")
     if domain.rho > 0 and spacing >= domain.rho / 4.0:
         warnings.warn(

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .domain_grid import FieldError, Grid, MatrixField, ScalarField, coerce_datum, coerce_samples, fd_derivatives, lp_norm
+from .domain_grid import FieldError, MatrixField, ScalarField, coerce_datum, coerce_samples, fd_derivatives, lp_norm
 from .ma_solve import NodeSystem, PotentialField, SolveError, cofactor_field, linear_solve
 
 
@@ -29,12 +29,6 @@ class LmaSolution:
     u: ScalarField
     f_values: np.ndarray
     residual_max: float
-
-
-def identity_coefficients(grid: Grid) -> MatrixField:
-    """Coefficient field Phi = I, for manufactured-solution checks."""
-    ones = np.ones(grid.shape)
-    return MatrixField(grid=grid, xx=ones, yy=ones.copy(), xy=np.zeros(grid.shape))
 
 
 def solve_lma(

@@ -1,8 +1,8 @@
 """Section geometry of a convex potential.
 
 Sections are connected sublevel sets of the potential below a lifted tangent
-plane. This module computes the quasi-distance that generates them, extracts
-sections by flood fill, measures maximal interior heights, checks quadratic
+plane. This module computes the tangent gaps (quasi-distances) that generate
+them, extracts sections by flood fill, measures maximal interior heights, checks quadratic
 separation of the boundary data, fits the boundary-localization shear, and
 classifies sections as interior or boundary dominated.
 
@@ -96,25 +96,6 @@ def gradient_at(potential: PotentialField, p: np.ndarray) -> np.ndarray:
     gx = potential.grad.gx[i, j] + h.xx[i, j] * dx + h.xy[i, j] * dy
     gy = potential.grad.gy[i, j] + h.xy[i, j] * dx + h.yy[i, j] * dy
     return np.array([gx, gy])
-
-
-def quasi_distance(potential: PotentialField, xbar, x) -> np.ndarray:
-    """Squared quasi-distance from the node nearest xbar to the point(s) x.
-
-    Returns phi(x) - phi(xbar) - grad phi(xbar) . (x - xbar). Nonnegative up
-    to the convexity tolerance of the potential. Adding an affine function to
-    the potential leaves the value unchanged.
-    """
-    grid = potential.grid
-    i, j = grid.nearest_node(xbar)
-    if not grid.in_domain[i, j]:
-        raise SectionError("base point must be an in-domain node")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    phis = phi_extended(potential, x)
-    gx = potential.grad.gx[i, j]
-    gy = potential.grad.gy[i, j]
-    d2 = phis - potential.phi.values[i, j] - gx * (x[:, 0] - grid.xs[i]) - gy * (x[:, 1] - grid.ys[j])
-    return d2 if d2.size > 1 else float(d2[0])
 
 
 # ---------------------------------------------------------------------------

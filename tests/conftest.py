@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ma_lab.domain_grid import build_domain, discretize
+from ma_lab.domain_grid import MatrixField, build_domain, discretize
 from ma_lab.ma_solve import assemble_potential, solve_ma
 from ma_lab.lma_solve import solve_lma
+from ma_lab.section_geom import SectionError, phi_extended
 
 
 def tangent_gap(pot, i, j):
@@ -12,6 +13,31 @@ def tangent_gap(pot, i, j):
     X, Y = grid.meshes()
     gx, gy = pot.grad.gx[i, j], pot.grad.gy[i, j]
     return pot.phi.values - pot.phi.values[i, j] - gx * (X - grid.xs[i]) - gy * (Y - grid.ys[j])
+
+
+def identity_coefficients(grid):
+    """Coefficient field Phi = I, for manufactured-solution checks."""
+    ones = np.ones(grid.shape)
+    return MatrixField(grid=grid, xx=ones, yy=ones.copy(), xy=np.zeros(grid.shape))
+
+
+def quasi_distance(potential, xbar, x):
+    """Squared quasi-distance from the node nearest xbar to the point(s) x.
+
+    Returns phi(x) - phi(xbar) - grad phi(xbar) . (x - xbar). Nonnegative up
+    to the convexity tolerance of the potential. Adding an affine function to
+    the potential leaves the value unchanged.
+    """
+    grid = potential.grid
+    i, j = grid.nearest_node(xbar)
+    if not grid.in_domain[i, j]:
+        raise SectionError("base point must be an in-domain node")
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    phis = phi_extended(potential, x)
+    gx = potential.grad.gx[i, j]
+    gy = potential.grad.gy[i, j]
+    d2 = phis - potential.phi.values[i, j] - gx * (x[:, 0] - grid.xs[i]) - gy * (x[:, 1] - grid.ys[j])
+    return d2 if d2.size > 1 else float(d2[0])
 
 
 def pinched_density(grid, eps):

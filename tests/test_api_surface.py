@@ -156,8 +156,6 @@ def test_no_src_module_reads_the_environment():
 # public names that nothing in src reaches, each kept on purpose
 KEPT = {
     "assemble_potential": "test fixture: model potentials sampled from a closed form",
-    "identity_coefficients": "test fixture: Phi = I for manufactured linearized solves",
-    "quasi_distance": "test fixture: quasi-distances checked against closed forms",
     "maximal_height": "awaits the exact section heights of the ROADMAP's section-height item",
     "quadratic_separation_check": "awaits the hypothesis gates of the ROADMAP",
     "localization_fit": "awaits the boundary-localization experiment of the ROADMAP",

@@ -9,6 +9,7 @@ import pytest
 
 from ma_lab import cli_runner, ma_solve, section_geom, stability_lab
 from ma_lab.cli_runner import ExperimentConfig, run
+from ma_lab.domain_grid import DOMAINS
 from ma_lab.stability_lab import EXPERIMENTS
 
 SWEEPS = ("cofactor_stability", "sobolev_stability", "approximation", "contact_set", "w2p_ratio")
@@ -263,8 +264,12 @@ def test_barrier_assertions_take_their_sides_from_the_verifier(tmp_path, monkeyp
     ("cofactor_stability", "experiment = solve_ma\nspacing = 0.0625", 2,
      "runs experiment 'solve_ma' but the subcommand is 'cofactor_stability'"),
     ("w21e", None, 0, None),
+    ("solve_ma", "experiment = solve_ma\ndomain = polygon", 2,
+     f"unknown domain 'polygon' (known: {', '.join(DOMAINS)})"),
+    ("solve_ma", "experiment = solve_ma\ndomain = square\nside = inf", 1,
+     "square size 'side' must be given, positive and finite; got inf"),
 ], ids=["success", "barrier-error", "config-error", "solver-failure", "experiment-mismatch",
-        "no-config"])
+        "no-config", "unknown-domain", "infinite-side"])
 def test_main_exit_codes(tmp_path, capsys, command, text, code, message):
     args = [command, "--out", str(tmp_path / "out")]
     if text is None:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ma_lab.domain_grid import (
+    DOMAINS,
     ConvexDomain,
     DomainError,
     FieldError,
@@ -44,21 +45,43 @@ def test_polygon_is_an_unknown_kind():
         build_domain("polygon", vertices=[(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
-def test_membership_and_boundary_samples_agree():
-    for dom in (
-        build_domain("disc", radius=1.0),
-        build_domain("ellipse", a=1.0, b=0.5),
-        build_domain("square", side=2.0),
-    ):
-        pts = dom.boundary_samples(64)
-        assert pts.shape == (64, 2)
-        assert dom.contains(pts).all()
-        assert not dom.contains(np.array([[10.0, 10.0]])).any()
+@pytest.mark.parametrize("kind, params, key", [
+    ("disc", {}, "radius"),
+    ("disc", {"radius": float("nan")}, "radius"),
+    ("disc", {"radius": 0.0}, "radius"),
+    ("ellipse", {"a": 1.0}, "b"),
+    ("ellipse", {"a": -1.0, "b": 1.0}, "a"),
+    ("ellipse", {"a": 1.0, "b": float("inf")}, "b"),
+    ("square", {"radius": 1.0}, "side"),
+    ("square", {"side": float("inf")}, "side"),
+], ids=["disc-missing", "disc-nan", "disc-zero", "ellipse-missing", "ellipse-negative",
+        "ellipse-inf", "square-other-key", "square-inf"])
+def test_bad_sizes_are_domain_errors(kind, params, key):
+    with pytest.raises(DomainError, match=f"{kind} size '{key}' must be given, positive and finite"):
+        build_domain(kind, **params)
+
+
+@pytest.mark.parametrize("kind", DOMAINS)
+def test_membership_and_boundary_samples_agree(kind):
+    _, keys = DOMAINS[kind]
+    # unequal sizes, so that an ellipse is not a disc
+    dom = build_domain(kind, **{key: 1.0 + 0.3 * k for k, key in enumerate(keys)})
+    assert isinstance(dom, ConvexDomain)
+    pts = dom.boundary_samples(64)
+    assert pts.shape == (64, 2)
+    assert dom.contains(pts).all()
+    assert not dom.contains(np.array([[10.0, 10.0]])).any()
+    _, dist, normal = dom.project_boundary(pts)
+    np.testing.assert_allclose(dist, 0.0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(normal, axis=-1), 1.0, rtol=0.0, atol=1e-12)
+    x0, x1, y0, y1 = dom.bbox()
+    assert np.all((x0 <= pts[:, 0]) & (pts[:, 0] <= x1) & (y0 <= pts[:, 1]) & (pts[:, 1] <= y1))
+    assert dom.diameter() >= np.linalg.norm(pts[:, None] - pts[None], axis=-1).max()
 
 
 def _project_square_loop(dom, pts):
     """Per-point square projection, kept as the reference for project_boundary."""
-    half = 0.5 * dom.params["side"]
+    half = 0.5 * dom.side
     proj = np.empty_like(pts)
     normal = np.empty_like(pts)
     inside = dom.contains(pts)
@@ -122,6 +145,8 @@ def test_too_coarse_spacing_is_an_error():
     d = build_domain("disc", radius=1.0)
     with pytest.raises(GridError, match="16"):
         discretize(d, 0.5)
+    with pytest.raises(GridError, match="spacing must be positive, got nan"):
+        discretize(d, float("nan"))
 
 
 def test_marginal_spacing_warns_but_builds():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import identity_coefficients
 from ma_lab.domain_grid import FieldError, build_domain, discretize, lp_norm
-from ma_lab.lma_solve import abp_check, identity_coefficients, operator_apply, solve_lma
+from ma_lab.lma_solve import abp_check, operator_apply, solve_lma
 from ma_lab.ma_solve import SolveError, assemble_potential, cofactor_field, solve_ma
 
 

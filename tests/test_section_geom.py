@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from conftest import tangent_gap
+from conftest import quasi_distance, tangent_gap
 from ma_lab.ma_solve import assemble_potential
 from ma_lab.section_geom import (
     SectionError,
@@ -19,7 +19,6 @@ from ma_lab.section_geom import (
     measure_c_cap,
     pair_gaps,
     phi_extended,
-    quasi_distance,
     section,
     section_cells,
     sublevel_cells,
