@@ -317,3 +317,46 @@ def test_sections_experiment_floods_each_section_once(tmp_path, monkeypatch):
     assert run(cfg, out_dir=str(tmp_path)) == 0
     heights = json.loads((tmp_path / "report.json").read_text())["sweep"]
     assert calls == [[t, 2.0 * t] for t in heights]
+
+
+_EXPERIMENTS = ", ".join(cli_runner.KNOWN_EXPERIMENTS)
+
+
+@pytest.mark.parametrize("text, errors", [
+    ("experiment = solve_ma\njust words", ["line 2: expected key = value, got 'just words'"]),
+    ("experiment = solve_ma\n = 3", ["line 2: expected key = value, got '= 3'"]),
+    ("experiment = solve_ma\ncolour = blue", ["line 2: unknown key 'colour'"]),
+    ("experiment = solve_ma\nspacing = 0.1\nspacing = 0.2", ["duplicate key 'spacing' at lines 2 and 3"]),
+    ("experiment = solve_ma\nradius = abc", ["line 2: key 'radius': could not parse 'abc' as a number"]),
+    ("experiment = solve_ma\nspacing = -0.5", ["line 2: key 'spacing': must be positive, got -0.5"]),
+    ("experiment = solve_ma\ntol_ma = nan", ["line 2: key 'tol_ma': must be positive, got nan"]),
+    ("experiment = solve_ma\nthreads = 1.5", ["line 2: key 'threads': must be an integer, got 1.5"]),
+    ("experiment = solve_ma\neps = , ,", ["line 2: key 'eps': empty list"]),
+    ("experiment = nope", [f"line 1: unknown experiment 'nope' (known: {_EXPERIMENTS})"]),
+    ("experiment = solve_ma\ndomain = polygon",
+     [f"line 2: unknown domain 'polygon' (known: {', '.join(DOMAINS)})"]),
+    ("experiment = solve_ma\ng0 = wavy", ["line 2: unknown g0 form 'wavy' (known: bump, constant)"]),
+    ("spacing = 0.1", ["missing required key 'experiment'"]),
+    ("experiment = solve_ma\neps = -1, abc", ["line 2: key 'eps': must be positive, got -1",
+                                             "line 2: key 'eps': could not parse 'abc' as a number"]),
+    ("spacing = abc\ncolour = blue\nthreads = 0",
+     ["line 2: unknown key 'colour'", "line 1: key 'spacing': could not parse 'abc' as a number",
+      "line 3: key 'threads': must be positive, got 0", "missing required key 'experiment'"]),
+], ids=["malformed", "empty-key", "unknown-key", "duplicate-key", "not-a-number", "not-positive",
+        "nan", "non-integer-threads", "empty-list", "unknown-experiment", "unknown-domain",
+        "unknown-g0", "missing-experiment", "bad-list-items", "several"])
+def test_parse_config_reports_every_error(text, errors):
+    with pytest.raises(cli_runner.ConfigError) as exc:
+        cli_runner.parse_config(text)
+    assert exc.value.errors == errors
+
+
+def test_parse_config_ignores_comments_and_headers():
+    text = ("# a run\n[run]\nexperiment = sections\n\n  # indented comment\n[grid]\n"
+            "domain = ellipse\na = 1.2\nb = 0.8\nspacing = 0.03125\neps = 0.2, 0.1\n"
+            "threads = 2.0\ng0 = constant\nlam = 0.5\nout = results\n")
+    cfg = cli_runner.parse_config(text)
+    assert cfg == ExperimentConfig(experiment="sections", domain="ellipse", a=1.2, b=0.8,
+                                   spacing=0.03125, eps=(0.2, 0.1), threads=2, g0="constant",
+                                   lam=0.5, out="results")
+    assert type(cfg.threads) is int
