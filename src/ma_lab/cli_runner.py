@@ -3,17 +3,21 @@
 The 13 experiments live in stability_lab, registered by name in EXPERIMENTS;
 each returns an ExperimentReport that carries the rows of its own files.
 Config files are plain text with optional [section] headers and key = value
-lines. parse_config validates everything at once and reports every problem
-with its line number; run executes a validated config, names the report
-after the experiment, echoes the config into it and writes the experiment's
-own files, one CSV and one two-column gnuplot-friendly .dat file per swept
-quantity, and report.json. Writing happens here and nowhere else.
+lines. parse_value is the one rule for a value: it parses a config line's
+value and the --spacing and --threads flags alike, so a flag means what the
+same text means in a config. parse_config validates a whole file at once
+and reports every problem with its line number; run executes a validated
+config, names the report after the experiment, echoes the config into it
+and writes the experiment's own files, one CSV and one two-column
+gnuplot-friendly .dat file per swept quantity, and report.json. Writing
+happens here and nowhere else.
 
 The command line has one subcommand per experiment, named as in
 EXPERIMENTS, plus suite. Exit codes: 0 all assertions passed, 1 assertion
-or runtime failure, 2 config error (also a --config whose experiment is not
-the subcommand), 3 solver failure. The output directory resolves in the
-order --out flag (run's out_dir), config `out` key, ./ma_lab_out.
+or runtime failure, 2 config error (a bad config line or flag, or a
+--config whose experiment is not the subcommand), 3 solver failure. The
+output directory resolves in the order --out flag (run's out_dir), config
+`out` key, ./ma_lab_out.
 """
 
 import argparse
@@ -23,6 +27,7 @@ import sys
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, fields, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -32,8 +37,14 @@ from .ma_solve import SolveError
 from .stability_lab import EXPERIMENTS, ExperimentConfig, ExperimentReport, PinchedFamily, default_bump, pool_size
 
 
-class ConfigError(ValueError):
-    """Carries every problem found in a config, one message per line issue."""
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """Carries every problem found in a config, one message per line issue.
+
+    parse_value raises it with one message for a bad value, whether the text
+    comes from a config line or from a flag; it is also argparse's
+    ArgumentTypeError, so a flag that parse_value rejects exits 2 through
+    argparse with that message.
+    """
 
     def __init__(self, errors):
         self.errors = list(errors)
@@ -42,21 +53,56 @@ class ConfigError(ValueError):
 
 KNOWN_DOMAINS = tuple(DOMAINS)
 KNOWN_G0 = ("bump", "constant")
+KNOWN_EXPERIMENTS = tuple(EXPERIMENTS) + ("suite",)
+# the str keys whose value must be one of these names
+_CHOICES = {"experiment": KNOWN_EXPERIMENTS, "domain": KNOWN_DOMAINS, "g0": KNOWN_G0}
 
-
-# each key parses by its field's type: str, int, tuple (a list of floats) or
-# float (Optional[float] too); every number must be strictly positive
+# each key's field type: str, int, tuple (a list of floats) or float (Optional[float] too)
 _KINDS = {f.name: f.type for f in fields(ExperimentConfig)}
 KNOWN_KEYS = set(_KINDS)
+
+
+def parse_value(key: str, text: str):
+    """The value of a known config key, parsed from its text by the key's field type.
+
+    A str key with choices (experiment, domain, g0) must name one of them;
+    every number, each item of a comma-separated list included, must be
+    positive, and an int key's number must be whole. Raises ConfigError with
+    one message naming the problem.
+    """
+    kind = _KINDS[key]
+    if kind is str:
+        if key in _CHOICES and text not in _CHOICES[key]:
+            raise ConfigError([f"unknown {key} {text!r} (known: {', '.join(_CHOICES[key])})"])
+        return text
+    items = [s.strip() for s in text.split(",") if s.strip()] if kind is tuple else [text]
+    if not items:
+        raise ConfigError([f"key {key!r}: empty list"])
+    xs = []
+    for item in items:
+        try:
+            x = float(item)
+        except ValueError:
+            raise ConfigError([f"key {key!r}: could not parse {item!r} as a number"]) from None
+        if not x > 0:
+            raise ConfigError([f"key {key!r}: must be positive, got {item}"])
+        xs.append(x)
+    if kind is tuple:
+        return tuple(xs)
+    if kind is int:
+        if not xs[0].is_integer():
+            raise ConfigError([f"key {key!r}: must be an integer, got {text}"])
+        return int(xs[0])
+    return xs[0]
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config, collecting every error before raising.
 
     Lines are key = value pairs; [section] headers and lines starting with #
-    are allowed and carry no meaning beyond grouping. List values are comma
-    separated. Raises ConfigError with one message per problem, each naming
-    the offending key and line.
+    are allowed and carry no meaning beyond grouping. parse_value decides
+    each value. Raises ConfigError with one message per problem, in line
+    order, each naming the offending key and line.
     """
     errors = []
     seen = {}
@@ -68,84 +114,26 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             continue
-        if "=" not in line:
+        key, eq, val = (part.strip() for part in line.partition("="))
+        if not eq or not key:
             errors.append(f"line {lineno}: expected key = value, got {line!r}")
-            continue
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if not key:
-            errors.append(f"line {lineno}: expected key = value, got {line!r}")
-            continue
-        if key not in KNOWN_KEYS:
+        elif key not in KNOWN_KEYS:
             errors.append(f"line {lineno}: unknown key {key!r}")
-            continue
-        if key in seen:
-            errors.append(
-                f"duplicate key {key!r} at lines {seen[key]} and {lineno}"
-            )
-            continue
-        seen[key] = lineno
-        values[key] = (val, lineno)
-
-    cfg = ExperimentConfig()
-
-    def _number(key, raw_val, lineno):
-        try:
-            x = float(raw_val)
-        except ValueError:
-            errors.append(
-                f"line {lineno}: key {key!r}: could not parse {raw_val!r} as a number"
-            )
-            return None
-        if not x > 0:
-            errors.append(f"line {lineno}: key {key!r}: must be positive, got {raw_val}")
-            return None
-        return x
-
-    for key, (val, lineno) in values.items():
-        kind = _KINDS[key]
-        if kind is str:
-            setattr(cfg, key, val)
-            if key == "experiment" and val not in KNOWN_EXPERIMENTS:
-                errors.append(
-                    f"line {lineno}: unknown experiment {val!r}"
-                    f" (known: {', '.join(KNOWN_EXPERIMENTS)})"
-                )
-            elif key == "domain" and val not in KNOWN_DOMAINS:
-                errors.append(
-                    f"line {lineno}: unknown domain {val!r} (known: {', '.join(KNOWN_DOMAINS)})"
-                )
-            elif key == "g0" and val not in KNOWN_G0:
-                errors.append(
-                    f"line {lineno}: unknown g0 form {val!r} (known: {', '.join(KNOWN_G0)})"
-                )
-        elif kind is int:
-            x = _number(key, val, lineno)
-            if x is not None:
-                if x != int(x):
-                    errors.append(f"line {lineno}: key {key!r}: must be an integer, got {val}")
-                else:
-                    setattr(cfg, key, int(x))
-        elif kind is tuple:
-            parts = [s.strip() for s in val.split(",") if s.strip()]
-            if not parts:
-                errors.append(f"line {lineno}: key {key!r}: empty list")
-                continue
-            xs = [_number(key, s, lineno) for s in parts]
-            if all(x is not None for x in xs):
-                setattr(cfg, key, tuple(xs))
+        elif key in seen:
+            errors.append(f"duplicate key {key!r} at lines {seen[key]} and {lineno}")
         else:
-            x = _number(key, val, lineno)
-            if x is not None:
-                setattr(cfg, key, x)
+            seen[key] = lineno
+            try:
+                values[key] = parse_value(key, val)
+            except ConfigError as exc:
+                errors.append(f"line {lineno}: {exc}")
 
-    if "experiment" not in values:
+    if "experiment" not in seen:
         errors.append("missing required key 'experiment'")
 
     if errors:
         raise ConfigError(errors)
-    return cfg
+    return ExperimentConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +154,6 @@ _SUITE_OVERRIDES = {
     "cofactor_stability": {"eps": (0.2, 0.1, 0.05, 0.025)},
     "contact_set": {"sigma": 0.9},
 }
-KNOWN_EXPERIMENTS = tuple(EXPERIMENTS) + ("suite",)
 
 
 def _write_artifacts(report: ExperimentReport, out: str) -> None:
@@ -196,11 +183,6 @@ def _write_artifacts(report: ExperimentReport, out: str) -> None:
         fh.write("\n")
 
 
-def resolve_out(config: ExperimentConfig, out_flag: Optional[str] = None) -> str:
-    """Output directory precedence: out_flag (--out), config out key, ./ma_lab_out."""
-    return out_flag or config.out or "./ma_lab_out"
-
-
 def run(config: ExperimentConfig, out_dir: Optional[str] = None,
         family: Optional[PinchedFamily] = None) -> int:
     """Execute a validated config; return the process exit code.
@@ -215,7 +197,7 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     it and sets its wall_time: building the family, when it is not given,
     plus computing the report; writing the files is not included.
     """
-    out = resolve_out(config, out_dir)
+    out = out_dir or config.out or "./ma_lab_out"
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -315,8 +297,9 @@ def main(argv=None) -> None:
         s = sub.add_parser(name, help=f"run the {name} experiment")
         s.add_argument("--config", default=None, help="path to a config file")
         s.add_argument("--out", default=None, help="output directory")
-        s.add_argument("--spacing", type=float, default=None, help="grid spacing override")
-        s.add_argument("--threads", type=int, default=None,
+        s.add_argument("--spacing", type=partial(parse_value, "spacing"), default=None,
+                       help="grid spacing override")
+        s.add_argument("--threads", type=partial(parse_value, "threads"), default=None,
                        help="experiments running at once in a suite (peak memory grows "
                             "with them, up to 13), or the sweep pool size of a single "
                             "experiment; default all cores")
@@ -343,16 +326,8 @@ def main(argv=None) -> None:
         config = ExperimentConfig(experiment=args.command)
 
     if args.spacing is not None:
-        if not args.spacing > 0:
-            print(f"config error: --spacing must be positive, got {args.spacing}",
-                  file=sys.stderr)
-            sys.exit(2)
         config.spacing = args.spacing
     if args.threads is not None:
-        if args.threads < 1:
-            print(f"config error: --threads must be at least 1, got {args.threads}",
-                  file=sys.stderr)
-            sys.exit(2)
         config.threads = args.threads
 
     sys.exit(run(config, out_dir=args.out))

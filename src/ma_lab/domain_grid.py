@@ -14,6 +14,7 @@ SW, SE, NW. A node with no such stencil gets 0: the disc's four lattice poles.
 
 from __future__ import annotations
 
+import numbers
 import threading
 import warnings
 from concurrent.futures import Future
@@ -270,16 +271,18 @@ def build_domain(kind: str, **params) -> ConvexDomain:
     Raises
     ------
     DomainError
-        On an unknown kind, or a size that is missing, not positive or not finite.
+        On an unknown kind, or a size that is missing, not a real number, not
+        positive or not finite.
     """
     if kind not in DOMAINS:
         raise DomainError(f"unknown domain kind {kind!r}")
     cls, keys = DOMAINS[kind]
-    sizes = [float(params.get(key, np.nan)) for key in keys]
+    sizes = [params.get(key) for key in keys]
     for key, x in zip(keys, sizes):
-        if not 0.0 < x < np.inf:
-            raise DomainError(f"{kind} size {key!r} must be given, positive and finite; got {params.get(key)}")
-    return cls(*sizes)
+        # the type first: a comparison with text, None or a list would raise
+        if not (isinstance(x, numbers.Real) and 0.0 < x < np.inf):
+            raise DomainError(f"{kind} size {key!r} must be given, positive and finite; got {x}")
+    return cls(*map(float, sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +385,9 @@ def discretize(domain: ConvexDomain, spacing: float) -> Grid:
     Raises
     ------
     GridError
-        If spacing is not a positive number (NaN included), or the grid ends
-        up with fewer than 16 interior nodes (spacing too coarse).
+        If spacing is not a positive number (NaN included), if the grid would
+        hold more nodes than int32 node numbers reach (spacing too fine), or
+        if it ends up with fewer than 16 interior nodes (spacing too coarse).
     """
     if not spacing > 0:
         raise GridError(f"spacing must be positive, got {spacing}")
@@ -394,8 +398,14 @@ def discretize(domain: ConvexDomain, spacing: float) -> Grid:
             stacklevel=2,
         )
     x0, x1, y0, y1 = domain.bbox()
-    nx = int(np.ceil((x1 - x0) / spacing - 1e-12)) + 1
-    ny = int(np.ceil((y1 - y0) / spacing - 1e-12)) + 1
+    # node counts as floats first, so that a grid too large is refused before
+    # any int or array is made
+    nx = np.ceil((x1 - x0) / spacing - 1e-12) + 1
+    ny = np.ceil((y1 - y0) / spacing - 1e-12) + 1
+    if nx > np.iinfo(np.int32).max / ny:
+        raise GridError(f"spacing {spacing} gives {nx:.3g} x {ny:.3g} nodes, "
+                        "more than int32 node numbers reach")
+    nx, ny = int(nx), int(ny)
     xs = x0 + spacing * np.arange(nx)
     ys = y0 + spacing * np.arange(ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")

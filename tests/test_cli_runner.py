@@ -3,6 +3,7 @@ import json
 import re
 import threading
 from dataclasses import fields
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -268,8 +269,10 @@ def test_barrier_assertions_take_their_sides_from_the_verifier(tmp_path, monkeyp
      f"unknown domain 'polygon' (known: {', '.join(DOMAINS)})"),
     ("solve_ma", "experiment = solve_ma\ndomain = square\nside = inf", 1,
      "square size 'side' must be given, positive and finite; got inf"),
+    # refused before any array is allocated
+    ("solve_ma", "experiment = solve_ma\nspacing = 1e-300", 1, "more than int32 node numbers reach"),
 ], ids=["success", "barrier-error", "config-error", "solver-failure", "experiment-mismatch",
-        "no-config", "unknown-domain", "infinite-side"])
+        "no-config", "unknown-domain", "infinite-side", "too-fine-spacing"])
 def test_main_exit_codes(tmp_path, capsys, command, text, code, message):
     args = [command, "--out", str(tmp_path / "out")]
     if text is None:
@@ -335,16 +338,18 @@ _EXPERIMENTS = ", ".join(cli_runner.KNOWN_EXPERIMENTS)
     ("experiment = nope", [f"line 1: unknown experiment 'nope' (known: {_EXPERIMENTS})"]),
     ("experiment = solve_ma\ndomain = polygon",
      [f"line 2: unknown domain 'polygon' (known: {', '.join(DOMAINS)})"]),
-    ("experiment = solve_ma\ng0 = wavy", ["line 2: unknown g0 form 'wavy' (known: bump, constant)"]),
+    ("experiment = solve_ma\ng0 = wavy", ["line 2: unknown g0 'wavy' (known: bump, constant)"]),
     ("spacing = 0.1", ["missing required key 'experiment'"]),
-    ("experiment = solve_ma\neps = -1, abc", ["line 2: key 'eps': must be positive, got -1",
-                                             "line 2: key 'eps': could not parse 'abc' as a number"]),
+    # a list stops at its first bad item
+    ("experiment = solve_ma\neps = -1, abc", ["line 2: key 'eps': must be positive, got -1"]),
+    ("experiment = solve_ma\nthreads = inf", ["line 2: key 'threads': must be an integer, got inf"]),
+    # in line order
     ("spacing = abc\ncolour = blue\nthreads = 0",
-     ["line 2: unknown key 'colour'", "line 1: key 'spacing': could not parse 'abc' as a number",
+     ["line 1: key 'spacing': could not parse 'abc' as a number", "line 2: unknown key 'colour'",
       "line 3: key 'threads': must be positive, got 0", "missing required key 'experiment'"]),
 ], ids=["malformed", "empty-key", "unknown-key", "duplicate-key", "not-a-number", "not-positive",
         "nan", "non-integer-threads", "empty-list", "unknown-experiment", "unknown-domain",
-        "unknown-g0", "missing-experiment", "bad-list-items", "several"])
+        "unknown-g0", "missing-experiment", "bad-list-items", "infinite-threads", "several"])
 def test_parse_config_reports_every_error(text, errors):
     with pytest.raises(cli_runner.ConfigError) as exc:
         cli_runner.parse_config(text)
@@ -360,3 +365,45 @@ def test_parse_config_ignores_comments_and_headers():
                                    spacing=0.03125, eps=(0.2, 0.1), threads=2, g0="constant",
                                    lam=0.5, out="results")
     assert type(cfg.threads) is int
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--spacing", "-1", "must be positive, got -1"),
+    ("--spacing", "nan", "must be positive, got nan"),
+    ("--spacing", "abc", "could not parse 'abc' as a number"),
+    ("--threads", "0", "must be positive, got 0"),
+    ("--threads", "1.5", "must be an integer, got 1.5"),
+], ids=["negative-spacing", "nan-spacing", "text-spacing", "zero-threads", "fractional-threads"])
+def test_bad_flags_exit_2(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli_runner.main(["solve_ma", "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: key '{flag[2:]}': {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_flag_means_what_its_config_line_means(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiment = solve_ma\nspacing = 0.0625\nthreads = 2.0\n")
+    echoed = []
+    for name, args in (("file", ["--config", str(cfg)]),
+                       ("flags", ["--spacing", "0.0625", "--threads", "2.0"])):
+        with pytest.raises(SystemExit) as exc:
+            cli_runner.main(["solve_ma", "--out", str(tmp_path / name)] + args)
+        assert exc.value.code == 0
+        echoed.append(json.loads((tmp_path / name / "report.json").read_text())["config"])
+    assert echoed[0] == echoed[1]
+    assert echoed[0]["threads"] == 2
+
+
+def test_every_config_field_has_a_type_parse_value_handles():
+    for f in fields(ExperimentConfig):
+        assert f.type in (str, int, tuple, float, Optional[float]), f.name
+        # the empty defaults ("", (), None) and threads = 0 stand for unset or
+        # all cores, values no config line gives
+        if not f.default:
+            continue
+        text = ", ".join(map(str, f.default)) if f.type is tuple else str(f.default)
+        value = cli_runner.parse_value(f.name, text)
+        assert value == f.default and type(value) is type(f.default), f.name

@@ -54,8 +54,11 @@ def test_polygon_is_an_unknown_kind():
     ("ellipse", {"a": 1.0, "b": float("inf")}, "b"),
     ("square", {"radius": 1.0}, "side"),
     ("square", {"side": float("inf")}, "side"),
+    ("disc", {"radius": "abc"}, "radius"),
+    ("disc", {"radius": None}, "radius"),
+    ("disc", {"radius": [1.0]}, "radius"),
 ], ids=["disc-missing", "disc-nan", "disc-zero", "ellipse-missing", "ellipse-negative",
-        "ellipse-inf", "square-other-key", "square-inf"])
+        "ellipse-inf", "square-other-key", "square-inf", "disc-text", "disc-none", "disc-list"])
 def test_bad_sizes_are_domain_errors(kind, params, key):
     with pytest.raises(DomainError, match=f"{kind} size '{key}' must be given, positive and finite"):
         build_domain(kind, **params)
@@ -147,6 +150,12 @@ def test_too_coarse_spacing_is_an_error():
         discretize(d, 0.5)
     with pytest.raises(GridError, match="spacing must be positive, got nan"):
         discretize(d, float("nan"))
+
+
+def test_too_fine_spacing_is_an_error():
+    # refused before any array is allocated
+    with pytest.raises(GridError, match="more than int32 node numbers reach"):
+        discretize(build_domain("disc", radius=1.0), 1e-300)
 
 
 def test_marginal_spacing_warns_but_builds():
