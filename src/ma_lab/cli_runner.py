@@ -8,9 +8,9 @@ value and the --spacing and --threads flags alike, so a flag means what the
 same text means in a config. parse_config validates a whole file at once
 and reports every problem with its line number; run executes a validated
 config, names the report after the experiment, echoes the config into it
-and writes the experiment's own files, one CSV and one two-column
-gnuplot-friendly .dat file per swept quantity, and report.json. Writing
-happens here and nowhere else.
+and writes its files, here and nowhere else: _write_table every table (the
+experiment's own, and a CSV and a two-column gnuplot .dat per swept
+quantity), write_field_csv every field and _write_json every JSON file.
 
 The command line has one subcommand per experiment, named as in
 EXPERIMENTS, plus suite. Exit codes: 0 all assertions passed, 1 assertion
@@ -156,31 +156,35 @@ _SUITE_OVERRIDES = {
 }
 
 
+def _write_table(path: str, header, rows, sep: str = ",") -> None:
+    """The header's names, then one line per row: a Python int with str, every other number with fmt_float."""
+    lines = [sep.join(header)]
+    lines += [sep.join(str(x) if isinstance(x, int) else fmt_float(x) for x in row) for row in rows]
+    write_lines(path, lines)
+
+
+def _write_json(path: str, payload) -> None:
+    """payload as JSON: indent 2, sorted keys, numpy numbers as floats, and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")
+
+
 def _write_artifacts(report: ExperimentReport, out: str) -> None:
     """The experiment's own files, one CSV and one .dat per swept quantity, then report.json."""
-    for name, rows in report.files.items():
-        path = os.path.join(out, name)
-        if isinstance(rows, list):
-            write_lines(path, rows)
+    for name, (first, second) in report.files.items():
+        if isinstance(first, tuple):
+            _write_table(os.path.join(out, name), first, second)
         else:
-            fld, mask = rows
-            write_field_csv(fld, path, mask=mask)
-    label = report.sweep_label
+            write_field_csv(first, os.path.join(out, name), mask=second)
     sweep = list(report.sweep)
     for key, val in report.measured.items():
         if isinstance(val, (list, tuple, np.ndarray)) and sweep and len(val) == len(sweep):
-            csv_path = os.path.join(out, f"{report.experiment}_{key}.csv")
-            dat_path = os.path.join(out, f"{report.experiment}_{key}.dat")
-            lines = [f"{label},{key}"]
-            dat = [f"# {label} {key}"]
-            for s, v in zip(sweep, val):
-                lines.append(f"{fmt_float(s)},{fmt_float(v)}")
-                dat.append(f"{fmt_float(s)} {fmt_float(v)}")
-            write_lines(csv_path, lines)
-            write_lines(dat_path, dat)
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+            rows = [(float(s), float(v)) for s, v in zip(sweep, val)]
+            path = os.path.join(out, f"{report.experiment}_{key}")
+            _write_table(path + ".csv", (report.sweep_label, key), rows)
+            _write_table(path + ".dat", (f"# {report.sweep_label}", key), rows, sep=" ")
+    _write_json(os.path.join(out, "report.json"), report.to_dict())
 
 
 def run(config: ExperimentConfig, out_dir: Optional[str] = None,
@@ -238,9 +242,7 @@ def _write_failure(out: str, config: ExperimentConfig, kind: str, message: str) 
     payload = {"experiment": config.experiment, "config": asdict(config),
                "failure": {"kind": kind, "message": message}, "passed": False}
     try:
-        with open(os.path.join(out, "report.json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out, "report.json"), payload)
     except OSError as exc:
         print(f"cannot write {os.path.join(out, 'report.json')}: {exc}", file=sys.stderr)
 
@@ -278,9 +280,7 @@ def _run_suite(config: ExperimentConfig, out: str, family: PinchedFamily) -> int
         # this raises the first exception in suite order
         code, wall = future.result()
         summary[sub.experiment] = {"exit_code": code, "passed": code == 0, "wall_time": wall}
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "summary.json"), summary)
     n_pass = sum(1 for v in summary.values() if v["passed"])
     print(f"suite: {n_pass}/{len(summary)} experiments passed")
     worst = max(v["exit_code"] for v in summary.values())
@@ -302,7 +302,7 @@ def main(argv=None) -> None:
         s.add_argument("--threads", type=partial(parse_value, "threads"), default=None,
                        help="experiments running at once in a suite (peak memory grows "
                             "with them, up to 13), or the sweep pool size of a single "
-                            "experiment; default all cores")
+                            "experiment; default the cores this process may run on")
     args = parser.parse_args(argv)
 
     if args.config is not None:

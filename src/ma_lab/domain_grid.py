@@ -44,17 +44,17 @@ class FieldError(LabError, ValueError):
 _MEMBERSHIP_TOL = 1e-12
 # Grid.nearest_in_domain searches this many nodes around the nearest grid node
 _NEAR_WINDOW = 4
-# guards the lookups of Grid.once on every grid; builds run outside it
-_GRID_LOCK = threading.Lock()
+# guards the lookups of every build_once; builds run outside it
+_ONCE_LOCK = threading.Lock()
 
 
-def build_once(lock: threading.Lock, built: dict, key, build: Callable):
+def build_once(built: dict, key, build: Callable):
     """build()'s result, built by the first caller that asks for key and shared with the rest.
 
-    The lock guards only the lookup in built, so different keys build in
+    One module lock guards only the lookups, so different keys build in
     parallel; later callers of a key wait for its result, or its exception.
     """
-    with lock:
+    with _ONCE_LOCK:
         slot = built.get(key)
         owner = slot is None
         if owner:
@@ -307,13 +307,13 @@ class Grid:
     in_domain: np.ndarray
     interior: np.ndarray
     boundary_adjacent: np.ndarray
-    # what Grid.once built for this grid (ma_solve's node layout); it lives
-    # and dies with the grid
+    # what Grid.once built for this grid (ma_solve's node layout and its
+    # double-spacing grid); it lives and dies with the grid
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def once(self, key: str, build: Callable):
         """build()'s result for this grid, built by the first caller that asks for key."""
-        return build_once(_GRID_LOCK, self._built, key, build)
+        return build_once(self._built, key, build)
 
     @property
     def cell_area(self) -> float:

@@ -48,12 +48,12 @@ order on a regular mesh (George 1973), and fixes the CSC pattern that every
 matrix on the grid is assembled into, so a Jacobian costs one scatter of its
 nine stencil coefficients and no format conversion (the symbolic step done
 once per pattern, the numeric step per matrix; Davis 2006, ch. 4-6). A
-coarser continuation level is its own grid and builds its own layout, freed
-with it. The LU keeps the nested-dissection order: SuperLU runs with the
-natural column order and a zero diagonal-pivot threshold, so it pivots on the
-diagonal unless a diagonal entry is exactly zero (static pivoting, as in
-SuperLU_DIST; Li and Demmel 2003). The smallest-pivot check still reports
-singular systems.
+coarser continuation level is its own grid with its own layout, built once
+per finer grid and freed with it. The LU keeps the nested-dissection order:
+SuperLU runs with the natural column order and a zero diagonal-pivot
+threshold, so it pivots on the diagonal unless a diagonal entry is exactly
+zero (static pivoting, as in SuperLU_DIST; Li and Demmel 2003). The
+smallest-pivot check still reports singular systems.
 """
 
 from __future__ import annotations
@@ -207,8 +207,6 @@ class NodeLayout:
         self.iN, self.iS = nb(0, 1), nb(0, -1)
         self.iNE, self.iNW = nb(1, 1), nb(-1, 1)
         self.iSE, self.iSW = nb(1, -1), nb(-1, -1)
-        if np.any(self.iE < 0) or np.any(self.iNE < 0):
-            raise SolveError("interior mask inconsistent: missing neighbor unknown")
 
         ri, rj = np.nonzero(grid.boundary_adjacent)
         rpts = np.stack([grid.xs[ri], grid.ys[rj]], axis=-1)
@@ -250,6 +248,8 @@ class NodeLayout:
         """indptr, indices and the data slots of the interior and ring entries."""
         n = self.n
         stencil = np.stack([self.iC, self.iE, self.iW, self.iN, self.iS, self.iNE, self.iSW, self.iNW, self.iSE])
+        if np.any(stencil < 0):
+            raise SolveError("interior mask inconsistent: an interior node has a neighbor off the domain")
         ring_cols = np.concatenate([self.ring_corner_idx, self.ring_rows[:, None]], axis=1)
         ring_vals = np.concatenate([-self.ring_r[:, None] * self.ring_corner_w, 1.0 + self.ring_r[:, None]], axis=1)
         rows = np.concatenate([np.broadcast_to(self.int_rows, stencil.shape).ravel(), np.repeat(self.ring_rows, 5)])
@@ -411,35 +411,33 @@ def _newton_loop(sysm: "NodeSystem", g_int: np.ndarray, U: np.ndarray, tol_ma: f
 
     lay = sysm.layout
 
-    def residual(U):
+    def linearize(U):
+        """The residual at U and its Jacobian coefficients (c11, c22, -H12), kept for the next step."""
         H11, H22, H12 = lay.hessian_entries(U)
+        F_int, c11, c22 = _convexified_parts(H11, H22, H12, g_int)
         F = np.zeros(lay.n)
-        F[lay.int_rows] = _convexified_parts(H11, H22, H12, g_int)[0]
+        F[lay.int_rows] = F_int
         F[lay.ring_rows] = sysm.ring_residual(U)
-        return F
+        return F, (c11, c22, -H12)
 
-    res = residual(U)
+    res, coefs = linearize(U)
     res_norm = float(np.max(np.abs(res)))
     iters = 0
     while res_norm > tol_ma:
         if iters >= _MAX_ITER:
             raise SolveError(f"Newton did not converge in {_MAX_ITER} iterations; last residual {res_norm:.3e}")
-        H11, H22, H12 = lay.hessian_entries(U)
-        _, c11, c22 = _convexified_parts(H11, H22, H12, g_int)
-        J = sysm.interior_matrix(c11, c22, -H12)
-        step = linear_solve(J, -res)
+        step = linear_solve(sysm.interior_matrix(*coefs), -res)
         res_l2 = float(np.linalg.norm(res))
         alpha = 1.0
         while True:
             trial = U + alpha * step
-            new_res = residual(trial)
+            new_res, new_coefs = linearize(trial)
             if float(np.linalg.norm(new_res)) < res_l2 * (1.0 - 1e-4 * alpha):
                 break
             alpha *= 0.5
             if alpha < _DAMPING_MIN:
                 raise SolveError(f"Newton line search stalled; residual {res_norm:.3e} after {iters} iterations")
-        U = trial
-        res = new_res
+        U, res, coefs = trial, new_res, new_coefs
         res_norm = float(np.max(np.abs(res)))
         iters += 1
     return U, iters
@@ -467,14 +465,22 @@ def _continuation_init(grid: Grid, layout: NodeLayout, g, tol_ma: float) -> Opti
     Piecewise-linear prolongation is useless here: its kinks carry O(1)
     second differences that put the fine iterate outside the Newton basin.
     The spline is fit on the coarse lattice with exterior nodes filled from
-    their nearest solved node. Returns None when no usable coarser grid
-    exists, so the caller goes on with its other starts.
+    their nearest solved node. The coarse grid is built once per Grid object
+    (Grid.once), or None when there is none: a kept GridError would hold the
+    whole solve's frames through its traceback. Returns None then, so the
+    caller goes on with its other starts.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            coarse = discretize(grid.domain, 2.0 * grid.spacing)
-    except GridError:
+
+    def coarsen():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return discretize(grid.domain, 2.0 * grid.spacing)
+        except GridError:
+            return None
+
+    coarse = grid.once("coarse_grid", coarsen)
+    if coarse is None:
         return None
     g_coarse = _restrict_samples(grid, coarse, g) if isinstance(g, np.ndarray) and np.shape(g) == grid.shape else g
     coarse_pot = solve_ma(coarse, g_coarse, tol_ma=tol_ma)
@@ -561,7 +567,7 @@ def solve_ma(
     else:
         raise failure
     # a kept failure's traceback holds this frame and the failed Newton's
-    # Jacobian: drop it, or the cycle keeps both alive until a garbage collection
+    # arrays: drop it, or the cycle keeps both alive until a garbage collection
     del failure
 
     pot, report = _potential_field(grid, layout.to_grid_values(U), g_vals, datum, iters, used)

@@ -11,7 +11,6 @@ with the same configuration reproduces every number bit for bit.
 """
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -69,7 +68,8 @@ class ExperimentConfig:
     m: float = 2.0
     height: Optional[float] = None
     # experiments running at once in a suite (its peak memory grows with
-    # them, up to 13); the sweep pool size for a single experiment; 0 = all cores
+    # them, up to 13); the sweep pool size for a single experiment; 0 = the
+    # cores this process may run on
     threads: int = 0
     tol_ma: float = 1e-8
     tol_lma: float = 1e-8
@@ -77,7 +77,7 @@ class ExperimentConfig:
 
 
 def pool_size(config: ExperimentConfig) -> int:
-    """Worker pool size: config.threads, or all available cores when it is 0.
+    """Worker pool size: config.threads, or when it is 0 the cores this process may run on.
 
     A suite runs this many experiments at once, and its peak memory grows
     with that number, up to the 13 experiments; a single experiment uses it
@@ -85,7 +85,7 @@ def pool_size(config: ExperimentConfig) -> int:
     """
     if config.threads > 0:
         return config.threads
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass
@@ -103,12 +103,12 @@ class Assertion:
 class ExperimentReport:
     """What one experiment measured and asserted, and the rows of its files.
 
-    files maps a file name to its rows: a list of lines, or a
-    (ScalarField, mask) pair written one node per row (mask None: the
-    in-domain nodes). sweep_label names the swept quantity in the sweep
-    files' headers; to_dict leaves it out. cli_runner.run sets experiment,
-    config and wall_time; the experiment functions leave them at their
-    defaults.
+    files maps a file name to a table (header, rows), a tuple of column
+    names and rows of numbers, or to a (ScalarField, mask) pair written one
+    node per row (mask None: the in-domain nodes). sweep_label names the
+    swept quantity in the sweep files' headers; to_dict leaves it out.
+    cli_runner.run sets experiment, config and wall_time; the experiment
+    functions leave them at their defaults.
     """
 
     sweep: list
@@ -178,12 +178,12 @@ class PinchedFamily:
 
     phi_eps solves det D^2 phi = 1 + eps*g0 with zero boundary data; eps = 0
     is the flat companion, and g0=None makes every density the constant
-    1 + eps. potential(eps) is safe to call from several threads: a density
-    is solved by the first caller that asks for it, outside the lock, so
-    different eps solve in parallel and later callers share the result (or
-    the SolveError). heights(eps), the interior_heights field of phi_eps,
-    is scanned once the same way. Callers must not write into the returned
-    potentials or fields.
+    1 + eps. potential(eps) is safe to call from several threads: through
+    domain_grid.build_once, a density is solved by the first caller that asks
+    for it, outside that function's lock, so different eps solve in parallel
+    and later callers share the result (or the SolveError). heights(eps),
+    the interior_heights field of phi_eps, is scanned once the same way.
+    Callers must not write into the returned potentials or fields.
 
     Every eps != 0 starts Newton from the flat potential phi_0, solving it
     first if no caller has (continuation in eps). The start is always phi_0,
@@ -196,7 +196,6 @@ class PinchedFamily:
         self.grid = grid
         self.g0 = g0
         self.tol_ma = tol_ma
-        self._lock = threading.Lock()
         self._built = {}
 
     def density(self, eps: float):
@@ -207,16 +206,12 @@ class PinchedFamily:
         return 1.0 + eps * np.asarray(self.g0(X, Y), dtype=float)
 
     def potential(self, eps: float) -> PotentialField:
-        return self._once(("potential", eps), lambda: solve_ma(
+        return build_once(self._built, ("potential", eps), lambda: solve_ma(
             self.grid, self.density(eps), tol_ma=self.tol_ma, start=self._flat_values(eps)))
 
     def heights(self, eps: float) -> np.ndarray:
         """interior_heights of potential(eps), scanned once and shared."""
-        return self._once(("heights", eps), lambda: interior_heights(self.potential(eps)))
-
-    def _once(self, key, build):
-        """build()'s result, built by the first caller that asks for key and shared with the rest."""
-        return build_once(self._lock, self._built, key, build)
+        return build_once(self._built, ("heights", eps), lambda: interior_heights(self.potential(eps)))
 
     def _flat_values(self, eps: float) -> Optional[np.ndarray]:
         """phi_0's grid values as the Newton start for eps; None for eps = 0
@@ -326,7 +321,7 @@ def sections_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
     c_cap = measure_c_cap(family.heights(eps))
     t_values = [0.2 * c_cap, 0.4 * c_cap, 0.6 * c_cap, 0.8 * c_cap]
     sections = [section(pot, np.zeros(2), t) for t in t_values]
-    rows = [(t, sec.measure, int(sec.cells.sum()), sec.is_interior) for t, sec in zip(t_values, sections)]
+    rows = [(t, sec.measure, int(sec.cells.sum()), int(sec.is_interior)) for t, sec in zip(t_values, sections)]
     theta_star = engulfing_constant(pot, sections)
     exponent = volume_scaling(sections)
     assertions = []
@@ -335,9 +330,6 @@ def sections_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
     check(assertions, "volume scaling exponent near linear",
           exponent, "~", 1.0, tol=0.15)
     check(assertions, "engulfing constant bounded", theta_star, "<=", 6.0)
-    lines = ["t,measure,cells,interior"]
-    for t, meas, n, inter in rows:
-        lines.append(f"{fmt_float(t)},{fmt_float(meas)},{n},{int(inter)}")
     return ExperimentReport(
         sweep=list(t_values),
         measured={"measure": [r[1] for r in rows],
@@ -346,7 +338,7 @@ def sections_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
                   "volume_exponent": exponent},
         slopes={"volume": exponent},
         assertions=assertions,
-        files={"sections_summary.csv": lines},
+        files={"sections_summary.csv": (("t", "measure", "cells", "interior"), rows)},
         sweep_label="t",
     )
 
@@ -357,16 +349,13 @@ def cover_experiment(family: PinchedFamily, config: ExperimentConfig) -> Experim
     assertions = []
     check(assertions, "half-height sections cover the region",
           cover.coverage_defect, "<=", 0.0)
-    lines = ["x,y,height"]
-    for (x, y), h in zip(cover.centers, cover.heights):
-        lines.append(f"{fmt_float(x)},{fmt_float(y)},{fmt_float(h)}")
     return ExperimentReport(
         sweep=[],
         measured={"n_selected": int(len(cover.heights)),
                   "delta0": cover.delta0,
                   "coverage_defect": cover.coverage_defect},
         slopes={}, assertions=assertions,
-        files={"cover_centers.csv": lines},
+        files={"cover_centers.csv": (("x", "y", "height"), np.column_stack([cover.centers, cover.heights]))},
     )
 
 
@@ -409,16 +398,8 @@ def goodsets_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
         shrinks = not (res.quasi_masks[b] & ~res.quasi_masks[a]).any()
         check(assertions, f"quasi masks shrink from sigma={a} to sigma={b}",
               0.0 if shrinks else 1.0, "<=", 0.0)
-    lines = ["beta,F,F1,F2"]
-    for row in zip(betas, res.F, res.F1, res.F2):
-        lines.append(",".join(fmt_float(v) for v in row))
-    files = {"distribution.csv": lines}
-    X, Y = grid.meshes()
-    for M in M_grid:
-        lines = ["x,y"]
-        for i, j in np.argwhere(res.good_masks[M]):
-            lines.append(f"{fmt_float(X[i, j])},{fmt_float(Y[i, j])}")
-        files[f"good_mask_M{fmt_float(M)}.csv"] = lines
+    files = {f"good_mask_M{fmt_float(M)}.csv": (("x", "y"), grid.points(res.good_masks[M])) for M in M_grid}
+    files["distribution.csv"] = (("beta", "F", "F1", "F2"), list(zip(betas, res.F, res.F1, res.F2)))
     fits = {k: {"tau": v.tau, "C": v.C, "residual": v.residual} for k, v in res.fits.items()}
     return ExperimentReport(
         sweep=list(betas),

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import ma_lab
@@ -329,3 +330,25 @@ def test_every_exception_class_derives_from_lab_error():
     assert outside == sorted(NOT_LAB_ERRORS)
     # each keeps the builtin base its callers catch
     assert all(issubclass(cls, (ValueError, RuntimeError)) for cls in errors - {LabError})
+
+
+def test_every_name_the_tracer_binds_exists():
+    """perfbench's tracer reaches these names, and these parameters, by name.
+
+    A rename leaves the benchmark's traced run unable to wrap or read them,
+    so each one stays as tracing.py names it.
+    """
+    modules = {name: importlib.import_module(f"ma_lab.{name}") for name in _tracing_constant("MODULES")}
+    missing = [f"{module}.{attr}" for _, module, attr in _tracing_constant("FUNCTIONS")
+               if not hasattr(modules[module], attr)]
+    assert missing == []
+
+    def parameters(fn):
+        return set(inspect.signature(fn).parameters)
+
+    assert {"fn", "values", "threads"} <= parameters(modules["stability_lab"].run_sweep)
+    assert {"potential", "n_heights"} <= parameters(modules["covering_maximal"].maximal_function)
+    node_system = modules["ma_solve"].NodeSystem
+    assert {"__init__", "interior_matrix"} <= set(vars(node_system))
+    assert hasattr(modules["ma_solve"], "spla") and callable(modules["cli_runner"].run)
+    assert tuple(modules["stability_lab"].EXPERIMENTS) == _tracing_constant("SUITE_EXPERIMENTS")

@@ -407,3 +407,13 @@ def test_every_config_field_has_a_type_parse_value_handles():
         text = ", ".join(map(str, f.default)) if f.type is tuple else str(f.default)
         value = cli_runner.parse_value(f.name, text)
         assert value == f.default and type(value) is type(f.default), f.name
+
+
+def test_write_table_writes_python_ints_with_str_and_other_numbers_with_fmt_float(tmp_path):
+    csv = tmp_path / "table.csv"
+    rows = [(np.float64(0.1), 12, np.float64(1.0) / 3), (0.5, np.int64(7), 2.0)]
+    cli_runner._write_table(str(csv), ("t", "cells", "measure"), rows)
+    assert csv.read_text() == "t,cells,measure\n0.1,12,0.3333333333333333\n0.5,7.0,2.0\n"
+    dat = tmp_path / "table.dat"
+    cli_runner._write_table(str(dat), ("# eps", "ratio"), [(0.2, 12.0), (0.1, np.float64(3.5))], sep=" ")
+    assert dat.read_text() == "# eps ratio\n0.2 12.0\n0.1 3.5\n"

@@ -13,6 +13,7 @@ from scipy import ndimage
 
 from ma_lab import ma_solve
 from ma_lab.domain_grid import (
+    Grid,
     MatrixField,
     ScalarField,
     build_domain,
@@ -639,3 +640,110 @@ def test_start_must_fit_the_grid(disc_domain):
 def test_square_restart_is_named():
     grid = discretize(build_domain("square", side=2.0), 1.0 / 32)
     assert solve_ma(grid, 1.0).start == "coarse"
+
+
+def test_a_repeated_coarse_start_reuses_the_coarse_grids(monkeypatch):
+    # the chain of double-spacing grids is built by the first solve and kept
+    # with the fine grid, and so is the finding that 1/4 has no coarser grid
+    # (1/2 raises GridError), so a second solve builds no grid and solves on
+    # the same coarse grids
+    grid = discretize(build_domain("square", side=2.0), 1.0 / 32)
+    built, nested = [], []
+    real_discretize, real_solve = ma_solve.discretize, ma_solve.solve_ma
+
+    def counting_discretize(domain, spacing):
+        built.append(spacing)
+        return real_discretize(domain, spacing)
+
+    def recording_solve(g, density, **kwargs):
+        nested.append(g)
+        return real_solve(g, density, **kwargs)
+
+    monkeypatch.setattr(ma_solve, "discretize", counting_discretize)
+    monkeypatch.setattr(ma_solve, "solve_ma", recording_solve)
+    first = real_solve(grid, 1.0)
+    assert built == [1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2]
+    first_nested = [(id(g), g.spacing) for g in nested]
+    assert [h for _, h in first_nested] == [1.0 / 16, 1.0 / 8, 1.0 / 4]
+    built.clear()
+    nested.clear()
+    second = real_solve(grid, 1.0)
+    assert built == []
+    assert [(id(g), g.spacing) for g in nested] == first_nested
+    assert second.start == first.start == "coarse"
+    assert np.array_equal(second.phi.values, first.phi.values, equal_nan=True)
+
+
+def test_a_dropped_grid_frees_its_coarse_grids(monkeypatch):
+    # the coarse grids hang on the fine grid alone: the coarsest level keeps
+    # no GridError, whose traceback would hold the solve's frames and so tie
+    # the whole chain into a cycle
+    real = ma_solve.discretize
+    coarse = []
+
+    def recording(domain, spacing):
+        g = real(domain, spacing)
+        coarse.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(ma_solve, "discretize", recording)
+    grid = discretize(build_domain("square", side=2.0), 1.0 / 32)
+    assert solve_ma(grid, 1.0).start == "coarse"
+    assert len(coarse) == 3 and all(ref() is not None for ref in coarse)
+    gc.collect()
+    gc.disable()
+    try:
+        del grid
+        assert all(ref() is None for ref in coarse)
+    finally:
+        gc.enable()
+
+
+def test_newton_linearizes_each_point_once(disc_domain, monkeypatch):
+    # each point Newton evaluates, the start and every line-search trial, is
+    # linearized once, and the next step's matrix takes the accepted trial's
+    # coefficients instead of linearizing that point again
+    parts, points, matrices = [], [], []
+    real_parts, real_ring, real_matrix = (ma_solve._convexified_parts, NodeSystem.ring_residual,
+                                          NodeSystem.interior_matrix)
+
+    def counting_parts(*args):
+        parts.append(real_parts(*args))
+        return parts[-1]
+
+    def counting_ring(self, U):
+        points.append(U)
+        return real_ring(self, U)
+
+    def recording_matrix(self, c11, c22, c12):
+        matrices.append(c11)
+        return real_matrix(self, c11, c22, c12)
+
+    monkeypatch.setattr(ma_solve, "_convexified_parts", counting_parts)
+    monkeypatch.setattr(NodeSystem, "ring_residual", counting_ring)
+    monkeypatch.setattr(NodeSystem, "interior_matrix", recording_matrix)
+    grid = discretize(disc_domain, 1.0 / 32)
+    X, Y = grid.meshes()
+    pot = solve_ma(grid, 1.0 + 0.2 * default_bump(disc_domain)(X, Y))
+    assert pot.start == "laplacian" and pot.newton_iterations > 0
+    assert len(parts) == len(points) >= pot.newton_iterations + 1
+    # the Laplacian start's operator, then one Newton matrix per iteration
+    assert len(matrices) == 1 + pot.newton_iterations
+    assert all(any(c11 is p[1] for p in parts) for c11 in matrices[1:])
+
+
+@pytest.mark.parametrize("di, dj", [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)],
+                         ids=["E", "W", "N", "S", "NE", "NW", "SE", "SW"])
+def test_an_interior_node_with_a_neighbor_off_the_domain_is_a_solve_error(disc_domain, di, dj):
+    # a hand-built grid drops one neighbour of the centre from the domain and
+    # keeps the centre interior, so that neighbour is the only one an
+    # interior stencil misses
+    base = discretize(disc_domain, 1.0 / 16)
+    i, j = base.nearest_node((0.0, 0.0))
+    inside = base.in_domain.copy()
+    inside[i + di, j + dj] = False
+    interior = ndimage.binary_erosion(inside, np.ones((3, 3), bool), border_value=0)
+    interior[i, j] = True
+    grid = Grid(base.domain, base.spacing, base.xs, base.ys, inside, interior, inside & ~interior)
+    with pytest.raises(SolveError, match="interior mask inconsistent"):
+        solve_ma(grid, 1.0)

@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 import time
@@ -195,3 +196,13 @@ def test_contact_set_anchor_snaps_to_an_in_domain_node():
     # quasi-Euclidean ratio, about b / (2a) = 1/3, so no cell passes
     assert report.measured["defect_fraction"] == [1.0, 1.0, 1.0]
     assert not report.passed
+
+
+def test_pool_size_counts_the_cores_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert stability_lab.pool_size(ExperimentConfig(threads=0)) == 1
+    assert stability_lab.pool_size(ExperimentConfig(threads=3)) == 3
+    # a platform without CPU affinity counts the host's cores
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert stability_lab.pool_size(ExperimentConfig(threads=0)) == 8
