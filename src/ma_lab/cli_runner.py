@@ -12,6 +12,14 @@ and writes its files, here and nowhere else: _write_table every table (the
 experiment's own, and a CSV and a two-column gnuplot .dat per swept
 quantity), write_field_csv every field and _write_json every JSON file.
 
+A run computes on one worker pool: the outermost run creates it with
+pool_size(config) workers and makes it stability_lab.ACTIVE_POOL for
+everything it runs. A single experiment runs as one task on it, a suite's
+13 experiments as 13 tasks, and run_sweep hands a sweep's later values to
+the same pool, so idle workers take them while the sweep's own thread runs
+the rest. At most pool_size(config) threads compute at once, the calling
+thread included.
+
 The command line has one subcommand per experiment, named as in
 EXPERIMENTS, plus suite. Exit codes: 0 all assertions passed, 1 assertion
 or runtime failure, 2 config error (a bad config line or flag, or a
@@ -21,6 +29,7 @@ output directory resolves in the order --out flag (run's out_dir), config
 """
 
 import argparse
+import contextvars
 import json
 import os
 import sys
@@ -34,7 +43,15 @@ import numpy as np
 
 from .domain_grid import DOMAINS, LabError, build_domain, discretize, fmt_float, write_field_csv, write_lines
 from .ma_solve import SolveError
-from .stability_lab import EXPERIMENTS, ExperimentConfig, ExperimentReport, PinchedFamily, default_bump, pool_size
+from .stability_lab import (
+    ACTIVE_POOL,
+    EXPERIMENTS,
+    ExperimentConfig,
+    ExperimentReport,
+    PinchedFamily,
+    default_bump,
+    pool_size,
+)
 
 
 class ConfigError(ValueError, argparse.ArgumentTypeError):
@@ -200,7 +217,26 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     run names the report after config.experiment, echoes the config into
     it and sets its wall_time: building the family, when it is not given,
     plus computing the report; writing the files is not included.
+
+    A run outside any run creates the run's one worker pool, of
+    pool_size(config) workers, and makes it ACTIVE_POOL for everything it
+    runs: a single experiment runs as a task on it while this thread waits,
+    and a suite hands its experiments to it (_run_suite). A run inside a
+    run, a suite's experiment, computes on the thread that calls it.
     """
+    if ACTIVE_POOL.get() is not None:
+        return _run_in_pool(config, out_dir, family)
+    workers = pool_size(config)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        context = contextvars.copy_context()
+        context.run(ACTIVE_POOL.set, (pool, workers))
+        if config.experiment == "suite":
+            return context.run(_run_in_pool, config, out_dir, family)
+        return pool.submit(context.run, _run_in_pool, config, out_dir, family).result()
+
+
+def _run_in_pool(config: ExperimentConfig, out_dir: Optional[str], family: Optional[PinchedFamily]) -> int:
+    """run's work, with the run's pool active."""
     out = out_dir or config.out or "./ma_lab_out"
     try:
         os.makedirs(out, exist_ok=True)
@@ -250,15 +286,21 @@ def _write_failure(out: str, config: ExperimentConfig, kind: str, message: str) 
 def _run_suite(config: ExperimentConfig, out: str, family: PinchedFamily) -> int:
     """Run every experiment in EXPERIMENTS, aggregate pass flags into summary.json.
 
-    The experiments run side by side on a pool of pool_size(config) workers,
-    so the suite's peak memory grows with config.threads, up to the 13
-    experiments. Each sub-config has threads = 1: a sweep inside the suite
-    runs inline, and no more than pool_size(config) experiment threads run at
-    once. Every experiment shares the one family, so each potential is solved
-    once per suite run, by the first experiment that asks for it. Each
-    experiment goes through the module-level run, so a wrapper installed on
-    cli_runner.run (perfbench's tracer) sees each one. An exception that run
-    does not catch cancels the experiments not yet started and propagates.
+    The experiments are tasks on the run's one pool (ACTIVE_POOL), of
+    pool_size(config) workers, queued in suite order; this thread only
+    waits for them. So the suite's peak memory grows with config.threads,
+    up to the 13 experiments. Each sub-config has threads = 1, as its
+    report.json echoes: an experiment creates no pool of its own. Its
+    sweeps still use the suite's pool, whose size pool_size reads inside a
+    run: a sweep queues its later values behind the experiments not yet
+    started, so once the last experiments run the idle workers take their
+    sweep values, and never more than pool_size(config) threads compute at
+    once. Every experiment shares the one family, so each potential is
+    solved once per suite run, by the first experiment that asks for it.
+    Each experiment goes through the module-level run, so a wrapper
+    installed on cli_runner.run (perfbench's tracer) sees each one. An
+    exception that run does not catch cancels the experiments not yet
+    started and propagates.
     """
 
     def timed(sub: ExperimentConfig):
@@ -268,12 +310,13 @@ def _run_suite(config: ExperimentConfig, out: str, family: PinchedFamily) -> int
 
     subs = [replace(config, **_SUITE_OVERRIDES.get(name, {}), experiment=name, out="", threads=1)
             for name in EXPERIMENTS]
-    pool = ThreadPoolExecutor(max_workers=pool_size(config))
+    pool, _ = ACTIVE_POOL.get()
+    futures = [pool.submit(contextvars.copy_context().run, timed, sub) for sub in subs]
     try:
-        futures = [pool.submit(timed, sub) for sub in subs]
         wait(futures, return_when=FIRST_EXCEPTION)
     finally:
-        pool.shutdown(cancel_futures=True)
+        for future in futures:
+            future.cancel()
     summary = {}
     for sub, future in zip(subs, futures):
         # queued experiments are cancelled only behind one that raised, so
@@ -300,9 +343,9 @@ def main(argv=None) -> None:
         s.add_argument("--spacing", type=partial(parse_value, "spacing"), default=None,
                        help="grid spacing override")
         s.add_argument("--threads", type=partial(parse_value, "threads"), default=None,
-                       help="experiments running at once in a suite (peak memory grows "
-                            "with them, up to 13), or the sweep pool size of a single "
-                            "experiment; default the cores this process may run on")
+                       help="threads computing at once, the size of the run's one worker "
+                            "pool (a suite's peak memory grows with them, up to 13); "
+                            "default the cores this process may run on")
     args = parser.parse_args(argv)
 
     if args.config is not None:

@@ -14,6 +14,7 @@ SW, SE, NW. A node with no such stencil gets 0: the disc's four lattice poles.
 
 from __future__ import annotations
 
+import copy
 import numbers
 import threading
 import warnings
@@ -53,6 +54,9 @@ def build_once(built: dict, key, build: Callable):
 
     One module lock guards only the lookups, so different keys build in
     parallel; later callers of a key wait for its result, or its exception.
+    A later caller of a failed key gets a copy of the exception, raised from
+    the stored one, so each traceback holds only its own caller's frames and
+    the stored exception keeps the builder's.
     """
     with _ONCE_LOCK:
         slot = built.get(key)
@@ -65,6 +69,9 @@ def build_once(built: dict, key, build: Callable):
         except BaseException as exc:
             slot.set_exception(exc)
             raise
+    exc = slot.exception()
+    if exc is not None:
+        raise copy.copy(exc) from exc
     return slot.result()
 
 

@@ -198,9 +198,11 @@ class NodeLayout:
 
         ii, jj = np.nonzero(grid.interior)
         self.int_rows = flat[ii, jj]
+        # a neighbour off the array reads -1, like one off the domain
+        framed = np.pad(flat, 1, constant_values=-1)
 
         def nb(di, dj):
-            return flat[ii + di, jj + dj]
+            return framed[ii + 1 + di, jj + 1 + dj]
 
         self.iC = self.int_rows
         self.iE, self.iW = nb(1, 0), nb(-1, 0)

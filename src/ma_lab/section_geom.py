@@ -215,18 +215,23 @@ def pair_gaps(potential: PotentialField, ci, cj, ti, tj, chunk: int, values=None
     g = potential.grad if grad is None else grad
     ci, cj, ti, tj = (np.asarray(a) for a in (ci, cj, ti, tj))
     shared = ti.ndim == 1
+    if shared:
+        # the one target row, gathered once for every block
+        vt, xt, yt = v[ti, tj], grid.xs[ti], grid.ys[tj]
     bufs = np.empty((2, min(chunk, ci.size), ti.shape[-1]))
     for s in range(0, ci.size, chunk):
         block = slice(s, s + chunk)
         bi = ci[block, None]
         bj = cj[block, None]
-        ri, rj = (ti, tj) if shared else (ti[block], tj[block])
+        if not shared:
+            ri, rj = ti[block], tj[block]
+            vt, xt, yt = v[ri, rj], grid.xs[ri], grid.ys[rj]
         D, step = (b[: bi.shape[0]] for b in bufs)
-        np.subtract(v[ri, rj], v[bi, bj], out=D)
-        np.subtract(grid.xs[ri], grid.xs[bi], out=step)
+        np.subtract(vt, v[bi, bj], out=D)
+        np.subtract(xt, grid.xs[bi], out=step)
         step *= g.gx[bi, bj]
         D -= step
-        np.subtract(grid.ys[rj], grid.ys[bj], out=step)
+        np.subtract(yt, grid.ys[bj], out=step)
         step *= g.gy[bi, bj]
         D -= step
         yield block, D

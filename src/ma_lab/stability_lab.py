@@ -10,8 +10,9 @@ times it and writes it. Sweeps are deterministic; rerunning an experiment
 with the same configuration reproduces every number bit for bit.
 """
 
+import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -67,22 +68,33 @@ class ExperimentConfig:
     Lam: Optional[float] = None
     m: float = 2.0
     height: Optional[float] = None
-    # experiments running at once in a suite (its peak memory grows with
-    # them, up to 13); the sweep pool size for a single experiment; 0 = the
-    # cores this process may run on
+    # the size of a run's one worker pool, the threads computing at once (a
+    # suite's peak memory grows with them, up to 13); 0 = the cores this
+    # process may run on
     threads: int = 0
     tol_ma: float = 1e-8
     tol_lma: float = 1e-8
     out: str = ""
 
 
-def pool_size(config: ExperimentConfig) -> int:
-    """Worker pool size: config.threads, or when it is 0 the cores this process may run on.
+# the run in progress as (its worker pool, the pool's size): cli_runner.run
+# sets it for everything the run computes; None outside a run
+ACTIVE_POOL = contextvars.ContextVar("ACTIVE_POOL", default=None)
 
-    A suite runs this many experiments at once, and its peak memory grows
-    with that number, up to the 13 experiments; a single experiment uses it
-    as the pool size of its stability sweep.
+
+def pool_size(config: ExperimentConfig) -> int:
+    """Worker pool size: the active run's, else config.threads, or the cores this process may run on when it is 0.
+
+    A run has one pool of this many workers (cli_runner.run), and every task
+    of the run computes on it: a suite's experiments and every sweep value
+    handed off by run_sweep. So at most this many threads compute at once,
+    and a suite's peak memory grows with that number, up to the 13
+    experiments. Inside a run the pool's size wins over the config: a
+    suite's experiments have threads = 1 and still share the suite's pool.
     """
+    active = ACTIVE_POOL.get()
+    if active is not None:
+        return active[1]
     if config.threads > 0:
         return config.threads
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -165,12 +177,33 @@ def default_bump(domain: ConvexDomain) -> Callable:
 
 
 def run_sweep(fn: Callable, values, threads: int = 1) -> list:
-    """Apply fn to each sweep value, optionally across threads, in index order."""
+    """fn of each sweep value, in index order; idle workers of the run's pool help.
+
+    With threads > 1 and an active pool (ACTIVE_POOL), values[1:] are queued
+    on the pool and the caller runs values[0] itself. It then takes each
+    later value in turn: it runs the value too if no worker has started it
+    (the queued task is cancelled), or waits for the worker that did. The
+    caller only waits on values already running, so no pool size can
+    deadlock a sweep, and the sweep adds no thread to the pool's. Without
+    an active pool, or with threads <= 1, every value runs inline. The first
+    value to fail in index order raises, after the values already started
+    have finished.
+    """
     values = list(values)
-    if threads <= 1:
+    active = ACTIVE_POOL.get()
+    if active is None or threads <= 1:
         return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, values))
+    pool = active[0]
+    futures = [pool.submit(contextvars.copy_context().run, fn, v) for v in values[1:]]
+    try:
+        results = [fn(v) for v in values[:1]]
+        for v, future in zip(values[1:], futures):
+            results.append(fn(v) if future.cancel() else future.result())
+        return results
+    finally:
+        # a cancelled future counts as done only once a worker dequeues it,
+        # so wait for the started values alone
+        wait([future for future in futures if not future.cancel()])
 
 
 class PinchedFamily:
@@ -641,7 +674,7 @@ def contact_set_experiment(family: PinchedFamily, config: ExperimentConfig) -> E
         defect = float((measurable & (rm < 0.5 * sigma)).sum() / n_meas)
         return defect, n_cells, n_meas
 
-    rows = run_sweep(one, eps_list, 1)
+    rows = run_sweep(one, eps_list, pool_size(config))
     defects = [r[0] for r in rows]
     cells = [r[1] for r in rows]
     meas_cells = [r[2] for r in rows]

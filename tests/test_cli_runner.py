@@ -167,26 +167,38 @@ def test_suite_lines_name_their_experiment(tmp_path, capsys):
     assert sorted(runs) == sorted(EXPERIMENTS)
 
 
-def test_suite_runs_at_most_threads_experiments_with_inline_sweeps(tmp_path, monkeypatch):
+def test_suite_computes_at_most_threads_tasks_and_passes_threads_to_sweeps(tmp_path, monkeypatch):
+    # a thread computes while it is inside an experiment or a sweep value;
+    # the suite's own thread only waits, so the count covers the pool
     lock = threading.Lock()
     calls = []
-    open_now = 0
+    depth = {}
+    busy = 0
     peak = 0
     real_run = cli_runner.run
 
+    def computing(fn, *args, **kwargs):
+        nonlocal busy, peak
+        me = threading.get_ident()
+        with lock:
+            depth[me] = depth.get(me, 0) + 1
+            if depth[me] == 1:
+                busy += 1
+                peak = max(peak, busy)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            with lock:
+                depth[me] -= 1
+                if depth[me] == 0:
+                    busy -= 1
+
     def counting_run(config, *args, **kwargs):
-        nonlocal open_now, peak
         if config.experiment == "suite":
             return real_run(config, *args, **kwargs)
         with lock:
             calls.append(config.experiment)
-            open_now += 1
-            peak = max(peak, open_now)
-        try:
-            return real_run(config, *args, **kwargs)
-        finally:
-            with lock:
-                open_now -= 1
+        return computing(real_run, config, *args, **kwargs)
 
     sweep_threads = []
     real_sweep = stability_lab.run_sweep
@@ -196,7 +208,8 @@ def test_suite_runs_at_most_threads_experiments_with_inline_sweeps(tmp_path, mon
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         sweep_threads.append(bound.arguments["threads"])
-        return real_sweep(*args, **kwargs)
+        fn = bound.arguments["fn"]
+        return real_sweep(lambda v: computing(fn, v), bound.arguments["values"], bound.arguments["threads"])
 
     monkeypatch.setattr(cli_runner, "run", counting_run)
     monkeypatch.setattr(stability_lab, "run_sweep", recording_sweep)
@@ -204,7 +217,7 @@ def test_suite_runs_at_most_threads_experiments_with_inline_sweeps(tmp_path, mon
     assert cli_runner.run(cfg, out_dir=str(tmp_path)) == 0
     assert sorted(calls) == sorted(EXPERIMENTS)
     assert peak == 2
-    assert sweep_threads and set(sweep_threads) == {1}
+    assert sweep_threads and set(sweep_threads) == {2}
 
 
 def test_an_unwritable_experiment_file_fails_that_experiment_only(tmp_path, capsys):

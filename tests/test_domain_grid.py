@@ -10,6 +10,7 @@ from ma_lab.domain_grid import (
     GridError,
     ScalarField,
     build_domain,
+    build_once,
     discretize,
     fd_derivatives,
     fmt_float,
@@ -156,6 +157,33 @@ def test_too_fine_spacing_is_an_error():
     # refused before any array is allocated
     with pytest.raises(GridError, match="more than int32 node numbers reach"):
         discretize(build_domain("disc", radius=1.0), 1e-300)
+
+
+def _traceback_length(exc):
+    n, tb = 0, exc.__traceback__
+    while tb is not None:
+        n, tb = n + 1, tb.tb_next
+    return n
+
+
+def test_each_reader_of_a_failed_build_gets_a_traceback_of_its_own():
+    built = {}
+
+    def fail():
+        raise GridError("no grid")
+
+    with pytest.raises(GridError, match="no grid") as first:
+        build_once(built, "grid", fail)
+    stored = first.value
+    depth = _traceback_length(stored)
+    lengths = []
+    for _ in range(3):
+        with pytest.raises(GridError, match="no grid") as later:
+            build_once(built, "grid", fail)
+        assert later.value is not stored and later.value.__cause__ is stored
+        lengths.append(_traceback_length(later.value))
+    assert lengths[0] == lengths[1] == lengths[2]
+    assert _traceback_length(stored) == depth
 
 
 def test_marginal_spacing_warns_but_builds():

@@ -732,18 +732,27 @@ def test_newton_linearizes_each_point_once(disc_domain, monkeypatch):
     assert all(any(c11 is p[1] for p in parts) for c11 in matrices[1:])
 
 
-@pytest.mark.parametrize("di, dj", [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)],
-                         ids=["E", "W", "N", "S", "NE", "NW", "SE", "SW"])
-def test_an_interior_node_with_a_neighbor_off_the_domain_is_a_solve_error(disc_domain, di, dj):
-    # a hand-built grid drops one neighbour of the centre from the domain and
-    # keeps the centre interior, so that neighbour is the only one an
-    # interior stencil misses
-    base = discretize(disc_domain, 1.0 / 16)
-    i, j = base.nearest_node((0.0, 0.0))
-    inside = base.in_domain.copy()
-    inside[i + di, j + dj] = False
-    interior = ndimage.binary_erosion(inside, np.ones((3, 3), bool), border_value=0)
-    interior[i, j] = True
+@pytest.mark.parametrize("di, dj, edge", [(1, 0, None), (-1, 0, None), (0, 1, None), (0, -1, None),
+                                          (1, 1, None), (-1, 1, None), (1, -1, None), (-1, -1, None),
+                                          (-1, 0, (0, 10)), (1, 0, (32, 10))],
+                         ids=["E", "W", "N", "S", "NE", "NW", "SE", "SW", "W-off-the-array", "E-off-the-array"])
+def test_an_interior_node_with_a_neighbor_off_the_domain_is_a_solve_error(disc_domain, di, dj, edge):
+    # a hand-built grid keeps one node interior while its (di, dj) neighbour
+    # is missing: dropped from the disc's domain next to the centre, or off
+    # the array beside the node `edge` on the side of the side-2 square
+    if edge is None:
+        base = discretize(disc_domain, 1.0 / 16)
+        i, j = base.nearest_node((0.0, 0.0))
+        inside = base.in_domain.copy()
+        inside[i + di, j + dj] = False
+        interior = ndimage.binary_erosion(inside, np.ones((3, 3), bool), border_value=0)
+        interior[i, j] = True
+    else:
+        base = discretize(build_domain("square", side=2.0), 1.0 / 16)
+        inside = base.in_domain.copy()
+        interior = base.interior.copy()
+        assert not 0 <= edge[0] + di < base.shape[0]
+        inside[edge] = interior[edge] = True
     grid = Grid(base.domain, base.spacing, base.xs, base.ys, inside, interior, inside & ~interior)
     with pytest.raises(SolveError, match="interior mask inconsistent"):
         solve_ma(grid, 1.0)

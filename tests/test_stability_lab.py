@@ -1,7 +1,10 @@
+import contextlib
+import contextvars
 import os
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +14,17 @@ from ma_lab import stability_lab
 from ma_lab.domain_grid import build_domain, discretize, lp_norm
 from ma_lab.ma_solve import SolveError, cofactor_field, solve_ma
 from ma_lab.stability_lab import ExperimentConfig, PinchedFamily, default_bump
+
+
+@contextlib.contextmanager
+def active_pool(workers):
+    """A pool of this many workers as the active run's pool, as cli_runner.run sets it."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        token = stability_lab.ACTIVE_POOL.set((pool, workers))
+        try:
+            yield pool
+        finally:
+            stability_lab.ACTIVE_POOL.reset(token)
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +137,8 @@ def test_family_scans_the_heights_once_per_potential(disc_domain, monkeypatch):
     monkeypatch.setattr(stability_lab, "interior_heights", counting)
     family = PinchedFamily(discretize(disc_domain, 1.0 / 16), default_bump(disc_domain))
     eps = [0.2, 0.1] * 6
-    got = stability_lab.run_sweep(family.heights, eps, threads=4)
+    with active_pool(4):
+        got = stability_lab.run_sweep(family.heights, eps, threads=4)
     assert len(scanned) == 2
     assert {id(scanned[0]), id(scanned[1])} == {id(family.potential(0.2)), id(family.potential(0.1))}
     for e, hs in zip(eps, got):
@@ -133,7 +148,8 @@ def test_family_scans_the_heights_once_per_potential(disc_domain, monkeypatch):
 
 def _family_phis(grid, g0, order, threads):
     family = PinchedFamily(grid, g0)
-    pots = stability_lab.run_sweep(family.potential, order, threads=threads)
+    with active_pool(threads):
+        pots = stability_lab.run_sweep(family.potential, order, threads=threads)
     return {eps: pot.phi.values for eps, pot in zip(order, pots)}
 
 
@@ -146,6 +162,74 @@ def test_family_potentials_do_not_depend_on_threads_or_order():
     for phis in runs[1:]:
         for e in eps:
             assert np.array_equal(phis[e], runs[0][e], equal_nan=True), e
+
+
+def test_a_one_worker_pool_finishes_a_sweep_in_index_order():
+    # the only worker runs the sweep itself, so the sweep's thread runs every
+    # value it finds still queued
+    seen = []
+
+    def one(v):
+        seen.append((v, threading.get_ident()))
+        return v * v
+
+    def sweep():
+        return stability_lab.run_sweep(one, [3, 1, 2], threads=4)
+
+    with active_pool(1) as pool:
+        context = contextvars.copy_context()
+        got = pool.submit(context.run, sweep).result(timeout=30)
+    assert got == [9, 1, 4]
+    assert [v for v, _ in seen] == [3, 1, 2]
+    assert len({ident for _, ident in seen}) == 1
+
+
+def test_sweeps_sharing_a_small_pool_run_each_value_once():
+    # eight sweeps, each itself a task on a three-worker pool, hand their
+    # values to the same pool; a value that both its sweep and a worker ran,
+    # or that neither ran, breaks the counts
+    lock = threading.Lock()
+    runs = {}
+
+    def one(key):
+        with lock:
+            runs[key] = runs.get(key, 0) + 1
+        return key
+
+    def sweep(k):
+        return stability_lab.run_sweep(one, [(k, v) for v in range(20)], threads=3)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with active_pool(3) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, sweep, k) for k in range(8)]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert got == [[(k, v) for v in range(20)] for k in range(8)]
+    assert runs == {(k, v): 1 for k in range(8) for v in range(20)}
+
+
+def test_a_failing_sweep_value_raises_and_leaves_the_pool_usable():
+    # the second value raises; the first value in index order to fail is the
+    # one the sweep raises, after the values already started have finished
+    finished = []
+
+    def one(v):
+        if v == 1:
+            raise stability_lab.StabilityError(f"value {v} failed")
+        time.sleep(0.01)
+        finished.append(v)
+        return v
+
+    with active_pool(2) as pool:
+        with pytest.raises(stability_lab.StabilityError, match="value 1 failed"):
+            stability_lab.run_sweep(one, [0, 1, 2, 3], threads=2)
+        assert stability_lab.run_sweep(lambda v: v + 1, [0, 1, 2], threads=2) == [1, 2, 3]
+        assert pool.submit(lambda: 7).result(timeout=30) == 7
+    assert 0 in finished
+
 
 
 def test_square_pinched_solve_continues_from_the_flat_potential():
