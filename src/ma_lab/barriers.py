@@ -72,6 +72,12 @@ def _barrier_coefficients(lam: float, Lam: float, delta: float) -> tuple[float, 
     return delta_tilde, M_delta, K
 
 
+def _closed_form(M_delta: float, delta_tilde: float, K: float, ys: np.ndarray, gap) -> np.ndarray:
+    """w = M_delta*y2 + gap - delta_tilde*y1**2 - K*y2**2 at frame coordinates ys[..., :2]."""
+    y1, y2 = ys[..., 0], ys[..., 1]
+    return M_delta * y2 + gap - delta_tilde * y1 ** 2 - K * y2 ** 2
+
+
 def build_supersolution(
     potential: PotentialField,
     point,
@@ -100,15 +106,9 @@ def build_supersolution(
 
     frame = boundary_frame(potential, point)
     delta_tilde, M_delta, K = _barrier_coefficients(lam, Lam, delta)
-    X, Y = grid.meshes()
-    dx = X - frame.origin[0]
-    dy = Y - frame.origin[1]
-    R = frame.rotation
-    y1 = R[0, 0] * dx + R[0, 1] * dy
-    y2 = R[1, 0] * dx + R[1, 1] * dy
-    gap = frame_gap(potential, frame)
-    w_vals = M_delta * y2 + gap - delta_tilde * y1 ** 2 - K * y2 ** 2
-    mask = grid.in_domain & (y1 ** 2 + y2 ** 2 < delta ** 2)
+    ys = frame.to_frame(np.stack(grid.meshes(), axis=-1))
+    w_vals = _closed_form(M_delta, delta_tilde, K, ys, frame_gap(potential, frame))
+    mask = grid.in_domain & ((ys ** 2).sum(axis=-1) < delta ** 2)
     return Barrier(
         delta=float(delta),
         delta_tilde=delta_tilde,
@@ -145,15 +145,8 @@ def verify_supersolution(barrier: Barrier, potential: PotentialField) -> Barrier
     threshold = -_DIM * barrier.Lam * (1.0 - _TOL_FACTOR)
 
     def w_at(pts: np.ndarray, phi_vals: np.ndarray) -> np.ndarray:
-        d = pts - frame.origin
-        ys = d @ frame.rotation.T
-        gap = phi_vals - frame.phi_origin - d @ frame.gradient_origin
-        return (
-            barrier.M_delta * ys[:, 1]
-            + gap
-            - barrier.delta_tilde * ys[:, 0] ** 2
-            - barrier.K * ys[:, 1] ** 2
-        )
+        gap = phi_vals - frame.phi_origin - (pts - frame.origin) @ frame.gradient_origin
+        return _closed_form(barrier.M_delta, barrier.delta_tilde, barrier.K, frame.to_frame(pts), gap)
 
     bpts = grid.domain.boundary_samples(_N_BOUNDARY_SAMPLES)
     bpts = np.vstack([frame.origin[None, :], bpts])

@@ -132,6 +132,19 @@ class Disc(ConvexDomain):
         return self.radius * n, np.abs(nrm - self.radius), n
 
 
+def _axis_nearest(q: np.ndarray, p: float, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest point (x, y), y >= 0, of (x/p)^2 + (y/r)^2 = 1 to each axis point (q, 0), q >= 0.
+
+    It is the vertex (p, 0) when p <= r, and when p > r for q at or beyond
+    the evolute's cusp (p^2 - r^2)/p; nearer the centre it lies off the axis.
+    """
+    if p > r:
+        xc = np.where(q >= (p * p - r * r) / p, p, p * p * q / (p * p - r * r))
+    else:
+        xc = np.full(q.shape, p)
+    return xc, r * np.sqrt(np.maximum(0.0, 1.0 - (xc / p) ** 2))
+
+
 class Ellipse(ConvexDomain):
     """(x / a)^2 + (y / b)^2 <= 1: semi-axis a along x, b along y."""
 
@@ -181,25 +194,9 @@ class Ellipse(ConvexDomain):
             px[gen] = a * a * gx / (t + a * a)
             py[gen] = b * b * gy / (t + b * b)
         on_x = ~gen & (qy <= 1e-14)
-        if np.any(on_x):
-            gx = qx[on_x]
-            if a > b:
-                crit = (a * a - b * b) / a
-                xc = np.where(gx >= crit, a, a * a * gx / (a * a - b * b))
-            else:
-                xc = np.full(gx.shape, a)
-            px[on_x] = xc
-            py[on_x] = b * np.sqrt(np.maximum(0.0, 1.0 - (xc / a) ** 2))
+        px[on_x], py[on_x] = _axis_nearest(qx[on_x], a, b)
         on_y = ~gen & (qx <= 1e-14) & (qy > 1e-14)
-        if np.any(on_y):
-            gy = qy[on_y]
-            if b > a:
-                crit = (b * b - a * a) / b
-                yc = np.where(gy >= crit, b, b * b * gy / (b * b - a * a))
-            else:
-                yc = np.full(gy.shape, b)
-            py[on_y] = yc
-            px[on_y] = a * np.sqrt(np.maximum(0.0, 1.0 - (yc / b) ** 2))
+        py[on_y], px[on_y] = _axis_nearest(qy[on_y], b, a)
         proj = np.stack([sx * px, sy * py], axis=-1)
         grad = np.stack([proj[:, 0] / a**2, proj[:, 1] / b**2], axis=-1)
         gn = np.linalg.norm(grad, axis=-1, keepdims=True)

@@ -57,8 +57,7 @@ def tangent_trust_region(potential: PotentialField) -> np.ndarray:
     grid = potential.grid
     trust = grid.in_domain.copy()
     if _TRUST_MARGIN > 0:
-        imposed = grid.in_domain & ~grid.interior
-        collar = ndimage.binary_dilation(imposed, structure=_PLUS, iterations=_TRUST_MARGIN)
+        collar = ndimage.binary_dilation(grid.boundary_adjacent, structure=_PLUS, iterations=_TRUST_MARGIN)
         trust &= ~collar
     return trust
 
@@ -330,14 +329,11 @@ def good_set_survey(potential: PotentialField, u, beta_grid, m: float = 2.0) -> 
     good_masks = {M: (used & (openings <= M)) for M in _M_GRID}
     quasi_masks = {s: (used & np.isfinite(rm) & (rm >= s)) for s in _SIGMA_GRID}
     fits = {}
-    try:
-        fits["F2"] = decay_fit(zip(beta_grid, F2), min_measure=5.0 * grid.cell_area)
-    except GoodSetError:
-        pass
-    try:
-        fits["F1"] = decay_fit(zip(beta_grid, F1), min_measure=5.0 * grid.cell_area)
-    except GoodSetError:
-        pass
+    for name, dist in (("F2", F2), ("F1", F1)):
+        try:
+            fits[name] = decay_fit(zip(beta_grid, dist), min_measure=5.0 * grid.cell_area)
+        except GoodSetError:
+            pass
     return GoodSetResult(
         good_masks=good_masks,
         quasi_masks=quasi_masks,

@@ -165,18 +165,20 @@ class NodeLayout:
 
     Unknowns are numbered in nested-dissection order (_nested_dissection);
     `flat` maps lattice indices to unknowns (-1 off the domain) and `node_ij`
-    maps back. `int_rows` are the interior rows and iC, iE, ..., iSW (iC is
-    int_rows) the unknowns of their nine-point stencils. Ring row k holds the
-    data equation (1 + r) U - r * sum_m w_m U[corner_m] = datum(proj) with
-    r = ring_r[k], the bilinear weights ring_corner_w[k] of the unknowns
+    maps back. `stencil`, of shape (9, number of interior nodes), holds the
+    unknowns of the interior nodes' nine-point stencils, one row per
+    neighbour in the order C, E, W, N, S, NE, SW, NW, SE; its row C is
+    `int_rows`, the interior rows. Ring row k holds the data equation
+    (1 + r) U - r * sum_m w_m U[corner_m] = datum(proj) with r = ring_r[k],
+    the bilinear weights ring_corner_w[k] of the unknowns
     ring_corner_idx[k], and proj = ring_proj[k], the ring node's boundary
     projection. Every index array is int32: the layout lives as long as its
     grid, and on the side-2 square at 1/160 it takes about 12 MB.
 
     Every system on the grid has one CSC pattern: `indptr` and `indices`
     (int32, read-only, shared by every matrix of the grid), `int_slots`, the
-    data slots of the nine interior stencil entries in the order C, E, W,
-    N, S, NE, SW, NW, SE, and the ring rows' constant values `ring_vals` at
+    data slots of the interior stencil entries, shaped and ordered like
+    `stencil`, and the ring rows' constant values `ring_vals` at
     `ring_slots`. Entries are sorted by column, then row, with coinciding
     entries summed, as a COO to CSC conversion leaves them: a ring row with
     r = 0 points its four zero corner entries at unknown 0. The layout holds
@@ -197,18 +199,15 @@ class NodeLayout:
         self.node_ij = nodes.astype(np.int32)
 
         ii, jj = np.nonzero(grid.interior)
-        self.int_rows = flat[ii, jj]
         # a neighbour off the array reads -1, like one off the domain
         framed = np.pad(flat, 1, constant_values=-1)
 
         def nb(di, dj):
             return framed[ii + 1 + di, jj + 1 + dj]
 
-        self.iC = self.int_rows
-        self.iE, self.iW = nb(1, 0), nb(-1, 0)
-        self.iN, self.iS = nb(0, 1), nb(0, -1)
-        self.iNE, self.iNW = nb(1, 1), nb(-1, 1)
-        self.iSE, self.iSW = nb(1, -1), nb(-1, -1)
+        self.stencil = np.stack([nb(0, 0), nb(1, 0), nb(-1, 0), nb(0, 1), nb(0, -1),
+                                 nb(1, 1), nb(-1, -1), nb(-1, 1), nb(1, -1)])
+        self.int_rows = self.stencil[0]
 
         ri, rj = np.nonzero(grid.boundary_adjacent)
         rpts = np.stack([grid.xs[ri], grid.ys[rj]], axis=-1)
@@ -249,7 +248,7 @@ class NodeLayout:
     def _build_pattern(self):
         """indptr, indices and the data slots of the interior and ring entries."""
         n = self.n
-        stencil = np.stack([self.iC, self.iE, self.iW, self.iN, self.iS, self.iNE, self.iSW, self.iNW, self.iSE])
+        stencil = self.stencil
         if np.any(stencil < 0):
             raise SolveError("interior mask inconsistent: an interior node has a neighbor off the domain")
         ring_cols = np.concatenate([self.ring_corner_idx, self.ring_rows[:, None]], axis=1)
@@ -274,9 +273,10 @@ class NodeLayout:
 
     def hessian_entries(self, U: np.ndarray):
         h2 = self.h * self.h
-        H11 = (U[self.iE] - 2 * U[self.iC] + U[self.iW]) / h2
-        H22 = (U[self.iN] - 2 * U[self.iC] + U[self.iS]) / h2
-        H12 = (U[self.iNE] + U[self.iSW] - U[self.iNW] - U[self.iSE]) / (4 * h2)
+        C, E, W, N, S, NE, SW, NW, SE = self.stencil
+        H11 = (U[E] - 2 * U[C] + U[W]) / h2
+        H22 = (U[N] - 2 * U[C] + U[S]) / h2
+        H12 = (U[NE] + U[SW] - U[NW] - U[SE]) / (4 * h2)
         return H11, H22, H12
 
     def to_grid_values(self, U: np.ndarray) -> np.ndarray:

@@ -123,10 +123,10 @@ class ExperimentReport:
     functions leave them at their defaults.
     """
 
-    sweep: list
     measured: dict
-    slopes: dict
     assertions: list
+    sweep: list = field(default_factory=list)
+    slopes: dict = field(default_factory=dict)
     files: dict = field(default_factory=dict)
     sweep_label: str = "eps"
     experiment: str = ""
@@ -211,7 +211,9 @@ class PinchedFamily:
 
     phi_eps solves det D^2 phi = 1 + eps*g0 with zero boundary data; eps = 0
     is the flat companion, and g0=None makes every density the constant
-    1 + eps. potential(eps) is safe to call from several threads: through
+    1 + eps. The family samples g0 on the grid once, as `bump` (None when g0
+    is None); the densities and the maximal experiment's input read it.
+    potential(eps) is safe to call from several threads: through
     domain_grid.build_once, a density is solved by the first caller that asks
     for it, outside that function's lock, so different eps solve in parallel
     and later callers share the result (or the SolveError). heights(eps),
@@ -227,16 +229,15 @@ class PinchedFamily:
 
     def __init__(self, grid: Grid, g0: Optional[Callable] = None, tol_ma: float = 1e-8):
         self.grid = grid
-        self.g0 = g0
+        self.bump = None if g0 is None else np.asarray(g0(*grid.meshes()), dtype=float)
         self.tol_ma = tol_ma
         self._built = {}
 
     def density(self, eps: float):
-        """1 + eps*g0 on the grid; the scalar 1 + eps when eps = 0 or g0 is None."""
-        if eps == 0.0 or self.g0 is None:
+        """1 + eps*bump on the grid; the scalar 1 + eps when eps = 0 or bump is None."""
+        if eps == 0.0 or self.bump is None:
             return 1.0 + eps
-        X, Y = self.grid.meshes()
-        return 1.0 + eps * np.asarray(self.g0(X, Y), dtype=float)
+        return 1.0 + eps * self.bump
 
     def potential(self, eps: float) -> PotentialField:
         return build_once(self._built, ("potential", eps), lambda: solve_ma(
@@ -322,12 +323,11 @@ def solve_ma_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
           pot.residual_max, "<=", 10.0 * config.tol_ma)
     check(assertions, "certified convex", pot.convexity_margin, ">=", 0.0)
     return ExperimentReport(
-        sweep=[],
         measured={"residual_max": pot.residual_max,
                   "convexity_margin": pot.convexity_margin,
                   "newton_iterations": pot.newton_iterations,
                   "start": pot.start},
-        slopes={}, assertions=assertions,
+        assertions=assertions,
         files={"potential.csv": (pot.phi, None)},
     )
 
@@ -340,10 +340,9 @@ def solve_lma_experiment(family: PinchedFamily, config: ExperimentConfig) -> Exp
           sol.residual_max, "<=", 10.0 * config.tol_lma)
     check(assertions, "abp ratio finite", abp_ratio, "<=", 1e6)
     return ExperimentReport(
-        sweep=[],
         measured={"residual_max": sol.residual_max, "abp_ratio": abp_ratio,
                   "sup_u": float(np.nanmax(np.abs(sol.u.values)))},
-        slopes={}, assertions=assertions,
+        assertions=assertions,
         files={"solution.csv": (sol.u, None)},
     )
 
@@ -383,19 +382,17 @@ def cover_experiment(family: PinchedFamily, config: ExperimentConfig) -> Experim
     check(assertions, "half-height sections cover the region",
           cover.coverage_defect, "<=", 0.0)
     return ExperimentReport(
-        sweep=[],
         measured={"n_selected": int(len(cover.heights)),
                   "delta0": cover.delta0,
                   "coverage_defect": cover.coverage_defect},
-        slopes={}, assertions=assertions,
+        assertions=assertions,
         files={"cover_centers.csv": (("x", "y", "height"), np.column_stack([cover.centers, cover.heights]))},
     )
 
 
 def maximal_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
     grid = family.grid
-    X, Y = grid.meshes()
-    f = np.ones(grid.shape) if family.g0 is None else np.asarray(family.g0(X, Y), dtype=float)
+    f = np.ones(grid.shape) if family.bump is None else family.bump
     eps = _first_eps(config)
     m_one, m_f = maximal_function(family.potential(eps), [1.0, f], family.heights(eps))
     dev = float(np.nanmax(np.abs(m_one.values[grid.in_domain] - 1.0)))
@@ -405,9 +402,8 @@ def maximal_experiment(family: PinchedFamily, config: ExperimentConfig) -> Exper
     check(assertions, "strong type ratio finite", ratio, "<=", 1e6)
     check(assertions, "maximal dominates the average", ratio, ">=", 1.0 - 1e-12)
     return ExperimentReport(
-        sweep=[],
         measured={"m_one_deviation": dev, "strong_type_ratio": ratio},
-        slopes={}, assertions=assertions,
+        assertions=assertions,
         files={"maximal_field.csv": (m_f, None)},
     )
 
@@ -459,12 +455,11 @@ def barrier_experiment(family: PinchedFamily, config: ExperimentConfig) -> Exper
     check(assertions, "barrier dominates the gap on the inner circle",
           rep.circle_min, ">=", barrier.delta_tilde - rep.circle_tol)
     return ExperimentReport(
-        sweep=[],
         measured={"interior_max": rep.interior_max, "threshold": rep.threshold,
                   "boundary_min": rep.boundary_min, "circle_min": rep.circle_min,
                   "delta_tilde": barrier.delta_tilde,
                   "n_interior": rep.n_interior},
-        slopes={}, assertions=assertions,
+        assertions=assertions,
         files={"barrier.csv": (barrier.w, barrier.mask)},
     )
 
@@ -616,8 +611,6 @@ def w21e_experiment(family: PinchedFamily, config: ExperimentConfig) -> Experime
     f_inf = lp_norm(grid, sol.f_values, np.inf)
     if not conv.passed:
         measured = {"applicable": False, "min_hessian_eig": conv.min_eig}
-    elif f_inf == 0.0:
-        measured = {"applicable": True, "degenerate": True, "f_inf": 0.0}
     else:
         fro = _hess_frobenius(hess)
         ratios = [lp_norm(grid, fro, g) / f_inf for g in gammas]
@@ -625,7 +618,7 @@ def w21e_experiment(family: PinchedFamily, config: ExperimentConfig) -> Experime
             check(assertions, f"ratio at gamma={g} finite", r, "<", np.inf)
         measured = {"applicable": True, "ratios": ratios, "f_inf": f_inf,
                     "min_hessian_eig": conv.min_eig}
-    return ExperimentReport(sweep=list(gammas), measured=measured, slopes={},
+    return ExperimentReport(sweep=list(gammas), measured=measured,
                             assertions=assertions, sweep_label="gamma")
 
 
@@ -689,7 +682,6 @@ def contact_set_experiment(family: PinchedFamily, config: ExperimentConfig) -> E
         measured={"defect_fraction": defects, "section_cells": cells,
                   "measurable_cells": meas_cells, "height": t,
                   "anchor_x": float(anchor[0]), "anchor_y": float(anchor[1])},
-        slopes={},
         assertions=assertions,
     )
 

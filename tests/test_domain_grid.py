@@ -143,6 +143,43 @@ def test_square_projection_matches_per_point_loop_outside():
     np.testing.assert_allclose(normal, ref_normal, rtol=0.0, atol=np.finfo(float).eps)
 
 
+@pytest.mark.parametrize("a, b", [(1.2, 0.8), (0.8, 1.2)])
+def test_ellipse_projection_is_the_nearest_boundary_point(a, b):
+    dom = build_domain("ellipse", a=a, b=b)
+    rng = np.random.default_rng(7)
+    scatter = rng.uniform(-2.0, 2.0, size=(3000, 2))
+    t = rng.uniform(-2.0, 2.0, size=500)
+    # the long axis's evolute cusp: nearer the centre, an axis point's
+    # nearest boundary point lies off the axis
+    long_, short = max(a, b), min(a, b)
+    cusp = (long_ ** 2 - short ** 2) / long_
+    near = np.linspace(-0.99 * cusp, 0.99 * cusp, 40)
+    zero = np.zeros_like(t)
+    x_axis = np.stack([np.r_[t, near], np.r_[zero, 0.0 * near]], axis=-1)
+    y_axis = np.stack([np.r_[zero, 0.0 * near], np.r_[t, near]], axis=-1)
+    pts = np.vstack([scatter, x_axis, y_axis, [[0.0, 0.0]]])
+    assert dom.contains(pts).any() and not dom.contains(pts).all()
+
+    proj, dist, _ = dom.project_boundary(pts)
+    np.testing.assert_allclose((proj[:, 0] / a) ** 2 + (proj[:, 1] / b) ** 2, 1.0, rtol=0.0, atol=1e-12)
+    dense = dom.boundary_samples(4096)
+    nearest_sample = np.sqrt(((pts[:, None, :] - dense[None, :, :]) ** 2).sum(axis=-1)).min(axis=1)
+    assert np.all(dist <= nearest_sample + 1e-12)
+    # inside the cusp on the long axis the nearest point leaves the axis
+    long_axis = x_axis if a > b else y_axis
+    across = 1 if a > b else 0
+    assert np.all(np.abs(dom.project_boundary(long_axis[-40:])[0][:, across]) > 0.0)
+
+    # off the centre, the y-axis of Ellipse(a, b) is the x-axis of
+    # Ellipse(b, a), bit for bit
+    on_y = np.r_[t, near]
+    got = dom.project_boundary(np.stack([0.0 * on_y, on_y], axis=-1))
+    ref = build_domain("ellipse", a=b, b=a).project_boundary(np.stack([on_y, 0.0 * on_y], axis=-1))
+    assert got[0].tobytes() == ref[0][:, ::-1].tobytes()
+    assert got[1].tobytes() == ref[1].tobytes()
+    assert got[2].tobytes() == ref[2][:, ::-1].tobytes()
+
+
 # -- discretization ---------------------------------------------------------
 
 def test_too_coarse_spacing_is_an_error():

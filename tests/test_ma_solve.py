@@ -277,11 +277,12 @@ def coo_reference_matrix(sysm, c11, c22, c12):
     """Reference assembly: every entry as a COO triplet, converted to CSR, then CSC."""
     lay = sysm.layout
     h2 = lay.h * lay.h
+    C, E, W, N, S, NE, SW, NW, SE = lay.stencil
     stencil = [
-        (lay.iC, -2 * (c11 + c22) / h2),
-        (lay.iE, c11 / h2), (lay.iW, c11 / h2), (lay.iN, c22 / h2), (lay.iS, c22 / h2),
-        (lay.iNE, c12 / (2 * h2)), (lay.iSW, c12 / (2 * h2)),
-        (lay.iNW, -c12 / (2 * h2)), (lay.iSE, -c12 / (2 * h2)),
+        (C, -2 * (c11 + c22) / h2),
+        (E, c11 / h2), (W, c11 / h2), (N, c22 / h2), (S, c22 / h2),
+        (NE, c12 / (2 * h2)), (SW, c12 / (2 * h2)),
+        (NW, -c12 / (2 * h2)), (SE, -c12 / (2 * h2)),
     ]
     rows = [lay.int_rows] * len(stencil) + [np.repeat(lay.ring_rows, 4), lay.ring_rows]
     cols = [col for col, _ in stencil] + [lay.ring_corner_idx.ravel(), lay.ring_rows]
