@@ -23,7 +23,9 @@ thread included.
 The command line has one subcommand per experiment, named as in
 EXPERIMENTS, plus suite. Exit codes: 0 all assertions passed, 1 assertion
 or runtime failure, 2 config error (a bad config line or flag, or a
---config whose experiment is not the subcommand), 3 solver failure. The
+--config whose experiment is not the subcommand), 3 solver failure. A NaN
+or an inf among a report's measured values is an assertion failure, exit
+1: ExperimentReport records one failed assertion naming those values. The
 output directory resolves in the order --out flag (run's out_dir), config
 `out` key, ./ma_lab_out.
 """

@@ -195,7 +195,7 @@ def maximal_function(
     f,
     heights: np.ndarray,
     n_heights: int = 12,
-) -> ScalarField | list[ScalarField]:
+) -> ScalarField:
     """Supremum of section averages of |f| over the probe height grid, per node.
 
     heights is the interior_heights field of the potential, from which
@@ -209,9 +209,6 @@ def maximal_function(
     gap reaches the top height enters no average and is dropped, and each
     kept pair is binned by the lowest height its gap falls below. Cumulative
     sums over the bins give the count and the sum of every section at once.
-    f may be a list or tuple of inputs; the pairs are then scanned once for
-    all of them and one field per input comes back, in order. A single input
-    returns a single ScalarField.
 
     The scan skips the pairs that cannot fall below the top height. Centres
     and targets are grouped into the same lattice tiles, and each target
@@ -226,16 +223,12 @@ def maximal_function(
     scan.
     """
     grid = potential.grid
-    many = isinstance(f, (list, tuple))
     ni, nj = np.nonzero(grid.in_domain)
-    absf = [
-        np.abs(coerce_samples(grid, g.values if isinstance(g, ScalarField) else g)[ni, nj])
-        for g in (f if many else [f])
-    ]
+    absf = np.abs(coerce_samples(grid, f.values if isinstance(f, ScalarField) else f)[ni, nj])
     probes = height_grid(potential, heights, n_heights=n_heights)
     nh = probes.size
     top = probes[-1]
-    outs = [np.full(grid.shape, np.nan) for _ in absf]
+    out = np.full(grid.shape, np.nan)
     tile, floor = _tile_gap_floors(potential, ni, nj)
     order = np.argsort(tile, kind="stable")
     for centres in np.split(order, np.flatnonzero(np.diff(tile[order])) + 1):
@@ -243,7 +236,7 @@ def maximal_function(
         keep = ~np.all(floor(centres) >= top, axis=0)
         targets = np.flatnonzero(keep[tile])
         ci, cj = ni[centres], nj[centres]
-        weights = [a[targets] for a in absf]
+        weights = absf[targets]
         for block, D in pair_gaps(potential, ci, cj, ni[targets], nj[targets], _MAXIMAL_CHUNK):
             flat = np.flatnonzero(D < top)
             rows, cols = np.divmod(flat, targets.size)
@@ -251,11 +244,9 @@ def maximal_function(
             size = D.shape[0] * nh
             counts = np.bincount(key, minlength=size).reshape(-1, nh).cumsum(axis=1)
             counts = np.maximum(counts, 1)
-            for a, out in zip(weights, outs):
-                sums = np.bincount(key, weights=a[cols], minlength=size).reshape(-1, nh).cumsum(axis=1)
-                out[ci[block], cj[block]] = (sums / counts).max(axis=1)
-    fields = [ScalarField(grid, out) for out in outs]
-    return fields if many else fields[0]
+            sums = np.bincount(key, weights=weights[cols], minlength=size).reshape(-1, nh).cumsum(axis=1)
+            out[ci[block], cj[block]] = (sums / counts).max(axis=1)
+    return ScalarField(grid, out)
 
 
 def strong_type_ratio(maximal: ScalarField, f, p: float) -> float:

@@ -39,10 +39,8 @@ _RADIUS = 5.0
 _TRUST_MARGIN = 3
 # the opening scan's floor on the squared quasi-distance, in squared spacings
 _OPENING_FLOOR = 2.0
-# the good-set openings M and quasi-Euclidean ratio thresholds sigma whose
-# masks good_set_survey returns
+# the good-set openings M whose masks good_set_survey returns
 _M_GRID = (2.0, 4.0, 8.0)
-_SIGMA_GRID = (0.1, 0.3, 0.5)
 
 
 def tangent_trust_region(potential: PotentialField) -> np.ndarray:
@@ -274,7 +272,6 @@ def decay_fit(samples, min_measure: float = 0.0) -> DecayFit:
 @dataclass
 class GoodSetResult:
     good_masks: dict
-    quasi_masks: dict
     F: np.ndarray
     F1: np.ndarray
     F2: np.ndarray
@@ -297,9 +294,8 @@ def good_set_survey(potential: PotentialField, u, beta_grid, m: float = 2.0) -> 
     F1 is normalized over the centers where the ratio scan is measurable
     (the tangent trust region), since an unmeasurable tangent certifies
     neither membership nor exit. good_masks holds the good set of each
-    opening in _M_GRID and quasi_masks the quasi-Euclidean mask of each
-    threshold in _SIGMA_GRID, keyed by that value. F, F1 and F2 hold one
-    entry per level of beta_grid, in its order.
+    opening in _M_GRID, keyed by that opening. F, F1 and F2 hold one entry
+    per level of beta_grid, in its order.
     """
     grid = potential.grid
     solution = solution_fields(potential, u)
@@ -327,7 +323,6 @@ def good_set_survey(potential: PotentialField, u, beta_grid, m: float = 2.0) -> 
         F2[k] = (used & (openings > b)).sum() * scale
 
     good_masks = {M: (used & (openings <= M)) for M in _M_GRID}
-    quasi_masks = {s: (used & np.isfinite(rm) & (rm >= s)) for s in _SIGMA_GRID}
     fits = {}
     for name, dist in (("F2", F2), ("F1", F1)):
         try:
@@ -336,7 +331,6 @@ def good_set_survey(potential: PotentialField, u, beta_grid, m: float = 2.0) -> 
             pass
     return GoodSetResult(
         good_masks=good_masks,
-        quasi_masks=quasi_masks,
         F=F,
         F1=F1,
         F2=F2,

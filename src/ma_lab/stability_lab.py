@@ -4,10 +4,15 @@ Each of the 13 experiments is a function name_experiment(family, config)
 registered under its name in EXPERIMENTS, in suite order. It returns an
 ExperimentReport: the sweep values, the measured quantities, fitted slopes
 where a trend is claimed, a list of asserted inequalities carrying both
-sides and the tolerance, and the rows of its own files. No experiment
-writes a file; cli_runner.run names the report, echoes the config into it,
-times it and writes it. Sweeps are deterministic; rerunning an experiment
-with the same configuration reproduces every number bit for bit.
+sides and the tolerance, and the rows of its own files. For each
+assertion, tests/test_mutations.py names a fault of the code it checks
+that makes it fail, or the reason it stays. One rule serves every
+experiment in place of per-experiment finiteness bounds: a NaN or an inf
+anywhere in the measured values fails the report (ExperimentReport). No
+experiment writes a file; cli_runner.run names the report, echoes the
+config into it, times it and writes it. Sweeps are deterministic;
+rerunning an experiment with the same configuration reproduces every
+number bit for bit.
 """
 
 import contextvars
@@ -108,7 +113,6 @@ class Assertion:
     rhs: float
     tol: float
     passed: bool
-    note: str = ""
 
 
 @dataclass
@@ -121,6 +125,11 @@ class ExperimentReport:
     swept quantity in the sweep files' headers; to_dict leaves it out.
     cli_runner.run sets experiment, config and wall_time; the experiment
     functions leave them at their defaults.
+
+    A NaN or an inf anywhere in measured, inside nested dicts and lists
+    too, fails the report: construction appends one failed assertion that
+    names each such value by its path (fits/F2/tau, ratio/1). A report whose
+    measured values are all finite gains nothing.
     """
 
     measured: dict
@@ -132,6 +141,11 @@ class ExperimentReport:
     experiment: str = ""
     config: dict = field(default_factory=dict)
     wall_time: float = 0.0
+
+    def __post_init__(self):
+        bad = _non_finite(self.measured)
+        if bad:
+            check(self.assertions, f"measured values finite: {', '.join(bad)}", len(bad), "<=", 0.0)
 
     @property
     def passed(self) -> bool:
@@ -149,6 +163,17 @@ class ExperimentReport:
             "passed": self.passed,
             "wall_time": self.wall_time,
         }
+
+
+def _non_finite(value, path: str = "") -> list:
+    """The paths of the NaN and inf numbers in value, through dicts, lists, tuples and arrays."""
+    if isinstance(value, dict):
+        return [bad for k, v in value.items() for bad in _non_finite(v, f"{path}/{k}" if path else str(k))]
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [bad for i, v in enumerate(value) for bad in _non_finite(v, f"{path}/{i}")]
+    if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+        return [path]
+    return []
 
 
 def check(assertions: list, name: str, lhs: float, op: str, rhs: float, tol: float = 0.0) -> bool:
@@ -338,7 +363,6 @@ def solve_lma_experiment(family: PinchedFamily, config: ExperimentConfig) -> Exp
     assertions = []
     check(assertions, "linear solve residual within tolerance",
           sol.residual_max, "<=", 10.0 * config.tol_lma)
-    check(assertions, "abp ratio finite", abp_ratio, "<=", 1e6)
     return ExperimentReport(
         measured={"residual_max": sol.residual_max, "abp_ratio": abp_ratio,
                   "sup_u": float(np.nanmax(np.abs(sol.u.values)))},
@@ -357,8 +381,6 @@ def sections_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
     theta_star = engulfing_constant(pot, sections)
     exponent = volume_scaling(sections)
     assertions = []
-    check(assertions, "section measures increase with height",
-          rows[0][1], "<=", rows[-1][1])
     check(assertions, "volume scaling exponent near linear",
           exponent, "~", 1.0, tol=0.15)
     check(assertions, "engulfing constant bounded", theta_star, "<=", 6.0)
@@ -391,18 +413,14 @@ def cover_experiment(family: PinchedFamily, config: ExperimentConfig) -> Experim
 
 
 def maximal_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
-    grid = family.grid
-    f = np.ones(grid.shape) if family.bump is None else family.bump
+    f = np.ones(family.grid.shape) if family.bump is None else family.bump
     eps = _first_eps(config)
-    m_one, m_f = maximal_function(family.potential(eps), [1.0, f], family.heights(eps))
-    dev = float(np.nanmax(np.abs(m_one.values[grid.in_domain] - 1.0)))
+    m_f = maximal_function(family.potential(eps), f, family.heights(eps))
     ratio = strong_type_ratio(m_f, f, p=config.p)
     assertions = []
-    check(assertions, "maximal function of 1 is 1", dev, "<=", 1e-12)
-    check(assertions, "strong type ratio finite", ratio, "<=", 1e6)
     check(assertions, "maximal dominates the average", ratio, ">=", 1.0 - 1e-12)
     return ExperimentReport(
-        measured={"m_one_deviation": dev, "strong_type_ratio": ratio},
+        measured={"strong_type_ratio": ratio},
         assertions=assertions,
         files={"maximal_field.csv": (m_f, None)},
     )
@@ -414,20 +432,8 @@ def goodsets_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
     sol = solve_lma(pot, _source(grid), tol_lma=config.tol_lma)
     betas = np.asarray(config.betas if config.betas else np.geomspace(1.2, 40.0, 10))
     res = good_set_survey(pot, sol.u, betas, m=config.m)
-    M_grid = sorted(res.good_masks)
-    sigma_grid = sorted(res.quasi_masks)
-    assertions = []
-    mono_F2 = bool(np.all(np.diff(res.F2) <= 1e-14))
-    check(assertions, "F2 non-increasing", 0.0 if mono_F2 else 1.0, "<=", 0.0)
-    for a, b in zip(M_grid, M_grid[1:]):
-        grows = not (res.good_masks[a] & ~res.good_masks[b]).any()
-        check(assertions, f"good sets grow from M={a} to M={b}",
-              0.0 if grows else 1.0, "<=", 0.0)
-    for a, b in zip(sigma_grid, sigma_grid[1:]):
-        shrinks = not (res.quasi_masks[b] & ~res.quasi_masks[a]).any()
-        check(assertions, f"quasi masks shrink from sigma={a} to sigma={b}",
-              0.0 if shrinks else 1.0, "<=", 0.0)
-    files = {f"good_mask_M{fmt_float(M)}.csv": (("x", "y"), grid.points(res.good_masks[M])) for M in M_grid}
+    files = {f"good_mask_M{fmt_float(M)}.csv": (("x", "y"), grid.points(res.good_masks[M]))
+             for M in sorted(res.good_masks)}
     files["distribution.csv"] = (("beta", "F", "F1", "F2"), list(zip(betas, res.F, res.F1, res.F2)))
     fits = {k: {"tau": v.tau, "C": v.C, "residual": v.residual} for k, v in res.fits.items()}
     return ExperimentReport(
@@ -435,7 +441,7 @@ def goodsets_experiment(family: PinchedFamily, config: ExperimentConfig) -> Expe
         measured={"F": list(res.F), "F1": list(res.F1), "F2": list(res.F2),
                   "c_inst": res.c_inst, "fits": fits},
         slopes={k: v.tau for k, v in res.fits.items()},
-        assertions=assertions,
+        assertions=[],
         files=files,
         sweep_label="beta",
     )
@@ -474,8 +480,13 @@ def cofactor_stability_experiment(family: PinchedFamily, config: ExperimentConfi
 
     For each eps the family's potentials at eps and at 0 are compared; the
     measured quantity is the L^p norm (p = config.p) of the Frobenius
-    distance of the two cofactor fields. Asserts strict decrease in eps and
-    a positive log-log slope.
+    distance of the two cofactor fields. In the plane the cofactor swaps the
+    Hessian's diagonal entries and negates its cross term, so
+    |cof A - cof B|_F = |A - B|_F: at p = 2 this is the L^2 Hessian distance,
+    the quantity sobolev_stability measures in L^gamma. Asserts strict
+    decrease in eps; the log-log slope against eps is reported, not
+    asserted, since strict growth in eps already makes it positive
+    (Chebyshev's sum inequality).
     """
     grid = family.grid
     eps_list = _validate_eps(config.eps)
@@ -487,12 +498,10 @@ def cofactor_stability_experiment(family: PinchedFamily, config: ExperimentConfi
     norms = run_sweep(one, eps_list, pool_size(config))
     assertions = []
     _grows_with_eps(assertions, eps_list, norms, "<", 0.0, "norm(eps={}) < norm(eps={})")
-    slope = _loglog_slope(eps_list, norms)
-    check(assertions, "log-log slope of norm vs eps positive", slope, ">=", 0.0)
     return ExperimentReport(
         sweep=eps_list,
         measured={"cofactor_lq_distance": norms},
-        slopes={"norm_vs_eps": slope},
+        slopes={"norm_vs_eps": _loglog_slope(eps_list, norms)},
         assertions=assertions,
     )
 
@@ -507,8 +516,10 @@ def sobolev_stability_experiment(family: PinchedFamily, config: ExperimentConfig
 
     For each eps the measured pair is the L^gamma norm (gamma =
     config.gamma) of the Frobenius distance of the two Hessians and the L^1
-    norm of the density difference. Asserts strict decrease in eps and a
-    positive log-log slope of the first against the second.
+    norm of the density difference. Asserts strict decrease in eps; the
+    log-log slope of the first against the second is reported, not
+    asserted: the density distance is eps times a fixed norm, so strict
+    growth in eps already makes the slope positive.
     """
     grid = family.grid
     eps_list = _validate_eps(config.eps)
@@ -525,13 +536,10 @@ def sobolev_stability_experiment(family: PinchedFamily, config: ExperimentConfig
     gdist = [p[1] for p in pairs]
     assertions = []
     _grows_with_eps(assertions, eps_list, lhs, "<", 0.0, "hessian distance at eps={} < at eps={}")
-    slope = _loglog_slope(gdist, lhs)
-    check(assertions, "log-log slope of hessian distance vs density distance positive",
-          slope, ">=", 0.0)
     return ExperimentReport(
         sweep=eps_list,
         measured={"hessian_lgamma_distance": lhs, "density_l1_distance": gdist},
-        slopes={"lhs_vs_density_l1": slope},
+        slopes={"lhs_vs_density_l1": _loglog_slope(gdist, lhs)},
         assertions=assertions,
     )
 
@@ -554,8 +562,7 @@ def approximation_experiment(family: PinchedFamily, config: ExperimentConfig) ->
     grid = family.grid
     eps_list = _validate_eps(config.eps)
     datum = lambda pts: np.atleast_2d(pts)[:, 0] ** 2
-    W = cofactor_field(family.potential(0.0))
-    h_sol = solve_lma(W, 0.0, boundary=datum, tol_lma=config.tol_lma)
+    h_sol = solve_lma(family.potential(0.0), 0.0, boundary=datum, tol_lma=config.tol_lma)
 
     pts = grid.points(grid.in_domain)
     _, dist, _ = grid.domain.project_boundary(pts)
@@ -565,21 +572,16 @@ def approximation_experiment(family: PinchedFamily, config: ExperimentConfig) ->
     if not inner.any():
         raise StabilityError(f"inner margin {_INNER_MARGIN} leaves no nodes to compare on")
 
-    def one(eps: float):
-        pot = family.potential(eps)
-        u_sol = solve_lma(pot, 0.0, boundary=datum, tol_lma=config.tol_lma)
-        sup = float(np.max(np.abs(u_sol.u.values[inner] - h_sol.u.values[inner])))
-        pdist = _matrix_diff_lq(grid, cofactor_field(pot), W, 2.0)
-        return sup, pdist
+    def one(eps: float) -> float:
+        u_sol = solve_lma(family.potential(eps), 0.0, boundary=datum, tol_lma=config.tol_lma)
+        return float(np.max(np.abs(u_sol.u.values[inner] - h_sol.u.values[inner])))
 
-    pairs = run_sweep(one, eps_list, pool_size(config))
-    sups = [p[0] for p in pairs]
-    cof_dists = [p[1] for p in pairs]
+    sups = run_sweep(one, eps_list, pool_size(config))
     assertions = []
     _grows_with_eps(assertions, eps_list, sups, "<", 0.0, "sup|u-h| at eps={} < at eps={}")
     return ExperimentReport(
         sweep=eps_list,
-        measured={"sup_distance": sups, "cofactor_l2_distance": cof_dists},
+        measured={"sup_distance": sups},
         slopes={"sup_vs_eps": _loglog_slope(eps_list, sups)},
         assertions=assertions,
     )
@@ -597,7 +599,9 @@ def w21e_experiment(family: PinchedFamily, config: ExperimentConfig) -> Experime
     with f = 2 g and the potential's own boundary datum, certifies convexity
     of the solution (the experiment reports non-applicability instead of
     failing when the solution is not convex), and reports
-    |D2 v|_{L^gamma} / |f|_inf for each gamma in _W21E_GAMMAS.
+    |D2 v|_{L^gamma} / |f|_inf for each gamma in _W21E_GAMMAS. It asserts
+    nothing of its own: a ratio that is not finite fails the report through
+    ExperimentReport's rule.
     """
     potential = _pinched(family, config)
     grid = potential.grid
@@ -606,20 +610,16 @@ def w21e_experiment(family: PinchedFamily, config: ExperimentConfig) -> Experime
                     tol_lma=config.tol_lma)
     _, hess = fd_derivatives(sol.u)
     conv = certify_convexity(hess, tol=1e-6)
-    assertions = []
 
     f_inf = lp_norm(grid, sol.f_values, np.inf)
     if not conv.passed:
         measured = {"applicable": False, "min_hessian_eig": conv.min_eig}
     else:
         fro = _hess_frobenius(hess)
-        ratios = [lp_norm(grid, fro, g) / f_inf for g in gammas]
-        for g, r in zip(gammas, ratios):
-            check(assertions, f"ratio at gamma={g} finite", r, "<", np.inf)
-        measured = {"applicable": True, "ratios": ratios, "f_inf": f_inf,
-                    "min_hessian_eig": conv.min_eig}
+        measured = {"applicable": True, "ratios": [lp_norm(grid, fro, g) / f_inf for g in gammas],
+                    "f_inf": f_inf, "min_hessian_eig": conv.min_eig}
     return ExperimentReport(sweep=list(gammas), measured=measured,
-                            assertions=assertions, sweep_label="gamma")
+                            assertions=[], sweep_label="gamma")
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +699,8 @@ def w2p_ratio_experiment(family: PinchedFamily, config: ExperimentConfig) -> Exp
     config. Boundedness is asserted as sup <= 3 * median over the sweep;
     linearity is checked by scaling f tenfold at one sweep point; the
     small-exponent quasi-norm regime (p = _SMALL_P) runs once with the
-    strongly varying density at eps = _STRONG_EPS.
+    strongly varying density at eps = _STRONG_EPS and is reported, its
+    finiteness checked by ExperimentReport's rule.
     """
     grid = family.grid
     p, q = config.p, config.q
@@ -727,9 +728,6 @@ def w2p_ratio_experiment(family: PinchedFamily, config: ExperimentConfig) -> Exp
           abs(r_scaled - r_mid), "<=", 1e-6 * r_mid)
 
     r_small = ratio_on(f_vals, _STRONG_EPS, _SMALL_P, 2.0)
-    check(assertions, f"small-exponent ratio finite (p={_SMALL_P}, eps={_STRONG_EPS})",
-          r_small, "<", np.inf)
-
     return ExperimentReport(
         sweep=eps_list,
         measured={"ratio": ratios, "ratio_scaled_f": r_scaled, "ratio_small_exponent": r_small},

@@ -2,13 +2,13 @@ import inspect
 import json
 import re
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import Optional
 
 import numpy as np
 import pytest
 
-from ma_lab import cli_runner, ma_solve, section_geom, stability_lab
+from ma_lab import cli_runner, good_sets, ma_solve, section_geom, stability_lab
 from ma_lab.cli_runner import ExperimentConfig, run
 from ma_lab.domain_grid import DOMAINS
 from ma_lab.stability_lab import EXPERIMENTS
@@ -163,8 +163,10 @@ def test_suite_lines_name_their_experiment(tmp_path, capsys):
         assert match, line
         names.append(match.group(2))
     runs = [name for k, name in enumerate(names) if k == 0 or names[k - 1] != name]
-    # every experiment asserts something, and its lines are contiguous
-    assert sorted(runs) == sorted(EXPERIMENTS)
+    # every experiment but goodsets and w21e asserts something, and its lines
+    # are contiguous; those two are judged by the finiteness rule alone, which
+    # adds no line while their measured values are finite
+    assert sorted(runs) == sorted(set(EXPERIMENTS) - {"goodsets", "w21e"})
 
 
 def test_suite_computes_at_most_threads_tasks_and_passes_threads_to_sweeps(tmp_path, monkeypatch):
@@ -430,3 +432,52 @@ def test_write_table_writes_python_ints_with_str_and_other_numbers_with_fmt_floa
     dat = tmp_path / "table.dat"
     cli_runner._write_table(str(dat), ("# eps", "ratio"), [(0.2, 12.0), (0.1, np.float64(3.5))], sep=" ")
     assert dat.read_text() == "# eps ratio\n0.2 12.0\n0.1 3.5\n"
+
+
+def _finiteness_assertions(report):
+    return [a for a in report["assertions"] if a["name"].startswith("measured values finite")]
+
+
+def test_a_nan_measured_value_fails_the_experiment_and_names_its_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(stability_lab, "abp_check", lambda sol: float("nan"))
+    cfg = ExperimentConfig(experiment="solve_lma", domain="disc", spacing=1.0 / 16)
+    assert run(cfg, out_dir=str(tmp_path)) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["passed"] is False
+    [finite] = _finiteness_assertions(report)
+    assert finite["name"] == "measured values finite: abp_ratio"
+    assert (finite["lhs"], finite["op"], finite["rhs"], finite["passed"]) == (1.0, "<=", 0.0, False)
+    assert "[FAIL] solve_lma: measured values finite: abp_ratio" in capsys.readouterr().out
+    # the experiment's own assertion still holds
+    assert [a["passed"] for a in report["assertions"] if a is not finite] == [True]
+
+
+def test_a_nan_inside_a_nested_measured_value_is_named_by_its_path(tmp_path, monkeypatch):
+    real = good_sets.decay_fit
+    monkeypatch.setattr(good_sets, "decay_fit", lambda *args, **kwargs: replace(real(*args, **kwargs), tau=np.nan))
+    cfg = ExperimentConfig(experiment="goodsets", domain="square", spacing=1.0 / 32)
+    assert run(cfg, out_dir=str(tmp_path)) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    [finite] = _finiteness_assertions(report)
+    # in the order the survey fits them; the slopes carry the same NaNs and are not checked
+    assert finite["name"] == "measured values finite: fits/F2/tau, fits/F1/tau"
+    assert finite["lhs"] == 2.0 and report["passed"] is False
+
+
+def test_the_finiteness_rule_walks_dicts_lists_and_arrays():
+    measured = {"a": [1.0, np.inf, 2], "b": {"c": np.float64("nan"), "d": (np.array([0.5, -np.inf]),)},
+                "start": "given", "applicable": True, "n": np.int64(3)}
+    report = stability_lab.ExperimentReport(measured=measured, assertions=[])
+    [finite] = report.assertions
+    assert finite.name == "measured values finite: a/1, b/c, b/d/0/1"
+    assert finite.lhs == 3.0 and not report.passed
+
+
+def test_a_finite_report_gains_no_assertion(tmp_path):
+    measured = {"x": 1.0, "xs": [0.1, 2], "fits": {"F2": {"tau": np.float64(0.8)}}, "start": "laplacian",
+                "applicable": False}
+    assert stability_lab.ExperimentReport(measured=measured, assertions=[]).assertions == []
+    cfg = ExperimentConfig(experiment="solve_lma", domain="disc", spacing=1.0 / 16)
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [a["name"] for a in report["assertions"]] == ["linear solve residual within tolerance"]

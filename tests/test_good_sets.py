@@ -184,9 +184,6 @@ def test_survey_distributions_on_lma(pinched_lma):
     assert list(sv.good_masks) == [2.0, 4.0, 8.0]
     assert bool(np.all(sv.good_masks[2.0] <= sv.good_masks[4.0]))
     assert bool(np.all(sv.good_masks[4.0] <= sv.good_masks[8.0]))
-    assert list(sv.quasi_masks) == [0.1, 0.3, 0.5]
-    assert bool(np.all(sv.quasi_masks[0.3] <= sv.quasi_masks[0.1]))
-    assert bool(np.all(sv.quasi_masks[0.5] <= sv.quasi_masks[0.3]))
     assert "F1" not in sv.fits
     fit = sv.fits["F2"]
     assert fit.tau > 0.0

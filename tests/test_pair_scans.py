@@ -215,18 +215,6 @@ def test_maximal_function_smooth_input_matches_dense(potential):
     assert np.allclose(got[ind], ref[ind], rtol=1e-12, atol=0.0)
 
 
-def test_maximal_function_several_inputs_equal_single_calls(potential):
-    grid = potential.grid
-    X, Y = grid.meshes()
-    f = np.exp(X) * np.cos(Y)
-    g = np.where(X > 0.1, 2.0, 0.0)
-    hs = interior_heights(potential)
-    fields = maximal_function(potential, [1.0, f, g], hs)
-    assert isinstance(fields, list) and len(fields) == 3
-    for inp, M in zip((1.0, f, g), fields):
-        assert np.array_equal(M.values, maximal_function(potential, inp, hs).values, equal_nan=True)
-
-
 @pytest.mark.parametrize("radius", [5.0, 2.5, None])
 @pytest.mark.parametrize("margin", [0, 3])
 def test_ratio_extrema_window_equals_dense_scan(potential, radius, margin, monkeypatch):
@@ -275,9 +263,8 @@ def _inputs(grid):
 def _assert_maximal_equals_binned_all_pairs(pot):
     fs = _inputs(pot.grid)
     hs = interior_heights(pot)
-    got = maximal_function(pot, fs, hs)
-    for M, ref in zip(got, binned_maximal(pot, fs, hs)):
-        assert np.array_equal(M.values, ref, equal_nan=True)
+    for f, ref in zip(fs, binned_maximal(pot, fs, hs)):
+        assert np.array_equal(maximal_function(pot, f, hs).values, ref, equal_nan=True)
 
 
 def test_maximal_function_bitwise_equals_binned_all_pairs(pinched_suite32):

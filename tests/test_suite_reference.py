@@ -6,8 +6,9 @@ value (wall times aside), every exit code, the row count of every CSV
 and .dat file, and a sha256 of the x,y columns of the selections (the
 cover's centres and the good-set masks) must match its
 suite_reference_<name>.json; floats match within 1e-12 relative. The
-digests catch a selection that trades nodes at an unchanged count. A change that moves outputs on purpose rewrites all
-three files, so their diffs show what moved:
+digests catch a selection that trades nodes at an unchanged count. A
+change that moves outputs on purpose rewrites all three files, so their
+diffs show what moved:
 
     PYTHONPATH=src python tests/test_suite_reference.py
 """
