@@ -13,12 +13,13 @@ experiment's own, and a CSV and a two-column gnuplot .dat per swept
 quantity), write_field_csv every field and _write_json every JSON file.
 
 A run computes on one worker pool: the outermost run creates it with
-pool_size(config) workers and makes it stability_lab.ACTIVE_POOL for
-everything it runs. A single experiment runs as one task on it, a suite's
-13 experiments as 13 tasks, and run_sweep hands a sweep's later values to
-the same pool, so idle workers take them while the sweep's own thread runs
-the rest. At most pool_size(config) threads compute at once, the calling
-thread included.
+pool_size(config) workers, makes it stability_lab.ACTIVE_POOL for
+everything it runs and hands it the run as one task. run_sweep is the one
+fan-out on that pool: a sweep queues its values there, idle workers take
+them, and the sweep's own thread runs every value no worker has started. A
+suite is a sweep of its 13 experiments, and an experiment's sweep queues
+its values on the same pool. At most pool_size(config) threads compute at
+once, the calling thread only waiting for the run's task.
 
 The command line has one subcommand per experiment, named as in
 EXPERIMENTS, plus suite. Exit codes: 0 all assertions passed, 1 assertion
@@ -36,7 +37,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 from functools import partial
 from typing import Optional
@@ -53,6 +54,7 @@ from .stability_lab import (
     PinchedFamily,
     default_bump,
     pool_size,
+    run_sweep,
 )
 
 
@@ -221,10 +223,10 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     plus computing the report; writing the files is not included.
 
     A run outside any run creates the run's one worker pool, of
-    pool_size(config) workers, and makes it ACTIVE_POOL for everything it
-    runs: a single experiment runs as a task on it while this thread waits,
-    and a suite hands its experiments to it (_run_suite). A run inside a
-    run, a suite's experiment, computes on the thread that calls it.
+    pool_size(config) workers, makes it ACTIVE_POOL for everything it runs
+    and submits the run to it as one task, an experiment or a suite alike,
+    while this thread waits. A run inside a run, a suite's experiment,
+    computes on the thread that calls it.
     """
     if ACTIVE_POOL.get() is not None:
         return _run_in_pool(config, out_dir, family)
@@ -232,8 +234,6 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     with ThreadPoolExecutor(max_workers=workers) as pool:
         context = contextvars.copy_context()
         context.run(ACTIVE_POOL.set, (pool, workers))
-        if config.experiment == "suite":
-            return context.run(_run_in_pool, config, out_dir, family)
         return pool.submit(context.run, _run_in_pool, config, out_dir, family).result()
 
 
@@ -288,21 +288,21 @@ def _write_failure(out: str, config: ExperimentConfig, kind: str, message: str) 
 def _run_suite(config: ExperimentConfig, out: str, family: PinchedFamily) -> int:
     """Run every experiment in EXPERIMENTS, aggregate pass flags into summary.json.
 
-    The experiments are tasks on the run's one pool (ACTIVE_POOL), of
-    pool_size(config) workers, queued in suite order; this thread only
-    waits for them. So the suite's peak memory grows with config.threads,
-    up to the 13 experiments. Each sub-config has threads = 1, as its
-    report.json echoes: an experiment creates no pool of its own. Its
-    sweeps still use the suite's pool, whose size pool_size reads inside a
-    run: a sweep queues its later values behind the experiments not yet
-    started, so once the last experiments run the idle workers take their
-    sweep values, and never more than pool_size(config) threads compute at
+    The suite is one sweep of its experiments (run_sweep on the run's pool,
+    of pool_size(config) workers): they are queued in suite order, idle
+    workers take them, and this thread, itself a pool worker, runs every
+    one that no worker has started. So the suite's peak memory grows with
+    config.threads, up to the 13 experiments. Each sub-config has threads =
+    1, as its report.json echoes: an experiment creates no pool of its own.
+    Its sweeps still use the suite's pool, whose size pool_size reads
+    inside a run, so never more than pool_size(config) threads compute at
     once. Every experiment shares the one family, so each potential is
     solved once per suite run, by the first experiment that asks for it.
     Each experiment goes through the module-level run, so a wrapper
-    installed on cli_runner.run (perfbench's tracer) sees each one. An
-    exception that run does not catch cancels the experiments not yet
-    started and propagates.
+    installed on cli_runner.run (perfbench's tracer) sees each one, and the
+    sweep goes through cli_runner's binding of run_sweep. An exception that
+    run does not catch propagates, the first in suite order, after the
+    experiments already started finish.
     """
 
     def timed(sub: ExperimentConfig):
@@ -312,19 +312,8 @@ def _run_suite(config: ExperimentConfig, out: str, family: PinchedFamily) -> int
 
     subs = [replace(config, **_SUITE_OVERRIDES.get(name, {}), experiment=name, out="", threads=1)
             for name in EXPERIMENTS]
-    pool, _ = ACTIVE_POOL.get()
-    futures = [pool.submit(contextvars.copy_context().run, timed, sub) for sub in subs]
-    try:
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        for future in futures:
-            future.cancel()
-    summary = {}
-    for sub, future in zip(subs, futures):
-        # queued experiments are cancelled only behind one that raised, so
-        # this raises the first exception in suite order
-        code, wall = future.result()
-        summary[sub.experiment] = {"exit_code": code, "passed": code == 0, "wall_time": wall}
+    summary = {sub.experiment: {"exit_code": code, "passed": code == 0, "wall_time": wall}
+               for sub, (code, wall) in zip(subs, run_sweep(timed, subs, pool_size(config)))}
     _write_json(os.path.join(out, "summary.json"), summary)
     n_pass = sum(1 for v in summary.values() if v["passed"])
     print(f"suite: {n_pass}/{len(summary)} experiments passed")

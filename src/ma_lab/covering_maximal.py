@@ -38,16 +38,15 @@ class CoveringError(LabError, RuntimeError):
 class CoveringResult:
     """Greedy cover of a region by half-height sections with disjoint cores.
 
-    cores[k] and covers[k] are the flat row-major grid indices of the k-th
-    pick's core and of its half-height section, as section_cells returns
-    them; the k-th pick sits at centers[k] with height heights[k].
+    The k-th pick sits at centers[k] with height heights[k]; its core is its
+    section at height delta0 * heights[k]. coverage_defect is the area of
+    the region's cells that no half-height section covers: 0 unless the
+    selection at the smallest core factor still leaves cells uncovered.
     """
 
     centers: np.ndarray
     heights: np.ndarray
     delta0: float
-    cores: list
-    covers: list
     coverage_defect: float
 
 
@@ -59,7 +58,10 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, heights: np.ndar
     candidate is selected when its core (section at the core factor delta0,
     first _DELTA0, times its height) misses every previously selected core.
     If the half-height sections of the selection fail to cover the region,
-    delta0 is halved and the selection is rebuilt, down to _DELTA0_FLOOR.
+    delta0 is halved and the selection is rebuilt, down to _DELTA0_FLOOR;
+    the selection at the floor is returned whether it covers or not, with
+    the area it leaves uncovered as coverage_defect, for the caller to
+    judge.
 
     heights is the interior_heights field of the potential, the ring-gap
     minimum, read at the candidates: the interior nodes of the region whose
@@ -88,7 +90,7 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, heights: np.ndar
     d0 = _DELTA0
     while True:
         in_core = np.zeros(size, dtype=bool)
-        cores = {}
+        picked = []
         for s in range(0, order.size, _WALK_BLOCK):
             block = order[s : s + _WALK_BLOCK]
             # a centre inside a core now is inside one at its turn too
@@ -97,8 +99,7 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, heights: np.ndar
                 if in_core[centre[k]] or in_core[core].any():
                     continue
                 in_core[core] = True
-                cores[k] = core
-        picked = list(cores)
+                picked.append(k)
 
         new = [k for k in picked if k not in covers]
         covers.update(zip(new, section_cells(potential, ci[new], cj[new], 0.5 * hvals[new])))
@@ -106,12 +107,8 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, heights: np.ndar
         for k in picked:
             in_cover[covers[k]] = True
         defect_cells = int((region.ravel() & ~in_cover).sum())
-        if defect_cells == 0:
+        if defect_cells == 0 or d0 <= _DELTA0_FLOOR * (1.0 + 1e-12):
             break
-        if d0 <= _DELTA0_FLOOR * (1.0 + 1e-12):
-            raise CoveringError(
-                f"half-height sections leave {defect_cells} region cells uncovered at the smallest core factor {d0}"
-            )
         d0 *= 0.5
 
     centers = np.stack([grid.xs[ci[picked]], grid.ys[cj[picked]]], axis=-1)
@@ -119,8 +116,6 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, heights: np.ndar
         centers=centers,
         heights=hvals[picked],
         delta0=d0,
-        cores=[cores[k] for k in picked],
-        covers=[covers[k] for k in picked],
         coverage_defect=defect_cells * grid.cell_area,
     )
 

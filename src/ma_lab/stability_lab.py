@@ -204,31 +204,35 @@ def default_bump(domain: ConvexDomain) -> Callable:
 def run_sweep(fn: Callable, values, threads: int = 1) -> list:
     """fn of each sweep value, in index order; idle workers of the run's pool help.
 
-    With threads > 1 and an active pool (ACTIVE_POOL), values[1:] are queued
-    on the pool and the caller runs values[0] itself. It then takes each
-    later value in turn: it runs the value too if no worker has started it
-    (the queued task is cancelled), or waits for the worker that did. The
-    caller only waits on values already running, so no pool size can
-    deadlock a sweep, and the sweep adds no thread to the pool's. Without
-    an active pool, or with threads <= 1, every value runs inline. The first
-    value to fail in index order raises, after the values already started
-    have finished.
+    With threads > 1 and an active pool (ACTIVE_POOL), every value is queued
+    on the pool. The caller then walks the values in index order and runs
+    each one that no worker has started (its queued task is cancelled), and
+    waits only at the end, for the values that workers took. So the caller
+    never waits while a value is still queued, no pool size can deadlock a
+    sweep, and the sweep adds no thread to the pool's. Without an active
+    pool, or with threads <= 1, every value runs inline. The first value to
+    fail in index order raises, after the values already started have
+    finished; a value that fails on the caller's thread ends its walk, and
+    the values still queued then are cancelled.
     """
     values = list(values)
     active = ACTIVE_POOL.get()
     if active is None or threads <= 1:
         return [fn(v) for v in values]
     pool = active[0]
-    futures = [pool.submit(contextvars.copy_context().run, fn, v) for v in values[1:]]
+    futures = [pool.submit(contextvars.copy_context().run, fn, v) for v in values]
+    # per value in index order: its result, or the future of the worker that took it
+    results = []
     try:
-        results = [fn(v) for v in values[:1]]
-        for v, future in zip(values[1:], futures):
-            results.append(fn(v) if future.cancel() else future.result())
-        return results
+        for v, future in zip(values, futures):
+            results.append(fn(v) if future.cancel() else future)
     finally:
         # a cancelled future counts as done only once a worker dequeues it,
-        # so wait for the started values alone
+        # so wait for the started values alone; a value a worker took before
+        # one that failed on this thread raises in its place
         wait([future for future in futures if not future.cancel()])
+        results = [r.result() if r is future else r for r, future in zip(results, futures)]
+    return results
 
 
 class PinchedFamily:
@@ -697,10 +701,12 @@ def w2p_ratio_experiment(family: PinchedFamily, config: ExperimentConfig) -> Exp
     R(eps) = |D2 u|_{L^p} / |f|_{L^q} for the solution over each of the
     family's potentials, with f = sin(pi x) cos(pi y) + 2 and p, q from the
     config. Boundedness is asserted as sup <= 3 * median over the sweep;
-    linearity is checked by scaling f tenfold at one sweep point; the
+    linearity is checked by scaling f tenfold at the middle eps; the
     small-exponent quasi-norm regime (p = _SMALL_P) runs once with the
     strongly varying density at eps = _STRONG_EPS and is reported, its
-    finiteness checked by ExperimentReport's rule.
+    finiteness checked by ExperimentReport's rule. Those two ratios are the
+    last two values of the one sweep, so they share the run's pool with
+    the ratios over eps.
     """
     grid = family.grid
     p, q = config.p, config.q
@@ -709,25 +715,23 @@ def w2p_ratio_experiment(family: PinchedFamily, config: ExperimentConfig) -> Exp
         raise StabilityError(f"need 1 < p < q and q > 2, got p={p}, q={q}")
     f_vals = _source(grid)
 
-    def ratio_on(fv: np.ndarray, eps: float, pp: float, qq: float) -> float:
-        sol = solve_lma(family.potential(eps), fv, tol_lma=config.tol_lma)
+    def ratio_on(case) -> float:
+        scale, eps, pp, qq = case
+        sol = solve_lma(family.potential(eps), scale * f_vals, tol_lma=config.tol_lma)
         _, hess = fd_derivatives(sol.u)
         num = lp_norm(grid, _hess_frobenius(hess), pp)
         den = lp_norm(grid, sol.f_values, qq)
         return num / den
 
-    ratios = run_sweep(lambda e: ratio_on(f_vals, e, p, q), eps_list, pool_size(config))
+    mid = eps_list[len(eps_list) // 2]
+    cases = [(1.0, e, p, q) for e in eps_list] + [(10.0, mid, p, q), (1.0, _STRONG_EPS, _SMALL_P, 2.0)]
+    *ratios, r_scaled, r_small = run_sweep(ratio_on, cases, pool_size(config))
     assertions = []
     med = float(np.median(ratios))
     check(assertions, "sup of ratios <= 3 * median", max(ratios), "<=", 3.0 * med)
-
-    mid = eps_list[len(eps_list) // 2]
-    r_scaled = ratio_on(10.0 * f_vals, mid, p, q)
     r_mid = ratios[len(eps_list) // 2]
     check(assertions, f"ratio invariant under f -> 10f at eps={mid}",
           abs(r_scaled - r_mid), "<=", 1e-6 * r_mid)
-
-    r_small = ratio_on(f_vals, _STRONG_EPS, _SMALL_P, 2.0)
     return ExperimentReport(
         sweep=eps_list,
         measured={"ratio": ratios, "ratio_scaled_f": r_scaled, "ratio_small_exponent": r_small},

@@ -6,13 +6,15 @@ OLD and NEW are output directories of `ma-lab` runs: one experiment, one
 suite, or a directory holding several. Every file present in either tree
 is compared: report.json and summary.json as JSON without their
 `wall_time` keys, every other file byte for byte. The script prints each
-differing file, and for each differing report.json every `measured` value
-that moved, numbers with their relative change. It ends with one summary
-line: the count of differing files; whether every exit code in the
-summary.json files matches, or which experiments' differ; and the largest
-|relative change| among the moved numeric `measured` values, with where it
-occurs. It exits 1 if any file differs, 0 otherwise (2 when OLD or NEW is
-not a directory).
+differing file, and for each differing report.json, or one present in a
+single tree, every `measured` value that moved, appeared or vanished,
+numbers with their relative change. It ends with one summary line: the
+count of differing files; whether every exit code in the summary.json
+files matches, or which experiments' differ; the largest |relative
+change| among the moved numeric `measured` values, with where it occurs;
+and how many `measured` values are only in NEW or only in OLD, when any
+are. It exits 1 if any file differs, 0 otherwise (2 when OLD or NEW is not
+a directory).
 """
 
 import json
@@ -52,31 +54,35 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def moved_measured(old: Path, new: Path) -> tuple[list, list]:
+def moved_measured(old: Path, new: Path) -> tuple[list, list, list]:
     """One line per `measured` value that differs between two report.json files.
 
-    Also returns (|relative change|, where) for each moved pair of finite numbers.
+    A missing file has no measured values. Also returns (|relative change|,
+    where) for each moved pair of finite numbers, and the side, "NEW" or
+    "OLD", of each value that only one file has.
     """
-    reports = [json.loads(p.read_text()) for p in (old, new)]
+    reports = [json.loads(p.read_text()) if p.is_file() else {} for p in (old, new)]
     flat = []
     for report in reports:
         values = {}
         _flatten("", report.get("measured", {}), values)
         flat.append(values)
     label = reports[1].get("experiment", new.parent.name)
-    lines, changes = [], []
+    lines, changes, sides = [], [], []
     for key in sorted(set(flat[0]) | set(flat[1])):
         a, b = flat[0].get(key, "<missing>"), flat[1].get(key, "<missing>")
         if json.dumps(a) == json.dumps(b):
             continue
         where = f"{label} measured {key}"
         line = f"  {where}: {a!r} -> {b!r}"
-        if _is_number(a) and _is_number(b) and math.isfinite(a) and math.isfinite(b):
+        if key not in flat[0] or key not in flat[1]:
+            sides.append("NEW" if key in flat[1] else "OLD")
+        elif _is_number(a) and _is_number(b) and math.isfinite(a) and math.isfinite(b):
             rel = (b - a) / abs(a) if a != 0 else math.inf
             line += f" (relative change {rel:+.3e})"
             changes.append((abs(rel), where))
         lines.append(line)
-    return lines, changes
+    return lines, changes, sides
 
 
 def moved_exit_codes(old: Path, new: Path, where: str) -> list:
@@ -86,8 +92,9 @@ def moved_exit_codes(old: Path, new: Path, where: str) -> list:
             if codes[0].get(name, {}).get("exit_code") != codes[1].get(name, {}).get("exit_code")]
 
 
-def summary_line(n_diff: int, n_files: int, n_summaries: int, exits_differ: list, changes: list) -> str:
-    """Differing files, exit-code agreement and the largest measured change, on one line."""
+def summary_line(n_diff: int, n_files: int, n_summaries: int, exits_differ: list, changes: list,
+                 sides: list) -> str:
+    """Differing files, exit-code agreement, the largest measured change and the values on one side only, on one line."""
     if exits_differ:
         exits = f"exit codes differ: {', '.join(exits_differ)}"
     else:
@@ -97,7 +104,10 @@ def summary_line(n_diff: int, n_files: int, n_summaries: int, exits_differ: list
         moved = f"largest measured change {rel:.3e} relative at {where}"
     else:
         moved = "no measured number moved"
-    return f"{n_diff} of {n_files} files differ; {exits}; {moved}"
+    line = f"{n_diff} of {n_files} files differ; {exits}; {moved}"
+    if sides:
+        line += f"; measured values only in NEW: {sides.count('NEW')}, only in OLD: {sides.count('OLD')}"
+    return line
 
 
 def compare(old: Path, new: Path) -> tuple[int, list]:
@@ -105,28 +115,26 @@ def compare(old: Path, new: Path) -> tuple[int, list]:
     files = sorted({p.relative_to(root).as_posix() for root in (old, new)
                     for p in root.rglob("*") if p.is_file()})
     n_summaries = sum(Path(rel).name == "summary.json" for rel in files)
-    lines, changes, exits_differ = [], [], []
+    lines, changes, sides, exits_differ = [], [], [], []
     n_diff = 0
     for rel in files:
         a, b = old / rel, new / rel
-        if not a.is_file() or not b.is_file():
-            n_diff += 1
-            lines.append(f"only in {'NEW' if b.is_file() else 'OLD'}: {rel}")
-            if a.name == "summary.json":
-                exits_differ.append(rel)
-            continue
-        if _canonical(a) == _canonical(b):
+        one_side = not a.is_file() or not b.is_file()
+        if not one_side and _canonical(a) == _canonical(b):
             continue
         n_diff += 1
-        lines.append(f"differs: {rel}")
+        lines.append(f"only in {'NEW' if b.is_file() else 'OLD'}: {rel}" if one_side else f"differs: {rel}")
         if a.name == "report.json":
-            moved, rels = moved_measured(a, b)
+            moved, rels, one = moved_measured(a, b)
             lines += moved
             changes += rels
+            sides += one
+        elif a.name == "summary.json" and one_side:
+            exits_differ.append(rel)
         elif a.name == "summary.json":
             parent = Path(rel).parent.as_posix()
             exits_differ += moved_exit_codes(a, b, "" if parent == "." else f"{parent}/")
-    lines.append(summary_line(n_diff, len(files), n_summaries, exits_differ, changes))
+    lines.append(summary_line(n_diff, len(files), n_summaries, exits_differ, changes, sides))
     return n_diff, lines
 
 

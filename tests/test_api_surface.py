@@ -198,8 +198,6 @@ EXEMPT = {
     "SeparationReport": "the result of the KEPT quadratic_separation_check; its reader is the ROADMAP's hypothesis gates",
     "LocalizationFit": "the result of the KEPT localization_fit; its reader is the ROADMAP's localization experiment",
     "DichotomyResult": "the result of the KEPT dichotomy_classify; its reader is the ROADMAP's localization experiment",
-    "CoveringResult.cores": "the cover's certificate, compared bit for bit with the dense reference cover in the tests",
-    "CoveringResult.covers": "the cover's certificate, compared bit for bit with the dense reference cover in the tests",
 }
 
 

@@ -171,7 +171,9 @@ def test_suite_lines_name_their_experiment(tmp_path, capsys):
 
 def test_suite_computes_at_most_threads_tasks_and_passes_threads_to_sweeps(tmp_path, monkeypatch):
     # a thread computes while it is inside an experiment or a sweep value;
-    # the suite's own thread only waits, so the count covers the pool
+    # the suite's own thread is a pool worker and computes the experiments it
+    # runs itself, and the calling thread only waits, so the count covers the
+    # pool
     lock = threading.Lock()
     calls = []
     depth = {}
@@ -203,6 +205,7 @@ def test_suite_computes_at_most_threads_tasks_and_passes_threads_to_sweeps(tmp_p
         return computing(real_run, config, *args, **kwargs)
 
     sweep_threads = []
+    suite_sweeps = []
     real_sweep = stability_lab.run_sweep
     signature = inspect.signature(real_sweep)
 
@@ -210,15 +213,21 @@ def test_suite_computes_at_most_threads_tasks_and_passes_threads_to_sweeps(tmp_p
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         sweep_threads.append(bound.arguments["threads"])
+        values = list(bound.arguments["values"])
+        if all(isinstance(v, ExperimentConfig) for v in values):
+            suite_sweeps.append([v.experiment for v in values])
         fn = bound.arguments["fn"]
         return real_sweep(lambda v: computing(fn, v), bound.arguments["values"], bound.arguments["threads"])
 
     monkeypatch.setattr(cli_runner, "run", counting_run)
     monkeypatch.setattr(stability_lab, "run_sweep", recording_sweep)
+    monkeypatch.setattr(cli_runner, "run_sweep", recording_sweep)
     cfg = ExperimentConfig(experiment="suite", domain="disc", spacing=1.0 / 32, threads=2)
     assert cli_runner.run(cfg, out_dir=str(tmp_path)) == 0
     assert sorted(calls) == sorted(EXPERIMENTS)
     assert peak == 2
+    # the suite is one sweep of its experiments, in suite order
+    assert suite_sweeps == [list(EXPERIMENTS)]
     assert sweep_threads and set(sweep_threads) == {2}
 
 

@@ -50,5 +50,29 @@ def test_moved_measured_values_are_listed_with_their_relative_change(tmp_path, c
         "  cover measured fits.F[0]: '<missing>' -> 1.5",
         "  cover measured n_cover: 7 -> 6 (relative change -1.429e-01)",
         "1 of 1 files differ; no exit codes recorded; "
-        "largest measured change 2.500e-01 relative at cover measured delta0",
+        "largest measured change 2.500e-01 relative at cover measured delta0; "
+        "measured values only in NEW: 1, only in OLD: 0",
+    ]
+
+
+def test_measured_values_that_appear_or_vanish_are_counted(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    failed = {"experiment": "cover", "failure": {"kind": "CoveringError", "message": "uncovered"}, "passed": False}
+    measured = {"experiment": "cover", "passed": False,
+                "measured": {"n_selected": 845, "delta0": 0.0125, "coverage_defect": 0.20703125}}
+    for root, report in ((old, failed), (new, measured)):
+        (root / "cover").mkdir(parents=True)
+        (root / "cover" / "report.json").write_text(json.dumps(report))
+    (old / "maximal").mkdir()
+    (old / "maximal" / "report.json").write_text(json.dumps({"experiment": "maximal", "measured": {"ratio": 1.0}}))
+    assert compare_outputs.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: cover/report.json",
+        "  cover measured coverage_defect: '<missing>' -> 0.20703125",
+        "  cover measured delta0: '<missing>' -> 0.0125",
+        "  cover measured n_selected: '<missing>' -> 845",
+        "only in OLD: maximal/report.json",
+        "  maximal measured ratio: 1.0 -> '<missing>'",
+        "2 of 2 files differ; no exit codes recorded; no measured number moved; "
+        "measured values only in NEW: 3, only in OLD: 1",
     ]

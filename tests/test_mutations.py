@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 from ma_lab import barriers, cli_runner, covering_maximal, good_sets, lma_solve, section_geom, stability_lab
-from ma_lab.covering_maximal import CoveringError
 from ma_lab.ma_solve import SolveError
 from ma_lab.stability_lab import EXPERIMENTS, ExperimentConfig, PinchedFamily
 
@@ -125,6 +124,7 @@ ROWS = {
     ("solve_ma", "newton residual within tolerance"): (1 / 16, "loose newton"),
     ("sections", "volume scaling exponent near linear"): (1 / 32, "cap factor 2"),
     ("sections", "engulfing constant bounded"): (1 / 32, "double flood"),
+    ("cover", "half-height sections cover the region"): (1 / 16, "empty flood"),
     ("maximal", "maximal dominates the average"): (1 / 16, "probes at cap"),
     ("barrier", "operator value below the negative threshold"): (1 / 16, "barrier K / 100"),
     ("barrier", "barrier nonnegative on the flat boundary piece"): (1 / 16, "barrier M_delta / 100"),
@@ -154,11 +154,6 @@ LISTED = {
         1 / 16, "inexact linear solve", SolveError,
         "solve_lma raises above max(tol_lma, 1e-9 max|rhs|), which is tol_lma for the suite's source, "
         "before this bound of 10 tol_lma is read; it stays as the report's record of the residual."),
-    ("cover", "half-height sections cover the region"): (
-        1 / 16, "empty flood", CoveringError,
-        "vitali_cover raises CoveringError rather than return a selection that leaves cells uncovered, "
-        "so the defect is 0 whenever the assertion runs; it stays as the report's record of the "
-        "coverage, which fails through that raise (the square's known failure)."),
     ("w2p_ratio", "sup of ratios <= 3 * median"): (
         1 / 16, None, None,
         "the paper's estimate bounds the ratio uniformly in the pinching, and the sweep's ratios agree "

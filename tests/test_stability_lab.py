@@ -231,6 +231,52 @@ def test_a_failing_sweep_value_raises_and_leaves_the_pool_usable():
     assert 0 in finished
 
 
+def test_the_sweep_runs_every_queued_value_before_it_waits():
+    # the pool's one worker is held in the first value it takes until the
+    # sweep's thread has run every other value; a sweep that waited for the
+    # held value first would leave it to time out
+    caller = threading.get_ident()
+    taken = threading.Event()
+    release = threading.Event()
+    mine = []
+    held = []
+
+    def one(v):
+        if threading.get_ident() != caller:
+            taken.set()
+            held.append((v, release.wait(timeout=5)))
+            return v
+        assert taken.wait(timeout=30)
+        mine.append(v)
+        if len(mine) == 4:
+            release.set()
+        return v
+
+    with active_pool(1):
+        assert stability_lab.run_sweep(one, range(5), threads=2) == list(range(5))
+    assert len(held) == 1 and held[0][1] is True
+    assert sorted(mine + [held[0][0]]) == list(range(5))
+
+
+def test_a_worker_value_that_fails_first_raises_over_a_later_failure_of_the_sweeps_thread():
+    caller = threading.get_ident()
+    taken = threading.Event()
+
+    def one(v):
+        if threading.get_ident() != caller:
+            taken.set()
+            time.sleep(0.05)
+            raise stability_lab.StabilityError(f"worker value {v} failed")
+        assert taken.wait(timeout=30)
+        if v == 3:
+            raise stability_lab.StabilityError("the sweep's own value failed")
+        return v
+
+    with active_pool(1):
+        with pytest.raises(stability_lab.StabilityError, match=r"worker value [01] failed"):
+            stability_lab.run_sweep(one, [0, 1, 2, 3], threads=2)
+
+
 
 def test_square_pinched_solve_continues_from_the_flat_potential():
     # from the Laplacian start this solve needs 28 damped iterations
