@@ -18,8 +18,9 @@ everything it runs and hands it the run as one task. run_sweep is the one
 fan-out on that pool: a sweep queues its values there, idle workers take
 them, and the sweep's own thread runs every value no worker has started. A
 suite is a sweep of its 13 experiments, and an experiment's sweep queues
-its values on the same pool. At most pool_size(config) threads compute at
-once, the calling thread only waiting for the run's task.
+its values on the same pool. The pool is the run's only parallelism: at
+most pool_size(config) threads compute at once, the caller only waits for
+the run's task, and no worker's hot path calls a multi-threaded BLAS.
 
 The command line has one subcommand per experiment, named as in
 EXPERIMENTS, plus suite. Exit codes: 0 all assertions passed, 1 assertion

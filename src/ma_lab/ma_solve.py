@@ -406,9 +406,12 @@ def _convexified_parts(H11, H22, H12, g_int):
 def _newton_loop(sysm: "NodeSystem", g_int: np.ndarray, U: np.ndarray, tol_ma: float) -> tuple[np.ndarray, int]:
     """Damped Newton on the convexified system from the given start vector.
 
-    Convergence is declared in the max norm; the line search accepts a step
-    on sufficient decrease of the residual's l2 norm (the max norm is driven
-    by single corner nodes and is not monotone along good Newton directions).
+    Convergence is declared in the max norm; the line search accepts a step on
+    sufficient decrease of the residual's l2 norm (the max norm is driven by
+    single corner nodes and is not monotone along good Newton directions), a
+    ufunc sum taken once per point: np.linalg.norm's BLAS dot runs its own
+    thread team above about 10 000 entries, which contends with the run's pool
+    workers. Serial runs are unaffected.
     """
 
     lay = sysm.layout
@@ -424,22 +427,23 @@ def _newton_loop(sysm: "NodeSystem", g_int: np.ndarray, U: np.ndarray, tol_ma: f
 
     res, coefs = linearize(U)
     res_norm = float(np.max(np.abs(res)))
+    res_l2 = float(np.sqrt(np.sum(res * res)))
     iters = 0
     while res_norm > tol_ma:
         if iters >= _MAX_ITER:
             raise SolveError(f"Newton did not converge in {_MAX_ITER} iterations; last residual {res_norm:.3e}")
         step = linear_solve(sysm.interior_matrix(*coefs), -res)
-        res_l2 = float(np.linalg.norm(res))
         alpha = 1.0
         while True:
             trial = U + alpha * step
             new_res, new_coefs = linearize(trial)
-            if float(np.linalg.norm(new_res)) < res_l2 * (1.0 - 1e-4 * alpha):
+            new_l2 = float(np.sqrt(np.sum(new_res * new_res)))
+            if new_l2 < res_l2 * (1.0 - 1e-4 * alpha):
                 break
             alpha *= 0.5
             if alpha < _DAMPING_MIN:
                 raise SolveError(f"Newton line search stalled; residual {res_norm:.3e} after {iters} iterations")
-        U, res, coefs = trial, new_res, new_coefs
+        U, res, coefs, res_l2 = trial, new_res, new_coefs, new_l2
         res_norm = float(np.max(np.abs(res)))
         iters += 1
     return U, iters

@@ -733,6 +733,27 @@ def test_newton_linearizes_each_point_once(disc_domain, monkeypatch):
     assert all(any(c11 is p[1] for p in parts) for c11 in matrices[1:])
 
 
+def test_newton_takes_no_blas_reduction_of_a_pool_sized_vector(disc_domain, monkeypatch):
+    # above about 10 000 entries a BLAS dot runs its own thread team, which
+    # contends with the run's pool workers; Newton's line-search norms must
+    # stay ufunc sums on a system past that size
+    grid = discretize(disc_domain, 1.0 / 64)
+    assert _layout(grid).n == 12853
+
+    def guarded(real):
+        def call(*args, **kwargs):
+            big = [np.size(a) for a in args if np.ndim(a) == 1 and np.size(a) > 10_000]
+            if big and kwargs.get("axis") is None:
+                raise AssertionError(f"{real.__name__} reduced {big[0]} entries through BLAS")
+            return real(*args, **kwargs)
+        return call
+
+    for module, name in ((np.linalg, "norm"), (np, "dot"), (np, "vdot"), (np, "inner")):
+        monkeypatch.setattr(module, name, guarded(getattr(module, name)))
+    pot = solve_ma(grid, 1.0)
+    assert pot.newton_iterations > 0 and pot.residual_max < 1e-6
+
+
 @pytest.mark.parametrize("di, dj, edge", [(1, 0, None), (-1, 0, None), (0, 1, None), (0, -1, None),
                                           (1, 1, None), (-1, 1, None), (1, -1, None), (-1, -1, None),
                                           (-1, 0, (0, 10)), (1, 0, (32, 10))],
