@@ -19,7 +19,7 @@ import numpy as np
 from .domain_grid import LabError, ScalarField
 from .ma_solve import PotentialField, cofactor_field
 from .lma_solve import operator_apply
-from .section_geom import BoundaryFrame, boundary_frame, frame_gap, phi_extended
+from .section_geom import BoundaryFrame, boundary_frame, phi_extended
 
 
 class BarrierError(LabError, ValueError):
@@ -106,8 +106,9 @@ def build_supersolution(
 
     frame = boundary_frame(potential, point)
     delta_tilde, M_delta, K = _barrier_coefficients(lam, Lam, delta)
-    ys = frame.to_frame(np.stack(grid.meshes(), axis=-1))
-    w_vals = _closed_form(M_delta, delta_tilde, K, ys, frame_gap(potential, frame))
+    pts = np.stack(grid.meshes(), axis=-1)
+    ys = frame.to_frame(pts)
+    w_vals = _closed_form(M_delta, delta_tilde, K, ys, frame.tangent_gap(pts, potential.phi.values))
     mask = grid.in_domain & ((ys ** 2).sum(axis=-1) < delta ** 2)
     return Barrier(
         delta=float(delta),
@@ -145,8 +146,8 @@ def verify_supersolution(barrier: Barrier, potential: PotentialField) -> Barrier
     threshold = -_DIM * barrier.Lam * (1.0 - _TOL_FACTOR)
 
     def w_at(pts: np.ndarray, phi_vals: np.ndarray) -> np.ndarray:
-        gap = phi_vals - frame.phi_origin - (pts - frame.origin) @ frame.gradient_origin
-        return _closed_form(barrier.M_delta, barrier.delta_tilde, barrier.K, frame.to_frame(pts), gap)
+        return _closed_form(barrier.M_delta, barrier.delta_tilde, barrier.K, frame.to_frame(pts),
+                            frame.tangent_gap(pts, phi_vals))
 
     bpts = grid.domain.boundary_samples(_N_BOUNDARY_SAMPLES)
     bpts = np.vstack([frame.origin[None, :], bpts])

@@ -13,14 +13,15 @@ experiment's own, and a CSV and a two-column gnuplot .dat per swept
 quantity), write_field_csv every field and _write_json every JSON file.
 
 A run computes on one worker pool: the outermost run creates it with
-pool_size(config) workers, makes it stability_lab.ACTIVE_POOL for
-everything it runs and hands it the run as one task. run_sweep is the one
-fan-out on that pool: a sweep queues its values there, idle workers take
-them, and the sweep's own thread runs every value no worker has started. A
-suite is a sweep of its 13 experiments, and an experiment's sweep queues
-its values on the same pool. The pool is the run's only parallelism: at
-most pool_size(config) threads compute at once, the caller only waits for
-the run's task, and no worker's hot path calls a multi-threaded BLAS.
+pool_size(config) workers, each of which holds it as
+stability_lab.ACTIVE_POOL from its start, and hands it the run as one task.
+run_sweep is the one fan-out on that pool: a sweep queues its values there,
+idle workers take them, and the sweep's own thread runs every value no
+worker has started. A suite is a sweep of its 13 experiments, each run
+under the suite's threads, and an experiment's sweep queues its values on
+the same pool. The pool is the run's only parallelism: at most
+pool_size(config) threads compute at once, the caller only waits for the
+run's task, and no worker's hot path calls a multi-threaded BLAS.
 
 The command line has one subcommand per experiment, named as in
 EXPERIMENTS, plus suite. Exit codes: 0 all assertions passed, 1 assertion
@@ -33,7 +34,6 @@ output directory resolves in the order --out flag (run's out_dir), config
 """
 
 import argparse
-import contextvars
 import json
 import os
 import sys
@@ -224,18 +224,16 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     plus computing the report; writing the files is not included.
 
     A run outside any run creates the run's one worker pool, of
-    pool_size(config) workers, makes it ACTIVE_POOL for everything it runs
-    and submits the run to it as one task, an experiment or a suite alike,
-    while this thread waits. A run inside a run, a suite's experiment,
-    computes on the thread that calls it.
+    pool_size(config) workers, whose initializer sets ACTIVE_POOL to the
+    pool once in each worker, and submits the run to it as one task, an
+    experiment or a suite alike, while this thread waits. A run on a pool
+    worker, a suite's experiment, computes on the thread that calls it.
     """
     if ACTIVE_POOL.get() is not None:
         return _run_in_pool(config, out_dir, family)
-    workers = pool_size(config)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        context = contextvars.copy_context()
-        context.run(ACTIVE_POOL.set, (pool, workers))
-        return pool.submit(context.run, _run_in_pool, config, out_dir, family).result()
+    # the workers start at the first submit, once `pool` is bound
+    with ThreadPoolExecutor(max_workers=pool_size(config), initializer=lambda: ACTIVE_POOL.set(pool)) as pool:
+        return pool.submit(_run_in_pool, config, out_dir, family).result()
 
 
 def _run_in_pool(config: ExperimentConfig, out_dir: Optional[str], family: Optional[PinchedFamily]) -> int:
@@ -293,12 +291,12 @@ def _run_suite(config: ExperimentConfig, out: str, family: PinchedFamily) -> int
     of pool_size(config) workers): they are queued in suite order, idle
     workers take them, and this thread, itself a pool worker, runs every
     one that no worker has started. So the suite's peak memory grows with
-    config.threads, up to the 13 experiments. Each sub-config has threads =
-    1, as its report.json echoes: an experiment creates no pool of its own.
-    Its sweeps still use the suite's pool, whose size pool_size reads
-    inside a run, so never more than pool_size(config) threads compute at
-    once. Every experiment shares the one family, so each potential is
-    solved once per suite run, by the first experiment that asks for it.
+    config.threads, up to the 13 experiments. Each experiment runs under
+    the suite's threads, as its report.json echoes, and creates no pool of
+    its own: its sweeps queue their values on the suite's pool, so never
+    more than pool_size(config) threads compute at once. Every experiment
+    shares the one family, so each potential is solved once per suite run,
+    by the first experiment that asks for it.
     Each experiment goes through the module-level run, so a wrapper
     installed on cli_runner.run (perfbench's tracer) sees each one, and the
     sweep goes through cli_runner's binding of run_sweep. An exception that
@@ -311,7 +309,7 @@ def _run_suite(config: ExperimentConfig, out: str, family: PinchedFamily) -> int
         code = run(sub, out_dir=os.path.join(out, sub.experiment), family=family)
         return code, time.perf_counter() - t0
 
-    subs = [replace(config, **_SUITE_OVERRIDES.get(name, {}), experiment=name, out="", threads=1)
+    subs = [replace(config, **_SUITE_OVERRIDES.get(name, {}), experiment=name, out="")
             for name in EXPERIMENTS]
     summary = {sub.experiment: {"exit_code": code, "passed": code == 0, "wall_time": wall}
                for sub, (code, wall) in zip(subs, run_sweep(timed, subs, pool_size(config)))}

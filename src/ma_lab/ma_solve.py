@@ -164,11 +164,11 @@ class NodeLayout:
     """The node bookkeeping of one grid, shared by every system solved on it.
 
     Unknowns are numbered in nested-dissection order (_nested_dissection);
-    `flat` maps lattice indices to unknowns (-1 off the domain) and `node_ij`
-    maps back. `stencil`, of shape (9, number of interior nodes), holds the
-    unknowns of the interior nodes' nine-point stencils, one row per
-    neighbour in the order C, E, W, N, S, NE, SW, NW, SE; its row C is
-    `int_rows`, the interior rows. Ring row k holds the data equation
+    `node_ij` holds the lattice indices of each unknown. `stencil`, of shape
+    (9, number of interior nodes), holds the unknowns of the interior nodes'
+    nine-point stencils, one row per neighbour in the order C, E, W, N, S,
+    NE, SW, NW, SE; its row C is `int_rows`, the interior rows. Ring row k
+    holds the data equation
     (1 + r) U - r * sum_m w_m U[corner_m] = datum(proj) with r = ring_r[k],
     the bilinear weights ring_corner_w[k] of the unknowns
     ring_corner_idx[k], and proj = ring_proj[k], the ring node's boundary
@@ -194,7 +194,6 @@ class NodeLayout:
         nodes = np.argwhere(grid.in_domain)
         nodes = nodes[_nested_dissection(nodes)]
         flat[nodes[:, 0], nodes[:, 1]] = np.arange(len(nodes))
-        self.flat = flat
         self.n = len(nodes)
         self.node_ij = nodes.astype(np.int32)
 

@@ -8,7 +8,7 @@ classifies sections as interior or boundary dominated.
 
 Each node-centred object has one builder: the tangent gaps of nodes come
 from pair_gaps, the section of a node at a height from section_cells, and
-the gap of a boundary point from boundary_frame and frame_gap.
+the gap of a boundary point from boundary_frame and BoundaryFrame.tangent_gap.
 sublevel_cells floods a gap field the caller already holds. A Section is
 flooded once and then shared: engulfing_constant and volume_scaling measure
 the cells of the sections they are given and flood nothing themselves.
@@ -432,6 +432,11 @@ class BoundaryFrame:
     def from_frame(self, ys: np.ndarray) -> np.ndarray:
         return self.origin + np.atleast_2d(ys) @ self.rotation
 
+    def tangent_gap(self, pts: np.ndarray, phi_vals: np.ndarray) -> np.ndarray:
+        """phi_vals - phi(z) - grad phi(z).(x - z) at the points x = pts[..., :2], z the origin."""
+        z, g = self.origin, self.gradient_origin
+        return phi_vals - self.phi_origin - g[0] * (pts[..., 0] - z[0]) - g[1] * (pts[..., 1] - z[1])
+
 
 def boundary_frame(potential: PotentialField, point) -> BoundaryFrame:
     p = np.asarray(point, dtype=float)
@@ -442,13 +447,6 @@ def boundary_frame(potential: PotentialField, point) -> BoundaryFrame:
     phi_z = float(np.atleast_1d(potential.boundary_datum(z[None, :]))[0])
     grad_z = gradient_at(potential, z)
     return BoundaryFrame(origin=z, rotation=rotation, phi_origin=phi_z, gradient_origin=grad_z)
-
-
-def frame_gap(potential: PotentialField, frame: BoundaryFrame) -> np.ndarray:
-    """Normalized potential over the grid: tangent plane at the frame origin removed."""
-    X, Y = potential.grid.meshes()
-    z, g = frame.origin, frame.gradient_origin
-    return potential.phi.values - frame.phi_origin - g[0] * (X - z[0]) - g[1] * (Y - z[1])
 
 
 @dataclass
@@ -486,7 +484,7 @@ def localization_fit(potential: PotentialField, boundary_point, h: float) -> Loc
         raise SectionError("localization height must be positive")
     grid = potential.grid
     frame = boundary_frame(potential, boundary_point)
-    gap = frame_gap(potential, frame)
+    gap = frame.tangent_gap(np.stack(grid.meshes(), axis=-1), potential.phi.values)
     seed = grid.nearest_in_domain(frame.origin)
     if seed is None:
         raise SectionError("no in-domain node near the boundary point")
@@ -602,6 +600,6 @@ def dichotomy_classify(potential: PotentialField, x, t: float) -> DichotomyResul
     _, D = next(pair_gaps(potential, [i], [j], bi, bj, 1))
     k = np.argmin(D[0])
     frame = boundary_frame(potential, (grid.xs[bi[k]], grid.ys[bj[k]]))
-    c_bar = max(float(np.max(frame_gap(potential, frame)[cells2])) / t, 0.0)
+    c_bar = max(float(np.max(frame.tangent_gap(grid.points(cells2), potential.phi.values[cells2]))) / t, 0.0)
     return DichotomyResult(kind="boundary", boundary_point=frame.origin, c_bar=c_bar, doubled_cells=cells2)
 

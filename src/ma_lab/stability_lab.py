@@ -75,31 +75,28 @@ class ExperimentConfig:
     height: Optional[float] = None
     # the size of a run's one worker pool, the threads computing at once (a
     # suite's peak memory grows with them, up to 13); 0 = the cores this
-    # process may run on
+    # process may run on. A suite's experiments run under the suite's threads
     threads: int = 0
     tol_ma: float = 1e-8
     tol_lma: float = 1e-8
     out: str = ""
 
 
-# the run in progress as (its worker pool, the pool's size): cli_runner.run
-# sets it for everything the run computes; None outside a run
+# the worker pool of the run in progress: the initializer of the pool that
+# cli_runner.run creates sets it once in each of its workers; None on any
+# other thread
 ACTIVE_POOL = contextvars.ContextVar("ACTIVE_POOL", default=None)
 
 
 def pool_size(config: ExperimentConfig) -> int:
-    """Worker pool size: the active run's, else config.threads, or the cores this process may run on when it is 0.
+    """Worker pool size: config.threads, or the cores this process may run on when it is 0.
 
     A run has one pool of this many workers (cli_runner.run), and every task
-    of the run computes on it: a suite's experiments and every sweep value
-    handed off by run_sweep. So at most this many threads compute at once,
-    and a suite's peak memory grows with that number, up to the 13
-    experiments. Inside a run the pool's size wins over the config: a
-    suite's experiments have threads = 1 and still share the suite's pool.
+    of the run computes on it: a suite's experiments, each under the suite's
+    threads, and every sweep value handed off by run_sweep. So at most this
+    many threads compute at once, and a suite's peak memory grows with that
+    number, up to the 13 experiments.
     """
-    active = ACTIVE_POOL.get()
-    if active is not None:
-        return active[1]
     if config.threads > 0:
         return config.threads
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -204,23 +201,24 @@ def default_bump(domain: ConvexDomain) -> Callable:
 def run_sweep(fn: Callable, values, threads: int = 1) -> list:
     """fn of each sweep value, in index order; idle workers of the run's pool help.
 
-    With threads > 1 and an active pool (ACTIVE_POOL), every value is queued
-    on the pool. The caller then walks the values in index order and runs
-    each one that no worker has started (its queued task is cancelled), and
-    waits only at the end, for the values that workers took. So the caller
-    never waits while a value is still queued, no pool size can deadlock a
-    sweep, and the sweep adds no thread to the pool's. Without an active
-    pool, or with threads <= 1, every value runs inline. The first value to
-    fail in index order raises, after the values already started have
-    finished; a value that fails on the caller's thread ends its walk, and
-    the values still queued then are cancelled.
+    With threads > 1 on a worker of the run's pool (ACTIVE_POOL), every
+    value is queued on that pool; its workers hold it as their ACTIVE_POOL
+    from their start, so a value's own sweeps find it too. The caller then
+    walks the values in index order and runs each one that no worker has
+    started (its queued task is cancelled), and waits only at the end, for
+    the values that workers took. So the caller never waits while a value is
+    still queued, no pool size can deadlock a sweep, and the sweep adds no
+    thread to the pool's. Off the pool, or with threads <= 1, every value
+    runs inline. The first value to fail in index order raises, after the
+    values already started have finished; a value that fails on the
+    caller's thread ends its walk, and the values still queued then are
+    cancelled.
     """
     values = list(values)
-    active = ACTIVE_POOL.get()
-    if active is None or threads <= 1:
+    pool = ACTIVE_POOL.get()
+    if pool is None or threads <= 1:
         return [fn(v) for v in values]
-    pool = active[0]
-    futures = [pool.submit(contextvars.copy_context().run, fn, v) for v in values]
+    futures = [pool.submit(fn, v) for v in values]
     # per value in index order: its result, or the future of the worker that took it
     results = []
     try:

@@ -4,7 +4,7 @@ import pytest
 from ma_lab.barriers import BarrierError, build_supersolution, verify_supersolution
 from ma_lab.domain_grid import build_domain, discretize
 from ma_lab.ma_solve import solve_ma
-from ma_lab.section_geom import boundary_frame, frame_gap
+from ma_lab.section_geom import boundary_frame
 
 from conftest import pinched_density
 
@@ -53,7 +53,8 @@ def test_barrier_is_the_closed_form_in_its_frame(pinched_disc, sample):
     X, Y = grid.meshes()
     ys = frame.to_frame(np.stack([X, Y], axis=-1))
     y1, y2 = ys[..., 0], ys[..., 1]
-    gap = frame_gap(pinched_disc, frame)
+    z, g = frame.origin, frame.gradient_origin
+    gap = pinched_disc.phi.values - frame.phi_origin - g[0] * (X - z[0]) - g[1] * (Y - z[1])
     w = barrier.M_delta * y2 + gap - barrier.delta_tilde * y1 ** 2 - barrier.K * y2 ** 2
     nodes = grid.in_domain
     assert barrier.w.values[nodes].tobytes() == w[nodes].tobytes()
@@ -75,4 +76,8 @@ def test_boundary_frame_round_trip_and_normalization(pinched_disc, sample):
     if sample == 0:
         i, j = grid.nearest_node(frame.origin)
         assert (grid.xs[i], grid.ys[j]) == tuple(frame.origin)
-        assert abs(frame_gap(pinched_disc, frame)[i, j]) <= 1e-12
+        assert abs(frame.tangent_gap(frame.origin, pinched_disc.phi.values[i, j])) <= 1e-12
+    # one expression for a grid of points and for a list of them
+    gap = frame.tangent_gap(np.stack(grid.meshes(), axis=-1), pinched_disc.phi.values)
+    listed = frame.tangent_gap(grid.points(), pinched_disc.phi.values[grid.in_domain])
+    assert listed.tobytes() == gap[grid.in_domain].tobytes()

@@ -122,13 +122,17 @@ def _suite_outputs(out):
 
 
 def test_suite_outputs_do_not_depend_on_threads(tmp_path):
+    # each experiment echoes its suite's threads, the only value that differs
     outputs = []
     for threads in (1, 2):
         cfg = ExperimentConfig(experiment="suite", domain="disc", spacing=1.0 / 32,
                                threads=threads)
         out = tmp_path / f"threads{threads}"
         assert run(cfg, out_dir=str(out)) == 0
-        outputs.append(_suite_outputs(out))
+        files, codes = _suite_outputs(out)
+        for name in EXPERIMENTS:
+            assert files[f"{name}/report.json"]["config"].pop("threads") == threads
+        outputs.append((files, codes))
     (files1, codes1), (files2, codes2) = outputs
     assert list(codes1) == sorted(EXPERIMENTS)
     assert codes1 == codes2

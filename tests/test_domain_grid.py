@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ma_lab import domain_grid
 from ma_lab.domain_grid import (
     DOMAINS,
     ConvexDomain,
@@ -260,6 +263,39 @@ def test_cell_count_area_converges_first_order():
     assert errs[0] > errs[1] > errs[2]
     # rate roughly O(h): each halving should at least halve the error budget 2x
     assert errs[0] / errs[2] > 2.0
+
+
+def _with_nodes(grid, nodes):
+    """The grid with only these (i, j) nodes in the domain."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    for ij in nodes:
+        mask[ij] = True
+    return dataclasses.replace(grid, in_domain=mask)
+
+
+def test_nearest_in_domain_searches_its_window_and_breaks_ties_row_major():
+    g = discretize(build_domain("square", side=2.0), 1.0 / 8)
+    w = domain_grid._NEAR_WINDOW
+    c = 8
+    p = (g.xs[c], g.ys[c])
+    # the window is every node within w indices of nearest_node(p) along each axis
+    assert _with_nodes(g, [(c + w, c - w)]).nearest_in_domain(p) == (c + w, c - w)
+    assert _with_nodes(g, [(c - w, c + w)]).nearest_in_domain(p) == (c - w, c + w)
+    for outside in [(c + w + 1, c), (c - w - 1, c), (c, c + w + 1), (c, c - w - 1)]:
+        assert _with_nodes(g, [outside]).nearest_in_domain(p) is None
+    assert _with_nodes(g, []).nearest_in_domain(p) is None
+    # the nearest node wins, whatever its place in the window
+    assert _with_nodes(g, [(c - 3, c), (c + 2, c + 1)]).nearest_in_domain(p) == (c + 2, c + 1)
+    # among equally near nodes the first in row-major order wins: smaller i, then smaller j
+    assert _with_nodes(g, [(c + 2, c), (c, c + 2)]).nearest_in_domain(p) == (c, c + 2)
+    assert _with_nodes(g, [(c + 2, c), (c, c + 2), (c, c - 2)]).nearest_in_domain(p) == (c, c - 2)
+    midway = (g.xs[c] + g.spacing / 2, g.ys[c])
+    assert _with_nodes(g, [(c + 1, c), (c, c)]).nearest_in_domain(midway) == (c, c)
+    # a point off the lattice searches around the clamped nearest node
+    far = (5.0, 5.0)
+    assert g.nearest_node(far) == (16, 16)
+    assert _with_nodes(g, [(16 - w, 16)]).nearest_in_domain(far) == (16 - w, 16)
+    assert _with_nodes(g, [(16 - w - 1, 16)]).nearest_in_domain(far) is None
 
 
 def test_interp_returns_nan_outside_lattice():

@@ -7,6 +7,7 @@ import pytest
 from scipy import ndimage
 
 from conftest import quasi_distance, tangent_gap
+from ma_lab.domain_grid import build_domain, discretize
 from ma_lab.ma_solve import assemble_potential
 from ma_lab.section_geom import (
     SectionError,
@@ -423,3 +424,18 @@ def test_phi_extended_values_and_nan(model_square):
     vals = phi_extended(model_square, np.array([[5.0, 5.0], [0.5, 0.25]]))
     assert np.isnan(vals[0])
     assert vals[1] == pytest.approx(0.15625, abs=1e-12)
+
+
+def test_phi_extended_is_exact_on_a_quadratic_where_the_bilinear_cell_leaves_the_domain():
+    # at these points the bilinear cell has an exterior corner, so the value
+    # is the second-order Taylor step from the nearest in-domain node, which
+    # a quadratic's exact stencil derivatives make exact
+    grid = discretize(build_domain("disc", radius=1.0), 1.0 / 32)
+    quadratic = lambda X, Y: 0.7 * X ** 2 + 0.3 * X * Y + 0.4 * Y ** 2 + 0.1 * X - 0.2 * Y
+    pot = assemble_potential(grid, quadratic)
+    theta = np.linspace(0.1, 2.0 * np.pi, 40, endpoint=False)
+    pts = 0.99 * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    assert grid.domain.contains(pts).all()
+    pts = pts[np.isnan(grid.interp(pot.phi.values, pts))]
+    assert len(pts) >= 30
+    np.testing.assert_allclose(phi_extended(pot, pts), quadratic(pts[:, 0], pts[:, 1]), rtol=0.0, atol=1e-13)

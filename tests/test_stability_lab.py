@@ -1,5 +1,4 @@
 import contextlib
-import contextvars
 import os
 import sys
 import threading
@@ -18,13 +17,13 @@ from ma_lab.stability_lab import ExperimentConfig, PinchedFamily, default_bump
 
 @contextlib.contextmanager
 def active_pool(workers):
-    """A pool of this many workers as the active run's pool, as cli_runner.run sets it."""
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        token = stability_lab.ACTIVE_POOL.set((pool, workers))
-        try:
-            yield pool
-        finally:
-            stability_lab.ACTIVE_POOL.reset(token)
+    """A run's pool of this many workers: as in cli_runner.run, its initializer makes it each worker's ACTIVE_POOL.
+
+    A sweep finds the pool only on one of its workers, so the tests submit
+    their sweeps to it, as a run submits its task.
+    """
+    with ThreadPoolExecutor(max_workers=workers, initializer=lambda: stability_lab.ACTIVE_POOL.set(pool)) as pool:
+        yield pool
 
 
 @pytest.fixture(scope="module")
@@ -137,8 +136,8 @@ def test_family_scans_the_heights_once_per_potential(disc_domain, monkeypatch):
     monkeypatch.setattr(stability_lab, "interior_heights", counting)
     family = PinchedFamily(discretize(disc_domain, 1.0 / 16), default_bump(disc_domain))
     eps = [0.2, 0.1] * 6
-    with active_pool(4):
-        got = stability_lab.run_sweep(family.heights, eps, threads=4)
+    with active_pool(4) as pool:
+        got = pool.submit(stability_lab.run_sweep, family.heights, eps, 4).result(timeout=60)
     assert len(scanned) == 2
     assert {id(scanned[0]), id(scanned[1])} == {id(family.potential(0.2)), id(family.potential(0.1))}
     for e, hs in zip(eps, got):
@@ -148,8 +147,8 @@ def test_family_scans_the_heights_once_per_potential(disc_domain, monkeypatch):
 
 def _family_phis(grid, g0, order, threads):
     family = PinchedFamily(grid, g0)
-    with active_pool(threads):
-        pots = stability_lab.run_sweep(family.potential, order, threads=threads)
+    with active_pool(threads) as pool:
+        pots = pool.submit(stability_lab.run_sweep, family.potential, order, threads).result(timeout=120)
     return {eps: pot.phi.values for eps, pot in zip(order, pots)}
 
 
@@ -177,8 +176,7 @@ def test_a_one_worker_pool_finishes_a_sweep_in_index_order():
         return stability_lab.run_sweep(one, [3, 1, 2], threads=4)
 
     with active_pool(1) as pool:
-        context = contextvars.copy_context()
-        got = pool.submit(context.run, sweep).result(timeout=30)
+        got = pool.submit(sweep).result(timeout=30)
     assert got == [9, 1, 4]
     assert [v for v, _ in seen] == [3, 1, 2]
     assert len({ident for _, ident in seen}) == 1
@@ -203,7 +201,7 @@ def test_sweeps_sharing_a_small_pool_run_each_value_once():
     sys.setswitchinterval(1e-6)
     try:
         with active_pool(3) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, sweep, k) for k in range(8)]
+            futures = [pool.submit(sweep, k) for k in range(8)]
             got = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(old)
@@ -225,24 +223,28 @@ def test_a_failing_sweep_value_raises_and_leaves_the_pool_usable():
 
     with active_pool(2) as pool:
         with pytest.raises(stability_lab.StabilityError, match="value 1 failed"):
-            stability_lab.run_sweep(one, [0, 1, 2, 3], threads=2)
-        assert stability_lab.run_sweep(lambda v: v + 1, [0, 1, 2], threads=2) == [1, 2, 3]
+            pool.submit(stability_lab.run_sweep, one, [0, 1, 2, 3], 2).result(timeout=30)
+        assert pool.submit(stability_lab.run_sweep, lambda v: v + 1, [0, 1, 2], 2).result(timeout=30) == [1, 2, 3]
         assert pool.submit(lambda: 7).result(timeout=30) == 7
     assert 0 in finished
 
 
 def test_the_sweep_runs_every_queued_value_before_it_waits():
-    # the pool's one worker is held in the first value it takes until the
+    # the pool's other worker is held in the first value it takes until the
     # sweep's thread has run every other value; a sweep that waited for the
     # held value first would leave it to time out
-    caller = threading.get_ident()
+    caller = []
     taken = threading.Event()
     release = threading.Event()
     mine = []
     held = []
 
+    def sweep():
+        caller.append(threading.get_ident())
+        return stability_lab.run_sweep(one, range(5), threads=2)
+
     def one(v):
-        if threading.get_ident() != caller:
+        if threading.get_ident() != caller[0]:
             taken.set()
             held.append((v, release.wait(timeout=5)))
             return v
@@ -252,18 +254,52 @@ def test_the_sweep_runs_every_queued_value_before_it_waits():
             release.set()
         return v
 
-    with active_pool(1):
-        assert stability_lab.run_sweep(one, range(5), threads=2) == list(range(5))
+    with active_pool(2) as pool:
+        assert pool.submit(sweep).result(timeout=60) == list(range(5))
     assert len(held) == 1 and held[0][1] is True
     assert sorted(mine + [held[0][0]]) == list(range(5))
 
 
-def test_a_worker_value_that_fails_first_raises_over_a_later_failure_of_the_sweeps_thread():
-    caller = threading.get_ident()
+def test_a_worker_value_finds_the_runs_pool_without_a_copied_context(monkeypatch):
+    # run_sweep submits fn itself; the worker that takes a value holds the
+    # pool as its ACTIVE_POOL through the pool's initializer
+    caller = []
     taken = threading.Event()
+    submitted = []
+    seen = []
 
     def one(v):
-        if threading.get_ident() != caller:
+        if threading.get_ident() == caller[0]:
+            assert taken.wait(timeout=30)
+        else:
+            taken.set()
+        seen.append((threading.get_ident(), stability_lab.ACTIVE_POOL.get()))
+        return v
+
+    def sweep():
+        caller.append(threading.get_ident())
+        return stability_lab.run_sweep(one, [0, 1, 2], threads=2)
+
+    with active_pool(2) as pool:
+        submit = pool.submit
+        monkeypatch.setattr(pool, "submit", lambda fn, *args: submitted.append(fn) or submit(fn, *args))
+        assert submit(sweep).result(timeout=60) == [0, 1, 2]
+    assert submitted == [one] * 3
+    assert {active for _, active in seen} == {pool}
+    assert {ident for ident, _ in seen} - set(caller)
+    assert stability_lab.ACTIVE_POOL.get() is None
+
+
+def test_a_worker_value_that_fails_first_raises_over_a_later_failure_of_the_sweeps_thread():
+    caller = []
+    taken = threading.Event()
+
+    def sweep():
+        caller.append(threading.get_ident())
+        return stability_lab.run_sweep(one, [0, 1, 2, 3], threads=2)
+
+    def one(v):
+        if threading.get_ident() != caller[0]:
             taken.set()
             time.sleep(0.05)
             raise stability_lab.StabilityError(f"worker value {v} failed")
@@ -272,9 +308,9 @@ def test_a_worker_value_that_fails_first_raises_over_a_later_failure_of_the_swee
             raise stability_lab.StabilityError("the sweep's own value failed")
         return v
 
-    with active_pool(1):
+    with active_pool(2) as pool:
         with pytest.raises(stability_lab.StabilityError, match=r"worker value [01] failed"):
-            stability_lab.run_sweep(one, [0, 1, 2, 3], threads=2)
+            pool.submit(sweep).result(timeout=60)
 
 
 
@@ -326,6 +362,12 @@ def test_contact_set_anchor_snaps_to_an_in_domain_node():
     # quasi-Euclidean ratio, about b / (2a) = 1/3, so no cell passes
     assert report.measured["defect_fraction"] == [1.0, 1.0, 1.0]
     assert not report.passed
+
+
+def test_pool_size_reads_the_config_not_the_active_pool():
+    # a suite's experiment runs on a worker of the suite's pool under its own config
+    with active_pool(3) as pool:
+        assert pool.submit(stability_lab.pool_size, ExperimentConfig(threads=1)).result(timeout=30) == 1
 
 
 def test_pool_size_counts_the_cores_this_process_may_run_on(monkeypatch):
