@@ -8,9 +8,10 @@ value and the --spacing and --threads flags alike, so a flag means what the
 same text means in a config. parse_config validates a whole file at once
 and reports every problem with its line number; run executes a validated
 config, names the report after the experiment, echoes the config into it
-and writes its files, here and nowhere else: _write_table every table (the
-experiment's own, and a CSV and a two-column gnuplot .dat per swept
-quantity), write_field_csv every field and _write_json every JSON file.
+beside the pool size it resolves to, and writes its files, here and nowhere
+else: _write_table every table (the experiment's own, and a CSV and a
+two-column gnuplot .dat per swept quantity), write_field_csv every field and
+_write_json every JSON file.
 
 A run computes on one worker pool: the outermost run creates it with
 pool_size(config) workers, each of which holds it as
@@ -192,8 +193,12 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _write_artifacts(report: ExperimentReport, out: str) -> None:
-    """The experiment's own files, one CSV and one .dat per swept quantity, then report.json."""
+def _write_artifacts(report: ExperimentReport, out: str, workers: int) -> None:
+    """The experiment's own files, one CSV and one .dat per swept quantity, then report.json.
+
+    report.json holds the report and, beside its echoed config, pool_size:
+    workers, the pool size that config resolves to.
+    """
     for name, (first, second) in report.files.items():
         if isinstance(first, tuple):
             _write_table(os.path.join(out, name), first, second)
@@ -206,7 +211,7 @@ def _write_artifacts(report: ExperimentReport, out: str) -> None:
             path = os.path.join(out, f"{report.experiment}_{key}")
             _write_table(path + ".csv", (report.sweep_label, key), rows)
             _write_table(path + ".dat", (f"# {report.sweep_label}", key), rows, sep=" ")
-    _write_json(os.path.join(out, "report.json"), report.to_dict())
+    _write_json(os.path.join(out, "report.json"), {**report.to_dict(), "pool_size": workers})
 
 
 def run(config: ExperimentConfig, out_dir: Optional[str] = None,
@@ -220,8 +225,9 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None,
     own files, report.json and a suite's summary.json. family supplies the
     grid and the potentials; without one, run builds it from the config.
     run names the report after config.experiment, echoes the config into
-    it and sets its wall_time: building the family, when it is not given,
-    plus computing the report; writing the files is not included.
+    it, beside the pool size the config resolves to (pool_size), and sets
+    its wall_time: building the family, when it is not given, plus
+    computing the report; writing the files is not included.
 
     A run outside any run creates the run's one worker pool, of
     pool_size(config) workers, whose initializer sets ACTIVE_POOL to the
@@ -255,7 +261,7 @@ def _run_in_pool(config: ExperimentConfig, out_dir: Optional[str], family: Optio
         report.wall_time = time.perf_counter() - t0
         report.experiment = config.experiment
         report.config = asdict(config)
-        _write_artifacts(report, out)
+        _write_artifacts(report, out, pool_size(config))
     except SolveError as exc:
         _write_failure(out, config, "solver", str(exc))
         print(f"solver failure: {config.experiment}: {exc}", file=sys.stderr)
@@ -276,7 +282,7 @@ def _run_in_pool(config: ExperimentConfig, out_dir: Optional[str], family: Optio
 
 
 def _write_failure(out: str, config: ExperimentConfig, kind: str, message: str) -> None:
-    payload = {"experiment": config.experiment, "config": asdict(config),
+    payload = {"experiment": config.experiment, "config": asdict(config), "pool_size": pool_size(config),
                "failure": {"kind": kind, "message": message}, "passed": False}
     try:
         _write_json(os.path.join(out, "report.json"), payload)

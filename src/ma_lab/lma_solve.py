@@ -56,7 +56,7 @@ def solve_lma(
         raise SolveError("coefficient field holds non-finite interior values")
     A = sysm.interior_matrix(c11, c22, c12)
     rhs = sysm.rhs(f_vals[grid.interior])
-    U = linear_solve(A, rhs)
+    U = linear_solve(A, rhs, sysm)
     resid = A @ U - rhs
     int_rows = sysm.layout.int_rows
     residual_max = float(np.max(np.abs(resid[int_rows]))) if len(int_rows) else 0.0

@@ -53,7 +53,12 @@ per finer grid and freed with it. The LU keeps the nested-dissection order:
 SuperLU runs with the natural column order and a zero diagonal-pivot
 threshold, so it pivots on the diagonal unless a diagonal entry is exactly
 zero (static pivoting, as in SuperLU_DIST; Li and Demmel 2003). The
-smallest-pivot check still reports singular systems.
+smallest-pivot check still reports singular systems. Above _DIRECT_LIMIT
+unknowns, linear_solve first tries an ILU-preconditioned BiCGSTAB. The first
+time that attempt falls back to the LU on a NodeSystem, the system records
+it, and its later solves go straight to the LU. One solve_ma call (its
+Laplacian start and every Newton step of every start) is one system, and so
+is one solve_lma call.
 """
 
 from __future__ import annotations
@@ -83,6 +88,8 @@ from .domain_grid import (
     fd_derivatives,
 )
 
+# above this many unknowns linear_solve tries an ILU-preconditioned BiCGSTAB
+# before the LU, until the attempt fails once on the system (NodeSystem.ilu_failed)
 _DIRECT_LIMIT = 257 * 257
 # Newton's iteration budget and the smallest step fraction its line search tries
 _MAX_ITER = 50
@@ -292,12 +299,19 @@ class NodeSystem:
     layout is built by the first system on a Grid object and shared by every
     later one (Grid.once); the only per-datum part is ring_rhs, the datum at
     the ring's boundary projections.
+
+    ilu_failed records that linear_solve's ILU attempt has fallen back to
+    the LU on one of this system's matrices; its later solves then skip the
+    attempt. The record lives on the system, not on the grid: solve_ma
+    builds one system per call and solve_lma one per call, so a solve's path
+    never depends on which solve ran before it on the same grid.
     """
 
     def __init__(self, grid: Grid, datum: Callable):
         self.layout = grid.once("node_layout", lambda: NodeLayout(grid))
         proj = self.layout.ring_proj
         self.ring_rhs = np.asarray(datum(proj), dtype=float) + np.zeros(len(proj))
+        self.ilu_failed = False
 
     def rhs(self, interior_values: np.ndarray) -> np.ndarray:
         """Right-hand side with interior_values on the interior rows and the boundary data on the ring rows."""
@@ -342,28 +356,32 @@ def _direct_solve(A: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
     return lu.solve(rhs)
 
 
-def linear_solve(A: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+def linear_solve(A: sp.csc_matrix, rhs: np.ndarray, system: NodeSystem) -> np.ndarray:
     """Direct sparse solve up to 257^2 unknowns; above that, an ILU attempt, then the same LU.
 
-    A is in CSC form, as NodeSystem assembles it, and neither branch converts
-    it. The direct solve is an LU in the matrix's own order, which for
-    NodeSystem matrices is nested dissection: no column permutation, and diagonal
-    pivots unless a diagonal entry is exactly zero. Above the limit, spilu
-    is tried as the preconditioner of BiCGSTAB, and the LU runs, with no
-    record of the fallback, when spilu raises or the iteration does not
-    converge. On the Newton systems of the bumped square at 1/160 every
-    spilu call raises ("Factor is exactly singular"), so the LU runs there
-    after a failed factorization, as it does on every curved fine system
-    measured (g = 1 at 1/160, the Laplacian start's and Newton's): 4 of 4
-    calls on the disc, 5 of 5 on the ellipse. Both branches are
+    A is one of system's matrices, in CSC form as NodeSystem assembles it,
+    and neither branch converts it. The direct solve is an LU in the
+    matrix's own order, which for NodeSystem matrices is nested dissection:
+    no column permutation, and diagonal pivots unless a diagonal entry is
+    exactly zero. Above the limit, spilu is tried as the preconditioner of
+    BiCGSTAB, and the LU runs when spilu raises, the iteration does not
+    converge or its result is not finite. That fallback sets
+    system.ilu_failed, and every later solve of the system goes straight to
+    the LU; a successful attempt is not recorded, so the next solve tries
+    again. On the Newton systems of the bumped square at 1/160 every spilu
+    call raises ("Factor is exactly singular"), as it does on every curved
+    fine system measured (g = 1 at 1/160, the Laplacian start's and
+    Newton's), so each system there makes one attempt. Both branches are
     deterministic. Raises SolveError on singular systems with the smallest
-    pivot reported.
+    pivot reported, and above the limit on a zero diagonal entry.
     """
     n = A.shape[0]
     if n <= _DIRECT_LIMIT:
         return _direct_solve(A, rhs)
     if np.any(A.diagonal() == 0):
         raise SolveError("zero diagonal entry in iterative branch")
+    if system.ilu_failed:
+        return _direct_solve(A, rhs)
     try:
         ilu = spla.spilu(A, drop_tol=1e-5, fill_factor=10.0)
         M = spla.LinearOperator(A.shape, matvec=ilu.solve)
@@ -372,6 +390,7 @@ def linear_solve(A: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
         info = -1
         x = None
     if info != 0 or x is None or not np.all(np.isfinite(x)):
+        system.ilu_failed = True
         return _direct_solve(A, rhs)
     return x
 
@@ -431,7 +450,7 @@ def _newton_loop(sysm: "NodeSystem", g_int: np.ndarray, U: np.ndarray, tol_ma: f
     while res_norm > tol_ma:
         if iters >= _MAX_ITER:
             raise SolveError(f"Newton did not converge in {_MAX_ITER} iterations; last residual {res_norm:.3e}")
-        step = linear_solve(sysm.interior_matrix(*coefs), -res)
+        step = linear_solve(sysm.interior_matrix(*coefs), -res, sysm)
         alpha = 1.0
         while True:
             trial = U + alpha * step
@@ -542,7 +561,7 @@ def solve_ma(
         # smooth initial guess: Laplacian comparison solve, Delta phi0 = 2 sqrt(g)
         ones = np.ones_like(g_int)
         A0 = sysm.interior_matrix(ones, ones, np.zeros_like(g_int))
-        return linear_solve(A0, sysm.rhs(2.0 * np.sqrt(g_int)))
+        return linear_solve(A0, sysm.rhs(2.0 * np.sqrt(g_int)), sysm)
 
     starts = []
     if start is not None:

@@ -122,7 +122,8 @@ def _suite_outputs(out):
 
 
 def test_suite_outputs_do_not_depend_on_threads(tmp_path):
-    # each experiment echoes its suite's threads, the only value that differs
+    # each experiment echoes its suite's threads and the pool size they
+    # resolve to, the only values that differ
     outputs = []
     for threads in (1, 2):
         cfg = ExperimentConfig(experiment="suite", domain="disc", spacing=1.0 / 32,
@@ -131,7 +132,9 @@ def test_suite_outputs_do_not_depend_on_threads(tmp_path):
         assert run(cfg, out_dir=str(out)) == 0
         files, codes = _suite_outputs(out)
         for name in EXPERIMENTS:
-            assert files[f"{name}/report.json"]["config"].pop("threads") == threads
+            report = files[f"{name}/report.json"]
+            assert report["config"].pop("threads") == threads
+            assert report.pop("pool_size") == threads
         outputs.append((files, codes))
     (files1, codes1), (files2, codes2) = outputs
     assert list(codes1) == sorted(EXPERIMENTS)
@@ -316,6 +319,19 @@ def test_main_exit_codes(tmp_path, capsys, command, text, code, message):
         assert message in capsys.readouterr().err
     if code == 2:
         assert not (tmp_path / "out").exists()
+
+
+def test_a_threads_0_run_reports_the_pool_size_it_resolves_to(tmp_path):
+    # the default threads = 0 is echoed as it is, and pool_size(config)
+    # beside it, on success and on a solver failure alike
+    for tol_ma, code in ((1e-8, 0), (1e-300, 3)):
+        cfg = ExperimentConfig(experiment="solve_ma", domain="disc", spacing=1.0 / 16, tol_ma=tol_ma)
+        out = tmp_path / f"exit{code}"
+        assert run(cfg, out_dir=str(out)) == code
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is (code == 0)
+        assert report["config"]["threads"] == 0
+        assert report["pool_size"] == stability_lab.pool_size(cfg) >= 1
 
 
 def test_every_experiment_is_a_subcommand(tmp_path, monkeypatch):

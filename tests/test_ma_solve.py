@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import ndimage
 
-from ma_lab import ma_solve
+from ma_lab import lma_solve, ma_solve
 from ma_lab.domain_grid import (
     Grid,
     MatrixField,
@@ -141,9 +141,9 @@ def test_continuation_path_skips_the_laplacian_start(monkeypatch):
     n = _layout(grid).n
     sizes = []
 
-    def counting(A, rhs):
+    def counting(A, rhs, system):
         sizes.append(A.shape[0])
-        return linear_solve(A, rhs)
+        return linear_solve(A, rhs, system)
 
     monkeypatch.setattr(ma_solve, "linear_solve", counting)
     pot = solve_ma(grid, 1.0)
@@ -171,16 +171,51 @@ def _fail_first(monkeypatch, grid, n_fail):
     return seen
 
 
+class _SplaSpy:
+    """scipy.sparse.linalg as ma_solve sees it, counting spilu calls; fail=True makes each raise."""
+
+    def __init__(self, fail):
+        self.fail = fail
+        self.ilu_calls = 0
+
+    def spilu(self, *args, **kwargs):
+        self.ilu_calls += 1
+        if self.fail:
+            raise RuntimeError("Factor is exactly singular")
+        return spla.spilu(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        return getattr(spla, attr)
+
+
+def _count_solves(monkeypatch, module, n):
+    """The list that grows by one for each of module's linear solves of n unknowns."""
+    sizes = []
+    real = module.linear_solve
+
+    def counting(A, rhs, system):
+        if A.shape[0] == n:
+            sizes.append(n)
+        return real(A, rhs, system)
+
+    monkeypatch.setattr(module, "linear_solve", counting)
+    return sizes
+
+
 @pytest.mark.parametrize("above_limit", [False, True], ids=["below-limit", "above-limit"])
 def test_newton_starts_are_tried_in_order(disc_domain, monkeypatch, above_limit):
     # the order is the domain's at every size: above the direct-solve limit
-    # the list is the same, and Newton's steps go through the ILU attempt
+    # the list is the same, and Newton's steps go through the ILU attempt,
+    # which succeeds on this disc and so is tried again on every system
     grid = discretize(disc_domain, 1.0 / 16)
     given = solve_ma(grid, 1.0).phi.values
     layout = _layout(grid)
     order = ["given", "laplacian", "coarse"]
+    spy = _SplaSpy(fail=False)
+    monkeypatch.setattr(ma_solve, "spla", spy)
     if above_limit:
         monkeypatch.setattr(ma_solve, "_DIRECT_LIMIT", layout.n - 1)
+    solves = _count_solves(monkeypatch, ma_solve, layout.n)
     for k, name in enumerate(order):
         seen = _fail_first(monkeypatch, grid, k)
         assert solve_ma(grid, 1.1, start=given).start == name
@@ -189,6 +224,30 @@ def test_newton_starts_are_tried_in_order(disc_domain, monkeypatch, above_limit)
     _fail_first(monkeypatch, grid, len(order))
     with pytest.raises(SolveError, match=f"planned failure {len(order)}"):
         solve_ma(grid, 1.1, start=given)
+    assert solves
+    assert spy.ilu_calls == (len(solves) if above_limit else 0)
+
+
+def test_a_failed_ilu_attempt_sends_the_systems_later_solves_to_the_lu(disc_domain, monkeypatch):
+    # one attempt per system: each solve_ma call and each solve_lma call
+    # makes its own, and the LU that runs instead gives the same bits
+    grid = discretize(disc_domain, 1.0 / 16)
+    n = _layout(grid).n
+    pot_lu = solve_ma(grid, 1.0)
+    u_lu = solve_lma(pot_lu, 1.0).u.values
+    spy = _SplaSpy(fail=True)
+    monkeypatch.setattr(ma_solve, "_DIRECT_LIMIT", n - 1)
+    monkeypatch.setattr(ma_solve, "spla", spy)
+    ma_solves = _count_solves(monkeypatch, ma_solve, n)
+    lma_solves = _count_solves(monkeypatch, lma_solve, n)
+    pot = solve_ma(grid, 1.0)
+    assert spy.ilu_calls == 1 and len(ma_solves) >= 2
+    assert np.array_equal(solve_ma(grid, 1.0).phi.values, pot.phi.values, equal_nan=True)
+    assert spy.ilu_calls == 2 and len(ma_solves) >= 4
+    u = solve_lma(pot, 1.0).u.values
+    assert spy.ilu_calls == 3 and len(lma_solves) == 1
+    assert np.array_equal(pot.phi.values, pot_lu.phi.values, equal_nan=True)
+    assert np.array_equal(u, u_lu, equal_nan=True)
 
 
 def test_grid_without_a_coarser_grid_reraises_the_laplacian_failure(disc_domain, monkeypatch):
@@ -417,16 +476,16 @@ def test_static_pivots_accurate_on_every_newton_jacobian(monkeypatch):
         eig_min[0] = float(np.min(0.5 * (H11 + H22) - np.hypot(0.5 * (H11 - H22), H12)))
         return parts(H11, H22, H12, g_int)
 
-    def recording_solve(A, rhs):
-        systems.append((A, rhs, eig_min[0]))
-        return linear_solve(A, rhs)
+    def recording_solve(A, rhs, system):
+        systems.append((A, rhs, system, eig_min[0]))
+        return linear_solve(A, rhs, system)
 
     monkeypatch.setattr(ma_solve, "_convexified_parts", recording_parts)
     monkeypatch.setattr(ma_solve, "linear_solve", recording_solve)
     solve_ma(grid, g)
-    assert min(e for _, _, e in systems) < 0
-    for A, rhs, _ in systems:
-        x = linear_solve(A, rhs)
+    assert min(e for _, _, _, e in systems) < 0
+    for A, rhs, system, _ in systems:
+        x = linear_solve(A, rhs, system)
         scale = abs(A).sum(axis=1).max() * np.max(np.abs(x)) + np.max(np.abs(rhs))
         assert np.max(np.abs(A @ x - rhs)) <= 1e-12 * scale
         ref = spla.splu(A.tocsc()).solve(rhs)

@@ -94,7 +94,7 @@ def _datum_x2(mp):
 def _inexact_linear_solve(mp):
     """solve_lma's linear solves come back with a relative error of 1e-6."""
     linear_solve = lma_solve.linear_solve
-    mp.setattr(lma_solve, "linear_solve", lambda A, rhs: linear_solve(A, rhs) * (1.0 + 1e-6))
+    mp.setattr(lma_solve, "linear_solve", lambda A, rhs, system: linear_solve(A, rhs, system) * (1.0 + 1e-6))
 
 
 def _empty_flood(mp):
