@@ -54,11 +54,13 @@ SuperLU runs with the natural column order and a zero diagonal-pivot
 threshold, so it pivots on the diagonal unless a diagonal entry is exactly
 zero (static pivoting, as in SuperLU_DIST; Li and Demmel 2003). The
 smallest-pivot check still reports singular systems. Above _DIRECT_LIMIT
-unknowns, linear_solve first tries an ILU-preconditioned BiCGSTAB. The first
-time that attempt falls back to the LU on a NodeSystem, the system records
-it, and its later solves go straight to the LU. One solve_ma call (its
-Laplacian start and every Newton step of every start) is one system, and so
-is one solve_lma call.
+unknowns, linear_solve first tries an ILU-preconditioned BiCGSTAB, its ILU
+in the same nested-dissection order. On every fine system measured that
+attempt raises, after about 1 s on the square at 1/160 (1.5 s in scipy's
+default COLAMD order; 2-core Xeon). The first time it falls back to the LU
+on a NodeSystem, the system records it, and its later solves go straight to
+the LU. One solve_ma call (its Laplacian start and every Newton step of
+every start) is one system, and so is one solve_lma call.
 """
 
 from __future__ import annotations
@@ -352,6 +354,10 @@ def _direct_solve(A: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
         raise SolveError(f"singular system (smallest diagonal {diag.min():.3e}): {exc}") from exc
     piv = np.abs(lu.U.diagonal())
     if piv.min() <= 1e-14 * max(piv.max(), 1.0):
+        # a factor must be freed on the thread that built it (scipy 1.17 keeps a
+        # SuperLU's memory when another thread frees it), and build_once keeps
+        # this error, with its traceback, for the whole run
+        del lu
         raise SolveError(f"singular system: smallest pivot {piv.min():.3e}")
     return lu.solve(rhs)
 
@@ -363,15 +369,16 @@ def linear_solve(A: sp.csc_matrix, rhs: np.ndarray, system: NodeSystem) -> np.nd
     and neither branch converts it. The direct solve is an LU in the
     matrix's own order, which for NodeSystem matrices is nested dissection:
     no column permutation, and diagonal pivots unless a diagonal entry is
-    exactly zero. Above the limit, spilu is tried as the preconditioner of
-    BiCGSTAB, and the LU runs when spilu raises, the iteration does not
-    converge or its result is not finite. That fallback sets
-    system.ilu_failed, and every later solve of the system goes straight to
-    the LU; a successful attempt is not recorded, so the next solve tries
-    again. On the Newton systems of the bumped square at 1/160 every spilu
-    call raises ("Factor is exactly singular"), as it does on every curved
-    fine system measured (g = 1 at 1/160, the Laplacian start's and
-    Newton's), so each system there makes one attempt. Both branches are
+    exactly zero. Above the limit, spilu, in the same order, is tried as the
+    preconditioner of BiCGSTAB, and the LU runs when spilu raises, the
+    iteration does not converge or its result is not finite. That fallback
+    sets system.ilu_failed, and every later solve of the system goes
+    straight to the LU; a successful attempt is not recorded, so the next
+    solve tries again. On the Newton and LMA systems of the bumped square at
+    1/160 every spilu call raises ("Factor is exactly singular") after
+    0.85-1.25 s (1.3-2.0 s in COLAMD order), as it does on every curved fine
+    system measured (g = 1 at 1/160, the Laplacian start's and Newton's,
+    0.7-0.9 s), so each system there makes one attempt. Both branches are
     deterministic. Raises SolveError on singular systems with the smallest
     pivot reported, and above the limit on a zero diagonal entry.
     """
@@ -383,7 +390,7 @@ def linear_solve(A: sp.csc_matrix, rhs: np.ndarray, system: NodeSystem) -> np.nd
     if system.ilu_failed:
         return _direct_solve(A, rhs)
     try:
-        ilu = spla.spilu(A, drop_tol=1e-5, fill_factor=10.0)
+        ilu = spla.spilu(A, drop_tol=1e-5, fill_factor=10.0, permc_spec="NATURAL")
         M = spla.LinearOperator(A.shape, matvec=ilu.solve)
         x, info = spla.bicgstab(A, rhs, rtol=1e-12, atol=0.0, maxiter=2000, M=M)
     except RuntimeError:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from conftest import identity_coefficients
 from ma_lab.domain_grid import FieldError, build_domain, discretize, lp_norm
@@ -92,8 +93,13 @@ def test_solution_linearity(disc64):
 def test_indefinite_coefficients_raise_with_pivot(disc64):
     g = disc64.grid
     saddle = assemble_potential(g, lambda X, Y: X * Y)
-    with pytest.raises(SolveError, match="pivot"):
+    with pytest.raises(SolveError, match="pivot") as info:
         solve_lma(saddle, 1.0, 0.0)
+    # the traceback holds no factor: a kept error may be freed on another thread
+    tb = info.value.__traceback__
+    while tb is not None:
+        assert not any(isinstance(v, spla.SuperLU) for v in tb.tb_frame.f_locals.values())
+        tb = tb.tb_next
 
 
 # -- maximum-principle ratio reporting ----------------------------------------

@@ -172,17 +172,27 @@ def _fail_first(monkeypatch, grid, n_fail):
 
 
 class _SplaSpy:
-    """scipy.sparse.linalg as ma_solve sees it, counting spilu calls; fail=True makes each raise."""
+    """scipy.sparse.linalg as ma_solve sees it, counting spilu calls; fail=True makes each raise.
+
+    orders holds the permc_spec of every spilu and splu call, None where
+    the call left scipy's default (COLAMD).
+    """
 
     def __init__(self, fail):
         self.fail = fail
         self.ilu_calls = 0
+        self.orders = []
 
     def spilu(self, *args, **kwargs):
         self.ilu_calls += 1
+        self.orders.append(kwargs.get("permc_spec"))
         if self.fail:
             raise RuntimeError("Factor is exactly singular")
         return spla.spilu(*args, **kwargs)
+
+    def splu(self, *args, **kwargs):
+        self.orders.append(kwargs.get("permc_spec"))
+        return spla.splu(*args, **kwargs)
 
     def __getattr__(self, attr):
         return getattr(spla, attr)
@@ -206,7 +216,8 @@ def _count_solves(monkeypatch, module, n):
 def test_newton_starts_are_tried_in_order(disc_domain, monkeypatch, above_limit):
     # the order is the domain's at every size: above the direct-solve limit
     # the list is the same, and Newton's steps go through the ILU attempt,
-    # which succeeds on this disc and so is tried again on every system
+    # which succeeds on this disc and so is tried again on every system;
+    # every factorization, ILU and LU, keeps the layout's order
     grid = discretize(disc_domain, 1.0 / 16)
     given = solve_ma(grid, 1.0).phi.values
     layout = _layout(grid)
@@ -226,11 +237,13 @@ def test_newton_starts_are_tried_in_order(disc_domain, monkeypatch, above_limit)
         solve_ma(grid, 1.1, start=given)
     assert solves
     assert spy.ilu_calls == (len(solves) if above_limit else 0)
+    assert set(spy.orders) == {"NATURAL"}
 
 
 def test_a_failed_ilu_attempt_sends_the_systems_later_solves_to_the_lu(disc_domain, monkeypatch):
     # one attempt per system: each solve_ma call and each solve_lma call
-    # makes its own, and the LU that runs instead gives the same bits
+    # makes its own, in the layout's order like the LU that runs instead,
+    # and that LU gives the same bits
     grid = discretize(disc_domain, 1.0 / 16)
     n = _layout(grid).n
     pot_lu = solve_ma(grid, 1.0)
@@ -248,6 +261,7 @@ def test_a_failed_ilu_attempt_sends_the_systems_later_solves_to_the_lu(disc_doma
     assert spy.ilu_calls == 3 and len(lma_solves) == 1
     assert np.array_equal(pot.phi.values, pot_lu.phi.values, equal_nan=True)
     assert np.array_equal(u, u_lu, equal_nan=True)
+    assert set(spy.orders) == {"NATURAL"} and len(spy.orders) > spy.ilu_calls
 
 
 def test_grid_without_a_coarser_grid_reraises_the_laplacian_failure(disc_domain, monkeypatch):
