@@ -21,6 +21,9 @@ _WALK_BLOCK = 512
 # vitali_cover's first core factor delta0, halved per round down to the floor
 _DELTA0 = 0.1
 _DELTA0_FLOOR = 0.0125
+# vitali_cover ranks heights that agree to this fraction of the largest as
+# ties, far above the rounding that tells mirror-image centres apart
+_TIE_TOL = 1e-9
 # maximal_function: centres per pair_gaps block; it sets the scan's peak memory
 _MAXIMAL_CHUNK = 32
 # maximal_function: side of the square lattice tiles that group its centres
@@ -54,7 +57,11 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, heights: np.ndar
     """Select sections greedily by maximal height with pairwise disjoint cores.
 
     Candidates are walked in order of decreasing maximal interior height, so
-    every pick has height at least half the supremum of the remaining ones. A
+    every pick has height at least half the supremum of the remaining ones.
+    Heights are ranked rounded to _TIE_TOL times the largest, and ties go to
+    the lower lattice index (row-major): mirror-image centres tie up to
+    rounding, so a change of phi by rounding alone would otherwise reorder
+    them. The rounded ranks only order the walk; every height stays exact. A
     candidate is selected when its core (section at the core factor delta0,
     first _DELTA0, times its height) misses every previously selected core.
     If the half-height sections of the selection fail to cover the region,
@@ -82,7 +89,7 @@ def vitali_cover(potential: PotentialField, region: np.ndarray, heights: np.ndar
         raise CoveringError("covering region holds no interior nodes of positive height")
     ci, cj = np.nonzero(cand)
     hvals = heights[ci, cj]
-    order = np.argsort(-hvals, kind="stable")
+    order = np.argsort(-np.round(hvals / (_TIE_TOL * hvals.max())), kind="stable")
     size = grid.in_domain.size
     centre = np.ravel_multi_index((ci, cj), grid.shape)
     covers = {}

@@ -25,13 +25,17 @@ class GoodSetError(LabError, ValueError):
 _PLUS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 # the ambient dimension n of the paper's exponents; the grids are planar
 _DIM = 2
-# centres per pair_gaps block in the quasi-Euclidean ratio scans; it sets
-# their peak memory
+# centres per pair_gaps block in the windowed quasi-Euclidean ratio scan; it
+# sets its peak memory
 _CHUNK = 64
-# centres per pair_gaps block in the opening scan, which works in place in
-# its two gap buffers; 8 was the fastest of 4, 8, 12, 16, 32 and 64 on the
-# eps = 0.2 disc at 1/64 (0.47-0.50 s against 0.84 s at 64, 2-core Xeon)
-_OPENING_CHUNK = 8
+# centres per pair_gaps block in the all-pairs scans (the openings, and the
+# ratio extrema without a radius), which work in place in buffers of one row
+# per centre over every in-domain node; 8 was the fastest of 4, 8, 12, 16, 32
+# and 64 for the openings on the eps = 0.2 disc at 1/64 (0.47-0.50 s against
+# 0.84 s at 64); against 64 it took the ratio scan over every in-domain
+# centre from 0.125 to 0.091 s on the eps = 0.2 square at 1/32 and from 1.25
+# to 0.94 s on the disc at 1/64 (2-core Xeon)
+_ALL_PAIRS_CHUNK = 8
 # the quasi-Euclidean scans' neighbourhood radius, in grid cells
 _RADIUS = 5.0
 # width of the tangent trust region, in cells (4-connected) from imposed ring
@@ -107,10 +111,10 @@ def minimal_opening_field(potential: PotentialField, solution, centers: np.ndarr
     out = np.full(grid.shape, np.nan)
     ci, cj = np.nonzero(centers)
     scans = zip(
-        pair_gaps(potential, ci, cj, ni, nj, _OPENING_CHUNK),
-        pair_gaps(potential, ci, cj, ni, nj, _OPENING_CHUNK, values=vals, grad=grad),
+        pair_gaps(potential, ci, cj, ni, nj, _ALL_PAIRS_CHUNK),
+        pair_gaps(potential, ci, cj, ni, nj, _ALL_PAIRS_CHUNK, values=vals, grad=grad),
     )
-    ok_buf = np.empty((min(_OPENING_CHUNK, ci.size), ni.size), dtype=bool)
+    ok_buf = np.empty((min(_ALL_PAIRS_CHUNK, ci.size), ni.size), dtype=bool)
     for (block, D), (_, U) in scans:
         # |U| / D into U's buffer where D >= d_min, -inf elsewhere
         ok = np.greater_equal(D, d_min, out=ok_buf[: D.shape[0]])
@@ -148,13 +152,13 @@ def _ratio_extrema(potential: PotentialField, neighborhood_radius: Optional[floa
     which pairs count, exactly as in the all-pairs scan. Without a radius
     every in-domain node is a target.
 
-    Both paths evaluate each block of _CHUNK centres in three buffers sized
-    once: e2, the squared separations (one more for the y part), and ok,
-    the admissible pairs. D / e2 is divided into the gap buffer of
-    pair_gaps where ok holds; that buffer then takes +inf off ok for the
-    minimum and -inf for the maximum. The expressions are those of the
-    allocating scan kept in tests/test_good_sets.py, so lo and hi are
-    bitwise equal to its own.
+    Both paths evaluate each block of centres (_CHUNK of them with a radius,
+    _ALL_PAIRS_CHUNK without) in three buffers sized once: e2, the squared
+    separations (one more for the y part), and ok, the admissible pairs.
+    D / e2 is divided into the gap buffer of pair_gaps where ok holds; that
+    buffer then takes +inf off ok for the minimum and -inf for the maximum.
+    The expressions are those of the allocating scan kept in
+    tests/test_good_sets.py, so lo and hi are bitwise equal to its own.
     """
     grid = potential.grid
     pair_floor = 1.5 * grid.spacing ** 2
@@ -163,7 +167,9 @@ def _ratio_extrema(potential: PotentialField, neighborhood_radius: Optional[floa
     if neighborhood_radius is None:
         ti, tj = np.nonzero(grid.in_domain)
         inside = None
+        chunk = _ALL_PAIRS_CHUNK
     else:
+        chunk = _CHUNK
         r2_cap = (neighborhood_radius * grid.spacing) ** 2
         w = int(np.ceil(np.sqrt(r2_cap) / grid.spacing)) + 1
         di, dj = (a.ravel() for a in np.mgrid[-w : w + 1, -w : w + 1])
@@ -176,9 +182,9 @@ def _ratio_extrema(potential: PotentialField, neighborhood_radius: Optional[floa
 
     lo = np.full(grid.shape, np.nan)
     hi = np.full(grid.shape, np.nan)
-    shape = (min(_CHUNK, ci.size), ti.shape[-1])
+    shape = (min(chunk, ci.size), ti.shape[-1])
     e2_buf, dy_buf, ok_buf = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-    for block, D in pair_gaps(potential, ci, cj, ti, tj, _CHUNK):
+    for block, D in pair_gaps(potential, ci, cj, ti, tj, chunk):
         bi = ci[block, None]
         bj = cj[block, None]
         ri, rj = (ti, tj) if inside is None else (ti[block], tj[block])

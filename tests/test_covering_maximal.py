@@ -104,7 +104,9 @@ def dense_vitali_cover(potential, region, delta0=0.1, delta0_floor=0.0125):
     hvals = masked_heights(potential, cand)
     positive = hvals > 0
     ci, cj, hvals = ci[positive], cj[positive], hvals[positive]
-    order = np.argsort(-hvals, kind="stable")
+    # heights agreeing to 1e-9 of the largest tie; ties go to the lower lattice index
+    ranks = np.round(hvals / (1e-9 * hvals.max()))
+    order = sorted(range(hvals.size), key=lambda k: (-ranks[k], ci[k] * grid.shape[1] + cj[k]))
     d0 = float(delta0)
     while True:
         in_core = np.zeros(grid.shape, dtype=bool)
@@ -158,6 +160,31 @@ def test_vitali_cover_equals_dense_reference(pinched_suite32):
         # the square's selection at the smallest core factor, after four rounds
         assert (len(res.heights), res.delta0) == (845, 0.0125)
         assert res.coverage_defect == 212 * pot.grid.cell_area
+
+
+def test_vitali_cover_breaks_twin_height_ties_by_lattice_index(model_disc):
+    """Mirror twins whose heights differ by rounding are walked in lattice order, whichever is larger.
+
+    The two centres sit close enough that the first one's core holds the
+    second, so only the first is picked.
+    """
+    grid = model_disc.grid
+    i, j = grid.nearest_node((-0.05, 0.3))
+    twin = (grid.shape[0] - 1 - i, j)
+    assert grid.xs[twin[0]] == -grid.xs[i]
+    region = np.zeros(grid.shape, dtype=bool)
+    region[i, j] = region[twin] = True
+    picks = []
+    for larger in ((i, j), twin):
+        hs = np.zeros(grid.shape)
+        hs[i, j] = hs[twin] = 0.2
+        hs[larger] = np.nextafter(0.2, 1.0)
+        res = vitali_cover(model_disc, region, hs)
+        assert len(res.heights) == 1
+        picks.append(res.centers[0])
+    # the lower lattice index is (i, j), which sits at x < 0
+    assert np.array_equal(picks[0], picks[1])
+    assert np.array_equal(picks[0], [grid.xs[i], grid.ys[j]])
 
 
 def test_vitali_cover_picks_no_empty_cover():

@@ -301,13 +301,16 @@ def _unknowns(layout):
 
 
 def loop_ring_weights(grid, flat):
-    """Reference ring interpolation: one ring node at a time, probing s = 1.5h, 2h, ..., 4h."""
+    """Reference ring interpolation: one ring node at a time, probing s = 1.5h, 2h, ..., 4h.
+
+    A node with no probe (r = 0) keeps zero weights on its own unknown.
+    """
     h = grid.spacing
     nx, ny = grid.shape
     ri, rj = np.nonzero(grid.boundary_adjacent)
     rpts = np.stack([grid.xs[ri], grid.ys[rj]], axis=-1)
     _, dist, normal = grid.domain.project_boundary(rpts)
-    corner_idx = np.zeros((len(ri), 4), dtype=np.int64)
+    corner_idx = np.repeat(flat[ri, rj][:, None], 4, axis=1)
     corner_w = np.zeros((len(ri), 4))
     coef_r = np.zeros(len(ri))
     for k in range(len(ri)):
@@ -390,11 +393,31 @@ def test_fixed_pattern_assembly_equals_the_coo_reference(kind, params, spacing, 
     assert A.indptr.tobytes() == ref.indptr.tobytes()
     assert A.indices.tobytes() == ref.indices.tobytes()
     assert A.data.tobytes() == ref.data.tobytes()
-    # each ring row with r = 0 keeps its four zero corner entries, summed
-    # into one explicit entry of column 0; every ring row of the square has r = 0
+    # each ring row with r = 0 points its four zero corner entries at its own
+    # unknown, so it holds its diagonal alone, and column 0 couples to no
+    # other such row; every ring row of the square has r = 0
     zero_rows = sysm.layout.ring_rows[sysm.layout.ring_r == 0]
-    assert np.isin(zero_rows, A.indices[: A.indptr[1]]).all()
+    R = A.tocsr()
+    assert np.all(np.diff(R.indptr)[zero_rows] == 1)
+    assert np.array_equal(R.indices[R.indptr[zero_rows]], zero_rows)
+    assert set(A.indices[: A.indptr[1]].tolist()) & set(zero_rows.tolist()) <= {0}
     assert kind != "square" or len(zero_rows) == len(sysm.layout.ring_rows)
+
+
+@pytest.mark.parametrize("spacing, lu_nnz", [(1.0 / 32, 255311), (1.0 / 64, 1257915)])
+def test_square_lu_fill_is_that_of_its_nonzeros(spacing, lu_nnz):
+    # on the square every ring row has r = 0; its zero corner entries must
+    # add no fill, so the factor of the fixed pattern is that of the matrix
+    # with its explicit zeros dropped (a nonzero cross coefficient keeps
+    # every interior stencil entry)
+    grid = discretize(build_domain("square", side=2.0), spacing)
+    sysm = NodeSystem(grid, _zero)
+    ones = np.ones(len(sysm.layout.int_rows))
+    A = sysm.interior_matrix(ones, ones, 0.1 * ones)
+    B = A.copy()
+    B.eliminate_zeros()
+    lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    assert lu.nnz == spla.splu(B, permc_spec="NATURAL", diag_pivot_thresh=0.0).nnz == lu_nnz
 
 
 def test_lma_solution_is_pinned(disc_domain):
@@ -405,7 +428,7 @@ def test_lma_solution_is_pinned(disc_domain):
     X, Y = grid.meshes()
     sol = solve_lma(pot, np.sin(np.pi * X) * np.cos(np.pi * Y) + 2.0)
     digest = hashlib.sha256(sol.u.values.tobytes()).hexdigest()
-    assert digest == "0b076b432532059369114e0b6f1389dd66108a9081848fe385ab663478ad6065"
+    assert digest == "5dd94cf7f5824974d74fcaa8679411e7db814e17913c28f3a99981e577e76c01"
 
 
 def test_systems_on_a_grid_share_one_layout(disc_domain):
