@@ -132,9 +132,37 @@ def minimal_opening_field(potential: PotentialField, solution, centers: np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _ratio_extrema(potential: PotentialField, neighborhood_radius: Optional[float],
-                   centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-center min and max of squared quasi-distance over squared distance.
+def _window_gaps(potential: PotentialField, ci, cj, di, dj):
+    """pair_gaps from each centre to its window of grid offsets (di, dj), _CHUNK centres at a time.
+
+    Yields (block, ti, tj, inside, D) for consecutive blocks of the centres
+    (ci, cj): the block's target rows, one per centre, which of those
+    targets are in-domain grid nodes, and its gaps. Offsets that leave the
+    grid are clipped to its edge and marked outside. The target arrays are
+    built per block, so the scan's memory does not grow with the number of
+    centres.
+    """
+    grid = potential.grid
+    for s in range(0, ci.size, _CHUNK):
+        block = slice(s, s + _CHUNK)
+        ti = ci[block, None] + di
+        tj = cj[block, None] + dj
+        inside = (ti >= 0) & (ti < grid.shape[0]) & (tj >= 0) & (tj < grid.shape[1])
+        ti = np.clip(ti, 0, grid.shape[0] - 1)
+        tj = np.clip(tj, 0, grid.shape[1] - 1)
+        inside &= grid.in_domain[ti, tj]
+        for _, D in pair_gaps(potential, ci[block], cj[block], ti, tj, _CHUNK):
+            yield block, ti, tj, inside, D
+
+
+def _ratio_blocks(potential: PotentialField, neighborhood_radius: Optional[float], ci, cj):
+    """Squared quasi-distance over squared distance, one block of centres at a time.
+
+    Yields (block, R, off, any_ok) for consecutive blocks of the centres
+    (ci, cj): R holds D / e2 on the admissible pairs and +inf elsewhere, off
+    marks the pairs that are not admissible and any_ok the centres that have
+    an admissible pair. R and off live in buffers that the next block
+    overwrites.
 
     Pairs with squared separation below the floor of 1.5 squared spacings
     are skipped. That floor drops exactly the single-cell axis pairs,
@@ -142,52 +170,45 @@ def _ratio_extrema(potential: PotentialField, neighborhood_radius: Optional[floa
     distance floor. At one-cell separation both the gap and the quadratic
     comparison sit at the size of the discretization error, so their ratio
     carries no information and, near the boundary, only the imposition error.
-    Centers are restricted to the tangent trust region (see
-    tangent_trust_region).
 
     With a neighborhood radius each center scans only the in-domain nodes
-    at grid offsets of at most ceil(radius) + 1 cells along each axis. That
-    window is a superset of the admissible pairs; the float test on the
-    squared separation (floor <= e2 <= the squared radius) decides
-    which pairs count, exactly as in the all-pairs scan. Without a radius
-    every in-domain node is a target.
+    at grid offsets of length at most ceil(radius) + 1 cells (_window_gaps).
+    The window is round because the corners of the square of that
+    half-width (a third of its offsets at radius 5) hold no admissible pair
+    yet cost as much to evaluate. It is a superset of the admissible pairs;
+    the float test on the squared separation (floor <= e2 <= the squared
+    radius) decides which pairs count, exactly as in the all-pairs scan.
+    Without a radius every in-domain node is a target. Either way a pair
+    that counts gets bit for bit the same ratio, so the window's admissible
+    ratios are a subset of the all-pairs ones.
 
     Both paths evaluate each block of centres (_CHUNK of them with a radius,
     _ALL_PAIRS_CHUNK without) in three buffers sized once: e2, the squared
-    separations (one more for the y part), and ok, the admissible pairs.
-    D / e2 is divided into the gap buffer of pair_gaps where ok holds; that
-    buffer then takes +inf off ok for the minimum and -inf for the maximum.
-    The expressions are those of the allocating scan kept in
-    tests/test_good_sets.py, so lo and hi are bitwise equal to its own.
+    separations (one more for the y part), and ok, the admissible pairs. The
+    expressions are those of the allocating scan kept in
+    tests/test_good_sets.py, so the extrema the callers reduce from R are
+    bitwise equal to its own.
     """
     grid = potential.grid
     pair_floor = 1.5 * grid.spacing ** 2
-    centers = centers & tangent_trust_region(potential)
-    ci, cj = np.nonzero(centers)
     if neighborhood_radius is None:
         ti, tj = np.nonzero(grid.in_domain)
-        inside = None
-        chunk = _ALL_PAIRS_CHUNK
+        chunk, width = _ALL_PAIRS_CHUNK, ti.size
+        gaps = ((block, ti, tj, None, D) for block, D in pair_gaps(potential, ci, cj, ti, tj, chunk))
     else:
-        chunk = _CHUNK
         r2_cap = (neighborhood_radius * grid.spacing) ** 2
         w = int(np.ceil(np.sqrt(r2_cap) / grid.spacing)) + 1
         di, dj = (a.ravel() for a in np.mgrid[-w : w + 1, -w : w + 1])
-        ti = ci[:, None] + di
-        tj = cj[:, None] + dj
-        inside = (ti >= 0) & (ti < grid.shape[0]) & (tj >= 0) & (tj < grid.shape[1])
-        ti = np.clip(ti, 0, grid.shape[0] - 1)
-        tj = np.clip(tj, 0, grid.shape[1] - 1)
-        inside &= grid.in_domain[ti, tj]
+        near = di * di + dj * dj <= w * w
+        di, dj = di[near], dj[near]
+        chunk, width = _CHUNK, di.size
+        gaps = _window_gaps(potential, ci, cj, di, dj)
 
-    lo = np.full(grid.shape, np.nan)
-    hi = np.full(grid.shape, np.nan)
-    shape = (min(chunk, ci.size), ti.shape[-1])
+    shape = (min(chunk, ci.size), width)
     e2_buf, dy_buf, ok_buf = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-    for block, D in pair_gaps(potential, ci, cj, ti, tj, chunk):
+    for block, ri, rj, inside, D in gaps:
         bi = ci[block, None]
         bj = cj[block, None]
-        ri, rj = (ti, tj) if inside is None else (ti[block], tj[block])
         e2, dy, ok = (b[: D.shape[0]] for b in (e2_buf, dy_buf, ok_buf))
         np.subtract(grid.xs[ri], grid.xs[bi], out=e2)
         e2 *= e2
@@ -197,29 +218,70 @@ def _ratio_extrema(potential: PotentialField, neighborhood_radius: Optional[floa
         np.greater_equal(e2, pair_floor, out=ok)
         if inside is not None:
             ok &= e2 <= r2_cap
-            ok &= inside[block]
+            ok &= inside
         any_ok = ok.any(axis=1)
-        # D / e2 into D's buffer on the admissible pairs, +-inf elsewhere
+        # D / e2 into D's buffer on the admissible pairs, +inf elsewhere
         np.divide(D, e2, out=D, where=ok)
-        np.logical_not(ok, out=ok)
-        np.copyto(D, np.inf, where=ok)
-        lo_s = D.min(axis=1)
-        np.copyto(D, -np.inf, where=ok)
-        hi_s = D.max(axis=1)
-        lo[ci[block], cj[block]] = np.where(any_ok, lo_s, np.nan)
-        hi[ci[block], cj[block]] = np.where(any_ok, hi_s, np.nan)
+        off = np.logical_not(ok, out=ok)
+        np.copyto(D, np.inf, where=off)
+        yield block, D, off, any_ok
+
+
+def _ratio_extrema(potential: PotentialField, neighborhood_radius: Optional[float],
+                   centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-center min and max of squared quasi-distance over squared distance.
+
+    The pairs, the window and the buffers are those of _ratio_blocks; the
+    maximum reuses R, taking -inf off the admissible pairs. Centers are
+    restricted to the tangent trust region (see tangent_trust_region). NaN
+    where no admissible pair exists and off the centers.
+    """
+    grid = potential.grid
+    ci, cj = np.nonzero(centers & tangent_trust_region(potential))
+    lo = np.full(grid.shape, np.nan)
+    hi = np.full(grid.shape, np.nan)
+    for block, R, off, any_ok in _ratio_blocks(potential, neighborhood_radius, ci, cj):
+        lo[ci[block], cj[block]] = np.where(any_ok, R.min(axis=1), np.nan)
+        np.copyto(R, -np.inf, where=off)
+        hi[ci[block], cj[block]] = np.where(any_ok, R.max(axis=1), np.nan)
     return lo, hi
 
 
-def quasi_euclidean_ratio_min(potential: PotentialField, centers: np.ndarray) -> np.ndarray:
-    """Per-center minimum of squared quasi-distance over squared distance, over every node pair.
-
-    Masks for any threshold follow by comparing this field against it.
-    Centers outside the tangent trust region come back NaN (unmeasurable);
-    see tangent_trust_region.
-    """
-    lo, _ = _ratio_extrema(potential, None, centers)
+def _ratio_min(potential: PotentialField, neighborhood_radius: Optional[float], ci, cj) -> np.ndarray:
+    """Per-centre ratio minimum of _ratio_blocks, one entry per centre (ci, cj); NaN without an admissible pair."""
+    lo = np.full(ci.size, np.nan)
+    for block, R, _, any_ok in _ratio_blocks(potential, neighborhood_radius, ci, cj):
+        lo[block] = np.where(any_ok, R.min(axis=1), np.nan)
     return lo
+
+
+def quasi_euclidean_ratio_min(potential: PotentialField, centers: np.ndarray, threshold: float) -> np.ndarray:
+    """Per-center minimum of squared quasi-distance over squared distance, as far as a threshold needs it.
+
+    The answer a caller reads is whether the all-pairs minimum lies below
+    threshold. Each center is settled by the smallest scan that gives it:
+    - the window pass scans the pairs within _RADIUS cells. Its admissible
+      pairs are a subset of the all-pairs ones, with bit for bit the same
+      ratios (_ratio_blocks), so a window minimum below threshold means
+      the all-pairs minimum is below it too;
+    - the all-pairs pass scans every in-domain node, and only for the
+      centers the window left open: minimum at or above threshold, or no
+      admissible pair in the window.
+    So at or above threshold the value is the exact all-pairs minimum; below
+    it, an admissible ratio below threshold (the window minimum where the
+    window settled the center). Both masks isfinite(rm) and rm < threshold
+    equal those of the all-pairs minimum. Centers with no admissible pair,
+    and those outside the tangent trust region, come back NaN
+    (unmeasurable); see tangent_trust_region.
+    """
+    grid = potential.grid
+    ci, cj = np.nonzero(centers & tangent_trust_region(potential))
+    lo = _ratio_min(potential, _RADIUS, ci, cj)
+    left_open = ~(lo < threshold)
+    lo[left_open] = _ratio_min(potential, None, ci[left_open], cj[left_open])
+    out = np.full(grid.shape, np.nan)
+    out[ci, cj] = lo
+    return out
 
 
 def quasi_euclidean_constant(lo: np.ndarray, hi: np.ndarray) -> float:

@@ -636,16 +636,21 @@ def contact_set_experiment(family: PinchedFamily, config: ExperimentConfig) -> E
     (the in-domain node nearest the first of 64 boundary samples) is flooded
     at the chosen height, and the defect is the fraction of its
     measurable cells outside the full-domain quasi-Euclidean mask at
-    sigma = config.sigma. Measurable means inside the scan's tangent trust
-    region; cells in the gradient boundary layer cannot certify either way
-    and are reported separately. The height is fixed once across the sweep
+    sigma = config.sigma: cells whose ratio minimum over every node pair
+    lies below 0.5 * sigma. The threshold goes to quasi_euclidean_ratio_min,
+    which settles a cell from the pairs within its window when one of them
+    is already below it and scans every pair only for the cells the window
+    leaves open; the masks equal those of the all-pairs minimum. Measurable
+    means inside the scan's tangent trust region, with an admissible pair;
+    cells in the gradient boundary layer cannot certify either way and are
+    reported separately. The height is fixed once across the sweep
     (config.height, or half the cap gap of the first instance when it is
     not set) so the sections stay comparable; measured reports it with
     the anchor. The defect must not grow as eps shrinks and must be at most
     _CONTACT_SMALL_TOL at the smallest eps.
     """
     grid = family.grid
-    sigma = config.sigma
+    threshold = 0.5 * config.sigma
     eps_list = _validate_eps(config.eps)
     i, j = grid.nearest_in_domain(grid.domain.boundary_samples(64)[0])
     anchor = np.array([grid.xs[i], grid.ys[j]])
@@ -658,7 +663,7 @@ def contact_set_experiment(family: PinchedFamily, config: ExperimentConfig) -> E
         pot = family.potential(eps)
         sec = section(pot, anchor, t)
         n_cells = int(sec.cells.sum())
-        rm = quasi_euclidean_ratio_min(pot, sec.cells)
+        rm = quasi_euclidean_ratio_min(pot, sec.cells, threshold)
         measurable = sec.cells & np.isfinite(rm)
         n_meas = int(measurable.sum())
         if n_meas < _CONTACT_MIN_CELLS:
@@ -666,7 +671,7 @@ def contact_set_experiment(family: PinchedFamily, config: ExperimentConfig) -> E
                 f"section at eps={eps} has only {n_meas} measurable cells"
                 f" of {n_cells}; raise the height or refine the grid"
             )
-        defect = float((measurable & (rm < 0.5 * sigma)).sum() / n_meas)
+        defect = float((measurable & (rm < threshold)).sum() / n_meas)
         return defect, n_cells, n_meas
 
     rows = run_sweep(one, eps_list, pool_size(config))

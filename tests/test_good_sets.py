@@ -16,6 +16,7 @@ from ma_lab.good_sets import (
     good_set_survey,
     minimal_opening_field,
     quasi_euclidean_constant,
+    quasi_euclidean_ratio_min,
     solution_fields,
     tangent_trust_region,
 )
@@ -261,6 +262,7 @@ def allocating_ratio_extrema(potential, neighborhood_radius, centers):
     else:
         r2_cap = (neighborhood_radius * grid.spacing) ** 2
         w = int(np.ceil(np.sqrt(r2_cap) / grid.spacing)) + 1
+        # the whole square of half-width w, a superset of the kernel's round window
         di, dj = (a.ravel() for a in np.mgrid[-w : w + 1, -w : w + 1])
         ti = ci[:, None] + di
         tj = cj[:, None] + dj
@@ -315,3 +317,58 @@ def test_ratio_extrema_bitwise_equal_the_allocating_scan(pinched_scan_potential,
     assert np.isfinite(ref[0]).sum() > 0
     assert np.array_equal(got[0], ref[0], equal_nan=True)
     assert np.array_equal(got[1], ref[1], equal_nan=True)
+
+
+@pytest.fixture(scope="module")
+def all_pairs_reference(pinched_suite32):
+    """The potential, its in-domain centres, their all-pairs ratio minimum (allocating scan) and window minimum."""
+    pot = pinched_suite32
+    centers = pot.grid.in_domain.copy()
+    ref = allocating_ratio_extrema(pot, None, centers)[0]
+    window = _ratio_extrema(pot, _RADIUS, centers)[0]
+    return pot, centers, ref, window
+
+
+@pytest.mark.parametrize("settles", ["all", "some", "none", "no centres"])
+def test_two_pass_ratio_min_masks_equal_the_all_pairs_reference(all_pairs_reference, settles, monkeypatch):
+    # the window settles the centres whose window minimum lies below the
+    # threshold; the all-pairs pass gets exactly the rest, and the masks a
+    # caller reads equal those of the all-pairs minimum
+    pot, centers, ref, window = all_pairs_reference
+    trusted = centers & tangent_trust_region(pot)
+    assert int((centers & ~trusted).sum()) > 0
+    finite = window[np.isfinite(window)]
+    threshold = {"all": np.nextafter(finite.max(), np.inf), "some": float(np.median(finite)),
+                 "none": finite.min(), "no centres": float(np.median(finite))}[settles]
+    if settles == "no centres":
+        centers = np.zeros_like(centers)
+        trusted = centers
+        ref = np.full(ref.shape, np.nan)
+    left_open = trusted & ~(window < threshold)
+    n_open = int(left_open.sum())
+    if settles == "all":
+        assert n_open == 0 < int(trusted.sum())
+    elif settles == "some":
+        assert 0 < n_open < int(trusted.sum())
+    elif settles == "none":
+        assert n_open == int(trusted.sum()) > 0
+
+    received = []
+    real = good_sets._ratio_min
+
+    def counting(potential, radius, ci, cj):
+        if radius is None:
+            received.append(ci.size)
+        return real(potential, radius, ci, cj)
+
+    monkeypatch.setattr(good_sets, "_ratio_min", counting)
+    got = quasi_euclidean_ratio_min(pot, centers, threshold)
+    assert received == [n_open]
+    assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+    assert np.array_equal(got < threshold, ref < threshold)
+    # exact at or above the threshold; below it, an admissible ratio no
+    # smaller than the all-pairs minimum
+    at_or_above = ref >= threshold
+    assert np.array_equal(got[at_or_above], ref[at_or_above])
+    assert bool(np.all(got[np.isfinite(ref)] >= ref[np.isfinite(ref)]))
+    assert bool(np.all(np.isnan(got[~trusted])))
