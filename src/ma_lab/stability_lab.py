@@ -23,8 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domain_grid import ConvexDomain, Grid, LabError, MatrixField, build_once, fd_derivatives, fmt_float, lp_norm
-from .ma_solve import PotentialField, SolveError, certify_convexity, cofactor_field, solve_ma
+from .domain_grid import ConvexDomain, Grid, LabError, build_once, fd_derivatives, fmt_float, lp_norm
+from .ma_solve import PotentialField, SolveError, solve_ma
 from .lma_solve import abp_check, solve_lma
 from .section_geom import engulfing_constant, interior_heights, measure_c_cap, section, volume_scaling
 from .covering_maximal import maximal_function, strong_type_ratio, vitali_cover
@@ -301,13 +301,14 @@ def _source(grid: Grid) -> np.ndarray:
     return np.sin(np.pi * X) * np.cos(np.pi * Y) + 2.0
 
 
-def _hess_frobenius(hess) -> np.ndarray:
-    return np.sqrt(hess.xx ** 2 + 2.0 * hess.xy ** 2 + hess.yy ** 2)
+def _frobenius(xx, yy, xy) -> np.ndarray:
+    """Pointwise Frobenius norm of the symmetric matrices with entries xx, yy, xy."""
+    return np.sqrt(xx ** 2 + 2.0 * xy ** 2 + yy ** 2)
 
 
-def _matrix_diff_lq(grid: Grid, a, b, q: float) -> float:
-    """L^q norm of the pointwise Frobenius distance between two matrix fields."""
-    return lp_norm(grid, _hess_frobenius(MatrixField(grid, a.xx - b.xx, a.yy - b.yy, a.xy - b.xy)), q)
+def _matrix_diff_lq(a, b, q: float) -> float:
+    """L^q norm of the pointwise Frobenius distance between two matrix fields on one grid."""
+    return lp_norm(a.grid, _frobenius(a.xx - b.xx, a.yy - b.yy, a.xy - b.xy), q)
 
 
 def _grows_with_eps(assertions: list, eps_list, values, op: str, tol: float, name: str) -> np.ndarray:
@@ -478,24 +479,24 @@ def barrier_experiment(family: PinchedFamily, config: ExperimentConfig) -> Exper
 
 
 def cofactor_stability_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
-    """Distance between cofactor matrices of a perturbed and a flat solve.
+    """Distance between the cofactor matrices of a perturbed and a flat potential.
 
     For each eps the family's potentials at eps and at 0 are compared; the
     measured quantity is the L^p norm (p = config.p) of the Frobenius
-    distance of the two cofactor fields. In the plane the cofactor swaps the
+    distance of their cofactor fields. In the plane the cofactor swaps the
     Hessian's diagonal entries and negates its cross term, so
-    |cof A - cof B|_F = |A - B|_F: at p = 2 this is the L^2 Hessian distance,
+    |cof A - cof B|_F = |A - B|_F term by term, and the experiment takes
+    the Hessian distance directly: at p = 2 it is the L^2 Hessian distance,
     the quantity sobolev_stability measures in L^gamma. Asserts strict
     decrease in eps; the log-log slope against eps is reported, not
     asserted, since strict growth in eps already makes it positive
     (Chebyshev's sum inequality).
     """
-    grid = family.grid
     eps_list = _validate_eps(config.eps)
-    W = cofactor_field(family.potential(0.0))
+    flat = family.potential(0.0).hess
 
     def one(eps: float) -> float:
-        return _matrix_diff_lq(grid, cofactor_field(family.potential(eps)), W, config.p)
+        return _matrix_diff_lq(family.potential(eps).hess, flat, config.p)
 
     norms = run_sweep(one, eps_list, pool_size(config))
     assertions = []
@@ -529,7 +530,7 @@ def sobolev_stability_experiment(family: PinchedFamily, config: ExperimentConfig
 
     def one(eps: float):
         pot = family.potential(eps)
-        lhs = _matrix_diff_lq(grid, pot.hess, w_pot.hess, config.gamma)
+        lhs = _matrix_diff_lq(pot.hess, w_pot.hess, config.gamma)
         gdiff = lp_norm(grid, pot.g_values - w_pot.g_values, 1.0)
         return lhs, gdiff
 
@@ -595,32 +596,25 @@ def approximation_experiment(family: PinchedFamily, config: ExperimentConfig) ->
 
 
 def w21e_experiment(family: PinchedFamily, config: ExperimentConfig) -> ExperimentReport:
-    """Hessian integrability ratios of a convex solution.
+    """Hessian integrability ratios of the first sweep entry's potential phi.
 
-    Solves the linearized problem over the first sweep entry's potential
-    with f = 2 g and the potential's own boundary datum, certifies convexity
-    of the solution (the experiment reports non-applicability instead of
-    failing when the solution is not convex), and reports
-    |D2 v|_{L^gamma} / |f|_inf for each gamma in _W21E_GAMMAS. It asserts
-    nothing of its own: a ratio that is not finite fails the report through
-    ExperimentReport's rule.
+    Reports |D2 phi|_{L^gamma} / |f|_inf with f = 2 g, g the potential's
+    density, for each gamma in _W21E_GAMMAS: the W^{2,1+eps} integrability
+    of the Monge-Ampere potential itself, read from its discrete Hessian.
+    These are the ratios of the v that solves trace(cof(D2 phi) D2 v) = 2 g
+    with phi's own boundary datum: in the plane trace(cof(H) H) = 2 det H
+    for every symmetric H, and Newton solves det D2 phi = g with the same
+    nine-point Hessian, so v is phi up to Newton's residual; solve_ma has
+    already certified phi convex. It asserts nothing of its own: a ratio
+    that is not finite fails the report through ExperimentReport's rule.
     """
     potential = _pinched(family, config)
     grid = potential.grid
-    gammas = _W21E_GAMMAS
-    sol = solve_lma(potential, 2.0 * potential.g_values, boundary=potential.boundary_datum,
-                    tol_lma=config.tol_lma)
-    _, hess = fd_derivatives(sol.u)
-    conv = certify_convexity(hess, tol=1e-6)
-
-    f_inf = lp_norm(grid, sol.f_values, np.inf)
-    if not conv.passed:
-        measured = {"applicable": False, "min_hessian_eig": conv.min_eig}
-    else:
-        fro = _hess_frobenius(hess)
-        measured = {"applicable": True, "ratios": [lp_norm(grid, fro, g) / f_inf for g in gammas],
-                    "f_inf": f_inf, "min_hessian_eig": conv.min_eig}
-    return ExperimentReport(sweep=list(gammas), measured=measured,
+    h = potential.hess
+    fro = _frobenius(h.xx, h.yy, h.xy)
+    f_inf = lp_norm(grid, 2.0 * potential.g_values, np.inf)
+    measured = {"ratios": [lp_norm(grid, fro, g) / f_inf for g in _W21E_GAMMAS], "f_inf": f_inf}
+    return ExperimentReport(sweep=list(_W21E_GAMMAS), measured=measured,
                             assertions=[], sweep_label="gamma")
 
 
@@ -722,7 +716,7 @@ def w2p_ratio_experiment(family: PinchedFamily, config: ExperimentConfig) -> Exp
         scale, eps, pp, qq = case
         sol = solve_lma(family.potential(eps), scale * f_vals, tol_lma=config.tol_lma)
         _, hess = fd_derivatives(sol.u)
-        num = lp_norm(grid, _hess_frobenius(hess), pp)
+        num = lp_norm(grid, _frobenius(hess.xx, hess.yy, hess.xy), pp)
         den = lp_norm(grid, sol.f_values, qq)
         return num / den
 

@@ -96,7 +96,7 @@ def test_linearized_experiments_honour_the_configured_tolerance(tmp_path, monkey
         return real(*args, **kwargs)
 
     monkeypatch.setattr(stability_lab, "solve_lma", recording)
-    for name in ("solve_lma", "goodsets", "approximation", "w21e", "w2p_ratio"):
+    for name in ("solve_lma", "goodsets", "approximation", "w2p_ratio"):
         cfg = ExperimentConfig(experiment=name, domain="disc", spacing=1.0 / 16, tol_lma=1e-6)
         before = len(tolerances)
         run(cfg, out_dir=str(tmp_path / name))

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from ma_lab import stability_lab
-from ma_lab.domain_grid import build_domain, discretize, lp_norm
+from ma_lab.domain_grid import build_domain, discretize, fd_derivatives, lp_norm
+from ma_lab.lma_solve import solve_lma
 from ma_lab.ma_solve import SolveError, cofactor_field, solve_ma
 from ma_lab.stability_lab import ExperimentConfig, PinchedFamily, default_bump
 
@@ -362,6 +363,79 @@ def test_contact_set_anchor_snaps_to_an_in_domain_node():
     # quasi-Euclidean ratio, about b / (2a) = 1/3, so no cell passes
     assert report.measured["defect_fraction"] == [1.0, 1.0, 1.0]
     assert not report.passed
+
+
+@pytest.fixture(scope="module", params=[("disc", {"radius": 1.0}), ("ellipse", {"a": 1.2, "b": 0.8}),
+                                        ("square", {"side": 2.0})], ids=["disc", "ellipse", "square"])
+def suite_family32(request):
+    """A suite's family, the bump density on its domain, at spacing 1/32."""
+    kind, params = request.param
+    domain = build_domain(kind, **params)
+    return PinchedFamily(discretize(domain, 1.0 / 32), default_bump(domain))
+
+
+def _frobenius(xx, yy, xy):
+    return np.sqrt(xx ** 2 + 2.0 * xy ** 2 + yy ** 2)
+
+
+def test_w21e_ratios_equal_those_of_the_linearized_solve_for_phi(suite_family32):
+    # the route w21e took before reading phi's Hessian: solve
+    # trace(cof(D2 phi) D2 v) = 2 g with phi's own datum, then take D2 v;
+    # trace(cof(H) H) = 2 det H, so v is phi up to Newton's residual
+    pot = suite_family32.potential(0.2)
+    grid = pot.grid
+    sol = solve_lma(pot, 2.0 * pot.g_values, boundary=pot.boundary_datum)
+    _, hess = fd_derivatives(sol.u)
+    fro = _frobenius(hess.xx, hess.yy, hess.xy)
+    f_inf = lp_norm(grid, sol.f_values, np.inf)
+    report = stability_lab.w21e_experiment(suite_family32, ExperimentConfig(eps=(0.2, 0.1, 0.05)))
+    assert report.measured["f_inf"] == f_inf
+    want = [lp_norm(grid, fro, g) / f_inf for g in report.sweep]
+    assert report.measured["ratios"] == pytest.approx(want, rel=1e-11, abs=0.0)
+    assert report.passed
+
+
+def test_cofactor_distance_is_the_hessian_distance(suite_family32):
+    # the cofactor swaps the diagonal entries and negates the cross term, so
+    # at every node the two distances sum the same terms in another order
+    inside = suite_family32.grid.in_domain
+    flat = suite_family32.potential(0.0)
+    flat_cof = cofactor_field(flat)
+    for eps in (0.2, 0.1, 0.05, 0.025):
+        pot = suite_family32.potential(eps)
+        cof = cofactor_field(pot)
+        hess_gap = _frobenius(pot.hess.xx - flat.hess.xx, pot.hess.yy - flat.hess.yy, pot.hess.xy - flat.hess.xy)
+        cof_gap = _frobenius(cof.xx - flat_cof.xx, cof.yy - flat_cof.yy, cof.xy - flat_cof.xy)
+        assert np.all(np.isfinite(hess_gap[inside])) and hess_gap[inside].max() > 0.0
+        np.testing.assert_array_max_ulp(cof_gap[inside], hess_gap[inside], maxulp=4)
+
+
+def _record_calls(monkeypatch, name: str) -> list:
+    """Wrap the function `name` in every loaded ma_lab module that holds it; the list collects its calls."""
+    calls = []
+    for module_name, module in list(sys.modules.items()):
+        real = getattr(module, name, None)
+        if module_name.split(".")[0] == "ma_lab" and callable(real):
+            def recording(*args, _real=real, **kwargs):
+                calls.append(args)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_w21e_solves_nothing_and_cofactor_stability_builds_no_cofactor(disc_domain, monkeypatch):
+    family = PinchedFamily(discretize(disc_domain, 1.0 / 32), default_bump(disc_domain))
+    config = ExperimentConfig(eps=(0.2, 0.1), threads=1)
+    for eps in (0.0,) + config.eps:
+        family.potential(eps)
+    solves = _record_calls(monkeypatch, "solve_lma")
+    cofactors = _record_calls(monkeypatch, "cofactor_field")
+    assert stability_lab.w21e_experiment(family, config).passed
+    assert stability_lab.cofactor_stability_experiment(family, config).passed
+    assert solves == [] and cofactors == []
+    # the wrappers see both calls on the linearized route
+    stability_lab.solve_lma_experiment(family, config)
+    assert len(solves) == 1 and len(cofactors) == 1
 
 
 def test_pool_size_reads_the_config_not_the_active_pool():
